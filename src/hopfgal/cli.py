@@ -26,8 +26,12 @@ from .banica import product_coaction, qgal_banica, validate_comodule
 from .errors import ConsistencyError, HopfgalError, InputError
 from .galois import canonical_qgal
 from .hopf import dual_hopf, validate_hopf, validate_pairing
-from .jones import basic_construction, bimodule_endos_report, gns
-from .linalg import Subspace
+from .jones import (
+    basic_construction,
+    bimodule_endos_report,
+    gns,
+    markov_check,
+)
 from .measuring import (
     SpanConstraint,
     hopf_centralizer,
@@ -127,19 +131,9 @@ def run_commutant(ws: Workspace, job: dict) -> dict:
 def run_jones(ws: Workspace, job: dict) -> dict:
     alg = ws.get(job["algebra"], ("algebra",))
     sub = ws.get(job["subalgebra"], ("subspace",))
-    space = gns(alg)
-    bc = basic_construction(space, sub)
-    endo_rep = bimodule_endos_report(space, sub)
-    from .jones import markov_check
-    from .linalg import flatten_matrix, matrix_commutant
-
-    n = space.dim
-    n_comm = matrix_commutant([space.lam(b) for b in sub.basis], n)
-
-    n_comm_span = Subspace.from_vectors(
-        [flatten_matrix(X) for X in n_comm], n * n
-    )
-    inter = n_comm_span.intersect(bc.m1)
+    bc = basic_construction(gns(alg), sub)
+    endo_rep = bimodule_endos_report(bc)
+    dims = endo_rep["dimension_matches"].witness
     return {
         "algebra": job["algebra"],
         "subalgebra": job["subalgebra"],
@@ -147,8 +141,8 @@ def run_jones(ws: Workspace, job: dict) -> dict:
         "markov_certificate": markov_check(bc).to_json(),
         "dims": {
             "m1": bc.m1.dim,
-            "n_commutant_cap_m1": inter.dim,
-            "bimodule_endos": endo_rep["dimension_matches"].witness["endos"],
+            "n_commutant_cap_m1": dims["n_comm_cap_m1"],
+            "bimodule_endos": dims["endos"],
         },
         "report": bc.report.to_json(),
         "bimodule_report": endo_rep.to_json(),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     StarAlgebra,
@@ -44,8 +45,6 @@ from .linalg import (
 )
 from .report import Report
 from .scalars import Scalar
-
-DEEP_CERTIFY_LIMIT = 32  # skip the full commutant equality above this dim
 
 
 @dataclass
@@ -104,12 +103,15 @@ class GnsSpace:
                     tot = tot + xi * yj.conj() * self.gram[i][j]
         return tot
 
+    @cached_property
+    def gram_inverse(self) -> Mat:
+        return mat_inverse(self.gram)
+
     def adjoint(self, X: Mat) -> Mat:
         """Gram adjoint: <X x, y> = <x, X^dagger y>."""
-        g_inv = mat_inverse(self.gram)
         xct = [[X[j][i].conj() for j in range(self.dim)]
                for i in range(self.dim)]
-        return mat_mul(g_inv, mat_mul(xct, self.gram))
+        return mat_mul(self.gram_inverse, mat_mul(xct, self.gram))
 
 
 def gns(M: StarAlgebra, certify: bool = True) -> GnsSpace:
@@ -155,29 +157,13 @@ def _certify_gns(space: GnsSpace):
             break
     rep.add("conjugation_involutive", ok)
 
-    if n <= DEEP_CERTIFY_LIMIT:
-        commutant = matrix_commutant(
-            [space.lam_basis(i) for i in range(n)], n
-        )
-        jmj = [space.jmat(space.lam_basis(i)) for i in range(n)]
-        lhs = Subspace.from_vectors([flatten_matrix(X) for X in jmj], n * n)
-        rhs = Subspace.from_vectors(
-            [flatten_matrix(X) for X in commutant], n * n
-        )
-        rep.add("jmj_equals_commutant", lhs == rhs)
-    else:
-        ok = True
-        for i in range(n):
-            ji = space.jmat(space.lam_basis(i))
-            for j in range(n):
-                lj = space.lam_basis(j)
-                if mat_mul(ji, lj) != mat_mul(lj, ji):
-                    ok = False
-                    break
-            if not ok:
-                break
-        rep.add("jmj_inside_commutant", ok,
-                note=f"full equality skipped above dim {DEEP_CERTIFY_LIMIT}")
+    commutant = matrix_commutant([space.lam_basis(i) for i in range(n)], n)
+    jmj = [space.jmat(space.lam_basis(i)) for i in range(n)]
+    lhs = Subspace.from_vectors([flatten_matrix(X) for X in jmj], n * n)
+    rhs = Subspace.from_vectors(
+        [flatten_matrix(X) for X in commutant], n * n
+    )
+    rep.add("jmj_equals_commutant", lhs == rhs)
 
 
 # -- Jones projection ----------------------------------------------------------
@@ -272,21 +258,18 @@ def jones_projection(space: GnsSpace, N: Subspace,
             break
     rep.add("commutes_with_conjugation", ok)
 
-    if n <= DEEP_CERTIFY_LIMIT:
-        gens = [space.lam_basis(i) for i in range(n)] + [e]
-        double_comm = matrix_commutant(
-            matrix_commutant(gens, n), n
-        )
-        n_comm = matrix_commutant([space.lam(b) for b in N.basis], n)
-        lhs = Subspace.from_vectors(
-            [flatten_matrix(X) for X in double_comm], n * n
-        )
-        rhs = Subspace.from_vectors(
-            [flatten_matrix(space.jmat(X)) for X in n_comm], n * n
-        )
-        rep.add("double_commutant_identity", lhs == rhs,
-                note="alg(M, e_N)'' = J N' J; conjugation by J turns this"
-                     " into the commutant-of-N form")
+    gens = [space.lam_basis(i) for i in range(n)] + [e]
+    double_comm = matrix_commutant(matrix_commutant(gens, n), n)
+    n_comm = matrix_commutant([space.lam(b) for b in N.basis], n)
+    lhs = Subspace.from_vectors(
+        [flatten_matrix(X) for X in double_comm], n * n
+    )
+    rhs = Subspace.from_vectors(
+        [flatten_matrix(space.jmat(X)) for X in n_comm], n * n
+    )
+    rep.add("double_commutant_identity", lhs == rhs,
+            note="alg(M, e_N)'' = J N' J; conjugation by J turns this"
+                 " into the commutant-of-N form")
     return e, rep
 
 
@@ -299,6 +282,7 @@ class BasicConstruction:
     subalgebra: Subspace
     e_N: Mat
     m1: Subspace              # of End(L^2), flattened
+    n_commutant: Subspace     # N' in End(L^2), flattened
     index: Fraction
     report: Report = field(default_factory=lambda: Report("basic construction"))
 
@@ -338,6 +322,9 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     )
     spanned = m1_span(space, e)
     n_comm = matrix_commutant([space.lam(b) for b in N.basis], n)
+    n_comm_span = Subspace.from_vectors(
+        [flatten_matrix(X) for X in n_comm], n * n
+    )
     conjugated = Subspace.from_vectors(
         [flatten_matrix(space.jmat(X)) for X in n_comm], n * n
     )
@@ -356,7 +343,7 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     rep.add("m1_factor", True)
 
     idx = index(space, N)
-    bc = BasicConstruction(space, N, e, generated, idx, rep)
+    bc = BasicConstruction(space, N, e, generated, n_comm_span, idx, rep)
     rep.add("markov", markov_check(bc).ok)
     return bc
 
@@ -489,24 +476,17 @@ def bimodule_endos(M: StarAlgebra, n_left: Subspace,
     )
 
 
-def bimodule_endos_report(space: GnsSpace, N: Subspace) -> Report:
+def bimodule_endos_report(bc: BasicConstruction) -> Report:
     """dim End(N M N) = dim(N' cap M_1), with the identity intertwiner.
 
     On L^2 the underlying spaces of M and L^2(M) coincide, so a bimodule
     endomorphism already is an operator; the certificate checks it lands in
-    N' cap M_1 and that the dimensions match.
+    N' cap M_1 and that the dimensions match.  M_1 and N' are the ones the
+    basic construction already certified.
     """
     rep = Report("bimodule endomorphisms")
-    M = space.base
-    n = space.dim
-    endos = bimodule_endos(M, N, N)
-    n_comm = matrix_commutant([space.lam(b) for b in N.basis], n)
-    n_comm_span = Subspace.from_vectors(
-        [flatten_matrix(X) for X in n_comm], n * n
-    )
-    e, _ = jones_projection(space, N)
-    m1 = m1_span(space, e)
-    inter = n_comm_span.intersect(m1)
+    endos = bimodule_endos(bc.space.base, bc.subalgebra, bc.subalgebra)
+    inter = bc.n_commutant.intersect(bc.m1)
     rep.add("dimension_matches", endos.dim == inter.dim,
             witness={"endos": endos.dim, "n_comm_cap_m1": inter.dim})
     rep.add("extension_lands_in_intersection",

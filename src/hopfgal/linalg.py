@@ -4,11 +4,13 @@ Vectors are dense lists of Scalar, matrices are lists of rows.  Subspaces
 are kept in reduced row echelon form, which is unique for a given subspace
 and a fixed ambient basis, so subspace equality is row-by-row comparison.
 
-The two workhorses are KernelSolver (an incremental nullspace: feed sparse
-constraint rows, the candidate space shrinks as rows arrive) and
-SpanBuilder (an incremental row space used for algebra-closure loops).
-Both avoid touching zero entries, which is what makes the structure
-constant tensors of this package tractable in exact arithmetic.
+Nullspaces come from KernelSolver, which keeps the constraint rows as a
+sparse echelon form (dict col -> Scalar per pivot, each pivot at its row's
+largest column) and reads the kernel off the free columns; that basis is
+already the canonical RREF, and only nonzero constraint entries are ever
+touched.  SpanBuilder is the incremental row space of the closure loops;
+operator_algebra_span closes under left multiplication by the generators
+only, which reaches every word.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .scalars import Scalar, common_order
+from .scalars import Scalar
 
 Vec = list
 Mat = list
@@ -36,10 +38,6 @@ def unit_vec(n: int, i: int, order: int = 1) -> Vec:
     return v
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return [x + y for x, y in zip(a, b)]
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return [x - y for x, y in zip(a, b)]
 
@@ -52,31 +50,7 @@ def vec_is_zero(a: Vec) -> bool:
     return not any(a)
 
 
-def vec_conj(a: Vec) -> Vec:
-    return [x.conj() for x in a]
-
-
-def dot(a: Vec, b: Vec) -> Scalar:
-    tot = Scalar.zero(a[0].order if a else 1)
-    for x, y in zip(a, b):
-        if x and y:
-            tot = tot + x * y
-    return tot
-
-
-def vec_order(a: Vec) -> int:
-    return common_order(*(x.order for x in a)) if a else 1
-
-
-def lift_vec(a: Vec, order: int) -> Vec:
-    return [x.lift(order) for x in a]
-
-
 # -- matrix helpers -------------------------------------------------------
-
-
-def mat_zero(m: int, n: int, order: int = 1) -> Mat:
-    return [vzero(n, order) for _ in range(m)]
 
 
 def identity_matrix(n: int, order: int = 1) -> Mat:
@@ -85,14 +59,15 @@ def identity_matrix(n: int, order: int = 1) -> Mat:
 
 def mat_vec(A: Mat, x: Vec) -> Vec:
     """A applied to a coordinate column: (A x)_i = sum_j A[i][j] x[j]."""
-    n = len(A[0]) if A else 0
+    zero = Scalar.zero(x[0].order if x else 1)
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
     out = []
     for row in A:
-        tot = Scalar.zero(x[0].order if x else 1)
-        for j in range(n):
+        tot = zero
+        for j, xj in support:
             r = row[j]
-            if r and x[j]:
-                tot = tot + r * x[j]
+            if r:
+                tot = tot + r * xj
         out.append(tot)
     return out
 
@@ -116,36 +91,16 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     return out
 
 
-def mat_add(A: Mat, B: Mat) -> Mat:
-    return [vadd(r, s) for r, s in zip(A, B)]
-
-
-def mat_sub(A: Mat, B: Mat) -> Mat:
-    return [vsub(r, s) for r, s in zip(A, B)]
-
-
-def mat_scale(c: Scalar, A: Mat) -> Mat:
-    return [vscale(c, r) for r in A]
-
-
 def transpose(A: Mat) -> Mat:
     if not A:
         return []
     return [list(col) for col in zip(*A)]
 
 
-def mat_conj(A: Mat) -> Mat:
-    return [vec_conj(r) for r in A]
-
-
 def mat_eq(A: Mat, B: Mat) -> bool:
     if len(A) != len(B):
         return False
     return all(x == y for r, s in zip(A, B) for x, y in zip(r, s))
-
-
-def mat_is_zero(A: Mat) -> bool:
-    return all(vec_is_zero(r) for r in A)
 
 
 def mat_inverse(A: Mat) -> Mat:
@@ -156,23 +111,6 @@ def mat_inverse(A: Mat) -> Mat:
     if pivots != list(range(n)):
         raise InputError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def kron(A: Mat, B: Mat) -> Mat:
-    ma, na = len(A), len(A[0]) if A else 0
-    mb, nb = len(B), len(B[0]) if B else 0
-    out = []
-    for i in range(ma):
-        for k in range(mb):
-            row = []
-            for j in range(na):
-                a = A[i][j]
-                if a:
-                    row.extend(a * b for b in B[k])
-                else:
-                    row.extend(vzero(nb))
-            out.append(row)
-    return out
 
 
 def kron_vec(a: Vec, b: Vec) -> Vec:
@@ -359,73 +297,75 @@ class Subspace:
         }
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.add(b)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
 # -- incremental solvers -----------------------------------------------------
 
 
 class KernelSolver:
     """Incrementally computed nullspace {x : r.x = 0 for all added rows r}.
 
-    Rows are sparse dicts col -> Scalar.  The running basis shrinks by one
-    for every independent row, so feeding many redundant constraints is
-    cheap once the kernel has stabilized.
+    The constraint rows are kept in sparse reduced row echelon form with
+    each row's pivot at its largest column: `rows` maps a pivot p to the
+    tail {k: c} (all k < p) of the normalized row x_p + sum_k c x_k, and
+    no pivot column occurs in any tail.  A new row is reduced against the
+    tails of the pivots it touches, normalized at its largest remaining
+    column, and eliminated from the tails that contain that column; only
+    nonzero entries are ever visited.
+
+    The kernel is read off the free columns: the vector of a free column f
+    is e_f - sum_p tail_p[f] e_p.  Every tail entry lies left of its pivot,
+    so the leading entry of that vector is the 1 at f and it vanishes at
+    every other free column: the vectors already form the canonical RREF
+    basis of the kernel.
     """
 
     def __init__(self, n: int, order: int = 1):
         self.n = n
         self.order = order
-        self.vectors: list[Vec] = identity_matrix(n, order)
+        self.rows: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.n - len(self.rows)
 
     def add_row(self, row: dict) -> bool:
         """Impose one constraint; returns True if the kernel shrank."""
-        if not self.vectors:
+        rows = self.rows
+        r = {j: c for j, c in row.items() if c}
+        for p in [j for j in r if j in rows]:
+            c = r.pop(p)
+            for k, v in rows[p].items():
+                r[k] = r[k] - c * v if k in r else -(c * v)
+        r = {j: c for j, c in r.items() if c}
+        if not r:
             return False
-        items = [(j, c) for j, c in row.items() if c]
-        if not items:
-            return False
-        scores = []
-        for v in self.vectors:
-            s = None
-            for j, c in items:
-                x = v[j]
-                if x:
-                    s = c * x if s is None else s + c * x
-            scores.append(s if (s is not None and s) else None)
-        pivot = None
-        for i, s in enumerate(scores):
-            if s is not None:
-                pivot = i
-                break
-        if pivot is None:
-            return False
-        vp = self.vectors.pop(pivot)
-        sp = scores.pop(pivot)
-        spinv = sp.inverse()
-        for i, s in enumerate(scores):
-            if s is not None:
-                c = s * spinv
-                vi = self.vectors[i]
-                self.vectors[i] = [
-                    x - c * y if y else x for x, y in zip(vi, vp)
-                ]
+        q = max(r)
+        inv = r.pop(q).inverse()
+        tail = {k: v * inv for k, v in r.items()}
+        for t in rows.values():
+            c = t.pop(q, None)
+            if c is None:
+                continue
+            for k, v in tail.items():
+                if k in t:
+                    x = t[k] - c * v
+                    if x:
+                        t[k] = x
+                    else:
+                        del t[k]
+                else:
+                    t[k] = -(c * v)
+        rows[q] = tail
         return True
 
-    def add_dense_row(self, row: Vec) -> bool:
-        return self.add_row({j: c for j, c in enumerate(row) if c})
-
     def subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.vectors, self.n)
+        n = self.n
+        free = [f for f in range(n) if f not in self.rows]
+        where = {f: i for i, f in enumerate(free)}
+        basis = [unit_vec(n, f, self.order) for f in free]
+        for p, tail in self.rows.items():
+            for k, c in tail.items():
+                basis[where[k]][p] = -c
+        return Subspace(n, basis, free)
 
 
 class SpanBuilder:
@@ -513,7 +453,7 @@ def kernel_of_matrix(A: Mat) -> Subspace:
     n = len(A[0]) if A else 0
     solver = KernelSolver(n)
     for row in A:
-        solver.add_dense_row(row)
+        solver.add_row(dict(enumerate(row)))
     return solver.subspace()
 
 
@@ -532,18 +472,15 @@ def matrix_commutant(gens: list[Mat], n: int) -> list[Mat]:
     """Basis of {X in End(k^n) : X A = A X for every generator A}."""
     solver = KernelSolver(n * n)
     for A in gens:
+        cols = [[(k, A[k][j]) for k in range(n) if A[k][j]] for j in range(n)]
+        rows = [[(k, a) for k, a in enumerate(A[i]) if a] for i in range(n)]
         for i in range(n):
             for j in range(n):
-                row: dict[int, Scalar] = {}
-                for k in range(n):
-                    a = A[k][j]
-                    if a:
-                        key = i * n + k
-                        row[key] = row.get(key, Scalar.zero()) + a
-                    a = A[i][k]
-                    if a:
-                        key = k * n + j
-                        row[key] = row.get(key, Scalar.zero()) - a
+                # (X A - A X)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
+                row = {i * n + k: a for k, a in cols[j]}
+                for k, a in rows[i]:
+                    key = k * n + j
+                    row[key] = row[key] - a if key in row else -a
                 if row:
                     solver.add_row(row)
     sub = solver.subspace()
@@ -554,27 +491,25 @@ def operator_algebra_span(gens: list[Mat], n: int,
                           with_identity: bool = True) -> Subspace:
     """Span of the unital algebra of operators generated by gens.
 
-    Worklist closure: multiply newly found basis elements against the whole
-    current basis until the span stops growing; terminates because the
+    Every word in the generators is g.w for a generator g and a shorter
+    word w, so closing the span under left multiplication by the
+    generators alone reaches the whole algebra: each new basis element is
+    multiplied by each generator once, and the loop ends because the
     dimension is bounded by n^2.
     """
     builder = SpanBuilder(n * n)
-    members: list[Mat] = []
+    fresh: list[Mat] = []
 
-    def push(X: Mat) -> bool:
+    def push(X: Mat):
         if builder.insert(flatten_matrix(X)):
-            members.append(X)
-            return True
-        return False
+            fresh.append(X)
 
     if with_identity:
         push(identity_matrix(n))
-    fresh = [X for X in gens if push(X)]
+    for X in gens:
+        push(X)
     while fresh:
-        batch, fresh = fresh, []
-        for X in batch:
-            for Y in list(members):
-                for P in (mat_mul(X, Y), mat_mul(Y, X)):
-                    if push(P):
-                        fresh.append(P)
+        X = fresh.pop()
+        for g in gens:
+            push(mat_mul(g, X))
     return builder.subspace()

@@ -96,6 +96,19 @@ def _context(order: int) -> _Context:
     return _Context(order)
 
 
+@lru_cache(maxsize=None)
+def _traces(order: int) -> tuple[int, ...]:
+    """Tr(zeta^k) over Q for the power basis, 0 <= k < phi(order).
+
+    The trace is the sum of the Galois conjugates zeta^(k a), a rational
+    number, so it is the constant term of the summed power rows.
+    """
+    ctx = _context(order)
+    units = [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
+    return tuple(sum(ctx.powers[k * a % order][0] for a in units)
+                 for k in range(ctx.phi))
+
+
 def _reduce_conv(ctx: _Context, conv: list[int]) -> list[int]:
     # Fold coefficients of zeta^j (j >= phi) down into the power basis.
     phi = ctx.phi
@@ -227,13 +240,12 @@ class Scalar:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        # Hash through the minimal-order reduction so equal values of
-        # different declared orders collide correctly.
-        if not any(self.num):
-            return hash((0,))
-        if all(a == 0 for a in self.num[1:]):
-            return hash((self.num[0], self.den))
-        return hash((self.order, self.num, self.den))
+        # Tr(x) / phi(N) does not change when x is lifted to a larger
+        # order, so equal values of different declared orders hash alike;
+        # on rationals it is the value itself, as for int and Fraction.
+        traces = _traces(self.order)
+        tr = sum(a * t for a, t in zip(self.num, traces))
+        return hash(Fraction(tr, self.den * len(traces)))
 
     def __add__(self, other):
         other = Scalar.coerce(other, self.order)

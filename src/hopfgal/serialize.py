@@ -130,6 +130,19 @@ def parse_hopf(body: dict, where: str) -> HopfStarAlgebra:
                            name=body.get("name", ""))
 
 
+class JobDoc(dict):
+    """A job document; reading a field it lacks is an input error."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, body: dict, where: str):
+        super().__init__(body)
+        self.where = where
+
+    def __missing__(self, key):
+        raise InputError(f"{self.where}: missing field {key!r}")
+
+
 class Workspace:
     """Resolved object graph of a workspace file."""
 
@@ -227,7 +240,7 @@ class Workspace:
             matrix = _matrix(body["matrix"], f"{where}.matrix")
             return HopfPairing(Q, H, matrix)
         if kind == "job":
-            return dict(body)
+            return JobDoc(body, where)
         raise InputError(f"{where}: unhandled kind {kind}")
 
     def lift_orders(self):

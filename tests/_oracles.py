@@ -4,6 +4,11 @@ The production largest_subcoalgebra decides membership through
 Delta x in V (x) V; the oracle here goes through the middle leg of the
 double comultiplication instead (the subcoalgebra generated by x is the
 span of (f (x) id (x) g) Delta^2 x), so the two routes share no code path.
+
+The sparse KernelSolver is checked against a dense Gauss-Jordan
+elimination written here, and the generator-only operator_algebra_span
+against the closure that multiplies every new element by every member on
+both sides.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from hopfgal.linalg import (
     KernelSolver,
     SpanBuilder,
     Subspace,
+    flatten_matrix,
     identity_matrix,
     mat_inverse,
+    mat_mul,
     mat_vec,
     unit_vec,
     vzero,
@@ -92,6 +99,71 @@ def stabilized_closure(C: StarCoalgebra, gens, stabilizers=()) -> Subspace:
         for w in new:
             if builder.insert(w):
                 work.append(w)
+    return builder.subspace()
+
+
+# -- dense elimination and all-pairs closure ------------------------------------
+
+
+def _dense_rref(mat: list, n: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan on dense rows: nonzero RREF rows and pivot columns."""
+    mat = [list(r) for r in mat]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        inv = mat[r][c].inverse()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def oracle_kernel(rows: list[dict], n: int) -> tuple[list, list[int]]:
+    """Canonical RREF basis and pivots of {x : r.x = 0 for every row r}."""
+    zero, one = Scalar.zero(), Scalar.one()
+    reduced, pivots = _dense_rref(
+        [[row.get(j, zero) for j in range(n)] for row in rows], n)
+    vectors = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [zero] * n
+        v[f] = one
+        for r, p in zip(reduced, pivots):
+            v[p] = -r[f]
+        vectors.append(v)
+    return _dense_rref(vectors, n)
+
+
+def oracle_operator_algebra_span(gens: list, n: int,
+                                 with_identity: bool = True) -> Subspace:
+    """Closure multiplying each new element by every member, both sides."""
+    builder = SpanBuilder(n * n)
+    members: list = []
+
+    def push(X) -> bool:
+        if builder.insert(flatten_matrix(X)):
+            members.append(X)
+            return True
+        return False
+
+    if with_identity:
+        push(identity_matrix(n))
+    fresh = [X for X in gens if push(X)]
+    while fresh:
+        batch, fresh = fresh, []
+        for X in batch:
+            for Y in list(members):
+                for P in (mat_mul(X, Y), mat_mul(Y, X)):
+                    if push(P):
+                        fresh.append(P)
     return builder.subspace()
 
 

@@ -1,6 +1,8 @@
 """Workspace parsing, CLI subcommands, exit codes, deterministic output."""
 
+import copy
 import json
+import os
 
 import pytest
 
@@ -255,3 +257,29 @@ def test_lifting_reaches_nested_hopf_tensors(tmp_path):
                for v in cell.values())
     assert all(v.order == 3 for plane in hopf.comult
                for v in plane.values())
+
+
+def _shipped_job_fields():
+    """(workspace document, job name, job body, field) for every field."""
+    fixtures = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+    for fname in sorted(os.listdir(fixtures)):
+        with open(os.path.join(fixtures, fname)) as fh:
+            doc = json.load(fh)
+        for name, body in sorted(doc["documents"].items()):
+            if body.get("kind") == "job":
+                for field in sorted(body):
+                    yield pytest.param(doc, name, body, field,
+                                       id=f"{fname}:{name}-{field}")
+
+
+@pytest.mark.parametrize("doc,name,body,field", _shipped_job_fields())
+def test_job_missing_any_field_is_input_error(doc, name, body, field,
+                                              tmp_path, capsys):
+    broken = copy.deepcopy(doc)
+    del broken["documents"][name][field]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(broken))
+    code = _run(body["op"], path, job=name)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err

@@ -204,7 +204,7 @@ def test_bimodule_endos_dims():
     scalars = Subspace.from_vectors([M.unit], 4)
     assert bimodule_endos(M, Subspace.full(4), Subspace.full(4)).dim == 1
     assert bimodule_endos(M, scalars, scalars).dim == 16
-    rep = bimodule_endos_report(space, scalars)
+    rep = bimodule_endos_report(basic_construction(space, scalars))
     assert rep.ok, rep.failed()
 
 
@@ -213,7 +213,7 @@ def test_bimodule_endos_mat2_in_mat4():
     space = gns(M)
     endos = bimodule_endos(M, N, N)
     assert endos.dim == 16
-    rep = bimodule_endos_report(space, N)
+    rep = bimodule_endos_report(basic_construction(space, N))
     assert rep.ok, rep.failed()
 
 
@@ -272,3 +272,19 @@ def test_index_rejects_degenerate_xi():
     scalars = Subspace.from_vectors([M.unit], 4)
     with pytest.raises(InputError, match="xi degenerate"):
         index(space, scalars, xi=vzero(4))
+
+
+def test_full_certificates_above_dim_32():
+    # C[Z33] with its Haar trace: every commutation row has two entries, so
+    # the full commutant identities are cheap even above dim 32
+    from hopfgal.hopf import group_algebra, haar_state
+
+    n = 33
+    M = haar_state(group_algebra([[(i + j) % n for j in range(n)]
+                                  for i in range(n)]))
+    space = gns(M)
+    check = space.report["jmj_equals_commutant"]
+    assert check.passed and check.note is None
+    _, rep = jones_projection(space, Subspace.full(n))
+    assert rep["double_commutant_identity"].passed
+    assert rep.ok, rep.failed()

@@ -20,7 +20,9 @@ from hopfgal.linalg import (
     rref,
     solve_linear,
 )
-from hopfgal.scalars import Scalar
+from hopfgal.scalars import Scalar, _context
+
+from _oracles import oracle_kernel, oracle_operator_algebra_span
 
 
 def s(v):
@@ -187,3 +189,59 @@ def test_subspace_dimension_laws_random_qi():
         for row in U.annihilator_rows():
             ks.add_row(row)
         assert ks.subspace() == U
+
+
+def _random_scalar(rng, order):
+    # small integer coordinates in the power basis, zero included
+    phi = _context(order).phi
+    return Scalar(order, [rng.randint(-2, 2) for _ in range(phi)])
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_kernel_solver_matches_dense_elimination(order):
+    # random sparse systems over Q, Q(i) and Q(zeta_5), with zero entries
+    # and redundant rows mixed in
+    rng = random.Random(100 + order)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, n + 2)):
+            cols = rng.sample(range(n), rng.randint(1, min(3, n)))
+            rows.append({c: _random_scalar(rng, order) for c in cols})
+        if len(rows) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(rows, 2)
+            c = _random_scalar(rng, order)
+            rows.append({j: a.get(j, Scalar.zero()) + c * b.get(j, Scalar.zero())
+                         for j in set(a) | set(b)})
+        ks = KernelSolver(n)
+        shrank = sum(ks.add_row(r) for r in rows)
+        basis, pivots = oracle_kernel(rows, n)
+        sub = ks.subspace()
+        assert ks.dim == sub.dim == len(basis) == n - shrank
+        assert sub.pivots == pivots
+        assert sub.basis == basis
+
+
+def _random_sparse_matrix(rng, n, order):
+    A = [[Scalar.zero() for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randint(1, n)):
+        A[rng.randrange(n)][rng.randrange(n)] = _random_scalar(rng, order)
+    return A
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_operator_algebra_span_matches_all_pairs_closure(order):
+    rng = random.Random(200 + order)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        gens = [_random_sparse_matrix(rng, n, order)
+                for _ in range(rng.randint(1, 3))]
+        for unital in (True, False):
+            assert (operator_algebra_span(gens, n, unital)
+                    == oracle_operator_algebra_span(gens, n, unital))
+
+
+def test_operator_algebra_span_nonunital_nilpotent():
+    e12 = sm([[0, 1], [0, 0]])
+    assert operator_algebra_span([e12], 2, with_identity=False).dim == 1
+    assert operator_algebra_span([e12], 2).dim == 2

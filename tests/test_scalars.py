@@ -129,3 +129,24 @@ def test_lifting_is_a_field_homomorphism(x, y):
     assert (x + y).lift(24) == a + b
     assert (x * y).lift(24) == a * b
     assert conj(x).lift(24) == a.conj()
+
+
+@pytest.mark.parametrize("value,order", [
+    (Scalar.root_of_unity(4), 8),
+    (Scalar.root_of_unity(3), 6),
+    (Scalar.root_of_unity(5, 2) - Scalar.rational(1, 3, order=5), 10),
+    (Scalar.rational(-7, 3), 4),
+    (Scalar.rational(-7, 3), 12),
+    (Scalar.rational(5, 2, order=3), 15),
+])
+def test_hash_agrees_with_eq_across_orders(value, order):
+    lifted = value.lift(order)
+    assert lifted == value
+    assert hash(lifted) == hash(value)
+    assert len({value, lifted}) == 1
+
+
+def test_hash_of_rationals_matches_int_and_fraction():
+    assert hash(Scalar.from_int(3, 12)) == hash(3)
+    assert hash(Scalar.rational(-1, 2, order=4)) == hash(Fraction(-1, 2))
+    assert hash(Scalar.zero(8)) == hash(0)
