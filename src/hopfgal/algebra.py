@@ -24,6 +24,7 @@ from .linalg import (
     SpanBuilder,
     Subspace,
     Vec,
+    conjugate_linear,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -119,6 +120,7 @@ class StarAlgebra:
                     out[k] = out[k] + c * m
         return out
 
+    @conjugate_linear
     def star_vec(self, x: Vec) -> Vec:
         out = vzero(self.dim)
         for i, xi in enumerate(x):

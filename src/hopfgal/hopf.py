@@ -17,6 +17,7 @@ from .linalg import (
     KernelSolver,
     Mat,
     Vec,
+    conjugate_linear,
     identity_matrix,
     mat_eq,
     mat_inverse,
@@ -68,6 +69,7 @@ class StarCoalgebra:
                 tot = tot + xi * e
         return tot
 
+    @conjugate_linear
     def star_vec(self, x: Vec) -> Vec:
         out = vzero(self.dim)
         for i, xi in enumerate(x):
@@ -96,19 +98,6 @@ class StarCoalgebra:
                     nxt[key] = nxt.get(key, Scalar.zero()) + v * w
             cur = {k: v for k, v in nxt.items() if v}
         return cur
-
-
-def sparse_comult(dense, order: int = 1):
-    out = []
-    for plane in dense:
-        entry = {}
-        for j, line in enumerate(plane):
-            for k, v in enumerate(line):
-                sc = v if isinstance(v, Scalar) else Scalar.coerce(v, order)
-                if sc:
-                    entry[(j, k)] = sc
-        out.append(entry)
-    return out
 
 
 def dense_comult(comult, dim: int):
@@ -163,6 +152,7 @@ class HopfStarAlgebra:
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         return self.algebra.mul_vec(x, y)
 
+    @conjugate_linear
     def star_vec(self, x: Vec) -> Vec:
         return self.algebra.star_vec(x)
 
@@ -709,19 +699,3 @@ def validate_pairing(P: HopfPairing) -> Report:
             break
     rep.add("star_law", witness is None, witness, note=PAIRING_STAR_NOTE)
     return rep
-
-
-# -- convolution ----------------------------------------------------------------
-
-
-def convolve_maps(H: HopfStarAlgebra, target: StarAlgebra, f: Mat,
-                  g: Mat) -> Mat:
-    """Convolution of linear maps H -> target given row-wise (e_i -> f[i])."""
-    out = []
-    for i in range(H.dim):
-        acc = vzero(target.dim)
-        for (j, k), v in H.comult[i].items():
-            term = target.mul_vec(f[j], g[k])
-            acc = [a + v * b if b else a for a, b in zip(acc, term)]
-        out.append(acc)
-    return out

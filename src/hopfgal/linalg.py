@@ -50,6 +50,12 @@ def vec_is_zero(a: Vec) -> bool:
     return not any(a)
 
 
+def conjugate_linear(fn):
+    """Mark a map (or a method) Vec -> Vec as f(c x) = conj(c) f(x)."""
+    fn.conjugate_linear = True
+    return fn
+
+
 # -- matrix helpers -------------------------------------------------------
 
 

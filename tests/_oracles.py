@@ -1,9 +1,11 @@
 """Independent oracles and random instance generators for the test suite.
 
-The production largest_subcoalgebra decides membership through
-Delta x in V (x) V; the oracle here goes through the middle leg of the
-double comultiplication instead (the subcoalgebra generated by x is the
-span of (f (x) id (x) g) Delta^2 x), so the two routes share no code path.
+The production largest_subcoalgebra decides Delta x in V (x) V through
+the annihilator rows of V on each leg of Delta x; the oracle here goes
+through the middle leg of the double comultiplication instead (the
+subcoalgebra generated by x is the span of (f (x) id (x) g) Delta^2 x), so
+the two routes share no code path.  Both impose sigma(x) in V exactly,
+conjugating the rows of a stabilizer marked conjugate linear.
 
 The sparse KernelSolver is checked against a dense Gauss-Jordan
 elimination written here, and the generator-only operator_algebra_span
@@ -30,15 +32,20 @@ from hopfgal.linalg import (
 from hopfgal.scalars import Scalar
 
 
-def middle_leg_vectors(C: StarCoalgebra, x) -> list:
-    """Spanning vectors of the subcoalgebra generated by x."""
+def middle_legs(C: StarCoalgebra, x) -> dict:
+    """(i, k) -> the middle leg of Delta^2 x between e_i* and e_k*."""
     out = {}
     for (i, j, k), v in C.iterated_comult(x, 3).items():
         key = (i, k)
         if key not in out:
             out[key] = vzero(C.dim)
         out[key][j] = out[key][j] + v
-    return [v for v in out.values() if any(v)]
+    return out
+
+
+def middle_leg_vectors(C: StarCoalgebra, x) -> list:
+    """Spanning vectors of the subcoalgebra generated by x."""
+    return [v for v in middle_legs(C, x).values() if any(v)]
 
 
 def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
@@ -50,27 +57,25 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
             return current
         basis = current.basis
         solver = KernelSolver(len(basis))
-        mids = [middle_leg_vectors(C, v) for v in basis]
-        for t_idx in range(max(len(m) for m in mids) if mids else 0):
-            pass
-        # constraints: every middle-leg vector of x must lie in current
-        residues = []
-        for m in mids:
-            residues.append([current.residue(v) for v in m])
-        max_terms = max((len(r) for r in residues), default=0)
-        for term in range(max_terms):
+        # the middle leg of x = sum c_j b_j at (i, k) is sum c_j of the
+        # middle legs of the b_j there, and it must lie in current
+        mids = [middle_legs(C, v) for v in basis]
+        for key in sorted(set().union(*mids)):
+            res = [current.residue(m[key]) if key in m else None
+                   for m in mids]
             for coord in range(C.dim):
-                row = {}
-                for i, r in enumerate(residues):
-                    if term < len(r) and r[term][coord]:
-                        row[i] = r[term][coord]
+                row = {j: r[coord] for j, r in enumerate(res)
+                       if r is not None and r[coord]}
                 if row:
                     solver.add_row(row)
         for sigma in stabilizers:
+            # sigma(sum c_i b_i) = sum conj(c_i) sigma(b_i) when sigma is
+            # conjugate linear, so its rows are conjugated
+            conj = getattr(sigma, "conjugate_linear", False)
             res = [current.residue(sigma(v)) for v in basis]
             for coord in range(C.dim):
-                row = {i: res[i][coord] for i in range(len(basis))
-                       if res[i][coord]}
+                row = {i: res[i][coord].conj() if conj else res[i][coord]
+                       for i in range(len(basis)) if res[i][coord]}
                 if row:
                     solver.add_row(row)
         coeffs = solver.subspace()

@@ -1,6 +1,7 @@
 """Workspace parsing, CLI subcommands, exit codes, deterministic output."""
 
 import copy
+import itertools
 import json
 import os
 
@@ -8,6 +9,8 @@ import pytest
 
 from hopfgal.cli import main
 from hopfgal.errors import InputError
+from hopfgal.linalg import Subspace
+from hopfgal.scalars import Scalar
 from hopfgal.serialize import Workspace
 from hopfgal.workspaces import (
     ALL,
@@ -283,3 +286,75 @@ def test_job_missing_any_field_is_input_error(doc, name, body, field,
     err = capsys.readouterr().err
     assert code == 2, err
     assert "Traceback" not in err
+
+
+def _z2_measure_with_span(entry):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "z2.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["documents"]["measure"]["spans"] = [entry]
+    return doc
+
+
+# c . x = c . x for every x in Mat2: one leg on each side, identity on
+# the 16-dimensional carrier, so it constrains nothing
+_TRIVIAL_SPAN = {
+    "l": 1, "r": 1,
+    "left": [[int(i == j) for j in range(16)] for i in range(16)],
+    "right": [[int(i == j) for j in range(16)] for i in range(16)],
+}
+
+
+@pytest.mark.parametrize("field", [None] + sorted(_TRIVIAL_SPAN))
+def test_measure_span_entry_missing_any_field_is_input_error(field, tmp_path,
+                                                             capsys):
+    entry = copy.deepcopy(_TRIVIAL_SPAN)
+    if field is not None:
+        del entry[field]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_z2_measure_with_span(entry)))
+    code = _run("measure", path, job="measure")
+    err = capsys.readouterr().err
+    assert code == (0 if field is None else 2), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [{}, 3, {**_TRIVIAL_SPAN, "l": "one"}])
+def test_measure_malformed_span_entry_is_input_error(entry, tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_z2_measure_with_span(entry)))
+    assert _run("measure", path, job="measure") == 2
+    assert "spans[0]" in capsys.readouterr().err
+
+
+def test_measure_within_c_s4_keeps_trivial_plus_standard(tmp_path):
+    # W = the 16 coefficient functions g -> [g(j) = i] of the permutation
+    # representation of S4 on 4 points, plus the indicators of two pairs of
+    # group elements.  The coefficients span trivial + standard (1 + 9) and
+    # C(S4) is cosemisimple; neither indicator adds a block.
+    elements = list(itertools.permutations(range(4)))
+    table = [[elements.index(tuple(p[q[x]] for x in range(4)))
+              for q in elements] for p in elements]
+    coeffs = [[int(g[j] == i) for g in elements]
+              for i in range(4) for j in range(4)]
+    noise = [[int(k in pair) for k in range(24)] for pair in ((1, 2), (3, 5))]
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"documents": {
+        "cg": {"kind": "hopf", "group_table": table, "dual": True},
+        "w": {"kind": "subspace", "ambient_dim": 24,
+              "basis": coeffs + noise},
+        "measure": {"kind": "job", "op": "measure", "coalgebra": "cg",
+                    "within": "w"},
+    }}))
+    out = tmp_path / "out.json"
+    assert _run("measure", path, out, job="measure") == 0
+    doc = json.loads(out.read_text())
+    result = Subspace.from_vectors(
+        [[Scalar.from_json(x) for x in row]
+         for row in doc["subcoalgebra"]["basis"]], 24)
+    expected = Subspace.from_vectors(
+        [[Scalar.from_int(x) for x in row] for row in coeffs], 24)
+    assert result.dim == 10 and result == expected
+    dims = doc["iteration_dims"]
+    assert dims == sorted(dims, reverse=True) and dims[-1] == 10

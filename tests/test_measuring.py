@@ -5,6 +5,7 @@ import random
 import pytest
 
 from _oracles import (
+    _qi,
     oracle_largest_subcoalgebra,
     random_coalgebra,
     random_subspace,
@@ -17,6 +18,7 @@ from hopfgal.fixtures import (
     S3_TRANSPOSITION,
     Z2_TABLE,
     ad_z_action,
+    c_of_s3,
     cs3,
     cz2,
     grading_action_mat2,
@@ -25,7 +27,12 @@ from hopfgal.fixtures import (
     translation_action,
     trivial_action,
 )
-from hopfgal.hopf import validate_hopf
+from hopfgal.hopf import (
+    StarCoalgebra,
+    function_algebra,
+    validate_coalgebra,
+    validate_hopf,
+)
 from hopfgal.linalg import Subspace, unit_vec, vzero
 from hopfgal.measuring import (
     Multispan,
@@ -36,7 +43,9 @@ from hopfgal.measuring import (
     largest_hopf_star_subalgebra,
     largest_subcoalgebra,
     multiplication_span,
+    reify_coalgebra,
     reify_hopf_subalgebra,
+    subcoalgebra_report,
     unit_span,
     universal_measuring_within,
 )
@@ -279,3 +288,126 @@ def test_hopf_centralizer_in_sweedler_algebra():
     assert result.contains(unit_vec(4, 1))
     reified = reify_hopf_subalgebra(Q, result, name="group part")
     assert validate_hopf(reified).ok
+
+
+def _gauss(re: int, im: int, den: int) -> Scalar:
+    return Scalar(4, [re, im], den)
+
+
+def test_conjugate_linear_stabilizer_keeps_star_stable_line():
+    # Draw 221 of random_coalgebra / random_subspace under random.Random(7):
+    # C has dim 3 and W dim 2 over Q(i).  W holds the star-stable
+    # subcoalgebra spanned by (1, -1/2 - i, i); imposing the conjugate
+    # linear star linearly in the coordinates on W's basis lost it.
+    planes = [
+        [(-2, -14, 25), (1, 32, 25), (-63, 34, 25), (37, -16, 25),
+         (13, -9, 50), (31, 17, 50), (-36, -2, 25), (-7, 1, 25),
+         (-9, -13, 25)],
+        [(-132, -24, 125), (66, 262, 125), (42, 144, 125), (42, -106, 125),
+         (229, -72, 125), (-127, 11, 125), (24, -132, 125), (-262, 66, 125),
+         (-144, 42, 125)],
+        [(176, 32, 125), (-88, -16, 125), (-56, 58, 125), (-56, -192, 125),
+         (28, 96, 125), (86, 27, 125), (-32, -74, 125), (16, 37, 125),
+         (-308, 69, 125)],
+    ]
+    comult = [{(t // 3, t % 3): _gauss(*e) for t, e in enumerate(plane)}
+              for plane in planes]
+    counit = [_gauss(1, 7, 50), _gauss(33, 6, 125), _gauss(-44, -8, 125)]
+    star = [[_gauss(*e) for e in row] for row in [
+        [(-28, 21, 25), (16, -12, 25), (1, -7, 25)],
+        [(-98, 86, 125), (131, -92, 125), (-34, -62, 125)],
+        [(-36, 52, 125), (-8, -44, 125), (87, -84, 125)],
+    ]]
+    C = StarCoalgebra(3, comult, counit, star)
+    W = Subspace.from_vectors([[_gauss(1, 0, 1), _gauss(-1, -2, 2),
+                                _gauss(0, 0, 1)],
+                               [_gauss(0, 0, 1), _gauss(0, 0, 1),
+                                _gauss(1, 0, 1)]], 3)
+    line = Subspace.from_vectors([[_gauss(1, 0, 1), _gauss(-1, -2, 2),
+                                   _gauss(0, 1, 1)]], 3)
+    assert W.contains_subspace(line)
+    assert subcoalgebra_report(C, line, [C.star_vec]).ok
+    assert largest_subcoalgebra(C, W, stabilizers=[C.star_vec]) == line
+    assert oracle_largest_subcoalgebra(C, W, stabilizers=[C.star_vec]) == line
+
+
+def _z4_characters() -> list:
+    i = Scalar.root_of_unity(4)
+    return [[i ** (j * k) for j in range(4)] for k in range(4)]
+
+
+def _s3_characters() -> list:
+    # trivial and sign on e, (01), (02), (12), (012), (021)
+    return [[Scalar.one()] * 6,
+            [Scalar.from_int(s) for s in (1, -1, -1, -1, 1, 1)]]
+
+
+# (Hopf algebra, group-like atoms, expected dims with the stabilizers none,
+# antipode, algebra star, coalgebra star x -> S(x)*, antipode and algebra
+# star).  Antipode and algebra star both send the character chi_1 of Z4 to
+# chi_3 and the group element (012) of S3 to (021); the coalgebra star fixes
+# every group-like.  The atoms have non-real coordinates on the RREF basis
+# of W, so imposing a conjugate-linear star linearly loses chi_1.
+_ATOM_CASES = {
+    "C(Z4) chi0 chi1": (
+        lambda: function_algebra([[(a + b) % 4 for b in range(4)]
+                                  for a in range(4)]),
+        lambda: _z4_characters()[:2], (2, 1, 1, 2, 1)),
+    "C(Z4) chi1 chi3": (
+        lambda: function_algebra([[(a + b) % 4 for b in range(4)]
+                                  for a in range(4)]),
+        lambda: _z4_characters()[1::2], (2, 2, 2, 2, 2)),
+    "C(S3) trivial sign": (c_of_s3, _s3_characters, (2, 2, 2, 2, 2)),
+    "CS3 e (012)": (cs3, lambda: [unit_vec(6, 0), unit_vec(6, 4)],
+                    (2, 1, 1, 2, 1)),
+    "CS3 (01) (012) (021)": (
+        cs3, lambda: [unit_vec(6, S3_TRANSPOSITION), unit_vec(6, 4),
+                      unit_vec(6, 5)], (3, 3, 3, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ATOM_CASES))
+def test_oracle_agreement_qi_with_linear_and_conjugate_linear_stabilizers(
+        case):
+    make, atoms_of, dims = _ATOM_CASES[case]
+    Q = make()
+    atoms = atoms_of()
+    rng = random.Random(case)
+    n = Q.dim
+    for _ in range(3):
+        # a random Q(i) basis of span(atoms) plus one random Q(i) vector
+        vecs = []
+        for _ in atoms:
+            cs = [_qi(rng) for _ in atoms]
+            vecs.append([sum((c * a[t] for c, a in zip(cs, atoms)),
+                             Scalar.zero(4)) for t in range(n)])
+        vecs.append([_qi(rng) for _ in range(n)])
+        W = Subspace.from_vectors(vecs, n)
+        for stab, dim in zip(([], [Q.antipode_vec], [Q.algebra.star_vec],
+                              [Q.coalgebra.star_vec],
+                              [Q.antipode_vec, Q.algebra.star_vec]), dims):
+            mine = largest_subcoalgebra(Q.coalgebra, W, stabilizers=stab)
+            assert mine == oracle_largest_subcoalgebra(Q.coalgebra, W, stab)
+            assert mine.dim == dim
+            assert Subspace.from_vectors(atoms, n).contains_subspace(mine)
+            assert subcoalgebra_report(Q.coalgebra, mine, stab).ok
+
+
+def test_reify_coalgebra_reads_coordinates_at_pivot_pairs():
+    # span{chi_0, chi_1, chi_3} in C(Z4): every character is group-like, so
+    # on the reified coalgebra its coordinate vector c has Delta c = c (x) c
+    Q = function_algebra([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    chars = _z4_characters()
+    D = Subspace.from_vectors([chars[0], chars[1], chars[3]], 4)
+    coalg, inclusion = reify_coalgebra(Q.coalgebra, D)
+    assert validate_coalgebra(coalg).ok
+    assert inclusion == D.basis
+    for chi in (chars[0], chars[1], chars[3]):
+        c = D.coordinates(chi)
+        square = {(i, j): x * y for i, x in enumerate(c)
+                  for j, y in enumerate(c) if x * y}
+        assert coalg.comult_vec(c) == square
+    # e + (01) in CS3 is not a subcoalgebra: Delta of it has e (x) e
+    with pytest.raises(InputError, match="not a subcoalgebra"):
+        reify_coalgebra(cs3().coalgebra, Subspace.from_vectors(
+            [[Scalar.one(), Scalar.one()] + [Scalar.zero()] * 4], 6))
