@@ -178,6 +178,50 @@ class StarAlgebra:
         }
 
 
+def tensor_algebra(A: StarAlgebra, B: StarAlgebra,
+                   name: str = "") -> StarAlgebra:
+    """A (x) B with basis e_i (x) f_j at index i*dimB + j."""
+    da, db = A.dim, B.dim
+    dim = da * db
+    mult = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i1 in range(da):
+        for j1 in range(db):
+            for i2 in range(da):
+                for j2 in range(db):
+                    left = i1 * db + j1
+                    right = i2 * db + j2
+                    for ka, va in A.mult[i1][i2].items():
+                        for kb, vb in B.mult[j1][j2].items():
+                            mult[left][right][ka * db + kb] = va * vb
+    unit = vzero(dim)
+    for i, ua in enumerate(A.unit):
+        if ua:
+            for j, ub in enumerate(B.unit):
+                if ub:
+                    unit[i * db + j] = ua * ub
+    star = []
+    for i in range(da):
+        sa = A.star_vec(unit_vec(da, i))
+        for j in range(db):
+            sb = B.star_vec(unit_vec(db, j))
+            row = vzero(dim)
+            for p, vp in enumerate(sa):
+                if vp:
+                    for q, vq in enumerate(sb):
+                        if vq:
+                            row[p * db + q] = vp * vq
+            star.append(row)
+    state = None
+    if A.state is not None and B.state is not None:
+        state = vzero(dim)
+        for i, ta in enumerate(A.state):
+            for j, tb in enumerate(B.state):
+                if ta and tb:
+                    state[i * db + j] = ta * tb
+    return StarAlgebra(dim, mult, unit, star, state,
+                       name=name or f"{A.name}(x){B.name}")
+
+
 # -- state analysis ----------------------------------------------------------
 
 
@@ -370,32 +414,25 @@ def center(B: StarAlgebra) -> Subspace:
 
 
 def generated_subalgebra(gens: list[Vec], B: StarAlgebra) -> Subspace:
-    """Smallest unital, *-closed, multiplicatively closed subspace over gens."""
+    """Smallest unital, *-closed, multiplicatively closed subspace over gens.
+
+    The letters are the generators and their stars.  Every word in them is
+    s.w for a letter s and a shorter word w, so closing the span under left
+    multiplication by the letters alone reaches every word; the star of a
+    word is again a word, so the span is *-closed.  A letter already in the
+    span of the unit and earlier letters adds nothing and is dropped.
+    """
     builder = SpanBuilder(B.dim)
-    members: list[Vec] = []
-
-    def push(v: Vec) -> bool:
-        if builder.insert(v):
-            members.append(v)
-            return True
-        return False
-
-    push(B.unit)
-    fresh = []
-    for g in gens:
-        for v in (g, B.star_vec(g)):
-            if push(v):
-                fresh.append(v)
+    builder.insert(B.unit)
+    letters = [v for g in gens for v in (g, B.star_vec(g))
+               if builder.insert(v)]
+    fresh = list(letters)
     while fresh:
-        batch, fresh = fresh, []
-        for x in batch:
-            sx = B.star_vec(x)
-            if push(sx):
-                fresh.append(sx)
-            for y in list(members):
-                for p in (B.mul_vec(x, y), B.mul_vec(y, x)):
-                    if push(p):
-                        fresh.append(p)
+        w = fresh.pop()
+        for s in letters:
+            p = B.mul_vec(s, w)
+            if builder.insert(p):
+                fresh.append(p)
     return builder.subspace()
 
 

@@ -33,9 +33,9 @@ from .algebra import (
     numerically_positive,
     relative_commutant,
     reify,
+    tensor_algebra,
 )
 from .errors import ConsistencyError, InputError
-from .fixtures import tensor_algebra
 from .hopf import HopfStarAlgebra, haar, variants
 from .jones import orthogonal_projection
 from .linalg import (
@@ -43,10 +43,14 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    flatten_matrix,
+    kernel_of_matrix,
     mat_mul,
     mat_vec,
     solve_linear,
+    unflatten_matrix,
     unit_vec,
+    vec_mat,
     vscale,
     vzero,
 )
@@ -734,14 +738,18 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
 
     rep.merge(hopf_subalgebra_report(Q_ambient, result), prefix="hopf:")
 
+    # the operator on B of each basis vector of the result
+    flat_ops = [flatten_matrix(op) for op in ops]
+    result_ops = [unflatten_matrix(vec_mat(qvec, flat_ops), nb)
+                  for qvec in result.basis]
+
     # range-projection re-verification w.r.t. the phi inner product
-    proj_ok = _range_projection_check(data, B, phi, lam_mats, ops, result,
-                                      Q_ambient)
+    proj_ok = _range_projection_check(B, phi, lam_mats, result_ops)
     rep.add("commutes_with_range_projections", proj_ok)
 
     hopf = reify_hopf_subalgebra(Q_ambient, result, name="HC")
     lifted, c_alg, inclusion, lift_rep = _lift_to_invariants(
-        data, Q_ambient, q_on_B, result, hopf
+        data, result_ops, hopf
     )
     rep.merge(lift_rep, prefix="lift:")
 
@@ -809,8 +817,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_mats: list) -> Vec:
     raise InputError("no Lambda-invariant faithful state")
 
 
-def _range_projection_check(data, B, phi, lam_mats, ops, result,
-                            Q_ambient) -> bool:
+def _range_projection_check(B, phi, lam_mats, result_ops) -> bool:
     """Operators of the result commute with the phi-orthogonal range
     projections of every Lambda operator."""
     from .jones import GnsSpace
@@ -825,27 +832,14 @@ def _range_projection_check(data, B, phi, lam_mats, ops, result,
             [mat_vec(L, unit_vec(nb, j)) for j in range(nb)], nb
         )
         P = orthogonal_projection(space, image)
-        for qvec in result.basis:
-            op = _combine(ops, qvec)
+        for op in result_ops:
             if mat_mul(op, P) != mat_mul(P, op):
                 return False
     return True
 
 
-def _combine(ops: list, coeffs: Vec) -> Mat:
-    n = len(ops[0])
-    out = [vzero(n) for _ in range(n)]
-    for c, op in zip(coeffs, ops):
-        if c:
-            for i in range(n):
-                row = op[i]
-                out[i] = [x + c * y if y else x
-                          for x, y in zip(out[i], row)]
-    return out
-
-
-def _lift_to_invariants(data: FixedPointData, Q_ambient, q_on_B,
-                        result: Subspace, hopf: HopfStarAlgebra):
+def _lift_to_invariants(data: FixedPointData, result_ops: list,
+                        hopf: HopfStarAlgebra):
     """Lift q . Phi(a (x) x) = Phi(a (x) q . x) to the reified C."""
     B = data.comodule
     sp = data.smash
@@ -868,12 +862,9 @@ def _lift_to_invariants(data: FixedPointData, Q_ambient, q_on_B,
     # kernel preservation: (id (x) op(q))(ker Phi) inside ker Phi
     phi_matrix = [[phi_cols[j][i] for j in range(na * nb)]
                   for i in range(total.dim)]
-    kernel = _matrix_kernel(phi_matrix, na * nb)
-    ops = [q_on_B.operator(unit_vec(Q_ambient.dim, i))
-           for i in range(Q_ambient.dim)]
+    kernel = kernel_of_matrix(phi_matrix)
     ok = True
-    for qvec in result.basis:
-        op = _combine(ops, qvec)
+    for op in result_ops:
         for kv in kernel.basis:
             moved = _id_tensor_op(kv, op, na, nb)
             if not kernel.contains(moved):
@@ -889,8 +880,7 @@ def _lift_to_invariants(data: FixedPointData, Q_ambient, q_on_B,
 
     # action tensor of the reified result Hopf on the reified C
     act = []
-    for qvec in result.basis:
-        op = _combine(ops, qvec)
+    for op in result_ops:
         plane = []
         for ci in range(k):
             coords = _preimage_coords(phi_matrix, C.basis[ci], na * nb)
@@ -921,13 +911,6 @@ def _lift_to_invariants(data: FixedPointData, Q_ambient, q_on_B,
             break
     rep.add("fixes_A_pointwise", ok)
     return lifted, c_alg, inclusion, rep
-
-
-def _matrix_kernel(matrix: Mat, n_cols: int) -> Subspace:
-    solver = KernelSolver(n_cols)
-    for row in matrix:
-        solver.add_row({j: v for j, v in enumerate(row) if v})
-    return solver.subspace()
 
 
 def _id_tensor_op(v: Vec, op: Mat, na: int, nb: int) -> Vec:

@@ -241,6 +241,7 @@ def run_measure(ws: Workspace, job: dict) -> dict:
             parse_matrix(span_doc["left"], f"{where}.left"),
             parse_matrix(span_doc["right"], f"{where}.right"),
             act.alg.dim * act.alg.dim,
+            name=where,
         ))
     res = universal_measuring_within(
         act.hopf.coalgebra, act.alg, act.alg, act.to_hom_map(), extra=extra

@@ -106,50 +106,6 @@ def mat_algebra(n: int, name: str = "") -> StarAlgebra:
                        name=name or f"Mat{n}")
 
 
-def tensor_algebra(A: StarAlgebra, B: StarAlgebra,
-                   name: str = "") -> StarAlgebra:
-    """A (x) B with basis e_i (x) f_j at index i*dimB + j."""
-    da, db = A.dim, B.dim
-    dim = da * db
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(da):
-        for j1 in range(db):
-            for i2 in range(da):
-                for j2 in range(db):
-                    left = i1 * db + j1
-                    right = i2 * db + j2
-                    for ka, va in A.mult[i1][i2].items():
-                        for kb, vb in B.mult[j1][j2].items():
-                            mult[left][right][ka * db + kb] = va * vb
-    unit = vzero(dim)
-    for i, ua in enumerate(A.unit):
-        if ua:
-            for j, ub in enumerate(B.unit):
-                if ub:
-                    unit[i * db + j] = ua * ub
-    star = []
-    for i in range(da):
-        sa = A.star_vec(unit_vec(da, i))
-        for j in range(db):
-            sb = B.star_vec(unit_vec(db, j))
-            row = vzero(dim)
-            for p, vp in enumerate(sa):
-                if vp:
-                    for q, vq in enumerate(sb):
-                        if vq:
-                            row[p * db + q] = vp * vq
-            star.append(row)
-    state = None
-    if A.state is not None and B.state is not None:
-        state = vzero(dim)
-        for i, ta in enumerate(A.state):
-            for j, tb in enumerate(B.state):
-                if ta and tb:
-                    state[i * db + j] = ta * tb
-    return StarAlgebra(dim, mult, unit, star, state,
-                       name=name or f"{A.name}(x){B.name}")
-
-
 def subalgebra_embedding_left(A: StarAlgebra, B: StarAlgebra):
     """Basis of A (x) 1 inside tensor_algebra(A, B)."""
     db = B.dim

@@ -57,6 +57,7 @@ from .linalg import (
     mat_vec,
     matrix_commutant,
     unit_vec,
+    vec_mat,
     vzero,
 )
 from .report import Report
@@ -462,7 +463,7 @@ class QGalCertificate:
                 prod = vzero(nq)
                 for k, v in Q.algebra.mult[i][j].items():
                     prod[k] = prod[k] + v
-                lhs = _apply_rows(phi, prod)
+                lhs = vec_mat(prod, phi)
                 rhs = dual.mul_vec(phi[i], phi[j])
                 if lhs != rhs:
                     witness = (i, j)
@@ -470,7 +471,7 @@ class QGalCertificate:
             if witness:
                 break
         rep.add("algebra_morphism", witness is None, witness)
-        rep.add("unit_preserved", _apply_rows(phi, Q.unit) == dual.unit)
+        rep.add("unit_preserved", vec_mat(Q.unit, phi) == dual.unit)
 
         witness = None
         for i in range(nq):
@@ -494,10 +495,10 @@ class QGalCertificate:
                 all(dual.counit_of(phi[i]) == Q.counit_of(unit_vec(nq, i))
                     for i in range(nq)))
         rep.add("antipode_intertwined",
-                all(_apply_rows(phi, Q.antipode_vec(unit_vec(nq, i)))
+                all(vec_mat(Q.antipode_vec(unit_vec(nq, i)), phi)
                     == dual.antipode_vec(phi[i]) for i in range(nq)))
         rep.add("star_intertwined",
-                all(_apply_rows(phi, Q.star_vec(unit_vec(nq, i)))
+                all(vec_mat(Q.star_vec(unit_vec(nq, i)), phi)
                     == dual.star_vec(phi[i]) for i in range(nq)))
 
         # diagram: q . z = phi(q) . z through the dual action
@@ -547,18 +548,6 @@ class QGalCertificate:
             rep.add("unique_solution_is_phi", normalized_ok)
         self.morphisms.append((Q, phi))
         return phi, rep
-
-
-def _apply_rows(rows: list[Vec], x: Vec) -> Vec:
-    n = len(rows[0])
-    out = vzero(n)
-    for i, xi in enumerate(x):
-        if xi:
-            row = rows[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] = out[j] + xi * row[j]
-    return out
 
 
 def canonical_qgal(sp: SmashProduct) -> QGalCertificate:

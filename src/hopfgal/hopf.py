@@ -23,6 +23,7 @@ from .linalg import (
     mat_inverse,
     transpose,
     unit_vec,
+    vec_mat,
     vscale,
     vzero,
 )
@@ -122,8 +123,7 @@ class HopfStarAlgebra:
         # which reverses comultiplication; x -> x* does not when the
         # comultiplication is noncocommutative.
         circ = [
-            algebra.star_vec(mat_vec_transposed(antipode,
-                                                unit_vec(algebra.dim, i)))
+            algebra.star_vec(vec_mat(unit_vec(algebra.dim, i), antipode))
             for i in range(algebra.dim)
         ]
         self.coalgebra = StarCoalgebra(algebra.dim, comult, counit, circ)
@@ -163,7 +163,7 @@ class HopfStarAlgebra:
         return self.coalgebra.counit_of(x)
 
     def antipode_vec(self, x: Vec) -> Vec:
-        return mat_vec_transposed(self.antipode, x)
+        return vec_mat(x, self.antipode)
 
     def is_kac(self) -> bool:
         """Involutive antipode: S^2 = id."""
@@ -184,19 +184,6 @@ class HopfStarAlgebra:
         doc["antipode"] = [[x.to_json() for x in row] for row in self.antipode]
         doc["kac"] = self.is_kac()
         return doc
-
-
-def mat_vec_transposed(rows: Mat, x: Vec) -> Vec:
-    """Apply a map stored row-wise (image of e_i is rows[i])."""
-    n = len(rows[0]) if rows else 0
-    out = vzero(n)
-    for i, xi in enumerate(x):
-        if xi:
-            row = rows[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] = out[j] + xi * row[j]
-    return out
 
 
 # -- validation -----------------------------------------------------------

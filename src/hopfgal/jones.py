@@ -55,6 +55,7 @@ class GnsSpace:
 
     def __post_init__(self):
         self._lam_cache: dict[int, Mat] = {}
+        self._n_commutants: dict = {}
 
     @property
     def dim(self) -> int:
@@ -102,6 +103,20 @@ class GnsSpace:
                 if yj and self.gram[i][j]:
                     tot = tot + xi * yj.conj() * self.gram[i][j]
         return tot
+
+    def n_commutant(self, N: Subspace) -> tuple[Subspace, Subspace]:
+        """N' and J N' J in End(L^2), flattened; computed once per N."""
+        key = (tuple(N.pivots), tuple(map(tuple, N.basis)))
+        if key not in self._n_commutants:
+            n = self.dim
+            mats = matrix_commutant([self.lam(b) for b in N.basis], n)
+            self._n_commutants[key] = (
+                Subspace.from_vectors([flatten_matrix(X) for X in mats],
+                                      n * n),
+                Subspace.from_vectors(
+                    [flatten_matrix(self.jmat(X)) for X in mats], n * n),
+            )
+        return self._n_commutants[key]
 
     @cached_property
     def gram_inverse(self) -> Mat:
@@ -260,13 +275,10 @@ def jones_projection(space: GnsSpace, N: Subspace,
 
     gens = [space.lam_basis(i) for i in range(n)] + [e]
     double_comm = matrix_commutant(matrix_commutant(gens, n), n)
-    n_comm = matrix_commutant([space.lam(b) for b in N.basis], n)
     lhs = Subspace.from_vectors(
         [flatten_matrix(X) for X in double_comm], n * n
     )
-    rhs = Subspace.from_vectors(
-        [flatten_matrix(space.jmat(X)) for X in n_comm], n * n
-    )
+    _, rhs = space.n_commutant(N)
     rep.add("double_commutant_identity", lhs == rhs,
             note="alg(M, e_N)'' = J N' J; conjugation by J turns this"
                  " into the commutant-of-N form")
@@ -321,13 +333,7 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
         [space.lam_basis(i) for i in range(n)] + [e], n
     )
     spanned = m1_span(space, e)
-    n_comm = matrix_commutant([space.lam(b) for b in N.basis], n)
-    n_comm_span = Subspace.from_vectors(
-        [flatten_matrix(X) for X in n_comm], n * n
-    )
-    conjugated = Subspace.from_vectors(
-        [flatten_matrix(space.jmat(X)) for X in n_comm], n * n
-    )
+    n_comm_span, conjugated = space.n_commutant(N)
     if not (generated == spanned == conjugated):
         raise ConsistencyError(
             "the three computations of M_1 disagree: "
@@ -417,12 +423,12 @@ def _coupling(space: GnsSpace, N: Subspace, e: Mat, xi: Vec) -> Fraction:
         lam_w.append(v)
         u_span.insert(v)
     eu = SpanBuilder(n)
-    for v in u_span.rows:
+    for v in u_span.subspace().basis:
         eu.insert(mat_vec(e, v))
     m1w = SpanBuilder(n)
     for v in lam_w:
         m1w.insert(v)
-    for v in eu.rows:
+    for v in eu.subspace().basis:
         for i in range(n):
             m1w.insert(space.lam_apply(i, v))
     # conjugating by J preserves dimension, so rank(N' xi) = rank(M_1 J xi)

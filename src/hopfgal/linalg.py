@@ -4,11 +4,16 @@ Vectors are dense lists of Scalar, matrices are lists of rows.  Subspaces
 are kept in reduced row echelon form, which is unique for a given subspace
 and a fixed ambient basis, so subspace equality is row-by-row comparison.
 
-Nullspaces come from KernelSolver, which keeps the constraint rows as a
-sparse echelon form (dict col -> Scalar per pivot, each pivot at its row's
-largest column) and reads the kernel off the free columns; that basis is
-already the canonical RREF, and only nonzero constraint entries are ever
-touched.  SpanBuilder is the incremental row space of the closure loops;
+All row elimination runs in one sparse echelon store: `rows` maps a pivot
+p to the tail {k: c} (all k < p, no pivot among them) of the normalized
+row x_p + sum_k c x_k.  A new row is reduced against the tails of the
+pivots it touches, normalized at its largest remaining column and
+eliminated from the tails that hold that column; only nonzero entries are
+ever visited.  KernelSolver keeps constraint rows there and reads the
+nullspace off the free columns.  SpanBuilder keeps vectors there with the
+columns reversed (j -> n-1-j), so the largest stored column is the leading
+one and the rows read back are the canonical RREF of the span; rref,
+Subspace membership, mat_inverse and solve_linear all run on it.
 operator_algebra_span closes under left multiplication by the generators
 only, which reaches every word.
 """
@@ -16,6 +21,7 @@ only, which reaches every word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .scalars import Scalar
@@ -119,6 +125,19 @@ def mat_inverse(A: Mat) -> Mat:
     return [row[n:] for row in rows]
 
 
+def vec_mat(x: Vec, A: Mat) -> Vec:
+    """The row vector x times A: sum_i x_i A[i], the map with e_i -> A[i]."""
+    n = len(A[0]) if A else 0
+    out = vzero(n)
+    for i, xi in enumerate(x):
+        if xi:
+            row = A[i]
+            for j in range(n):
+                if row[j]:
+                    out[j] = out[j] + xi * row[j]
+    return out
+
+
 def kron_vec(a: Vec, b: Vec) -> Vec:
     out = []
     for x in a:
@@ -129,58 +148,71 @@ def kron_vec(a: Vec, b: Vec) -> Vec:
     return out
 
 
-# -- echelon forms ---------------------------------------------------------
+# -- the echelon store ----------------------------------------------------
+
+
+def _reduce(rows: dict, r: dict) -> dict:
+    """r minus the combination of stored rows that clears its pivots.
+
+    r is a sparse row without zero entries and is consumed.  No tail holds
+    a pivot column, so one pass over the pivots of r leaves none behind.
+    """
+    for p in [j for j in r if j in rows]:
+        c = r.pop(p)
+        for k, v in rows[p].items():
+            r[k] = r[k] - c * v if k in r else -(c * v)
+    return {j: c for j, c in r.items() if c}
+
+
+def _eliminate(rows: dict, r: dict):
+    """Add the sparse row r to the store.
+
+    Returns (new pivot, inverse of the entry normalized there), or None
+    when r lies in the span of the stored rows.
+    """
+    r = _reduce(rows, r)
+    if not r:
+        return None
+    q = max(r)
+    inv = r.pop(q).inverse()
+    tail = {k: v * inv for k, v in r.items()}
+    for t in rows.values():
+        c = t.pop(q, None)
+        if c is None:
+            continue
+        for k, v in tail.items():
+            if k in t:
+                x = t[k] - c * v
+                if x:
+                    t[k] = x
+                else:
+                    del t[k]
+            else:
+                t[k] = -(c * v)
+    rows[q] = tail
+    return q, inv
+
+
+def _reversed(v: Vec) -> dict:
+    """The nonzero entries of v keyed by the reversed column n-1-j."""
+    last = len(v) - 1
+    return {last - j: x for j, x in enumerate(v) if x}
 
 
 def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns nonzero rows and pivot columns.
 
-    Pivot entries are normalized to 1 and cleared above and below, so the
-    output is the canonical form of the row space.
+    Pivot entries are 1 and every other entry of a pivot column is 0, so
+    the output is the canonical form of the row space.
     """
-    rows = [list(r) for r in rows if not vec_is_zero(r)]
+    rows = list(rows)
     if not rows:
         return [], []
-    n = len(rows[0])
-    out: list[Vec] = []
-    pivots: list[int] = []
+    builder = SpanBuilder(len(rows[0]))
     for row in rows:
-        row = _reduce_against(row, out, pivots)
-        lead = _leading_index(row)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [x * inv if x else x for x in row]
-        # insert keeping pivot columns increasing
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < lead:
-            pos += 1
-        out.insert(pos, row)
-        pivots.insert(pos, lead)
-    # clear above pivots
-    for i in range(len(out) - 1, -1, -1):
-        p = pivots[i]
-        for j in range(i):
-            c = out[j][p]
-            if c:
-                out[j] = [x - c * y if y else x for x, y in zip(out[j], out[i])]
-    return out, pivots
-
-
-def _leading_index(row: Vec):
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
-
-
-def _reduce_against(row: Vec, basis: list[Vec], pivots: list[int]) -> Vec:
-    row = list(row)
-    for b, p in zip(basis, pivots):
-        c = row[p]
-        if c:
-            row = [x - c * y if y else x for x, y in zip(row, b)]
-    return row
+        builder.insert(row)
+    sub = builder.subspace()
+    return sub.basis, sub.pivots
 
 
 # -- subspaces --------------------------------------------------------------
@@ -217,40 +249,38 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _rows(self) -> dict:
+        """The basis in SpanBuilder's store (reversed columns, no pivots)."""
+        last = self.ambient_dim - 1
+        return {last - p: {last - j: x for j, x in enumerate(b)
+                           if x and j != p}
+                for b, p in zip(self.basis, self.pivots)}
+
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise InputError("ambient dimension mismatch")
-        return vec_is_zero(_reduce_against(v, self.basis, self.pivots))
-
-    def residue(self, v: Vec) -> Vec:
-        return _reduce_against(v, self.basis, self.pivots)
+        return not _reduce(self._rows, _reversed(v))
 
     def coordinates(self, v: Vec) -> Vec:
-        """Coefficients of v on self.basis; raises if v is outside."""
-        row = list(v)
-        coeffs = []
-        for b, p in zip(self.basis, self.pivots):
-            c = row[p]
-            coeffs.append(c)
-            if c:
-                row = [x - c * y if y else x for x, y in zip(row, b)]
-        if not vec_is_zero(row):
+        """Coefficients of v on self.basis; raises if v is outside.
+
+        An RREF basis vector is 1 at its own pivot and 0 at every other
+        pivot, so the coefficient on b_i is the entry of v at p_i.
+        """
+        if not self.contains(v):
             raise InputError("vector not in subspace")
-        return coeffs
+        return [v[p] for p in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
     def __eq__(self, other) -> bool:
+        # equal RREF bases have the same pivots and nonzero entries
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return all(
-            x == y
-            for r, s in zip(self.basis, other.basis)
-            for x, y in zip(r, s)
-        )
+        return (self.ambient_dim == other.ambient_dim
+                and self._rows == other._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -309,13 +339,9 @@ class Subspace:
 class KernelSolver:
     """Incrementally computed nullspace {x : r.x = 0 for all added rows r}.
 
-    The constraint rows are kept in sparse reduced row echelon form with
-    each row's pivot at its largest column: `rows` maps a pivot p to the
-    tail {k: c} (all k < p) of the normalized row x_p + sum_k c x_k, and
-    no pivot column occurs in any tail.  A new row is reduced against the
-    tails of the pivots it touches, normalized at its largest remaining
-    column, and eliminated from the tails that contain that column; only
-    nonzero entries are ever visited.
+    The constraint rows live in the sparse echelon store of this module:
+    `rows` maps a pivot p to the tail {k: c} (all k < p, no pivot among
+    them) of the normalized row x_p + sum_k c x_k.
 
     The kernel is read off the free columns: the vector of a free column f
     is e_f - sum_p tail_p[f] e_p.  Every tail entry lies left of its pivot,
@@ -335,33 +361,8 @@ class KernelSolver:
 
     def add_row(self, row: dict) -> bool:
         """Impose one constraint; returns True if the kernel shrank."""
-        rows = self.rows
-        r = {j: c for j, c in row.items() if c}
-        for p in [j for j in r if j in rows]:
-            c = r.pop(p)
-            for k, v in rows[p].items():
-                r[k] = r[k] - c * v if k in r else -(c * v)
-        r = {j: c for j, c in r.items() if c}
-        if not r:
-            return False
-        q = max(r)
-        inv = r.pop(q).inverse()
-        tail = {k: v * inv for k, v in r.items()}
-        for t in rows.values():
-            c = t.pop(q, None)
-            if c is None:
-                continue
-            for k, v in tail.items():
-                if k in t:
-                    x = t[k] - c * v
-                    if x:
-                        t[k] = x
-                    else:
-                        del t[k]
-                else:
-                    t[k] = -(c * v)
-        rows[q] = tail
-        return True
+        added = _eliminate(self.rows, {j: c for j, c in row.items() if c})
+        return added is not None
 
     def subspace(self) -> Subspace:
         n = self.n
@@ -375,46 +376,49 @@ class KernelSolver:
 
 
 class SpanBuilder:
-    """Incrementally built row space with fast membership testing."""
+    """Incrementally built row space with fast membership testing.
+
+    The rows live in KernelSolver's store with the columns reversed
+    (j -> n-1-j), so the pivot of each stored row is its leading column
+    and the rows read back are already the canonical RREF of the span.
+    The zeros and the pivot one of a row read back take the cyclotomic
+    order of the entry the row was normalized at, so a row whose entries
+    share one order reads back in that order.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[Vec] = []
-        self.leads: list[int] = []
+        self.rows: dict[int, dict] = {}
+        self.orders: dict[int, int] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Vec) -> Vec:
-        v = list(v)
-        for row, lead in zip(self.rows, self.leads):
-            c = v[lead]
-            if c:
-                v = [x - c * y if y else x for x, y in zip(v, row)]
-        return v
-
     def contains(self, v: Vec) -> bool:
-        return vec_is_zero(self._reduce(v))
+        return not _reduce(self.rows, _reversed(v))
 
     def insert(self, v: Vec) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        v = self._reduce(v)
-        lead = _leading_index(v)
-        if lead is None:
+        added = _eliminate(self.rows, _reversed(v))
+        if added is None:
             return False
-        inv = v[lead].inverse()
-        v = [x * inv if x else x for x in v]
-        pos = 0
-        while pos < len(self.leads) and self.leads[pos] < lead:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.leads.insert(pos, lead)
+        q, inv = added
+        self.orders[q] = inv.order
         return True
 
     def subspace(self) -> Subspace:
-        rows, pivots = rref(self.rows)
-        return Subspace(self.n, rows, pivots)
+        last = self.n - 1
+        basis, pivots = [], []
+        for p in sorted(self.rows, reverse=True):
+            order = self.orders[p]
+            row = [Scalar.zero(order)] * self.n
+            row[last - p] = Scalar.one(order)
+            for k, c in self.rows[p].items():
+                row[last - k] = c
+            basis.append(row)
+            pivots.append(last - p)
+        return Subspace(self.n, basis, pivots)
 
 
 # -- linear systems ----------------------------------------------------------
@@ -447,10 +451,9 @@ def solve_linear(A: Mat, b: Vec):
     if n in pivots:
         return "inconsistent"
     particular = vzero(n)
-    for row, p in zip(rows, pivots):
-        particular[p] = row[n]
     solver = KernelSolver(n)
     for row, p in zip(rows, pivots):
+        particular[p] = row[n]
         solver.add_row({j: c for j, c in enumerate(row[:n]) if c})
     return AffineSolution(particular, solver.subspace())
 

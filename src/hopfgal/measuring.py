@@ -63,8 +63,23 @@ class SpanConstraint:
     @staticmethod
     def from_matrices(l: int, r: int, left_mat: Mat, right_mat: Mat,
                       carrier_dim: int, name: str = "span") -> "SpanConstraint":
-        """Matrix-backed span: maps act on the Kronecker power of the legs."""
-        target = len(left_mat) if left_mat else len(right_mat)
+        """Matrix-backed span: maps act on the Kronecker power of the legs.
+
+        Each side must have carrier_dim ** legs columns, and both sides the
+        same number of rows; the power is never formed, so a huge leg count
+        is rejected cheaply.
+        """
+        if l < 0 or r < 0:
+            raise InputError(f"{name}: l and r must be nonnegative")
+        if len(left_mat) != len(right_mat):
+            raise InputError(f"{name}: left has {len(left_mat)} rows, right"
+                             f" has {len(right_mat)}")
+        for side, legs, mat in (("left", l, left_mat),
+                                ("right", r, right_mat)):
+            if not all(_is_power(len(row), carrier_dim, legs) for row in mat):
+                raise InputError(f"{name}.{side}: every row needs"
+                                 f" {carrier_dim}^{legs} columns")
+        target = len(left_mat)
 
         def apply(mat: Mat, legs: list) -> Vec:
             if not legs:
@@ -81,6 +96,16 @@ class SpanConstraint:
             lambda legs: apply(right_mat, legs),
             name,
         )
+
+
+def _is_power(m: int, base: int, exp: int) -> bool:
+    """m == base ** exp, decided by dividing m down."""
+    if base <= 1:
+        return m == base ** min(exp, 1)
+    while exp and m > 1 and m % base == 0:
+        m //= base
+        exp -= 1
+    return exp == 0 and m == 1
 
 
 @dataclass

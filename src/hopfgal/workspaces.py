@@ -13,7 +13,7 @@ import os
 import sys
 
 from .actions import ModuleAlgebraAction
-from .algebra import StarAlgebra
+from .algebra import StarAlgebra, tensor_algebra
 from .banica import ComoduleAlgebra
 from .fixtures import (
     K4_TABLE,
@@ -23,7 +23,6 @@ from .fixtures import (
     ad_z_action,
     mat_algebra,
     pauli_action,
-    tensor_algebra,
     translation_action,
 )
 from .hopf import HopfStarAlgebra, dual_hopf, group_algebra, variants

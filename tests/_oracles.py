@@ -7,10 +7,11 @@ subcoalgebra generated by x is the span of (f (x) id (x) g) Delta^2 x), so
 the two routes share no code path.  Both impose sigma(x) in V exactly,
 conjugating the rows of a stabilizer marked conjugate linear.
 
-The sparse KernelSolver is checked against a dense Gauss-Jordan
-elimination written here, and the generator-only operator_algebra_span
-against the closure that multiplies every new element by every member on
-both sides.
+The sparse echelon engine (KernelSolver, SpanBuilder, rref) is checked
+against a dense Gauss-Jordan elimination written here, and the spans of
+the closures below are kept by that elimination too.  The generator-only
+operator_algebra_span and generated_subalgebra are checked against the
+closures that multiply every new element by every member on both sides.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from __future__ import annotations
 from hopfgal.hopf import StarCoalgebra
 from hopfgal.linalg import (
     KernelSolver,
-    SpanBuilder,
     Subspace,
     flatten_matrix,
     identity_matrix,
-    mat_inverse,
     mat_mul,
     mat_vec,
     unit_vec,
@@ -61,7 +60,7 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
         # middle legs of the b_j there, and it must lie in current
         mids = [middle_legs(C, v) for v in basis]
         for key in sorted(set().union(*mids)):
-            res = [current.residue(m[key]) if key in m else None
+            res = [_residue(current, m[key]) if key in m else None
                    for m in mids]
             for coord in range(C.dim):
                 row = {j: r[coord] for j, r in enumerate(res)
@@ -72,7 +71,7 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
             # sigma(sum c_i b_i) = sum conj(c_i) sigma(b_i) when sigma is
             # conjugate linear, so its rows are conjugated
             conj = getattr(sigma, "conjugate_linear", False)
-            res = [current.residue(sigma(v)) for v in basis]
+            res = [_residue(current, sigma(v)) for v in basis]
             for coord in range(C.dim):
                 row = {i: res[i][coord].conj() if conj else res[i][coord]
                        for i in range(len(basis)) if res[i][coord]}
@@ -93,7 +92,7 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
 
 def stabilized_closure(C: StarCoalgebra, gens, stabilizers=()) -> Subspace:
     """Smallest stabilized subcoalgebra containing the generators."""
-    builder = SpanBuilder(C.dim)
+    builder = DenseSpan(C.dim)
     work = []
     for g in gens:
         if builder.insert(list(g)):
@@ -130,6 +129,34 @@ def _dense_rref(mat: list, n: int) -> tuple[list, list[int]]:
     return mat[:len(pivots)], pivots
 
 
+def _residue(V: Subspace, v: list) -> list:
+    """v minus its component in V along the RREF basis (zero iff v in V)."""
+    out = list(v)
+    for b, p in zip(V.basis, V.pivots):
+        c = v[p]
+        if c:
+            out = [x - c * y for x, y in zip(out, b)]
+    return out
+
+
+class DenseSpan:
+    """Row space kept in dense RREF, re-eliminated on every new row."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.sub = Subspace(n, [], [])
+
+    def insert(self, v) -> bool:
+        if not any(_residue(self.sub, v)):
+            return False
+        rows, pivots = _dense_rref(self.sub.basis + [list(v)], self.n)
+        self.sub = Subspace(self.n, rows, pivots)
+        return True
+
+    def subspace(self) -> Subspace:
+        return self.sub
+
+
 def oracle_kernel(rows: list[dict], n: int) -> tuple[list, list[int]]:
     """Canonical RREF basis and pivots of {x : r.x = 0 for every row r}."""
     zero, one = Scalar.zero(), Scalar.one()
@@ -150,7 +177,7 @@ def oracle_kernel(rows: list[dict], n: int) -> tuple[list, list[int]]:
 def oracle_operator_algebra_span(gens: list, n: int,
                                  with_identity: bool = True) -> Subspace:
     """Closure multiplying each new element by every member, both sides."""
-    builder = SpanBuilder(n * n)
+    builder = DenseSpan(n * n)
     members: list = []
 
     def push(X) -> bool:
@@ -172,6 +199,36 @@ def oracle_operator_algebra_span(gens: list, n: int,
     return builder.subspace()
 
 
+def oracle_generated_subalgebra(gens: list, B) -> Subspace:
+    """Unital *-closure multiplying each new element by every member."""
+    builder = DenseSpan(B.dim)
+    members: list = []
+
+    def push(v) -> bool:
+        if builder.insert(v):
+            members.append(v)
+            return True
+        return False
+
+    push(B.unit)
+    fresh = []
+    for g in gens:
+        for v in (g, B.star_vec(g)):
+            if push(v):
+                fresh.append(v)
+    while fresh:
+        batch, fresh = fresh, []
+        for x in batch:
+            sx = B.star_vec(x)
+            if push(sx):
+                fresh.append(sx)
+            for y in list(members):
+                for p in (B.mul_vec(x, y), B.mul_vec(y, x)):
+                    if push(p):
+                        fresh.append(p)
+    return builder.subspace()
+
+
 # -- random exact instances over Q(i) ------------------------------------------
 
 
@@ -185,11 +242,10 @@ def _qi(rng) -> Scalar:
 def random_invertible(rng, n):
     while True:
         P = [[_qi(rng) for _ in range(n)] for _ in range(n)]
-        try:
-            Pinv = mat_inverse(P)
-            return P, Pinv
-        except Exception:
-            continue
+        rows, pivots = _dense_rref(
+            [row + unit_vec(n, i, 4) for i, row in enumerate(P)], 2 * n)
+        if pivots[:n] == list(range(n)):
+            return P, [row[n:] for row in rows]
 
 
 def _grouplike_coalgebra(n: int) -> StarCoalgebra:

@@ -22,7 +22,7 @@ from hopfgal.actions import (
     invariants,
     smash_product,
 )
-from hopfgal.algebra import relative_commutant
+from hopfgal.algebra import relative_commutant, tensor_algebra
 from hopfgal.banica import ComoduleAlgebra, product_coaction, qgal_banica
 from hopfgal.fixtures import (
     S3_TRANSPOSITION,
@@ -38,7 +38,6 @@ from hopfgal.fixtures import (
     mat_algebra,
     pauli_action,
     subalgebra_embedding_left,
-    tensor_algebra,
     translation_action,
 )
 from hopfgal.galois import canonical_qgal, smash_bimodule_endos

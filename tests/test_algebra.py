@@ -1,6 +1,9 @@
 """Star algebras: validation, commutants, generation, expectations."""
 
+import random
+
 import pytest
+from _oracles import oracle_generated_subalgebra
 
 from hopfgal.algebra import (
     analyze_state,
@@ -12,11 +15,12 @@ from hopfgal.algebra import (
     is_nonsingular,
     relative_commutant,
     reify,
+    tensor_algebra,
     unique_trace,
     validate_algebra,
 )
 from hopfgal.errors import InputError
-from hopfgal.fixtures import c_of_z2, mat_algebra, tensor_algebra
+from hopfgal.fixtures import c_of_s3, c_of_z2, cs3, mat_algebra
 from hopfgal.linalg import Subspace, mat_vec, unit_vec, vzero
 from hopfgal.scalars import Scalar
 
@@ -102,6 +106,26 @@ def test_generated_subalgebra_star_closure():
     diag_gen[0] = Scalar.one()
     diag_gen[3] = Scalar.from_int(-1)
     assert generated_subalgebra([diag_gen], A).dim == 2
+
+
+@pytest.mark.parametrize("which", ["CS3", "C(S3)", "Mat2(x)Mat2"])
+def test_generated_subalgebra_matches_all_pairs_closure(which):
+    # random sparse Q(i) generators, one to three entries each
+    B = {"CS3": lambda: cs3().algebra, "C(S3)": lambda: c_of_s3().algebra,
+         "Mat2(x)Mat2": lambda: tensor_algebra(mat_algebra(2),
+                                               mat_algebra(2))}[which]()
+    rng = random.Random(sum(map(ord, which)))
+    i = Scalar.root_of_unity(4)
+    for _ in range(6):
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            g = vzero(B.dim, 4)
+            for k in rng.sample(range(B.dim), rng.randint(1, 3)):
+                g[k] = (Scalar.from_int(rng.randint(-2, 2), 4)
+                        + i * Scalar.from_int(rng.randint(-2, 2), 4))
+            gens.append(g)
+        assert (generated_subalgebra(gens, B)
+                == oracle_generated_subalgebra(gens, B))
 
 
 def test_commutant_monotone_and_double():

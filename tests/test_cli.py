@@ -1,6 +1,7 @@
 """Workspace parsing, CLI subcommands, exit codes, deterministic output."""
 
 import copy
+import hashlib
 import itertools
 import json
 import os
@@ -262,6 +263,40 @@ def test_lifting_reaches_nested_hopf_tensors(tmp_path):
                for v in plane.values())
 
 
+# Shipped jobs with every scalar lifted to Q(i) by one extra order-4
+# document; digests of the CLI stdout.  Zeros and pivot ones in emitted
+# bases take the order of the entry their row was normalized at: 1 on rows
+# built from KernelSolver's unit vectors, 4 on rows of lifted workspace
+# vectors.
+_LIFTED_DIGESTS = [
+    ("banica-z2.json", "banica", "qgal-banica",
+     "74c4e7ed316ea96942e728ab31ce7c66f1be8f958f19f6983e667e0d0583b61a"),
+    ("jones-mat2-mat4.json", "commutant", "commutant",
+     "7cfd98872afb65f5c1e1709f21f09a729eeb8cb4323e6966a7ae513537e233f0"),
+    ("s3-transposition.json", "centralizer", "centralizer",
+     "72b4f8a45e0112914ed8256e0927115c872a3a75e41a18f0e3093e3008167f75"),
+]
+
+
+@pytest.mark.parametrize("fname,job,op,digest", _LIFTED_DIGESTS,
+                         ids=[f"{f}:{j}" for f, j, _, _ in _LIFTED_DIGESTS])
+def test_lifted_job_output_keeps_scalar_orders(fname, job, op, digest,
+                                               tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        fname)
+    with open(path) as fh:
+        doc = json.load(fh)
+    one = {"order": 4, "num": [1, 0], "den": 1}
+    doc["documents"]["oddball"] = {"kind": "algebra", "dim": 1,
+                                   "mult": [[[one]]], "unit": [one],
+                                   "star": [[1]], "state": None}
+    lifted = tmp_path / fname
+    lifted.write_text(json.dumps(doc))
+    assert _run(op, lifted, job=job) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def _shipped_job_fields():
     """(workspace document, job name, job body, field) for every field."""
     fixtures = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -320,7 +355,20 @@ def test_measure_span_entry_missing_any_field_is_input_error(field, tmp_path,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("entry", [{}, 3, {**_TRIVIAL_SPAN, "l": "one"}])
+# wrong shapes: a negative or huge leg count, a side with 15 or 17 columns
+# instead of 16^1, and sides with different row counts
+_MISSHAPEN_SPANS = [
+    {**_TRIVIAL_SPAN, "l": -1},
+    {**_TRIVIAL_SPAN, "r": -1},
+    {**_TRIVIAL_SPAN, "l": 10 ** 12},
+    {**_TRIVIAL_SPAN, "left": [row[:15] for row in _TRIVIAL_SPAN["left"]]},
+    {**_TRIVIAL_SPAN, "left": [row + [0] for row in _TRIVIAL_SPAN["left"]]},
+    {**_TRIVIAL_SPAN, "right": _TRIVIAL_SPAN["right"][:15]},
+]
+
+
+@pytest.mark.parametrize("entry", [{}, 3, {**_TRIVIAL_SPAN, "l": "one"}]
+                         + _MISSHAPEN_SPANS)
 def test_measure_malformed_span_entry_is_input_error(entry, tmp_path, capsys):
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(_z2_measure_with_span(entry)))

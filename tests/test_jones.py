@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from hopfgal.algebra import tensor_algebra
 from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     c_of_z2,
     mat_algebra,
     subalgebra_embedding_left,
-    tensor_algebra,
 )
 from hopfgal.jones import (
     basic_construction,

@@ -22,7 +22,7 @@ from hopfgal.linalg import (
 )
 from hopfgal.scalars import Scalar, _context
 
-from _oracles import oracle_kernel, oracle_operator_algebra_span
+from _oracles import _dense_rref, oracle_kernel, oracle_operator_algebra_span
 
 
 def s(v):
@@ -202,6 +202,7 @@ def test_kernel_solver_matches_dense_elimination(order):
     # random sparse systems over Q, Q(i) and Q(zeta_5), with zero entries
     # and redundant rows mixed in
     rng = random.Random(100 + order)
+    probe_rng = random.Random(300 + order)
     for _ in range(40):
         n = rng.randint(1, 9)
         rows = []
@@ -220,6 +221,24 @@ def test_kernel_solver_matches_dense_elimination(order):
         assert ks.dim == sub.dim == len(basis) == n - shrank
         assert sub.pivots == pivots
         assert sub.basis == basis
+
+        # the same rows as dense vectors: their row space
+        dense = [[r.get(j, Scalar.zero()) for j in range(n)] for r in rows]
+        span_rows, span_pivots = _dense_rref(dense, n)
+        assert rref(dense) == (span_rows, span_pivots)
+        builder = SpanBuilder(n)
+        for i, v in enumerate(dense):
+            grew = len(_dense_rref(dense[:i + 1], n)[1]) > \
+                len(_dense_rref(dense[:i], n)[1])
+            assert builder.insert(v) == grew
+        assert builder.dim == len(span_pivots)
+        built = builder.subspace()
+        assert (built.basis, built.pivots) == (span_rows, span_pivots)
+        noise = [[_random_scalar(probe_rng, order) for _ in range(n)]
+                 for _ in range(3)]
+        for v in dense + noise + basis:
+            inside = len(_dense_rref(span_rows + [v], n)[1]) == builder.dim
+            assert builder.contains(v) == built.contains(v) == inside
 
 
 def _random_sparse_matrix(rng, n, order):
