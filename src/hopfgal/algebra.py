@@ -9,6 +9,10 @@ Subalgebras are Subspaces of the ambient coordinate space; a reify helper
 extracts standalone structure constants when an honest algebra object is
 needed (commutant and invariant computations live most naturally in the
 ambient coordinates).
+
+validate_algebra and the left and right multiplication matrices read the
+sparse mult tensor directly, with no dense unit vectors and no mul_vec;
+mul_vec stays for callers holding dense vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ from .linalg import (
     mat_mul,
     mat_vec,
     rref,
+    sparse,
+    sparse_add,
+    sparse_apply,
+    sparse_comb,
+    sparse_conj,
+    sparse_ne,
     unit_vec,
     vec_is_zero,
     vscale,
@@ -41,27 +51,11 @@ from .scalars import Scalar, common_order
 POSITIVITY_TOL = 1e-9
 
 
-def sparse_tensor(dense, order: int = 1):
-    """Nested-list rank-3 tensor -> list[list[dict[int, Scalar]]]."""
-    out = []
-    for plane in dense:
-        row = []
-        for line in plane:
-            entry = {}
-            for k, v in enumerate(line):
-                sc = v if isinstance(v, Scalar) else Scalar.coerce(v, order)
-                if sc:
-                    entry[k] = sc
-            row.append(entry)
-        out.append(row)
-    return out
-
-
-def dense_tensor(sparse, dim: int):
+def dense_tensor(tensor, dim: int):
     zero = Scalar.zero()
     return [
         [[line.get(k, zero) for k in range(dim)] for line in plane]
-        for plane in sparse
+        for plane in tensor
     ]
 
 
@@ -103,9 +97,6 @@ class StarAlgebra:
                 orders.extend(v.order for v in line.values())
         return common_order(*orders) if orders else 1
 
-    def mul_basis(self, i: int, j: int) -> dict:
-        return self.mult[i][j]
-
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
         out = vzero(self.dim)
         for i, xi in enumerate(x):
@@ -133,13 +124,31 @@ class StarAlgebra:
         return out
 
     def left_mult_matrix(self, x: Vec) -> Mat:
-        """Matrix of y -> x y on coordinates."""
-        cols = [self.mul_vec(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        """Matrix of y -> x y on coordinates: column j is x e_j.
+
+        Each entry is zero + the terms x_i mult[i][j], in the order of i.
+        """
+        n = self.dim
+        zero = Scalar.zero()
+        out = [[zero] * n for _ in range(n)]
+        for i, xi in enumerate(x):
+            if xi:
+                for j, line in enumerate(self.mult[i]):
+                    for k, m in line.items():
+                        out[k][j] = out[k][j] + xi * m
+        return out
 
     def right_mult_matrix(self, x: Vec) -> Mat:
-        cols = [self.mul_vec(unit_vec(self.dim, j), x) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        """Matrix of y -> y x on coordinates: column j is e_j x."""
+        n = self.dim
+        zero = Scalar.zero()
+        out = [[zero] * n for _ in range(n)]
+        for i, xi in enumerate(x):
+            if xi:
+                for j in range(n):
+                    for k, m in self.mult[j][i].items():
+                        out[k][j] = out[k][j] + xi * m
+        return out
 
     def apply_state(self, x: Vec) -> Scalar:
         if self.state is None:
@@ -298,9 +307,9 @@ def analyze_state(A: StarAlgebra, functional: Vec | None = None) -> AlgebraState
     )
 
 
-def _apply(tau: Vec, sparse: dict) -> Scalar:
+def _apply(tau: Vec, x: dict) -> Scalar:
     tot = Scalar.zero()
-    for k, v in sparse.items():
+    for k, v in x.items():
         if tau[k]:
             tot = tot + v * tau[k]
     return tot
@@ -310,9 +319,14 @@ def _apply(tau: Vec, sparse: dict) -> Scalar:
 
 
 def validate_algebra(A: StarAlgebra) -> Report:
-    """Axiom-by-axiom check with a witness basis tuple on first failure."""
+    """Axiom-by-axiom check with a witness basis tuple on first failure.
+
+    Both sides of each identity are sparse dicts built from the mult
+    tensor and the rows of the involution.
+    """
     rep = Report(f"algebra {A.name}".strip())
     n = A.dim
+    one = Scalar.one()
 
     witness = None
     for i in range(n):
@@ -321,7 +335,7 @@ def validate_algebra(A: StarAlgebra) -> Report:
             for k in range(n):
                 left = _compose(A, ij, k, right=True)
                 right = _compose(A, A.mult[j][k], i, right=False)
-                if left != right:
+                if sparse_ne(left, right):
                     witness = (i, j, k)
                     break
             if witness:
@@ -331,17 +345,20 @@ def validate_algebra(A: StarAlgebra) -> Report:
     rep.add("associativity", witness is None, witness)
 
     witness = None
+    unit = sparse(A.unit)
     for j in range(n):
-        ej = unit_vec(n, j)
-        if A.mul_vec(A.unit, ej) != ej or A.mul_vec(ej, A.unit) != ej:
+        ej = {j: one}
+        if sparse_ne(_compose(A, unit, j, right=True), ej) \
+                or sparse_ne(_compose(A, unit, j, right=False), ej):
             witness = j
             break
     rep.add("unit", witness is None, witness)
 
     witness = None
+    star = [sparse(row) for row in A.star]
     for i in range(n):
-        twice = A.star_vec(A.star_vec(unit_vec(n, i)))
-        if twice != unit_vec(n, i):
+        twice = sparse_comb(star, sparse_conj(star[i]))
+        if sparse_ne(twice, {i: one}):
             witness = i
             break
     rep.add("star_involutive", witness is None, witness)
@@ -349,10 +366,9 @@ def validate_algebra(A: StarAlgebra) -> Report:
     witness = None
     for i in range(n):
         for j in range(n):
-            lhs = A.star_vec([_get(A.mult[i][j], k, n) for k in range(n)])
-            rhs = A.mul_vec(A.star_vec(unit_vec(n, j)),
-                            A.star_vec(unit_vec(n, i)))
-            if lhs != rhs:
+            lhs = sparse_comb(star, sparse_conj(A.mult[i][j]))
+            rhs = sparse_apply(A.mult, star[j], star[i])
+            if sparse_ne(lhs, rhs):
                 witness = (i, j)
                 break
         if witness:
@@ -370,17 +386,11 @@ def validate_algebra(A: StarAlgebra) -> Report:
     return rep
 
 
-def _get(sparse: dict, k: int, n: int) -> Scalar:
-    return sparse.get(k, Scalar.zero())
-
-
-def _compose(A: StarAlgebra, sparse: dict, idx: int, right: bool) -> Vec:
-    # right=True: (sparse) * e_idx ; right=False: e_idx * (sparse)
-    out = vzero(A.dim)
-    for k, v in sparse.items():
-        target = A.mult[k][idx] if right else A.mult[idx][k]
-        for m, w in target.items():
-            out[m] = out[m] + v * w
+def _compose(A: StarAlgebra, x: dict, idx: int, right: bool) -> dict:
+    # right=True: x e_idx ; right=False: e_idx x
+    out: dict = {}
+    for k, v in x.items():
+        sparse_add(out, A.mult[k][idx] if right else A.mult[idx][k], v)
     return out
 
 

@@ -47,7 +47,7 @@ from .linalg import (
     kernel_of_matrix,
     mat_mul,
     mat_vec,
-    solve_linear,
+    particular_solutions,
     unflatten_matrix,
     unit_vec,
     vec_mat,
@@ -876,14 +876,16 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
 
     c_alg, inclusion = reify(total, data.invariants, name="C")
     C = data.invariants
-    k = C.dim
 
-    # action tensor of the reified result Hopf on the reified C
+    # action tensor of the reified result Hopf on the reified C; one
+    # elimination of Phi gives the preimage of every basis vector of C
+    preimages = particular_solutions(phi_matrix, C.basis)
+    if preimages is None:
+        raise ConsistencyError("invariants vector outside Phi image")
     act = []
     for op in result_ops:
         plane = []
-        for ci in range(k):
-            coords = _preimage_coords(phi_matrix, C.basis[ci], na * nb)
+        for coords in preimages:
             moved = _id_tensor_op(coords, op, na, nb)
             image_vec = mat_vec(phi_matrix, moved)
             out_coords = C.coordinates(image_vec)
@@ -922,9 +924,3 @@ def _id_tensor_op(v: Vec, op: Mat, na: int, nb: int) -> Vec:
             out[a * nb + x] = val
     return out
 
-
-def _preimage_coords(phi_matrix: Mat, target: Vec, n_cols: int) -> Vec:
-    sol = solve_linear(phi_matrix, list(target))
-    if sol == "inconsistent":
-        raise ConsistencyError("invariants vector outside Phi image")
-    return sol.particular

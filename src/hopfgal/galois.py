@@ -51,6 +51,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    dense,
     flatten_matrix,
     identity_matrix,
     mat_mul,
@@ -631,12 +632,11 @@ def trace_preservation(action: ModuleAlgebraAction,
         tau = A.state if A.state is not None else unique_trace(A)
     witness = None
     for h in range(H.dim):
-        eps = H.counit_of(unit_vec(H.dim, h))
+        eps = H.counit[h]
         for a in range(A.dim):
-            acted = action.apply(unit_vec(H.dim, h), unit_vec(A.dim, a))
             val = Scalar.zero()
-            for k, x in enumerate(acted):
-                if x and tau[k]:
+            for k, x in action.act[h][a].items():
+                if tau[k]:
                     val = val + x * tau[k]
             if val != eps * tau[a]:
                 witness = (h, a)
@@ -649,10 +649,9 @@ def trace_preservation(action: ModuleAlgebraAction,
         space = bc.space
         witness = None
         for h in range(H.dim):
-            eps = H.counit_of(unit_vec(H.dim, h))
+            eps = H.counit[h]
             for a in range(A.dim):
-                acted = action.apply(unit_vec(H.dim, h),
-                                     unit_vec(A.dim, a))
+                acted = dense(action.act[h][a], A.dim)
                 lhs = bc.trace1(mat_mul(bc.e_N, space.lam(acted)))
                 rhs = eps * bc.trace1(
                     mat_mul(bc.e_N, space.lam_basis(a))

@@ -21,6 +21,11 @@ from .linalg import (
     identity_matrix,
     mat_eq,
     mat_inverse,
+    sparse,
+    sparse_add,
+    sparse_comb,
+    sparse_conj,
+    sparse_ne,
     transpose,
     unit_vec,
     vec_mat,
@@ -48,11 +53,7 @@ class StarCoalgebra:
 
     def comult_vec(self, x: Vec) -> dict:
         """Delta(x) as a sparse dict (j, k) -> Scalar."""
-        out: dict = {}
-        for i, xi in enumerate(x):
-            if xi:
-                for jk, v in self.comult[i].items():
-                    out[jk] = out.get(jk, Scalar.zero()) + xi * v
+        out = sparse_comb(self.comult, sparse(x))
         return {jk: v for jk, v in out.items() if v}
 
     def comult_flat(self, x: Vec) -> Vec:
@@ -204,7 +205,7 @@ def validate_coalgebra(C: StarCoalgebra, title: str = "coalgebra") -> Report:
             for (a, b), w in C.comult[k].items():
                 key = (j, a, b)
                 right[key] = right.get(key, Scalar.zero()) + v * w
-        if _sparse_ne(left, right):
+        if sparse_ne(left, right):
             witness = i
             break
     rep.add("coassociativity", witness is None, witness)
@@ -224,30 +225,17 @@ def validate_coalgebra(C: StarCoalgebra, title: str = "coalgebra") -> Report:
     rep.add("counit", witness is None, witness)
 
     witness = None
+    star = [sparse(row) for row in C.star]
     for i in range(n):
-        lhs = C.comult_vec(C.star_vec(unit_vec(n, i)))
+        lhs = sparse_comb(C.comult, star[i])
         rhs: dict = {}
         for (j, k), v in C.comult[i].items():
-            sj = C.star_vec(unit_vec(n, j))
-            sk = C.star_vec(unit_vec(n, k))
-            for a, va in enumerate(sk):
-                if va:
-                    for b, vb in enumerate(sj):
-                        if vb:
-                            key = (a, b)
-                            rhs[key] = rhs.get(key, Scalar.zero()) \
-                                + v.conj() * va * vb
-        if _sparse_ne(lhs, rhs):
+            sparse_add(rhs, _outer(star[k], star[j]), v.conj())
+        if sparse_ne(lhs, rhs):
             witness = i
             break
     rep.add("star_reverses_comultiplication", witness is None, witness)
     return rep
-
-
-def _sparse_ne(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    zero = Scalar.zero()
-    return any(a.get(k, zero) != b.get(k, zero) for k in keys)
 
 
 def validate_hopf(H: HopfStarAlgebra) -> Report:
@@ -259,38 +247,34 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
 
     # Delta and epsilon are unital algebra morphisms.
     witness = None
+    mult = H.algebra.mult
     for i in range(n):
         for j in range(n):
-            prod = [H.algebra.mult[i][j].get(k, Scalar.zero())
-                    for k in range(n)]
-            lhs = H.comult_vec(prod)
+            lhs = sparse_comb(H.comult, mult[i][j])
             rhs: dict = {}
             for (a, b), v in H.comult[i].items():
                 for (c, d), w in H.comult[j].items():
-                    ac = H.algebra.mult[a][c]
-                    bd = H.algebra.mult[b][d]
-                    for p, vp in ac.items():
-                        for q, wq in bd.items():
-                            key = (p, q)
-                            rhs[key] = rhs.get(key, Scalar.zero()) \
-                                + v * w * vp * wq
-            if _sparse_ne(lhs, rhs):
+                    ac, bd = mult[a][c], mult[b][d]
+                    if ac and bd:
+                        sparse_add(rhs, _outer(ac, bd), v * w)
+            if sparse_ne(lhs, rhs):
                 witness = (i, j)
                 break
         if witness:
             break
     rep.add("comult_is_algebra_morphism", witness is None, witness)
+    unit = sparse(H.unit)
     rep.add("comult_unital",
-            not _sparse_ne(H.comult_vec(H.unit),
-                           _outer(H.unit, H.unit)))
+            not sparse_ne(sparse_comb(H.comult, unit), _outer(unit, unit)))
 
     witness = None
+    counit = H.counit
     for i in range(n):
         for j in range(n):
-            prod = [H.algebra.mult[i][j].get(k, Scalar.zero())
-                    for k in range(n)]
-            if H.counit_of(prod) != H.counit_of(unit_vec(n, i)) \
-                    * H.counit_of(unit_vec(n, j)):
+            eps = Scalar.zero()
+            for k, v in mult[i][j].items():
+                eps = eps + v * counit[k]
+            if eps != counit[i] * counit[j]:
                 witness = (i, j)
                 break
         if witness:
@@ -300,46 +284,40 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
 
     # Delta(x*) = (x_1)* (x) (x_2)*: Delta is a *-algebra morphism.
     witness = None
+    star = [sparse(row) for row in H.star]
     for i in range(n):
-        lhs = H.comult_vec(H.star_vec(unit_vec(n, i)))
+        lhs = sparse_comb(H.comult, star[i])
         rhs: dict = {}
         for (j, k), v in H.comult[i].items():
-            sj = H.star_vec(unit_vec(n, j))
-            sk = H.star_vec(unit_vec(n, k))
-            for a, va in enumerate(sj):
-                if va:
-                    for b, vb in enumerate(sk):
-                        if vb:
-                            key = (a, b)
-                            rhs[key] = rhs.get(key, Scalar.zero()) \
-                                + v.conj() * va * vb
-        if _sparse_ne(lhs, rhs):
+            sparse_add(rhs, _outer(star[j], star[k]), v.conj())
+        if sparse_ne(lhs, rhs):
             witness = i
             break
     rep.add("comult_is_star_morphism", witness is None, witness)
 
     # Antipode axiom: m (S (x) id) Delta = unit . counit = m (id (x) S) Delta
     witness = None
+    antipode = [sparse(row) for row in H.antipode]
     for i in range(n):
-        left = vzero(n)
-        right = vzero(n)
+        left: dict = {}
+        right: dict = {}
         for (j, k), v in H.comult[i].items():
-            sj = H.antipode_vec(unit_vec(n, j))
-            sk = H.antipode_vec(unit_vec(n, k))
-            left = _acc(left, vscale(v, H.mul_vec(sj, unit_vec(n, k))))
-            right = _acc(right, vscale(v, H.mul_vec(unit_vec(n, j), sk)))
-        target = vscale(H.counit_of(unit_vec(n, i)), H.unit)
-        if left != target or right != target:
+            for p, sj in antipode[j].items():
+                sparse_add(left, mult[p][k], v * sj)
+            for p, sk in antipode[k].items():
+                sparse_add(right, mult[j][p], v * sk)
+        target = {k: H.counit[i] * u for k, u in unit.items()}
+        if sparse_ne(left, target) or sparse_ne(right, target):
             witness = i
             break
     rep.add("antipode_axiom", witness is None, witness)
 
-    # x -> S(x)^* is an involution.
+    # x -> S(x)^* is an involution; it is conjugate linear.
     witness = None
+    circ = [sparse_comb(star, sparse_conj(antipode[i])) for i in range(n)]
     for i in range(n):
-        e = unit_vec(n, i)
-        twice = H.star_vec(H.antipode_vec(H.star_vec(H.antipode_vec(e))))
-        if twice != e:
+        twice = sparse_comb(circ, sparse_conj(circ[i]))
+        if sparse_ne(twice, {i: Scalar.one()}):
             witness = i
             break
     rep.add("star_antipode_involution", witness is None, witness)
@@ -355,18 +333,9 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     return rep
 
 
-def _outer(x: Vec, y: Vec) -> dict:
-    out = {}
-    for j, a in enumerate(x):
-        if a:
-            for k, b in enumerate(y):
-                if b:
-                    out[(j, k)] = a * b
-    return out
-
-
-def _acc(acc: Vec, v: Vec) -> Vec:
-    return [a + b for a, b in zip(acc, v)]
+def _outer(x: dict, y: dict) -> dict:
+    """x (x) y keyed by index pairs."""
+    return {(j, k): a * b for j, a in x.items() for k, b in y.items()}
 
 
 # -- duality ----------------------------------------------------------------

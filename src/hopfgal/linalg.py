@@ -13,7 +13,8 @@ ever visited.  KernelSolver keeps constraint rows there and reads the
 nullspace off the free columns.  SpanBuilder keeps vectors there with the
 columns reversed (j -> n-1-j), so the largest stored column is the leading
 one and the rows read back are the canonical RREF of the span; rref,
-Subspace membership, mat_inverse and solve_linear all run on it.
+Subspace membership, mat_inverse, solve_linear and particular_solutions
+all run on it.
 operator_algebra_span closes under left multiplication by the generators
 only, which reaches every word.
 """
@@ -60,6 +61,63 @@ def conjugate_linear(fn):
     """Mark a map (or a method) Vec -> Vec as f(c x) = conj(c) f(x)."""
     fn.conjugate_linear = True
     return fn
+
+
+# -- sparse vectors ---------------------------------------------------------
+#
+# A sparse vector is a dict index -> Scalar; a missing key counts as zero.
+# The structure constants are stored this way (mult[i][j], act[h][a] and
+# comult[i]), so these helpers evaluate the axioms on them directly.
+
+
+def sparse(v: Vec) -> dict:
+    """The nonzero entries of a dense vector."""
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def dense(x: dict, n: int) -> Vec:
+    zero = Scalar.zero()
+    return [x.get(k, zero) for k in range(n)]
+
+
+def sparse_conj(x: dict) -> dict:
+    return {k: v.conj() for k, v in x.items()}
+
+
+def sparse_add(out: dict, x: dict, c: Scalar | None = None) -> dict:
+    """out += c x in place (c = 1 when None); returns out."""
+    for k, v in x.items():
+        if c is not None:
+            v = c * v
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def sparse_comb(rows, x: dict) -> dict:
+    """sum_i x_i rows[i] for sparse rows."""
+    out: dict = {}
+    for i, xi in x.items():
+        sparse_add(out, rows[i], xi)
+    return out
+
+
+def sparse_apply(tensor, x: dict, y: dict) -> dict:
+    """sum_{i,j} x_i y_j tensor[i][j] for a rank-3 tensor of sparse rows.
+
+    With tensor = mult this is the product xy, with tensor = act it is the
+    action x . y.
+    """
+    out: dict = {}
+    for i, xi in x.items():
+        plane = tensor[i]
+        for j, yj in y.items():
+            sparse_add(out, plane[j], xi * yj)
+    return out
+
+
+def sparse_ne(a: dict, b: dict) -> bool:
+    zero = Scalar.zero()
+    return any(a.get(k, zero) != b.get(k, zero) for k in set(a) | set(b))
 
 
 # -- matrix helpers -------------------------------------------------------
@@ -442,12 +500,7 @@ def solve_linear(A: Mat, b: Vec):
     Returns an AffineSolution, or the string "inconsistent" when the system
     has no solution.
     """
-    m = len(A)
-    if len(b) != m:
-        raise InputError("right-hand side length mismatch")
-    n = len(A[0]) if A else 0
-    aug = [list(A[i]) + [b[i]] for i in range(m)]
-    rows, pivots = rref(aug)
+    n, rows, pivots = _augmented_rref(A, [b])
     if n in pivots:
         return "inconsistent"
     particular = vzero(n)
@@ -456,6 +509,38 @@ def solve_linear(A: Mat, b: Vec):
         particular[p] = row[n]
         solver.add_row({j: c for j, c in enumerate(row[:n]) if c})
     return AffineSolution(particular, solver.subspace())
+
+
+def particular_solutions(A: Mat, rhs: list[Vec]) -> list[Vec] | None:
+    """For each b in rhs, the solution of A x = b that is zero on the free
+    columns; None when some b lies outside the column space of A.
+
+    One elimination of [A | b_1 ... b_r] serves every right-hand side.  When
+    every system is consistent no pivot lands in an augmented column, so each
+    augmented column goes through exactly the row operations of a solve of
+    its own, and each solution equals solve_linear(A, b).particular, Scalar
+    orders included.
+    """
+    n, rows, pivots = _augmented_rref(A, rhs)
+    if pivots and pivots[-1] >= n:
+        return None
+    out = []
+    for t in range(n, n + len(rhs)):
+        x = vzero(n)
+        for row, p in zip(rows, pivots):
+            x[p] = row[t]
+        out.append(x)
+    return out
+
+
+def _augmented_rref(A: Mat, rhs: list[Vec]):
+    """(columns of A, rows, pivots) of the RREF of [A | b_1 ... b_r]."""
+    m = len(A)
+    if any(len(b) != m for b in rhs):
+        raise InputError("right-hand side length mismatch")
+    n = len(A[0]) if A else 0
+    rows, pivots = rref([list(A[i]) + [b[i] for b in rhs] for i in range(m)])
+    return n, rows, pivots
 
 
 def kernel_of_matrix(A: Mat) -> Subspace:

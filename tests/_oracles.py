@@ -12,22 +12,30 @@ against a dense Gauss-Jordan elimination written here, and the spans of
 the closures below are kept by that elimination too.  The generator-only
 operator_algebra_span and generated_subalgebra are checked against the
 closures that multiply every new element by every member on both sides.
+The sparse validate_action and validate_algebra are checked against the
+dense validators they replaced, which push unit vectors through apply and
+mul_vec.
 """
 
 from __future__ import annotations
 
 
+from hopfgal.actions import ModuleAlgebraAction
+from hopfgal.algebra import POSITIVITY_TOL, StarAlgebra, analyze_state
 from hopfgal.hopf import StarCoalgebra
 from hopfgal.linalg import (
     KernelSolver,
     Subspace,
+    Vec,
     flatten_matrix,
     identity_matrix,
     mat_mul,
     mat_vec,
     unit_vec,
+    vscale,
     vzero,
 )
+from hopfgal.report import Report
 from hopfgal.scalars import Scalar
 
 
@@ -328,3 +336,188 @@ def random_subspace(rng, C: StarCoalgebra) -> Subspace:
     if rng.random() < 0.4:
         vecs.append(unit_vec(n, rng.randrange(n), 4))
     return Subspace.from_vectors(vecs, n)
+
+
+# -- dense axiom validators ---------------------------------------------------
+#
+# The action and algebra validators as they were before they moved to the
+# sparse structure constants: every basis element is a dense unit vector
+# pushed through ModuleAlgebraAction.apply and StarAlgebra.mul_vec.
+
+
+def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
+    """Module, measuring, unit and star compatibility axioms, exactly."""
+    rep = Report(f"action {action.name}".strip())
+    H, A = action.hopf, action.alg
+    nh, na = H.dim, A.dim
+
+    witness = None
+    for g in range(nh):
+        for h in range(nh):
+            prod = vzero(nh)
+            for k, v in H.algebra.mult[g][h].items():
+                prod[k] = prod[k] + v
+            for a in range(na):
+                lhs = action.apply(prod, unit_vec(na, a))
+                inner = action.apply(unit_vec(nh, h), unit_vec(na, a))
+                rhs = action.apply(unit_vec(nh, g), inner)
+                if lhs != rhs:
+                    witness = (g, h, a)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("module_axiom", witness is None, witness)
+
+    witness = None
+    for a in range(na):
+        if action.apply(H.unit, unit_vec(na, a)) != unit_vec(na, a):
+            witness = a
+            break
+    rep.add("unit_acts_trivially", witness is None, witness)
+
+    witness = None
+    for h in range(nh):
+        for a in range(na):
+            for b in range(na):
+                prod = vzero(na)
+                for k, v in A.mult[a][b].items():
+                    prod[k] = prod[k] + v
+                lhs = action.apply(unit_vec(nh, h), prod)
+                rhs = vzero(na)
+                for (h1, h2), v in H.comult[h].items():
+                    left = action.apply(unit_vec(nh, h1), unit_vec(na, a))
+                    right = action.apply(unit_vec(nh, h2), unit_vec(na, b))
+                    rhs = [x + v * y if y else x
+                           for x, y in zip(rhs, A.mul_vec(left, right))]
+                if lhs != rhs:
+                    witness = (h, a, b)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("measuring", witness is None, witness)
+
+    witness = None
+    for h in range(nh):
+        img = action.apply(unit_vec(nh, h), A.unit)
+        target = vscale(H.counit_of(unit_vec(nh, h)), A.unit)
+        if img != target:
+            witness = h
+            break
+    rep.add("unit_preserved", witness is None, witness)
+
+    witness = None
+    for h in range(nh):
+        sh_star = H.star_vec(H.antipode_vec(unit_vec(nh, h)))
+        for a in range(na):
+            lhs = A.star_vec(action.apply(unit_vec(nh, h), unit_vec(na, a)))
+            rhs = action.apply(sh_star, A.star_vec(unit_vec(na, a)))
+            if lhs != rhs:
+                witness = (h, a)
+                break
+        if witness:
+            break
+    rep.add("star_compatibility", witness is None, witness)
+    return rep
+
+
+def oracle_validate_algebra(A: StarAlgebra) -> Report:
+    """Axiom-by-axiom check with a witness basis tuple on first failure."""
+    rep = Report(f"algebra {A.name}".strip())
+    n = A.dim
+
+    witness = None
+    for i in range(n):
+        for j in range(n):
+            ij = A.mult[i][j]
+            for k in range(n):
+                left = _dense_compose(A, ij, k, right=True)
+                right = _dense_compose(A, A.mult[j][k], i, right=False)
+                if left != right:
+                    witness = (i, j, k)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("associativity", witness is None, witness)
+
+    witness = None
+    for j in range(n):
+        ej = unit_vec(n, j)
+        if A.mul_vec(A.unit, ej) != ej or A.mul_vec(ej, A.unit) != ej:
+            witness = j
+            break
+    rep.add("unit", witness is None, witness)
+
+    witness = None
+    for i in range(n):
+        twice = A.star_vec(A.star_vec(unit_vec(n, i)))
+        if twice != unit_vec(n, i):
+            witness = i
+            break
+    rep.add("star_involutive", witness is None, witness)
+
+    witness = None
+    for i in range(n):
+        for j in range(n):
+            lhs = A.star_vec([_dense_get(A.mult[i][j], k, n) for k in range(n)])
+            rhs = A.mul_vec(A.star_vec(unit_vec(n, j)),
+                            A.star_vec(unit_vec(n, i)))
+            if lhs != rhs:
+                witness = (i, j)
+                break
+        if witness:
+            break
+    rep.add("star_antimultiplicative", witness is None, witness)
+
+    if A.state is not None:
+        st = analyze_state(A)
+        rep.add("state_normalized", A.apply_state(A.unit) == Scalar.one())
+        rep.add("state_hermitian", st.hermitian)
+        rep.add("state_tracial", st.tracial)
+        rep.add("state_faithful_exact", st.faithful)
+        rep.add("state_positive_numerical", bool(st.positive),
+                note=f"float verdict at tolerance {POSITIVITY_TOL}")
+    return rep
+
+
+def _dense_get(sparse: dict, k: int, n: int) -> Scalar:
+    return sparse.get(k, Scalar.zero())
+
+
+def _dense_compose(A: StarAlgebra, sparse: dict, idx: int, right: bool) -> Vec:
+    # right=True: (sparse) * e_idx ; right=False: e_idx * (sparse)
+    out = vzero(A.dim)
+    for k, v in sparse.items():
+        target = A.mult[k][idx] if right else A.mult[idx][k]
+        for m, w in target.items():
+            out[m] = out[m] + v * w
+    return out
+
+
+def cyclic_diagonal_action(n: int, exponents: list) -> ModuleAlgebraAction:
+    """C[Z_n] acting on Mat_k by Ad diag(zeta_n^e), over Q(zeta_n).
+
+    g . E_ab = zeta_n^(g (e_a - e_b)) E_ab on the matrix units.
+    """
+    from hopfgal.fixtures import mat_algebra
+    from hopfgal.hopf import group_algebra
+
+    k = len(exponents)
+    H = group_algebra([[(g + h) % n for h in range(n)] for g in range(n)],
+                      name=f"CZ{n}")
+    act = [[{a * k + b: Scalar.root_of_unity(n, g * (exponents[a]
+                                                      - exponents[b]))}
+            for a in range(k) for b in range(k)] for g in range(n)]
+    return ModuleAlgebraAction(H, mat_algebra(k), act,
+                               name=f"Ad diag on Mat{k} by Z{n}")
+
+
+def report_summary(rep: Report) -> tuple:
+    """Everything a Report states: its title and each check in order."""
+    return rep.title, [(c.name, c.passed, c.witness, c.note)
+                       for c in rep.checks]

@@ -1,6 +1,11 @@
 """Actions, invariants, smash products, dual actions, outerness."""
 
 import pytest
+from _oracles import (
+    cyclic_diagonal_action,
+    oracle_validate_action,
+    report_summary,
+)
 
 from hopfgal.actions import (
     dual_action,
@@ -25,6 +30,7 @@ from hopfgal.fixtures import (
 )
 from hopfgal.hopf import canonical_pairing, dual_hopf
 from hopfgal.linalg import Subspace, unit_vec, vzero
+from hopfgal.scalars import Scalar
 
 
 ACTION_FIXTURES = [
@@ -54,6 +60,50 @@ def test_perturbed_action_fails_measuring():
     rep = validate_action(act)
     assert not rep.ok
     assert any(not c.passed and c.witness is not None for c in rep.checks)
+
+
+def _dual_action_on_smash():
+    sp = smash_product(ad_z_action())
+    H = sp.action.hopf
+    return dual_action(sp, canonical_pairing(dual_hopf(H), H))
+
+
+@pytest.mark.parametrize("make", ACTION_FIXTURES + [_dual_action_on_smash])
+def test_validate_action_matches_dense_oracle(make):
+    act = make()
+    assert report_summary(validate_action(act)) \
+        == report_summary(oracle_validate_action(act))
+
+
+# Over Q, Q(i) and Q(zeta_5); Mat2 matrix units E00, E01, E10, E11 are
+# 0..3 and group element 0 is the identity.
+FIELD_ACTIONS = {
+    1: pauli_action,
+    4: lambda: cyclic_diagonal_action(4, [0, 1]),
+    5: lambda: cyclic_diagonal_action(5, [0, 1]),
+}
+# (h, a) whose action image gets its first entry scaled by 1 + zeta_N
+ACTION_PERTURBATIONS = {
+    "module_axiom": (1, 1),
+    "unit_acts_trivially": (0, 1),
+    "measuring": (1, 1),
+    "unit_preserved": (1, 0),
+    "star_compatibility": (1, 1),
+}
+
+
+@pytest.mark.parametrize("order", sorted(FIELD_ACTIONS))
+@pytest.mark.parametrize("axiom", sorted(ACTION_PERTURBATIONS))
+def test_perturbed_action_report_matches_dense_oracle(axiom, order):
+    act = FIELD_ACTIONS[order]()
+    h, a = ACTION_PERTURBATIONS[axiom]
+    image = dict(act.act[h][a])
+    key = next(iter(image))
+    image[key] = image[key] * (Scalar.one() + Scalar.root_of_unity(order))
+    act.act[h][a] = image
+    rep = validate_action(act)
+    assert not rep[axiom].passed and rep[axiom].witness is not None
+    assert report_summary(rep) == report_summary(oracle_validate_action(act))
 
 
 def test_trivial_action_invariants_everything():

@@ -3,7 +3,14 @@
 import random
 
 import pytest
-from _oracles import oracle_generated_subalgebra
+from _oracles import (
+    cyclic_diagonal_action,
+    oracle_generated_subalgebra,
+    oracle_validate_algebra,
+    report_summary,
+)
+
+from hopfgal.actions import smash_product
 
 from hopfgal.algebra import (
     analyze_state,
@@ -20,7 +27,7 @@ from hopfgal.algebra import (
     validate_algebra,
 )
 from hopfgal.errors import InputError
-from hopfgal.fixtures import c_of_s3, c_of_z2, cs3, mat_algebra
+from hopfgal.fixtures import c_of_s3, c_of_z2, cs3, mat_algebra, pauli_action
 from hopfgal.linalg import Subspace, mat_vec, unit_vec, vzero
 from hopfgal.scalars import Scalar
 
@@ -40,6 +47,60 @@ def test_perturbed_associativity_fails_with_witness():
     chk = rep["associativity"]
     assert not chk.passed
     assert chk.witness == (0, 1, 0)
+
+
+# Over Q, Q(i) and Q(zeta_5): the smash products Mat2 x| CK4 (Pauli) and
+# Mat2 x| CZ_n by Ad diag(1, zeta_n), basis E_a x| g at index a * |G| + g.
+SMASH_BY_ORDER = {
+    1: lambda: smash_product(pauli_action(), validate=False).total,
+    4: lambda: smash_product(cyclic_diagonal_action(4, [0, 1]),
+                             validate=False).total,
+    5: lambda: smash_product(cyclic_diagonal_action(5, [0, 1]),
+                             validate=False).total,
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mat_algebra(3), lambda: cs3().algebra, lambda: c_of_s3().algebra,
+    lambda: tensor_algebra(mat_algebra(2), c_of_z2().algebra),
+    *SMASH_BY_ORDER.values(),
+])
+def test_validate_algebra_matches_dense_oracle(make):
+    A = make()
+    assert report_summary(validate_algebra(A)) \
+        == report_summary(oracle_validate_algebra(A))
+
+
+def _perturb(A, axiom: str, c: Scalar):
+    """Scale one entry of mult or star by c, aimed at the given axiom."""
+    n = A.dim
+    units = {k for k, u in enumerate(A.unit) if u}
+    if axiom in ("associativity", "unit"):
+        i, j = (0, 0) if axiom == "unit" else next(
+            (i, j) for i in range(n) for j in range(n)
+            if i not in units and j not in units and A.mult[i][j])
+        line = dict(A.mult[i][j])
+        k = next(iter(line))
+        line[k] = line[k] * c
+        A.mult[i][j] = line
+    else:
+        # E00 x| g_1 or E01 x| 1: Mat2 x| H has dim 4 dim H
+        i = 1 if axiom == "star_involutive" else n // 4
+        row = list(A.star[i])
+        k = next(k for k, x in enumerate(row) if x)
+        row[k] = row[k] * c
+        A.star[i] = row
+
+
+@pytest.mark.parametrize("order", sorted(SMASH_BY_ORDER))
+@pytest.mark.parametrize("axiom", ["associativity", "unit", "star_involutive",
+                                   "star_antimultiplicative"])
+def test_perturbed_algebra_report_matches_dense_oracle(axiom, order):
+    A = SMASH_BY_ORDER[order]()
+    _perturb(A, axiom, Scalar.one() + Scalar.root_of_unity(order))
+    rep = validate_algebra(A)
+    assert not rep[axiom].passed and rep[axiom].witness is not None
+    assert report_summary(rep) == report_summary(oracle_validate_algebra(A))
 
 
 def test_function_algebra_is_commutative_and_valid():

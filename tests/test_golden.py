@@ -13,6 +13,7 @@ import os
 import pytest
 
 from hopfgal.cli import main
+from hopfgal.scalars import Scalar
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -62,5 +63,69 @@ def test_fixture_job_output_is_byte_identical(fname, job, op, code, digest,
                                               capsys):
     path = os.path.join(FIXTURES, fname)
     assert main([op, "--workspace", path, "--job", job]) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+# -- qgal-depth2 with phi(N) > 1 ----------------------------------------------
+
+
+def _mat_algebra_doc(n):
+    dim = n * n
+    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(n):
+        for b in range(n):
+            for d in range(n):
+                mult[a * n + b][b * n + d][a * n + d] = 1
+    return {"kind": "algebra", "dim": dim, "mult": mult,
+            "unit": [1 if i // n == i % n else 0 for i in range(dim)],
+            "star": [[1 if j == (i % n) * n + i // n else 0
+                      for j in range(dim)] for i in range(dim)],
+            "state": [[1, n] if i // n == i % n else 0 for i in range(dim)]}
+
+
+def _diagonal_action_workspace(n, exponents):
+    """Z_n acting on Mat_size by Ad diag(zeta_n^e): g . E_ab is
+    zeta_n^(g (e_a - e_b)) E_ab."""
+    size = len(exponents)
+    dim = size * size
+    planes = []
+    for g in range(n):
+        plane = []
+        for a in range(size):
+            for b in range(size):
+                k = g * (exponents[a] - exponents[b]) % n
+                line = [0] * dim
+                line[a * size + b] = (
+                    1 if k == 0 else Scalar.root_of_unity(n, k).to_json())
+                plane.append(line)
+        planes.append(plane)
+    table = [[(j + k) % n for k in range(n)] for j in range(n)]
+    return {"documents": {
+        "g": {"kind": "hopf", "group_table": table},
+        "mat": _mat_algebra_doc(size),
+        "act": {"kind": "action", "hopf": "g", "alg": "mat", "act": planes},
+        "qgal": {"kind": "job", "op": "qgal-depth2", "action": "act"},
+    }}
+
+
+# Recorded before the action and algebra validators moved to the sparse
+# structure constants; the shipped fixtures only reach Q(zeta_N) with
+# phi(N) = 1 through the Pauli action.
+CYCLOTOMIC_GOLDEN = [
+    ("clock-z3-mat3", 3, [0, 1, 2],
+     "cb5a04307e5d75f9f747f40fedc29c772246124eea667305a9102c06cc5770a5"),
+    ("diag-z5-mat2", 5, [0, 1],
+     "010a4f728a51360557d082d0ed837f9963bf0bd7de6c4165cb4e2371d71cf65b"),
+]
+
+
+@pytest.mark.parametrize("name,n,exponents,digest", CYCLOTOMIC_GOLDEN,
+                         ids=[c[0] for c in CYCLOTOMIC_GOLDEN])
+def test_cyclotomic_qgal_output_is_byte_identical(name, n, exponents, digest,
+                                                  tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_diagonal_action_workspace(n, exponents)))
+    assert main(["qgal-depth2", "--workspace", str(path), "--job", "qgal"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest

@@ -17,6 +17,7 @@ from hopfgal.linalg import (
     mat_vec,
     matrix_commutant,
     operator_algebra_span,
+    particular_solutions,
     rref,
     solve_linear,
 )
@@ -239,6 +240,27 @@ def test_kernel_solver_matches_dense_elimination(order):
         for v in dense + noise + basis:
             inside = len(_dense_rref(span_rows + [v], n)[1]) == builder.dim
             assert builder.contains(v) == built.contains(v) == inside
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_particular_solutions_match_one_solve_per_vector(order):
+    # one elimination of [A | b_1 ... b_r] against a solve_linear per b_t,
+    # Scalar orders included; entries mix order 1 and the field's order
+    rng = random.Random(500 + order)
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[_random_scalar(rng, rng.choice([1, order]))
+              if rng.random() < 0.5 else Scalar.zero() for _ in range(n)]
+             for _ in range(m)]
+        rhs = [mat_vec(A, [_random_scalar(rng, order) if rng.random() < 0.6
+                           else Scalar.zero() for _ in range(n)])
+               for _ in range(rng.randint(0, 4))]
+        sols = particular_solutions(A, rhs)
+        assert [[x.to_json() for x in v] for v in sols] == [
+            [x.to_json() for x in solve_linear(A, b).particular] for b in rhs]
+        outside = [_random_scalar(rng, order) for _ in range(m)]
+        if solve_linear(A, outside) == "inconsistent":
+            assert particular_solutions(A, rhs + [outside]) is None
 
 
 def _random_sparse_matrix(rng, n, order):
