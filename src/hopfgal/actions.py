@@ -24,11 +24,11 @@ from .algebra import (
 from .errors import InputError
 from .hopf import HopfPairing, HopfStarAlgebra
 from .linalg import (
-    KernelSolver,
     Mat,
     Subspace,
     Vec,
     dense,
+    kernel_of,
     sparse,
     sparse_add,
     sparse_apply,
@@ -183,20 +183,18 @@ def validate_action(action: ModuleAlgebraAction) -> Report:
 def invariants(action: ModuleAlgebraAction) -> Subspace:
     """The invariant subalgebra {a : h . a = counit(h) a for all h}."""
     H, A = action.hopf, action.alg
-    solver = KernelSolver(A.dim)
-    for h in range(H.dim):
-        eps = H.counit_of(unit_vec(H.dim, h))
-        for b in range(A.dim):
-            row: dict = {}
+
+    def entries():
+        for h in range(H.dim):
             for a in range(A.dim):
-                v = action.act[h][a].get(b)
-                if v:
-                    row[a] = row.get(a, Scalar.zero()) + v
+                for b, v in action.act[h][a].items():
+                    if v:
+                        yield (h, b), a, v
+            eps = H.counit_of(unit_vec(H.dim, h))
             if eps:
-                row[b] = row.get(b, Scalar.zero()) - eps
-            if any(row.values()):
-                solver.add_row(row)
-    sub = solver.subspace()
+                for b in range(A.dim):
+                    yield (h, b), b, -eps
+    sub = kernel_of(entries(), A.dim)
     if not is_unital_star_subalgebra(sub, A):
         raise InputError("invariants failed to close; action is not valid")
     return sub
@@ -257,13 +255,6 @@ class SmashProduct:
         na = self.dim_A
         return Subspace.from_vectors(
             [self.embed_A_vec(unit_vec(na, a)) for a in range(na)],
-            self.total.dim,
-        )
-
-    def subspace_H(self) -> Subspace:
-        nh = self.dim_H
-        return Subspace.from_vectors(
-            [self.embed_H_vec(unit_vec(nh, h)) for h in range(nh)],
             self.total.dim,
         )
 

@@ -23,12 +23,12 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import (
-    KernelSolver,
     Mat,
     SpanBuilder,
     Subspace,
     Vec,
     conjugate_linear,
+    kernel_of,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -401,22 +401,18 @@ def relative_commutant(S: Subspace, B: StarAlgebra) -> Subspace:
     """{x in B : x s = s x for every s in a basis of S}, one exact nullspace."""
     if S.ambient_dim != B.dim:
         raise InputError("subspace does not live in the algebra")
-    solver = KernelSolver(B.dim)
-    for s in S.basis:
-        L = B.left_mult_matrix(s)
-        R = B.right_mult_matrix(s)
-        for k in range(B.dim):
-            row = {}
-            for i in range(B.dim):
-                c = R[k][i]
-                d = L[k][i]
-                if c or d:
-                    val = c - d
-                    if val:
-                        row[i] = val
-            if row:
-                solver.add_row(row)
-    return solver.subspace()
+
+    def entries():
+        for g, s in enumerate(S.basis):
+            for j, sj in enumerate(s):
+                if sj:
+                    for i in range(B.dim):
+                        # (e_i s - s e_i)_k
+                        for k, m in B.mult[i][j].items():
+                            yield (g, k), i, sj * m
+                        for k, m in B.mult[j][i].items():
+                            yield (g, k), i, -(sj * m)
+    return kernel_of(entries(), B.dim)
 
 
 def center(B: StarAlgebra) -> Subspace:
@@ -581,17 +577,16 @@ def unique_trace(B: StarAlgebra) -> Vec:
     Solves tau(xy) = tau(yx) plus tau(1) = 1 exactly and requires the
     solution to be a single point; raises otherwise.
     """
-    solver = KernelSolver(B.dim)
-    for i in range(B.dim):
-        for j in range(i):
-            row = {}
-            for k, v in B.mult[i][j].items():
-                row[k] = row.get(k, Scalar.zero()) + v
-            for k, v in B.mult[j][i].items():
-                row[k] = row.get(k, Scalar.zero()) - v
-            if any(row.values()):
-                solver.add_row(row)
-    space = solver.subspace()
+
+    def entries():
+        # tau(e_i e_j - e_j e_i) = 0 for j < i
+        for i in range(B.dim):
+            for j in range(i):
+                for k, v in B.mult[i][j].items():
+                    yield (i, j), k, v
+                for k, v in B.mult[j][i].items():
+                    yield (i, j), k, -v
+    space = kernel_of(entries(), B.dim)
     normalized = None
     for t in space.basis:
         val = _dot_unit(t, B)

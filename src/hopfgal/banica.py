@@ -36,15 +36,15 @@ from .algebra import (
     tensor_algebra,
 )
 from .errors import ConsistencyError, InputError
-from .hopf import HopfStarAlgebra, haar, variants
-from .jones import orthogonal_projection
+from .hopf import HopfStarAlgebra, haar
+from .jones import GnsSpace, orthogonal_projection
 from .linalg import (
-    KernelSolver,
     Mat,
     Subspace,
     Vec,
     flatten_matrix,
-    kernel_of_matrix,
+    identity_matrix,
+    kernel_of,
     mat_mul,
     mat_vec,
     particular_solutions,
@@ -54,7 +54,11 @@ from .linalg import (
     vscale,
     vzero,
 )
-from .measuring import largest_hopf_star_subalgebra, reify_hopf_subalgebra
+from .measuring import (
+    hopf_subalgebra_report,
+    largest_hopf_star_subalgebra,
+    reify_hopf_subalgebra,
+)
 from .report import Report
 from .scalars import Scalar
 
@@ -250,7 +254,8 @@ def product_coaction(B: ComoduleAlgebra,
 
     tau = haar(H)
     inv = _coaction_invariants(rho, H, dim)
-    E = _expectation_matrix(B, sp, H, tau)
+    table = _tau_s_table(H, tau)
+    E = _expectation_matrix(B, sp, H, table)
     data = FixedPointData(B, sp, H, total, rho, tau, inv, E, rep)
 
     rep.add("invariants_subalgebra", _certify_invariants(data))
@@ -263,7 +268,7 @@ def product_coaction(B: ComoduleAlgebra,
     rep.add("expectation_image_is_invariants", img == inv)
     rep.add("expectation_idempotent", mat_mul(E, E) == E)
     rep.add("expectation_bimodular", _expectation_bimodular(data))
-    rep.add("haar_swap_identity", _swap_identity(H, tau))
+    rep.add("haar_swap_identity", _swap_identity(H, table))
     membership = all(
         inv.contains(_beta_13(data, b)) for b in range(nb)
     )
@@ -320,25 +325,43 @@ def _rho_counital(rho, H: HopfStarAlgebra, dim: int) -> bool:
 
 def _coaction_invariants(rho, H: HopfStarAlgebra, dim: int) -> Subspace:
     """C = {z : rho(z) = z (x) 1_H}."""
-    solver = KernelSolver(dim)
-    unit = H.unit
-    for t in range(dim):
-        for k in range(H.dim):
-            row: dict[int, Scalar] = {}
-            for i in range(dim):
-                v = rho[i].get((t, k))
+
+    def entries():
+        for i in range(dim):
+            for (t, k), v in rho[i].items():
                 if v:
-                    row[i] = row.get(i, Scalar.zero()) + v
-            if unit[k] and t < dim:
-                row[t] = row.get(t, Scalar.zero()) - unit[k]
-            row = {a: b for a, b in row.items() if b}
-            if row:
-                solver.add_row(row)
-    return solver.subspace()
+                    yield (t, k), i, v
+        for t in range(dim):
+            for k, u in enumerate(H.unit):
+                if u:
+                    yield (t, k), t, -u
+    return kernel_of(entries(), dim)
+
+
+def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
+    """T[h][x] = tau(e_x S(e_h)): the functionals omega_h = T[h] of the
+    Lambda action, the coefficients of E and both sides of the swap
+    identity all read this one table."""
+    nh = H.dim
+    table = []
+    for h in range(nh):
+        sh = H.antipode_vec(unit_vec(nh, h))
+        row = []
+        for x in range(nh):
+            val = Scalar.zero()
+            for k, sv in enumerate(sh):
+                if not sv:
+                    continue
+                for m, mv in H.algebra.mult[x][k].items():
+                    if tau[m]:
+                        val = val + sv * mv * tau[m]
+            row.append(val)
+        table.append(row)
+    return table
 
 
 def _expectation_matrix(B: ComoduleAlgebra, sp: SmashProduct,
-                        H: HopfStarAlgebra, tau: Vec) -> Mat:
+                        H: HopfStarAlgebra, table: list[Vec]) -> Mat:
     """E(b (x) a x| h) = b0 (x) a x| h2 tau(h1 S(b1))."""
     nb, nh, nt = B.alg.dim, H.dim, sp.total.dim
     na = sp.dim_A
@@ -349,15 +372,8 @@ def _expectation_matrix(B: ComoduleAlgebra, sp: SmashProduct,
             for h in range(nh):
                 img = vzero(dim)
                 for (b0, b1), v in B.coact[b].items():
-                    sb1 = H.antipode_vec(unit_vec(nh, b1))
                     for (h1, h2), w in H.comult[h].items():
-                        coeff = Scalar.zero()
-                        for k, sv in enumerate(sb1):
-                            if not sv:
-                                continue
-                            for m, mv in H.algebra.mult[h1][k].items():
-                                if tau[m]:
-                                    coeff = coeff + sv * mv * tau[m]
+                        coeff = table[b1][h1]
                         if coeff:
                             dst = b0 * nt + (a * nh + h2)
                             img[dst] = img[dst] + v * w * coeff
@@ -392,33 +408,19 @@ def _expectation_bimodular(data: FixedPointData) -> bool:
     return True
 
 
-def _swap_identity(H: HopfStarAlgebra, tau: Vec) -> bool:
+def _swap_identity(H: HopfStarAlgebra, table: list[Vec]) -> bool:
     """x_1 tau(y S(x_2)) = tau(y_1 S(x)) y_2 for all basis x, y."""
     nh = H.dim
     for x in range(nh):
-        sx = H.antipode_vec(unit_vec(nh, x))
         for y in range(nh):
             lhs = vzero(nh)
             for (x1, x2), v in H.comult[x].items():
-                sx2 = H.antipode_vec(unit_vec(nh, x2))
-                coeff = Scalar.zero()
-                for k, sv in enumerate(sx2):
-                    if not sv:
-                        continue
-                    for m, mv in H.algebra.mult[y][k].items():
-                        if tau[m]:
-                            coeff = coeff + sv * mv * tau[m]
+                coeff = table[x2][y]
                 if coeff:
                     lhs[x1] = lhs[x1] + v * coeff
             rhs = vzero(nh)
             for (y1, y2), v in H.comult[y].items():
-                coeff = Scalar.zero()
-                for k, sv in enumerate(sx):
-                    if not sv:
-                        continue
-                    for m, mv in H.algebra.mult[y1][k].items():
-                        if tau[m]:
-                            coeff = coeff + sv * mv * tau[m]
+                coeff = table[x][y1]
                 if coeff:
                     rhs[y2] = rhs[y2] + v * coeff
             if lhs != rhs:
@@ -436,14 +438,6 @@ def _beta_13(data: FixedPointData, b: int) -> Vec:
             if x:
                 out[data.idx(b0, t)] = out[data.idx(b0, t)] + v * x
     return out
-
-
-def fixed_point_algebra(data: FixedPointData) -> Subspace:
-    return data.invariants
-
-
-def conditional_expectation_E(data: FixedPointData) -> Mat:
-    return data.expectation
 
 
 # -- the canonical dual action on B ------------------------------------------------
@@ -472,28 +466,14 @@ def lambda_action(B: ComoduleAlgebra,
             cols.append(img)
         return [[cols[j][i] for j in range(nb)] for i in range(nb)]
 
-    def omega(h: int) -> Vec:
-        # tau(. S(e_h)) as a functional vector on H
-        sh = H.antipode_vec(unit_vec(nh, h))
-        out = vzero(nh)
-        for x in range(nh):
-            val = Scalar.zero()
-            for k, sv in enumerate(sh):
-                if not sv:
-                    continue
-                for m, mv in H.algebra.mult[x][k].items():
-                    if tau[m]:
-                        val = val + sv * mv * tau[m]
-            out[x] = val
-        return out
-
-    mats = [lam_of_functional(omega(h)) for h in range(nh)]
+    omega = _tau_s_table(H, tau)  # omega[h] = tau(. S(e_h))
+    mats = [lam_of_functional(omega[h]) for h in range(nh)]
     rep = Report("canonical dual action on B")
 
     witness = None
     for g in range(nh):
         for h in range(nh):
-            og, oh = omega(g), omega(h)
+            og, oh = omega[g], omega[h]
             conv = vzero(nh)
             for x in range(nh):
                 val = Scalar.zero()
@@ -510,8 +490,6 @@ def lambda_action(B: ComoduleAlgebra,
             note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
 
     counit_fn = list(H.counit)
-    from .linalg import identity_matrix
-
     rep.add("counit_acts_as_identity",
             lam_of_functional(counit_fn) == identity_matrix(nb))
 
@@ -712,30 +690,25 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
 
     # q-operators commuting with the Lambda image
     nb, nq = B.alg.dim, Q_ambient.dim
-    solver = KernelSolver(nq)
     ops = [q_on_B.operator(unit_vec(nq, i)) for i in range(nq)]
-    for L in lam_mats:
-        for t in range(nb):
-            for s in range(nb):
-                row: dict[int, Scalar] = {}
-                for i in range(nq):
-                    val = Scalar.zero()
+
+    def entries():
+        # (op_i L - L op_i)[t][s] for every Lambda operator L
+        for l, L in enumerate(lam_mats):
+            for i, op in enumerate(ops):
+                for t in range(nb):
                     for p in range(nb):
-                        if ops[i][t][p] and L[p][s]:
-                            val = val + ops[i][t][p] * L[p][s]
-                        if L[t][p] and ops[i][p][s]:
-                            val = val - L[t][p] * ops[i][p][s]
-                    if val:
-                        row[i] = val
-                if row:
-                    solver.add_row(row)
-    commuting = solver.subspace()
+                        a, c = op[t][p], L[t][p]
+                        for s in range(nb):
+                            if a and L[p][s]:
+                                yield (l, t, s), i, a * L[p][s]
+                            if c and op[p][s]:
+                                yield (l, t, s), i, -(c * op[p][s])
+    commuting = kernel_of(entries(), nq)
     rep.add("commuting_subspace_dim", True,
             witness={"dim": commuting.dim})
 
     result = largest_hopf_star_subalgebra(Q_ambient, commuting)
-    from .measuring import hopf_subalgebra_report
-
     rep.merge(hopf_subalgebra_report(Q_ambient, result), prefix="hopf:")
 
     # the operator on B of each basis vector of the result
@@ -767,25 +740,22 @@ def _lambda_invariant_state(data: FixedPointData, lam_mats: list) -> Vec:
     H = data.hopf
     tau = data.haar
     nb, nh = B.alg.dim, H.dim
-    solver = KernelSolver(nb)
-    for h in range(nh):
-        sh = H.antipode_vec(unit_vec(nh, h))
-        scale = Scalar.zero()
-        for k, sv in enumerate(sh):
-            if sv and tau[k]:
-                scale = scale + sv * tau[k]
-        L = lam_mats[h]
-        for b in range(nb):
-            row: dict[int, Scalar] = {}
-            for p in range(nb):
-                if L[p][b]:
-                    row[p] = row.get(p, Scalar.zero()) + L[p][b]
-            if scale:
-                row[b] = row.get(b, Scalar.zero()) - scale
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                solver.add_row(row)
-    space = solver.subspace()
+
+    def entries():
+        for h in range(nh):
+            sh = H.antipode_vec(unit_vec(nh, h))
+            scale = Scalar.zero()
+            for k, sv in enumerate(sh):
+                if sv and tau[k]:
+                    scale = scale + sv * tau[k]
+            L = lam_mats[h]
+            for b in range(nb):
+                for p in range(nb):
+                    if L[p][b]:
+                        yield (h, b), p, L[p][b]
+                if scale:
+                    yield (h, b), b, -scale
+    space = kernel_of(entries(), nb)
     unit = B.alg.unit
     # Echelon basis vectors can have degenerate Grams one by one (orbit
     # indicators, say) while a combination is faithful; sweep the basis,
@@ -820,12 +790,9 @@ def _lambda_invariant_state(data: FixedPointData, lam_mats: list) -> Vec:
 def _range_projection_check(B, phi, lam_mats, result_ops) -> bool:
     """Operators of the result commute with the phi-orthogonal range
     projections of every Lambda operator."""
-    from .jones import GnsSpace
-    from .report import Report as _R
-
     carrier = StarAlgebra(B.alg.dim, B.alg.mult, B.alg.unit, B.alg.star,
                           state=phi)
-    space = GnsSpace(carrier, gram_matrix(carrier), _R("phi space"))
+    space = GnsSpace(carrier, gram_matrix(carrier), Report("phi space"))
     nb = B.alg.dim
     for L in lam_mats:
         image = Subspace.from_vectors(
@@ -862,7 +829,8 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
     # kernel preservation: (id (x) op(q))(ker Phi) inside ker Phi
     phi_matrix = [[phi_cols[j][i] for j in range(na * nb)]
                   for i in range(total.dim)]
-    kernel = kernel_of_matrix(phi_matrix)
+    kernel = kernel_of(((i, j, x) for j, col in enumerate(phi_cols)
+                        for i, x in enumerate(col) if x), na * nb)
     ok = True
     for op in result_ops:
         for kv in kernel.basis:

@@ -47,16 +47,15 @@ from .hopf import (
 )
 from .jones import BasicConstruction
 from .linalg import (
-    KernelSolver,
     Mat,
     Subspace,
     Vec,
     dense,
     flatten_matrix,
     identity_matrix,
+    kernel_of,
     mat_mul,
     mat_vec,
-    matrix_commutant,
     unit_vec,
     vec_mat,
     vzero,
@@ -68,8 +67,8 @@ from .scalars import Scalar
 # -- bimodule endomorphisms of a smash product ---------------------------------
 
 
-def smash_bimodule_endos(sp: SmashProduct, colinear: bool = False,
-                         full_solve: bool | None = None) -> Subspace:
+def smash_bimodule_endos(sp: SmashProduct,
+                         colinear: bool = False) -> Subspace:
     """A-bimodule endomorphisms of A x| H, flattened inside End(total).
 
     A bimodule endomorphism is determined by its values on 1 x| H because
@@ -77,112 +76,53 @@ def smash_bimodule_endos(sp: SmashProduct, colinear: bool = False,
     imposes right A-linearity (left linearity holds by construction).  With
     colinear=True the endomorphism must also satisfy
     phi(a x| h_2) (x) h_1 = pi(phi(a x| h)) for the canonical coaction
-    pi(a x| h) = (a x| h_2) (x) h_1.  full_solve forces the direct
-    commutant computation in End(total) instead (used as an oracle).
+    pi(a x| h) = (a x| h_2) (x) h_1.  Every row is read from the sparse
+    comult, act and mult tensors.
     """
     total = sp.total
     H = sp.action.hopf
     na, nh, nt = sp.dim_A, sp.dim_H, total.dim
-    if full_solve is None:
-        full_solve = nt <= 16
-    if full_solve and not colinear:
-        gens = [total.left_mult_matrix(sp.embed_A_vec(unit_vec(na, a)))
-                for a in range(na)]
-        gens += [total.right_mult_matrix(sp.embed_A_vec(unit_vec(na, a)))
-                 for a in range(na)]
-        mats = matrix_commutant(gens, nt)
-        return Subspace.from_vectors(
-            [flatten_matrix(X) for X in mats], nt * nt
-        )
+    h_unit = [(g, u) for g, u in enumerate(H.unit) if u]
 
-    # unknowns: F(1 x| e_h) in total, flattened as h * nt + t
-    solver = KernelSolver(nh * nt)
-    emb_b = [sp.embed_A_vec(unit_vec(na, b)) for b in range(na)]
-    right_mult = [total.right_mult_matrix(v) for v in emb_b]
-    zero = Scalar.zero()
-    for h in range(nh):
-        for b in range(na):
-            # ((h1 . b) x| 1) F(1 x| h2) = F(1 x| h) (b x| 1)
-            coeff: dict[int, Mat] = {}
-            for (h1, h2), v in H.comult[h].items():
-                acted = sp.action.act[h1][b]
-                if not acted:
-                    continue
-                img = vzero(na)
-                for c, w in acted.items():
-                    img[c] = img[c] + v * w
-                L = total.left_mult_matrix(sp.embed_A_vec(img))
-                if h2 in coeff:
-                    coeff[h2] = [
-                        [x + y for x, y in zip(r, s)]
-                        for r, s in zip(coeff[h2], L)
-                    ]
-                else:
-                    coeff[h2] = L
-            R = right_mult[b]
-            for t in range(nt):
-                row: dict[int, Scalar] = {}
-                for h2, L in coeff.items():
-                    Lt = L[t]
-                    for s in range(nt):
-                        if Lt[s]:
-                            key = h2 * nt + s
-                            row[key] = row.get(key, zero) + Lt[s]
-                Rt = R[t]
-                for s in range(nt):
-                    if Rt[s]:
-                        key = h * nt + s
-                        row[key] = row.get(key, zero) - Rt[s]
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    solver.add_row(row)
-    if colinear:
-        # pi(F(1 x| h)) = sum F(1 x| h2) (x) h1 over total (x) H coordinates
+    def entries():
+        # unknowns: F(1 x| e_h) in total, flattened as h * nt + s
         for h in range(nh):
-            rhs: dict[tuple[int, int], dict[int, Scalar]] = {}
-            for (h1, h2), v in H.comult[h].items():
-                for t in range(nt):
-                    key = (t, h1)
-                    cell = rhs.setdefault(key, {})
-                    unk = h2 * nt + t
-                    cell[unk] = cell.get(unk, Scalar.zero()) + v
-            # lhs: apply pi to the unknown vector F(1 x| h):
-            # pi(e_{(a,g)}) = sum Delta g: e_{(a,g2)} (x) e_{g1}
-            lhs: dict[tuple[int, int], dict[int, Scalar]] = {}
-            for a in range(na):
-                for g in range(nh):
-                    src = h * nt + (a * nh + g)
-                    for (g1, g2), v in H.comult[g].items():
-                        key = (a * nh + g2, g1)
-                        cell = lhs.setdefault(key, {})
-                        cell[src] = cell.get(src, Scalar.zero()) + v
-            for key in set(lhs) | set(rhs):
-                row: dict[int, Scalar] = {}
-                for unk, val in lhs.get(key, {}).items():
-                    row[unk] = row.get(unk, Scalar.zero()) + val
-                for unk, val in rhs.get(key, {}).items():
-                    row[unk] = row.get(unk, Scalar.zero()) - val
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    solver.add_row(row)
-    sols = solver.subspace()
-    # reconstruct full endomorphism matrices
-    out = []
-    emb_left = [total.left_mult_matrix(sp.embed_A_vec(unit_vec(na, a)))
-                for a in range(na)]
-    for sol in sols.basis:
-        F = [vzero(nt) for _ in range(nt)]
-        for a in range(na):
-            L = emb_left[a]
+            for b in range(na):
+                # ((h1 . b) x| 1) F(1 x| h2) = F(1 x| h) (b x| 1)
+                key = (0, h, b)
+                for (h1, h2), v in H.comult[h].items():
+                    for c, w in sp.action.act[h1][b].items():
+                        vw = v * w
+                        for g, u in h_unit:
+                            x = vw * u
+                            for s in range(nt):
+                                for t, m in total.mult[c * nh + g][s].items():
+                                    yield key + (t,), h2 * nt + s, x * m
+                for g, u in h_unit:
+                    for s in range(nt):
+                        for t, m in total.mult[s][b * nh + g].items():
+                            yield key + (t,), h * nt + s, -(u * m)
+        if colinear:
+            # pi(F(1 x| h)) = sum F(1 x| h2) (x) h1 over total (x) H
+            # coordinates, where pi(e_(a,g)) = sum e_(a,g2) (x) e_g1
             for h in range(nh):
-                col = mat_vec(L, sol[h * nt:(h + 1) * nt])
-                src = a * nh + h
-                for t in range(nt):
-                    F[t][src] = col[t]
-        out.append(F)
-    return Subspace.from_vectors(
-        [flatten_matrix(F) for F in out], nt * nt
-    )
+                for (h1, h2), v in H.comult[h].items():
+                    for t in range(nt):
+                        yield (1, h, t, h1), h2 * nt + t, -v
+                for a in range(na):
+                    for g in range(nh):
+                        for (g1, g2), v in H.comult[g].items():
+                            yield ((1, h, a * nh + g2, g1),
+                                   h * nt + a * nh + g, v)
+    sols = kernel_of(entries(), nh * nt)
+    # F(a x| h) = (a x| 1) F(1 x| h), flattened row-major
+    emb_a = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
+    out = []
+    for sol in sols.basis:
+        cols = [total.mul_vec(emb_a[a], sol[h * nt:(h + 1) * nt])
+                for a in range(na) for h in range(nh)]
+        out.append([col[t] for t in range(nt) for col in cols])
+    return Subspace.from_vectors(out, nt * nt)
 
 
 def endo_from_functional(sp: SmashProduct, psi_rows: list[Vec]) -> Mat:
@@ -518,21 +458,18 @@ class QGalCertificate:
 
         # uniqueness: homogeneous solve for (psi, t) with
         # dualact(psi(q)) x = t * (q . x); solution space is one line
-        solver = KernelSolver(nq * nh + 1)
-        for i in range(nq):
-            for t in range(nt):
-                acted = qact.apply(unit_vec(nq, i), unit_vec(nt, t))
-                for coord in range(nt):
-                    row: dict[int, Scalar] = {}
+        def entries():
+            for i in range(nq):
+                for t in range(nt):
                     for u in range(nh):
-                        val = self.dual_act.act[u][t].get(coord)
+                        for coord, val in self.dual_act.act[u][t].items():
+                            if val:
+                                yield (i, t, coord), i * nh + u, val
+                    acted = qact.apply(unit_vec(nq, i), unit_vec(nt, t))
+                    for coord, val in enumerate(acted):
                         if val:
-                            row[i * nh + u] = val
-                    if acted[coord]:
-                        row[nq * nh] = -acted[coord]
-                    if row:
-                        solver.add_row(row)
-        sol = solver.subspace()
+                            yield (i, t, coord), nq * nh, -val
+        sol = kernel_of(entries(), nq * nh + 1)
         rep.add("intertwiner_unique", sol.dim == 1,
                 witness={"solution_dim": sol.dim})
         if sol.dim == 1:

@@ -14,11 +14,11 @@ from __future__ import annotations
 from .algebra import StarAlgebra, validate_algebra
 from .errors import InputError
 from .linalg import (
-    KernelSolver,
     Mat,
     Vec,
     conjugate_linear,
     identity_matrix,
+    kernel_of,
     mat_eq,
     mat_inverse,
     sparse,
@@ -435,29 +435,22 @@ def haar(H: HopfStarAlgebra) -> Vec:
     Raises when no solution exists or every solution kills the unit.
     """
     n = H.dim
-    solver = KernelSolver(n)
-    for i in range(n):
-        for j in range(n):
-            # right invariance: sum_k Delta[i][(j,k)] t_k = t_i unit_j
-            row: dict = {}
-            for (a, b), v in H.comult[i].items():
-                if a == j:
-                    row[b] = row.get(b, Scalar.zero()) + v
-            u = H.unit[j]
-            if u:
-                row[i] = row.get(i, Scalar.zero()) - u
-            if any(row.values()):
-                solver.add_row(row)
-            # left invariance
-            row = {}
-            for (a, b), v in H.comult[i].items():
-                if b == j:
-                    row[a] = row.get(a, Scalar.zero()) + v
-            if u:
-                row[i] = row.get(i, Scalar.zero()) - u
-            if any(row.values()):
-                solver.add_row(row)
-    space = solver.subspace()
+
+    def entries():
+        for i in range(n):
+            for j in range(n):
+                # right invariance (side 0): sum_k Delta[i][(j,k)] t_k
+                # = t_i unit_j; left invariance (side 1) likewise
+                for (a, b), v in H.comult[i].items():
+                    if a == j:
+                        yield (i, j, 0), b, v
+                    if b == j:
+                        yield (i, j, 1), a, v
+                u = H.unit[j]
+                if u:
+                    yield (i, j, 0), i, -u
+                    yield (i, j, 1), i, -u
+    space = kernel_of(entries(), n)
     for t in space.basis:
         val = Scalar.zero()
         for x, u in zip(t, H.unit):

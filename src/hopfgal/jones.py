@@ -28,17 +28,18 @@ from .algebra import (
 )
 from .errors import ConsistencyError, InputError
 from .linalg import (
-    KernelSolver,
     Mat,
     SpanBuilder,
     Subspace,
     Vec,
     flatten_matrix,
+    kernel_of,
     mat_inverse,
     mat_mul,
     mat_vec,
     matrix_commutant,
     operator_algebra_span,
+    sparse,
     unit_vec,
     vec_is_zero,
     vzero,
@@ -246,24 +247,21 @@ def jones_projection(space: GnsSpace, N: Subspace,
     rep.add("compresses_to_expectation", ok,
             note="operator form e lam(x) e = lam(E(x)) e")
 
-    commuting = KernelSolver(n)
-    for k in range(n):
-        for j in range(n):
-            row = {}
-            for i in range(n):
-                lam_i = space.lam_basis(i)
-                val = Scalar.zero()
-                for p in range(n):
-                    if e[k][p] and lam_i[p][j]:
-                        val = val + e[k][p] * lam_i[p][j]
-                    if lam_i[k][p] and e[p][j]:
-                        val = val - lam_i[k][p] * e[p][j]
-                if val:
-                    row[i] = val
-            if row:
-                commuting.add_row(row)
+    def entries():
+        # (e lam_i - lam_i e)[k][j] on the sparse rows of e and lam_i
+        e_rows = [sparse(r) for r in e]
+        for i in range(n):
+            lam_rows = [sparse(r) for r in space.lam_basis(i)]
+            for k in range(n):
+                for p, x in e_rows[k].items():
+                    for j, y in lam_rows[p].items():
+                        yield (k, j), i, x * y
+                for p, x in lam_rows[k].items():
+                    for j, y in e_rows[p].items():
+                        yield (k, j), i, -(x * y)
+    commuting = kernel_of(entries(), n)
     rep.add("commutation_characterizes_subalgebra",
-            commuting.subspace() == N)
+            commuting == N)
 
     ok = True
     for i in range(n):

@@ -10,11 +10,13 @@ row x_p + sum_k c x_k.  A new row is reduced against the tails of the
 pivots it touches, normalized at its largest remaining column and
 eliminated from the tails that hold that column; only nonzero entries are
 ever visited.  KernelSolver keeps constraint rows there and reads the
-nullspace off the free columns.  SpanBuilder keeps vectors there with the
-columns reversed (j -> n-1-j), so the largest stored column is the leading
-one and the rows read back are the canonical RREF of the span; rref,
-Subspace membership, mat_inverse, solve_linear and particular_solutions
-all run on it.
+nullspace off the free columns.  kernel_of is the one way to state a linear
+condition: every "all x with L(x) = 0" in the package hands it the nonzero
+entries of L as (row key, column, value) triples.  SpanBuilder keeps
+vectors there with the columns reversed (j -> n-1-j), so the largest
+stored column is the leading one and the rows read back are the canonical
+RREF of the span; rref, Subspace membership, mat_inverse, solve_linear and
+particular_solutions all run on it.
 operator_algebra_span closes under left multiplication by the generators
 only, which reaches every word.
 """
@@ -543,11 +545,24 @@ def _augmented_rref(A: Mat, rhs: list[Vec]):
     return n, rows, pivots
 
 
-def kernel_of_matrix(A: Mat) -> Subspace:
-    n = len(A[0]) if A else 0
+def kernel_of(entries, n: int) -> Subspace:
+    """The nullspace {x in k^n : sum_col L[key][col] x_col = 0 for every key}.
+
+    entries yields (row key, column, value) triples of L; triples at the
+    same (key, column) add up.  Row keys are any mutually sortable labels,
+    and the rows are imposed in sorted key order, so the result, Scalar
+    orders included, does not depend on the order of the entries.
+    """
+    rows: dict = {}
+    for key, col, v in entries:
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {col: v}
+        else:
+            row[col] = row[col] + v if col in row else v
     solver = KernelSolver(n)
-    for row in A:
-        solver.add_row(dict(enumerate(row)))
+    for key in sorted(rows):
+        solver.add_row(rows.pop(key))
     return solver.subspace()
 
 
@@ -564,20 +579,21 @@ def unflatten_matrix(v: Vec, n: int) -> Mat:
 
 def matrix_commutant(gens: list[Mat], n: int) -> list[Mat]:
     """Basis of {X in End(k^n) : X A = A X for every generator A}."""
-    solver = KernelSolver(n * n)
-    for A in gens:
-        cols = [[(k, A[k][j]) for k in range(n) if A[k][j]] for j in range(n)]
-        rows = [[(k, a) for k, a in enumerate(A[i]) if a] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                # (X A - A X)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
-                row = {i * n + k: a for k, a in cols[j]}
-                for k, a in rows[i]:
-                    key = k * n + j
-                    row[key] = row[key] - a if key in row else -a
-                if row:
-                    solver.add_row(row)
-    sub = solver.subspace()
+
+    def entries():
+        # (X A - A X)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
+        for g, A in enumerate(gens):
+            cols = [[(k, A[k][j]) for k in range(n) if A[k][j]]
+                    for j in range(n)]
+            rows = [[(k, a) for k, a in enumerate(A[i]) if a]
+                    for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    for k, a in cols[j]:
+                        yield (g, i, j), i * n + k, a
+                    for k, a in rows[i]:
+                        yield (g, i, j), k * n + j, -a
+    sub = kernel_of(entries(), n * n)
     return [unflatten_matrix(v, n) for v in sub.basis]
 
 

@@ -36,6 +36,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    kernel_of,
     kron_vec,
     mat_vec,
     unit_vec,
@@ -144,24 +145,21 @@ def _span_value(C: StarCoalgebra, ms: Multispan, span: SpanConstraint,
     return total
 
 
-def constraint_subspace(C: StarCoalgebra, ms: Multispan,
-                        star_stabilize: bool = True) -> Subspace:
-    """{c : every span diagram commutes at c}, optionally made *-stable."""
+def constraint_subspace(C: StarCoalgebra, ms: Multispan) -> Subspace:
+    """{c : every span diagram commutes at c}, made *-stable."""
     n = C.dim
-    solver = KernelSolver(n)
-    for span in ms.spans:
-        if span.shape[0] < 0 or span.shape[1] < 0:
-            raise InputError("span shape must be nonnegative")
-        columns = [_span_value(C, ms, span, unit_vec(n, i))
-                   for i in range(n)]
-        for t in range(span.target_dim):
-            row = {i: columns[i][t] for i in range(n) if columns[i][t]}
-            if row:
-                solver.add_row(row)
-    W = solver.subspace()
-    if star_stabilize:
-        W = W.intersect(W.image_conjlinear(C.star_vec))
-    return W
+
+    def entries():
+        for s, span in enumerate(ms.spans):
+            if span.shape[0] < 0 or span.shape[1] < 0:
+                raise InputError("span shape must be nonnegative")
+            for i in range(n):
+                value = _span_value(C, ms, span, unit_vec(n, i))
+                for t, v in enumerate(value):
+                    if v:
+                        yield (s, t), i, v
+    W = kernel_of(entries(), n)
+    return W.intersect(W.image_conjlinear(C.star_vec))
 
 
 # -- built-in spans --------------------------------------------------------
@@ -415,14 +413,11 @@ def universal_measuring_within(C: StarCoalgebra, A: StarAlgebra,
     ms = Multispan(carrier_rows,
                    [multiplication_span(A, B), unit_span(A, B)]
                    + list(extra or []))
-    W = constraint_subspace(C, ms, star_stabilize=True)
+    W = constraint_subspace(C, ms)
     if star_compat:
-        solver = KernelSolver(C.dim)
-        for row in W.annihilator_rows():
-            solver.add_row(row)
-        for row in star_compat_rows(C, ms, A, B):
-            solver.add_row(row)
-        W = solver.subspace()
+        rows = W.annihilator_rows() + star_compat_rows(C, ms, A, B)
+        W = kernel_of(((r, c, v) for r, row in enumerate(rows)
+                       for c, v in row.items()), C.dim)
     log: list[int] = []
     D = largest_subcoalgebra(C, W, stabilizers=[C.star_vec], log=log)
     rep = Report("universal measuring (relative)")

@@ -412,7 +412,3 @@ def common_order(*orders: int) -> int:
     for n in orders:
         out = math.lcm(out, n)
     return out
-
-
-def lift_all(values, order: int):
-    return [v.lift(order) for v in values]

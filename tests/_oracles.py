@@ -14,13 +14,16 @@ operator_algebra_span and generated_subalgebra are checked against the
 closures that multiply every new element by every member on both sides.
 The sparse validate_action and validate_algebra are checked against the
 dense validators they replaced, which push unit vectors through apply and
-mul_vec.
+mul_vec.  The A-bimodule endomorphisms of a smash product, which
+production solves for on the values F(1 x| h) read from the sparse tensors,
+are checked against the commutant of A's left and right multiplication
+operators in all of End(A x| H).
 """
 
 from __future__ import annotations
 
 
-from hopfgal.actions import ModuleAlgebraAction
+from hopfgal.actions import ModuleAlgebraAction, SmashProduct
 from hopfgal.algebra import POSITIVITY_TOL, StarAlgebra, analyze_state
 from hopfgal.hopf import StarCoalgebra
 from hopfgal.linalg import (
@@ -31,6 +34,7 @@ from hopfgal.linalg import (
     identity_matrix,
     mat_mul,
     mat_vec,
+    matrix_commutant,
     unit_vec,
     vscale,
     vzero,
@@ -521,3 +525,13 @@ def report_summary(rep: Report) -> tuple:
     """Everything a Report states: its title and each check in order."""
     return rep.title, [(c.name, c.passed, c.witness, c.note)
                        for c in rep.checks]
+
+
+def oracle_bimodule_endos(sp: SmashProduct) -> Subspace:
+    """A-bimodule endomorphisms of A x| H as a commutant in End(total)."""
+    total, na, nt = sp.total, sp.dim_A, sp.total.dim
+    emb = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
+    gens = [total.left_mult_matrix(v) for v in emb]
+    gens += [total.right_mult_matrix(v) for v in emb]
+    return Subspace.from_vectors(
+        [flatten_matrix(X) for X in matrix_commutant(gens, nt)], nt * nt)

@@ -43,6 +43,8 @@ from hopfgal.hopf import (
 from hopfgal.linalg import Subspace, identity_matrix, unit_vec
 from hopfgal.scalars import Scalar
 
+from _oracles import oracle_bimodule_endos
+
 
 def pauli_smash():
     return smash_product(pauli_action())
@@ -120,8 +122,8 @@ def test_endo_rejects_functional_outside_commutant():
 
 def test_bimodule_endo_dimension_classification():
     sp = pauli_smash()
-    full = smash_bimodule_endos(sp, full_solve=True)
-    general = smash_bimodule_endos(sp, full_solve=False)
+    full = oracle_bimodule_endos(sp)
+    general = smash_bimodule_endos(sp)
     assert full == general
     # dim Hom(H, A') = dim H * dim A' = 4 * 4
     assert full.dim == 16

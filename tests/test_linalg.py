@@ -1,9 +1,12 @@
 """Exact solvers and subspace calculus."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from hopfgal import linalg
 from hopfgal.errors import InputError
 from hopfgal.linalg import (
     AffineSolution,
@@ -11,7 +14,7 @@ from hopfgal.linalg import (
     SpanBuilder,
     Subspace,
     identity_matrix,
-    kernel_of_matrix,
+    kernel_of,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -108,7 +111,8 @@ def test_kernel_solver_matches_matrix_kernel():
     for _ in range(20):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = sm([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        ker = kernel_of_matrix(A)
+        ker = kernel_of(((i, j, x) for i, row in enumerate(A)
+                         for j, x in enumerate(row)), n)
         for v in ker.basis:
             assert all(not x for x in mat_vec(A, v))
         rows, pivots = rref(A)
@@ -240,6 +244,80 @@ def test_kernel_solver_matches_dense_elimination(order):
         for v in dense + noise + basis:
             inside = len(_dense_rref(span_rows + [v], n)[1]) == builder.dim
             assert builder.contains(v) == built.contains(v) == inside
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_kernel_of_matches_oracle_kernel(order):
+    # random entry lists over Q and Q(i) mixing orders 1 and 4: several
+    # entries at one position, pairs that cancel to zero, a key whose row
+    # cancels away entirely, and the same entries shuffled
+    rng = random.Random(700 + order)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        entries = []
+        for _ in range(rng.randint(0, n + 2)):
+            key = (rng.randint(0, 3), rng.randint(0, 3))
+            for _ in range(rng.randint(1, 4)):
+                entries.append((key, rng.randrange(n),
+                                _random_scalar(rng, rng.choice([1, order]))))
+        for key, col, _ in rng.sample(entries, len(entries) // 3):
+            w = _random_scalar(rng, order)
+            entries += [(key, col, w), (key, col, -w)]
+        w = _random_scalar(rng, order)
+        empty = (rng.randint(0, 4), 9)
+        entries += [(empty, 0, w), (empty, 0, -w)]
+
+        rows: dict = {}
+        for key, col, v in entries:
+            row = rows.setdefault(key, {})
+            row[col] = row.get(col, Scalar.zero()) + v
+        basis, pivots = oracle_kernel([rows[k] for k in sorted(rows)], n)
+        sub = kernel_of(entries, n)
+        assert sub.pivots == pivots
+        assert sub.basis == basis
+
+        # the rows are imposed in sorted key order, Scalar orders included
+        ks = KernelSolver(n)
+        for key in sorted(rows):
+            ks.add_row(rows[key])
+        assert sub.to_json() == ks.subspace().to_json()
+        rng.shuffle(entries)
+        assert kernel_of(iter(entries), n).to_json() == sub.to_json()
+
+
+def test_kernel_of_imposes_rows_in_sorted_key_order():
+    # two equal rows, one written in Q(i), the other listed first: the row
+    # of the smaller key is imposed first and its Scalar orders are kept
+    one, one_i = Scalar.one(), Scalar.one(4)
+    entries = [((1,), 0, one), ((1,), 1, one),
+               ((0,), 0, one_i), ((0,), 1, one_i)]
+    sub = kernel_of(entries, 2)
+    assert sub.basis == [[one, -one]]
+    assert [x.order for x in sub.basis[0]] == [1, 4]
+
+
+def test_kernels_are_stated_through_kernel_of():
+    # KernelSolver is the engine under kernel_of.  Outside linalg only
+    # measuring.largest_subcoalgebra drives it, for its exit at dim 0.
+    allowed = {("measuring.py", "largest_subcoalgebra")}
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            if (path.name, name) in allowed:
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == "KernelSolver"
+                        or isinstance(f, ast.Attribute)
+                        and f.attr == "add_row"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 @pytest.mark.parametrize("order", [1, 4, 5])
