@@ -32,6 +32,7 @@ from .linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    op_from_entries,
     rref,
     sparse,
     sparse_add,
@@ -123,32 +124,17 @@ class StarAlgebra:
                         out[j] = out[j] + ci * row[j]
         return out
 
-    def left_mult_matrix(self, x: Vec) -> Mat:
-        """Matrix of y -> x y on coordinates: column j is x e_j.
+    def left_mult_op(self, x: dict) -> dict:
+        """Sparse operator of y -> x y for a sparse x."""
+        return op_from_entries((k, j, xi * m) for i, xi in x.items()
+                               for j, line in enumerate(self.mult[i])
+                               for k, m in line.items())
 
-        Each entry is zero + the terms x_i mult[i][j], in the order of i.
-        """
-        n = self.dim
-        zero = Scalar.zero()
-        out = [[zero] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi:
-                for j, line in enumerate(self.mult[i]):
-                    for k, m in line.items():
-                        out[k][j] = out[k][j] + xi * m
-        return out
-
-    def right_mult_matrix(self, x: Vec) -> Mat:
-        """Matrix of y -> y x on coordinates: column j is e_j x."""
-        n = self.dim
-        zero = Scalar.zero()
-        out = [[zero] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi:
-                for j in range(n):
-                    for k, m in self.mult[j][i].items():
-                        out[k][j] = out[k][j] + xi * m
-        return out
+    def right_mult_op(self, x: dict) -> dict:
+        """Sparse operator of y -> y x for a sparse x."""
+        return op_from_entries((k, j, xi * m) for i, xi in x.items()
+                               for j in range(self.dim)
+                               for k, m in self.mult[j][i].items())
 
     def apply_state(self, x: Vec) -> Scalar:
         if self.state is None:

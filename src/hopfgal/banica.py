@@ -47,6 +47,8 @@ from .linalg import (
     kernel_of,
     mat_mul,
     mat_vec,
+    op_mul,
+    op_sparse,
     particular_solutions,
     unflatten_matrix,
     unit_vec,
@@ -799,8 +801,8 @@ def _range_projection_check(B, phi, lam_mats, result_ops) -> bool:
             [mat_vec(L, unit_vec(nb, j)) for j in range(nb)], nb
         )
         P = orthogonal_projection(space, image)
-        for op in result_ops:
-            if mat_mul(op, P) != mat_mul(P, op):
+        for op in map(op_sparse, result_ops):
+            if op_mul(op, P) != op_mul(P, op):
                 return False
     return True
 

@@ -50,12 +50,14 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    dense,
     flatten_matrix,
     identity_matrix,
     kernel_of,
     mat_mul,
     mat_vec,
+    op_mul,
+    op_sparse,
+    sparse,
     unit_vec,
     vec_mat,
     vzero,
@@ -69,15 +71,29 @@ from .scalars import Scalar
 
 def smash_bimodule_endos(sp: SmashProduct,
                          colinear: bool = False) -> Subspace:
-    """A-bimodule endomorphisms of A x| H, flattened inside End(total).
+    """A-bimodule endomorphisms of A x| H, flattened inside End(total)."""
+    total = sp.total
+    na, nh, nt = sp.dim_A, sp.dim_H, total.dim
+    # F(a x| h) = (a x| 1) F(1 x| h), flattened row-major
+    emb_a = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
+    out = []
+    for sol in _endo_values(sp, colinear).basis:
+        cols = [total.mul_vec(emb_a[a], sol[h * nt:(h + 1) * nt])
+                for a in range(na) for h in range(nh)]
+        out.append([col[t] for t in range(nt) for col in cols])
+    return Subspace.from_vectors(out, nt * nt)
+
+
+def _endo_values(sp: SmashProduct, colinear: bool) -> Subspace:
+    """The values (F(1 x| h))_h of the A-bimodule endomorphisms F.
 
     A bimodule endomorphism is determined by its values on 1 x| H because
-    (a x| 1)(1 x| h) = a x| h; the solver parametrizes those values and
-    imposes right A-linearity (left linearity holds by construction).  With
-    colinear=True the endomorphism must also satisfy
-    phi(a x| h_2) (x) h_1 = pi(phi(a x| h)) for the canonical coaction
-    pi(a x| h) = (a x| h_2) (x) h_1.  Every row is read from the sparse
-    comult, act and mult tensors.
+    (a x| 1)(1 x| h) = a x| h, so F -> (F(1 x| h))_h is injective; the
+    solver parametrizes those values and imposes right A-linearity (left
+    linearity holds by construction).  With colinear=True the endomorphism
+    must also satisfy phi(a x| h_2) (x) h_1 = pi(phi(a x| h)) for the
+    canonical coaction pi(a x| h) = (a x| h_2) (x) h_1.  Every row is read
+    from the sparse comult, act and mult tensors.
     """
     total = sp.total
     H = sp.action.hopf
@@ -114,15 +130,7 @@ def smash_bimodule_endos(sp: SmashProduct,
                         for (g1, g2), v in H.comult[g].items():
                             yield ((1, h, a * nh + g2, g1),
                                    h * nt + a * nh + g, v)
-    sols = kernel_of(entries(), nh * nt)
-    # F(a x| h) = (a x| 1) F(1 x| h), flattened row-major
-    emb_a = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
-    out = []
-    for sol in sols.basis:
-        cols = [total.mul_vec(emb_a[a], sol[h * nt:(h + 1) * nt])
-                for a in range(na) for h in range(nh)]
-        out.append([col[t] for t in range(nt) for col in cols])
-    return Subspace.from_vectors(out, nt * nt)
+    return kernel_of(entries(), nh * nt)
 
 
 def endo_from_functional(sp: SmashProduct, psi_rows: list[Vec]) -> Mat:
@@ -170,17 +178,12 @@ def recover_functional(sp: SmashProduct, endo: Mat) -> list[Vec]:
 
 def endo_report(sp: SmashProduct, psi_rows: list[Vec], endo: Mat) -> Report:
     rep = Report("bimodule endomorphism from functional")
-    total = sp.total
-    na, nt = sp.dim_A, total.dim
-    ok = True
-    for a in range(na):
-        L = total.left_mult_matrix(sp.embed_A_vec(unit_vec(na, a)))
-        R = total.right_mult_matrix(sp.embed_A_vec(unit_vec(na, a)))
-        if mat_mul(endo, L) != mat_mul(L, endo) \
-                or mat_mul(endo, R) != mat_mul(R, endo):
-            ok = False
-            break
-    rep.add("bimodular", ok)
+    total, na = sp.total, sp.dim_A
+    E = op_sparse(endo)
+    emb = (sparse(sp.embed_A_vec(unit_vec(na, a))) for a in range(na))
+    rep.add("bimodular", all(
+        op_mul(E, X) == op_mul(X, E) for a in emb
+        for X in (total.left_mult_op(a), total.right_mult_op(a))))
     recovered = recover_functional(sp, endo)
     rep.add("round_trip_functional", recovered == [list(r) for r in psi_rows])
     rebuilt = endo_from_functional(sp, recovered)
@@ -257,7 +260,8 @@ def commutant_endos_iso(sp: SmashProduct) -> tuple[HopfStarAlgebra, Report]:
             break
     rep.add("convolution_matches_composition", witness is None, witness)
 
-    unconstrained = smash_bimodule_endos(sp, colinear=False)
+    # the values F(1 x| h) determine F, so they span a space of equal dim
+    unconstrained = _endo_values(sp, colinear=False)
     expected = nh * commutant.dim
     rep.add("unconstrained_endos_classified",
             unconstrained.dim == expected,
@@ -583,21 +587,14 @@ def trace_preservation(action: ModuleAlgebraAction,
     rep.add("state_invariant", witness is None, witness)
 
     if bc is not None:
-        space = bc.space
-        witness = None
-        for h in range(H.dim):
-            eps = H.counit[h]
-            for a in range(A.dim):
-                acted = dense(action.act[h][a], A.dim)
-                lhs = bc.trace1(mat_mul(bc.e_N, space.lam(acted)))
-                rhs = eps * bc.trace1(
-                    mat_mul(bc.e_N, space.lam_basis(a))
-                )
-                if lhs != rhs:
-                    witness = (h, a)
-                    break
-            if witness:
-                break
+        space, e = bc.space, bc.e_N
+
+        def extension_fails(h, a):
+            acted = space.base.left_mult_op(action.act[h][a])
+            return (bc.trace1(op_mul(e, acted))
+                    != H.counit[h] * bc.trace1(op_mul(e, space.lam_basis(a))))
+        witness = next(((h, a) for h in range(H.dim) for a in range(A.dim)
+                        if extension_fails(h, a)), None)
         rep.add("basic_construction_trace_extension",
                 witness is None, witness)
     return rep

@@ -5,7 +5,8 @@ L^2(M, tau) = the coordinate space of M with inner product <x, y> =
 tau(y* x).  On it live the left regular representation lam, the canonical
 conjugation J (x -> x*), the Jones projection e_N onto a subalgebra, the
 basic construction M_1 = alg(M, e_N) = J N' J, and the coupling-constant
-index.
+index.  Every operator on L^2 is a sparse operator of linalg (dict row ->
+dict column -> Scalar), so products and span pushes cost their nonzeros.
 
 Traces of factor subalgebras of End(L^2) collapse to the normalized ambient
 trace (uniqueness of the tracial state on a factor), which is what makes the
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .algebra import (
     StarAlgebra,
@@ -29,20 +31,27 @@ from .algebra import (
 from .errors import ConsistencyError, InputError
 from .linalg import (
     Mat,
-    SpanBuilder,
     Subspace,
     Vec,
-    flatten_matrix,
     kernel_of,
     mat_inverse,
-    mat_mul,
-    mat_vec,
     matrix_commutant,
+    op_adjoint,
+    op_dense,
+    op_from_entries,
+    op_mul,
+    op_span,
+    op_sparse,
+    op_transpose,
+    op_vec,
     operator_algebra_span,
+    span_of,
     sparse,
+    sparse_comb,
+    sparse_conj,
+    sparse_ne,
     unit_vec,
     vec_is_zero,
-    vzero,
 )
 from .report import Report
 from .scalars import Scalar
@@ -55,79 +64,62 @@ class GnsSpace:
     report: Report
 
     def __post_init__(self):
-        self._lam_cache: dict[int, Mat] = {}
+        self._lam_cache: dict[int, dict] = {}
         self._n_commutants: dict = {}
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def lam(self, x: Vec) -> Mat:
-        return self.base.left_mult_matrix(x)
+    def lam(self, x: Vec) -> dict:
+        return self.base.left_mult_op(sparse(x))
 
-    def lam_basis(self, i: int) -> Mat:
+    def lam_basis(self, i: int) -> dict:
         if i not in self._lam_cache:
-            self._lam_cache[i] = self.base.left_mult_matrix(
-                unit_vec(self.dim, i)
-            )
+            self._lam_cache[i] = self.base.left_mult_op({i: Scalar.one()})
         return self._lam_cache[i]
-
-    def lam_apply(self, i: int, v: Vec) -> Vec:
-        """lam(e_i) v = e_i . v, through the sparse structure constants."""
-        out = vzero(self.dim)
-        row = self.base.mult[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for k, m in row[j].items():
-                out[k] = out[k] + vj * m
-        return out
 
     def jvec(self, x: Vec) -> Vec:
         """The canonical conjugation J x = x* (conjugate linear)."""
         return self.base.star_vec(x)
 
-    def jmat(self, X: Mat) -> Mat:
-        """J X J as a linear operator."""
-        n = self.dim
-        cols = [self.jvec(mat_vec(X, self.jvec(unit_vec(n, i))))
-                for i in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+    @cached_property
+    def _star_ops(self) -> tuple[dict, dict]:
+        S = op_sparse(self.base.star)
+        return S, op_adjoint(S)
 
-    def inner(self, x: Vec, y: Vec) -> Scalar:
-        """<x, y> = tau(y* x) through the Gram matrix."""
-        tot = Scalar.zero()
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj and self.gram[i][j]:
-                    tot = tot + xi * yj.conj() * self.gram[i][j]
-        return tot
+    def jmat(self, X: dict) -> dict:
+        """J X J as a linear operator.
+
+        J e_i is the star row S[i], so column i of J X J is J(X S[i]),
+        whose entry t is the sum of conj(X[k][j] S[i][j]) S[k][t].
+        """
+        S, S_adj = self._star_ops
+        return op_from_entries(
+            (t, i, x.conj() * a * s)
+            for k, row in X.items() for j, x in row.items()
+            for i, a in S_adj.get(j, {}).items()
+            for t, s in S.get(k, {}).items())
 
     def n_commutant(self, N: Subspace) -> tuple[Subspace, Subspace]:
         """N' and J N' J in End(L^2), flattened; computed once per N."""
         key = (tuple(N.pivots), tuple(map(tuple, N.basis)))
         if key not in self._n_commutants:
             n = self.dim
-            mats = matrix_commutant([self.lam(b) for b in N.basis], n)
-            self._n_commutants[key] = (
-                Subspace.from_vectors([flatten_matrix(X) for X in mats],
-                                      n * n),
-                Subspace.from_vectors(
-                    [flatten_matrix(self.jmat(X)) for X in mats], n * n),
-            )
+            ops = matrix_commutant([self.lam(b) for b in N.basis], n)
+            self._n_commutants[key] = (op_span(ops, n),
+                                       op_span(map(self.jmat, ops), n))
         return self._n_commutants[key]
 
     @cached_property
-    def gram_inverse(self) -> Mat:
-        return mat_inverse(self.gram)
+    def gram_ops(self) -> tuple[dict, dict]:
+        """The Gram matrix G and its inverse as sparse operators."""
+        return op_sparse(self.gram), op_sparse(mat_inverse(self.gram))
 
-    def adjoint(self, X: Mat) -> Mat:
+    def adjoint(self, X: dict) -> dict:
         """Gram adjoint: <X x, y> = <x, X^dagger y>."""
-        xct = [[X[j][i].conj() for j in range(self.dim)]
-               for i in range(self.dim)]
-        return mat_mul(self.gram_inverse, mat_mul(xct, self.gram))
+        G, G_inv = self.gram_ops
+        return op_mul(G_inv, op_mul(op_adjoint(X), G))
 
 
 def gns(M: StarAlgebra, certify: bool = True) -> GnsSpace:
@@ -156,63 +148,43 @@ def _certify_gns(space: GnsSpace):
     rep.add("gram_hermitian", hermitian)
     rep.add("gram_nonsingular", True)  # checked in gns()
 
-    ok = True
-    for i in range(n):
-        lam_i = space.lam_basis(i)
-        lam_star = space.lam(M.star_vec(unit_vec(n, i)))
-        if space.adjoint(lam_i) != lam_star:
-            ok = False
-            break
-    rep.add("left_regular_star_representation", ok)
-
-    ok = True
-    for i in range(n):
-        e = unit_vec(n, i)
-        if space.jvec(space.jvec(e)) != e:
-            ok = False
-            break
-    rep.add("conjugation_involutive", ok)
-
-    commutant = matrix_commutant([space.lam_basis(i) for i in range(n)], n)
-    jmj = [space.jmat(space.lam_basis(i)) for i in range(n)]
-    lhs = Subspace.from_vectors([flatten_matrix(X) for X in jmj], n * n)
-    rhs = Subspace.from_vectors(
-        [flatten_matrix(X) for X in commutant], n * n
-    )
-    rep.add("jmj_equals_commutant", lhs == rhs)
+    lams = [space.lam_basis(i) for i in range(n)]
+    rep.add("left_regular_star_representation", all(
+        space.adjoint(lams[i]) == space.lam(M.star_vec(unit_vec(n, i)))
+        for i in range(n)))
+    rep.add("conjugation_involutive", all(
+        space.jvec(space.jvec(unit_vec(n, i))) == unit_vec(n, i)
+        for i in range(n)))
+    rep.add("jmj_equals_commutant",
+            op_span(map(space.jmat, lams), n)
+            == op_span(matrix_commutant(lams, n), n))
 
 
 # -- Jones projection ----------------------------------------------------------
 
 
-def orthogonal_projection(space: GnsSpace, W: Subspace) -> Mat:
-    """Gram-orthogonal projection of L^2 onto a subspace."""
-    basis = W.basis
-    k = len(basis)
-    if k == 0:
-        return [vzero(space.dim) for _ in range(space.dim)]
-    gram_w = [[space.inner(basis[j], basis[i]) for j in range(k)]
-              for i in range(k)]
+def orthogonal_projection(space: GnsSpace, W: Subspace) -> dict:
+    """Gram-orthogonal projection of L^2 onto a subspace.
+
+    With the basis b_i of W as the rows of B, the image of e_t has the
+    coefficients Gw^-1 C e_t on the b_i, where C[i][t] = <e_t, b_i> and
+    Gw = C B^T is the Gram matrix of the basis: e_W = B^T Gw^-1 C.
+    """
+    B = op_sparse(W.basis)
+    if not B:
+        return {}
+    G, _ = space.gram_ops
+    B_t = op_transpose(B)
+    C = op_transpose(op_mul(G, op_adjoint(B)))
     try:
-        gw_inv = mat_inverse(gram_w)
+        gw_inv = mat_inverse(op_dense(op_mul(C, B_t), W.dim))
     except InputError as e:
         raise InputError("degenerate restriction") from e
-    n = space.dim
-    cols = []
-    for idx in range(n):
-        x = unit_vec(n, idx)
-        rhs = [space.inner(x, basis[i]) for i in range(k)]
-        coeffs = mat_vec(gw_inv, rhs)
-        col = vzero(n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                col = [u + c * w for u, w in zip(col, b)]
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return op_mul(B_t, op_mul(op_sparse(gw_inv), C))
 
 
 def jones_projection(space: GnsSpace, N: Subspace,
-                     expectation: Mat | None = None) -> tuple[Mat, Report]:
+                     expectation: Mat | None = None) -> tuple[dict, Report]:
     """e_N with its property report.
 
     Checks, all exactly: e_N is the Gram-orthogonal projection onto N with
@@ -225,59 +197,47 @@ def jones_projection(space: GnsSpace, N: Subspace,
     if not is_unital_star_subalgebra(N, M):
         raise InputError("not a subalgebra")
     e = orthogonal_projection(space, N)
+    columns = op_transpose(e)
     rep = Report("jones projection")
-    rep.add("idempotent", mat_mul(e, e) == e)
+    rep.add("idempotent", op_mul(e, e) == e)
     rep.add("self_adjoint", space.adjoint(e) == e)
     rep.add("image_is_subalgebra_closure",
-            Subspace.from_vectors([mat_vec(e, unit_vec(n, i))
-                                   for i in range(n)], n) == N)
+            span_of(columns.values(), n) == N)
 
     if expectation is None:
         from .algebra import conditional_expectation
 
         expectation = conditional_expectation(M, N)
-    ok = True
-    for i in range(n):
-        lam_i = space.lam_basis(i)
-        lhs = mat_mul(e, mat_mul(lam_i, e))
-        rhs = mat_mul(space.lam(mat_vec(expectation, unit_vec(n, i))), e)
-        if lhs != rhs:
-            ok = False
-            break
-    rep.add("compresses_to_expectation", ok,
+    lams = [space.lam_basis(i) for i in range(n)]
+    compresses = all(op_mul(e, op_mul(lams[i], e))
+                     == op_mul(space.lam([row[i] for row in expectation]), e)
+                     for i in range(n))
+    rep.add("compresses_to_expectation", compresses,
             note="operator form e lam(x) e = lam(E(x)) e")
 
     def entries():
-        # (e lam_i - lam_i e)[k][j] on the sparse rows of e and lam_i
-        e_rows = [sparse(r) for r in e]
-        for i in range(n):
-            lam_rows = [sparse(r) for r in space.lam_basis(i)]
-            for k in range(n):
-                for p, x in e_rows[k].items():
-                    for j, y in lam_rows[p].items():
-                        yield (k, j), i, x * y
-                for p, x in lam_rows[k].items():
-                    for j, y in e_rows[p].items():
-                        yield (k, j), i, -(x * y)
-    commuting = kernel_of(entries(), n)
+        # the coefficient of e_i in x is x_i, so column i of the map
+        # x -> e lam(x) - lam(x) e is e lam_i - lam_i e
+        for i, lam in enumerate(lams):
+            for k, row in op_mul(e, lam).items():
+                for j, v in row.items():
+                    yield (k, j), i, v
+            for k, row in op_mul(lam, e).items():
+                for j, v in row.items():
+                    yield (k, j), i, -v
     rep.add("commutation_characterizes_subalgebra",
-            commuting == N)
+            kernel_of(entries(), n) == N)
 
-    ok = True
-    for i in range(n):
-        x = unit_vec(n, i)
-        if space.jvec(mat_vec(e, x)) != mat_vec(e, space.jvec(x)):
-            ok = False
-            break
-    rep.add("commutes_with_conjugation", ok)
+    # J e_i is the star row S[i]: J (e e_i) = e (J e_i) on every basis vector
+    S = [sparse(row) for row in M.star]
+    rep.add("commutes_with_conjugation", all(
+        not sparse_ne(sparse_comb(S, sparse_conj(columns.get(i, {}))),
+                      op_vec(e, S[i]))
+        for i in range(n)))
 
-    gens = [space.lam_basis(i) for i in range(n)] + [e]
-    double_comm = matrix_commutant(matrix_commutant(gens, n), n)
-    lhs = Subspace.from_vectors(
-        [flatten_matrix(X) for X in double_comm], n * n
-    )
+    double_comm = matrix_commutant(matrix_commutant(lams + [e], n), n)
     _, rhs = space.n_commutant(N)
-    rep.add("double_commutant_identity", lhs == rhs,
+    rep.add("double_commutant_identity", op_span(double_comm, n) == rhs,
             note="alg(M, e_N)'' = J N' J; conjugation by J turns this"
                  " into the commutant-of-N form")
     return e, rep
@@ -290,34 +250,28 @@ def jones_projection(space: GnsSpace, N: Subspace,
 class BasicConstruction:
     space: GnsSpace
     subalgebra: Subspace
-    e_N: Mat
+    e_N: dict
     m1: Subspace              # of End(L^2), flattened
     n_commutant: Subspace     # N' in End(L^2), flattened
     index: Fraction
     report: Report = field(default_factory=lambda: Report("basic construction"))
 
-    def trace1(self, X: Mat) -> Scalar:
+    def trace1(self, X: dict) -> Scalar:
         """tau_1 = the normalized ambient trace restricted to M_1."""
-        n = self.space.dim
         tot = Scalar.zero()
-        for i in range(n):
-            if X[i][i]:
-                tot = tot + X[i][i]
-        return tot * Scalar.rational(1, n)
+        for i, row in X.items():
+            if i in row:
+                tot = tot + row[i]
+        return tot * Scalar.rational(1, self.space.dim)
 
 
-def m1_span(space: GnsSpace, e: Mat) -> Subspace:
+def m1_span(space: GnsSpace, e: dict) -> Subspace:
     """span{lam(a) e_N lam(b)} + lam(M), flattened inside End(L^2)."""
     n = space.dim
-    builder = SpanBuilder(n * n)
     lams = [space.lam_basis(i) for i in range(n)]
-    for a in range(n):
-        left = mat_mul(lams[a], e)
-        for b in range(n):
-            builder.insert(flatten_matrix(mat_mul(left, lams[b])))
-    for a in range(n):
-        builder.insert(flatten_matrix(lams[a]))
-    return builder.subspace()
+    lefts = [op_mul(lam, e) for lam in lams]
+    products = (op_mul(left, lam) for left in lefts for lam in lams)
+    return op_span(chain(products, lams), n)
 
 
 def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
@@ -327,9 +281,8 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     rep = Report("basic construction")
     rep.merge(e_rep, prefix="e_N:")
 
-    generated = operator_algebra_span(
-        [space.lam_basis(i) for i in range(n)] + [e], n
-    )
+    gens = [space.lam_basis(i) for i in range(n)] + [e]
+    generated = operator_algebra_span(gens, n)
     spanned = m1_span(space, e)
     n_comm_span, conjugated = space.n_commutant(N)
     if not (generated == spanned == conjugated):
@@ -340,9 +293,10 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     rep.add("m1_three_ways_agree", True,
             note="alg(M, e_N) = span{a e_N b} + M = J N' J")
 
-    # tau_1 is the unique trace on the factor M_1
-    center_dim = _operator_center_dim(generated, n)
-    if center_dim != 1:
+    # tau_1 is the unique trace on the factor M_1; M_1 is the algebra the
+    # generators span, so its commutant is theirs
+    center = op_span(matrix_commutant(gens, n), n).intersect(generated)
+    if center.dim != 1:
         raise InputError("not a factor")
     rep.add("m1_factor", True)
 
@@ -350,17 +304,6 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     bc = BasicConstruction(space, N, e, generated, n_comm_span, idx, rep)
     rep.add("markov", markov_check(bc).ok)
     return bc
-
-
-def _operator_center_dim(span: Subspace, n: int) -> int:
-    from .linalg import unflatten_matrix
-
-    mats = [unflatten_matrix(v, n) for v in span.basis]
-    commutant = matrix_commutant(mats, n)
-    comm_span = Subspace.from_vectors(
-        [flatten_matrix(X) for X in commutant], n * n
-    )
-    return comm_span.intersect(span).dim
 
 
 # -- index -------------------------------------------------------------------------
@@ -403,34 +346,22 @@ def index(space: GnsSpace, N: Subspace, xi: Vec | None = None,
     return value
 
 
-def _coupling(space: GnsSpace, N: Subspace, e: Mat, xi: Vec) -> Fraction:
+def _coupling(space: GnsSpace, N: Subspace, e: dict, xi: Vec) -> Fraction:
     n = space.dim
     # [N xi]: rank of the orbit span
-    orbit = SpanBuilder(n)
-    for b in N.basis:
-        orbit.insert(space.base.mul_vec(b, xi))
-    rank_n_xi = orbit.dim
+    rank_n_xi = span_of((space.base.mul_vec(b, xi) for b in N.basis), n).dim
 
     # [N' xi] with N' = J M_1 J and M_1 = span{lam(a) e lam(b)} + lam(M):
     # N' xi = J(M_1 (J xi))
-    w = space.jvec(xi)
-    u_span = SpanBuilder(n)
-    lam_w = []
-    for i in range(n):
-        v = space.lam_apply(i, w)
-        lam_w.append(v)
-        u_span.insert(v)
-    eu = SpanBuilder(n)
-    for v in u_span.subspace().basis:
-        eu.insert(mat_vec(e, v))
-    m1w = SpanBuilder(n)
-    for v in lam_w:
-        m1w.insert(v)
-    for v in eu.subspace().basis:
-        for i in range(n):
-            m1w.insert(space.lam_apply(i, v))
+    w = sparse(space.jvec(xi))
+    lams = [space.lam_basis(i) for i in range(n)]
+    lam_w = [op_vec(lam, w) for lam in lams]
+    eu = span_of((op_vec(e, sparse(v))
+                  for v in span_of(lam_w, n).basis), n)
+    m1w = chain(lam_w, (op_vec(lam, sparse(v))
+                        for v in eu.basis for lam in lams))
     # conjugating by J preserves dimension, so rank(N' xi) = rank(M_1 J xi)
-    rank_nprime_xi = m1w.dim
+    rank_nprime_xi = span_of(m1w, n).dim
     if rank_n_xi == 0:
         raise InputError("xi degenerate")
     return Fraction(rank_nprime_xi, rank_n_xi)
@@ -449,15 +380,10 @@ def markov_check(bc: BasicConstruction) -> Report:
     rep = Report("markov property")
     space = bc.space
     n = space.dim
-    lam_matrices = [space.lam_basis(i) for i in range(n)]
     idx = Scalar.rational(bc.index.numerator, bc.index.denominator)
-    witness = None
-    for i in range(n):
-        lhs = bc.trace1(mat_mul(bc.e_N, lam_matrices[i]))
-        rhs = space.base.apply_state(unit_vec(n, i)) / idx
-        if lhs != rhs:
-            witness = i
-            break
+    witness = next((i for i in range(n)
+                    if bc.trace1(op_mul(bc.e_N, space.lam_basis(i)))
+                    != space.base.apply_state(unit_vec(n, i)) / idx), None)
     rep.add("markov_identity", witness is None, witness)
     return rep
 
@@ -472,12 +398,9 @@ def bimodule_endos(M: StarAlgebra, n_left: Subspace,
     Bimodularity is commutation with left multiplications by n_left and
     right multiplications by n_right, so this is one operator commutant.
     """
-    gens = [M.left_mult_matrix(b) for b in n_left.basis]
-    gens += [M.right_mult_matrix(b) for b in n_right.basis]
-    mats = matrix_commutant(gens, M.dim)
-    return Subspace.from_vectors(
-        [flatten_matrix(X) for X in mats], M.dim * M.dim
-    )
+    gens = [M.left_mult_op(sparse(b)) for b in n_left.basis]
+    gens += [M.right_mult_op(sparse(b)) for b in n_right.basis]
+    return op_span(matrix_commutant(gens, M.dim), M.dim)
 
 
 def bimodule_endos_report(bc: BasicConstruction) -> Report:

@@ -1,8 +1,10 @@
 """Exact linear algebra over the cyclotomic scalars.
 
-Vectors are dense lists of Scalar, matrices are lists of rows.  Subspaces
-are kept in reduced row echelon form, which is unique for a given subspace
-and a fixed ambient basis, so subspace equality is row-by-row comparison.
+Vectors are dense lists of Scalar or sparse dicts index -> Scalar, dense
+matrices are lists of rows, and an operator on k^n is a dict row -> sparse
+row (a missing row or entry is zero).  Subspaces are kept in reduced row
+echelon form, which is unique for a given subspace and a fixed ambient
+basis, so subspace equality is row-by-row comparison.
 
 All row elimination runs in one sparse echelon store: `rows` maps a pivot
 p to the tail {k: c} (all k < p, no pivot among them) of the normalized
@@ -17,6 +19,9 @@ vectors there with the columns reversed (j -> n-1-j), so the largest
 stored column is the leading one and the rows read back are the canonical
 RREF of the span; rref, Subspace membership, mat_inverse, solve_linear and
 particular_solutions all run on it.
+The operator helpers (op_mul, op_vec, op_adjoint, matrix_commutant,
+operator_algebra_span) visit nonzero entries only, and an operator enters
+a span of End(k^n) as its nonzeros at the flat columns i n + j.
 operator_algebra_span closes under left multiplication by the generators
 only, which reaches every word.
 """
@@ -78,8 +83,10 @@ def sparse(v: Vec) -> dict:
 
 
 def dense(x: dict, n: int) -> Vec:
-    zero = Scalar.zero()
-    return [x.get(k, zero) for k in range(n)]
+    out = [Scalar.zero()] * n
+    for k, v in x.items():
+        out[k] = v
+    return out
 
 
 def sparse_conj(x: dict) -> dict:
@@ -120,6 +127,82 @@ def sparse_apply(tensor, x: dict, y: dict) -> dict:
 def sparse_ne(a: dict, b: dict) -> bool:
     zero = Scalar.zero()
     return any(a.get(k, zero) != b.get(k, zero) for k in set(a) | set(b))
+
+
+# -- sparse operators -------------------------------------------------------
+#
+# An operator is a dict row -> sparse row; a missing row or entry is zero.
+# Every operator built here stores no zero entry and no empty row, so two
+# operators are equal exactly when their dicts are.
+
+
+def op_from_entries(entries) -> dict:
+    """The operator whose (row, column) entry is the sum of its triples."""
+    out: dict = {}
+    for i, j, v in entries:
+        row = out.setdefault(i, {})
+        row[j] = row[j] + v if j in row else v
+    pruned = {i: {j: v for j, v in row.items() if v}
+              for i, row in out.items()}
+    return {i: row for i, row in pruned.items() if row}
+
+
+def op_sparse(A: Mat) -> dict:
+    """The operator of a dense matrix (or of a list of vectors as rows)."""
+    return op_from_entries((i, j, a) for i, row in enumerate(A)
+                           for j, a in enumerate(row))
+
+
+def op_mul(A: dict, B: dict) -> dict:
+    """The product A B."""
+    out = {}
+    for i, row in A.items():
+        acc: dict = {}
+        for p, a in row.items():
+            if p in B:
+                sparse_add(acc, B[p], a)
+        acc = {j: c for j, c in acc.items() if c}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def op_vec(A: dict, x: dict) -> dict:
+    """A x for a sparse vector x."""
+    out = {}
+    for i, row in A.items():
+        tot = None
+        for j, a in row.items():
+            if j in x:
+                tot = a * x[j] if tot is None else tot + a * x[j]
+        if tot:
+            out[i] = tot
+    return out
+
+
+def op_transpose(A: dict) -> dict:
+    return op_from_entries((j, i, a) for i, row in A.items()
+                           for j, a in row.items())
+
+
+def op_adjoint(A: dict) -> dict:
+    """The conjugate transpose A^dagger."""
+    return op_from_entries((j, i, a.conj()) for i, row in A.items()
+                           for j, a in row.items())
+
+
+def op_dense(A: dict, n: int) -> Mat:
+    return [dense(A.get(i, {}), n) for i in range(n)]
+
+
+def op_flat(A: dict, n: int) -> dict:
+    """The nonzero entries of A at the flat columns i n + j of End(k^n)."""
+    return {i * n + j: a for i, row in A.items() for j, a in row.items()}
+
+
+def op_unflat(v: dict, n: int) -> dict:
+    """The operator at the flat columns of a sparse vector of End(k^n)."""
+    return op_from_entries((k // n, k % n, x) for k, x in v.items())
 
 
 # -- matrix helpers -------------------------------------------------------
@@ -253,10 +336,11 @@ def _eliminate(rows: dict, r: dict):
     return q, inv
 
 
-def _reversed(v: Vec) -> dict:
-    """The nonzero entries of v keyed by the reversed column n-1-j."""
-    last = len(v) - 1
-    return {last - j: x for j, x in enumerate(v) if x}
+def _reversed(v, n: int) -> dict:
+    """The nonzero entries of v (dense, or sparse) keyed by column n-1-j."""
+    last = n - 1
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {last - j: x for j, x in items if x}
 
 
 def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
@@ -320,7 +404,7 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise InputError("ambient dimension mismatch")
-        return not _reduce(self._rows, _reversed(v))
+        return not _reduce(self._rows, _reversed(v, self.ambient_dim))
 
     def coordinates(self, v: Vec) -> Vec:
         """Coefficients of v on self.basis; raises if v is outside.
@@ -347,19 +431,20 @@ class Subspace:
         return Subspace.from_vectors(self.basis + other.basis, self.ambient_dim)
 
     def annihilator_rows(self) -> list[dict]:
-        """Sparse rows r with r.x = 0 exactly for x in the subspace."""
+        """Sparse rows r with r.x = 0 exactly for x in the subspace.
+
+        The row of a free column c is e_c - sum b[c] e_p over the basis
+        vectors b and their pivots p, read off the stored tails.
+        """
         one = Scalar.one()
-        rows = []
-        pivset = dict(zip(self.pivots, self.basis))
-        for c in range(self.ambient_dim):
-            if c in pivset:
-                continue
-            row = {c: one}
-            for b, p in zip(self.basis, self.pivots):
-                if b[c]:
-                    row[p] = -b[c]
-            rows.append(row)
-        return rows
+        last = self.ambient_dim - 1
+        pivots = set(self.pivots)
+        rows = {c: {c: one} for c in range(self.ambient_dim)
+                if c not in pivots}
+        for q in sorted(self._rows, reverse=True):
+            for k, x in self._rows[q].items():
+                rows[last - k][last - q] = -x
+        return list(rows.values())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -369,12 +454,6 @@ class Subspace:
         for row in other.annihilator_rows():
             solver.add_row(row)
         return solver.subspace()
-
-    def image(self, matrix: Mat) -> "Subspace":
-        """Image of the subspace under a linear map given by a matrix."""
-        return Subspace.from_vectors(
-            [mat_vec(matrix, v) for v in self.basis], len(matrix)
-        )
 
     def image_conjlinear(self, fn) -> "Subspace":
         # The image of a subspace under a conjugate-linear bijection is the
@@ -410,9 +489,8 @@ class KernelSolver:
     basis of the kernel.
     """
 
-    def __init__(self, n: int, order: int = 1):
+    def __init__(self, n: int):
         self.n = n
-        self.order = order
         self.rows: dict[int, dict] = {}
 
     @property
@@ -424,15 +502,23 @@ class KernelSolver:
         added = _eliminate(self.rows, {j: c for j, c in row.items() if c})
         return added is not None
 
-    def subspace(self) -> Subspace:
-        n = self.n
-        free = [f for f in range(n) if f not in self.rows]
-        where = {f: i for i, f in enumerate(free)}
-        basis = [unit_vec(n, f, self.order) for f in free]
+    def vectors(self) -> dict[int, dict]:
+        """The kernel basis as sparse vectors, keyed by free column."""
+        one = Scalar.one()
+        out = {f: {f: one} for f in range(self.n) if f not in self.rows}
         for p, tail in self.rows.items():
             for k, c in tail.items():
-                basis[where[k]][p] = -c
-        return Subspace(n, basis, free)
+                out[k][p] = -c
+        return out
+
+    def subspace(self) -> Subspace:
+        vectors = self.vectors()
+        sub = Subspace(self.n, [dense(v, self.n) for v in vectors.values()],
+                       list(vectors))
+        last = self.n - 1
+        sub._rows = {last - f: {last - k: x for k, x in v.items() if k != f}
+                     for f, v in vectors.items()}
+        return sub
 
 
 class SpanBuilder:
@@ -455,12 +541,12 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: Vec) -> bool:
-        return not _reduce(self.rows, _reversed(v))
+    def contains(self, v) -> bool:
+        return not _reduce(self.rows, _reversed(v, self.n))
 
-    def insert(self, v: Vec) -> bool:
-        """Add v to the span; returns True if the dimension grew."""
-        added = _eliminate(self.rows, _reversed(v))
+    def insert(self, v) -> bool:
+        """Add v (dense, or sparse) to the span; True if the dimension grew."""
+        added = _eliminate(self.rows, _reversed(v, self.n))
         if added is None:
             return False
         q, inv = added
@@ -478,7 +564,9 @@ class SpanBuilder:
                 row[last - k] = c
             basis.append(row)
             pivots.append(last - p)
-        return Subspace(self.n, basis, pivots)
+        sub = Subspace(self.n, basis, pivots)
+        sub._rows = {p: dict(tail) for p, tail in self.rows.items()}
+        return sub
 
 
 # -- linear systems ----------------------------------------------------------
@@ -553,17 +641,16 @@ def kernel_of(entries, n: int) -> Subspace:
     and the rows are imposed in sorted key order, so the result, Scalar
     orders included, does not depend on the order of the entries.
     """
-    rows: dict = {}
-    for key, col, v in entries:
-        row = rows.get(key)
-        if row is None:
-            rows[key] = {col: v}
-        else:
-            row[col] = row[col] + v if col in row else v
+    return _solved(entries, n).subspace()
+
+
+def _solved(entries, n: int) -> KernelSolver:
+    """A KernelSolver holding the rows of kernel_of's triples."""
+    rows = op_from_entries(entries)
     solver = KernelSolver(n)
     for key in sorted(rows):
         solver.add_row(rows.pop(key))
-    return solver.subspace()
+    return solver
 
 
 # -- operator algebra helpers -----------------------------------------------
@@ -577,27 +664,38 @@ def unflatten_matrix(v: Vec, n: int) -> Mat:
     return [list(v[i * n:(i + 1) * n]) for i in range(n)]
 
 
-def matrix_commutant(gens: list[Mat], n: int) -> list[Mat]:
+def span_of(vectors, n: int) -> Subspace:
+    """The span of dense or sparse vectors of k^n."""
+    builder = SpanBuilder(n)
+    for v in vectors:
+        builder.insert(v)
+    return builder.subspace()
+
+
+def op_span(ops, n: int) -> Subspace:
+    """The span of operators on k^n, flattened inside End(k^n)."""
+    return span_of((op_flat(X, n) for X in ops), n * n)
+
+
+def matrix_commutant(gens: list[dict], n: int) -> list[dict]:
     """Basis of {X in End(k^n) : X A = A X for every generator A}."""
 
     def entries():
         # (X A - A X)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
         for g, A in enumerate(gens):
-            cols = [[(k, A[k][j]) for k in range(n) if A[k][j]]
-                    for j in range(n)]
-            rows = [[(k, a) for k, a in enumerate(A[i]) if a]
-                    for i in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for k, a in cols[j]:
+            for k, row in A.items():
+                for j, a in row.items():
+                    for i in range(n):
                         yield (g, i, j), i * n + k, a
-                    for k, a in rows[i]:
+            for i, row in A.items():
+                for k, a in row.items():
+                    for j in range(n):
                         yield (g, i, j), k * n + j, -a
-    sub = kernel_of(entries(), n * n)
-    return [unflatten_matrix(v, n) for v in sub.basis]
+    kernel = _solved(entries(), n * n).vectors()
+    return [op_unflat(v, n) for v in kernel.values()]
 
 
-def operator_algebra_span(gens: list[Mat], n: int,
+def operator_algebra_span(gens: list[dict], n: int,
                           with_identity: bool = True) -> Subspace:
     """Span of the unital algebra of operators generated by gens.
 
@@ -608,18 +706,18 @@ def operator_algebra_span(gens: list[Mat], n: int,
     dimension is bounded by n^2.
     """
     builder = SpanBuilder(n * n)
-    fresh: list[Mat] = []
+    fresh: list[dict] = []
 
-    def push(X: Mat):
-        if builder.insert(flatten_matrix(X)):
+    def push(X: dict):
+        if builder.insert(op_flat(X, n)):
             fresh.append(X)
 
     if with_identity:
-        push(identity_matrix(n))
+        push({i: {i: Scalar.one()} for i in range(n)})
     for X in gens:
         push(X)
     while fresh:
         X = fresh.pop()
         for g in gens:
-            push(mat_mul(g, X))
+            push(op_mul(g, X))
     return builder.subspace()

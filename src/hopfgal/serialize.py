@@ -28,6 +28,9 @@ KINDS = ("algebra", "hopf", "action", "comodule", "pairing", "subspace",
 
 MAX_DIM_ENV = "HOPFGAL_MAX_DIM"
 DEFAULT_MAX_DIM = 64
+# Q(zeta_N) keeps 2N power rows of length phi(N), so a workspace whose
+# scalar orders, or their lcm, exceed this is refused before any is built
+MAX_ORDER = 1024
 
 
 def max_dim() -> int:
@@ -38,6 +41,26 @@ def max_dim() -> int:
         return int(raw)
     except ValueError as e:
         raise InputError(f"{MAX_DIM_ENV} must be an integer") from e
+
+
+def check_orders(documents) -> None:
+    """Refuse raw documents whose scalar orders lift above MAX_ORDER."""
+    target, stack = 1, [documents]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, list):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+            if "order" in obj:
+                try:
+                    target = math.lcm(target, max(1, int(obj["order"])))
+                except (TypeError, ValueError, OverflowError) as e:
+                    raise InputError(f"scalar order {obj['order']!r} is not"
+                                     " an integer") from e
+                if target > MAX_ORDER:
+                    raise InputError(f"scalar orders lift to {target}, above"
+                                     f" the maximum order {MAX_ORDER}")
 
 
 def scalar_from(doc, where: str) -> Scalar:
@@ -150,6 +173,7 @@ class Workspace:
         self.raw = documents
         self.objects: dict = {}
         self.kinds: dict = {}
+        check_orders(documents)
         self._parse_all()
 
     @staticmethod

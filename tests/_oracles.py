@@ -12,11 +12,14 @@ against a dense Gauss-Jordan elimination written here, and the spans of
 the closures below are kept by that elimination too.  The generator-only
 operator_algebra_span and generated_subalgebra are checked against the
 closures that multiply every new element by every member on both sides.
-The sparse validate_action and validate_algebra are checked against the
-dense validators they replaced, which push unit vectors through apply and
-mul_vec.  The A-bimodule endomorphisms of a smash product, which
-production solves for on the values F(1 x| h) read from the sparse tensors,
-are checked against the commutant of A's left and right multiplication
+The sparse validate_action, validate_algebra and validate_pairing are
+checked against the dense validators they replaced, which push unit
+vectors through apply and mul_vec or pair them through the matrix.  The
+sparse operators of linalg are checked against dense products, and
+commutants in End(k^n) against a dense elimination of their constraint
+rows.  The A-bimodule endomorphisms of a smash product, which production
+solves for on the values F(1 x| h) read from the sparse tensors, are
+checked against the commutant of A's left and right multiplication
 operators in all of End(A x| H).
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from hopfgal.actions import ModuleAlgebraAction, SmashProduct
 from hopfgal.algebra import POSITIVITY_TOL, StarAlgebra, analyze_state
-from hopfgal.hopf import StarCoalgebra
+from hopfgal.hopf import PAIRING_STAR_NOTE, HopfPairing, StarCoalgebra
 from hopfgal.linalg import (
     KernelSolver,
     Subspace,
@@ -34,7 +37,6 @@ from hopfgal.linalg import (
     identity_matrix,
     mat_mul,
     mat_vec,
-    matrix_commutant,
     unit_vec,
     vscale,
     vzero,
@@ -136,7 +138,8 @@ def _dense_rref(mat: list, n: int) -> tuple[list, list[int]]:
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [x - f * y if y else x
+                          for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
     return mat[:len(pivots)], pivots
 
@@ -147,7 +150,7 @@ def _residue(V: Subspace, v: list) -> list:
     for b, p in zip(V.basis, V.pivots):
         c = v[p]
         if c:
-            out = [x - c * y for x, y in zip(out, b)]
+            out = [x - c * y if y else x for x, y in zip(out, b)]
     return out
 
 
@@ -184,6 +187,22 @@ def oracle_kernel(rows: list[dict], n: int) -> tuple[list, list[int]]:
             v[p] = -r[f]
         vectors.append(v)
     return _dense_rref(vectors, n)
+
+
+def oracle_inverse(A: list) -> list:
+    """Inverse of an invertible dense matrix by Gauss-Jordan on [A | I]."""
+    n = len(A)
+    rows, pivots = _dense_rref(
+        [list(row) + unit_vec(n, i) for i, row in enumerate(A)], 2 * n)
+    assert pivots == list(range(n)), "singular matrix"
+    return [row[n:] for row in rows]
+
+
+def oracle_gram_adjoint(X: list, G: list) -> list:
+    """G^-1 X^dagger G for dense X and Gram matrix G."""
+    n = len(X)
+    xct = [[X[j][i].conj() for j in range(n)] for i in range(n)]
+    return mat_mul(oracle_inverse(G), mat_mul(xct, G))
 
 
 def oracle_operator_algebra_span(gens: list, n: int,
@@ -344,9 +363,10 @@ def random_subspace(rng, C: StarCoalgebra) -> Subspace:
 
 # -- dense axiom validators ---------------------------------------------------
 #
-# The action and algebra validators as they were before they moved to the
-# sparse structure constants: every basis element is a dense unit vector
-# pushed through ModuleAlgebraAction.apply and StarAlgebra.mul_vec.
+# The action, algebra and pairing validators as they were before they moved
+# to the sparse structure constants: every basis element is a dense unit
+# vector pushed through ModuleAlgebraAction.apply and StarAlgebra.mul_vec, or
+# paired through the pairing matrix.
 
 
 def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
@@ -425,6 +445,100 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
         if witness:
             break
     rep.add("star_compatibility", witness is None, witness)
+    return rep
+
+
+def _dense_pair(P: HopfPairing, q: Vec, h: Vec) -> Scalar:
+    tot = Scalar.zero()
+    for i, qi in enumerate(q):
+        if qi:
+            row = P.matrix[i]
+            for j, hj in enumerate(h):
+                if hj and row[j]:
+                    tot = tot + qi * hj * row[j]
+    return tot
+
+
+def oracle_validate_pairing(P: HopfPairing) -> Report:
+    """The pairing laws, each side paired from dense unit vectors."""
+    rep = Report("hopf pairing")
+    Q, H, n_q, n_h = P.Q, P.H, P.Q.dim, P.H.dim
+
+    witness = None
+    for a in range(n_q):
+        for b in range(n_q):
+            for c in range(n_h):
+                prod = vzero(n_q)
+                for k, v in Q.algebra.mult[a][b].items():
+                    prod[k] = prod[k] + v
+                lhs = _dense_pair(P, prod, unit_vec(n_h, c))
+                rhs = Scalar.zero()
+                for (c1, c2), v in H.comult[c].items():
+                    rhs = rhs + v * P.matrix[a][c1] * P.matrix[b][c2]
+                if lhs != rhs:
+                    witness = (a, b, c)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("multiplicative_left", witness is None, witness)
+
+    witness = None
+    for a in range(n_q):
+        for c in range(n_h):
+            for d in range(n_h):
+                prod = vzero(n_h)
+                for k, v in H.algebra.mult[c][d].items():
+                    prod[k] = prod[k] + v
+                lhs = _dense_pair(P, unit_vec(n_q, a), prod)
+                rhs = Scalar.zero()
+                for (a1, a2), v in Q.comult[a].items():
+                    rhs = rhs + v * P.matrix[a1][c] * P.matrix[a2][d]
+                if lhs != rhs:
+                    witness = (a, c, d)
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    rep.add("multiplicative_right", witness is None, witness)
+
+    ok = all(_dense_pair(P, Q.unit, unit_vec(n_h, c))
+             == H.counit_of(unit_vec(n_h, c)) for c in range(n_h))
+    rep.add("unit_pairs_to_counit", ok)
+    ok = all(_dense_pair(P, unit_vec(n_q, a), H.unit)
+             == Q.counit_of(unit_vec(n_q, a)) for a in range(n_q))
+    rep.add("counit_pairs_to_unit", ok)
+
+    witness = None
+    for a in range(n_q):
+        for c in range(n_h):
+            lhs = _dense_pair(P, Q.antipode_vec(unit_vec(n_q, a)),
+                              unit_vec(n_h, c))
+            rhs = _dense_pair(P, unit_vec(n_q, a),
+                              H.antipode_vec(unit_vec(n_h, c)))
+            if lhs != rhs:
+                witness = (a, c)
+                break
+        if witness:
+            break
+    rep.add("antipode_law", witness is None, witness)
+
+    witness = None
+    for a in range(n_q):
+        for c in range(n_h):
+            lhs = _dense_pair(P, Q.star_vec(unit_vec(n_q, a)),
+                              unit_vec(n_h, c))
+            rhs = _dense_pair(
+                P, unit_vec(n_q, a),
+                H.star_vec(H.antipode_vec(unit_vec(n_h, c)))).conj()
+            if lhs != rhs:
+                witness = (a, c)
+                break
+        if witness:
+            break
+    rep.add("star_law", witness is None, witness, note=PAIRING_STAR_NOTE)
     return rep
 
 
@@ -527,11 +641,41 @@ def report_summary(rep: Report) -> tuple:
                        for c in rep.checks]
 
 
+def oracle_matrix_commutant(gens: list, n: int) -> Subspace:
+    """{X : X A = A X for every dense A}, flattened, by dense elimination."""
+    zero = Scalar.zero()
+    rows = []
+    for A in gens:
+        for i in range(n):
+            for j in range(n):
+                # (X A - A X)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
+                row = {}
+                for k in range(n):
+                    row[i * n + k] = row.get(i * n + k, zero) + A[k][j]
+                    row[k * n + j] = row.get(k * n + j, zero) - A[i][k]
+                if any(row.values()):
+                    rows.append(row)
+    basis, pivots = oracle_kernel(rows, n * n)
+    return Subspace(n * n, basis, pivots)
+
+
 def oracle_bimodule_endos(sp: SmashProduct) -> Subspace:
     """A-bimodule endomorphisms of A x| H as a commutant in End(total)."""
     total, na, nt = sp.total, sp.dim_A, sp.total.dim
     emb = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
-    gens = [total.left_mult_matrix(v) for v in emb]
-    gens += [total.right_mult_matrix(v) for v in emb]
-    return Subspace.from_vectors(
-        [flatten_matrix(X) for X in matrix_commutant(gens, nt)], nt * nt)
+    gens = [_mult_matrix(total, v, left=True) for v in emb]
+    gens += [_mult_matrix(total, v, left=False) for v in emb]
+    return oracle_matrix_commutant(gens, nt)
+
+
+def _mult_matrix(A: StarAlgebra, x: Vec, left: bool) -> list:
+    """Dense matrix of y -> x y (left) or of y -> y x, column by column."""
+    n = A.dim
+    out = [[Scalar.zero()] * n for _ in range(n)]
+    for i, xi in enumerate(x):
+        if xi:
+            for j in range(n):
+                line = A.mult[i][j] if left else A.mult[j][i]
+                for k, m in line.items():
+                    out[k][j] = out[k][j] + xi * m
+    return out

@@ -159,10 +159,10 @@ def test_criterion_4_jones_markov():
     bc = basic_construction(space, N)
     ok = bc.index == Fraction(4)
     # Markov on all 16 basis elements
-    from hopfgal.linalg import mat_mul
+    from hopfgal.linalg import op_mul
 
     for i in range(16):
-        lhs = bc.trace1(mat_mul(bc.e_N, space.lam_basis(i)))
+        lhs = bc.trace1(op_mul(bc.e_N, space.lam_basis(i)))
         rhs = M4.apply_state(unit_vec(16, i)) / Scalar.from_int(4)
         ok = ok and lhs == rhs
     # properties (1)-(4) of the Jones projection
@@ -173,12 +173,10 @@ def test_criterion_4_jones_markov():
         ok = ok and bc.report[f"e_N:{name}"].passed
     # bimodule endomorphisms match N' cap M_1
     endos = bimodule_endos(M4, N, N)
-    from hopfgal.linalg import flatten_matrix, matrix_commutant
+    from hopfgal.linalg import matrix_commutant, op_span
 
     n_comm = matrix_commutant([space.lam(b) for b in N.basis], 16)
-    inter = Subspace.from_vectors(
-        [flatten_matrix(X) for X in n_comm], 256
-    ).intersect(bc.m1)
+    inter = op_span(n_comm, 16).intersect(bc.m1)
     ok = ok and endos.dim == inter.dim == 16
 
     # [M : M] = 1 and multiplicativity on the tensor chain

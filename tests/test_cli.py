@@ -65,6 +65,23 @@ def test_mixed_orders_lift_to_lcm(tmp_path):
     assert ws.get("a4").state[0].order == 12
 
 
+@pytest.mark.parametrize("orders", [(10 ** 9, 3), (991, 997)])
+def test_scalar_orders_above_the_bound_exit_2(tmp_path, orders):
+    # both are refused on the raw documents: no context is built for the
+    # declared orders, and nothing is lifted to their lcm (988,027)
+    from hopfgal.scalars import _context
+    from hopfgal.workspaces import mixed_order_workspace
+
+    doc = mixed_order_workspace()
+    for name, order in zip(("a4", "a3"), orders):
+        doc["documents"][name]["state"][0]["order"] = order
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps(doc))
+    contexts = _context.cache_info().currsize
+    assert _run("validate", path, job="check") == 2
+    assert _context.cache_info().currsize == contexts
+
+
 def test_qgal_depth2_pauli_exit_zero(fixture_dir, tmp_path):
     out = tmp_path / "report.json"
     code = _run("qgal-depth2", fixture_dir / "pauli.json", out, job="qgal")

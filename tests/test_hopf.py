@@ -2,15 +2,22 @@
 
 import pytest
 
+from hopfgal.actions import smash_product
 from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     S3_TABLE,
+    ad_z_action,
+    c_of_k4,
     c_of_s3,
     c_of_z2,
     ck4,
     cs3,
     cz2,
+    grading_action_mat2,
+    pauli_action,
+    sweedler4,
 )
+from hopfgal.galois import canonical_qgal
 from hopfgal.hopf import (
     HopfPairing,
     canonical_pairing,
@@ -24,6 +31,12 @@ from hopfgal.hopf import (
 )
 from hopfgal.linalg import identity_matrix, mat_vec, unit_vec, vzero
 from hopfgal.scalars import Scalar
+
+from _oracles import (
+    cyclic_diagonal_action,
+    oracle_validate_pairing,
+    report_summary,
+)
 
 
 GROUP_FIXTURES = [cz2, ck4, cs3, c_of_z2, c_of_s3]
@@ -268,3 +281,73 @@ def test_haar_is_a_faithful_tracial_state():
         carrier = haar_state(make())
         st = analyze_state(carrier)
         assert st.tracial and st.hermitian and st.faithful and st.positive
+
+
+def _canonical_pairing(make):
+    def build():
+        H = make()
+        return canonical_pairing(dual_hopf(H), H)
+    return build
+
+
+def _qgal_pairing(make_action):
+    return lambda: canonical_qgal(smash_product(make_action())).pairing
+
+
+def _swapped_k4_pairing():
+    # evaluation twisted by the swap of the two non-identity generators
+    H = ck4()
+    return HopfPairing(dual_hopf(H), H,
+                       [identity_matrix(4)[q] for q in (0, 2, 1, 3)])
+
+
+# every pairing the fixtures build, canonical certificates included
+PAIRINGS = {
+    make.__name__: _canonical_pairing(make)
+    for make in (cz2, ck4, cs3, c_of_z2, c_of_k4, c_of_s3, sweedler4)
+}
+PAIRINGS.update({
+    "pauli": _qgal_pairing(pauli_action),
+    "ad_z": _qgal_pairing(ad_z_action),
+    "grading": _qgal_pairing(grading_action_mat2),
+    "z4": _qgal_pairing(lambda: cyclic_diagonal_action(4, [0, 1])),
+    "z5": _qgal_pairing(lambda: cyclic_diagonal_action(5, [0, 1])),
+    "k4_swap": _swapped_k4_pairing,
+})
+
+
+# law -> (sequence, key) of the single entry scaled by 1 + zeta_N
+PAIRING_PERTURBATIONS = {
+    "multiplicative_left":
+        lambda P: (P.Q.algebra.mult[1][1], next(iter(P.Q.algebra.mult[1][1]))),
+    "multiplicative_right":
+        lambda P: (P.H.algebra.mult[1][1], next(iter(P.H.algebra.mult[1][1]))),
+    "unit_pairs_to_counit": lambda P: (P.H.counit, 1),
+    "counit_pairs_to_unit": lambda P: (P.Q.counit, 0),
+    "antipode_law":
+        lambda P: (P.Q.antipode[1], next(j for j, x in
+                                          enumerate(P.Q.antipode[1]) if x)),
+    "star_law":
+        lambda P: (P.Q.star[1], next(j for j, x in enumerate(P.Q.star[1])
+                                     if x)),
+}
+
+
+def test_pairing_reports_match_dense_oracle():
+    for name, make in PAIRINGS.items():
+        P = make()
+        rep = validate_pairing(P)
+        assert rep.ok, (name, rep.failed())
+        assert report_summary(rep) \
+            == report_summary(oracle_validate_pairing(P)), name
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+@pytest.mark.parametrize("law", sorted(PAIRING_PERTURBATIONS))
+def test_perturbed_pairing_report_matches_dense_oracle(law, order):
+    P = PAIRINGS[{1: "pauli", 4: "z4", 5: "z5"}[order]]()
+    cell, key = PAIRING_PERTURBATIONS[law](P)
+    cell[key] = cell[key] * (Scalar.one() + Scalar.root_of_unity(order))
+    rep = validate_pairing(P)
+    assert not rep[law].passed
+    assert report_summary(rep) == report_summary(oracle_validate_pairing(P))

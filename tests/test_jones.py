@@ -1,6 +1,9 @@
 """GNS, Jones projection, basic construction, index, Markov, bimodule endos."""
 
+import ast
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,9 @@ from hopfgal.fixtures import (
     mat_algebra,
     subalgebra_embedding_left,
 )
+from hopfgal import jones
 from hopfgal.jones import (
+    GnsSpace,
     basic_construction,
     bimodule_endos,
     bimodule_endos_report,
@@ -20,6 +25,7 @@ from hopfgal.jones import (
     jones_projection,
     markov_check,
     m1_span,
+    orthogonal_projection,
 )
 from hopfgal.linalg import (
     Subspace,
@@ -28,10 +34,24 @@ from hopfgal.linalg import (
     identity_matrix,
     mat_mul,
     mat_vec,
+    op_dense,
+    op_mul,
+    op_span,
+    op_sparse,
+    op_unflat,
+    operator_algebra_span,
+    sparse,
     unit_vec,
     vzero,
 )
-from hopfgal.scalars import Scalar
+from hopfgal.report import Report
+from hopfgal.scalars import Scalar, _context
+
+from _oracles import (
+    _dense_rref,
+    oracle_gram_adjoint,
+    oracle_operator_algebra_span,
+)
 
 
 def mat4():
@@ -44,6 +64,22 @@ def mat2_in_mat4():
         subalgebra_embedding_left(mat_algebra(2), mat_algebra(2)), 16
     )
     return M, N
+
+
+def dft_mat2_in_mat4():
+    """Mat2 (x) 1 inside Mat4 conjugated by the DFT unitary (1/2)[i^(jk)]."""
+    half = Scalar.rational(1, 2)
+    U = [[half * Scalar.root_of_unity(4, j * k) for k in range(4)]
+         for j in range(4)]
+    U_star = [[U[k][j].conj() for k in range(4)] for j in range(4)]
+    basis = []
+    for p in range(2):
+        for q in range(2):
+            E = [[Scalar.from_int(int(r // 2 == p and c // 2 == q
+                                      and r % 2 == c % 2))
+                  for c in range(4)] for r in range(4)]
+            basis.append(flatten_matrix(mat_mul(mat_mul(U, E), U_star)))
+    return mat_algebra(4), Subspace.from_vectors(basis, 16)
 
 
 def test_gns_trivial_algebra():
@@ -68,7 +104,7 @@ def test_gns_function_algebra():
     space = gns(F2)
     assert space.report.ok
     # lam is diagonal for a function algebra
-    lam0 = space.lam_basis(0)
+    lam0 = op_dense(space.lam_basis(0), 2)
     assert all(not lam0[i][j] for i in range(2) for j in range(2) if i != j)
 
 
@@ -87,7 +123,7 @@ def test_jones_projection_full_subalgebra_is_identity():
     M = mat_algebra(2)
     space = gns(M)
     e, rep = jones_projection(space, Subspace.full(4))
-    assert e == identity_matrix(4)
+    assert op_dense(e, 4) == identity_matrix(4)
     assert rep.ok, rep.failed()
 
 
@@ -97,6 +133,7 @@ def test_jones_projection_scalars_is_rank_one():
     N = Subspace.from_vectors([M.unit], 4)
     e, rep = jones_projection(space, N)
     assert rep.ok, rep.failed()
+    e = op_dense(e, 4)
     rank = Subspace.from_vectors(
         [mat_vec(e, unit_vec(4, i)) for i in range(4)], 4
     ).dim
@@ -108,6 +145,7 @@ def test_jones_projection_mat2_in_mat4():
     space = gns(M)
     e, rep = jones_projection(space, N)
     assert rep.ok, rep.failed()
+    e = op_dense(e, 16)
     rank = Subspace.from_vectors(
         [mat_vec(e, unit_vec(16, i)) for i in range(16)], 16
     ).dim
@@ -143,7 +181,7 @@ def test_basic_construction_mat2_in_mat4():
     assert markov_check(bc).ok
     # Markov identity spelled out: tau_1(e_N lam(x)) = tau(x)/4
     for i in range(16):
-        lhs = bc.trace1(mat_mul(bc.e_N, space.lam_basis(i)))
+        lhs = bc.trace1(op_mul(bc.e_N, space.lam_basis(i)))
         rhs = M.apply_state(unit_vec(16, i)) / Scalar.from_int(4)
         assert lhs == rhs
 
@@ -241,28 +279,19 @@ def test_tensor_relation_dimension():
 def test_m1_center_matches_subalgebra_center():
     # the basic-construction algebra has the same center size as N: for the
     # diagonal in Mat2 both are two-dimensional, for factors both trivial
-    from hopfgal.jones import m1_span, jones_projection
-    from hopfgal.linalg import unflatten_matrix
-
     M = mat_algebra(2)
     space = gns(M)
     diag = Subspace.from_vectors([unit_vec(4, 0), unit_vec(4, 3)], 4)
     e, _ = jones_projection(space, diag)
     span = m1_span(space, e)
-    mats = [unflatten_matrix(v, 4) for v in span.basis]
-    comm = matrix_commutant(mats, 4)
-    center = Subspace.from_vectors(
-        [flatten_matrix(X) for X in comm], 16
-    ).intersect(span)
+    mats = [op_unflat(sparse(v), 4) for v in span.basis]
+    center = op_span(matrix_commutant(mats, 4), 4).intersect(span)
     assert center.dim == 2
     scalars = Subspace.from_vectors([M.unit], 4)
     e1, _ = jones_projection(space, scalars)
     span1 = m1_span(space, e1)
-    mats1 = [unflatten_matrix(v, 4) for v in span1.basis]
-    comm1 = matrix_commutant(mats1, 4)
-    center1 = Subspace.from_vectors(
-        [flatten_matrix(X) for X in comm1], 16
-    ).intersect(span1)
+    mats1 = [op_unflat(sparse(v), 4) for v in span1.basis]
+    center1 = op_span(matrix_commutant(mats1, 4), 4).intersect(span1)
     assert center1.dim == 1
 
 
@@ -288,3 +317,54 @@ def test_full_certificates_above_dim_32():
     _, rep = jones_projection(space, Subspace.full(n))
     assert rep["double_commutant_identity"].passed
     assert rep.ok, rep.failed()
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_gram_adjoint_matches_dense_oracle(order):
+    # random invertible Gram matrices and operators with empty rows
+    rng = random.Random(800 + order)
+    phi = _context(order).phi
+
+    def scalar():
+        return Scalar(order, [rng.randint(-2, 2) for _ in range(phi)])
+
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        while True:
+            G = [[scalar() for _ in range(n)] for _ in range(n)]
+            if len(_dense_rref(G, n)[1]) == n:
+                break
+        X = [[scalar() if rng.random() < 0.4 else Scalar.zero()
+              for _ in range(n)] for _ in range(n)]
+        # the adjoint reads only the Gram matrix, not the base algebra
+        space = GnsSpace(mat_algebra(1), G, Report("random gram"))
+        assert op_dense(space.adjoint(op_sparse(X)), n) \
+            == oracle_gram_adjoint(X, G)
+
+
+@pytest.mark.parametrize("case", ["dft-mat2-in-mat4", "c-in-mat3"])
+def test_m1_generators_span_matches_all_pairs_closure(case):
+    if case == "c-in-mat3":
+        M = mat_algebra(3)
+        N = Subspace.from_vectors([M.unit], 9)
+    else:
+        M, N = dft_mat2_in_mat4()
+    space = gns(M, certify=False)
+    n = space.dim
+    gens = [space.lam_basis(i) for i in range(n)]
+    gens.append(orthogonal_projection(space, N))
+    span = operator_algebra_span(gens, n)
+    assert span.dim == {"c-in-mat3": 81, "dft-mat2-in-mat4": 64}[case]
+    assert span == oracle_operator_algebra_span(
+        [op_dense(g, n) for g in gens], n)
+
+
+def test_jones_pipeline_has_no_dense_products():
+    # every operator of the pipeline is sparse: no dense product and no
+    # dense flattening of an n x n matrix
+    tree = ast.parse(Path(jones.__file__).read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("mat_mul", "flatten_matrix")]
+    assert calls == []

@@ -19,6 +19,12 @@ from hopfgal.linalg import (
     mat_mul,
     mat_vec,
     matrix_commutant,
+    op_adjoint,
+    op_dense,
+    op_mul,
+    op_span,
+    op_sparse,
+    op_vec,
     operator_algebra_span,
     particular_solutions,
     rref,
@@ -26,7 +32,11 @@ from hopfgal.linalg import (
 )
 from hopfgal.scalars import Scalar, _context
 
-from _oracles import _dense_rref, oracle_kernel, oracle_operator_algebra_span
+from _oracles import (
+    _dense_rref,
+    oracle_kernel,
+    oracle_operator_algebra_span,
+)
 
 
 def s(v):
@@ -130,18 +140,17 @@ def test_mat_inverse():
 def test_matrix_commutant_of_full_matrix_algebra_is_scalars():
     e12 = sm([[0, 1], [0, 0]])
     e21 = sm([[0, 0], [1, 0]])
-    comm = matrix_commutant([e12, e21], 2)
+    comm = matrix_commutant([op_sparse(e12), op_sparse(e21)], 2)
     assert len(comm) == 1
     from hopfgal.linalg import flatten_matrix
 
-    assert Subspace.from_vectors(
-        [flatten_matrix(c) for c in comm], 4
-    ).contains(flatten_matrix(identity_matrix(2)))
+    assert op_span(comm, 2).contains(flatten_matrix(identity_matrix(2)))
 
 
 def test_operator_algebra_span_generates_mat2():
     e12 = sm([[0, 1], [0, 0]])
-    span = operator_algebra_span([e12, sm([[0, 0], [1, 0]])], 2)
+    span = operator_algebra_span(
+        [op_sparse(e12), op_sparse(sm([[0, 0], [1, 0]]))], 2)
     assert span.dim == 4
 
 
@@ -356,11 +365,61 @@ def test_operator_algebra_span_matches_all_pairs_closure(order):
         gens = [_random_sparse_matrix(rng, n, order)
                 for _ in range(rng.randint(1, 3))]
         for unital in (True, False):
-            assert (operator_algebra_span(gens, n, unital)
+            assert (operator_algebra_span(list(map(op_sparse, gens)), n,
+                                          unital)
                     == oracle_operator_algebra_span(gens, n, unital))
 
 
 def test_operator_algebra_span_nonunital_nilpotent():
-    e12 = sm([[0, 1], [0, 0]])
+    e12 = op_sparse(sm([[0, 1], [0, 0]]))
     assert operator_algebra_span([e12], 2, with_identity=False).dim == 1
     assert operator_algebra_span([e12], 2).dim == 2
+
+
+def _random_op(rng, n, order):
+    """A sparse operator with explicit empty rows and random support."""
+    A = {i: {} for i in range(n) if rng.random() < 0.3}
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        x = _random_scalar(rng, rng.choice([1, order]))
+        if x:
+            A.setdefault(i, {})[j] = x
+    return A
+
+
+def _canonical(A):
+    return all(row and all(row.values()) for row in A.values())
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_sparse_operators_match_dense_products(order):
+    # over Q, Q(i) and Q(zeta_5): inputs with empty rows, outputs with no
+    # zero entry and no empty row
+    rng = random.Random(700 + order)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        A, B = _random_op(rng, n, order), _random_op(rng, n, order)
+        dA, dB = op_dense(A, n), op_dense(B, n)
+        AB = op_mul(A, B)
+        assert _canonical(AB) and op_dense(AB, n) == mat_mul(dA, dB)
+        x = {j: _random_scalar(rng, order) for j in range(n)
+             if rng.random() < 0.5}
+        Ax = op_vec(A, x)
+        assert all(Ax.values())
+        assert [Ax.get(i, Scalar.zero()) for i in range(n)] \
+            == mat_vec(dA, [x.get(j, Scalar.zero()) for j in range(n)])
+        adj = op_adjoint(A)
+        assert _canonical(adj) and op_dense(adj, n) \
+            == [[dA[j][i].conj() for j in range(n)] for i in range(n)]
+
+
+def test_sparse_products_that_cancel_store_nothing():
+    # (1 1) times (1, -1)^T and a nilpotent square both cancel to zero
+    one = Scalar.one(4)
+    A = {0: {0: one, 1: one}, 1: {}}
+    B = {0: {0: one}, 1: {0: -one}}
+    assert op_mul(A, B) == {}
+    assert op_vec(A, {0: one, 1: -one}) == {}
+    N = {0: {1: Scalar.root_of_unity(4)}}
+    assert op_mul(N, N) == {}
+    assert op_mul({0: {0: one}, 1: {1: one}}, {}) == {}
