@@ -9,7 +9,9 @@ rather than assuming it.
 validate_action reads the sparse action tensor act[h][a] and the sparse
 mult tensors directly: each side of each axiom is a sparse dict (see the
 sparse helpers in linalg), and no basis element is built as a dense unit
-vector.  ModuleAlgebraAction.apply stays for callers holding dense vectors.
+vector.  The package reads act the same way everywhere, and the sparse legs
+a x| 1 and 1 x| h of SmashProduct feed the operators of galois and banica;
+ModuleAlgebraAction.apply evaluates the action on dense vectors.
 """
 
 from __future__ import annotations
@@ -72,25 +74,17 @@ class ModuleAlgebraAction:
                     out[k] = out[k] + c * v
         return out
 
-    def operator(self, h: Vec) -> Mat:
-        """Matrix of a -> h . a."""
-        n = self.alg.dim
-        cols = [self.apply(h, unit_vec(n, j)) for j in range(n)]
-        return [[cols[j][k] for j in range(n)] for k in range(n)]
-
     def to_hom_map(self) -> Mat:
         """Matrix of H -> Hom(A, A), e_h -> its action operator, flattened.
 
-        Row h is the operator of e_h flattened row-major, so the carrier map
-        psi used by the measuring machinery is exactly this matrix read
-        column-wise.
+        Row h is the operator of e_h flattened row-major (entry k n + j is
+        the coefficient of e_k in e_h . e_j), so the carrier map psi used by
+        the measuring machinery is exactly this matrix read column-wise.
         """
         n = self.alg.dim
-        rows = []
-        for h in range(self.hopf.dim):
-            op = self.operator(unit_vec(self.hopf.dim, h))
-            rows.append([op[i][j] for i in range(n) for j in range(n)])
-        return rows
+        zero = Scalar.zero()
+        return [[plane[j].get(k, zero) for k in range(n) for j in range(n)]
+                for plane in self.act]
 
 
 def validate_action(action: ModuleAlgebraAction) -> Report:
@@ -206,9 +200,6 @@ class SmashProduct:
 
     total: StarAlgebra
     action: ModuleAlgebraAction
-    embed_A: Mat        # columns: images of the A basis
-    embed_H: Mat
-    proj_A: Mat         # id (x) counit, onto A coordinates
 
     @property
     def dim_A(self) -> int:
@@ -221,35 +212,42 @@ class SmashProduct:
     def idx(self, a: int, h: int) -> int:
         return a * self.dim_H + h
 
+    def a_leg(self, x: dict) -> dict:
+        """x x| 1 for a sparse x on the A basis, as a sparse vector."""
+        return {self.idx(a, h): c * u for a, c in x.items()
+                for h, u in enumerate(self.action.hopf.unit) if u}
+
+    def h_leg(self, x: dict) -> dict:
+        """1 x| x for a sparse x on the H basis, as a sparse vector."""
+        return {self.idx(a, h): c * u
+                for a, u in enumerate(self.action.alg.unit) if u
+                for h, c in x.items()}
+
     def embed_A_vec(self, x: Vec) -> Vec:
-        out = vzero(self.total.dim)
-        for a, xa in enumerate(x):
-            if xa:
-                for h, uh in enumerate(self.action.hopf.unit):
-                    if uh:
-                        out[self.idx(a, h)] = out[self.idx(a, h)] + xa * uh
-        return out
+        return dense(self.a_leg(sparse(x)), self.total.dim)
 
     def embed_H_vec(self, x: Vec) -> Vec:
-        out = vzero(self.total.dim)
-        for h, xh in enumerate(x):
-            if xh:
-                for a, ua in enumerate(self.action.alg.unit):
-                    if ua:
-                        out[self.idx(a, h)] = out[self.idx(a, h)] + xh * ua
-        return out
+        return dense(self.h_leg(sparse(x)), self.total.dim)
 
-    def project_A(self, z: Vec) -> Vec:
-        """Apply id (x) counit on the H leg."""
-        na, nh = self.dim_A, self.dim_H
-        eps = self.action.hopf.counit
-        out = vzero(na)
-        for a in range(na):
-            for h in range(nh):
-                zv = z[a * nh + h]
-                if zv and eps[h]:
-                    out[a] = out[a] + zv * eps[h]
-        return out
+    def unit_coefficient(self, z: dict) -> Scalar:
+        """c with (id (x) counit)(z) = c 1_A, for a sparse z.
+
+        Raises InputError when the A leg of z is not a scalar multiple of
+        the unit.
+        """
+        nh, eps = self.dim_H, self.action.hopf.counit
+        leg: dict = {}
+        for t, x in z.items():
+            a, h = divmod(t, nh)
+            if eps[h]:
+                x = x * eps[h]
+                leg[a] = leg[a] + x if a in leg else x
+        unit = sparse(self.action.alg.unit)
+        lead = next(iter(unit))
+        c = leg.get(lead, Scalar.zero()) * unit[lead].inverse()
+        if sparse_ne(leg, {a: c * u for a, u in unit.items()}):
+            raise InputError("the A leg is not scalar")
+        return c
 
     def subspace_A(self) -> Subspace:
         na = self.dim_A
@@ -301,46 +299,17 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
                           [unit_vec(dim, i) for i in range(dim)],
                           name=name or f"{A.name}x|{H.name}")
     # (e_a x| e_h)* = (1 x| e_h*)(e_a* x| 1), via the multiplication above
+    interim_sp = SmashProduct(interim, action)
     star = []
     for a in range(na):
-        astar = A.star_vec(unit_vec(na, a))
-        a_leg = vzero(dim)
-        for q, vq in enumerate(astar):
-            if vq:
-                for h0, uh in enumerate(H.unit):
-                    if uh:
-                        a_leg[q * nh + h0] = a_leg[q * nh + h0] + vq * uh
+        a_leg = interim_sp.embed_A_vec(A.star_vec(unit_vec(na, a)))
         for h in range(nh):
-            hstar = H.star_vec(unit_vec(nh, h))
-            h_leg = vzero(dim)
-            for p, vp in enumerate(hstar):
-                if vp:
-                    for a0, ua in enumerate(A.unit):
-                        if ua:
-                            h_leg[a0 * nh + p] = h_leg[a0 * nh + p] + vp * ua
+            h_leg = interim_sp.embed_H_vec(H.star_vec(unit_vec(nh, h)))
             star.append(interim.mul_vec(h_leg, a_leg))
 
     total = StarAlgebra(dim, mult, unit, star,
                         name=name or f"{A.name}x|{H.name}")
-
-    embed_A = [[Scalar.zero()] * na for _ in range(dim)]
-    for a in range(na):
-        for h, uh in enumerate(H.unit):
-            if uh:
-                embed_A[a * nh + h][a] = uh
-    embed_H = [[Scalar.zero()] * nh for _ in range(dim)]
-    for h in range(nh):
-        for a, ua in enumerate(A.unit):
-            if ua:
-                embed_H[a * nh + h][h] = ua
-    proj_A = [[Scalar.zero()] * dim for _ in range(na)]
-    eps = H.counit
-    for a in range(na):
-        for h in range(nh):
-            if eps[h]:
-                proj_A[a][a * nh + h] = eps[h]
-
-    sp = SmashProduct(total, action, embed_A, embed_H, proj_A)
+    sp = SmashProduct(total, action)
     if validate:
         from .algebra import validate_algebra
 

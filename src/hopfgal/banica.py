@@ -42,17 +42,22 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    flatten_matrix,
-    identity_matrix,
+    dense,
     kernel_of,
-    mat_mul,
     mat_vec,
+    op_from_entries,
     op_mul,
-    op_sparse,
+    op_span,
+    op_transpose,
+    op_vec,
     particular_solutions,
-    unflatten_matrix,
+    sparse,
+    sparse_add,
+    sparse_apply,
+    sparse_comb,
+    sparse_ne,
+    span_of,
     unit_vec,
-    vec_mat,
     vscale,
     vzero,
 )
@@ -173,7 +178,7 @@ class FixedPointData:
     coaction: list                   # rho[i]: dict (t, k) -> Scalar
     haar: Vec
     invariants: Subspace             # C
-    expectation: Mat                 # E
+    expectation: dict                # E, a sparse operator
     report: Report = field(default_factory=lambda: Report("fixed point"))
 
     @property
@@ -257,18 +262,16 @@ def product_coaction(B: ComoduleAlgebra,
     tau = haar(H)
     inv = _coaction_invariants(rho, H, dim)
     table = _tau_s_table(H, tau)
-    E = _expectation_matrix(B, sp, H, table)
+    E = _expectation(B, sp, H, table)
     data = FixedPointData(B, sp, H, total, rho, tau, inv, E, rep)
 
     rep.add("invariants_subalgebra", _certify_invariants(data))
     rep.add("A_embeds_in_invariants",
             all(inv.contains(data.embed_A_vec(unit_vec(na, a)))
                 for a in range(na)))
-    img = Subspace.from_vectors(
-        [mat_vec(E, unit_vec(dim, i)) for i in range(dim)], dim
-    )
+    img = span_of(op_transpose(E).values(), dim)  # the columns of E
     rep.add("expectation_image_is_invariants", img == inv)
-    rep.add("expectation_idempotent", mat_mul(E, E) == E)
+    rep.add("expectation_idempotent", op_mul(E, E) == E)
     rep.add("expectation_bimodular", _expectation_bimodular(data))
     rep.add("haar_swap_identity", _swap_identity(H, table))
     membership = all(
@@ -362,25 +365,16 @@ def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
     return table
 
 
-def _expectation_matrix(B: ComoduleAlgebra, sp: SmashProduct,
-                        H: HopfStarAlgebra, table: list[Vec]) -> Mat:
-    """E(b (x) a x| h) = b0 (x) a x| h2 tau(h1 S(b1))."""
-    nb, nh, nt = B.alg.dim, H.dim, sp.total.dim
-    na = sp.dim_A
-    dim = nb * nt
-    cols = []
-    for b in range(nb):
-        for a in range(na):
-            for h in range(nh):
-                img = vzero(dim)
-                for (b0, b1), v in B.coact[b].items():
-                    for (h1, h2), w in H.comult[h].items():
-                        coeff = table[b1][h1]
-                        if coeff:
-                            dst = b0 * nt + (a * nh + h2)
-                            img[dst] = img[dst] + v * w * coeff
-                cols.append(img)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+def _expectation(B: ComoduleAlgebra, sp: SmashProduct,
+                 H: HopfStarAlgebra, table: list[Vec]) -> dict:
+    """E(b (x) a x| h) = b0 (x) a x| h2 tau(h1 S(b1)), as an operator."""
+    nt = sp.total.dim
+    return op_from_entries(
+        (b0 * nt + sp.idx(a, h2), b * nt + sp.idx(a, h), v * w * table[b1][h1])
+        for b in range(B.alg.dim) for a in range(sp.dim_A)
+        for h in range(H.dim)
+        for (b0, b1), v in B.coact[b].items()
+        for (h1, h2), w in H.comult[h].items() if table[b1][h1])
 
 
 def _certify_invariants(data: FixedPointData) -> bool:
@@ -396,16 +390,11 @@ def _certify_invariants(data: FixedPointData) -> bool:
 
 
 def _expectation_bimodular(data: FixedPointData) -> bool:
-    total, E, C = data.total, data.expectation, data.invariants
-    dim = total.dim
-    for z in C.basis:
-        for t in range(dim):
-            x = unit_vec(dim, t)
-            if mat_vec(E, total.mul_vec(z, x)) \
-                    != total.mul_vec(z, mat_vec(E, x)):
-                return False
-            if mat_vec(E, total.mul_vec(x, z)) \
-                    != total.mul_vec(mat_vec(E, x), z):
+    """E L_z = L_z E and E R_z = R_z E for every z in C."""
+    total, E = data.total, data.expectation
+    for z in map(sparse, data.invariants.basis):
+        for X in (total.left_mult_op(z), total.right_mult_op(z)):
+            if op_mul(E, X) != op_mul(X, E):
                 return False
     return True
 
@@ -430,15 +419,11 @@ def _swap_identity(H: HopfStarAlgebra, table: list[Vec]) -> bool:
     return True
 
 
-def _beta_13(data: FixedPointData, b: int) -> Vec:
+def _beta_13(data: FixedPointData, b: int) -> dict:
     """beta(b) with legs 1 and 3: b0 (x) 1 x| b1."""
-    sp = data.smash
-    out = vzero(data.total.dim)
+    out: dict = {}
     for (b0, b1), v in data.comodule.coact[b].items():
-        inner = sp.embed_H_vec(unit_vec(sp.dim_H, b1))
-        for t, x in enumerate(inner):
-            if x:
-                out[data.idx(b0, t)] = out[data.idx(b0, t)] + v * x
+        sparse_add(out, _b_leg(data, b0, data.smash.h_leg({b1: v})))
     return out
 
 
@@ -449,57 +434,42 @@ def lambda_action(B: ComoduleAlgebra,
                   tau: Vec | None = None) -> tuple[list, Subspace, Report]:
     """Lambda(omega) b = b_0 omega(b_1) for omega = tau(. S(h)).
 
-    Returns the operator list indexed by the H basis, the image subspace of
-    End(B), and a report certifying the convolution-to-composition law and
-    that the counit functional acts as the identity.
+    Returns the sparse operators indexed by the H basis, the image subspace
+    of End(B), and a report certifying the convolution-to-composition law
+    and that the counit functional acts as the identity.
     """
     H = B.hopf
     if tau is None:
         tau = haar(H)
     nb, nh = B.alg.dim, H.dim
 
-    def lam_of_functional(phi: Vec) -> Mat:
-        cols = []
-        for b in range(nb):
-            img = vzero(nb)
-            for (b0, b1), v in B.coact[b].items():
-                if phi[b1]:
-                    img[b0] = img[b0] + v * phi[b1]
-            cols.append(img)
-        return [[cols[j][i] for j in range(nb)] for i in range(nb)]
+    def lam_of_functional(phi: dict) -> dict:
+        return op_from_entries((b0, b, v * phi[b1]) for b in range(nb)
+                               for (b0, b1), v in B.coact[b].items()
+                               if b1 in phi)
 
-    omega = _tau_s_table(H, tau)  # omega[h] = tau(. S(e_h))
-    mats = [lam_of_functional(omega[h]) for h in range(nh)]
+    omega = [sparse(row) for row in _tau_s_table(H, tau)]
+    ops = [lam_of_functional(omega[h]) for h in range(nh)]
     rep = Report("canonical dual action on B")
 
-    witness = None
-    for g in range(nh):
-        for h in range(nh):
-            og, oh = omega[g], omega[h]
-            conv = vzero(nh)
-            for x in range(nh):
-                val = Scalar.zero()
-                for (x1, x2), v in H.comult[x].items():
-                    if og[x1] and oh[x2]:
-                        val = val + v * og[x1] * oh[x2]
-                conv[x] = val
-            if lam_of_functional(conv) != mat_mul(mats[g], mats[h]):
-                witness = (g, h)
-                break
-        if witness:
-            break
+    def convolution(f: dict, g: dict) -> dict:
+        out: dict = {}
+        for x in range(nh):
+            for (x1, x2), v in H.comult[x].items():
+                if x1 in f and x2 in g:
+                    c = v * f[x1] * g[x2]
+                    out[x] = out[x] + c if x in out else c
+        return out
+    witness = next(((g, h) for g in range(nh) for h in range(nh)
+                    if lam_of_functional(convolution(omega[g], omega[h]))
+                    != op_mul(ops[g], ops[h])), None)
     rep.add("convolution_matches_composition", witness is None, witness,
             note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
 
-    counit_fn = list(H.counit)
     rep.add("counit_acts_as_identity",
-            lam_of_functional(counit_fn) == identity_matrix(nb))
-
-    image = Subspace.from_vectors(
-        [[X[i][j] for i in range(nb) for j in range(nb)] for X in mats],
-        nb * nb,
-    )
-    return mats, image, rep
+            lam_of_functional(sparse(H.counit))
+            == {b: {b: Scalar.one()} for b in range(nb)})
+    return ops, op_span(ops, nb), rep
 
 
 # -- T_q extraction ------------------------------------------------------------------
@@ -519,7 +489,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
     total = data.total
     sp = data.smash
     H = data.hopf
-    nb, nh = data.dim_B, H.dim
+    nb, nh, nt = data.dim_B, H.dim, sp.total.dim
     if qact.alg.dim != C.dim:
         raise InputError("q-action does not live on the invariants algebra")
     act_rep = validate_action(qact)
@@ -528,91 +498,67 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
 
     rep = Report("T_q extraction")
     commutant = relative_commutant(sp.subspace_A(), sp.total)
-    b_tensor_comm = Subspace.from_vectors(
-        [_b_leg(data, b, w) for b in range(nb) for w in commutant.basis],
-        total.dim,
-    )
+    b_tensor_comm = span_of(
+        (_b_leg(data, b, sparse(w)) for b in range(nb)
+         for w in commutant.basis), total.dim)
+    c_basis = [sparse(v) for v in C.basis]
+    one = Scalar.one()
 
-    def q_hat(qi: int, b: int, h: int) -> Vec:
-        z = mat_vec(data.expectation,
-                    _b_leg(data, b, sp.embed_H_vec(unit_vec(nh, h))))
-        coords = C.coordinates(z)
-        acted = qact.apply(unit_vec(Q.dim, qi), coords)
-        out = vzero(total.dim)
-        for c, basis_vec in zip(acted, C.basis):
-            if c:
-                out = [x + c * y for x, y in zip(out, basis_vec)]
-        return out
+    def bh_leg(b: int, h: int) -> dict:
+        """b (x) 1 x| h."""
+        return _b_leg(data, b, sp.h_leg({h: one}))
 
-    witness = None
-    for qi in range(Q.dim):
-        for b in range(nb):
-            for h in range(nh):
-                acc = vzero(total.dim)
-                for (h1, h2), v in H.comult[h].items():
-                    vinv = _b_leg(
-                        data, _unit_b_index(data),
-                        sp.embed_H_vec(H.antipode_vec(unit_vec(nh, h2))),
-                    )
-                    term = total.mul_vec(vinv, q_hat(qi, b, h1))
-                    acc = [x + v * y if y else x
-                           for x, y in zip(acc, term)]
-                if not b_tensor_comm.contains(acc):
-                    witness = (qi, b, h)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    def q_hat(qi: int, b: int, h: int) -> dict:
+        z = op_vec(data.expectation, bh_leg(b, h))
+        coords = sparse(C.coordinates(dense(z, total.dim)))
+        return sparse_comb(c_basis, sparse_comb(qact.act[qi], coords))
+
+    unit_b = _unit_b_index(data)
+
+    def outside_commutant(qi: int, b: int, h: int) -> bool:
+        acc: dict = {}
+        for (h1, h2), v in H.comult[h].items():
+            vinv = _b_leg(data, unit_b, sp.h_leg(sparse(H.antipode[h2])))
+            sparse_add(acc, sparse_apply(total.mult, vinv, q_hat(qi, b, h1)),
+                       v)
+        return not b_tensor_comm.contains(acc)
+    witness = next(((qi, b, h) for qi in range(Q.dim) for b in range(nb)
+                    for h in range(nh) if outside_commutant(qi, b, h)), None)
     rep.add("commutant_membership", witness is None, witness,
             note="V^{-1}(h_2) q_hat(b (x) h_1) lands in"
                  " B (x) (A' cap A x| H^cop)")
 
     # T_q read off through the counit and the unit-of-A coefficient
     t_mats = []
-    witness = None
     for qi in range(Q.dim):
         T = [[Scalar.zero()] * (nb * nh) for _ in range(nb)]
         for b in range(nb):
             for h in range(nh):
                 img = q_hat(qi, b, h)
-                target = _read_b_component(data, img)
-                for out_b in range(nb):
-                    T[out_b][b * nh + h] = target[out_b]
+                for o in range(nb):
+                    T[o][b * nh + h] = sp.unit_coefficient(
+                        {t - o * nt: x for t, x in img.items()
+                         if t // nt == o})
         t_mats.append(T)
         # verify the decomposition exactly
         for b in range(nb):
             for h in range(nh):
-                expected = vzero(total.dim)
+                expected: dict = {}
                 for (h1, h2), v in H.comult[h].items():
-                    tq = [T[o][b * nh + h1] for o in range(nb)]
-                    inner = sp.embed_H_vec(unit_vec(nh, h2))
-                    for o, c in enumerate(tq):
-                        if c:
-                            for t, x in enumerate(inner):
-                                if x:
-                                    expected[data.idx(o, t)] = (
-                                        expected[data.idx(o, t)] + v * c * x
-                                    )
-                if expected != q_hat(qi, b, h):
-                    witness = (qi, b, h)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness is not None:
-        raise InputError(f"decomposition failed (witness {witness})")
+                    for o in range(nb):
+                        if T[o][b * nh + h1]:
+                            sparse_add(expected, bh_leg(o, h2),
+                                       v * T[o][b * nh + h1])
+                if sparse_ne(expected, q_hat(qi, b, h)):
+                    raise InputError(
+                        f"decomposition failed (witness {(qi, b, h)})")
     rep.add("decomposition", True)
     return t_mats, rep
 
 
-def _b_leg(data: FixedPointData, b: int, w: Vec) -> Vec:
-    out = vzero(data.total.dim)
-    for t, x in enumerate(w):
-        if x:
-            out[data.idx(b, t)] = x
-    return out
+def _b_leg(data: FixedPointData, b: int, w: dict) -> dict:
+    """b (x) w for a sparse w in smash coordinates."""
+    return {data.idx(b, t): x for t, x in w.items()}
 
 
 def _unit_b_index(data: FixedPointData) -> int:
@@ -623,24 +569,6 @@ def _unit_b_index(data: FixedPointData) -> int:
                 raise InputError("B unit is not a basis vector")
             return i
     raise InputError("B has no unit")
-
-
-def _read_b_component(data: FixedPointData, z: Vec) -> Vec:
-    """(id_B (x) coefficient of 1_A (x) counit) applied to z."""
-    sp = data.smash
-    nb = data.dim_B
-    out = vzero(nb)
-    for b in range(nb):
-        seg = z[b * sp.total.dim:(b + 1) * sp.total.dim]
-        a_part = sp.project_A(seg)
-        # a_part must be a multiple of 1_A; read the coefficient
-        unit = sp.action.alg.unit
-        lead = next(i for i, u in enumerate(unit) if u)
-        c = a_part[lead] * unit[lead].inverse()
-        if [c * u for u in unit] != list(a_part):
-            raise InputError("decomposition failed: A leg is not scalar")
-        out[b] = c
-    return out
 
 
 # -- the Galois group relative to an ambient --------------------------------------
@@ -682,31 +610,29 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
             f"Q_ambient action invalid at {act_rep.first_failure().name}"
         )
 
-    lam_mats, lam_image, lam_rep = lambda_action(B, data.haar)
+    lam_ops, lam_image, lam_rep = lambda_action(B, data.haar)
     rep.merge(lam_rep, prefix="lambda:")
 
-    phi = _lambda_invariant_state(data, lam_mats)
+    phi = _lambda_invariant_state(data, lam_ops)
     rep.add("lambda_invariant_faithful_state_found", True,
             note="exact invariance and nondegeneracy; positivity is the"
                  " usual float verdict")
 
-    # q-operators commuting with the Lambda image
-    nb, nq = B.alg.dim, Q_ambient.dim
-    ops = [q_on_B.operator(unit_vec(nq, i)) for i in range(nq)]
+    # q-operators commuting with the Lambda image; op_i[t][p] is the
+    # coefficient of e_t in e_i . e_p
+    ops = [op_from_entries((t, p, x) for p, cell in enumerate(plane)
+                           for t, x in cell.items())
+           for plane in q_on_B.act]
 
     def entries():
         # (op_i L - L op_i)[t][s] for every Lambda operator L
-        for l, L in enumerate(lam_mats):
+        for l, L in enumerate(lam_ops):
             for i, op in enumerate(ops):
-                for t in range(nb):
-                    for p in range(nb):
-                        a, c = op[t][p], L[t][p]
-                        for s in range(nb):
-                            if a and L[p][s]:
-                                yield (l, t, s), i, a * L[p][s]
-                            if c and op[p][s]:
-                                yield (l, t, s), i, -(c * op[p][s])
-    commuting = kernel_of(entries(), nq)
+                for t, s, x in _product_terms(op, L):
+                    yield (l, t, s), i, x
+                for t, s, x in _product_terms(L, op):
+                    yield (l, t, s), i, -x
+    commuting = kernel_of(entries(), Q_ambient.dim)
     rep.add("commuting_subspace_dim", True,
             witness={"dim": commuting.dim})
 
@@ -714,12 +640,13 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
     rep.merge(hopf_subalgebra_report(Q_ambient, result), prefix="hopf:")
 
     # the operator on B of each basis vector of the result
-    flat_ops = [flatten_matrix(op) for op in ops]
-    result_ops = [unflatten_matrix(vec_mat(qvec, flat_ops), nb)
+    result_ops = [op_from_entries((t, s, c * x) for i, c in enumerate(qvec)
+                                  if c for t, row in ops[i].items()
+                                  for s, x in row.items())
                   for qvec in result.basis]
 
     # range-projection re-verification w.r.t. the phi inner product
-    proj_ok = _range_projection_check(B, phi, lam_mats, result_ops)
+    proj_ok = _range_projection_check(B, phi, lam_ops, result_ops)
     rep.add("commutes_with_range_projections", proj_ok)
 
     hopf = reify_hopf_subalgebra(Q_ambient, result, name="HC")
@@ -736,7 +663,19 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
                               rep)
 
 
-def _lambda_invariant_state(data: FixedPointData, lam_mats: list) -> Vec:
+def _product_terms(X: dict, Y: dict):
+    """(t, s, X[t][p] Y[p][s]): the terms of the operator product X Y.
+
+    kernel_of sums the terms itself; op_mul would drop an entry of X Y whose
+    terms cancel, and with it the Scalar order those terms give the row.
+    """
+    for t, row in X.items():
+        for p, a in row.items():
+            for s, y in Y.get(p, {}).items():
+                yield t, s, a * y
+
+
+def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
     """phi with phi(Lambda_h b) = tau(S(h)) phi(b), faithful, normalized."""
     B = data.comodule
     H = data.hopf
@@ -750,12 +689,11 @@ def _lambda_invariant_state(data: FixedPointData, lam_mats: list) -> Vec:
             for k, sv in enumerate(sh):
                 if sv and tau[k]:
                     scale = scale + sv * tau[k]
-            L = lam_mats[h]
-            for b in range(nb):
-                for p in range(nb):
-                    if L[p][b]:
-                        yield (h, b), p, L[p][b]
-                if scale:
+            for p, row in lam_ops[h].items():
+                for b, x in row.items():
+                    yield (h, b), p, x
+            if scale:
+                for b in range(nb):
                     yield (h, b), b, -scale
     space = kernel_of(entries(), nb)
     unit = B.alg.unit
@@ -789,19 +727,16 @@ def _lambda_invariant_state(data: FixedPointData, lam_mats: list) -> Vec:
     raise InputError("no Lambda-invariant faithful state")
 
 
-def _range_projection_check(B, phi, lam_mats, result_ops) -> bool:
+def _range_projection_check(B, phi, lam_ops, result_ops) -> bool:
     """Operators of the result commute with the phi-orthogonal range
     projections of every Lambda operator."""
     carrier = StarAlgebra(B.alg.dim, B.alg.mult, B.alg.unit, B.alg.star,
                           state=phi)
     space = GnsSpace(carrier, gram_matrix(carrier), Report("phi space"))
-    nb = B.alg.dim
-    for L in lam_mats:
-        image = Subspace.from_vectors(
-            [mat_vec(L, unit_vec(nb, j)) for j in range(nb)], nb
-        )
+    for L in lam_ops:
+        image = span_of(op_transpose(L).values(), B.alg.dim)
         P = orthogonal_projection(space, image)
-        for op in map(op_sparse, result_ops):
+        for op in result_ops:
             if op_mul(op, P) != op_mul(P, op):
                 return False
     return True
@@ -866,31 +801,20 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
     rep.merge(lift_val, prefix="action:")
 
     # A is fixed pointwise
-    a_idx = []
-    for a in range(na):
-        vec = data.embed_A_vec(unit_vec(na, a))
-        a_idx.append(C.coordinates(vec))
-    ok = True
-    for qi in range(hopf.dim):
-        eps = hopf.counit_of(unit_vec(hopf.dim, qi))
-        for coords in a_idx:
-            lhs = lifted.apply(unit_vec(hopf.dim, qi), coords)
-            rhs = vscale(eps, coords)
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    rep.add("fixes_A_pointwise", ok)
+    a_coords = [sparse(C.coordinates(data.embed_A_vec(unit_vec(na, a))))
+                for a in range(na)]
+    rep.add("fixes_A_pointwise", not any(
+        sparse_ne(sparse_comb(lifted.act[qi], x),
+                  {k: eps * c for k, c in x.items()})
+        for qi, eps in enumerate(hopf.counit) for x in a_coords))
     return lifted, c_alg, inclusion, rep
 
 
-def _id_tensor_op(v: Vec, op: Mat, na: int, nb: int) -> Vec:
+def _id_tensor_op(v: Vec, op: dict, na: int, nb: int) -> Vec:
+    """(id_A (x) op) v for v in A (x) B coordinates a nb + x."""
     out = vzero(na * nb)
     for a in range(na):
-        seg = v[a * nb:(a + 1) * nb]
-        moved = mat_vec(op, seg)
-        for x, val in enumerate(moved):
-            out[a * nb + x] = val
+        seg = {x: c for x, c in enumerate(v[a * nb:(a + 1) * nb]) if c}
+        for x, c in op_vec(op, seg).items():
+            out[a * nb + x] = c
     return out
-

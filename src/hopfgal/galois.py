@@ -50,14 +50,16 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    flatten_matrix,
-    identity_matrix,
     kernel_of,
-    mat_mul,
-    mat_vec,
+    op_from_entries,
     op_mul,
-    op_sparse,
+    op_span,
+    op_vec,
     sparse,
+    sparse_add,
+    sparse_apply,
+    sparse_comb,
+    sparse_ne,
     unit_vec,
     vec_mat,
     vzero,
@@ -67,6 +69,10 @@ from .scalars import Scalar
 
 
 # -- bimodule endomorphisms of a smash product ---------------------------------
+#
+# Every endomorphism of A x| H below is a sparse operator of linalg (a dict
+# row -> sparse row), and a functional psi: H -> A x| H is the operator
+# whose row h is the sparse vector psi(e_h).
 
 
 def smash_bimodule_endos(sp: SmashProduct,
@@ -74,14 +80,16 @@ def smash_bimodule_endos(sp: SmashProduct,
     """A-bimodule endomorphisms of A x| H, flattened inside End(total)."""
     total = sp.total
     na, nh, nt = sp.dim_A, sp.dim_H, total.dim
-    # F(a x| h) = (a x| 1) F(1 x| h), flattened row-major
-    emb_a = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
-    out = []
+    one = Scalar.one()
+    legs = [sp.a_leg({a: one}) for a in range(na)]
+    ops = []
     for sol in _endo_values(sp, colinear).basis:
-        cols = [total.mul_vec(emb_a[a], sol[h * nt:(h + 1) * nt])
-                for a in range(na) for h in range(nh)]
-        out.append([col[t] for t in range(nt) for col in cols])
-    return Subspace.from_vectors(out, nt * nt)
+        # F(a x| h) = (a x| 1) F(1 x| h)
+        values = [sparse(sol[h * nt:(h + 1) * nt]) for h in range(nh)]
+        ops.append(op_from_entries(
+            (t, sp.idx(a, h), x) for a in range(na) for h in range(nh)
+            for t, x in sparse_apply(total.mult, legs[a], values[h]).items()))
+    return op_span(ops, nt)
 
 
 def _endo_values(sp: SmashProduct, colinear: bool) -> Subspace:
@@ -133,59 +141,60 @@ def _endo_values(sp: SmashProduct, colinear: bool) -> Subspace:
     return kernel_of(entries(), nh * nt)
 
 
-def endo_from_functional(sp: SmashProduct, psi_rows: list[Vec]) -> Mat:
+def endo_from_functional(sp: SmashProduct, psi: dict) -> dict:
     """The A-bimodule endomorphism a x| h -> (a x| h_1) psi(h_2).
 
-    psi is given row-wise on the H basis with values in total coordinates;
+    psi is an operator with row h the value psi(e_h) in total coordinates;
     its image must lie in the commutant of A inside the smash product.
     """
     total = sp.total
     H = sp.action.hopf
-    na, nh, nt = sp.dim_A, sp.dim_H, total.dim
     commutant = relative_commutant(sp.subspace_A(), total)
-    for row in psi_rows:
-        if not commutant.contains(row):
-            raise InputError("psi not into A'")
-    cols = []
-    for a in range(na):
-        for h in range(nh):
-            img = vzero(nt)
+    if not all(commutant.contains(row) for row in psi.values()):
+        raise InputError("psi not into A'")
+    one = Scalar.one()
+    entries = []
+    for a in range(sp.dim_A):
+        for h in range(sp.dim_H):
             for (h1, h2), v in H.comult[h].items():
-                base = sp.embed_A_vec(unit_vec(na, a))
-                left = total.mul_vec(base, sp.embed_H_vec(unit_vec(nh, h1)))
-                term = total.mul_vec(left, psi_rows[h2])
-                img = [x + v * y if y else x for x, y in zip(img, term)]
-            cols.append(img)
-    return [[cols[j][t] for j in range(nt)] for t in range(nt)]
+                if h2 in psi:
+                    # (a x| h_1) psi(h_2)
+                    left = sparse_apply(total.mult, sp.a_leg({a: one}),
+                                        sp.h_leg({h1: one}))
+                    for t, x in sparse_apply(total.mult, left,
+                                             psi[h2]).items():
+                        entries.append((t, sp.idx(a, h), v * x))
+    return op_from_entries(entries)
 
 
-def recover_functional(sp: SmashProduct, endo: Mat) -> list[Vec]:
+def recover_functional(sp: SmashProduct, endo: dict) -> dict:
     """psi(h) = sum V^{-1}(h_1) endo(1 x| h_2), the convolution inverse read."""
     total = sp.total
     H = sp.action.hopf
-    nh, nt = sp.dim_H, total.dim
-    out = []
-    for h in range(nh):
-        acc = vzero(nt)
+    one = Scalar.one()
+    entries = []
+    for h in range(sp.dim_H):
         for (h1, h2), v in H.comult[h].items():
-            vinv = sp.embed_H_vec(H.antipode_vec(unit_vec(nh, h1)))
-            img = mat_vec(endo, sp.embed_H_vec(unit_vec(nh, h2)))
-            term = total.mul_vec(vinv, img)
-            acc = [x + v * y if y else x for x, y in zip(acc, term)]
-        out.append(acc)
-    return out
+            vinv = sp.h_leg(sparse(H.antipode[h1]))
+            img = op_vec(endo, sp.h_leg({h2: one}))
+            for t, x in sparse_apply(total.mult, vinv, img).items():
+                entries.append((h, t, v * x))
+    return op_from_entries(entries)
 
 
-def endo_report(sp: SmashProduct, psi_rows: list[Vec], endo: Mat) -> Report:
+def endo_report(sp: SmashProduct, psi: dict, endo: dict) -> Report:
     rep = Report("bimodule endomorphism from functional")
-    total, na = sp.total, sp.dim_A
-    E = op_sparse(endo)
-    emb = (sparse(sp.embed_A_vec(unit_vec(na, a))) for a in range(na))
+    total = sp.total
+    # the round trips return operators with no zero entry and no empty row;
+    # bring the given ones to that form before comparing dicts
+    psi, endo = (op_from_entries((i, j, x) for i, row in X.items()
+                                 for j, x in row.items()) for X in (psi, endo))
+    legs = (sp.a_leg({a: Scalar.one()}) for a in range(sp.dim_A))
     rep.add("bimodular", all(
-        op_mul(E, X) == op_mul(X, E) for a in emb
+        op_mul(endo, X) == op_mul(X, endo) for a in legs
         for X in (total.left_mult_op(a), total.right_mult_op(a))))
     recovered = recover_functional(sp, endo)
-    rep.add("round_trip_functional", recovered == [list(r) for r in psi_rows])
+    rep.add("round_trip_functional", recovered == psi)
     rebuilt = endo_from_functional(sp, recovered)
     rep.add("round_trip_endo", rebuilt == endo)
     return rep
@@ -194,21 +203,13 @@ def endo_report(sp: SmashProduct, psi_rows: list[Vec], endo: Mat) -> Report:
 # -- the isomorphism H* = colinear bimodule endomorphisms ------------------------
 
 
-def dual_endo(sp: SmashProduct, lam: Vec) -> Mat:
-    """T_lam(a x| h) = a x| h_1 lam(h_2) for a functional lam on H."""
+def dual_endo(sp: SmashProduct, lam: dict) -> dict:
+    """T_lam(a x| h) = a x| h_1 lam(h_2) for a sparse functional lam on H."""
     H = sp.action.hopf
-    na, nh = sp.dim_A, sp.dim_H
-    nt = sp.total.dim
-    cols = []
-    for a in range(na):
-        for h in range(nh):
-            img = vzero(nt)
-            for (h1, h2), v in H.comult[h].items():
-                if lam[h2]:
-                    idx = a * nh + h1
-                    img[idx] = img[idx] + v * lam[h2]
-            cols.append(img)
-    return [[cols[j][t] for j in range(nt)] for t in range(nt)]
+    return op_from_entries(
+        (sp.idx(a, h1), sp.idx(a, h), v * lam[h2])
+        for a in range(sp.dim_A) for h in range(sp.dim_H)
+        for (h1, h2), v in H.comult[h].items() if h2 in lam)
 
 
 def commutant_endos_iso(sp: SmashProduct) -> tuple[HopfStarAlgebra, Report]:
@@ -237,27 +238,15 @@ def commutant_endos_iso(sp: SmashProduct) -> tuple[HopfStarAlgebra, Report]:
             colinear.dim == dual.dim,
             witness={"colinear": colinear.dim, "dual": dual.dim})
 
-    t_mats = [dual_endo(sp, unit_vec(nh, i)) for i in range(nh)]
-    span_t = Subspace.from_vectors(
-        [flatten_matrix(X) for X in t_mats], nt * nt
-    )
+    t_ops = [dual_endo(sp, {i: Scalar.one()}) for i in range(nh)]
+    span_t = op_span(t_ops, nt)
     rep.add("dual_image_spans_colinear_endos", span_t == colinear)
     rep.add("dual_map_injective", span_t.dim == nh)
 
     # composition of endomorphisms = convolution in H*
-    witness = None
-    for i in range(nh):
-        for j in range(nh):
-            comp = mat_mul(t_mats[i], t_mats[j])
-            conv = vzero(nh)
-            for k, v in dual.algebra.mult[i][j].items():
-                conv[k] = conv[k] + v
-            target = dual_endo(sp, conv)
-            if comp != target:
-                witness = (i, j)
-                break
-        if witness:
-            break
+    witness = next(((i, j) for i in range(nh) for j in range(nh)
+                    if op_mul(t_ops[i], t_ops[j])
+                    != dual_endo(sp, dual.algebra.mult[i][j])), None)
     rep.add("convolution_matches_composition", witness is None, witness)
 
     # the values F(1 x| h) determine F, so they span a space of equal dim
@@ -268,7 +257,8 @@ def commutant_endos_iso(sp: SmashProduct) -> tuple[HopfStarAlgebra, Report]:
             witness={"endos": unconstrained.dim,
                      "hom_h_to_commutant": expected})
     rep.add("identity_is_counit_endo",
-            dual_endo(sp, list(H.counit)) == identity_matrix(nt))
+            dual_endo(sp, sparse(H.counit))
+            == {t: {t: Scalar.one()} for t in range(nt)})
     return dual, rep
 
 
@@ -299,41 +289,23 @@ def extract_pairing(sp: SmashProduct, Q: HopfStarAlgebra,
     if not inv.contains_subspace(sp.subspace_A()):
         raise InputError("A not fixed")
 
-    unit_a_coords = _unit_coefficient_reader(sp)
-    matrix = []
-    for q in range(nq):
-        row = []
-        for h in range(nh):
-            img = qact.apply(unit_vec(nq, q),
-                             sp.embed_H_vec(unit_vec(nh, h)))
-            # (1 x| counit): counit on the H leg, then the 1_A coefficient
-            a_vec = sp.project_A(img)
-            row.append(unit_a_coords(a_vec))
-        matrix.append(row)
+    # q . (1 x| h) read through (id (x) counit) and the 1_A coefficient
+    matrix = [[sp.unit_coefficient(sparse_comb(qact.act[q],
+                                               sp.h_leg({h: Scalar.one()})))
+               for h in range(nh)] for q in range(nq)]
     pairing = HopfPairing(Q, H, matrix)
 
     rep = Report("pairing extraction")
-    witness = None
-    for q in range(nq):
-        for a in range(na):
-            for h in range(nh):
-                lhs = qact.apply(
-                    unit_vec(nq, q),
-                    [x for x in _smash_basis(sp, a, h)],
-                )
-                rhs = vzero(total.dim)
-                for (h1, h2), v in H.comult[h].items():
-                    c = matrix[q][h2]
-                    if c:
-                        idx = a * nh + h1
-                        rhs[idx] = rhs[idx] + v * c
-                if lhs != rhs:
-                    witness = (q, a, h)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+
+    def reconstruction_fails(q, a, h):
+        # q . (a x| h) against a x| h_1 <q, h_2>
+        rhs: dict = {}
+        for (h1, h2), v in H.comult[h].items():
+            sparse_add(rhs, {sp.idx(a, h1): matrix[q][h2]}, v)
+        return sparse_ne(qact.act[q][sp.idx(a, h)], rhs)
+    witness = next(((q, a, h) for q in range(nq) for a in range(na)
+                    for h in range(nh) if reconstruction_fails(q, a, h)),
+                   None)
     if witness is not None:
         raise InputError(
             "reconstruction failed: the action is not implemented through"
@@ -346,30 +318,6 @@ def extract_pairing(sp: SmashProduct, Q: HopfStarAlgebra,
             f"extracted pairing violates {rep.first_failure().name}"
         )
     return pairing, rep
-
-
-def _smash_basis(sp: SmashProduct, a: int, h: int) -> Vec:
-    v = vzero(sp.total.dim)
-    v[a * sp.dim_H + h] = Scalar.one()
-    return v
-
-
-def _unit_coefficient_reader(sp: SmashProduct):
-    """Read the coefficient of 1_A off a vector known to be scalar * 1_A."""
-    unit = sp.action.alg.unit
-    lead = next(i for i, u in enumerate(unit) if u)
-    inv = unit[lead].inverse()
-
-    def read(v: Vec) -> Scalar:
-        c = v[lead] * inv
-        if [c * u for u in unit] != list(v):
-            raise InputError(
-                "reconstruction failed: q . (1 x| h) is not scalar on the"
-                " A leg"
-            )
-        return c
-
-    return read
 
 
 # -- certificates -------------------------------------------------------------------
@@ -447,17 +395,12 @@ class QGalCertificate:
                     == dual.star_vec(phi[i]) for i in range(nq)))
 
         # diagram: q . z = phi(q) . z through the dual action
-        witness = None
         nt = self.smash.total.dim
-        for i in range(nq):
-            for t in range(nt):
-                lhs = qact.apply(unit_vec(nq, i), unit_vec(nt, t))
-                rhs = self.dual_act.apply(phi[i], unit_vec(nt, t))
-                if lhs != rhs:
-                    witness = (i, t)
-                    break
-            if witness:
-                break
+        dact = self.dual_act.act
+        witness = next(((i, t) for i in range(nq) for t in range(nt)
+                        if sparse_ne(qact.act[i][t], sparse_comb(
+                            [plane[t] for plane in dact], sparse(phi[i])))),
+                       None)
         rep.add("diagram_commutes", witness is None, witness)
 
         # uniqueness: homogeneous solve for (psi, t) with
@@ -466,11 +409,10 @@ class QGalCertificate:
             for i in range(nq):
                 for t in range(nt):
                     for u in range(nh):
-                        for coord, val in self.dual_act.act[u][t].items():
+                        for coord, val in dact[u][t].items():
                             if val:
                                 yield (i, t, coord), i * nh + u, val
-                    acted = qact.apply(unit_vec(nq, i), unit_vec(nt, t))
-                    for coord, val in enumerate(acted):
+                    for coord, val in qact.act[i][t].items():
                         if val:
                             yield (i, t, coord), nq * nh, -val
         sol = kernel_of(entries(), nq * nh + 1)

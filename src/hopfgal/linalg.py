@@ -17,13 +17,20 @@ condition: every "all x with L(x) = 0" in the package hands it the nonzero
 entries of L as (row key, column, value) triples.  SpanBuilder keeps
 vectors there with the columns reversed (j -> n-1-j), so the largest
 stored column is the leading one and the rows read back are the canonical
-RREF of the span; rref, Subspace membership, mat_inverse, solve_linear and
-particular_solutions all run on it.
+RREF of the span; rref, Subspace membership and residues, mat_inverse,
+solve_linear and particular_solutions all run on it.
+The sparse operator form, a dict row -> sparse row, is the one operator
+form of the package: every operator of jones, galois and banica (lambda(x),
+e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators) is built
+with op_from_entries and combined with op_mul, op_vec and op_transpose.
 The operator helpers (op_mul, op_vec, op_adjoint, matrix_commutant,
 operator_algebra_span) visit nonzero entries only, and an operator enters
-a span of End(k^n) as its nonzeros at the flat columns i n + j.
+a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
 operator_algebra_span closes under left multiplication by the generators
-only, which reaches every word.
+only, which reaches every word.  Dense matrices remain where a table is
+stored or emitted densely (star and antipode tables, pairings,
+algebra.conditional_expectation) and in solve_linear and
+particular_solutions.
 """
 
 from __future__ import annotations
@@ -299,11 +306,15 @@ def _reduce(rows: dict, r: dict) -> dict:
 
     r is a sparse row without zero entries and is consumed.  No tail holds
     a pivot column, so one pass over the pivots of r leaves none behind.
+    The coefficient is negated once per nonempty tail, not once per entry
+    (a Scalar difference is a sum with a negation).
     """
     for p in [j for j in r if j in rows]:
         c = r.pop(p)
-        for k, v in rows[p].items():
-            r[k] = r[k] - c * v if k in r else -(c * v)
+        if rows[p]:
+            c = -c
+            for k, v in rows[p].items():
+                r[k] = r[k] + c * v if k in r else c * v
     return {j: c for j, c in r.items() if c}
 
 
@@ -401,10 +412,22 @@ class Subspace:
                            if x and j != p}
                 for b, p in zip(self.basis, self.pivots)}
 
-    def contains(self, v: Vec) -> bool:
-        if len(v) != self.ambient_dim:
+    def contains(self, v) -> bool:
+        """v (dense, or sparse) lies in the subspace."""
+        if isinstance(v, list) and len(v) != self.ambient_dim:
             raise InputError("ambient dimension mismatch")
-        return not _reduce(self._rows, _reversed(v, self.ambient_dim))
+        return not self.residue(v)
+
+    def residue(self, v) -> dict:
+        """v - sum_i v[p_i] b_i for v dense, or sparse, as a sparse vector.
+
+        It lives on the non-pivot columns f, where it is a_f . v for the
+        annihilator row a_f, so it is empty exactly when v lies in the
+        subspace.
+        """
+        last = self.ambient_dim - 1
+        return {last - k: x for k, x in
+                _reduce(self._rows, _reversed(v, self.ambient_dim)).items()}
 
     def coordinates(self, v: Vec) -> Vec:
         """Coefficients of v on self.basis; raises if v is outside.
@@ -654,14 +677,6 @@ def _solved(entries, n: int) -> KernelSolver:
 
 
 # -- operator algebra helpers -----------------------------------------------
-
-
-def flatten_matrix(X: Mat) -> Vec:
-    return [x for row in X for x in row]
-
-
-def unflatten_matrix(v: Vec, n: int) -> Mat:
-    return [list(v[i * n:(i + 1) * n]) for i in range(n)]
 
 
 def span_of(vectors, n: int) -> Subspace:

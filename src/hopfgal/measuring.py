@@ -307,7 +307,7 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
         if current.dim == 0:
             return current
         basis = current.basis
-        residue = _Residue(current)
+        pivots = set(current.pivots)
         conjugated = {("stabilizer", s) for s, sigma in enumerate(stabilizers)
                       if getattr(sigma, "conjugate_linear", False)}
         rows: dict = {}
@@ -315,13 +315,12 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
             slices: dict = {}
             for (p, q), v in C.comult_vec(b).items():
                 slices.setdefault(("left", q), {})[p] = v
-                if p in residue.tails:
+                if p in pivots:
                     slices.setdefault(("right", p), {})[q] = v
             for s, sigma in enumerate(stabilizers):
-                image = enumerate(sigma(b))
-                slices["stabilizer", s] = {i: x for i, x in image if x}
+                slices["stabilizer", s] = sigma(b)
             for key, vec in slices.items():
-                for f, v in residue(vec).items():
+                for f, v in current.residue(vec).items():
                     row = rows.setdefault(key + (f,), {})
                     row[j] = v.conj() if key in conjugated else v
         solver = KernelSolver(len(basis))
@@ -339,28 +338,6 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
                     out = [x + c * y for x, y in zip(out, b)]
             vectors.append(out)
         current = Subspace.from_vectors(vectors, C.dim)
-
-
-class _Residue:
-    """x -> x - sum_i x[p_i] b_i on sparse vectors x (no zero entries).
-
-    V is in RREF.  The result lives on the non-pivot columns f, where it is
-    a_f . x for the annihilator row a_f of V; it is empty exactly when x
-    lies in V.
-    tails[p_i] lists (f, -b_i[f]) over the nonzero non-pivot entries of b_i.
-    """
-
-    def __init__(self, V: Subspace):
-        self.tails = {p: [(f, -x) for f, x in enumerate(b)
-                          if x and f not in V.pivots]
-                      for p, b in zip(V.pivots, V.basis)}
-
-    def __call__(self, vec: dict) -> dict:
-        out = {f: x for f, x in vec.items() if f not in self.tails}
-        for p, x in vec.items():
-            for f, y in self.tails.get(p, ()):
-                out[f] = out[f] + x * y if f in out else x * y
-        return {f: x for f, x in out.items() if x}
 
 
 def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:

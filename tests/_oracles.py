@@ -20,7 +20,11 @@ commutants in End(k^n) against a dense elimination of their constraint
 rows.  The A-bimodule endomorphisms of a smash product, which production
 solves for on the values F(1 x| h) read from the sparse tensors, are
 checked against the commutant of A's left and right multiplication
-operators in all of End(A x| H).
+operators in all of End(A x| H).  The sparse operators of galois and banica
+(T_lam, the endomorphism of a functional, the conditional expectation E and
+the Lambda operators) are checked against the dense column-by-column
+matrices they replaced, and Subspace.residue against a dense subtraction
+along the RREF basis.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from hopfgal.linalg import (
     KernelSolver,
     Subspace,
     Vec,
-    flatten_matrix,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -43,6 +46,10 @@ from hopfgal.linalg import (
 )
 from hopfgal.report import Report
 from hopfgal.scalars import Scalar
+
+
+def flatten_matrix(X: list) -> list:
+    return [x for row in X for x in row]
 
 
 def middle_legs(C: StarCoalgebra, x) -> dict:
@@ -679,3 +686,78 @@ def _mult_matrix(A: StarAlgebra, x: Vec, left: bool) -> list:
                 for k, m in line.items():
                     out[k][j] = out[k][j] + xi * m
     return out
+
+
+# -- dense operators of the Galois and Banica layers ---------------------------
+#
+# The maps that galois and banica build as sparse operators, as the dense
+# matrices they were before: each column is the image of a basis vector,
+# accumulated into a dense vector and transposed into rows at the end.
+
+
+def oracle_dual_endo(sp: SmashProduct, lam: Vec) -> list:
+    """T_lam(a x| h) = a x| h_1 lam(h_2) for a functional lam on H."""
+    H = sp.action.hopf
+    na, nh = sp.dim_A, sp.dim_H
+    nt = sp.total.dim
+    cols = []
+    for a in range(na):
+        for h in range(nh):
+            img = vzero(nt)
+            for (h1, h2), v in H.comult[h].items():
+                if lam[h2]:
+                    idx = a * nh + h1
+                    img[idx] = img[idx] + v * lam[h2]
+            cols.append(img)
+    return [[cols[j][t] for j in range(nt)] for t in range(nt)]
+
+
+def oracle_endo_from_functional(sp: SmashProduct, psi_rows: list) -> list:
+    """The A-bimodule endomorphism a x| h -> (a x| h_1) psi(h_2)."""
+    total = sp.total
+    H = sp.action.hopf
+    na, nh, nt = sp.dim_A, sp.dim_H, total.dim
+    cols = []
+    for a in range(na):
+        for h in range(nh):
+            img = vzero(nt)
+            for (h1, h2), v in H.comult[h].items():
+                base = sp.embed_A_vec(unit_vec(na, a))
+                left = total.mul_vec(base, sp.embed_H_vec(unit_vec(nh, h1)))
+                term = total.mul_vec(left, psi_rows[h2])
+                img = [x + v * y if y else x for x, y in zip(img, term)]
+            cols.append(img)
+    return [[cols[j][t] for j in range(nt)] for t in range(nt)]
+
+
+def oracle_expectation(B, sp: SmashProduct, H, table: list) -> list:
+    """E(b (x) a x| h) = b0 (x) a x| h2 tau(h1 S(b1))."""
+    nb, nh, nt = B.alg.dim, H.dim, sp.total.dim
+    na = sp.dim_A
+    dim = nb * nt
+    cols = []
+    for b in range(nb):
+        for a in range(na):
+            for h in range(nh):
+                img = vzero(dim)
+                for (b0, b1), v in B.coact[b].items():
+                    for (h1, h2), w in H.comult[h].items():
+                        coeff = table[b1][h1]
+                        if coeff:
+                            dst = b0 * nt + (a * nh + h2)
+                            img[dst] = img[dst] + v * w * coeff
+                cols.append(img)
+    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+
+
+def oracle_lambda_operator(B, phi: Vec) -> list:
+    """Lambda(phi) b = b_0 phi(b_1) on the comodule algebra B."""
+    nb = B.alg.dim
+    cols = []
+    for b in range(nb):
+        img = vzero(nb)
+        for (b0, b1), v in B.coact[b].items():
+            if phi[b1]:
+                img[b0] = img[b0] + v * phi[b1]
+        cols.append(img)
+    return [[cols[j][i] for j in range(nb)] for i in range(nb)]

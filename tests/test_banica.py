@@ -9,6 +9,7 @@ from hopfgal.actions import (
 from hopfgal.algebra import validate_algebra
 from hopfgal.banica import (
     ComoduleAlgebra,
+    _tau_s_table,
     lambda_action,
     product_coaction,
     qgal_banica,
@@ -34,12 +35,15 @@ from hopfgal.galois import canonical_qgal
 from hopfgal.hopf import (
     dual_hopf,
     group_algebra,
+    haar,
     hopf_equal,
     validate_hopf,
     variants,
 )
-from hopfgal.linalg import Subspace, unit_vec, vzero
+from hopfgal.linalg import Subspace, op_dense, op_transpose, unit_vec, vzero
 from hopfgal.scalars import Scalar
+
+from _oracles import oracle_expectation, oracle_lambda_operator
 
 
 def z2_fixture():
@@ -143,17 +147,31 @@ def test_product_coaction_grouplike_formula():
 def test_expectation_values_trivial_b():
     H, B, sp = trivial_b_fixture()
     data = product_coaction(B, sp)
-    E = data.expectation
+    cols = op_transpose(data.expectation)
     # tau = (1, 0) on CZ2: E(a x| e) = a x| e, E(a x| g) = 0
     for a in range(4):
-        v_e = vzero(8)
-        v_e[a * 2 + 0] = Scalar.one()
-        assert [row for row in _col(E, a * 2 + 0)] == v_e
-        assert all(not x for x in _col(E, a * 2 + 1))
+        assert cols[a * 2 + 0] == {a * 2 + 0: Scalar.one()}
+        assert a * 2 + 1 not in cols
 
 
-def _col(M, j):
-    return [M[i][j] for i in range(len(M))]
+_ORACLE_FIXTURES = {
+    "z2": z2_fixture,
+    "s3": s3_fixture,
+    "trivial-b": trivial_b_fixture,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_FIXTURES))
+def test_expectation_and_lambda_match_dense_oracles(case):
+    H, B, sp = _ORACLE_FIXTURES[case]()
+    data = product_coaction(B, sp)
+    table = _tau_s_table(H, haar(H))
+    assert op_dense(data.expectation, data.total.dim) \
+        == oracle_expectation(B, sp, H, table)
+    ops, _, rep = lambda_action(B)
+    assert rep.ok
+    assert [op_dense(X, B.alg.dim) for X in ops] \
+        == [oracle_lambda_operator(B, row) for row in table]
 
 
 def test_s3_fixed_point_data():
@@ -171,8 +189,7 @@ def test_lambda_action_z2():
     assert rep.ok, rep.failed()
     # projections onto the group-like components: diagonal algebra, dim 2
     assert image.dim == 2
-    assert mats[0] == [[Scalar.one(), Scalar.zero()],
-                       [Scalar.zero(), Scalar.zero()]]
+    assert mats[0] == {0: {0: Scalar.one()}}
 
 
 def test_lambda_action_s3():

@@ -1,5 +1,7 @@
 """Depth-two quantum Galois certificates: endomorphisms, pairings, universality."""
 
+import random
+
 import pytest
 
 from hopfgal.actions import (
@@ -9,6 +11,7 @@ from hopfgal.actions import (
     invariants,
     smash_product,
 )
+from hopfgal.algebra import relative_commutant
 from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     K4_TABLE,
@@ -16,6 +19,7 @@ from hopfgal.fixtures import (
     c_of_k4,
     c_of_z2,
     cz2,
+    dual_number_action,
     mat_algebra,
     pauli_action,
     trivial_action,
@@ -40,10 +44,22 @@ from hopfgal.hopf import (
     group_algebra,
     hopf_equal,
 )
-from hopfgal.linalg import Subspace, identity_matrix, unit_vec
+from hopfgal.linalg import (
+    Subspace,
+    identity_matrix,
+    op_dense,
+    op_from_entries,
+    sparse,
+    unit_vec,
+)
 from hopfgal.scalars import Scalar
 
-from _oracles import oracle_bimodule_endos
+from _oracles import (
+    cyclic_diagonal_action,
+    oracle_bimodule_endos,
+    oracle_dual_endo,
+    oracle_endo_from_functional,
+)
 
 
 def pauli_smash():
@@ -90,13 +106,18 @@ def _k4_to_z2_pairing(Q, H, which):
     return HopfPairing(Q, H, matrix)
 
 
+def _times_unit(sp, values):
+    """The functional psi(e_h) = values[h] 1, as an operator."""
+    return op_from_entries((h, t, c * u) for h, c in enumerate(values)
+                           for t, u in enumerate(sp.total.unit))
+
+
 def test_endo_from_counit_functional_is_identity():
     sp = pauli_smash()
-    psi = [[u * e for u in sp.total.unit]
-           for e in [sp.action.hopf.counit_of(unit_vec(4, h))
-                     for h in range(4)]]
+    psi = _times_unit(sp, [sp.action.hopf.counit_of(unit_vec(4, h))
+                           for h in range(4)])
     endo = endo_from_functional(sp, psi)
-    assert endo == identity_matrix(16)
+    assert endo == {t: {t: Scalar.one()} for t in range(16)}
     assert endo_report(sp, psi, endo).ok
 
 
@@ -105,19 +126,66 @@ def test_endo_functional_roundtrip():
     # psi(h) = character values of K4 times the unit: lands in A'
     chars = [Scalar.one(), Scalar.from_int(-1),
              Scalar.one(), Scalar.from_int(-1)]
-    psi = [[c * u for u in sp.total.unit] for c in chars]
+    psi = _times_unit(sp, chars)
     endo = endo_from_functional(sp, psi)
     rep = endo_report(sp, psi, endo)
     assert rep.ok, rep.failed()
     # this is exactly the dual-action operator of the matching functional
-    assert endo == dual_endo(sp, chars)
+    assert endo == dual_endo(sp, sparse(chars))
+    # stored zeros and empty rows do not change the functional or the verdict
+    padded = {h: {**row, 15: Scalar.zero()} for h, row in psi.items()}
+    assert endo_report(sp, {**padded, 99: {}}, {**endo, 99: {}}).ok
 
 
 def test_endo_rejects_functional_outside_commutant():
     sp = pauli_smash()
-    bad = [unit_vec(16, 1) for _ in range(4)]  # E01 x| e is not in A'
+    # E01 x| e is not in A'
+    bad = {h: {1: Scalar.one()} for h in range(4)}
     with pytest.raises(InputError, match="psi not into A'"):
         endo_from_functional(sp, bad)
+
+
+_ORACLE_SMASHES = {
+    "pauli-k4": pauli_smash,
+    "clock-z3": lambda: smash_product(cyclic_diagonal_action(3, [0, 1, 2])),
+    "diag-z5": lambda: smash_product(cyclic_diagonal_action(5, [0, 1])),
+    # not cocommutative: the two legs of Delta x = x (x) 1 + g (x) x differ
+    "sweedler-dual-numbers": lambda: smash_product(dual_number_action()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_SMASHES))
+def test_dual_endo_and_functional_endo_match_dense_oracles(case):
+    sp = _ORACLE_SMASHES[case]()
+    H, nh, nt = sp.action.hopf, sp.dim_H, sp.total.dim
+    rng = random.Random(case)
+    order = sp.total.order()
+    zeta = Scalar.root_of_unity(order)
+
+    def scalar():
+        return Scalar.from_int(rng.randint(-2, 2), order) \
+            + Scalar.from_int(rng.randint(-2, 2), order) * zeta
+
+    functionals = [unit_vec(nh, i) for i in range(nh)]
+    functionals += [list(H.counit), [scalar() for _ in range(nh)]]
+    for lam in functionals:
+        assert op_dense(dual_endo(sp, sparse(lam)), nt) \
+            == oracle_dual_endo(sp, lam)
+
+    # psi(e_h) a random combination of the commutant A' of A
+    commutant = relative_commutant(sp.subspace_A(), sp.total)
+    rows = []
+    for _ in range(nh):
+        row = [Scalar.zero()] * nt
+        for b in commutant.basis:
+            c = scalar()
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    psi = op_from_entries((h, t, x) for h, row in enumerate(rows)
+                          for t, x in enumerate(row))
+    endo = endo_from_functional(sp, psi)
+    assert op_dense(endo, nt) == oracle_endo_from_functional(sp, rows)
+    assert endo_report(sp, psi, endo).ok
 
 
 def test_bimodule_endo_dimension_classification():
@@ -354,12 +422,10 @@ def test_commutative_base_fails_certification():
 
 
 def test_scalar_reader_rejects_non_scalar_leg():
-    from hopfgal.galois import _unit_coefficient_reader
-
     sp = pauli_smash()
-    read = _unit_coefficient_reader(sp)
+    # (id (x) counit)(E01 x| e) = E01 is not a multiple of 1_A
     with pytest.raises(InputError, match="not scalar"):
-        read(unit_vec(4, 1))
+        sp.unit_coefficient({sp.idx(1, 0): Scalar.one()})
 
 
 def test_qgal_fixed_point_ad_z_refuses_nonfactor_base():

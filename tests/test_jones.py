@@ -14,7 +14,7 @@ from hopfgal.fixtures import (
     mat_algebra,
     subalgebra_embedding_left,
 )
-from hopfgal import jones
+from hopfgal import banica, galois, jones
 from hopfgal.jones import (
     GnsSpace,
     basic_construction,
@@ -29,7 +29,6 @@ from hopfgal.jones import (
 )
 from hopfgal.linalg import (
     Subspace,
-    flatten_matrix,
     matrix_commutant,
     identity_matrix,
     mat_mul,
@@ -49,6 +48,7 @@ from hopfgal.scalars import Scalar, _context
 
 from _oracles import (
     _dense_rref,
+    flatten_matrix,
     oracle_gram_adjoint,
     oracle_operator_algebra_span,
 )
@@ -359,12 +359,27 @@ def test_m1_generators_span_matches_all_pairs_closure(case):
         [op_dense(g, n) for g in gens], n)
 
 
+def _calls_to(module, names) -> list:
+    """Line numbers of the calls in module's source to any of names."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in names]
+
+
 def test_jones_pipeline_has_no_dense_products():
     # every operator of the pipeline is sparse: no dense product and no
     # dense flattening of an n x n matrix
-    tree = ast.parse(Path(jones.__file__).read_text())
-    calls = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None))
-             in ("mat_mul", "flatten_matrix")]
-    assert calls == []
+    assert _calls_to(jones, ("mat_mul", "flatten_matrix")) == []
+
+
+@pytest.mark.parametrize("module", [galois, banica],
+                         ids=["galois", "banica"])
+def test_galois_and_banica_operators_are_sparse(module):
+    # every endomorphism, E and Lambda operator is a sparse operator: no
+    # dense product, flattening, identity matrix, dense-to-sparse round
+    # trip or dense action operator
+    dense_calls = ("mat_mul", "flatten_matrix", "unflatten_matrix",
+                   "identity_matrix", "op_sparse", "operator")
+    assert _calls_to(module, dense_calls) == []

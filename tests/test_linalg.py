@@ -13,6 +13,7 @@ from hopfgal.linalg import (
     KernelSolver,
     SpanBuilder,
     Subspace,
+    dense,
     identity_matrix,
     kernel_of,
     mat_inverse,
@@ -29,11 +30,15 @@ from hopfgal.linalg import (
     particular_solutions,
     rref,
     solve_linear,
+    span_of,
+    sparse,
 )
 from hopfgal.scalars import Scalar, _context
 
 from _oracles import (
     _dense_rref,
+    _residue,
+    flatten_matrix,
     oracle_kernel,
     oracle_operator_algebra_span,
 )
@@ -142,8 +147,6 @@ def test_matrix_commutant_of_full_matrix_algebra_is_scalars():
     e21 = sm([[0, 0], [1, 0]])
     comm = matrix_commutant([op_sparse(e12), op_sparse(e21)], 2)
     assert len(comm) == 1
-    from hopfgal.linalg import flatten_matrix
-
     assert op_span(comm, 2).contains(flatten_matrix(identity_matrix(2)))
 
 
@@ -253,6 +256,32 @@ def test_kernel_solver_matches_dense_elimination(order):
         for v in dense + noise + basis:
             inside = len(_dense_rref(span_rows + [v], n)[1]) == builder.dim
             assert builder.contains(v) == built.contains(v) == inside
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_subspace_residue_matches_dense_residue(order):
+    # random subspaces over Q, Q(i) and Q(zeta_5) from the sparse span
+    # (store in elimination order) and from the kernel solver, probed with
+    # members, random vectors and sparse vectors
+    rng = random.Random(500 + order)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        vectors = [[_random_scalar(rng, order) if rng.random() < 0.6
+                    else Scalar.zero() for _ in range(n)]
+                   for _ in range(rng.randint(0, n))]
+        rows = [sparse(v) for v in vectors]
+        solver = KernelSolver(n)
+        for row in rows:
+            solver.add_row(row)
+        for sub in (span_of(rows, n), solver.subspace()):
+            probes = [[_random_scalar(rng, order) for _ in range(n)]
+                      for _ in range(3)] + vectors + sub.basis
+            for v in probes:
+                want = _residue(sub, v)
+                assert dense(sub.residue(v), n) == want
+                assert dense(sub.residue(sparse(v)), n) == want
+                assert all(want[p] == 0 for p in sub.pivots)
+                assert sub.contains(v) == (not any(want))
 
 
 @pytest.mark.parametrize("order", [1, 4])
