@@ -22,6 +22,7 @@ from .algebra import (
     StarAlgebra,
     is_unital_star_subalgebra,
     relative_commutant,
+    state_flags,
 )
 from .errors import InputError
 from .hopf import HopfPairing, HopfStarAlgebra
@@ -42,7 +43,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar
+from .scalars import Scalar, axpy
 
 
 class ModuleAlgebraAction:
@@ -71,7 +72,7 @@ class ModuleAlgebraAction:
                     continue
                 c = hi * aj
                 for k, v in plane[j].items():
-                    out[k] = out[k] + c * v
+                    out[k] = axpy(out[k], c, v)
         return out
 
     def to_hom_map(self) -> Mat:
@@ -282,8 +283,8 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
                             for d, x in A.mult[a][c].items():
                                 vx = vc * x
                                 for e, y in H.algebra.mult[h2][g].items():
-                                    key = d * nh + e
-                                    cell[key] = cell.get(key, zero) + vx * y
+                                    k = d * nh + e
+                                    cell[k] = axpy(cell.get(k, zero), vx, y)
     for i in range(dim):
         for j in range(dim):
             mult[i][j] = {k: v for k, v in mult[i][j].items() if v}
@@ -397,7 +398,7 @@ def dual_action(sp: SmashProduct, pairing: HopfPairing) -> ModuleAlgebraAction:
                     c = pairing.matrix[u][h2]
                     if c:
                         key = a * nh + h1
-                        out[key] = out.get(key, zero) + v * c
+                        out[key] = axpy(out.get(key, zero), v, c)
                 plane.append({k: v for k, v in out.items() if v})
         act.append(plane)
     return ModuleAlgebraAction(Qhat, total, act,
@@ -410,7 +411,6 @@ def canonical_smash_trace(sp: SmashProduct) -> Vec:
     Requires a tracial state on A; traciality of the product functional is
     re-checked exactly on the smash rather than assumed.
     """
-    from .algebra import analyze_state
     from .hopf import haar
 
     A, H = sp.action.alg, sp.action.hopf
@@ -424,10 +424,7 @@ def canonical_smash_trace(sp: SmashProduct) -> Vec:
         for h in range(sp.dim_H):
             if integral[h]:
                 tau[sp.idx(a, h)] = A.state[a] * integral[h]
-    probe = StarAlgebra(sp.total.dim, sp.total.mult, sp.total.unit,
-                        sp.total.star, state=None)
-    verdict = analyze_state(probe, tau)
-    if not verdict.tracial or not verdict.hermitian:
+    if not all(state_flags(sp.total, tau)):
         raise InputError("product functional is not a trace on the smash")
     return tau
 

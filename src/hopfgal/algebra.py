@@ -47,7 +47,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar, common_order
+from .scalars import Scalar, axpy, common_order
 
 POSITIVITY_TOL = 1e-9
 
@@ -109,7 +109,7 @@ class StarAlgebra:
                     continue
                 c = xi * yj
                 for k, m in row[j].items():
-                    out[k] = out[k] + c * m
+                    out[k] = axpy(out[k], c, m)
         return out
 
     @conjugate_linear
@@ -121,7 +121,7 @@ class StarAlgebra:
                 row = self.star[i]
                 for j in range(self.dim):
                     if row[j]:
-                        out[j] = out[j] + ci * row[j]
+                        out[j] = axpy(out[j], ci, row[j])
         return out
 
     def left_mult_op(self, x: dict) -> dict:
@@ -142,7 +142,7 @@ class StarAlgebra:
         tot = Scalar.zero()
         for xi, ti in zip(x, self.state):
             if xi and ti:
-                tot = tot + xi * ti
+                tot = axpy(tot, xi, ti)
         return tot
 
     def basis_vec(self, i: int) -> Vec:
@@ -236,7 +236,7 @@ def gram_matrix(A: StarAlgebra, functional: Vec | None = None) -> Mat:
             tot = Scalar.zero()
             for k, v in enumerate(prod):
                 if v and tau[k]:
-                    tot = tot + v * tau[k]
+                    tot = axpy(tot, v, tau[k])
             row.append(tot)
         G.append(row)
     return G
@@ -258,36 +258,26 @@ def numerically_positive(G: Mat, tol: float = POSITIVITY_TOL) -> bool:
     return bool(eigs.min() > -tol)
 
 
+def state_flags(A: StarAlgebra, tau: Vec) -> tuple[bool, bool]:
+    """(hermitian, tracial) for the functional tau on A, both exact."""
+    n = A.dim
+    hermitian = all(_apply(tau, sparse(A.star[i])) == tau[i].conj()
+                    for i in range(n))
+    tracial = all(_apply(tau, A.mult[i][j]) == _apply(tau, A.mult[j][i])
+                  for i in range(n) for j in range(i + 1))
+    return hermitian, tracial
+
+
 def analyze_state(A: StarAlgebra, functional: Vec | None = None) -> AlgebraState:
     tau = functional if functional is not None else A.state
     if tau is None:
         raise InputError("no state supplied")
-    n = A.dim
-    herm = True
-    for i in range(n):
-        st = A.star_vec(unit_vec(n, i))
-        val = Scalar.zero()
-        for k, v in enumerate(st):
-            if v and tau[k]:
-                val = val + v * tau[k]
-        if val != tau[i].conj():
-            herm = False
-            break
-    tracial = True
-    for i in range(n):
-        for j in range(i + 1):
-            a = _apply(tau, A.mult[i][j])
-            b = _apply(tau, A.mult[j][i])
-            if a != b:
-                tracial = False
-                break
-        if not tracial:
-            break
+    hermitian, tracial = state_flags(A, tau)
     G = gram_matrix(A, tau)
     return AlgebraState(
         functional=tau,
         tracial=tracial,
-        hermitian=herm,
+        hermitian=hermitian,
         faithful=is_nonsingular(G),
         positive=numerically_positive(G),
     )
@@ -297,7 +287,7 @@ def _apply(tau: Vec, x: dict) -> Scalar:
     tot = Scalar.zero()
     for k, v in x.items():
         if tau[k]:
-            tot = tot + v * tau[k]
+            tot = axpy(tot, v, tau[k])
     return tot
 
 
@@ -596,5 +586,5 @@ def _dot_unit(t: Vec, B: StarAlgebra) -> Scalar:
     tot = Scalar.zero()
     for x, u in zip(t, B.unit):
         if x and u:
-            tot = tot + x * u
+            tot = axpy(tot, x, u)
     return tot

@@ -65,7 +65,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar
+from .scalars import Scalar, axpy
 
 
 # -- bimodule endomorphisms of a smash product ---------------------------------
@@ -212,13 +212,16 @@ def dual_endo(sp: SmashProduct, lam: dict) -> dict:
         for (h1, h2), v in H.comult[h].items() if h2 in lam)
 
 
-def commutant_endos_iso(sp: SmashProduct) -> tuple[HopfStarAlgebra, Report]:
+def commutant_endos_iso(sp: SmashProduct,
+                        outerness: tuple[bool, Subspace] | None = None,
+                        ) -> tuple[HopfStarAlgebra, Report]:
     """Certify H* = colinear A-bimodule endomorphisms, tables matched.
 
     Returns the dual Hopf *-algebra together with the report; the report
     also carries the honest commutant dimension and the unconstrained
     bimodule endomorphism dimension (dim H * dim A' by the classification
-    through functionals into the commutant).
+    through functionals into the commutant).  `outerness` is the result of
+    `is_outer(sp)` when the caller has it already.
     """
     H = sp.action.hopf
     dual = dual_hopf(H)
@@ -226,7 +229,7 @@ def commutant_endos_iso(sp: SmashProduct) -> tuple[HopfStarAlgebra, Report]:
     nt = sp.total.dim
     nh = sp.dim_H
 
-    outer, commutant = is_outer(sp)
+    outer, commutant = outerness or is_outer(sp)
     rep.add("commutant_reported", True,
             witness={"commutant_dim": commutant.dim, "outer": outer},
             note="a scalar commutant is unattainable for dim H > 1 in"
@@ -444,7 +447,8 @@ def canonical_qgal(sp: SmashProduct) -> QGalCertificate:
     """
     H = sp.action.hopf
     rep = Report("canonical quantum Galois certificate")
-    dual, iso_rep = commutant_endos_iso(sp)
+    outer, commutant = is_outer(sp)
+    dual, iso_rep = commutant_endos_iso(sp, (outer, commutant))
     rep.merge(iso_rep, prefix="endos:")
 
     pairing = canonical_pairing(dual, H)
@@ -456,8 +460,6 @@ def canonical_qgal(sp: SmashProduct) -> QGalCertificate:
     rep.merge(act_rep, prefix="dual_action:")
     inv = invariants(dact)
     rep.add("invariants_are_exactly_A", inv == sp.subspace_A())
-
-    outer, commutant = is_outer(sp)
 
     trace_rep = trace_preservation(dact, tau=canonical_smash_trace(sp))
     rep.merge(trace_rep, prefix="trace:")
@@ -520,7 +522,7 @@ def trace_preservation(action: ModuleAlgebraAction,
             val = Scalar.zero()
             for k, x in action.act[h][a].items():
                 if tau[k]:
-                    val = val + x * tau[k]
+                    val = axpy(val, x, tau[k])
             if val != eps * tau[a]:
                 witness = (h, a)
                 break

@@ -22,11 +22,11 @@ from itertools import chain
 
 from .algebra import (
     StarAlgebra,
-    analyze_state,
     gram_matrix,
     is_nonsingular,
     is_unital_star_subalgebra,
     relative_commutant,
+    state_flags,
 )
 from .errors import ConsistencyError, InputError
 from .linalg import (
@@ -126,8 +126,7 @@ def gns(M: StarAlgebra, certify: bool = True) -> GnsSpace:
     """GNS space of (M, tau); tau must be tracial and exactly nondegenerate."""
     if M.state is None:
         raise InputError("gns needs a state")
-    st = analyze_state(M)
-    if not st.tracial or not st.hermitian:
+    if not all(state_flags(M, M.state)):
         raise InputError("gns needs a tracial hermitian state")
     G = gram_matrix(M)
     if not is_nonsingular(G):

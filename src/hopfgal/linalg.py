@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .scalars import Scalar
+from .scalars import Scalar, axpy
 
 Vec = list
 Mat = list
@@ -103,9 +103,10 @@ def sparse_conj(x: dict) -> dict:
 def sparse_add(out: dict, x: dict, c: Scalar | None = None) -> dict:
     """out += c x in place (c = 1 when None); returns out."""
     for k, v in x.items():
-        if c is not None:
-            v = c * v
-        out[k] = out[k] + v if k in out else v
+        if c is None:
+            out[k] = out[k] + v if k in out else v
+        else:
+            out[k] = axpy(out[k], c, v) if k in out else c * v
     return out
 
 
@@ -229,7 +230,7 @@ def mat_vec(A: Mat, x: Vec) -> Vec:
         for j, xj in support:
             r = row[j]
             if r:
-                tot = tot + r * xj
+                tot = axpy(tot, r, xj)
         out.append(tot)
     return out
 
@@ -249,7 +250,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
                 for j in range(n):
                     b = Bp[j]
                     if b:
-                        Oi[j] = Oi[j] + a * b
+                        Oi[j] = axpy(Oi[j], a, b)
     return out
 
 
@@ -284,7 +285,7 @@ def vec_mat(x: Vec, A: Mat) -> Vec:
             row = A[i]
             for j in range(n):
                 if row[j]:
-                    out[j] = out[j] + xi * row[j]
+                    out[j] = axpy(out[j], xi, row[j])
     return out
 
 
@@ -306,15 +307,15 @@ def _reduce(rows: dict, r: dict) -> dict:
 
     r is a sparse row without zero entries and is consumed.  No tail holds
     a pivot column, so one pass over the pivots of r leaves none behind.
-    The coefficient is negated once per nonempty tail, not once per entry
-    (a Scalar difference is a sum with a negation).
+    The coefficient is negated once per nonempty tail, and each entry is
+    one fused x + c y.
     """
     for p in [j for j in r if j in rows]:
         c = r.pop(p)
         if rows[p]:
             c = -c
             for k, v in rows[p].items():
-                r[k] = r[k] + c * v if k in r else c * v
+                r[k] = axpy(r[k], c, v) if k in r else c * v
     return {j: c for j, c in r.items() if c}
 
 
@@ -334,15 +335,16 @@ def _eliminate(rows: dict, r: dict):
         c = t.pop(q, None)
         if c is None:
             continue
+        c = -c
         for k, v in tail.items():
             if k in t:
-                x = t[k] - c * v
+                x = axpy(t[k], c, v)
                 if x:
                     t[k] = x
                 else:
                     del t[k]
             else:
-                t[k] = -(c * v)
+                t[k] = c * v
     rows[q] = tail
     return q, inv
 

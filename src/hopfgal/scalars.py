@@ -13,7 +13,15 @@ point embedding at zeta_N = exp(2*pi*i/N) exists only for the positivity
 checks that are analytic rather than algebraic.
 
 Scalars of different orders interoperate by lifting to the lcm of the two
-orders (Q(zeta_N) embeds in Q(zeta_M) whenever N divides M).
+orders (Q(zeta_N) embeds in Q(zeta_M) whenever N divides M); a rational
+operand whose order divides the other's is read in place as [p, 0, ...]/q.
+
+There are two constructors.  `Scalar(order, num, den)` validates and
+reduces parsed or hand-built input (`from_json`, `from_int`, `rational`,
+...) and raises InputError on a malformed vector.  Arithmetic results go
+through `_reduced` (`_ratio` when phi = 1): an integer vector over a
+positive denominator, one gcd, and the slots set on `Scalar.__new__`.  The
+zero comes out with den 1 there, since gcd(den, 0, ..., 0) = den.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, InputError
+
+_new = object.__new__  # Scalar.__new__, looked up once
 
 
 def _poly_exact_div(num: list[int], den) -> list[int]:
@@ -124,6 +134,81 @@ def _reduce_conv(ctx: _Context, conv: list[int]) -> list[int]:
     return out
 
 
+def _reduced(order: int, num, den: int) -> "Scalar":
+    """The Scalar num/den for an integer vector num and den > 0."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [a // g for a in num], den // g
+    s = _new(Scalar)
+    s.order, s.num, s.den = order, tuple(num), den
+    return s
+
+
+def _ratio(order: int, p: int, q: int) -> "Scalar":
+    """The Scalar p/q, q > 0, of an order with phi = 1."""
+    g = math.gcd(p, q)
+    s = _new(Scalar)
+    s.order, s.num, s.den = order, (p // g,), q // g
+    return s
+
+
+def _sum(order: int, an, ad: int, bn, bd: int) -> "Scalar":
+    """an/ad + bn/bd for coefficient vectors of one order."""
+    if len(an) == 1:
+        if ad == bd:
+            return _ratio(order, an[0] + bn[0], ad)
+        return _ratio(order, an[0] * bd + bn[0] * ad, ad * bd)
+    if ad == bd:
+        return _reduced(order, [x + y for x, y in zip(an, bn)], ad)
+    return _reduced(order, [x * bd + y * ad for x, y in zip(an, bn)],
+                    ad * bd)
+
+
+def _product(order: int, an, bn) -> list[int]:
+    """The numerator of an * bn in the power basis, for phi > 1."""
+    conv = [0] * (2 * len(an) - 1)
+    for i, x in enumerate(an):
+        if x:
+            for j, y in enumerate(bn):
+                if y:
+                    conv[i + j] += x * y
+    return _reduce_conv(_context(order), conv)
+
+
+def _aligned(x: "Scalar", y) -> tuple:
+    """(order, x.num, x.den, y.num, y.den) read in the lcm of the orders.
+
+    A rational operand whose order divides the other's is padded with
+    zeros in place; anything else is lifted.  Ints and Fractions are read
+    as rationals of order 1.
+    """
+    if y.__class__ is not Scalar:
+        y = Scalar.coerce(y)
+    m, n = x.order, y.order
+    if m == n:
+        return m, x.num, x.den, y.num, y.den
+    if m % n == 0 and len(y.num) == 1:
+        return m, x.num, x.den, y.num + (0,) * (len(x.num) - 1), y.den
+    if n % m == 0 and len(x.num) == 1:
+        return n, x.num + (0,) * (len(y.num) - 1), x.den, y.num, y.den
+    order = math.lcm(m, n)
+    x, y = x.lift(order), y.lift(order)
+    return order, x.num, x.den, y.num, y.den
+
+
+def axpy(x: "Scalar", c: "Scalar", y: "Scalar") -> "Scalar":
+    """x + c * y built as one Scalar, in the lcm of the three orders."""
+    order = x.order
+    if c.order != order or y.order != order:
+        return x + c * y
+    xn, cn, yn, xd, d = x.num, c.num, y.num, x.den, c.den * y.den
+    if len(xn) == 1:
+        if xd == d:
+            return _ratio(order, xn[0] + cn[0] * yn[0], d)
+        return _ratio(order, xn[0] * d + cn[0] * yn[0] * xd, xd * d)
+    return _sum(order, xn, xd, _product(order, cn, yn), d)
+
+
 class Scalar:
     """An element of Q(zeta_N) in canonical reduced form.
 
@@ -167,14 +252,12 @@ class Scalar:
 
     @staticmethod
     def from_int(v: int, order: int = 1) -> "Scalar":
-        phi = _context(order).phi
-        return Scalar(order, [v] + [0] * (phi - 1), 1)
+        return Scalar.rational(v, 1, order)
 
     @staticmethod
     def from_fraction(f, order: int = 1) -> "Scalar":
         f = Fraction(f)
-        phi = _context(order).phi
-        return Scalar(order, [f.numerator] + [0] * (phi - 1), f.denominator)
+        return Scalar.rational(f.numerator, f.denominator, order)
 
     @staticmethod
     def rational(p: int, q: int = 1, order: int = 1) -> "Scalar":
@@ -216,13 +299,7 @@ class Scalar:
                 for i in range(ctx.phi):
                     if row[i]:
                         out[i] += a * row[i]
-        return Scalar(order, out, self.den)
-
-    def _align(self, other: "Scalar"):
-        if self.order == other.order:
-            return self, other
-        m = math.lcm(self.order, other.order)
-        return self.lift(m), other.lift(m)
+        return _reduced(order, out, self.den)
 
     # -- field operations ------------------------------------------------
 
@@ -230,14 +307,18 @@ class Scalar:
         return any(self.num)
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Scalar:
+            if other.order == self.order:
+                return self.num == other.num and self.den == other.den
+            _, an, ad, bn, bd = _aligned(self, other)
+            return an == bn and ad == bd
         if isinstance(other, int):
-            other = Scalar.from_int(other, self.order)
+            p, q = other, 1
         elif isinstance(other, Fraction):
-            other = Scalar.from_fraction(other, self.order)
-        elif not isinstance(other, Scalar):
+            p, q = other.numerator, other.denominator
+        else:
             return NotImplemented
-        a, b = self._align(other)
-        return a.num == b.num and a.den == b.den
+        return self.num[0] == p and self.den == q and not any(self.num[1:])
 
     def __hash__(self):
         # Tr(x) / phi(N) does not change when x is lifted to a larger
@@ -248,55 +329,44 @@ class Scalar:
         return hash(Fraction(tr, self.den * len(traces)))
 
     def __add__(self, other):
-        other = Scalar.coerce(other, self.order)
-        a, b = self._align(other)
-        if a.den == b.den:
-            return Scalar(a.order, [x + y for x, y in zip(a.num, b.num)], a.den)
-        return Scalar(
-            a.order,
-            [x * b.den + y * a.den for x, y in zip(a.num, b.num)],
-            a.den * b.den,
-        )
+        if other.__class__ is Scalar and other.order == self.order:
+            return _sum(self.order, self.num, self.den, other.num, other.den)
+        return _sum(*_aligned(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s.order = self.order
-        s.num = tuple(-a for a in self.num)
-        s.den = self.den
+        s = _new(Scalar)
+        s.order, s.den = self.order, self.den
+        s.num = tuple([-a for a in self.num])
         return s
 
     def __sub__(self, other):
-        other = Scalar.coerce(other, self.order)
-        return self + (-other)
+        order, an, ad, bn, bd = _aligned(self, other)
+        return _sum(order, an, ad, [-y for y in bn], bd)
 
     def __rsub__(self, other):
         return Scalar.coerce(other, self.order) - self
 
     def __mul__(self, other):
-        other = Scalar.coerce(other, self.order)
-        a, b = self._align(other)
-        an, bn = a.num, b.num
+        if other.__class__ is Scalar and other.order == self.order:
+            order, an, ad, bn, bd = (self.order, self.num, self.den,
+                                     other.num, other.den)
+        else:
+            order, an, ad, bn, bd = _aligned(self, other)
         if len(an) == 1:
-            return Scalar(a.order, [an[0] * bn[0]], a.den * b.den)
-        conv = [0] * (2 * len(an) - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        conv[i + j] += x * y
-        out = _reduce_conv(_context(a.order), conv)
-        return Scalar(a.order, out, a.den * b.den)
+            return _ratio(order, an[0] * bn[0], ad * bd)
+        return _reduced(order, _product(order, an, bn), ad * bd)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if all(a == 0 for a in self.num[1:]):
-            return Scalar(self.order, [self.den] + [0] * (len(self.num) - 1),
-                          self.num[0])
+        p = self.num[0]
+        if not any(self.num[1:]):  # (p/q)^-1 = q/p, the sign on q
+            q = self.den if p > 0 else -self.den
+            return _reduced(self.order, (q,) + self.num[1:], abs(p))
         # Multiply the remaining Galois conjugates; the full product is the
         # field norm, a nonzero rational.
         prod = Scalar.one(self.order)
@@ -338,7 +408,7 @@ class Scalar:
                 for i in range(ctx.phi):
                     if row[i]:
                         out[i] += c * row[i]
-        return Scalar(self.order, out, self.den)
+        return _reduced(self.order, out, self.den)
 
     def conj(self) -> "Scalar":
         """Complex conjugation, zeta -> zeta^{-1}, extended Q-linearly."""

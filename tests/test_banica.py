@@ -40,7 +40,14 @@ from hopfgal.hopf import (
     validate_hopf,
     variants,
 )
-from hopfgal.linalg import Subspace, op_dense, op_transpose, unit_vec, vzero
+from hopfgal.linalg import (
+    Subspace,
+    op_dense,
+    op_span,
+    op_transpose,
+    unit_vec,
+    vzero,
+)
 from hopfgal.scalars import Scalar
 
 from _oracles import oracle_expectation, oracle_lambda_operator
@@ -168,7 +175,7 @@ def test_expectation_and_lambda_match_dense_oracles(case):
     table = _tau_s_table(H, haar(H))
     assert op_dense(data.expectation, data.total.dim) \
         == oracle_expectation(B, sp, H, table)
-    ops, _, rep = lambda_action(B)
+    ops, rep = lambda_action(B)
     assert rep.ok
     assert [op_dense(X, B.alg.dim) for X in ops] \
         == [oracle_lambda_operator(B, row) for row in table]
@@ -185,7 +192,8 @@ def test_s3_fixed_point_data():
 
 def test_lambda_action_z2():
     H, B, sp = z2_fixture()
-    mats, image, rep = lambda_action(B)
+    mats, rep = lambda_action(B)
+    image = op_span(mats, B.alg.dim)
     assert rep.ok, rep.failed()
     # projections onto the group-like components: diagonal algebra, dim 2
     assert image.dim == 2
@@ -194,7 +202,8 @@ def test_lambda_action_z2():
 
 def test_lambda_action_s3():
     H, B, sp = s3_fixture()
-    mats, image, rep = lambda_action(B)
+    mats, rep = lambda_action(B)
+    image = op_span(mats, B.alg.dim)
     assert rep.ok
     # span{L_e, L_t} has dimension 2
     assert image.dim == 2
