@@ -43,7 +43,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar, axpy
+from .scalars import Scalar
 
 
 class ModuleAlgebraAction:
@@ -72,7 +72,7 @@ class ModuleAlgebraAction:
                     continue
                 c = hi * aj
                 for k, v in plane[j].items():
-                    out[k] = axpy(out[k], c, v)
+                    out[k] = out[k] + c * v
         return out
 
     def to_hom_map(self) -> Mat:
@@ -283,8 +283,8 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
                             for d, x in A.mult[a][c].items():
                                 vx = vc * x
                                 for e, y in H.algebra.mult[h2][g].items():
-                                    k = d * nh + e
-                                    cell[k] = axpy(cell.get(k, zero), vx, y)
+                                    key = d * nh + e
+                                    cell[key] = cell.get(key, zero) + vx * y
     for i in range(dim):
         for j in range(dim):
             mult[i][j] = {k: v for k, v in mult[i][j].items() if v}
@@ -398,7 +398,7 @@ def dual_action(sp: SmashProduct, pairing: HopfPairing) -> ModuleAlgebraAction:
                     c = pairing.matrix[u][h2]
                     if c:
                         key = a * nh + h1
-                        out[key] = axpy(out.get(key, zero), v, c)
+                        out[key] = out.get(key, zero) + v * c
                 plane.append({k: v for k, v in out.items() if v})
         act.append(plane)
     return ModuleAlgebraAction(Qhat, total, act,

@@ -47,7 +47,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar, axpy, common_order
+from .scalars import Scalar, common_order
 
 POSITIVITY_TOL = 1e-9
 
@@ -109,7 +109,7 @@ class StarAlgebra:
                     continue
                 c = xi * yj
                 for k, m in row[j].items():
-                    out[k] = axpy(out[k], c, m)
+                    out[k] = out[k] + c * m
         return out
 
     @conjugate_linear
@@ -121,7 +121,7 @@ class StarAlgebra:
                 row = self.star[i]
                 for j in range(self.dim):
                     if row[j]:
-                        out[j] = axpy(out[j], ci, row[j])
+                        out[j] = out[j] + ci * row[j]
         return out
 
     def left_mult_op(self, x: dict) -> dict:
@@ -142,7 +142,7 @@ class StarAlgebra:
         tot = Scalar.zero()
         for xi, ti in zip(x, self.state):
             if xi and ti:
-                tot = axpy(tot, xi, ti)
+                tot = tot + xi * ti
         return tot
 
     def basis_vec(self, i: int) -> Vec:
@@ -236,7 +236,7 @@ def gram_matrix(A: StarAlgebra, functional: Vec | None = None) -> Mat:
             tot = Scalar.zero()
             for k, v in enumerate(prod):
                 if v and tau[k]:
-                    tot = axpy(tot, v, tau[k])
+                    tot = tot + v * tau[k]
             row.append(tot)
         G.append(row)
     return G
@@ -287,7 +287,7 @@ def _apply(tau: Vec, x: dict) -> Scalar:
     tot = Scalar.zero()
     for k, v in x.items():
         if tau[k]:
-            tot = axpy(tot, v, tau[k])
+            tot = tot + v * tau[k]
     return tot
 
 
@@ -586,5 +586,5 @@ def _dot_unit(t: Vec, B: StarAlgebra) -> Scalar:
     tot = Scalar.zero()
     for x, u in zip(t, B.unit):
         if x and u:
-            tot = axpy(tot, x, u)
+            tot = tot + x * u
     return tot

@@ -66,7 +66,7 @@ from .measuring import (
     reify_hopf_subalgebra,
 )
 from .report import Report
-from .scalars import Scalar, axpy
+from .scalars import Scalar
 
 
 class ComoduleAlgebra:
@@ -87,7 +87,7 @@ class ComoduleAlgebra:
         for i, xi in enumerate(x):
             if xi:
                 for jk, v in self.coact[i].items():
-                    out[jk] = axpy(out.get(jk, Scalar.zero()), xi, v)
+                    out[jk] = out.get(jk, Scalar.zero()) + xi * v
         return {jk: v for jk, v in out.items() if v}
 
 
@@ -104,10 +104,10 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
         for (j, k), v in B.coact[i].items():
             for (a, b), w in B.coact[j].items():
                 key = (a, b, k)
-                lhs[key] = axpy(lhs.get(key, Scalar.zero()), v, w)
+                lhs[key] = lhs.get(key, Scalar.zero()) + v * w
             for (a, b), w in H.comult[k].items():
                 key = (j, a, b)
-                rhs[key] = axpy(rhs.get(key, Scalar.zero()), v, w)
+                rhs[key] = rhs.get(key, Scalar.zero()) + v * w
         keys = set(lhs) | set(rhs)
         zero = Scalar.zero()
         if any(lhs.get(t, zero) != rhs.get(t, zero) for t in keys):
@@ -121,7 +121,7 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
         for (j, k), v in B.coact[i].items():
             e = H.counit_of(unit_vec(nh, k))
             if e:
-                acc[j] = axpy(acc[j], v, e)
+                acc[j] = acc[j] + v * e
         if acc != unit_vec(nb, i):
             witness = i
             break
@@ -194,7 +194,7 @@ class FixedPointData:
             if ub:
                 for t, x in enumerate(inner):
                     if x:
-                        out[self.idx(b, t)] = axpy(out[self.idx(b, t)], ub, x)
+                        out[self.idx(b, t)] = out[self.idx(b, t)] + ub * x
         return out
 
     def subspace_A(self) -> Subspace:
@@ -304,10 +304,10 @@ def _rho_coassociative(rho, Hcop: HopfStarAlgebra, dim: int) -> bool:
         for (t, k), v in rho[i].items():
             for (t2, k2), w in rho[t].items():
                 key = (t2, k2, k)
-                lhs[key] = axpy(lhs.get(key, Scalar.zero()), v, w)
+                lhs[key] = lhs.get(key, Scalar.zero()) + v * w
             for (k1, k2), w in Hcop.comult[k].items():
                 key = (t, k1, k2)
-                rhs[key] = axpy(rhs.get(key, Scalar.zero()), v, w)
+                rhs[key] = rhs.get(key, Scalar.zero()) + v * w
         keys = set(lhs) | set(rhs)
         zero = Scalar.zero()
         if any(lhs.get(t, zero) != rhs.get(t, zero) for t in keys):
@@ -321,7 +321,7 @@ def _rho_counital(rho, H: HopfStarAlgebra, dim: int) -> bool:
         for (t, k), v in rho[i].items():
             e = H.counit_of(unit_vec(H.dim, k))
             if e:
-                acc[t] = axpy(acc[t], v, e)
+                acc[t] = acc[t] + v * e
         if acc != unit_vec(dim, i):
             return False
     return True
@@ -407,12 +407,12 @@ def _swap_identity(H: HopfStarAlgebra, table: list[Vec]) -> bool:
             for (x1, x2), v in H.comult[x].items():
                 coeff = table[x2][y]
                 if coeff:
-                    lhs[x1] = axpy(lhs[x1], v, coeff)
+                    lhs[x1] = lhs[x1] + v * coeff
             rhs = vzero(nh)
             for (y1, y2), v in H.comult[y].items():
                 coeff = table[x][y1]
                 if coeff:
-                    rhs[y2] = axpy(rhs[y2], v, coeff)
+                    rhs[y2] = rhs[y2] + v * coeff
             if lhs != rhs:
                 return False
     return True
@@ -687,7 +687,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
             scale = Scalar.zero()
             for k, sv in enumerate(sh):
                 if sv and tau[k]:
-                    scale = axpy(scale, sv, tau[k])
+                    scale = scale + sv * tau[k]
             for p, row in lam_ops[h].items():
                 for b, x in row.items():
                     yield (h, b), p, x
@@ -716,7 +716,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
         val = Scalar.zero()
         for x, u in zip(t, unit):
             if x and u:
-                val = axpy(val, x, u)
+                val = val + x * u
         if not val:
             continue
         phi = vscale(val.inverse(), t)

@@ -65,7 +65,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar, axpy
+from .scalars import Scalar
 
 
 # -- bimodule endomorphisms of a smash product ---------------------------------
@@ -212,16 +212,15 @@ def dual_endo(sp: SmashProduct, lam: dict) -> dict:
         for (h1, h2), v in H.comult[h].items() if h2 in lam)
 
 
-def commutant_endos_iso(sp: SmashProduct,
-                        outerness: tuple[bool, Subspace] | None = None,
+def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
                         ) -> tuple[HopfStarAlgebra, Report]:
     """Certify H* = colinear A-bimodule endomorphisms, tables matched.
 
     Returns the dual Hopf *-algebra together with the report; the report
     also carries the honest commutant dimension and the unconstrained
     bimodule endomorphism dimension (dim H * dim A' by the classification
-    through functionals into the commutant).  `outerness` is the result of
-    `is_outer(sp)` when the caller has it already.
+    through functionals into the commutant).  `outer` and `commutant` are
+    the result of `is_outer(sp)`.
     """
     H = sp.action.hopf
     dual = dual_hopf(H)
@@ -229,7 +228,6 @@ def commutant_endos_iso(sp: SmashProduct,
     nt = sp.total.dim
     nh = sp.dim_H
 
-    outer, commutant = outerness or is_outer(sp)
     rep.add("commutant_reported", True,
             witness={"commutant_dim": commutant.dim, "outer": outer},
             note="a scalar commutant is unattainable for dim H > 1 in"
@@ -448,7 +446,7 @@ def canonical_qgal(sp: SmashProduct) -> QGalCertificate:
     H = sp.action.hopf
     rep = Report("canonical quantum Galois certificate")
     outer, commutant = is_outer(sp)
-    dual, iso_rep = commutant_endos_iso(sp, (outer, commutant))
+    dual, iso_rep = commutant_endos_iso(sp, outer, commutant)
     rep.merge(iso_rep, prefix="endos:")
 
     pairing = canonical_pairing(dual, H)
@@ -522,7 +520,7 @@ def trace_preservation(action: ModuleAlgebraAction,
             val = Scalar.zero()
             for k, x in action.act[h][a].items():
                 if tau[k]:
-                    val = axpy(val, x, tau[k])
+                    val = val + x * tau[k]
             if val != eps * tau[a]:
                 witness = (h, a)
                 break

@@ -35,7 +35,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar, axpy
+from .scalars import Scalar
 
 PAIRING_STAR_NOTE = (
     "star law uses the convention <q*, h> = conj(<q, S(h)*>)"
@@ -70,7 +70,7 @@ class StarCoalgebra:
         tot = Scalar.zero()
         for xi, e in zip(x, self.counit):
             if xi and e:
-                tot = axpy(tot, xi, e)
+                tot = tot + xi * e
         return tot
 
     @conjugate_linear
@@ -81,7 +81,7 @@ class StarCoalgebra:
                 ci = xi.conj()
                 for j in range(self.dim):
                     if self.star[i][j]:
-                        out[j] = axpy(out[j], ci, self.star[i][j])
+                        out[j] = out[j] + ci * self.star[i][j]
         return out
 
     def iterated_comult(self, x: Vec, legs: int) -> dict:
@@ -99,7 +99,7 @@ class StarCoalgebra:
                 last = idx[-1]
                 for (j, k), w in self.comult[last].items():
                     key = idx[:-1] + (j, k)
-                    nxt[key] = axpy(nxt.get(key, Scalar.zero()), v, w)
+                    nxt[key] = nxt.get(key, Scalar.zero()) + v * w
             cur = {k: v for k, v in nxt.items() if v}
         return cur
 
@@ -203,10 +203,10 @@ def validate_coalgebra(C: StarCoalgebra, title: str = "coalgebra") -> Report:
         for (j, k), v in C.comult[i].items():
             for (a, b), w in C.comult[j].items():
                 key = (a, b, k)
-                left[key] = axpy(left.get(key, Scalar.zero()), v, w)
+                left[key] = left.get(key, Scalar.zero()) + v * w
             for (a, b), w in C.comult[k].items():
                 key = (j, a, b)
-                right[key] = axpy(right.get(key, Scalar.zero()), v, w)
+                right[key] = right.get(key, Scalar.zero()) + v * w
         if sparse_ne(left, right):
             witness = i
             break
@@ -218,9 +218,9 @@ def validate_coalgebra(C: StarCoalgebra, title: str = "coalgebra") -> Report:
         ri = vzero(n)
         for (j, k), v in C.comult[i].items():
             if C.counit[j]:
-                le[k] = axpy(le[k], v, C.counit[j])
+                le[k] = le[k] + v * C.counit[j]
             if C.counit[k]:
-                ri[j] = axpy(ri[j], v, C.counit[k])
+                ri[j] = ri[j] + v * C.counit[k]
         if le != unit_vec(n, i) or ri != unit_vec(n, i):
             witness = i
             break
@@ -275,7 +275,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
         for j in range(n):
             eps = Scalar.zero()
             for k, v in mult[i][j].items():
-                eps = axpy(eps, v, counit[k])
+                eps = eps + v * counit[k]
             if eps != counit[i] * counit[j]:
                 witness = (i, j)
                 break
@@ -457,7 +457,7 @@ def haar(H: HopfStarAlgebra) -> Vec:
         val = Scalar.zero()
         for x, u in zip(t, H.unit):
             if x and u:
-                val = axpy(val, x, u)
+                val = val + x * u
         if val:
             return vscale(val.inverse(), t)
     raise InputError("no normalizable two-sided integral")

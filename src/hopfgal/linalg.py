@@ -230,7 +230,7 @@ def mat_vec(A: Mat, x: Vec) -> Vec:
         for j, xj in support:
             r = row[j]
             if r:
-                tot = axpy(tot, r, xj)
+                tot = tot + r * xj
         out.append(tot)
     return out
 
@@ -250,7 +250,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
                 for j in range(n):
                     b = Bp[j]
                     if b:
-                        Oi[j] = axpy(Oi[j], a, b)
+                        Oi[j] = Oi[j] + a * b
     return out
 
 
@@ -285,7 +285,7 @@ def vec_mat(x: Vec, A: Mat) -> Vec:
             row = A[i]
             for j in range(n):
                 if row[j]:
-                    out[j] = axpy(out[j], xi, row[j])
+                    out[j] = out[j] + xi * row[j]
     return out
 
 

@@ -44,7 +44,7 @@ from .linalg import (
     vzero,
 )
 from .report import Report
-from .scalars import Scalar, axpy
+from .scalars import Scalar
 
 
 @dataclass
@@ -127,7 +127,7 @@ class Multispan:
                 row = self.carrier_rows[i]
                 for j in range(self.carrier_dim):
                     if row[j]:
-                        out[j] = axpy(out[j], xi, row[j])
+                        out[j] = out[j] + xi * row[j]
         return out
 
 
@@ -202,7 +202,7 @@ def multiplication_span(A: StarAlgebra, B: StarAlgebra) -> SpanConstraint:
                     for o in range(nb):
                         if F[o][k]:
                             idx = o * na * na + a * na + ap
-                            out[idx] = axpy(out[idx], m, F[o][k])
+                            out[idx] = out[idx] + m * F[o][k]
         return out
 
     return SpanConstraint((2, 1), target, left, right, "multiplication")

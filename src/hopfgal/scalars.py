@@ -13,8 +13,7 @@ point embedding at zeta_N = exp(2*pi*i/N) exists only for the positivity
 checks that are analytic rather than algebraic.
 
 Scalars of different orders interoperate by lifting to the lcm of the two
-orders (Q(zeta_N) embeds in Q(zeta_M) whenever N divides M); a rational
-operand whose order divides the other's is read in place as [p, 0, ...]/q.
+orders (Q(zeta_N) embeds in Q(zeta_M) whenever N divides M).
 
 There are two constructors.  `Scalar(order, num, den)` validates and
 reduces parsed or hand-built input (`from_json`, `from_int`, `rational`,
@@ -176,21 +175,15 @@ def _product(order: int, an, bn) -> list[int]:
 
 
 def _aligned(x: "Scalar", y) -> tuple:
-    """(order, x.num, x.den, y.num, y.den) read in the lcm of the orders.
+    """(order, x.num, x.den, y.num, y.den) lifted to the lcm of the orders.
 
-    A rational operand whose order divides the other's is padded with
-    zeros in place; anything else is lifted.  Ints and Fractions are read
-    as rationals of order 1.
+    Ints and Fractions are read as rationals of order 1.
     """
     if y.__class__ is not Scalar:
         y = Scalar.coerce(y)
     m, n = x.order, y.order
     if m == n:
         return m, x.num, x.den, y.num, y.den
-    if m % n == 0 and len(y.num) == 1:
-        return m, x.num, x.den, y.num + (0,) * (len(x.num) - 1), y.den
-    if n % m == 0 and len(x.num) == 1:
-        return n, x.num + (0,) * (len(y.num) - 1), x.den, y.num, y.den
     order = math.lcm(m, n)
     x, y = x.lift(order), y.lift(order)
     return order, x.num, x.den, y.num, y.den
@@ -252,12 +245,14 @@ class Scalar:
 
     @staticmethod
     def from_int(v: int, order: int = 1) -> "Scalar":
-        return Scalar.rational(v, 1, order)
+        phi = _context(order).phi
+        return Scalar(order, [v] + [0] * (phi - 1), 1)
 
     @staticmethod
     def from_fraction(f, order: int = 1) -> "Scalar":
         f = Fraction(f)
-        return Scalar.rational(f.numerator, f.denominator, order)
+        phi = _context(order).phi
+        return Scalar(order, [f.numerator] + [0] * (phi - 1), f.denominator)
 
     @staticmethod
     def rational(p: int, q: int = 1, order: int = 1) -> "Scalar":
@@ -336,9 +331,10 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        s = _new(Scalar)
-        s.order, s.den = self.order, self.den
-        s.num = tuple([-a for a in self.num])
+        s = Scalar.__new__(Scalar)
+        s.order = self.order
+        s.num = tuple(-a for a in self.num)
+        s.den = self.den
         return s
 
     def __sub__(self, other):

@@ -9,6 +9,7 @@ from hopfgal.actions import (
     canonical_smash_trace,
     dual_action,
     invariants,
+    is_outer,
     smash_product,
 )
 from hopfgal.algebra import relative_commutant
@@ -201,7 +202,7 @@ def test_bimodule_endo_dimension_classification():
 
 def test_commutant_endos_iso_pauli():
     sp = pauli_smash()
-    dual, rep = commutant_endos_iso(sp)
+    dual, rep = commutant_endos_iso(sp, *is_outer(sp))
     assert hopf_equal(dual, c_of_k4())
     assert rep["colinear_endos_dim_matches_dual"].passed
     assert rep["dual_image_spans_colinear_endos"].passed
@@ -212,7 +213,7 @@ def test_commutant_endos_iso_pauli():
 
 def test_commutant_endos_iso_ad_z():
     sp = smash_product(ad_z_action())
-    dual, rep = commutant_endos_iso(sp)
+    dual, rep = commutant_endos_iso(sp, *is_outer(sp))
     assert hopf_equal(dual, c_of_z2())
     assert rep["colinear_endos_dim_matches_dual"].passed
     assert rep["convolution_matches_composition"].passed
@@ -415,7 +416,7 @@ def test_commutative_base_fails_certification():
     from hopfgal.fixtures import Z2_TABLE, translation_action
 
     sp = smash_product(translation_action(Z2_TABLE))
-    dual, rep = commutant_endos_iso(sp)
+    dual, rep = commutant_endos_iso(sp, *is_outer(sp))
     assert not rep["colinear_endos_dim_matches_dual"].passed
     with pytest.raises(ConsistencyError):
         canonical_qgal(sp)
