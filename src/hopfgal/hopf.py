@@ -125,10 +125,7 @@ class HopfStarAlgebra:
         # The coalgebra-side involution of a Hopf *-algebra is x -> S(x)*,
         # which reverses comultiplication; x -> x* does not when the
         # comultiplication is noncocommutative.
-        circ = [
-            algebra.star_vec(vec_mat(unit_vec(algebra.dim, i), antipode))
-            for i in range(algebra.dim)
-        ]
+        circ = [algebra.star_vec(row) for row in antipode]
         self.coalgebra = StarCoalgebra(algebra.dim, comult, counit, circ)
 
     # Delegation keeps call sites readable.

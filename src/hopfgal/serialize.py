@@ -5,8 +5,9 @@ document carries a "kind" from {algebra, hopf, action, comodule, pairing,
 subspace, job} and may reference other documents by name.  Scalars appear
 as integers, [num, den] pairs, or {"order", "num", "den"} objects; all
 scalars in a workspace are lifted to the lcm of the orders present.
-Emission is deterministic: canonical scalar form, sorted keys, fixed
-separators, so identical inputs give byte-identical reports.
+Emission is deterministic: `emit`, a direct recursive writer, writes exactly
+the bytes of json.dumps(doc, sort_keys=True, indent=2, separators=(",",
+": ")) + "\n", so identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -390,17 +391,74 @@ def _comult_rect(doc, d1: int, d2: int, where: str):
 
 
 def emit(doc: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    json.dumps with indent set always runs the pure-Python encoder; _text
+    writes the same text directly.
+    """
+    return _text(doc, 0, {}) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_SCALAR_KEYS = {"den", "num", "order"}
+_INT = {int}
+
+
+def _text(node, depth: int, scalars: dict) -> str:
+    """The JSON text of node at indent depth, as json.dumps writes it.
+
+    The text of a Scalar's {"den", "num", "order"} dict with int fields is
+    kept in scalars under (depth, den, order, *num).
+    """
+    key = None
+    if type(node) is dict and len(node) == 3 and node.keys() == _SCALAR_KEYS:
+        den, num, order = node["den"], node["num"], node["order"]
+        if type(den) is int is type(order) and type(num) is list \
+                and {*map(type, num)} <= _INT:
+            key = (depth, den, order, *num)
+            if key in scalars:
+                return scalars[key]
+    elif type(node) is str:
+        return _encode_str(node)
+    elif type(node) is int:
+        return int.__repr__(node)
+    elif node is None or node is True or node is False:
+        return _CONSTANTS[node]
+    elif isinstance(node, (list, tuple)):
+        return _items("[]", [_text(v, depth + 1, scalars) for v in node],
+                      depth)
+    elif not isinstance(node, dict):  # floats, str and int subclasses, errors
+        return json.dumps(node, sort_keys=True, indent=2,
+                          separators=(",", ": "))
+    text = _items("{}", [_encode_str(_key(k)) + ": "
+                         + _text(v, depth + 1, scalars)
+                         for k, v in sorted(node.items())], depth)
+    if key is not None:
+        scalars[key] = text
+    return text
+
+
+def _key(key) -> str:
+    # json sorts the keys first, then writes the non-string ones as JSON
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _items(brackets: str, parts: list, depth: int) -> str:
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return (brackets[0] + inner + ("," + inner).join(parts) + "\n"
+            + "  " * depth + brackets[1])
 
 
 def subspace_doc(sub: Subspace) -> dict:
-    return {
-        "ambient_dim": sub.ambient_dim,
-        "dim": sub.dim,
-        "basis": [[x.to_json() for x in row] for row in sub.basis],
-    }
+    return {**sub.to_json(), "dim": sub.dim}
 
 
 parse_matrix = _matrix

@@ -24,7 +24,9 @@ operators in all of End(A x| H).  The sparse operators of galois and banica
 (T_lam, the endomorphism of a functional, the conditional expectation E and
 the Lambda operators) are checked against the dense column-by-column
 matrices they replaced, and Subspace.residue against a dense subtraction
-along the RREF basis.
+along the RREF basis.  The CLI verdict, which reads the passed field of the
+reports at the top level of a runner's output, is checked against a walk
+of every node of the emitted document.
 """
 
 from __future__ import annotations
@@ -761,3 +763,15 @@ def oracle_lambda_operator(B, phi: Vec) -> list:
                 img[b0] = img[b0] + v * phi[b1]
         cols.append(img)
     return [[cols[j][i] for j in range(nb)] for i in range(nb)]
+
+
+def report_passed(doc) -> bool:
+    """False when any object anywhere in doc has "passed": false."""
+    if isinstance(doc, dict):
+        if "passed" in doc and isinstance(doc["passed"], bool):
+            if not doc["passed"]:
+                return False
+        return all(report_passed(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(report_passed(v) for v in doc)
+    return True
