@@ -10,7 +10,8 @@ validate_action reads the sparse action tensor act[h][a] and the sparse
 mult tensors directly: each side of each axiom is a sparse dict (see the
 sparse helpers in linalg), and no basis element is built as a dense unit
 vector.  The package reads act the same way everywhere, and the sparse legs
-a x| 1 and 1 x| h of SmashProduct feed the operators of galois and banica;
+a x| 1 and 1 x| h of SmashProduct build the smash involution, the
+innerification check and the operators of galois and banica;
 ModuleAlgebraAction.apply evaluates the action on dense vectors.
 """
 
@@ -23,6 +24,7 @@ from .algebra import (
     is_unital_star_subalgebra,
     relative_commutant,
     state_flags,
+    validate_algebra,
 )
 from .errors import InputError
 from .hopf import HopfPairing, HopfStarAlgebra
@@ -38,8 +40,7 @@ from .linalg import (
     sparse_comb,
     sparse_conj,
     sparse_ne,
-    unit_vec,
-    vscale,
+    span_of,
     vzero,
 )
 from .report import Report
@@ -185,7 +186,7 @@ def invariants(action: ModuleAlgebraAction) -> Subspace:
                 for b, v in action.act[h][a].items():
                     if v:
                         yield (h, b), a, v
-            eps = H.counit_of(unit_vec(H.dim, h))
+            eps = H.counit[h]
             if eps:
                 for b in range(A.dim):
                     yield (h, b), b, -eps
@@ -251,11 +252,9 @@ class SmashProduct:
         return c
 
     def subspace_A(self) -> Subspace:
-        na = self.dim_A
-        return Subspace.from_vectors(
-            [self.embed_A_vec(unit_vec(na, a)) for a in range(na)],
-            self.total.dim,
-        )
+        one = Scalar.one()
+        return span_of((self.a_leg({a: one}) for a in range(self.dim_A)),
+                       self.total.dim)
 
 
 def smash_product(action: ModuleAlgebraAction, validate: bool = True,
@@ -296,24 +295,15 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
                 if uh:
                     unit[a * nh + h] = ua * uh
 
-    interim = StarAlgebra(dim, mult, unit,
-                          [unit_vec(dim, i) for i in range(dim)],
-                          name=name or f"{A.name}x|{H.name}")
-    # (e_a x| e_h)* = (1 x| e_h*)(e_a* x| 1), via the multiplication above
-    interim_sp = SmashProduct(interim, action)
-    star = []
-    for a in range(na):
-        a_leg = interim_sp.embed_A_vec(A.star_vec(unit_vec(na, a)))
-        for h in range(nh):
-            h_leg = interim_sp.embed_H_vec(H.star_vec(unit_vec(nh, h)))
-            star.append(interim.mul_vec(h_leg, a_leg))
-
-    total = StarAlgebra(dim, mult, unit, star,
-                        name=name or f"{A.name}x|{H.name}")
-    sp = SmashProduct(total, action)
+    # (e_a x| e_h)* = (1 x| e_h*)(e_a* x| 1), via the multiplication above;
+    # the legs read only the action
+    sp = SmashProduct(None, action)
+    h_stars = [sp.h_leg(sparse(row)) for row in H.star]
+    star = [dense(sparse_apply(mult, h_star, sp.a_leg(sparse(row))), dim)
+            for row in A.star for h_star in h_stars]
+    sp.total = total = StarAlgebra(dim, mult, unit, star,
+                                   name=name or f"{A.name}x|{H.name}")
     if validate:
-        from .algebra import validate_algebra
-
         rep = validate_algebra(total)
         if not rep.ok:
             fail = rep.first_failure()
@@ -336,41 +326,38 @@ def innerify_check(sp: SmashProduct) -> Report:
     """
     rep = Report("innerification")
     H = sp.action.hopf
-    A = sp.action.alg
     total = sp.total
-    nh, na = H.dim, A.dim
+    nh, na = H.dim, sp.dim_A
 
-    def V(h: int) -> Vec:
-        return sp.embed_H_vec(unit_vec(nh, h))
+    one = Scalar.one()
+    V = [sp.h_leg({h: one}) for h in range(nh)]
+    Vinv = [sp.h_leg(sparse(row)) for row in H.antipode]
+    unit = sparse(total.unit)
 
-    def Vinv(h: int) -> Vec:
-        return sp.embed_H_vec(H.antipode_vec(unit_vec(nh, h)))
+    def convolve(h: int, f: list, g: list) -> dict:
+        """sum f(h_1) g(h_2) over Delta(e_h)."""
+        out: dict = {}
+        for (h1, h2), v in H.comult[h].items():
+            sparse_add(out, sparse_apply(total.mult, f[h1], g[h2]), v)
+        return out
 
     witness = None
     for h in range(nh):
-        left = vzero(total.dim)
-        right = vzero(total.dim)
-        for (h1, h2), v in H.comult[h].items():
-            left = [x + v * y if y else x
-                    for x, y in zip(left, total.mul_vec(V(h1), Vinv(h2)))]
-            right = [x + v * y if y else x
-                     for x, y in zip(right, total.mul_vec(Vinv(h1), V(h2)))]
-        target = vscale(H.counit_of(unit_vec(nh, h)), list(total.unit))
-        if left != target or right != target:
+        target = {k: H.counit[h] * u for k, u in unit.items()}
+        if sparse_ne(convolve(h, V, Vinv), target) \
+                or sparse_ne(convolve(h, Vinv, V), target):
             witness = h
             break
     rep.add("convolution_inverse", witness is None, witness)
 
+    # (x x| 1) V^{-1}(g) for each basis x of A and g of H
+    x_vinv = [[sparse_apply(total.mult, sp.a_leg({a: one}), w) for w in Vinv]
+              for a in range(na)]
     witness = None
     for h in range(nh):
         for a in range(na):
-            lhs = sp.embed_A_vec(dense(sp.action.act[h][a], na))
-            rhs = vzero(total.dim)
-            x_emb = sp.embed_A_vec(unit_vec(na, a))
-            for (h1, h2), v in H.comult[h].items():
-                term = total.mul_vec(V(h1), total.mul_vec(x_emb, Vinv(h2)))
-                rhs = [p + v * q if q else p for p, q in zip(rhs, term)]
-            if lhs != rhs:
+            if sparse_ne(sp.a_leg(sp.action.act[h][a]),
+                         convolve(h, V, x_vinv[a])):
                 witness = (h, a)
                 break
         if witness:

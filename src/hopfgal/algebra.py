@@ -30,9 +30,9 @@ from .linalg import (
     conjugate_linear,
     kernel_of,
     mat_inverse,
-    mat_mul,
-    mat_vec,
     op_from_entries,
+    op_mul,
+    op_sparse,
     rref,
     sparse,
     sparse_add,
@@ -41,9 +41,7 @@ from .linalg import (
     sparse_conj,
     sparse_ne,
     unit_vec,
-    vec_is_zero,
     vscale,
-    vsub,
     vzero,
 )
 from .report import Report
@@ -195,16 +193,13 @@ def tensor_algebra(A: StarAlgebra, B: StarAlgebra,
                 if ub:
                     unit[i * db + j] = ua * ub
     star = []
-    for i in range(da):
-        sa = A.star_vec(unit_vec(da, i))
-        for j in range(db):
-            sb = B.star_vec(unit_vec(db, j))
+    b_star = [sparse(row) for row in B.star]
+    for sa in map(sparse, A.star):
+        for sb in b_star:
             row = vzero(dim)
-            for p, vp in enumerate(sa):
-                if vp:
-                    for q, vq in enumerate(sb):
-                        if vq:
-                            row[p * db + q] = vp * vq
+            for p, vp in sa.items():
+                for q, vq in sb.items():
+                    row[p * db + q] = vp * vq
             star.append(row)
     state = None
     if A.state is not None and B.state is not None:
@@ -226,20 +221,9 @@ def gram_matrix(A: StarAlgebra, functional: Vec | None = None) -> Mat:
     if tau is None:
         raise InputError("no state supplied")
     n = A.dim
-    star_rows = [A.star_vec(unit_vec(n, j)) for j in range(n)]
-    G = []
-    for i in range(n):
-        row = []
-        ei = unit_vec(n, i)
-        for j in range(n):
-            prod = A.mul_vec(star_rows[j], ei)
-            tot = Scalar.zero()
-            for k, v in enumerate(prod):
-                if v and tau[k]:
-                    tot = tot + v * tau[k]
-            row.append(tot)
-        G.append(row)
-    return G
+    star = [sparse(row) for row in A.star]
+    return [[_apply(tau, _compose(A, star[j], i, right=True))
+             for j in range(n)] for i in range(n)]
 
 
 def is_nonsingular(G: Mat) -> bool:
@@ -438,84 +422,39 @@ def is_star_closed(S: Subspace, B: StarAlgebra) -> bool:
 # -- conditional expectation --------------------------------------------------
 
 
-def conditional_expectation(M: StarAlgebra, N: Subspace) -> Mat:
-    """Matrix of the tau-preserving conditional expectation onto N.
+def conditional_expectation(M: StarAlgebra, N: Subspace) -> dict:
+    """The tau-preserving conditional expectation onto N, as an operator.
 
     E is the orthogonal projection onto N for <x, y> = tau(y* x), restricted
     to M.  Requires a state on M; N must be a unital *-subalgebra and the
-    Gram matrix of tau on N must be exactly nonsingular.
+    Gram matrix of tau on N must be exactly nonsingular.  With the basis b_j
+    of N and F[i][x] = <e_x, b_i> = tau(b_i* e_x), E(e_x) = sum_j c_j b_j
+    where sum_j <b_j, b_i> c_j = F[i][x]; with G[i][j] = <b_j, b_i> that is
+    E = B^T G^-1 F.  G is read from the mult tensor and the state, not from
+    a GNS space.
     """
     if M.state is None:
         raise InputError("conditional expectation needs a state")
     if not is_unital_star_subalgebra(N, M):
         raise InputError("not a subalgebra")
-    basis = N.basis
-    k = len(basis)
-    stars = [M.star_vec(b) for b in basis]
-    gram = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            row.append(M.apply_state(M.mul_vec(stars[j], basis[i])))
-        gram.append(row)
+    tau, n = M.state, M.dim
+    star = [sparse(row) for row in M.star]
+    # tau(e_p e_x) as sparse rows p
+    products = [{x: t for x in range(n) if (t := _apply(tau, M.mult[p][x]))}
+                for p in range(n)]
+    F = [sparse_comb(products, sparse_comb(star, sparse_conj(sparse(b))))
+         for b in N.basis]
+    # gram[i][j] = <b_j, b_i> = F[i] . b_j
+    gram = [[_apply(b, f) for b in N.basis] for f in F]
     try:
-        gram_inv = mat_inverse([[gram[j][i] for i in range(k)]
-                                for j in range(k)])
+        gram_inv = mat_inverse(gram)
     except InputError as e:
         raise InputError("degenerate form") from e
-    # E(x) = sum_i c_i b_i with Gram c = (<x, b_i>)_i
-    cols = []
-    for x_idx in range(M.dim):
-        x = unit_vec(M.dim, x_idx)
-        rhs = [M.apply_state(M.mul_vec(stars[i], x)) for i in range(k)]
-        coeffs = mat_vec(gram_inv, rhs)
-        col = vzero(M.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                col = [u + c * w for u, w in zip(col, b)]
-        cols.append(col)
-    return [[cols[j][i] for j in range(M.dim)] for i in range(M.dim)]
-
-
-def expectation_report(M: StarAlgebra, N: Subspace, E: Mat) -> Report:
-    """Idempotence, bimodularity, trace and star preservation, exactly."""
-    rep = Report("conditional expectation")
-    n = M.dim
-    rep.add("idempotent", mat_mul(E, E) == E)
-    ok = True
-    for b in N.basis:
-        if not vec_is_zero(vsub(mat_vec(E, b), b)):
-            ok = False
-    rep.add("fixes_subalgebra", ok)
-    ok = True
-    for a in N.basis:
-        for b in N.basis:
-            for x_idx in range(n):
-                x = unit_vec(n, x_idx)
-                lhs = mat_vec(E, M.mul_vec(a, M.mul_vec(x, b)))
-                rhs = M.mul_vec(a, M.mul_vec(mat_vec(E, x), b))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("bimodular", ok)
-    ok = all(
-        M.apply_state(mat_vec(E, unit_vec(n, i)))
-        == M.apply_state(unit_vec(n, i))
-        for i in range(n)
-    )
-    rep.add("state_preserving", ok)
-    ok = all(
-        mat_vec(E, M.star_vec(unit_vec(n, i)))
-        == M.star_vec(mat_vec(E, unit_vec(n, i)))
-        for i in range(n)
-    )
-    rep.add("star_preserving", ok)
-    rep.add("unital", mat_vec(E, M.unit) == M.unit)
-    return rep
+    F = op_from_entries((i, x, v) for i, f in enumerate(F)
+                        for x, v in f.items())
+    B_t = op_from_entries((t, i, v) for i, b in enumerate(N.basis)
+                          for t, v in enumerate(b))
+    return op_mul(B_t, op_mul(op_sparse(gram_inv), F))
 
 
 # -- reification and canonical traces ------------------------------------------

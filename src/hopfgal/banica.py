@@ -42,21 +42,18 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
-    dense,
     kernel_of,
-    mat_vec,
     op_from_entries,
     op_mul,
     op_transpose,
     op_vec,
-    particular_solutions,
+    preimages,
     sparse,
     sparse_add,
     sparse_apply,
     sparse_comb,
     sparse_ne,
     span_of,
-    unit_vec,
     vscale,
     vzero,
 )
@@ -82,20 +79,12 @@ class ComoduleAlgebra:
         if len(coact) != alg.dim:
             raise InputError("coaction tensor shape mismatch")
 
-    def coact_vec(self, x: Vec) -> dict:
-        out: dict = {}
-        for i, xi in enumerate(x):
-            if xi:
-                for jk, v in self.coact[i].items():
-                    out[jk] = out.get(jk, Scalar.zero()) + xi * v
-        return {jk: v for jk, v in out.items() if v}
-
 
 def validate_comodule(B: ComoduleAlgebra) -> Report:
     """Coassociativity, counit law, and multiplicativity of the coaction."""
     rep = Report(f"comodule algebra {B.name}".strip())
     H, A = B.hopf, B.alg
-    nb, nh = A.dim, H.dim
+    nb = A.dim
 
     witness = None
     for i in range(nb):
@@ -115,25 +104,13 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
             break
     rep.add("coassociative", witness is None, witness)
 
-    witness = None
-    for i in range(nb):
-        acc = vzero(nb)
-        for (j, k), v in B.coact[i].items():
-            e = H.counit_of(unit_vec(nh, k))
-            if e:
-                acc[j] = acc[j] + v * e
-        if acc != unit_vec(nb, i):
-            witness = i
-            break
+    witness = _counital(B.coact, H, nb)
     rep.add("counital", witness is None, witness)
 
     witness = None
     for i in range(nb):
         for j in range(nb):
-            prod = vzero(nb)
-            for k, v in A.mult[i][j].items():
-                prod[k] = prod[k] + v
-            lhs = B.coact_vec(prod)
+            lhs = sparse_comb(B.coact, A.mult[i][j])
             rhs: dict = {}
             for (a, g), v in B.coact[i].items():
                 for (b, g2), w in B.coact[j].items():
@@ -142,16 +119,14 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
                             key = (p, q)
                             rhs[key] = rhs.get(key, Scalar.zero()) \
                                 + v * w * vp * wq
-            keys = set(lhs) | set(rhs)
-            zero = Scalar.zero()
-            if any(lhs.get(t, zero) != rhs.get(t, zero) for t in keys):
+            if sparse_ne(lhs, rhs):
                 witness = (i, j)
                 break
         if witness:
             break
     rep.add("coaction_multiplicative", witness is None, witness)
 
-    unit_image = B.coact_vec(list(A.unit))
+    unit_image = sparse_comb(B.coact, sparse(A.unit))
     target: dict = {}
     for j, ua in enumerate(A.unit):
         if ua:
@@ -187,22 +162,12 @@ class FixedPointData:
     def idx(self, b: int, t: int) -> int:
         return b * self.smash.total.dim + t
 
-    def embed_A_vec(self, a: Vec) -> Vec:
-        out = vzero(self.total.dim)
-        inner = self.smash.embed_A_vec(a)
-        for b, ub in enumerate(self.comodule.alg.unit):
-            if ub:
-                for t, x in enumerate(inner):
-                    if x:
-                        out[self.idx(b, t)] = out[self.idx(b, t)] + ub * x
-        return out
-
-    def subspace_A(self) -> Subspace:
-        na = self.smash.dim_A
-        return Subspace.from_vectors(
-            [self.embed_A_vec(unit_vec(na, a)) for a in range(na)],
-            self.total.dim,
-        )
+    def a_leg(self, x: dict) -> dict:
+        """1 (x) x x| 1 for a sparse x on the A basis."""
+        inner = self.smash.a_leg(x)
+        return {self.idx(b, t): ub * v
+                for b, ub in sparse(self.comodule.alg.unit).items()
+                for t, v in inner.items()}
 
 
 def product_coaction(B: ComoduleAlgebra,
@@ -232,6 +197,7 @@ def product_coaction(B: ComoduleAlgebra,
     dim = total.dim
 
     # rho(b (x) a x| h) = b0 (x) a x| h2 (x) h1 S(b1)
+    antipode = [sparse(row) for row in H.antipode]
     rho: list[dict] = [dict() for _ in range(dim)]
     for b in range(nb):
         for a in range(na):
@@ -239,12 +205,9 @@ def product_coaction(B: ComoduleAlgebra,
                 src = b * nt + (a * nh + h)
                 cell = rho[src]
                 for (b0, b1), v in B.coact[b].items():
-                    sb1 = H.antipode_vec(unit_vec(nh, b1))
                     for (h1, h2), w in H.comult[h].items():
                         dst = b0 * nt + (a * nh + h2)
-                        for k, sv in enumerate(sb1):
-                            if not sv:
-                                continue
+                        for k, sv in antipode[b1].items():
                             for m, mv in H.algebra.mult[h1][k].items():
                                 key = (dst, m)
                                 cell[key] = cell.get(key, Scalar.zero()) \
@@ -256,7 +219,7 @@ def product_coaction(B: ComoduleAlgebra,
     rep = Report("product coaction")
     rep.merge(com_rep, prefix="comodule:")
     rep.add("coassociative_for_cop", _rho_coassociative(rho, Hcop, dim))
-    rep.add("counital", _rho_counital(rho, H, dim))
+    rep.add("counital", _counital(rho, H, dim) is None)
 
     tau = haar(H)
     inv = _coaction_invariants(rho, H, dim)
@@ -265,9 +228,9 @@ def product_coaction(B: ComoduleAlgebra,
     data = FixedPointData(B, sp, H, total, rho, tau, inv, E, rep)
 
     rep.add("invariants_subalgebra", _certify_invariants(data))
+    one = Scalar.one()
     rep.add("A_embeds_in_invariants",
-            all(inv.contains(data.embed_A_vec(unit_vec(na, a)))
-                for a in range(na)))
+            all(inv.contains(data.a_leg({a: one})) for a in range(na)))
     img = span_of(op_transpose(E).values(), dim)  # the columns of E
     rep.add("expectation_image_is_invariants", img == inv)
     rep.add("expectation_idempotent", op_mul(E, E) == E)
@@ -315,16 +278,17 @@ def _rho_coassociative(rho, Hcop: HopfStarAlgebra, dim: int) -> bool:
     return True
 
 
-def _rho_counital(rho, H: HopfStarAlgebra, dim: int) -> bool:
+def _counital(coact, H: HopfStarAlgebra, dim: int):
+    """The first i with (id (x) counit) coact(e_i) != e_i, or None."""
+    one = Scalar.one()
     for i in range(dim):
-        acc = vzero(dim)
-        for (t, k), v in rho[i].items():
-            e = H.counit_of(unit_vec(H.dim, k))
-            if e:
-                acc[t] = acc[t] + v * e
-        if acc != unit_vec(dim, i):
-            return False
-    return True
+        acc: dict = {}
+        for (t, k), v in coact[i].items():
+            if H.counit[k]:
+                sparse_add(acc, {t: v}, H.counit[k])
+        if sparse_ne(acc, {i: one}):
+            return i
+    return None
 
 
 def _coaction_invariants(rho, H: HopfStarAlgebra, dim: int) -> Subspace:
@@ -348,14 +312,11 @@ def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
     identity all read this one table."""
     nh = H.dim
     table = []
-    for h in range(nh):
-        sh = H.antipode_vec(unit_vec(nh, h))
+    for sh in map(sparse, H.antipode):
         row = []
         for x in range(nh):
             val = Scalar.zero()
-            for k, sv in enumerate(sh):
-                if not sv:
-                    continue
+            for k, sv in sh.items():
                 for m, mv in H.algebra.mult[x][k].items():
                     if tau[m]:
                         val = val + sv * mv * tau[m]
@@ -480,7 +441,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
     T_q(b (x) h_1) (x) 1 x| h_2 with T_q unique.
 
     qact acts on the reified invariants algebra; its carrier must be the
-    reification of C produced by reify_invariants.  The membership
+    reification reify(data.total, data.invariants) of C.  The membership
     V^{-1}(h_2) q_hat(b (x) h_1) in B (x) (A' cap A x| H^cop) is certified
     on the way.
     """
@@ -509,7 +470,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
 
     def q_hat(qi: int, b: int, h: int) -> dict:
         z = op_vec(data.expectation, bh_leg(b, h))
-        coords = sparse(C.coordinates(dense(z, total.dim)))
+        coords = sparse(C.coordinates(z))
         return sparse_comb(c_basis, sparse_comb(qact.act[qi], coords))
 
     unit_b = _unit_b_index(data)
@@ -582,10 +543,6 @@ class BanicaGaloisResult:
     invariants_inclusion: Mat
     state: Vec                       # the Lambda-invariant faithful state
     report: Report
-
-
-def reify_invariants(data: FixedPointData):
-    return reify(data.total, data.invariants, name="C")
 
 
 def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
@@ -683,9 +640,8 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
 
     def entries():
         for h in range(nh):
-            sh = H.antipode_vec(unit_vec(nh, h))
             scale = Scalar.zero()
-            for k, sv in enumerate(sh):
+            for k, sv in enumerate(H.antipode[h]):
                 if sv and tau[k]:
                     scale = scale + sv * tau[k]
             for p, row in lam_ops[h].items():
@@ -750,57 +706,44 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
     na, nb = sp.dim_A, B.alg.dim
     rep = Report("lift to invariants")
 
-    # Phi: A (x) B -> total, a (x) x -> x0 (x) a x| x1
-    phi_cols = []
-    for a in range(na):
-        for x in range(nb):
-            out = vzero(total.dim)
-            for (b0, b1), v in B.coact[x].items():
-                t_idx = data.idx(b0, a * sp.dim_H + b1)
-                out[t_idx] = out[t_idx] + v
-            phi_cols.append(out)
-    image = Subspace.from_vectors(phi_cols, total.dim)
+    # Phi: A (x) B -> total, a (x) x -> x0 (x) a x| x1, kept as its sparse
+    # columns at a nb + x
+    phi_cols = [{data.idx(b0, sp.idx(a, b1)): v
+                 for (b0, b1), v in B.coact[x].items() if v}
+                for a in range(na) for x in range(nb)]
+    image = span_of(phi_cols, total.dim)
     rep.add("phi_image_is_invariants", image == data.invariants)
 
     # kernel preservation: (id (x) op(q))(ker Phi) inside ker Phi
-    phi_matrix = [[phi_cols[j][i] for j in range(na * nb)]
-                  for i in range(total.dim)]
     kernel = kernel_of(((i, j, x) for j, col in enumerate(phi_cols)
-                        for i, x in enumerate(col) if x), na * nb)
-    ok = True
-    for op in result_ops:
-        for kv in kernel.basis:
-            moved = _id_tensor_op(kv, op, na, nb)
-            if not kernel.contains(moved):
-                ok = False
-                break
-        if not ok:
-            break
-    rep.add("kernel_preserved", ok)
+                        for i, x in col.items()), na * nb)
+    rep.add("kernel_preserved", all(
+        kernel.contains(_id_tensor_op(sparse(kv), op, nb))
+        for op in result_ops for kv in kernel.basis))
 
     c_alg, inclusion = reify(total, data.invariants, name="C")
     C = data.invariants
 
     # action tensor of the reified result Hopf on the reified C; one
-    # elimination of Phi gives the preimage of every basis vector of C
-    preimages = particular_solutions(phi_matrix, C.basis)
-    if preimages is None:
+    # elimination of the columns of Phi gives the preimage of every basis
+    # vector of C
+    sources = preimages(phi_cols, map(sparse, C.basis))
+    if sources is None:
         raise ConsistencyError("invariants vector outside Phi image")
     act = []
     for op in result_ops:
         plane = []
-        for coords in preimages:
-            moved = _id_tensor_op(coords, op, na, nb)
-            image_vec = mat_vec(phi_matrix, moved)
-            out_coords = C.coordinates(image_vec)
-            plane.append({m: c for m, c in enumerate(out_coords) if c})
+        for x in sources:
+            image_vec = sparse_comb(phi_cols, _id_tensor_op(x, op, nb))
+            plane.append(sparse(C.coordinates(image_vec)))
         act.append(plane)
     lifted = ModuleAlgebraAction(hopf, c_alg, act, name="lifted to C")
     lift_val = validate_action(lifted)
     rep.merge(lift_val, prefix="action:")
 
     # A is fixed pointwise
-    a_coords = [sparse(C.coordinates(data.embed_A_vec(unit_vec(na, a))))
+    one = Scalar.one()
+    a_coords = [sparse(C.coordinates(data.a_leg({a: one})))
                 for a in range(na)]
     rep.add("fixes_A_pointwise", not any(
         sparse_ne(sparse_comb(lifted.act[qi], x),
@@ -809,11 +752,11 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
     return lifted, c_alg, inclusion, rep
 
 
-def _id_tensor_op(v: Vec, op: dict, na: int, nb: int) -> Vec:
-    """(id_A (x) op) v for v in A (x) B coordinates a nb + x."""
-    out = vzero(na * nb)
-    for a in range(na):
-        seg = {x: c for x, c in enumerate(v[a * nb:(a + 1) * nb]) if c}
-        for x, c in op_vec(op, seg).items():
-            out[a * nb + x] = c
-    return out
+def _id_tensor_op(v: dict, op: dict, nb: int) -> dict:
+    """(id_A (x) op) v for a sparse v in A (x) B coordinates a nb + x."""
+    segments: dict = {}
+    for k, c in v.items():
+        a, x = divmod(k, nb)
+        segments.setdefault(a, {})[x] = c
+    return {a * nb + x: c for a, seg in segments.items()
+            for x, c in op_vec(op, seg).items()}

@@ -32,6 +32,7 @@ from .jones import (
     gns,
     markov_check,
 )
+from .linalg import dense
 from .measuring import (
     SpanConstraint,
     hopf_centralizer,
@@ -172,26 +173,19 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
     sp = smash_product(act)
     data = product_coaction(comodule, sp)
     result = qgal_banica(data, ambient, ambient_act)
+    c_dim = result.invariants_algebra.dim
     return {
         "comodule": job["comodule"],
         "ambient_hopf": job["ambient_hopf"],
         "centralizer_basis": subspace_doc(result.subspace),
         "centralizer_hopf": result.hopf.to_json(),
         "lifted_action": [
-            [[v.to_json() for v in _dense(cell, result.invariants_algebra.dim)]
-             for cell in plane]
+            [[v.to_json() for v in dense(cell, c_dim)] for cell in plane]
             for plane in result.lifted_action.act
         ],
         "fixed_point_report": data.report.to_json(),
         "report": result.report.to_json(),
     }
-
-
-def _dense(cell: dict, dim: int):
-    from .scalars import Scalar
-
-    zero = Scalar.zero()
-    return [cell.get(k, zero) for k in range(dim)]
 
 
 def run_centralizer(ws: Workspace, job: dict) -> dict:

@@ -214,7 +214,7 @@ def trivial_action(H: HopfStarAlgebra, A: StarAlgebra) -> ModuleAlgebraAction:
     """h . a = counit(h) a."""
     act = []
     for h in range(H.dim):
-        e = H.counit_of(unit_vec(H.dim, h))
+        e = H.counit[h]
         plane = []
         for a in range(A.dim):
             plane.append({a: e} if e else {})

@@ -59,10 +59,8 @@ from .linalg import (
     sparse_add,
     sparse_apply,
     sparse_comb,
+    sparse_conj,
     sparse_ne,
-    unit_vec,
-    vec_mat,
-    vzero,
 )
 from .report import Report
 from .scalars import Scalar
@@ -107,6 +105,13 @@ def _endo_values(sp: SmashProduct, colinear: bool) -> Subspace:
     H = sp.action.hopf
     na, nh, nt = sp.dim_A, sp.dim_H, total.dim
     h_unit = [(g, u) for g, u in enumerate(H.unit) if u]
+    # the nonempty rows mult[l][s] and columns mult[s][l] at the legs
+    # l = a x| g of A with g in the support of the unit of H
+    legs = {a * nh + g for a in range(na) for g, _ in h_unit}
+    left = {l: [(s, line) for s, line in enumerate(total.mult[l]) if line]
+            for l in legs}
+    right = {l: [(s, total.mult[s][l]) for s in range(nt) if total.mult[s][l]]
+             for l in legs}
 
     def entries():
         # unknowns: F(1 x| e_h) in total, flattened as h * nt + s
@@ -119,12 +124,12 @@ def _endo_values(sp: SmashProduct, colinear: bool) -> Subspace:
                         vw = v * w
                         for g, u in h_unit:
                             x = vw * u
-                            for s in range(nt):
-                                for t, m in total.mult[c * nh + g][s].items():
+                            for s, line in left[c * nh + g]:
+                                for t, m in line.items():
                                     yield key + (t,), h2 * nt + s, x * m
                 for g, u in h_unit:
-                    for s in range(nt):
-                        for t, m in total.mult[s][b * nh + g].items():
+                    for s, line in right[b * nh + g]:
+                        for t, m in line.items():
                             yield key + (t,), h * nt + s, -(u * m)
         if colinear:
             # pi(F(1 x| h)) = sum F(1 x| h2) (x) h1 over total (x) H
@@ -351,56 +356,47 @@ class QGalCertificate:
         dual = self.dual
         nq, nh = Q.dim, dual.dim
 
-        witness = None
-        for i in range(nq):
-            for j in range(nq):
-                prod = vzero(nq)
-                for k, v in Q.algebra.mult[i][j].items():
-                    prod[k] = prod[k] + v
-                lhs = vec_mat(prod, phi)
-                rhs = dual.mul_vec(phi[i], phi[j])
-                if lhs != rhs:
-                    witness = (i, j)
-                    break
-            if witness:
-                break
+        # phi(x) for a sparse x is the combination of the rows of phi
+        rows = [sparse(row) for row in phi]
+        witness = next(((i, j) for i in range(nq) for j in range(nq)
+                        if sparse_ne(sparse_comb(rows, Q.algebra.mult[i][j]),
+                                     sparse_apply(dual.algebra.mult,
+                                                  rows[i], rows[j]))), None)
         rep.add("algebra_morphism", witness is None, witness)
-        rep.add("unit_preserved", vec_mat(Q.unit, phi) == dual.unit)
+        rep.add("unit_preserved", not sparse_ne(
+            sparse_comb(rows, sparse(Q.unit)), sparse(dual.unit)))
 
         witness = None
         for i in range(nq):
             lhs: dict = {}
             for (j, k), v in Q.comult[i].items():
-                for a, va in enumerate(phi[j]):
-                    if va:
-                        for b, vb in enumerate(phi[k]):
-                            if vb:
-                                key = (a, b)
-                                lhs[key] = lhs.get(key, Scalar.zero()) \
-                                    + v * va * vb
-            rhs = dual.comult_vec(phi[i])
-            keys = set(lhs) | set(rhs)
-            zero = Scalar.zero()
-            if any(lhs.get(k, zero) != rhs.get(k, zero) for k in keys):
+                for a, va in rows[j].items():
+                    for b, vb in rows[k].items():
+                        key = (a, b)
+                        lhs[key] = lhs.get(key, Scalar.zero()) + v * va * vb
+            if sparse_ne(lhs, dual.comult_vec(phi[i])):
                 witness = i
                 break
         rep.add("coalgebra_morphism", witness is None, witness)
         rep.add("counit_preserved",
-                all(dual.counit_of(phi[i]) == Q.counit_of(unit_vec(nq, i))
-                    for i in range(nq)))
-        rep.add("antipode_intertwined",
-                all(vec_mat(Q.antipode_vec(unit_vec(nq, i)), phi)
-                    == dual.antipode_vec(phi[i]) for i in range(nq)))
-        rep.add("star_intertwined",
-                all(vec_mat(Q.star_vec(unit_vec(nq, i)), phi)
-                    == dual.star_vec(phi[i]) for i in range(nq)))
+                all(dual.counit_of(phi[i]) == Q.counit[i] for i in range(nq)))
+        q_star = [sparse(row) for row in Q.star]
+        d_star = [sparse(row) for row in dual.star]
+        d_antipode = [sparse(row) for row in dual.antipode]
+        rep.add("antipode_intertwined", not any(
+            sparse_ne(sparse_comb(rows, sparse(Q.antipode[i])),
+                      sparse_comb(d_antipode, rows[i])) for i in range(nq)))
+        rep.add("star_intertwined", not any(
+            sparse_ne(sparse_comb(rows, q_star[i]),
+                      sparse_comb(d_star, sparse_conj(rows[i])))
+            for i in range(nq)))
 
         # diagram: q . z = phi(q) . z through the dual action
         nt = self.smash.total.dim
         dact = self.dual_act.act
         witness = next(((i, t) for i in range(nq) for t in range(nt)
                         if sparse_ne(qact.act[i][t], sparse_comb(
-                            [plane[t] for plane in dact], sparse(phi[i])))),
+                            [plane[t] for plane in dact], rows[i]))),
                        None)
         rep.add("diagram_commutes", witness is None, witness)
 

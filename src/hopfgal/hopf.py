@@ -19,6 +19,7 @@ from .linalg import (
     Mat,
     Vec,
     conjugate_linear,
+    dense,
     identity_matrix,
     kernel_of,
     mat_eq,
@@ -30,7 +31,6 @@ from .linalg import (
     sparse_ne,
     transpose,
     unit_vec,
-    vec_mat,
     vscale,
     vzero,
 )
@@ -163,16 +163,15 @@ class HopfStarAlgebra:
         return self.coalgebra.counit_of(x)
 
     def antipode_vec(self, x: Vec) -> Vec:
-        return vec_mat(x, self.antipode)
+        x = sparse(x)
+        rows = {i: sparse(self.antipode[i]) for i in x}
+        return dense(sparse_comb(rows, x), self.dim)
 
     def is_kac(self) -> bool:
         """Involutive antipode: S^2 = id."""
-        n = self.dim
-        for i in range(n):
-            if self.antipode_vec(self.antipode_vec(unit_vec(n, i))) \
-                    != unit_vec(n, i):
-                return False
-        return True
+        rows, one = [sparse(row) for row in self.antipode], Scalar.one()
+        return not any(sparse_ne(sparse_comb(rows, row), {i: one})
+                       for i, row in enumerate(rows))
 
     def to_json(self):
         doc = self.algebra.to_json()
@@ -361,14 +360,12 @@ def dual_hopf(H: HopfStarAlgebra, name: str = "") -> HopfStarAlgebra:
     unit = list(H.counit)
     counit = list(H.unit)
     antipode = transpose(H.antipode)
-    # (e^i)*: <(e^i)*, e_j> = conj(<e^i, S(e_j)*>)
-    star = []
-    for i in range(n):
-        row = vzero(n)
-        for j in range(n):
-            sj = H.star_vec(H.antipode_vec(unit_vec(n, j)))
-            row[j] = sj[i].conj()
-        star.append(row)
+    # (e^i)*: <(e^i)*, e_j> = conj(<e^i, S(e_j)*>), with S(e_j)* read from
+    # the sparse star and antipode rows
+    star_rows = [sparse(row) for row in H.star]
+    circ = [dense(sparse_comb(star_rows, sparse_conj(sparse(row))), n)
+            for row in H.antipode]
+    star = [[circ[j][i].conj() for j in range(n)] for i in range(n)]
     alg = StarAlgebra(n, mult, unit, star, state=None,
                       name=name or (H.name + "^*" if H.name else ""))
     return HopfStarAlgebra(alg, comult, counit, antipode,

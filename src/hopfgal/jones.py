@@ -22,6 +22,7 @@ from itertools import chain
 
 from .algebra import (
     StarAlgebra,
+    conditional_expectation,
     gram_matrix,
     is_nonsingular,
     is_unital_star_subalgebra,
@@ -149,11 +150,9 @@ def _certify_gns(space: GnsSpace):
 
     lams = [space.lam_basis(i) for i in range(n)]
     rep.add("left_regular_star_representation", all(
-        space.adjoint(lams[i]) == space.lam(M.star_vec(unit_vec(n, i)))
-        for i in range(n)))
+        space.adjoint(lams[i]) == space.lam(M.star[i]) for i in range(n)))
     rep.add("conjugation_involutive", all(
-        space.jvec(space.jvec(unit_vec(n, i))) == unit_vec(n, i)
-        for i in range(n)))
+        space.jvec(M.star[i]) == unit_vec(n, i) for i in range(n)))
     rep.add("jmj_equals_commutant",
             op_span(map(space.jmat, lams), n)
             == op_span(matrix_commutant(lams, n), n))
@@ -182,8 +181,7 @@ def orthogonal_projection(space: GnsSpace, W: Subspace) -> dict:
     return op_mul(B_t, op_mul(op_sparse(gw_inv), C))
 
 
-def jones_projection(space: GnsSpace, N: Subspace,
-                     expectation: Mat | None = None) -> tuple[dict, Report]:
+def jones_projection(space: GnsSpace, N: Subspace) -> tuple[dict, Report]:
     """e_N with its property report.
 
     Checks, all exactly: e_N is the Gram-orthogonal projection onto N with
@@ -203,13 +201,11 @@ def jones_projection(space: GnsSpace, N: Subspace,
     rep.add("image_is_subalgebra_closure",
             span_of(columns.values(), n) == N)
 
-    if expectation is None:
-        from .algebra import conditional_expectation
-
-        expectation = conditional_expectation(M, N)
+    # column i of E is E(e_i)
+    expectation = op_transpose(conditional_expectation(M, N))
     lams = [space.lam_basis(i) for i in range(n)]
     compresses = all(op_mul(e, op_mul(lams[i], e))
-                     == op_mul(space.lam([row[i] for row in expectation]), e)
+                     == op_mul(M.left_mult_op(expectation.get(i, {})), e)
                      for i in range(n))
     rep.add("compresses_to_expectation", compresses,
             note="operator form e lam(x) e = lam(E(x)) e")
@@ -382,7 +378,7 @@ def markov_check(bc: BasicConstruction) -> Report:
     idx = Scalar.rational(bc.index.numerator, bc.index.denominator)
     witness = next((i for i in range(n)
                     if bc.trace1(op_mul(bc.e_N, space.lam_basis(i)))
-                    != space.base.apply_state(unit_vec(n, i)) / idx), None)
+                    != space.base.state[i] / idx), None)
     rep.add("markov_identity", witness is None, witness)
     return rep
 

@@ -17,8 +17,8 @@ condition: every "all x with L(x) = 0" in the package hands it the nonzero
 entries of L as (row key, column, value) triples.  SpanBuilder keeps
 vectors there with the columns reversed (j -> n-1-j), so the largest
 stored column is the leading one and the rows read back are the canonical
-RREF of the span; rref, Subspace membership and residues, mat_inverse,
-solve_linear and particular_solutions all run on it.
+RREF of the span; rref, Subspace membership and residues and mat_inverse
+all run on it.  preimages keeps tagged columns in the same store.
 The sparse operator form, a dict row -> sparse row, is the one operator
 form of the package: every operator of jones, galois and banica (lambda(x),
 e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators) is built
@@ -28,9 +28,8 @@ operator_algebra_span) visit nonzero entries only, and an operator enters
 a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
 operator_algebra_span closes under left multiplication by the generators
 only, which reaches every word.  Dense matrices remain where a table is
-stored or emitted densely (star and antipode tables, pairings,
-algebra.conditional_expectation) and in solve_linear and
-particular_solutions.
+stored or emitted densely (star and antipode tables, pairings), in the
+Gram inverses and in the span matrices of measuring.
 """
 
 from __future__ import annotations
@@ -57,10 +56,6 @@ def unit_vec(n: int, i: int, order: int = 1) -> Vec:
     v = vzero(n, order)
     v[i] = Scalar.one(order)
     return v
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return [x - y for x, y in zip(a, b)]
 
 
 def vscale(c: Scalar, a: Vec) -> Vec:
@@ -276,19 +271,6 @@ def mat_inverse(A: Mat) -> Mat:
     return [row[n:] for row in rows]
 
 
-def vec_mat(x: Vec, A: Mat) -> Vec:
-    """The row vector x times A: sum_i x_i A[i], the map with e_i -> A[i]."""
-    n = len(A[0]) if A else 0
-    out = vzero(n)
-    for i, xi in enumerate(x):
-        if xi:
-            row = A[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] = out[j] + xi * row[j]
-    return out
-
-
 def kron_vec(a: Vec, b: Vec) -> Vec:
     out = []
     for x in a:
@@ -431,14 +413,18 @@ class Subspace:
         return {last - k: x for k, x in
                 _reduce(self._rows, _reversed(v, self.ambient_dim)).items()}
 
-    def coordinates(self, v: Vec) -> Vec:
-        """Coefficients of v on self.basis; raises if v is outside.
+    def coordinates(self, v) -> Vec:
+        """Coefficients of v (dense, or sparse) on self.basis; raises if v
+        is outside.
 
         An RREF basis vector is 1 at its own pivot and 0 at every other
         pivot, so the coefficient on b_i is the entry of v at p_i.
         """
         if not self.contains(v):
             raise InputError("vector not in subspace")
+        if isinstance(v, dict):
+            zero = Scalar.zero()
+            return [v.get(p, zero) for p in self.pivots]
         return [v[p] for p in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -597,65 +583,33 @@ class SpanBuilder:
 # -- linear systems ----------------------------------------------------------
 
 
-@dataclass
-class AffineSolution:
-    """Solution set of A x = b: particular point plus homogeneous kernel."""
+def preimages(columns: list[dict], targets) -> list[dict] | None:
+    """For each target b, the x with sum_j x_j columns[j] = b that is zero
+    off the pivot columns; None when some b lies outside their span.
 
-    particular: Vec
-    kernel: Subspace
-
-    @property
-    def is_unique(self) -> bool:
-        return self.kernel.dim == 0
-
-
-def solve_linear(A: Mat, b: Vec):
-    """Exact solution set of A x = b.
-
-    Returns an AffineSolution, or the string "inconsistent" when the system
-    has no solution.
+    The pivot columns are those outside the span of the columns before
+    them, and x is unique on them.  One elimination serves every target:
+    column j enters the echelon store with a tag e_j at key -1 - j, below
+    every coordinate key, so a pivot always lands on a coordinate and a
+    stored row is (A y, y) for some y on the pivot columns.  A column that
+    reduces to its tags alone is not a pivot column and is not stored.
+    Reducing b leaves (b - A x, -x), whose coordinate part is empty exactly
+    when b = A x.
     """
-    n, rows, pivots = _augmented_rref(A, [b])
-    if n in pivots:
-        return "inconsistent"
-    particular = vzero(n)
-    solver = KernelSolver(n)
-    for row, p in zip(rows, pivots):
-        particular[p] = row[n]
-        solver.add_row({j: c for j, c in enumerate(row[:n]) if c})
-    return AffineSolution(particular, solver.subspace())
-
-
-def particular_solutions(A: Mat, rhs: list[Vec]) -> list[Vec] | None:
-    """For each b in rhs, the solution of A x = b that is zero on the free
-    columns; None when some b lies outside the column space of A.
-
-    One elimination of [A | b_1 ... b_r] serves every right-hand side.  When
-    every system is consistent no pivot lands in an augmented column, so each
-    augmented column goes through exactly the row operations of a solve of
-    its own, and each solution equals solve_linear(A, b).particular, Scalar
-    orders included.
-    """
-    n, rows, pivots = _augmented_rref(A, rhs)
-    if pivots and pivots[-1] >= n:
-        return None
+    one = Scalar.one()
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        r = _reduce(rows, {**{k: x for k, x in col.items() if x},
+                           -1 - j: one})
+        if max(r) >= 0:
+            _eliminate(rows, r)
     out = []
-    for t in range(n, n + len(rhs)):
-        x = vzero(n)
-        for row, p in zip(rows, pivots):
-            x[p] = row[t]
-        out.append(x)
+    for b in targets:
+        r = _reduce(rows, {k: x for k, x in b.items() if x})
+        if r and max(r) >= 0:
+            return None
+        out.append({-1 - k: -x for k, x in r.items()})
     return out
-
-
-def _augmented_rref(A: Mat, rhs: list[Vec]):
-    """(columns of A, rows, pivots) of the RREF of [A | b_1 ... b_r]."""
-    m = len(A)
-    if any(len(b) != m for b in rhs):
-        raise InputError("right-hand side length mismatch")
-    n = len(A[0]) if A else 0
-    rows, pivots = rref([list(A[i]) + [b[i] for b in rhs] for i in range(m)])
-    return n, rows, pivots
 
 
 def kernel_of(entries, n: int) -> Subspace:

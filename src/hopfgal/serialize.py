@@ -83,37 +83,41 @@ def _matrix(doc, where: str) -> list:
     return [_vector(r, f"{where}[{i}]") for i, r in enumerate(doc)]
 
 
-def _tensor3_sparse(doc, dim: int, where: str):
-    out = []
-    if len(doc) != dim:
-        raise InputError(f"{where}: expected {dim} planes")
-    for i, plane in enumerate(doc):
-        if len(plane) != dim:
-            raise InputError(f"{where}[{i}]: expected {dim} rows")
-        row = []
-        for j, line in enumerate(plane):
-            if len(line) != dim:
-                raise InputError(f"{where}[{i}][{j}]: expected {dim} entries")
-            cell = {}
+def _sized(doc, dim: int, where: str, what: str) -> list:
+    if not isinstance(doc, list) or len(doc) != dim:
+        raise InputError(f"{where}: expected {dim} {what}")
+    return doc
+
+
+def _square(doc, dim: int, where: str) -> list:
+    """A dim x dim matrix, each row checked before it is read."""
+    return [_vector(_sized(row, dim, f"{where}[{i}]", "entries"),
+                    f"{where}[{i}]")
+            for i, row in enumerate(_sized(doc, dim, where, "rows"))]
+
+
+def _cube(doc, dim: int, where: str):
+    """The nonzero entries (i, j, k, s) of a dim x dim x dim table."""
+    for i, plane in enumerate(_sized(doc, dim, where, "planes")):
+        for j, line in enumerate(_sized(plane, dim, f"{where}[{i}]", "rows")):
+            line = _sized(line, dim, f"{where}[{i}][{j}]", "entries")
             for k, v in enumerate(line):
                 s = scalar_from(v, f"{where}[{i}][{j}][{k}]")
                 if s:
-                    cell[k] = s
-            row.append(cell)
-        out.append(row)
+                    yield i, j, k, s
+
+
+def _tensor3_sparse(doc, dim: int, where: str):
+    out = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, s in _cube(doc, dim, where):
+        out[i][j][k] = s
     return out
 
 
 def _comult_sparse(doc, dim: int, where: str):
-    out = []
-    for i, plane in enumerate(doc):
-        cell = {}
-        for j, line in enumerate(plane):
-            for k, v in enumerate(line):
-                s = scalar_from(v, f"{where}[{i}][{j}][{k}]")
-                if s:
-                    cell[(j, k)] = s
-        out.append(cell)
+    out = [{} for _ in range(dim)]
+    for i, j, k, s in _cube(doc, dim, where):
+        out[i][(j, k)] = s
     return out
 
 
@@ -129,7 +133,7 @@ def parse_algebra(body: dict, where: str) -> StarAlgebra:
         raise InputError(f"{where}: dim {dim} exceeds {MAX_DIM_ENV}")
     mult = _tensor3_sparse(body["mult"], dim, f"{where}.mult")
     unit = _vector(body["unit"], f"{where}.unit")
-    star = _matrix(body["star"], f"{where}.star")
+    star = _square(body["star"], dim, f"{where}.star")
     state = None
     if body.get("state") is not None:
         state = _vector(body["state"], f"{where}.state")
@@ -149,7 +153,7 @@ def parse_hopf(body: dict, where: str) -> HopfStarAlgebra:
     alg = parse_algebra(body, where)
     comult = _comult_sparse(body["comult"], alg.dim, f"{where}.comult")
     counit = _vector(body["counit"], f"{where}.counit")
-    antipode = _matrix(body["antipode"], f"{where}.antipode")
+    antipode = _square(body["antipode"], alg.dim, f"{where}.antipode")
     return HopfStarAlgebra(alg, comult, counit, antipode,
                            name=body.get("name", ""))
 

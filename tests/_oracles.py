@@ -24,7 +24,10 @@ operators in all of End(A x| H).  The sparse operators of galois and banica
 (T_lam, the endomorphism of a functional, the conditional expectation E and
 the Lambda operators) are checked against the dense column-by-column
 matrices they replaced, and Subspace.residue against a dense subtraction
-along the RREF basis.  The CLI verdict, which reads the passed field of the
+along the RREF basis.  The sparse algebra.conditional_expectation is
+checked against the dense column-by-column body it replaced, and the
+dense expectation_report, which it no longer needs in production, checks
+its properties.  The CLI verdict, which reads the passed field of the
 reports at the top level of a runner's output, is checked against a walk
 of every node of the emitted document.
 """
@@ -33,16 +36,26 @@ from __future__ import annotations
 
 
 from hopfgal.actions import ModuleAlgebraAction, SmashProduct
-from hopfgal.algebra import POSITIVITY_TOL, StarAlgebra, analyze_state
+from hopfgal.algebra import (
+    POSITIVITY_TOL,
+    StarAlgebra,
+    analyze_state,
+    is_unital_star_subalgebra,
+)
+from hopfgal.errors import InputError
+from hopfgal.fixtures import mat_algebra
 from hopfgal.hopf import PAIRING_STAR_NOTE, HopfPairing, StarCoalgebra
 from hopfgal.linalg import (
     KernelSolver,
     Subspace,
     Vec,
+    Mat,
     identity_matrix,
+    mat_inverse,
     mat_mul,
     mat_vec,
     unit_vec,
+    vec_is_zero,
     vscale,
     vzero,
 )
@@ -52,6 +65,82 @@ from hopfgal.scalars import Scalar
 
 def flatten_matrix(X: list) -> list:
     return [x for row in X for x in row]
+
+
+def dft_mat2_in_mat4():
+    """Mat2 (x) 1 inside Mat4 conjugated by the DFT unitary (1/2)[i^(jk)]."""
+    half = Scalar.rational(1, 2)
+    U = [[half * Scalar.root_of_unity(4, j * k) for k in range(4)]
+         for j in range(4)]
+    U_star = [[U[k][j].conj() for k in range(4)] for j in range(4)]
+    basis = []
+    for p in range(2):
+        for q in range(2):
+            E = [[Scalar.from_int(int(r // 2 == p and c // 2 == q
+                                      and r % 2 == c % 2))
+                  for c in range(4)] for r in range(4)]
+            basis.append(flatten_matrix(mat_mul(mat_mul(U, E), U_star)))
+    return mat_algebra(4), Subspace.from_vectors(basis, 16)
+
+
+def complex_pair_in_mat2():
+    """span{1, h} in Mat2 for the Hermitian h = [[1, i], [-i, 0]].
+
+    Its RREF basis {1, [[0, 1], [-1, i]]} has the Gram matrix
+    [[1, -i/2], [i/2, 1]] under the normalized trace, which is Hermitian
+    and not symmetric.
+    """
+    i = Scalar.root_of_unity(4, 1)
+    M = mat_algebra(2)
+    h = [Scalar.one(), i, -i, Scalar.zero()]
+    return M, Subspace.from_vectors([list(M.unit), h], 4)
+
+
+def rebased_hopf(H, P: list):
+    """H on the basis f_i = sum_k P[i][k] e_k, for an invertible P."""
+    from hopfgal.hopf import HopfStarAlgebra
+
+    n = H.dim
+    Q = oracle_inverse(P)            # e_k = sum_i Q[k][i] f_i
+    zero = Scalar.zero()
+
+    def comb(coeffs: list, table: list) -> list:  # sum_k coeffs[k] table[k]
+        return [sum((c * table[k][j] for k, c in enumerate(coeffs) if c),
+                    zero) for j in range(n)]
+
+    def to_f(v: list) -> list:       # e coordinates -> f coordinates
+        return comb(v, Q)
+
+    mult = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            prod = vzero(n)
+            for a in range(n):
+                for b in range(n):
+                    c = P[i][a] * P[j][b]
+                    for k, m in H.algebra.mult[a][b].items():
+                        prod[k] = prod[k] + c * m
+            row.append({k: x for k, x in enumerate(to_f(prod)) if x})
+        mult.append(row)
+    star = [to_f(comb([x.conj() for x in P[i]], H.star)) for i in range(n)]
+    comult = []
+    for i in range(n):
+        # d[b][c]: the coefficient of e_b (x) e_c in Delta f_i
+        d = [vzero(n) for _ in range(n)]
+        for a in range(n):
+            for (b, c), v in H.comult[a].items():
+                d[b][c] = d[b][c] + P[i][a] * v
+        right = [to_f(row) for row in d]                  # e_b (x) f_q
+        left = [to_f([right[b][q] for b in range(n)])     # f_p (x) f_q
+                for q in range(n)]
+        comult.append({(p, q): left[q][p] for p in range(n)
+                       for q in range(n) if left[q][p]})
+    counit = [sum((P[i][k] * H.counit[k] for k in range(n)), zero)
+              for i in range(n)]
+    antipode = [to_f(comb(P[i], H.antipode)) for i in range(n)]
+    alg = StarAlgebra(n, mult, to_f(list(H.unit)), star, name="rebased")
+    return HopfStarAlgebra(alg, comult, counit, antipode, name="rebased")
 
 
 def middle_legs(C: StarCoalgebra, x) -> dict:
@@ -775,3 +864,90 @@ def report_passed(doc) -> bool:
     if isinstance(doc, list):
         return all(report_passed(v) for v in doc)
     return True
+
+
+# -- conditional expectation --------------------------------------------------
+
+
+def vsub(a: Vec, b: Vec) -> Vec:
+    return [x - y for x, y in zip(a, b)]
+
+
+def oracle_conditional_expectation(M: StarAlgebra, N: Subspace) -> Mat:
+    """Dense matrix of the tau-preserving conditional expectation onto N,
+    built column by column through mul_vec, apply_state and mat_vec.
+
+    gram[i][j] = <b_i, b_j>, and the coefficients of E(x) solve
+    gram^T c = (<x, b_i>)_i.
+    """
+    if M.state is None:
+        raise InputError("conditional expectation needs a state")
+    if not is_unital_star_subalgebra(N, M):
+        raise InputError("not a subalgebra")
+    basis = N.basis
+    k = len(basis)
+    stars = [M.star_vec(b) for b in basis]
+    gram = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            row.append(M.apply_state(M.mul_vec(stars[j], basis[i])))
+        gram.append(row)
+    try:
+        gram_inv = mat_inverse([[gram[j][i] for j in range(k)]
+                                for i in range(k)])
+    except InputError as e:
+        raise InputError("degenerate form") from e
+    # E(x) = sum_j c_j b_j with sum_j <b_j, b_i> c_j = <x, b_i>
+    cols = []
+    for x_idx in range(M.dim):
+        x = unit_vec(M.dim, x_idx)
+        rhs = [M.apply_state(M.mul_vec(stars[i], x)) for i in range(k)]
+        coeffs = mat_vec(gram_inv, rhs)
+        col = vzero(M.dim)
+        for c, b in zip(coeffs, basis):
+            if c:
+                col = [u + c * w for u, w in zip(col, b)]
+        cols.append(col)
+    return [[cols[j][i] for j in range(M.dim)] for i in range(M.dim)]
+
+
+def expectation_report(M: StarAlgebra, N: Subspace, E: Mat) -> Report:
+    """Idempotence, bimodularity, trace and star preservation, exactly."""
+    rep = Report("conditional expectation")
+    n = M.dim
+    rep.add("idempotent", mat_mul(E, E) == E)
+    ok = True
+    for b in N.basis:
+        if not vec_is_zero(vsub(mat_vec(E, b), b)):
+            ok = False
+    rep.add("fixes_subalgebra", ok)
+    ok = True
+    for a in N.basis:
+        for b in N.basis:
+            for x_idx in range(n):
+                x = unit_vec(n, x_idx)
+                lhs = mat_vec(E, M.mul_vec(a, M.mul_vec(x, b)))
+                rhs = M.mul_vec(a, M.mul_vec(mat_vec(E, x), b))
+                if lhs != rhs:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    rep.add("bimodular", ok)
+    ok = all(
+        M.apply_state(mat_vec(E, unit_vec(n, i)))
+        == M.apply_state(unit_vec(n, i))
+        for i in range(n)
+    )
+    rep.add("state_preserving", ok)
+    ok = all(
+        mat_vec(E, M.star_vec(unit_vec(n, i)))
+        == M.star_vec(mat_vec(E, unit_vec(n, i)))
+        for i in range(n)
+    )
+    rep.add("star_preserving", ok)
+    rep.add("unital", mat_vec(E, M.unit) == M.unit)
+    return rep

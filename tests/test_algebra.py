@@ -4,7 +4,11 @@ import random
 
 import pytest
 from _oracles import (
+    complex_pair_in_mat2,
     cyclic_diagonal_action,
+    dft_mat2_in_mat4,
+    expectation_report,
+    oracle_conditional_expectation,
     oracle_generated_subalgebra,
     oracle_validate_algebra,
     report_summary,
@@ -13,10 +17,10 @@ from _oracles import (
 from hopfgal.actions import smash_product
 
 from hopfgal.algebra import (
+    StarAlgebra,
     analyze_state,
     center,
     conditional_expectation,
-    expectation_report,
     generated_subalgebra,
     gram_matrix,
     is_nonsingular,
@@ -27,8 +31,16 @@ from hopfgal.algebra import (
     validate_algebra,
 )
 from hopfgal.errors import InputError
-from hopfgal.fixtures import c_of_s3, c_of_z2, cs3, mat_algebra, pauli_action
-from hopfgal.linalg import Subspace, mat_vec, unit_vec, vzero
+from hopfgal.fixtures import (
+    S3_TRANSPOSITION,
+    c_of_s3,
+    c_of_z2,
+    cs3,
+    mat_algebra,
+    pauli_action,
+)
+from hopfgal.hopf import haar
+from hopfgal.linalg import Subspace, mat_vec, op_dense, unit_vec, vzero
 from hopfgal.scalars import Scalar
 
 
@@ -203,7 +215,7 @@ def test_commutant_monotone_and_double():
 def test_conditional_expectation_onto_scalars():
     A = mat_algebra(2)
     N = Subspace.from_vectors([A.unit], 4)
-    E = conditional_expectation(A, N)
+    E = op_dense(conditional_expectation(A, N), 4)
     # E(x) = tau(x) 1
     for i in range(4):
         expected = [A.apply_state(unit_vec(4, i)) * u for u in A.unit]
@@ -214,7 +226,7 @@ def test_conditional_expectation_onto_scalars():
 def test_conditional_expectation_onto_diagonal():
     A = mat_algebra(2)
     N = Subspace.from_vectors([unit_vec(4, 0), unit_vec(4, 3)], 4)
-    E = conditional_expectation(A, N)
+    E = op_dense(conditional_expectation(A, N), 4)
     assert mat_vec(E, unit_vec(4, 1)) == vzero(4)
     assert mat_vec(E, unit_vec(4, 2)) == vzero(4)
     assert mat_vec(E, unit_vec(4, 0)) == unit_vec(4, 0)
@@ -223,9 +235,39 @@ def test_conditional_expectation_onto_diagonal():
 
 def test_conditional_expectation_identity_when_full():
     A = mat_algebra(2)
-    E = conditional_expectation(A, Subspace.full(4))
+    E = op_dense(conditional_expectation(A, Subspace.full(4)), 4)
     for i in range(4):
         assert mat_vec(E, unit_vec(4, i)) == unit_vec(4, i)
+
+
+def _expectation_cases():
+    A = mat_algebra(2)
+    yield "mat2-scalars", A, Subspace.from_vectors([A.unit], 4)
+    yield "mat2-diagonal", A, Subspace.from_vectors(
+        [unit_vec(4, 0), unit_vec(4, 3)], 4)
+    yield "mat2-full", A, Subspace.full(4)
+    H = cs3()
+    B = StarAlgebra(6, H.algebra.mult, H.unit, H.star, state=haar(H),
+                    name="CS3")
+    yield "cs3-z2", B, generated_subalgebra(
+        [unit_vec(6, S3_TRANSPOSITION)], B)
+    yield "cs3-z3", B, generated_subalgebra([unit_vec(6, 4)], B)
+    yield "dft-mat2-in-mat4", *dft_mat2_in_mat4()
+    yield "complex-pair-in-mat2", *complex_pair_in_mat2()
+
+
+@pytest.mark.parametrize("case", list(_expectation_cases()),
+                         ids=lambda case: case[0])
+def test_conditional_expectation_matches_dense_oracle(case):
+    # the sparse operator, densified, is the dense column-by-column
+    # matrix entry by entry; nonzero entries keep their Scalar orders
+    _, M, N = case
+    E = op_dense(conditional_expectation(M, N), M.dim)
+    oracle = oracle_conditional_expectation(M, N)
+    assert E == oracle
+    assert [[x.to_json() for x in row if x] for row in E] \
+        == [[x.to_json() for x in row if x] for row in oracle]
+    assert expectation_report(M, N, E).ok
 
 
 def test_conditional_expectation_rejects_non_subalgebra():

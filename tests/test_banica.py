@@ -1,19 +1,20 @@
 """Product coactions, fixed-point algebras, Lambda, T_q, Galois groups."""
 
+import os
+
 import pytest
 
 from hopfgal.actions import (
     ModuleAlgebraAction,
     smash_product,
 )
-from hopfgal.algebra import validate_algebra
+from hopfgal.algebra import reify, validate_algebra
 from hopfgal.banica import (
     ComoduleAlgebra,
     _tau_s_table,
     lambda_action,
     product_coaction,
     qgal_banica,
-    reify_invariants,
     t_q_extraction,
     validate_comodule,
 )
@@ -45,12 +46,17 @@ from hopfgal.linalg import (
     op_dense,
     op_span,
     op_transpose,
+    preimages,
+    sparse,
     unit_vec,
     vzero,
 )
 from hopfgal.scalars import Scalar
+from hopfgal.serialize import Workspace
 
-from _oracles import oracle_expectation, oracle_lambda_operator
+from _oracles import oracle_expectation, oracle_kernel, oracle_lambda_operator
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def z2_fixture():
@@ -135,7 +141,7 @@ def test_product_coaction_trivial_b():
     # C = A x| e = A: dimension of A
     assert data.invariants.dim == 4
     for a in range(4):
-        v = data.embed_A_vec(unit_vec(4, a))
+        v = data.a_leg({a: Scalar.one()})
         assert data.invariants.contains(v)
 
 
@@ -179,6 +185,61 @@ def test_expectation_and_lambda_match_dense_oracles(case):
     assert rep.ok
     assert [op_dense(X, B.alg.dim) for X in ops] \
         == [oracle_lambda_operator(B, row) for row in table]
+
+
+def _banica_z2_data():
+    """The fixed-point data of the shipped banica-z2 job."""
+    ws = Workspace.load(os.path.join(FIXTURES, "banica-z2.json"))
+    job = ws.get("banica", ("job",))
+    act = ws.get(job["action"], ("action",))
+    return product_coaction(ws.get(job["comodule"], ("comodule",)),
+                            smash_product(act))
+
+
+def _s3_data():
+    H, B, sp = s3_fixture()
+    return product_coaction(B, sp)
+
+
+@pytest.mark.parametrize("make", [_banica_z2_data, _s3_data],
+                         ids=["banica-z2", "s3"])
+def test_phi_preimages_match_oracle_kernel(make):
+    # Phi(a (x) x) = x0 (x) a x| x1 at column a nb + x, built densely here;
+    # the preimage of each basis vector z of C lies on the pivot columns of
+    # Phi (those outside the span of the columns before them), and there
+    # (x, -1) spans the kernel of [Phi_pivots | z]
+    data = make()
+    sp, B, n = data.smash, data.comodule, data.total.dim
+    cols = []
+    for a in range(sp.dim_A):
+        for x in range(B.alg.dim):
+            col = vzero(n)
+            for (b0, b1), v in B.coact[x].items():
+                col[data.idx(b0, sp.idx(a, b1))] += v
+            cols.append(col)
+
+    def kernel(js, extra=None):
+        rows = [{k: cols[j][i] for k, j in enumerate(js) if cols[j][i]}
+                for i in range(n)]
+        if extra is not None:
+            for i, z in enumerate(extra):
+                if z:
+                    rows[i][len(js)] = z
+        return oracle_kernel(rows, len(js) + (extra is not None))[0]
+
+    pivots = [j for j in range(len(cols))
+              if len(kernel(range(j + 1))) == len(kernel(range(j)))]
+    assert len(pivots) == data.invariants.dim
+    sources = preimages([sparse(c) for c in cols],
+                        [sparse(z) for z in data.invariants.basis])
+    assert len(sources) == data.invariants.dim
+    for z, x in zip(data.invariants.basis, sources):
+        line = kernel(pivots, z)
+        assert len(line) == 1 and line[0][-1]
+        scale = -line[0][-1].inverse()
+        expected = {j: line[0][k] * scale for k, j in enumerate(pivots)}
+        assert set(x) <= set(pivots)
+        assert all(x.get(j, Scalar.zero()) == expected[j] for j in pivots)
 
 
 def test_s3_fixed_point_data():
@@ -324,7 +385,7 @@ def test_t_q_extraction_trivial_b_reduces_to_pairing():
     # Q = C(Z2) acting on the reified C = A through the canonical dual
     # action under the identification C = A x| e
     q_ambient = dual_hopf(H, name="C(Z2)")
-    c_alg, inclusion = reify_invariants(data)
+    c_alg, inclusion = reify(data.total, data.invariants, name="C")
     assert validate_algebra(c_alg).ok
     # any action fixing A pointwise on C = A is the counit action
     act = trivial_action(q_ambient, c_alg)

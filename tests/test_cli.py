@@ -43,6 +43,59 @@ def test_pauli_workspace_resolves(fixture_dir):
     assert act.hopf.dim == 4 and act.alg.dim == 4
 
 
+def _z3_with(edit):
+    """A validate workspace of C[Z3] with edit applied to its document."""
+    from hopfgal.hopf import group_algebra
+
+    doc = group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).to_json()
+    edit(doc)
+    return {"documents": {"z3": {"kind": "hopf", **doc},
+                          "check": {"kind": "job", "op": "validate",
+                                    "target": "z3"}}}
+
+
+_ZERO = {"order": 1, "num": [0], "den": 1}
+_ONE = {"order": 1, "num": [1], "den": 1}
+_BAD_SHAPES = {
+    "star-row-short": (lambda d: d["star"][1].pop(), "z3.star[1]"),
+    "star-row-long": (lambda d: d["star"][1].append(_ZERO), "z3.star[1]"),
+    "antipode-row-short": (lambda d: d["antipode"][2].pop(),
+                           "z3.antipode[2]"),
+    "antipode-row-long": (lambda d: d["antipode"][2].append(_ONE),
+                          "z3.antipode[2]"),
+    "antipode-extra-row": (lambda d: d["antipode"].append([_ZERO] * 3),
+                           "z3.antipode"),
+    "comult-extra-zero-row": (lambda d: d["comult"][0].append([_ZERO] * 3),
+                              "z3.comult[0]"),
+    "comult-extra-row": (lambda d: d["comult"][0].append([_ONE] * 3),
+                         "z3.comult[0]"),
+    "comult-extra-entry": (lambda d: d["comult"][1][1].append(_ONE),
+                           "z3.comult[1][1]"),
+    "comult-short-entry": (lambda d: d["comult"][1][1].pop(),
+                           "z3.comult[1][1]"),
+    "comult-extra-plane": (lambda d: d["comult"].append(d["comult"][0]),
+                           "z3.comult"),
+    "comult-not-an-array": (lambda d: d.update(comult=5), "z3.comult"),
+    "comult-plane-not-an-array": (lambda d: d["comult"].__setitem__(0, 5),
+                                  "z3.comult[0]"),
+    "mult-line-not-an-array": (lambda d: d["mult"][2].__setitem__(1, 5),
+                               "z3.mult[2][1]"),
+    "star-not-an-array": (lambda d: d.update(star=5), "z3.star"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SHAPES))
+def test_bad_table_shapes_exit_2_naming_the_field(case, tmp_path, capsys):
+    # a star, antipode or comult table of the wrong shape is bad input,
+    # not a failed certificate or a traceback
+    edit, field = _BAD_SHAPES[case]
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(_z3_with(edit)))
+    assert _run("validate", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and field + ":" in err
+
+
 def test_dangling_reference_detected(tmp_path):
     doc = {"documents": {
         "act": {"kind": "action", "hopf": "missing", "alg": "also-missing",

@@ -309,6 +309,17 @@ def test_universal_morphisms_unique():
                     for h in range(4)]]
 
 
+def test_universal_morphism_of_the_z3_clock_dual():
+    # the antipode of C(Z3) is not the identity, so antipode_intertwined
+    # compares phi(S(q)) with S(phi(q)) on different vectors
+    sp = smash_product(cyclic_diagonal_action(3, [0, 1, 2]))
+    cert = canonical_qgal(sp)
+    assert cert.dual.antipode != identity_matrix(3)
+    phi, rep = cert.universal_morphism(cert.dual, cert.dual_act)
+    assert rep.ok, rep.failed()
+    assert phi == identity_matrix(3)
+
+
 def test_canonical_qgal_ad_z():
     sp = smash_product(ad_z_action())
     cert = canonical_qgal(sp)

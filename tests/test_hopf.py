@@ -35,6 +35,7 @@ from hopfgal.scalars import Scalar
 from _oracles import (
     cyclic_diagonal_action,
     oracle_validate_pairing,
+    rebased_hopf,
     report_summary,
 )
 
@@ -79,6 +80,22 @@ def test_double_dual_is_identity_on_fixtures():
     for make in GROUP_FIXTURES:
         H = make()
         assert hopf_equal(dual_hopf(dual_hopf(H)), H)
+
+
+def test_dual_of_a_complex_basis_of_cz3():
+    # on the basis (e, g + i g^2, g^2) of C[Z3] the coalgebra involution
+    # x -> S(x)* is not a symmetric matrix, so the dual's involution must
+    # read it transposed for the pairing's star law to hold
+    one, zero, i = Scalar.one(), Scalar.zero(), Scalar.root_of_unity(4, 1)
+    H = rebased_hopf(group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+                     [[one, zero, zero], [zero, one, i], [zero, zero, one]])
+    circ = H.coalgebra.star
+    assert circ[1][2] != circ[2][1]
+    assert validate_hopf(H).ok
+    D = dual_hopf(H)
+    assert validate_hopf(D).ok, validate_hopf(D).failed()
+    assert validate_pairing(canonical_pairing(D, H)).ok
+    assert hopf_equal(dual_hopf(D), H)
 
 
 def test_broken_antipode_fails_with_witness():

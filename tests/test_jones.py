@@ -14,7 +14,7 @@ from hopfgal.fixtures import (
     mat_algebra,
     subalgebra_embedding_left,
 )
-from hopfgal import banica, galois, jones
+from hopfgal import actions, algebra, banica, galois, hopf, jones
 from hopfgal.jones import (
     GnsSpace,
     basic_construction,
@@ -48,6 +48,8 @@ from hopfgal.scalars import Scalar, _context
 
 from _oracles import (
     _dense_rref,
+    complex_pair_in_mat2,
+    dft_mat2_in_mat4,
     flatten_matrix,
     oracle_gram_adjoint,
     oracle_operator_algebra_span,
@@ -64,22 +66,6 @@ def mat2_in_mat4():
         subalgebra_embedding_left(mat_algebra(2), mat_algebra(2)), 16
     )
     return M, N
-
-
-def dft_mat2_in_mat4():
-    """Mat2 (x) 1 inside Mat4 conjugated by the DFT unitary (1/2)[i^(jk)]."""
-    half = Scalar.rational(1, 2)
-    U = [[half * Scalar.root_of_unity(4, j * k) for k in range(4)]
-         for j in range(4)]
-    U_star = [[U[k][j].conj() for k in range(4)] for j in range(4)]
-    basis = []
-    for p in range(2):
-        for q in range(2):
-            E = [[Scalar.from_int(int(r // 2 == p and c // 2 == q
-                                      and r % 2 == c % 2))
-                  for c in range(4)] for r in range(4)]
-            basis.append(flatten_matrix(mat_mul(mat_mul(U, E), U_star)))
-    return mat_algebra(4), Subspace.from_vectors(basis, 16)
 
 
 def test_gns_trivial_algebra():
@@ -138,6 +124,14 @@ def test_jones_projection_scalars_is_rank_one():
         [mat_vec(e, unit_vec(4, i)) for i in range(4)], 4
     ).dim
     assert rank == 1
+
+
+def test_jones_projection_with_a_non_symmetric_gram_matrix():
+    # the basis of N has a Hermitian, non-symmetric Gram matrix, so E must
+    # solve the transposed Gram system for e lam(x) e = lam(E(x)) e to hold
+    M, N = complex_pair_in_mat2()
+    _, rep = jones_projection(gns(M), N)
+    assert rep.ok, rep.failed()
 
 
 def test_jones_projection_mat2_in_mat4():
@@ -382,4 +376,15 @@ def test_galois_and_banica_operators_are_sparse(module):
     # trip or dense action operator
     dense_calls = ("mat_mul", "flatten_matrix", "unflatten_matrix",
                    "identity_matrix", "op_sparse", "operator")
+    assert _calls_to(module, dense_calls) == []
+
+
+@pytest.mark.parametrize("module", [hopf, algebra, actions, galois, banica],
+                         ids=["hopf", "algebra", "actions", "galois",
+                              "banica"])
+def test_certificate_layers_apply_no_dense_matrix(module):
+    # maps are applied through their sparse rows: no dense vector-matrix
+    # product, no dense solve and no dense expectation check
+    dense_calls = ("vec_mat", "mat_vec", "particular_solutions",
+                   "solve_linear", "expectation_report")
     assert _calls_to(module, dense_calls) == []

@@ -9,7 +9,6 @@ import pytest
 from hopfgal import linalg
 from hopfgal.errors import InputError
 from hopfgal.linalg import (
-    AffineSolution,
     KernelSolver,
     SpanBuilder,
     Subspace,
@@ -27,9 +26,8 @@ from hopfgal.linalg import (
     op_sparse,
     op_vec,
     operator_algebra_span,
-    particular_solutions,
+    preimages,
     rref,
-    solve_linear,
     span_of,
     sparse,
 )
@@ -56,28 +54,31 @@ def sv(row):
     return [s(x) for x in row]
 
 
+def _solve(A, b):
+    """preimages of one right-hand side b under the columns of A, dense."""
+    cols = [sparse([row[j] for row in A]) for j in range(len(A[0]))]
+    sol = preimages(cols, [sparse(b)])
+    return None if sol is None else dense(sol[0], len(cols))
+
+
 def test_solve_identity():
     A = identity_matrix(3)
     b = sv([4, 5, 6])
-    sol = solve_linear(A, b)
-    assert isinstance(sol, AffineSolution)
-    assert sol.is_unique
-    assert sol.particular == b
+    assert _solve(A, b) == b
 
 
 def test_solve_zero_matrix_full_space():
+    # every x solves 0 x = 0; the solution is 0 off the (absent) pivots
     A = sm([[0, 0], [0, 0]])
-    sol = solve_linear(A, sv([0, 0]))
-    assert sol.kernel.dim == 2
+    assert _solve(A, sv([0, 0])) == sv([0, 0])
+    assert _solve(A, sv([0, 1])) is None
 
 
 def test_solve_affine_line():
-    # [[1,1],[1,1]] x = (1,1): solutions x0 + x1 = 1, kernel dim 1.
+    # [[1,1],[1,1]] x = (1,1): solutions x0 + x1 = 1; column 1 is free
     A = sm([[1, 1], [1, 1]])
-    sol = solve_linear(A, sv([1, 1]))
-    assert sol.kernel.dim == 1
-    assert sol.particular[0] + sol.particular[1] == s(1)
-    assert solve_linear(A, sv([1, 2])) == "inconsistent"
+    assert _solve(A, sv([1, 1])) == sv([1, 0])
+    assert _solve(A, sv([1, 2])) is None
 
 
 def test_subspace_ops():
@@ -358,25 +359,40 @@ def test_kernels_are_stated_through_kernel_of():
     assert offenders == []
 
 
+def _dense_solve(A, b, n):
+    """The solution of A x = b that is 0 on the free columns, by dense
+    Gauss-Jordan on [A | b]; None when b is outside the column space."""
+    rows, pivots = _dense_rref([list(r) + [x] for r, x in zip(A, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Scalar.zero()] * n
+    for row, p in zip(rows, pivots):
+        x[p] = row[n]
+    return x
+
+
 @pytest.mark.parametrize("order", [1, 4, 5])
 def test_particular_solutions_match_one_solve_per_vector(order):
-    # one elimination of [A | b_1 ... b_r] against a solve_linear per b_t,
-    # Scalar orders included; entries mix order 1 and the field's order
+    # one elimination of the columns of A (preimages) against a dense
+    # solve per b_t, nonzero Scalar orders included; entries mix order 1
+    # and the field's order
     rng = random.Random(500 + order)
     for _ in range(30):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = [[_random_scalar(rng, rng.choice([1, order]))
               if rng.random() < 0.5 else Scalar.zero() for _ in range(n)]
              for _ in range(m)]
+        cols = [sparse([row[j] for row in A]) for j in range(n)]
         rhs = [mat_vec(A, [_random_scalar(rng, order) if rng.random() < 0.6
                            else Scalar.zero() for _ in range(n)])
                for _ in range(rng.randint(0, 4))]
-        sols = particular_solutions(A, rhs)
-        assert [[x.to_json() for x in v] for v in sols] == [
-            [x.to_json() for x in solve_linear(A, b).particular] for b in rhs]
+        sols = [dense(x, n) for x in preimages(cols, map(sparse, rhs))]
+        assert sols == [_dense_solve(A, b, n) for b in rhs]
+        assert [[x.to_json() for x in v if x] for v in sols] == [
+            [x.to_json() for x in _dense_solve(A, b, n) if x] for b in rhs]
         outside = [_random_scalar(rng, order) for _ in range(m)]
-        if solve_linear(A, outside) == "inconsistent":
-            assert particular_solutions(A, rhs + [outside]) is None
+        if _dense_solve(A, outside, n) is None:
+            assert preimages(cols, map(sparse, rhs + [outside])) is None
 
 
 def _random_sparse_matrix(rng, n, order):
