@@ -225,12 +225,6 @@ class SmashProduct:
                 for a, u in enumerate(self.action.alg.unit) if u
                 for h, c in x.items()}
 
-    def embed_A_vec(self, x: Vec) -> Vec:
-        return dense(self.a_leg(sparse(x)), self.total.dim)
-
-    def embed_H_vec(self, x: Vec) -> Vec:
-        return dense(self.h_leg(sparse(x)), self.total.dim)
-
     def unit_coefficient(self, z: dict) -> Scalar:
         """c with (id (x) counit)(z) = c 1_A, for a sparse z.
 

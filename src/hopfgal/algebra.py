@@ -402,6 +402,46 @@ def generated_subalgebra(gens: list[Vec], B: StarAlgebra) -> Subspace:
     return builder.subspace()
 
 
+def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
+    """Basis vectors of S, as sparse vectors, that generate S as a unital
+    algebra.
+
+    Greedy: a basis vector outside the algebra generated so far becomes a
+    generator, and the span is closed again under left multiplication by
+    the generators, as in generated_subalgebra (every word is g.w for a
+    generator g and a shorter word w).  An operator commutes with a set
+    exactly when it commutes with the unital algebra the set generates, so
+    a commutant needs only these.  Raises InputError when the closure
+    leaves S, i.e. when S is not a unital subalgebra.
+    """
+    builder = SpanBuilder(B.dim)
+    words: list[dict] = []
+    gens: list[dict] = []
+
+    def push(w: dict, fresh: list):
+        if builder.insert(w):
+            if not S.contains(w):
+                raise InputError("the generated algebra leaves the subspace")
+            words.append(w)
+            fresh.append(w)
+
+    push(sparse(B.unit), [])
+    for b in S.basis:
+        g = sparse(b)
+        if builder.contains(g):
+            continue
+        gens.append(g)
+        earlier, fresh = list(words), []
+        push(g, fresh)
+        for w in earlier:
+            push(sparse_apply(B.mult, g, w), fresh)
+        while fresh:
+            w = fresh.pop()
+            for h in gens:
+                push(sparse_apply(B.mult, h, w), fresh)
+    return gens
+
+
 def is_unital_star_subalgebra(S: Subspace, B: StarAlgebra) -> bool:
     if not S.contains(B.unit):
         return False

@@ -30,7 +30,6 @@ from .jones import (
     basic_construction,
     bimodule_endos_report,
     gns,
-    markov_check,
 )
 from .linalg import dense
 from .measuring import (
@@ -139,7 +138,7 @@ def run_jones(ws: Workspace, job: dict) -> dict:
         "algebra": job["algebra"],
         "subalgebra": job["subalgebra"],
         "index": {"num": bc.index.numerator, "den": bc.index.denominator},
-        "markov_certificate": markov_check(bc).to_json(),
+        "markov_certificate": bc.markov.to_json(),
         "dims": {
             "m1": bc.m1.dim,
             "n_commutant_cap_m1": dims["n_comm_cap_m1"],

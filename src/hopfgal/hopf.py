@@ -73,15 +73,19 @@ class StarCoalgebra:
                 tot = tot + xi * e
         return tot
 
+    def star_row(self, i: int) -> Vec:
+        """The involution of the basis vector e_i."""
+        return self.star[i]
+
     @conjugate_linear
     def star_vec(self, x: Vec) -> Vec:
         out = vzero(self.dim)
         for i, xi in enumerate(x):
             if xi:
                 ci = xi.conj()
-                for j in range(self.dim):
-                    if self.star[i][j]:
-                        out[j] = out[j] + ci * self.star[i][j]
+                for j, c in enumerate(self.star_row(i)):
+                    if c:
+                        out[j] = out[j] + ci * c
         return out
 
     def iterated_comult(self, x: Vec, legs: int) -> dict:
@@ -112,21 +116,60 @@ def dense_comult(comult, dim: int):
     ]
 
 
+class HopfCoalgebra(StarCoalgebra):
+    """The coalgebra of a HopfStarAlgebra, holding its algebra and antipode.
+
+    The coalgebra-side involution of a Hopf *-algebra is x -> S(x)*, which
+    reverses comultiplication; x -> x* does not when the comultiplication
+    is noncocommutative.  It is read from the current antipode and star
+    tables at each use, so it cannot go stale when either is replaced or
+    edited.
+    """
+
+    def __init__(self, algebra: StarAlgebra, comult, counit: Vec,
+                 antipode: Mat):
+        self.algebra = algebra
+        self.antipode = antipode
+        self.dim = algebra.dim
+        self.comult = comult
+        self.counit = counit
+        if len(comult) != self.dim or len(counit) != self.dim:
+            raise InputError("coalgebra tensor shape mismatch")
+
+    @property
+    def star(self) -> Mat:
+        return [self.star_row(i) for i in range(self.dim)]
+
+    def star_row(self, i: int) -> Vec:
+        return self.algebra.star_vec(self.antipode[i])
+
+
 class HopfStarAlgebra:
     """StarAlgebra and StarCoalgebra on one space, with an antipode."""
 
     def __init__(self, algebra: StarAlgebra, comult, counit: Vec,
                  antipode: Mat, name: str = ""):
-        self.algebra = algebra
-        self.antipode = antipode
         self.name = name or algebra.name
         if len(antipode) != algebra.dim:
             raise InputError("antipode shape mismatch")
-        # The coalgebra-side involution of a Hopf *-algebra is x -> S(x)*,
-        # which reverses comultiplication; x -> x* does not when the
-        # comultiplication is noncocommutative.
-        circ = [algebra.star_vec(row) for row in antipode]
-        self.coalgebra = StarCoalgebra(algebra.dim, comult, counit, circ)
+        self.coalgebra = HopfCoalgebra(algebra, comult, counit, antipode)
+
+    # assigning the algebra or the antipode here reaches the coalgebra
+    @property
+    def algebra(self) -> StarAlgebra:
+        return self.coalgebra.algebra
+
+    @algebra.setter
+    def algebra(self, algebra: StarAlgebra):
+        self.coalgebra.algebra = algebra
+
+    @property
+    def antipode(self) -> Mat:
+        return self.coalgebra.antipode
+
+    @antipode.setter
+    def antipode(self, table: Mat):
+        self.coalgebra.antipode = table
 
     # Delegation keeps call sites readable.
     @property

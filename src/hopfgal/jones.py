@@ -11,10 +11,28 @@ dict column -> Scalar), so products and span pushes cost their nonzeros.
 Traces of factor subalgebras of End(L^2) collapse to the normalized ambient
 trace (uniqueness of the tracial state on a factor), which is what makes the
 index an exact rational: the coupling constant becomes a ratio of ranks.
+
+Commutants in End(L^2) come from three facts, not from n^2 unknowns
+against every basis operator.  (a) X commutes with a set iff it commutes
+with the unital algebra the set generates, so lam or rho of a generating
+set is enough (GnsSpace.generators): for N', the bimodule maps, the
+generated M_1 and the outer half of the double commutant.  (b) An X that
+commutes with lam(M) is rho(b) for b = X 1, so {lam(M), e_N}' is a kernel
+in the n coordinates of b (GnsSpace.e_commutant), shared by the double
+commutant and the center of M_1.  (c) Rank sandwich: once a subspace S of
+a kernel is checked exactly, elimination may stop at rank n^2 - dim S
+(jmj_is_commutant).
+
+(b) rests on lam(M)' = rho(M), so jmj_equals_commutant keeps its own
+route: every lam_i in End(L^2), with the stop of (c).  The three routes to
+M_1 stay apart (m1_span keeps every lam_i, and N' comes from lam(N), never
+from J M_1 J), and so do the two sides of double_commutant_identity: the
+left from e_N through (b), the right from lam(N).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +41,7 @@ from itertools import chain
 from .algebra import (
     StarAlgebra,
     conditional_expectation,
+    generating_set,
     gram_matrix,
     is_nonsingular,
     is_unital_star_subalgebra,
@@ -39,6 +58,7 @@ from .linalg import (
     matrix_commutant,
     op_adjoint,
     op_dense,
+    op_flat,
     op_from_entries,
     op_mul,
     op_span,
@@ -66,7 +86,7 @@ class GnsSpace:
 
     def __post_init__(self):
         self._lam_cache: dict[int, dict] = {}
-        self._n_commutants: dict = {}
+        self._memos: dict = {}
 
     @property
     def dim(self) -> int:
@@ -102,15 +122,56 @@ class GnsSpace:
             for i, a in S_adj.get(j, {}).items()
             for t, s in S.get(k, {}).items())
 
+    def _memo(self, what: str, S: Subspace, make):
+        """make(), computed once per (what, S)."""
+        key = what, tuple(S.pivots), tuple(map(tuple, S.basis))
+        if key not in self._memos:
+            self._memos[key] = make()
+        return self._memos[key]
+
+    def projection(self, W: Subspace) -> dict:
+        """The orthogonal projection onto W; computed once per W."""
+        return self._memo("projection", W,
+                          lambda: orthogonal_projection(self, W))
+
+    def generators(self, S: Subspace) -> list[dict]:
+        """A generating set of the unital subalgebra S; chosen once per S."""
+        return self._memo("generators", S,
+                          lambda: generating_set(S, self.base))
+
+    def e_commutant(self, N: Subspace) -> Subspace:
+        """The b with rho(b) in {lam(M), e_N}'; computed once per N.
+
+        An X that commutes with every lam(a) is rho(b) for b = X 1, since
+        X a = X lam(a) 1 = lam(a) X 1 = a b.  So the commutant is
+        {rho(b) : rho(b) e_N = e_N rho(b)}, a kernel in the n coordinates
+        of b whose rows are the entries of rho(e_c) e_N - e_N rho(e_c).
+        rho is injective and rho(b) rho(b') = rho(b' b), so the b form a
+        unital subalgebra of M.
+        """
+        M, e = self.base, self.projection(N)
+
+        def entries():
+            for c in range(self.dim):
+                rho = M.right_mult_op({c: Scalar.one()})
+                for k, row in op_mul(rho, e).items():
+                    for j, v in row.items():
+                        yield (k, j), c, v
+                for k, row in op_mul(e, rho).items():
+                    for j, v in row.items():
+                        yield (k, j), c, -v
+        return self._memo("e_commutant", N,
+                          lambda: kernel_of(entries(), self.dim))
+
     def n_commutant(self, N: Subspace) -> tuple[Subspace, Subspace]:
-        """N' and J N' J in End(L^2), flattened; computed once per N."""
-        key = (tuple(N.pivots), tuple(map(tuple, N.basis)))
-        if key not in self._n_commutants:
+        """N' and J N' J in End(L^2), flattened; computed once per N from
+        lam of a generating set of N."""
+        def make():
             n = self.dim
-            ops = matrix_commutant([self.lam(b) for b in N.basis], n)
-            self._n_commutants[key] = (op_span(ops, n),
-                                       op_span(map(self.jmat, ops), n))
-        return self._n_commutants[key]
+            ops = matrix_commutant(
+                [self.base.left_mult_op(g) for g in self.generators(N)], n)
+            return op_span(ops, n), op_span(map(self.jmat, ops), n)
+        return self._memo("n_commutant", N, make)
 
     @cached_property
     def gram_ops(self) -> tuple[dict, dict]:
@@ -153,9 +214,24 @@ def _certify_gns(space: GnsSpace):
         space.adjoint(lams[i]) == space.lam(M.star[i]) for i in range(n)))
     rep.add("conjugation_involutive", all(
         space.jvec(M.star[i]) == unit_vec(n, i) for i in range(n)))
-    rep.add("jmj_equals_commutant",
-            op_span(map(space.jmat, lams), n)
-            == op_span(matrix_commutant(lams, n), n))
+    rep.add("jmj_equals_commutant", jmj_is_commutant(space, lams))
+
+
+def jmj_is_commutant(space: GnsSpace, ops: list[dict]) -> bool:
+    """span{J X J : X in ops} = {ops}' in End(L^2), decided exactly.
+
+    Every J X J is first checked to commute with every X.  Then the rows
+    of {ops}' stop once the kernel has fallen to dim span{J X J} (rank
+    sandwich): the kernel then contains {ops}', which contains the span,
+    so the two are equal exactly when the stop is reached.  Without the
+    first check the stop can land on a span that is not inside {ops}'.
+    """
+    n = space.dim
+    jmjs = [space.jmat(X) for X in ops]
+    if any(op_mul(Y, X) != op_mul(X, Y) for Y in jmjs for X in ops):
+        return False
+    jmj = op_span(jmjs, n)
+    return jmj == op_span(matrix_commutant(ops, n, known_dim=jmj.dim), n)
 
 
 # -- Jones projection ----------------------------------------------------------
@@ -193,7 +269,7 @@ def jones_projection(space: GnsSpace, N: Subspace) -> tuple[dict, Report]:
     n = space.dim
     if not is_unital_star_subalgebra(N, M):
         raise InputError("not a subalgebra")
-    e = orthogonal_projection(space, N)
+    e = space.projection(N)
     columns = op_transpose(e)
     rep = Report("jones projection")
     rep.add("idempotent", op_mul(e, e) == e)
@@ -230,7 +306,11 @@ def jones_projection(space: GnsSpace, N: Subspace) -> tuple[dict, Report]:
                       op_vec(e, S[i]))
         for i in range(n)))
 
-    double_comm = matrix_commutant(matrix_commutant(lams + [e], n), n)
+    # {lam(M), e_N}' = rho(K), whose commutant is that of rho of a
+    # generating set of K
+    K = space.e_commutant(N)
+    double_comm = matrix_commutant(
+        [M.right_mult_op(g) for g in space.generators(K)], n)
     _, rhs = space.n_commutant(N)
     rep.add("double_commutant_identity", op_span(double_comm, n) == rhs,
             note="alg(M, e_N)'' = J N' J; conjugation by J turns this"
@@ -250,6 +330,7 @@ class BasicConstruction:
     n_commutant: Subspace     # N' in End(L^2), flattened
     index: Fraction
     report: Report = field(default_factory=lambda: Report("basic construction"))
+    markov: Report | None = None
 
     def trace1(self, X: dict) -> Scalar:
         """tau_1 = the normalized ambient trace restricted to M_1."""
@@ -276,8 +357,9 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     rep = Report("basic construction")
     rep.merge(e_rep, prefix="e_N:")
 
-    gens = [space.lam_basis(i) for i in range(n)] + [e]
-    generated = operator_algebra_span(gens, n)
+    gens = [space.base.left_mult_op(g)
+            for g in space.generators(Subspace.full(n))]
+    generated = operator_algebra_span(gens + [e], n)
     spanned = m1_span(space, e)
     n_comm_span, conjugated = space.n_commutant(N)
     if not (generated == spanned == conjugated):
@@ -288,16 +370,23 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     rep.add("m1_three_ways_agree", True,
             note="alg(M, e_N) = span{a e_N b} + M = J N' J")
 
-    # tau_1 is the unique trace on the factor M_1; M_1 is the algebra the
-    # generators span, so its commutant is theirs
-    center = op_span(matrix_commutant(gens, n), n).intersect(generated)
+    # tau_1 is the unique trace on the factor M_1.  M_1 is the algebra that
+    # lam(M) and e_N generate, so its commutant is rho(K) for their
+    # commutant K; the center is the part of rho(K) inside M_1, where the
+    # residues modulo M_1 of a combination of the rho(b) cancel
+    rho_k = (space.base.right_mult_op(sparse(b))
+             for b in space.e_commutant(N).basis)
+    residues = [generated.residue(op_flat(X, n)) for X in rho_k]
+    center = kernel_of(((f, k, x) for k, r in enumerate(residues)
+                        for f, x in r.items()), len(residues))
     if center.dim != 1:
         raise InputError("not a factor")
     rep.add("m1_factor", True)
 
     idx = index(space, N)
     bc = BasicConstruction(space, N, e, generated, n_comm_span, idx, rep)
-    rep.add("markov", markov_check(bc).ok)
+    bc.markov = markov_check(bc)
+    rep.add("markov", bc.markov.ok)
     return bc
 
 
@@ -326,10 +415,8 @@ def index(space: GnsSpace, N: Subspace, xi: Vec | None = None,
     if vec_is_zero(xi):
         raise InputError("xi degenerate")
 
-    e = orthogonal_projection(space, N)
+    e = space.projection(N)
     value = _coupling(space, N, e, xi)
-
-    import random
 
     rng = random.Random(20290)
     for _ in range(spot_checks):
@@ -391,10 +478,11 @@ def bimodule_endos(M: StarAlgebra, n_left: Subspace,
     """{phi in End(M) : phi(n x n') = n phi(x) n'}, flattened.
 
     Bimodularity is commutation with left multiplications by n_left and
-    right multiplications by n_right, so this is one operator commutant.
+    right multiplications by n_right, so this is one operator commutant,
+    and generating sets of the two sides are enough.
     """
-    gens = [M.left_mult_op(sparse(b)) for b in n_left.basis]
-    gens += [M.right_mult_op(sparse(b)) for b in n_right.basis]
+    gens = [M.left_mult_op(g) for g in generating_set(n_left, M)]
+    gens += [M.right_mult_op(g) for g in generating_set(n_right, M)]
     return op_span(matrix_commutant(gens, M.dim), M.dim)
 
 

@@ -313,11 +313,8 @@ def _eliminate(rows: dict, r: dict):
     q = max(r)
     inv = r.pop(q).inverse()
     tail = {k: v * inv for k, v in r.items()}
-    for t in rows.values():
-        c = t.pop(q, None)
-        if c is None:
-            continue
-        c = -c
+    for t in [t for t in rows.values() if q in t]:
+        c = -t.pop(q)
         for k, v in tail.items():
             if k in t:
                 x = axpy(t[k], c, v)
@@ -620,16 +617,11 @@ def kernel_of(entries, n: int) -> Subspace:
     and the rows are imposed in sorted key order, so the result, Scalar
     orders included, does not depend on the order of the entries.
     """
-    return _solved(entries, n).subspace()
-
-
-def _solved(entries, n: int) -> KernelSolver:
-    """A KernelSolver holding the rows of kernel_of's triples."""
     rows = op_from_entries(entries)
     solver = KernelSolver(n)
     for key in sorted(rows):
         solver.add_row(rows.pop(key))
-    return solver
+    return solver.subspace()
 
 
 # -- operator algebra helpers -----------------------------------------------
@@ -648,22 +640,39 @@ def op_span(ops, n: int) -> Subspace:
     return span_of((op_flat(X, n) for X in ops), n * n)
 
 
-def matrix_commutant(gens: list[dict], n: int) -> list[dict]:
-    """Basis of {X in End(k^n) : X A = A X for every generator A}."""
+def matrix_commutant(gens: list[dict], n: int,
+                     known_dim: int | None = None) -> list[dict]:
+    """Basis of {X in End(k^n) : X A = A X for every generator A}.
 
-    def entries():
-        # (X A - A X)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
-        for g, A in enumerate(gens):
-            for k, row in A.items():
-                for j, a in row.items():
-                    for i in range(n):
-                        yield (g, i, j), i * n + k, a
-            for i, row in A.items():
-                for k, a in row.items():
-                    for j in range(n):
-                        yield (g, i, j), k * n + j, -a
-    kernel = _solved(entries(), n * n).vectors()
-    return [op_unflat(v, n) for v in kernel.values()]
+    The rows (X A - A X)[i][j] are built one at a time, in (generator, i, j)
+    order, from row i and column j of A.  known_dim is for a caller that
+    has checked exactly that a subspace of that dimension commutes with
+    every generator: elimination stops as soon as the kernel falls to
+    known_dim, because the kernel then contains the commutant, which
+    contains the checked subspace, and all three are equal (rank sandwich).
+    """
+
+    def rows():
+        for A in gens:
+            columns = op_transpose(A)
+            for i in range(n):
+                row_i = A.get(i, {})
+                for j in range(n):
+                    # sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
+                    row = {i * n + k: a
+                           for k, a in columns.get(j, {}).items()}
+                    for k, a in row_i.items():
+                        c = k * n + j
+                        row[c] = row[c] - a if c in row else -a
+                    if any(row.values()):
+                        yield row
+
+    solver = KernelSolver(n * n)
+    for row in rows():
+        solver.add_row(row)
+        if known_dim is not None and solver.dim <= known_dim:
+            break
+    return [op_unflat(v, n) for v in solver.vectors().values()]
 
 
 def operator_algebra_span(gens: list[dict], n: int,

@@ -29,7 +29,9 @@ checked against the dense column-by-column body it replaced, and the
 dense expectation_report, which it no longer needs in production, checks
 its properties.  The CLI verdict, which reads the passed field of the
 reports at the top level of a runner's output, is checked against a walk
-of every node of the emitted document.
+of every node of the emitted document.  The dense embeddings x -> x x| 1
+and x -> 1 x| x of a smash product, which production no longer needs,
+live here for the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ from hopfgal.linalg import (
     Subspace,
     Vec,
     Mat,
+    dense,
     identity_matrix,
     mat_inverse,
     mat_mul,
     mat_vec,
+    sparse,
     unit_vec,
     vec_is_zero,
     vscale,
@@ -65,6 +69,16 @@ from hopfgal.scalars import Scalar
 
 def flatten_matrix(X: list) -> list:
     return [x for row in X for x in row]
+
+
+def embed_A_vec(sp: SmashProduct, x: Vec) -> Vec:
+    """x x| 1 as a dense vector of the smash product."""
+    return dense(sp.a_leg(sparse(x)), sp.total.dim)
+
+
+def embed_H_vec(sp: SmashProduct, x: Vec) -> Vec:
+    """1 x| x as a dense vector of the smash product."""
+    return dense(sp.h_leg(sparse(x)), sp.total.dim)
 
 
 def dft_mat2_in_mat4():
@@ -328,8 +342,9 @@ def oracle_operator_algebra_span(gens: list, n: int,
     return builder.subspace()
 
 
-def oracle_generated_subalgebra(gens: list, B) -> Subspace:
-    """Unital *-closure multiplying each new element by every member."""
+def oracle_generated_subalgebra(gens: list, B,
+                                with_star: bool = True) -> Subspace:
+    """Unital (*-)closure multiplying each new element by every member."""
     builder = DenseSpan(B.dim)
     members: list = []
 
@@ -342,13 +357,13 @@ def oracle_generated_subalgebra(gens: list, B) -> Subspace:
     push(B.unit)
     fresh = []
     for g in gens:
-        for v in (g, B.star_vec(g)):
+        for v in (g, B.star_vec(g)) if with_star else (g,):
             if push(v):
                 fresh.append(v)
     while fresh:
         batch, fresh = fresh, []
         for x in batch:
-            sx = B.star_vec(x)
+            sx = B.star_vec(x) if with_star else x
             if push(sx):
                 fresh.append(sx)
             for y in list(members):
@@ -760,7 +775,7 @@ def oracle_matrix_commutant(gens: list, n: int) -> Subspace:
 def oracle_bimodule_endos(sp: SmashProduct) -> Subspace:
     """A-bimodule endomorphisms of A x| H as a commutant in End(total)."""
     total, na, nt = sp.total, sp.dim_A, sp.total.dim
-    emb = [sp.embed_A_vec(unit_vec(na, a)) for a in range(na)]
+    emb = [embed_A_vec(sp, unit_vec(na, a)) for a in range(na)]
     gens = [_mult_matrix(total, v, left=True) for v in emb]
     gens += [_mult_matrix(total, v, left=False) for v in emb]
     return oracle_matrix_commutant(gens, nt)
@@ -813,8 +828,9 @@ def oracle_endo_from_functional(sp: SmashProduct, psi_rows: list) -> list:
         for h in range(nh):
             img = vzero(nt)
             for (h1, h2), v in H.comult[h].items():
-                base = sp.embed_A_vec(unit_vec(na, a))
-                left = total.mul_vec(base, sp.embed_H_vec(unit_vec(nh, h1)))
+                base = embed_A_vec(sp, unit_vec(na, a))
+                left = total.mul_vec(base,
+                                     embed_H_vec(sp, unit_vec(nh, h1)))
                 term = total.mul_vec(left, psi_rows[h2])
                 img = [x + v * y if y else x for x, y in zip(img, term)]
             cols.append(img)

@@ -3,6 +3,8 @@
 import pytest
 from _oracles import (
     cyclic_diagonal_action,
+    embed_A_vec,
+    embed_H_vec,
     oracle_validate_action,
     report_summary,
 )
@@ -179,29 +181,29 @@ def test_embeddings_are_star_morphisms_and_bijection():
     A, H, total = sp.action.alg, sp.action.hopf, sp.total
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = sp.embed_A_vec(A.mul_vec(unit_vec(4, i), unit_vec(4, j)))
-            rhs = total.mul_vec(sp.embed_A_vec(unit_vec(4, i)),
-                                sp.embed_A_vec(unit_vec(4, j)))
+            lhs = embed_A_vec(sp, A.mul_vec(unit_vec(4, i), unit_vec(4, j)))
+            rhs = total.mul_vec(embed_A_vec(sp, unit_vec(4, i)),
+                                embed_A_vec(sp, unit_vec(4, j)))
             assert lhs == rhs
-        assert sp.embed_A_vec(A.star_vec(unit_vec(4, i))) \
-            == total.star_vec(sp.embed_A_vec(unit_vec(4, i)))
+        assert embed_A_vec(sp, A.star_vec(unit_vec(4, i))) \
+            == total.star_vec(embed_A_vec(sp, unit_vec(4, i)))
     for i in range(H.dim):
         for j in range(H.dim):
             hv = vzero(H.dim)
             for k, v in H.algebra.mult[i][j].items():
                 hv[k] = hv[k] + v
-            lhs = sp.embed_H_vec(hv)
-            rhs = total.mul_vec(sp.embed_H_vec(unit_vec(4, i)),
-                                sp.embed_H_vec(unit_vec(4, j)))
+            lhs = embed_H_vec(sp, hv)
+            rhs = total.mul_vec(embed_H_vec(sp, unit_vec(4, i)),
+                                embed_H_vec(sp, unit_vec(4, j)))
             assert lhs == rhs
-        assert sp.embed_H_vec(H.star_vec(unit_vec(4, i))) \
-            == total.star_vec(sp.embed_H_vec(unit_vec(4, i)))
+        assert embed_H_vec(sp, H.star_vec(unit_vec(4, i))) \
+            == total.star_vec(embed_H_vec(sp, unit_vec(4, i)))
     # a (x) h -> (a x| 1)(1 x| h) is a bijection
     vecs = []
     for a in range(4):
         for h in range(4):
-            vecs.append(total.mul_vec(sp.embed_A_vec(unit_vec(4, a)),
-                                      sp.embed_H_vec(unit_vec(4, h))))
+            vecs.append(total.mul_vec(embed_A_vec(sp, unit_vec(4, a)),
+                                      embed_H_vec(sp, unit_vec(4, h))))
     assert Subspace.from_vectors(vecs, 16).dim == 16
 
 
@@ -224,8 +226,8 @@ def test_innerify_negative_control():
     g = 1
     bad = vzero(total.dim)
     for (h1, h2), v in H.comult[g].items():
-        term = total.mul_vec(sp.embed_H_vec(unit_vec(3, h1)),
-                             sp.embed_H_vec(unit_vec(3, h2)))
+        term = total.mul_vec(embed_H_vec(sp, unit_vec(3, h1)),
+                             embed_H_vec(sp, unit_vec(3, h2)))
         bad = [x + v * y if y else x for x, y in zip(bad, term)]
     target = [H.counit_of(unit_vec(3, g)) * u for u in total.unit]
     assert bad != target

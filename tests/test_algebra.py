@@ -22,6 +22,7 @@ from hopfgal.algebra import (
     center,
     conditional_expectation,
     generated_subalgebra,
+    generating_set,
     gram_matrix,
     is_nonsingular,
     relative_commutant,
@@ -39,8 +40,16 @@ from hopfgal.fixtures import (
     mat_algebra,
     pauli_action,
 )
-from hopfgal.hopf import haar
-from hopfgal.linalg import Subspace, mat_vec, op_dense, unit_vec, vzero
+from hopfgal.hopf import group_algebra, haar
+from hopfgal.linalg import (
+    Subspace,
+    dense,
+    mat_vec,
+    op_dense,
+    sparse,
+    unit_vec,
+    vzero,
+)
 from hopfgal.scalars import Scalar
 
 
@@ -199,6 +208,45 @@ def test_generated_subalgebra_matches_all_pairs_closure(which):
             gens.append(g)
         assert (generated_subalgebra(gens, B)
                 == oracle_generated_subalgebra(gens, B))
+
+
+def _generating_set_case(which):
+    if which == "mat4":
+        B = tensor_algebra(mat_algebra(2), mat_algebra(2))
+        return B, Subspace.full(16)
+    if which == "dft-mat2-in-mat4":
+        return dft_mat2_in_mat4()
+    if which == "c-in-mat3":
+        B = mat_algebra(3)
+        return B, Subspace.from_vectors([B.unit], 9)
+    if which == "cz3":
+        return group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).algebra, \
+            Subspace.full(3)
+    B = cs3().algebra
+    return B, generated_subalgebra([unit_vec(6, 4)], B)
+
+
+@pytest.mark.parametrize("which", ["mat4", "dft-mat2-in-mat4", "c-in-mat3",
+                                   "cz3", "cs3-z3"])
+def test_generating_set_regenerates_the_subalgebra(which):
+    # the unital algebra the chosen basis vectors generate, without the
+    # star, by the all-pairs closure
+    B, S = _generating_set_case(which)
+    gens = generating_set(S, B)
+    assert all(g in [sparse(b) for b in S.basis] for g in gens)
+    assert oracle_generated_subalgebra([dense(g, B.dim) for g in gens], B,
+                                       with_star=False) == S
+    if which == "mat4":
+        assert len(gens) < S.dim
+
+
+def test_generating_set_rejects_a_subspace_that_is_not_closed():
+    A = mat_algebra(2)  # E11, E12, E21, E22
+    with pytest.raises(InputError, match="leaves the subspace"):
+        generating_set(Subspace.from_vectors(
+            [A.unit, unit_vec(4, 1), unit_vec(4, 2)], 4), A)
+    with pytest.raises(InputError, match="leaves the subspace"):
+        generating_set(Subspace.from_vectors([unit_vec(4, 0)], 4), A)
 
 
 def test_commutant_monotone_and_double():

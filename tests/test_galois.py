@@ -57,6 +57,7 @@ from hopfgal.scalars import Scalar
 
 from _oracles import (
     cyclic_diagonal_action,
+    embed_H_vec,
     oracle_bimodule_endos,
     oracle_dual_endo,
     oracle_endo_from_functional,
@@ -260,7 +261,7 @@ def test_extract_pairing_rejects_non_fixing_action():
     sp = smash_product(ad_z_action())
     H = sp.action.hopf
     # CZ2 acting on the smash by conjugation with 1 x| g fixes H, not A
-    g_emb = sp.embed_H_vec(unit_vec(2, 1))
+    g_emb = embed_H_vec(sp, unit_vec(2, 1))
     act = []
     for h in range(2):
         plane = []

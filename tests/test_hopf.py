@@ -110,6 +110,22 @@ def test_broken_antipode_fails_with_witness():
     assert validate_hopf(H).ok
 
 
+def test_coalgebra_involution_follows_the_antipode():
+    # x -> S(x)* is read from the current tables, so replacing the antipode
+    # (as broken_hopf_workspace does) or editing it in place moves it too
+    bad = group_algebra(S3_TABLE)
+    bad.antipode = identity_matrix(6)
+    assert bad.coalgebra.star == [bad.algebra.star_vec(r)
+                                  for r in bad.antipode]
+    # S(g) = g + h is not group-like, so x -> S(x)* stops reversing Delta
+    two = [a + b for a, b in zip(unit_vec(6, 1), unit_vec(6, 2))]
+    bad.antipode[1] = two
+    assert bad.coalgebra.star_vec(unit_vec(6, 1)) \
+        == bad.algebra.star_vec(two)
+    assert not validate_hopf(bad)["coalg:star_reverses_comultiplication"] \
+        .passed
+
+
 def test_single_entry_perturbations_fail():
     for make in GROUP_FIXTURES:
         H = make()

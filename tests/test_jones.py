@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from hopfgal.algebra import tensor_algebra
+from hopfgal.algebra import StarAlgebra, tensor_algebra
 from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     c_of_z2,
     mat_algebra,
     subalgebra_embedding_left,
 )
+from hopfgal.hopf import group_algebra, haar_state
 from hopfgal import actions, algebra, banica, galois, hopf, jones
 from hopfgal.jones import (
     GnsSpace,
@@ -22,12 +23,14 @@ from hopfgal.jones import (
     bimodule_endos_report,
     gns,
     index,
+    jmj_is_commutant,
     jones_projection,
     markov_check,
     m1_span,
     orthogonal_projection,
 )
 from hopfgal.linalg import (
+    KernelSolver,
     Subspace,
     matrix_commutant,
     identity_matrix,
@@ -48,10 +51,12 @@ from hopfgal.scalars import Scalar, _context
 
 from _oracles import (
     _dense_rref,
+    _mult_matrix,
     complex_pair_in_mat2,
     dft_mat2_in_mat4,
     flatten_matrix,
     oracle_gram_adjoint,
+    oracle_matrix_commutant,
     oracle_operator_algebra_span,
 )
 
@@ -300,8 +305,6 @@ def test_index_rejects_degenerate_xi():
 def test_full_certificates_above_dim_32():
     # C[Z33] with its Haar trace: every commutation row has two entries, so
     # the full commutant identities are cheap even above dim 32
-    from hopfgal.hopf import group_algebra, haar_state
-
     n = 33
     M = haar_state(group_algebra([[(i + j) % n for j in range(n)]
                                   for i in range(n)]))
@@ -351,6 +354,79 @@ def test_m1_generators_span_matches_all_pairs_closure(case):
     assert span.dim == {"c-in-mat3": 81, "dft-mat2-in-mat4": 64}[case]
     assert span == oracle_operator_algebra_span(
         [op_dense(g, n) for g in gens], n)
+
+
+def _routes_case(case):
+    if case == "c-in-mat3":
+        M = mat_algebra(3)
+        return M, Subspace.from_vectors([M.unit], 9)
+    if case == "cz3":  # not a factor
+        M = haar_state(group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
+        return M, Subspace.full(3)
+    return dft_mat2_in_mat4()
+
+
+@pytest.mark.parametrize("case", ["dft-mat2-in-mat4", "c-in-mat3", "cz3"])
+def test_commutant_routes_match_dense_oracle(case):
+    M, N = _routes_case(case)
+    space = gns(M, certify=False)
+    n = space.dim
+    lams = [space.lam_basis(i) for i in range(n)]
+    dense_lams = [op_dense(lam, n) for lam in lams]
+    lam_n = [_mult_matrix(M, b, left=True) for b in N.basis]
+    rho_n = [_mult_matrix(M, b, left=False) for b in N.basis]
+    e = op_dense(space.projection(N), n)
+    # {lam(M), e_N}' as the right multiplications that commute with e_N
+    rho_k = [M.right_mult_op(sparse(b)) for b in space.e_commutant(N).basis]
+    assert op_span(rho_k, n) == oracle_matrix_commutant(dense_lams + [e], n)
+    # N' and the bimodule maps from generating sets of N
+    assert space.n_commutant(N)[0] == oracle_matrix_commutant(lam_n, n)
+    assert bimodule_endos(M, N, N) \
+        == oracle_matrix_commutant(lam_n + rho_n, n)
+    # the rows of lam(M)' stop at dim span{J lam J}, and that is all of it
+    jmj = op_span(map(space.jmat, lams), n)
+    stopped = matrix_commutant(lams, n, known_dim=jmj.dim)
+    assert op_span(stopped, n) == jmj \
+        == oracle_matrix_commutant(dense_lams, n)
+
+
+def test_rank_sandwich_imposes_fewer_rows(monkeypatch):
+    M, _ = dft_mat2_in_mat4()
+    space = gns(M, certify=False)
+    lams = [space.lam_basis(i) for i in range(16)]
+    rows = []
+    add_row = KernelSolver.add_row
+
+    def counted(self, row):
+        rows.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(KernelSolver, "add_row", counted)
+    full = op_span(matrix_commutant(lams, 16), 16)
+    imposed = len(rows)
+    stopped = op_span(matrix_commutant(lams, 16, known_dim=16), 16)
+    assert stopped == full and full.dim == 16
+    assert len(rows) - imposed < imposed
+
+
+def test_jmj_check_rejects_conjugates_outside_the_commutant():
+    # J swaps e_1 and e_2.  The conjugates J X J of these three operators
+    # span exactly the kernel at which the rows of their commutant reach
+    # dim 3, but they do not commute with the third operator, so only the
+    # exact commutation check tells the span from the commutant
+    one = Scalar.one()
+    base = StarAlgebra(3, [[{} for _ in range(3)] for _ in range(3)],
+                       unit_vec(3, 0),
+                       [unit_vec(3, 0), unit_vec(3, 2), unit_vec(3, 1)])
+    space = GnsSpace(base, identity_matrix(3), Report("three operators"))
+    ops = [{i: {i: one} for i in range(3)}, {0: {1: one}},
+           {0: {2: -one}, 1: {1: one, 2: one}}]
+    jmj = op_span(map(space.jmat, ops), 3)
+    assert op_span(matrix_commutant(ops, 3, known_dim=jmj.dim), 3) == jmj
+    assert op_span(matrix_commutant(ops, 3), 3).dim < jmj.dim
+    assert not jmj_is_commutant(space, ops)
+    mat2 = gns(mat_algebra(2), certify=False)
+    assert jmj_is_commutant(mat2, [mat2.lam_basis(i) for i in range(4)])
 
 
 def _calls_to(module, names) -> list:
