@@ -27,7 +27,7 @@ from .algebra import (
     validate_algebra,
 )
 from .errors import InputError
-from .hopf import HopfPairing, HopfStarAlgebra
+from .hopf import HopfPairing, HopfStarAlgebra, convolve
 from .linalg import (
     Mat,
     Subspace,
@@ -35,7 +35,6 @@ from .linalg import (
     dense,
     kernel_of,
     sparse,
-    sparse_add,
     sparse_apply,
     sparse_comb,
     sparse_conj,
@@ -97,82 +96,37 @@ def validate_action(action: ModuleAlgebraAction) -> Report:
     """
     rep = Report(f"action {action.name}".strip())
     H, A = action.hopf, action.alg
-    nh, na = H.dim, A.dim
+    hs, as_ = range(H.dim), range(A.dim)
     act = action.act
-    one = Scalar.one()
+    # cols[a][h] = e_h . e_a
+    cols = [[plane[a] for plane in act] for a in as_]
 
-    witness = None
-    for g in range(nh):
-        for h in range(nh):
-            gh = H.algebra.mult[g][h]
-            for a in range(na):
-                lhs: dict = {}
-                for k, v in gh.items():
-                    sparse_add(lhs, act[k][a], v)
-                rhs = sparse_comb(act[g], act[h][a])
-                if sparse_ne(lhs, rhs):
-                    witness = (g, h, a)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("module_axiom", witness is None, witness)
-
-    witness = None
+    rep.law("module_axiom", (
+        (g, h, a) for g in hs for h in hs for a in as_
+        if sparse_ne(sparse_comb(cols[a], H.algebra.mult[g][h]),
+                     sparse_comb(act[g], act[h][a]))))
     h_unit = sparse(H.unit)
-    for a in range(na):
-        img: dict = {}
-        for k, v in h_unit.items():
-            sparse_add(img, act[k][a], v)
-        if sparse_ne(img, {a: one}):
-            witness = a
-            break
-    rep.add("unit_acts_trivially", witness is None, witness)
-
-    witness = None
-    for h in range(nh):
-        for a in range(na):
-            for b in range(na):
-                lhs = sparse_comb(act[h], A.mult[a][b])
-                rhs: dict = {}
-                for (h1, h2), v in H.comult[h].items():
-                    sparse_add(rhs, sparse_apply(A.mult, act[h1][a],
-                                                 act[h2][b]), v)
-                if sparse_ne(lhs, rhs):
-                    witness = (h, a, b)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("measuring", witness is None, witness)
-
-    witness = None
+    rep.law("unit_acts_trivially", (
+        a for a in as_
+        if sparse_ne(sparse_comb(cols[a], h_unit), {a: Scalar.one()})))
+    rep.law("measuring", (
+        (h, a, b) for h in hs for a in as_ for b in as_
+        if sparse_ne(sparse_comb(act[h], A.mult[a][b]),
+                     convolve(A.mult, H.comult[h], cols[a], cols[b]))))
     a_unit = sparse(A.unit)
-    for h in range(nh):
-        img = sparse_comb(act[h], a_unit)
-        target = {k: H.counit[h] * v for k, v in a_unit.items()}
-        if sparse_ne(img, target):
-            witness = h
-            break
-    rep.add("unit_preserved", witness is None, witness)
-
-    witness = None
+    rep.law("unit_preserved", (
+        h for h in hs
+        if sparse_ne(sparse_comb(act[h], a_unit),
+                     {k: H.counit[h] * v for k, v in a_unit.items()})))
     h_star = [sparse(row) for row in H.star]
     a_star = [sparse(row) for row in A.star]
-    for h in range(nh):
-        # S(e_h)^*, with * conjugate linear
-        sh_star = sparse_comb(h_star, sparse_conj(sparse(H.antipode[h])))
-        for a in range(na):
-            lhs = sparse_comb(a_star, sparse_conj(act[h][a]))
-            rhs = sparse_apply(act, sh_star, a_star[a])
-            if sparse_ne(lhs, rhs):
-                witness = (h, a)
-                break
-        if witness:
-            break
-    rep.add("star_compatibility", witness is None, witness)
+    # S(e_h)^*, with * conjugate linear
+    sh_star = [sparse_comb(h_star, sparse_conj(sparse(row)))
+               for row in H.antipode]
+    rep.law("star_compatibility", (
+        (h, a) for h in hs for a in as_
+        if sparse_ne(sparse_comb(a_star, sparse_conj(act[h][a])),
+                     sparse_apply(act, sh_star[h], a_star[a]))))
     return rep
 
 
@@ -327,36 +281,19 @@ def innerify_check(sp: SmashProduct) -> Report:
     V = [sp.h_leg({h: one}) for h in range(nh)]
     Vinv = [sp.h_leg(sparse(row)) for row in H.antipode]
     unit = sparse(total.unit)
-
-    def convolve(h: int, f: list, g: list) -> dict:
-        """sum f(h_1) g(h_2) over Delta(e_h)."""
-        out: dict = {}
-        for (h1, h2), v in H.comult[h].items():
-            sparse_add(out, sparse_apply(total.mult, f[h1], g[h2]), v)
-        return out
-
-    witness = None
-    for h in range(nh):
-        target = {k: H.counit[h] * u for k, u in unit.items()}
-        if sparse_ne(convolve(h, V, Vinv), target) \
-                or sparse_ne(convolve(h, Vinv, V), target):
-            witness = h
-            break
-    rep.add("convolution_inverse", witness is None, witness)
+    targets = [{k: e * u for k, u in unit.items()} for e in H.counit]
+    rep.law("convolution_inverse", (
+        h for h, plane in enumerate(H.comult)
+        if sparse_ne(convolve(total.mult, plane, V, Vinv), targets[h])
+        or sparse_ne(convolve(total.mult, plane, Vinv, V), targets[h])))
 
     # (x x| 1) V^{-1}(g) for each basis x of A and g of H
     x_vinv = [[sparse_apply(total.mult, sp.a_leg({a: one}), w) for w in Vinv]
               for a in range(na)]
-    witness = None
-    for h in range(nh):
-        for a in range(na):
-            if sparse_ne(sp.a_leg(sp.action.act[h][a]),
-                         convolve(h, V, x_vinv[a])):
-                witness = (h, a)
-                break
-        if witness:
-            break
-    rep.add("innerification_identity", witness is None, witness)
+    rep.law("innerification_identity", (
+        (h, a) for h, plane in enumerate(H.comult) for a in range(na)
+        if sparse_ne(sp.a_leg(sp.action.act[h][a]),
+                     convolve(total.mult, plane, V, x_vinv[a]))))
     return rep
 
 

@@ -285,55 +285,24 @@ def validate_algebra(A: StarAlgebra) -> Report:
     tensor and the rows of the involution.
     """
     rep = Report(f"algebra {A.name}".strip())
-    n = A.dim
+    n, mult = A.dim, A.mult
     one = Scalar.one()
 
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            ij = A.mult[i][j]
-            for k in range(n):
-                left = _compose(A, ij, k, right=True)
-                right = _compose(A, A.mult[j][k], i, right=False)
-                if sparse_ne(left, right):
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("associativity", witness is None, witness)
-
-    witness = None
+    rep.law("associativity", (
+        (i, j, k) for i in range(n) for j in range(n) for k in range(n)
+        if sparse_ne(_compose(A, mult[i][j], k, right=True),
+                     _compose(A, mult[j][k], i, right=False))))
     unit = sparse(A.unit)
-    for j in range(n):
-        ej = {j: one}
-        if sparse_ne(_compose(A, unit, j, right=True), ej) \
-                or sparse_ne(_compose(A, unit, j, right=False), ej):
-            witness = j
-            break
-    rep.add("unit", witness is None, witness)
-
-    witness = None
+    rep.law("unit", (
+        j for j in range(n)
+        if sparse_ne(_compose(A, unit, j, right=True), {j: one})
+        or sparse_ne(_compose(A, unit, j, right=False), {j: one})))
     star = [sparse(row) for row in A.star]
-    for i in range(n):
-        twice = sparse_comb(star, sparse_conj(star[i]))
-        if sparse_ne(twice, {i: one}):
-            witness = i
-            break
-    rep.add("star_involutive", witness is None, witness)
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            lhs = sparse_comb(star, sparse_conj(A.mult[i][j]))
-            rhs = sparse_apply(A.mult, star[j], star[i])
-            if sparse_ne(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    rep.add("star_antimultiplicative", witness is None, witness)
+    rep.law("star_involutive", involution_failures(star))
+    rep.law("star_antimultiplicative", (
+        (i, j) for i in range(n) for j in range(n)
+        if sparse_ne(sparse_comb(star, sparse_conj(mult[i][j])),
+                     sparse_apply(mult, star[j], star[i]))))
 
     if A.state is not None:
         st = analyze_state(A)
@@ -344,6 +313,14 @@ def validate_algebra(A: StarAlgebra) -> Report:
         rep.add("state_positive_numerical", bool(st.positive),
                 note=f"float verdict at tolerance {POSITIVITY_TOL}")
     return rep
+
+
+def involution_failures(rows: list):
+    """The i, in order, where the conjugate-linear map with sparse rows
+    rows does not square to the identity."""
+    one = Scalar.one()
+    return (i for i, row in enumerate(rows)
+            if sparse_ne(sparse_comb(rows, sparse_conj(row)), {i: one}))
 
 
 def _compose(A: StarAlgebra, x: dict, idx: int, right: bool) -> dict:

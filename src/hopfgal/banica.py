@@ -36,7 +36,14 @@ from .algebra import (
     tensor_algebra,
 )
 from .errors import ConsistencyError, InputError
-from .hopf import HopfStarAlgebra, haar
+from .hopf import (
+    HopfStarAlgebra,
+    coassociativity_failures,
+    convolve,
+    counit_failures,
+    haar,
+    tensor_product,
+)
 from .jones import GnsSpace, orthogonal_projection
 from .linalg import (
     Mat,
@@ -50,7 +57,6 @@ from .linalg import (
     preimages,
     sparse,
     sparse_add,
-    sparse_apply,
     sparse_comb,
     sparse_ne,
     span_of,
@@ -86,58 +92,18 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
     H, A = B.hopf, B.alg
     nb = A.dim
 
-    witness = None
-    for i in range(nb):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), v in B.coact[i].items():
-            for (a, b), w in B.coact[j].items():
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, Scalar.zero()) + v * w
-            for (a, b), w in H.comult[k].items():
-                key = (j, a, b)
-                rhs[key] = rhs.get(key, Scalar.zero()) + v * w
-        keys = set(lhs) | set(rhs)
-        zero = Scalar.zero()
-        if any(lhs.get(t, zero) != rhs.get(t, zero) for t in keys):
-            witness = i
-            break
-    rep.add("coassociative", witness is None, witness)
-
-    witness = _counital(B.coact, H, nb)
-    rep.add("counital", witness is None, witness)
-
-    witness = None
-    for i in range(nb):
-        for j in range(nb):
-            lhs = sparse_comb(B.coact, A.mult[i][j])
-            rhs: dict = {}
-            for (a, g), v in B.coact[i].items():
-                for (b, g2), w in B.coact[j].items():
-                    for p, vp in A.mult[a][b].items():
-                        for q, wq in H.algebra.mult[g][g2].items():
-                            key = (p, q)
-                            rhs[key] = rhs.get(key, Scalar.zero()) \
-                                + v * w * vp * wq
-            if sparse_ne(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    rep.add("coaction_multiplicative", witness is None, witness)
-
-    unit_image = sparse_comb(B.coact, sparse(A.unit))
-    target: dict = {}
-    for j, ua in enumerate(A.unit):
-        if ua:
-            for k, uh in enumerate(H.unit):
-                if uh:
-                    target[(j, k)] = ua * uh
-    zero = Scalar.zero()
-    keys = set(unit_image) | set(target)
+    rep.law("coassociative", coassociativity_failures(B.coact, H.comult))
+    rep.law("counital", counit_failures(B.coact, H.counit))
+    rep.law("coaction_multiplicative", (
+        (i, j) for i in range(nb) for j in range(nb)
+        if sparse_ne(sparse_comb(B.coact, A.mult[i][j]),
+                     tensor_product(A.mult, H.algebra.mult,
+                                    B.coact[i], B.coact[j]))))
+    unit_b, unit_h = sparse(A.unit), sparse(H.unit)
     rep.add("coaction_unital",
-            all(unit_image.get(t, zero) == target.get(t, zero)
-                for t in keys))
+            not sparse_ne(sparse_comb(B.coact, unit_b),
+                          {(j, k): ua * uh for j, ua in unit_b.items()
+                           for k, uh in unit_h.items()}))
     return rep
 
 
@@ -218,8 +184,9 @@ def product_coaction(B: ComoduleAlgebra,
 
     rep = Report("product coaction")
     rep.merge(com_rep, prefix="comodule:")
-    rep.add("coassociative_for_cop", _rho_coassociative(rho, Hcop, dim))
-    rep.add("counital", _counital(rho, H, dim) is None)
+    rep.law("coassociative_for_cop",
+            coassociativity_failures(rho, Hcop.comult))
+    rep.law("counital", counit_failures(rho, H.counit))
 
     tau = haar(H)
     inv = _coaction_invariants(rho, H, dim)
@@ -257,38 +224,6 @@ def _is_cop_of(Hcop: HopfStarAlgebra, H: HopfStarAlgebra) -> bool:
         {(k, j): v for (j, k), v in plane.items()} for plane in H.comult
     ]
     return all(Hcop.comult[i] == flipped[i] for i in range(n))
-
-
-def _rho_coassociative(rho, Hcop: HopfStarAlgebra, dim: int) -> bool:
-    nh = Hcop.dim
-    for i in range(dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (t, k), v in rho[i].items():
-            for (t2, k2), w in rho[t].items():
-                key = (t2, k2, k)
-                lhs[key] = lhs.get(key, Scalar.zero()) + v * w
-            for (k1, k2), w in Hcop.comult[k].items():
-                key = (t, k1, k2)
-                rhs[key] = rhs.get(key, Scalar.zero()) + v * w
-        keys = set(lhs) | set(rhs)
-        zero = Scalar.zero()
-        if any(lhs.get(t, zero) != rhs.get(t, zero) for t in keys):
-            return False
-    return True
-
-
-def _counital(coact, H: HopfStarAlgebra, dim: int):
-    """The first i with (id (x) counit) coact(e_i) != e_i, or None."""
-    one = Scalar.one()
-    for i in range(dim):
-        acc: dict = {}
-        for (t, k), v in coact[i].items():
-            if H.counit[k]:
-                sparse_add(acc, {t: v}, H.counit[k])
-        if sparse_ne(acc, {i: one}):
-            return i
-    return None
 
 
 def _coaction_invariants(rho, H: HopfStarAlgebra, dim: int) -> Subspace:
@@ -420,11 +355,11 @@ def lambda_action(B: ComoduleAlgebra,
                     c = v * f[x1] * g[x2]
                     out[x] = out[x] + c if x in out else c
         return out
-    witness = next(((g, h) for g in range(nh) for h in range(nh)
-                    if lam_of_functional(convolution(omega[g], omega[h]))
-                    != op_mul(ops[g], ops[h])), None)
-    rep.add("convolution_matches_composition", witness is None, witness,
-            note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
+    rep.law("convolution_matches_composition", (
+        (g, h) for g in range(nh) for h in range(nh)
+        if lam_of_functional(convolution(omega[g], omega[h]))
+        != op_mul(ops[g], ops[h])),
+        note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
 
     rep.add("counit_acts_as_identity",
             lam_of_functional(sparse(H.counit))
@@ -472,21 +407,21 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
         z = op_vec(data.expectation, bh_leg(b, h))
         coords = sparse(C.coordinates(z))
         return sparse_comb(c_basis, sparse_comb(qact.act[qi], coords))
+    q_hats = [[[q_hat(qi, b, h) for h in range(nh)] for b in range(nb)]
+              for qi in range(Q.dim)]
 
+    # V^{-1}(h_2) q_hat(b (x) h_1) is m (V^{-1} (x) q_hat) of the flipped
+    # Delta(e_h)
     unit_b = _unit_b_index(data)
-
-    def outside_commutant(qi: int, b: int, h: int) -> bool:
-        acc: dict = {}
-        for (h1, h2), v in H.comult[h].items():
-            vinv = _b_leg(data, unit_b, sp.h_leg(sparse(H.antipode[h2])))
-            sparse_add(acc, sparse_apply(total.mult, vinv, q_hat(qi, b, h1)),
-                       v)
-        return not b_tensor_comm.contains(acc)
-    witness = next(((qi, b, h) for qi in range(Q.dim) for b in range(nb)
-                    for h in range(nh) if outside_commutant(qi, b, h)), None)
-    rep.add("commutant_membership", witness is None, witness,
-            note="V^{-1}(h_2) q_hat(b (x) h_1) lands in"
-                 " B (x) (A' cap A x| H^cop)")
+    vinv = [_b_leg(data, unit_b, sp.h_leg(sparse(row))) for row in H.antipode]
+    flipped = [{(h2, h1): v for (h1, h2), v in plane.items()}
+               for plane in H.comult]
+    rep.law("commutant_membership", (
+        (qi, b, h) for qi in range(Q.dim) for b in range(nb) for h in range(nh)
+        if not b_tensor_comm.contains(
+            convolve(total.mult, flipped[h], vinv, q_hats[qi][b]))),
+        note="V^{-1}(h_2) q_hat(b (x) h_1) lands in"
+             " B (x) (A' cap A x| H^cop)")
 
     # T_q read off through the counit and the unit-of-A coefficient
     t_mats = []
@@ -494,7 +429,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
         T = [[Scalar.zero()] * (nb * nh) for _ in range(nb)]
         for b in range(nb):
             for h in range(nh):
-                img = q_hat(qi, b, h)
+                img = q_hats[qi][b][h]
                 for o in range(nb):
                     T[o][b * nh + h] = sp.unit_coefficient(
                         {t - o * nt: x for t, x in img.items()
@@ -509,7 +444,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
                         if T[o][b * nh + h1]:
                             sparse_add(expected, bh_leg(o, h2),
                                        v * T[o][b * nh + h1])
-                if sparse_ne(expected, q_hat(qi, b, h)):
+                if sparse_ne(expected, q_hats[qi][b][h]):
                     raise InputError(
                         f"decomposition failed (witness {(qi, b, h)})")
     rep.add("decomposition", True)

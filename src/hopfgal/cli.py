@@ -40,7 +40,7 @@ from .measuring import (
     universal_measuring_within,
 )
 from .report import CHECKS_VERSION
-from .serialize import JobDoc, Workspace, emit, parse_matrix, subspace_doc
+from .serialize import Fields, Workspace, emit, parse_matrix, subspace_doc
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -222,15 +222,9 @@ def run_measure(ws: Workspace, job: dict) -> dict:
     extra = []
     for i, span_doc in enumerate(job.get("spans", [])):
         where = f"{job.where}.spans[{i}]"
-        if not isinstance(span_doc, dict):
-            raise InputError(f"{where}: expected an object")
-        span_doc = JobDoc(span_doc, where)
-        try:
-            legs = int(span_doc["l"]), int(span_doc["r"])
-        except (TypeError, ValueError) as e:
-            raise InputError(f"{where}: l and r must be integers") from e
+        span_doc = Fields(span_doc, where)
         extra.append(SpanConstraint.from_matrices(
-            *legs,
+            span_doc.integer("l"), span_doc.integer("r"),
             parse_matrix(span_doc["left"], f"{where}.left"),
             parse_matrix(span_doc["right"], f"{where}.right"),
             act.alg.dim * act.alg.dim,

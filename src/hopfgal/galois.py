@@ -43,6 +43,7 @@ from .hopf import (
     canonical_pairing,
     dual_hopf,
     hopf_equal,
+    tensor_map,
     validate_pairing,
 )
 from .jones import BasicConstruction
@@ -250,10 +251,10 @@ def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
     rep.add("dual_map_injective", span_t.dim == nh)
 
     # composition of endomorphisms = convolution in H*
-    witness = next(((i, j) for i in range(nh) for j in range(nh)
-                    if op_mul(t_ops[i], t_ops[j])
-                    != dual_endo(sp, dual.algebra.mult[i][j])), None)
-    rep.add("convolution_matches_composition", witness is None, witness)
+    rep.law("convolution_matches_composition", (
+        (i, j) for i in range(nh) for j in range(nh)
+        if op_mul(t_ops[i], t_ops[j])
+        != dual_endo(sp, dual.algebra.mult[i][j])))
 
     # the values F(1 x| h) determine F, so they span a space of equal dim
     unconstrained = _endo_values(sp, colinear=False)
@@ -358,26 +359,17 @@ class QGalCertificate:
 
         # phi(x) for a sparse x is the combination of the rows of phi
         rows = [sparse(row) for row in phi]
-        witness = next(((i, j) for i in range(nq) for j in range(nq)
-                        if sparse_ne(sparse_comb(rows, Q.algebra.mult[i][j]),
-                                     sparse_apply(dual.algebra.mult,
-                                                  rows[i], rows[j]))), None)
-        rep.add("algebra_morphism", witness is None, witness)
+        rep.law("algebra_morphism", (
+            (i, j) for i in range(nq) for j in range(nq)
+            if sparse_ne(sparse_comb(rows, Q.algebra.mult[i][j]),
+                         sparse_apply(dual.algebra.mult, rows[i], rows[j]))))
         rep.add("unit_preserved", not sparse_ne(
             sparse_comb(rows, sparse(Q.unit)), sparse(dual.unit)))
 
-        witness = None
-        for i in range(nq):
-            lhs: dict = {}
-            for (j, k), v in Q.comult[i].items():
-                for a, va in rows[j].items():
-                    for b, vb in rows[k].items():
-                        key = (a, b)
-                        lhs[key] = lhs.get(key, Scalar.zero()) + v * va * vb
-            if sparse_ne(lhs, dual.comult_vec(phi[i])):
-                witness = i
-                break
-        rep.add("coalgebra_morphism", witness is None, witness)
+        rep.law("coalgebra_morphism", (
+            i for i, plane in enumerate(Q.comult)
+            if sparse_ne(tensor_map(plane, rows, rows),
+                         dual.comult_vec(phi[i]))))
         rep.add("counit_preserved",
                 all(dual.counit_of(phi[i]) == Q.counit[i] for i in range(nq)))
         q_star = [sparse(row) for row in Q.star]
@@ -394,11 +386,10 @@ class QGalCertificate:
         # diagram: q . z = phi(q) . z through the dual action
         nt = self.smash.total.dim
         dact = self.dual_act.act
-        witness = next(((i, t) for i in range(nq) for t in range(nt)
-                        if sparse_ne(qact.act[i][t], sparse_comb(
-                            [plane[t] for plane in dact], rows[i]))),
-                       None)
-        rep.add("diagram_commutes", witness is None, witness)
+        rep.law("diagram_commutes", (
+            (i, t) for i in range(nq) for t in range(nt)
+            if sparse_ne(qact.act[i][t],
+                         sparse_comb([plane[t] for plane in dact], rows[i]))))
 
         # uniqueness: homogeneous solve for (psi, t) with
         # dualact(psi(q)) x = t * (q . x); solution space is one line
@@ -509,30 +500,20 @@ def trace_preservation(action: ModuleAlgebraAction,
     H, A = action.hopf, action.alg
     if tau is None:
         tau = A.state if A.state is not None else unique_trace(A)
-    witness = None
-    for h in range(H.dim):
-        eps = H.counit[h]
-        for a in range(A.dim):
-            val = Scalar.zero()
-            for k, x in action.act[h][a].items():
-                if tau[k]:
-                    val = val + x * tau[k]
-            if val != eps * tau[a]:
-                witness = (h, a)
-                break
-        if witness:
-            break
-    rep.add("state_invariant", witness is None, witness)
+    zero = Scalar.zero()
+    rep.law("state_invariant", (
+        (h, a) for h in range(H.dim) for a in range(A.dim)
+        if sum((x * tau[k] for k, x in action.act[h][a].items() if tau[k]),
+               zero) != H.counit[h] * tau[a]))
 
     if bc is not None:
         space, e = bc.space, bc.e_N
 
-        def extension_fails(h, a):
-            acted = space.base.left_mult_op(action.act[h][a])
-            return (bc.trace1(op_mul(e, acted))
-                    != H.counit[h] * bc.trace1(op_mul(e, space.lam_basis(a))))
-        witness = next(((h, a) for h in range(H.dim) for a in range(A.dim)
-                        if extension_fails(h, a)), None)
-        rep.add("basic_construction_trace_extension",
-                witness is None, witness)
+        # tau_1(e_N lam(x)) for each basis x
+        traces = [bc.trace1(op_mul(e, space.lam_basis(a)))
+                  for a in range(A.dim)]
+        rep.law("basic_construction_trace_extension", (
+            (h, a) for h in range(H.dim) for a in range(A.dim)
+            if bc.trace1(op_mul(e, space.base.left_mult_op(action.act[h][a])))
+            != H.counit[h] * traces[a]))
     return rep

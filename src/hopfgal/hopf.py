@@ -11,9 +11,10 @@ forced by the axioms; validate_pairing records it in its report).
 
 from __future__ import annotations
 
+from heapq import merge
 from itertools import product
 
-from .algebra import StarAlgebra, validate_algebra
+from .algebra import StarAlgebra, involution_failures, validate_algebra
 from .errors import InputError
 from .linalg import (
     Mat,
@@ -26,6 +27,7 @@ from .linalg import (
     mat_inverse,
     sparse,
     sparse_add,
+    sparse_apply,
     sparse_comb,
     sparse_conj,
     sparse_ne,
@@ -229,53 +231,57 @@ class HopfStarAlgebra:
 
 
 # -- validation -----------------------------------------------------------
+#
+# A coaction beta of a coalgebra with comultiplication Delta is stored like
+# Delta itself: beta[i] maps (j, k) to the coefficient of e_j (x) f_k in
+# beta(e_i), f the basis of the coalgebra.  Delta is the coaction of a
+# coalgebra on itself, so these laws serve coalgebras, comodule algebras
+# and the product coaction of banica alike.
+
+
+def coassociativity_failures(coact, comult):
+    """The i, in order, with (beta (x) id) beta(e_i) != (id (x) Delta)
+    beta(e_i)."""
+    for i, plane in enumerate(coact):
+        left: dict = {}
+        right: dict = {}
+        for (j, k), v in plane.items():
+            for (a, b), w in coact[j].items():
+                key = (a, b, k)
+                left[key] = left[key] + v * w if key in left else v * w
+            for (a, b), w in comult[k].items():
+                key = (j, a, b)
+                right[key] = right[key] + v * w if key in right else v * w
+        if sparse_ne(left, right):
+            yield i
+
+
+def counit_failures(coact, counit: Vec):
+    """The i, in order, with (id (x) counit) beta(e_i) != e_i."""
+    one = Scalar.one()
+    for i, plane in enumerate(coact):
+        image: dict = {}
+        for (j, k), v in plane.items():
+            if counit[k]:
+                x = v * counit[k]
+                image[j] = image[j] + x if j in image else x
+        if sparse_ne(image, {i: one}):
+            yield i
 
 
 def validate_coalgebra(C: StarCoalgebra, title: str = "coalgebra") -> Report:
     rep = Report(title)
-    n = C.dim
-
-    witness = None
-    for i in range(n):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), v in C.comult[i].items():
-            for (a, b), w in C.comult[j].items():
-                key = (a, b, k)
-                left[key] = left.get(key, Scalar.zero()) + v * w
-            for (a, b), w in C.comult[k].items():
-                key = (j, a, b)
-                right[key] = right.get(key, Scalar.zero()) + v * w
-        if sparse_ne(left, right):
-            witness = i
-            break
-    rep.add("coassociativity", witness is None, witness)
-
-    witness = None
-    for i in range(n):
-        le = vzero(n)
-        ri = vzero(n)
-        for (j, k), v in C.comult[i].items():
-            if C.counit[j]:
-                le[k] = le[k] + v * C.counit[j]
-            if C.counit[k]:
-                ri[j] = ri[j] + v * C.counit[k]
-        if le != unit_vec(n, i) or ri != unit_vec(n, i):
-            witness = i
-            break
-    rep.add("counit", witness is None, witness)
-
-    witness = None
+    rep.law("coassociativity", coassociativity_failures(C.comult, C.comult))
+    # the left counit law of Delta is the right one of the flipped Delta
+    flipped = [{(k, j): v for (j, k), v in plane.items()}
+               for plane in C.comult]
+    rep.law("counit", merge(counit_failures(C.comult, C.counit),
+                            counit_failures(flipped, C.counit)))
     star = [sparse(row) for row in C.star]
-    for i in range(n):
-        lhs = sparse_comb(C.comult, star[i])
-        rhs: dict = {}
-        for (j, k), v in C.comult[i].items():
-            sparse_add(rhs, _outer(star[k], star[j]), v.conj())
-        if sparse_ne(lhs, rhs):
-            witness = i
-            break
-    rep.add("star_reverses_comultiplication", witness is None, witness)
+    rep.law("star_reverses_comultiplication", (
+        i for i, plane in enumerate(flipped)
+        if sparse_ne(sparse_comb(C.comult, star[i]),
+                     tensor_map(sparse_conj(plane), star, star))))
     return rep
 
 
@@ -284,84 +290,43 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep = Report(f"hopf {H.name}".strip())
     rep.merge(validate_algebra(H.algebra), prefix="alg:")
     rep.merge(validate_coalgebra(H.coalgebra), prefix="coalg:")
-    n = H.dim
+    n, mult, comult, counit = H.dim, H.algebra.mult, H.comult, H.counit
+    pairs = list(product(range(n), repeat=2))
+    zero, one = Scalar.zero(), Scalar.one()
 
     # Delta and epsilon are unital algebra morphisms.
-    witness = None
-    mult = H.algebra.mult
-    for i in range(n):
-        for j in range(n):
-            lhs = sparse_comb(H.comult, mult[i][j])
-            rhs: dict = {}
-            for (a, b), v in H.comult[i].items():
-                for (c, d), w in H.comult[j].items():
-                    ac, bd = mult[a][c], mult[b][d]
-                    if ac and bd:
-                        sparse_add(rhs, _outer(ac, bd), v * w)
-            if sparse_ne(lhs, rhs):
-                witness = (i, j)
-                break
-        if witness:
-            break
-    rep.add("comult_is_algebra_morphism", witness is None, witness)
+    rep.law("comult_is_algebra_morphism", (
+        (i, j) for i, j in pairs
+        if sparse_ne(sparse_comb(comult, mult[i][j]),
+                     tensor_product(mult, mult, comult[i], comult[j]))))
     unit = sparse(H.unit)
     rep.add("comult_unital",
-            not sparse_ne(sparse_comb(H.comult, unit), _outer(unit, unit)))
-
-    witness = None
-    counit = H.counit
-    for i in range(n):
-        for j in range(n):
-            eps = Scalar.zero()
-            for k, v in mult[i][j].items():
-                eps = eps + v * counit[k]
-            if eps != counit[i] * counit[j]:
-                witness = (i, j)
-                break
-        if witness:
-            break
-    rep.add("counit_is_algebra_morphism", witness is None, witness)
-    rep.add("counit_unital", H.counit_of(H.unit) == Scalar.one())
+            not sparse_ne(sparse_comb(comult, unit), _outer(unit, unit)))
+    rep.law("counit_is_algebra_morphism", (
+        (i, j) for i, j in pairs
+        if sum((v * counit[k] for k, v in mult[i][j].items()), zero)
+        != counit[i] * counit[j]))
+    rep.add("counit_unital", H.counit_of(H.unit) == one)
 
     # Delta(x*) = (x_1)* (x) (x_2)*: Delta is a *-algebra morphism.
-    witness = None
     star = [sparse(row) for row in H.star]
-    for i in range(n):
-        lhs = sparse_comb(H.comult, star[i])
-        rhs: dict = {}
-        for (j, k), v in H.comult[i].items():
-            sparse_add(rhs, _outer(star[j], star[k]), v.conj())
-        if sparse_ne(lhs, rhs):
-            witness = i
-            break
-    rep.add("comult_is_star_morphism", witness is None, witness)
+    rep.law("comult_is_star_morphism", (
+        i for i, plane in enumerate(comult)
+        if sparse_ne(sparse_comb(comult, star[i]),
+                     tensor_map(sparse_conj(plane), star, star))))
 
     # Antipode axiom: m (S (x) id) Delta = unit . counit = m (id (x) S) Delta
-    witness = None
     antipode = [sparse(row) for row in H.antipode]
-    for i in range(n):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), v in H.comult[i].items():
-            for p, sj in antipode[j].items():
-                sparse_add(left, mult[p][k], v * sj)
-            for p, sk in antipode[k].items():
-                sparse_add(right, mult[j][p], v * sk)
-        target = {k: H.counit[i] * u for k, u in unit.items()}
-        if sparse_ne(left, target) or sparse_ne(right, target):
-            witness = i
-            break
-    rep.add("antipode_axiom", witness is None, witness)
+    ident = [{i: one} for i in range(n)]
+    targets = [{k: e * u for k, u in unit.items()} for e in counit]
+    rep.law("antipode_axiom", (
+        i for i, plane in enumerate(comult)
+        if sparse_ne(convolve(mult, plane, antipode, ident), targets[i])
+        or sparse_ne(convolve(mult, plane, ident, antipode), targets[i])))
 
     # x -> S(x)^* is an involution; it is conjugate linear.
-    witness = None
-    circ = [sparse_comb(star, sparse_conj(antipode[i])) for i in range(n)]
-    for i in range(n):
-        twice = sparse_comb(circ, sparse_conj(circ[i]))
-        if sparse_ne(twice, {i: Scalar.one()}):
-            witness = i
-            break
-    rep.add("star_antipode_involution", witness is None, witness)
+    rep.law("star_antipode_involution", involution_failures(
+        [sparse_comb(star, sparse_conj(row)) for row in antipode]))
 
     try:
         mat_inverse(transpose(H.antipode))
@@ -372,6 +337,33 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep.add("kac_flag_recorded", True, witness={"kac": H.is_kac()},
             note="S^2 = id is a flag consumed downstream, not an axiom")
     return rep
+
+
+def tensor_product(mult_a, mult_b, x: dict, y: dict) -> dict:
+    """x y in A (x) B for x and y keyed by index pairs."""
+    out: dict = {}
+    for (a, b), v in x.items():
+        for (c, d), w in y.items():
+            ac, bd = mult_a[a][c], mult_b[b][d]
+            if ac and bd:
+                sparse_add(out, _outer(ac, bd), v * w)
+    return out
+
+
+def convolve(mult, plane: dict, f: list, g: list) -> dict:
+    """m (f (x) g) of the tensor plane, f and g given by sparse rows."""
+    out: dict = {}
+    for (j, k), v in plane.items():
+        sparse_add(out, sparse_apply(mult, f[j], g[k]), v)
+    return out
+
+
+def tensor_map(plane: dict, f: list, g: list) -> dict:
+    """(f (x) g) of the tensor plane, f and g given by sparse rows."""
+    out: dict = {}
+    for (j, k), v in plane.items():
+        sparse_add(out, _outer(f[j], g[k]), v)
+    return out
 
 
 def _outer(x: dict, y: dict) -> dict:
@@ -605,7 +597,7 @@ def validate_pairing(P: HopfPairing) -> Report:
 
     Each side is read from the pairing matrix, the sparse mult and comult
     tensors and the sparse antipode and star rows; a failing law reports
-    its first basis witness in the order of the loops below.
+    its first basis witness in the order of the cases below.
     """
     rep = Report("hopf pairing")
     Q, H, M = P.Q, P.H, P.matrix
@@ -616,18 +608,16 @@ def validate_pairing(P: HopfPairing) -> Report:
         return sum((xi * yj * M[i][j] for i, xi in x.items()
                     for j, yj in y.items()), zero)
 
-    def law(name, cases, fails, note=None):
-        witness = next((case for case in cases if fails(*case)), None)
-        rep.add(name, witness is None, witness, note=note)
-
-    law("multiplicative_left", product(qs, qs, hs), lambda a, b, c:
-        pair(Q.algebra.mult[a][b], {c: one})
+    rep.law("multiplicative_left", (
+        (a, b, c) for a, b, c in product(qs, qs, hs)
+        if pair(Q.algebra.mult[a][b], {c: one})
         != sum((v * M[a][c1] * M[b][c2]
-                for (c1, c2), v in H.comult[c].items()), zero))
-    law("multiplicative_right", product(qs, hs, hs), lambda a, c, d:
-        pair({a: one}, H.algebra.mult[c][d])
+                for (c1, c2), v in H.comult[c].items()), zero)))
+    rep.law("multiplicative_right", (
+        (a, c, d) for a, c, d in product(qs, hs, hs)
+        if pair({a: one}, H.algebra.mult[c][d])
         != sum((v * M[a1][c] * M[a2][d]
-                for (a1, a2), v in Q.comult[a].items()), zero))
+                for (a1, a2), v in Q.comult[a].items()), zero)))
     rep.add("unit_pairs_to_counit",
             all(pair(sparse(Q.unit), {c: one}) == H.counit[c] for c in hs))
     rep.add("counit_pairs_to_unit",
@@ -635,14 +625,15 @@ def validate_pairing(P: HopfPairing) -> Report:
 
     q_antipode = [sparse(row) for row in Q.antipode]
     h_antipode = [sparse(row) for row in H.antipode]
-    law("antipode_law", product(qs, hs), lambda a, c:
-        pair(q_antipode[a], {c: one}) != pair({a: one}, h_antipode[c]))
+    rep.law("antipode_law", (
+        (a, c) for a, c in product(qs, hs)
+        if pair(q_antipode[a], {c: one}) != pair({a: one}, h_antipode[c])))
     # e_a* is star row a, and (S e_c)* = sum_j conj(S[c][j]) star row j
     q_star = [sparse(row) for row in Q.star]
     h_star = [sparse(row) for row in H.star]
-    law("star_law", product(qs, hs), lambda a, c:
-        pair(q_star[a], {c: one})
-        != pair({a: one},
-                sparse_comb(h_star, sparse_conj(h_antipode[c]))).conj(),
+    sh_star = [sparse_comb(h_star, sparse_conj(row)) for row in h_antipode]
+    rep.law("star_law", (
+        (a, c) for a, c in product(qs, hs)
+        if pair(q_star[a], {c: one}) != pair({a: one}, sh_star[c]).conj()),
         note=PAIRING_STAR_NOTE)
     return rep

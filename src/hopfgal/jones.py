@@ -463,10 +463,10 @@ def markov_check(bc: BasicConstruction) -> Report:
     space = bc.space
     n = space.dim
     idx = Scalar.rational(bc.index.numerator, bc.index.denominator)
-    witness = next((i for i in range(n)
-                    if bc.trace1(op_mul(bc.e_N, space.lam_basis(i)))
-                    != space.base.state[i] / idx), None)
-    rep.add("markov_identity", witness is None, witness)
+    rep.law("markov_identity", (
+        i for i in range(n)
+        if bc.trace1(op_mul(bc.e_N, space.lam_basis(i)))
+        != space.base.state[i] / idx))
     return rep
 
 
@@ -499,8 +499,7 @@ def bimodule_endos_report(bc: BasicConstruction) -> Report:
     inter = bc.n_commutant.intersect(bc.m1)
     rep.add("dimension_matches", endos.dim == inter.dim,
             witness={"endos": endos.dim, "n_comm_cap_m1": inter.dim})
-    rep.add("extension_lands_in_intersection",
-            all(inter.contains(v) for v in endos.basis))
+    rep.add("extension_lands_in_intersection", inter.contains_subspace(endos))
     rep.add("intersection_consists_of_bimodule_maps",
-            all(endos.contains(v) for v in inter.basis))
+            endos.contains_subspace(inter))
     return rep

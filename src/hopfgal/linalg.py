@@ -370,8 +370,7 @@ class Subspace:
                 raise InputError(
                     f"vector length {len(v)} in ambient of dim {ambient_dim}"
                 )
-        rows, pivots = rref(vectors)
-        return Subspace(ambient_dim, rows, pivots)
+        return span_of(vectors, ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -425,7 +424,12 @@ class Subspace:
         return [v[p] for p in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        """Every basis vector of other lies in the subspace, read from the
+        sparse echelon rows of other."""
+        self._check_ambient(other)
+        one = Scalar.one()
+        return not any(_reduce(self._rows, {p: one, **tail})
+                       for p, tail in other._rows.items())
 
     def __eq__(self, other) -> bool:
         # equal RREF bases have the same pivots and nonzero entries

@@ -4,6 +4,12 @@ Every validator in the package returns a Report: an ordered list of named
 checks, each either passing or failing with a witness (typically the basis
 indices at which the identity first broke).  Reports serialize to JSON with
 deterministic key order so that identical inputs give byte-identical output.
+
+An axiom is stated with Report.law: the validator passes an iterable of the
+cases where the identity breaks, in the order the cases are tried, usually
+a generator expression over the basis.  Only its first item is read, so
+the cases after the first failure are never computed, and that item is the
+witness.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ class Report:
     def add(self, name: str, passed: bool, witness=None, note=None) -> bool:
         self.checks.append(Check(name, bool(passed), witness, note))
         return bool(passed)
+
+    def law(self, name: str, failures, note=None) -> bool:
+        """Record the law name, with the first of its failures as witness;
+        it passes when there is none."""
+        witness = next(iter(failures), None)
+        return self.add(name, witness is None, witness, note)
 
     def note(self, text: str):
         self.notes.append(text)

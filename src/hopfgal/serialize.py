@@ -20,7 +20,12 @@ from .actions import ModuleAlgebraAction
 from .algebra import StarAlgebra
 from .banica import ComoduleAlgebra
 from .errors import InputError
-from .hopf import HopfPairing, HopfStarAlgebra, group_algebra
+from .hopf import (
+    HopfPairing,
+    HopfStarAlgebra,
+    function_algebra,
+    group_algebra,
+)
 from .linalg import Subspace
 from .scalars import Scalar
 
@@ -71,16 +76,24 @@ def scalar_from(doc, where: str) -> Scalar:
         raise InputError(f"{where}: {e}") from e
 
 
-def _vector(doc, where: str) -> list:
+def integer(doc, where: str) -> int:
+    """An integer field; anything int() refuses is an input error."""
+    try:
+        return int(doc)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"{where}: expected an integer") from e
+
+
+def _vector(doc, where: str, read=scalar_from) -> list:
     if not isinstance(doc, list):
         raise InputError(f"{where}: expected an array")
-    return [scalar_from(v, f"{where}[{i}]") for i, v in enumerate(doc)]
+    return [read(v, f"{where}[{i}]") for i, v in enumerate(doc)]
 
 
-def _matrix(doc, where: str) -> list:
+def _matrix(doc, where: str, read=scalar_from) -> list:
     if not isinstance(doc, list):
         raise InputError(f"{where}: expected an array of rows")
-    return [_vector(r, f"{where}[{i}]") for i, r in enumerate(doc)]
+    return [_vector(r, f"{where}[{i}]", read) for i, r in enumerate(doc)]
 
 
 def _sized(doc, dim: int, where: str, what: str) -> list:
@@ -96,27 +109,29 @@ def _square(doc, dim: int, where: str) -> list:
             for i, row in enumerate(_sized(doc, dim, where, "rows"))]
 
 
-def _cube(doc, dim: int, where: str):
-    """The nonzero entries (i, j, k, s) of a dim x dim x dim table."""
-    for i, plane in enumerate(_sized(doc, dim, where, "planes")):
-        for j, line in enumerate(_sized(plane, dim, f"{where}[{i}]", "rows")):
-            line = _sized(line, dim, f"{where}[{i}][{j}]", "entries")
+def _cube(doc, d1: int, d2: int, d3: int, where: str):
+    """The nonzero entries (i, j, k, s) of a d1 x d2 x d3 table."""
+    for i, plane in enumerate(_sized(doc, d1, where, "planes")):
+        for j, line in enumerate(_sized(plane, d2, f"{where}[{i}]", "rows")):
+            line = _sized(line, d3, f"{where}[{i}][{j}]", "entries")
             for k, v in enumerate(line):
                 s = scalar_from(v, f"{where}[{i}][{j}][{k}]")
                 if s:
                     yield i, j, k, s
 
 
-def _tensor3_sparse(doc, dim: int, where: str):
-    out = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, s in _cube(doc, dim, where):
+def _tensor3_sparse(doc, d1: int, d2: int, d3: int, where: str):
+    """out[i][j] maps k to the entry (i, j, k): mult and act."""
+    out = [[{} for _ in range(d2)] for _ in range(d1)]
+    for i, j, k, s in _cube(doc, d1, d2, d3, where):
         out[i][j][k] = s
     return out
 
 
-def _comult_sparse(doc, dim: int, where: str):
-    out = [{} for _ in range(dim)]
-    for i, j, k, s in _cube(doc, dim, where):
+def _comult_sparse(doc, d1: int, d2: int, d3: int, where: str):
+    """out[i] maps (j, k) to the entry (i, j, k): comult and coact."""
+    out = [{} for _ in range(d1)]
+    for i, j, k, s in _cube(doc, d1, d2, d3, where):
         out[i][(j, k)] = s
     return out
 
@@ -124,14 +139,30 @@ def _comult_sparse(doc, dim: int, where: str):
 # -- document parsers -----------------------------------------------------------
 
 
-def parse_algebra(body: dict, where: str) -> StarAlgebra:
-    try:
-        dim = int(body["dim"])
-    except KeyError as e:
-        raise InputError(f"{where}: missing field {e}") from e
+class Fields(dict):
+    """A document body; reading a field it lacks is an input error naming
+    the document, and an integer field is read through integer()."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, body, where: str):
+        if not isinstance(body, dict):
+            raise InputError(f"{where}: expected an object")
+        super().__init__(body)
+        self.where = where
+
+    def __missing__(self, key):
+        raise InputError(f"{self.where}: missing field {key!r}")
+
+    def integer(self, key: str) -> int:
+        return integer(self[key], f"{self.where}.{key}")
+
+
+def parse_algebra(body: Fields) -> StarAlgebra:
+    where, dim = body.where, body.integer("dim")
     if dim > max_dim():
         raise InputError(f"{where}: dim {dim} exceeds {MAX_DIM_ENV}")
-    mult = _tensor3_sparse(body["mult"], dim, f"{where}.mult")
+    mult = _tensor3_sparse(body["mult"], dim, dim, dim, f"{where}.mult")
     unit = _vector(body["unit"], f"{where}.unit")
     star = _square(body["star"], dim, f"{where}.star")
     state = None
@@ -141,34 +172,19 @@ def parse_algebra(body: dict, where: str) -> StarAlgebra:
                        name=body.get("name", ""))
 
 
-def parse_hopf(body: dict, where: str) -> HopfStarAlgebra:
+def parse_hopf(body: Fields) -> HopfStarAlgebra:
+    where = body.where
     if "group_table" in body:
-        table = body["group_table"]
-        H = group_algebra(table, name=body.get("name", ""))
-        if body.get("dual"):
-            from .hopf import function_algebra
-
-            return function_algebra(table, name=body.get("name", ""))
-        return H
-    alg = parse_algebra(body, where)
-    comult = _comult_sparse(body["comult"], alg.dim, f"{where}.comult")
+        table = _matrix(body["group_table"], f"{where}.group_table", integer)
+        make = function_algebra if body.get("dual") else group_algebra
+        return make(table, name=body.get("name", ""))
+    alg = parse_algebra(body)
+    n = alg.dim
+    comult = _comult_sparse(body["comult"], n, n, n, f"{where}.comult")
     counit = _vector(body["counit"], f"{where}.counit")
-    antipode = _square(body["antipode"], alg.dim, f"{where}.antipode")
+    antipode = _square(body["antipode"], n, f"{where}.antipode")
     return HopfStarAlgebra(alg, comult, counit, antipode,
                            name=body.get("name", ""))
-
-
-class JobDoc(dict):
-    """A job document; reading a field it lacks is an input error."""
-
-    __slots__ = ("where",)
-
-    def __init__(self, body: dict, where: str):
-        super().__init__(body)
-        self.where = where
-
-    def __missing__(self, key):
-        raise InputError(f"{self.where}: missing field {key!r}")
 
 
 class Workspace:
@@ -190,7 +206,8 @@ class Workspace:
             raise InputError(f"cannot read workspace: {e}") from e
         except json.JSONDecodeError as e:
             raise InputError(f"workspace is not valid JSON: {e}") from e
-        if not isinstance(doc, dict) or "documents" not in doc:
+        if not isinstance(doc, dict) \
+                or not isinstance(doc.get("documents"), dict):
             raise InputError('workspace must be {"documents": {...}}')
         return Workspace(doc["documents"])
 
@@ -208,44 +225,44 @@ class Workspace:
             for name, body in self.raw.items():
                 if self.kinds[name] != kind:
                     continue
-                where = f"/documents/{name}"
-                self.objects[name] = self._parse_one(kind, body, where)
+                body = Fields(body, f"/documents/{name}")
+                self.objects[name] = self._parse_one(kind, body)
 
-    def _ref(self, body: dict, key: str, kinds: tuple, where: str):
-        try:
-            ref = body[key]
-        except KeyError as e:
-            raise InputError(f"{where}: missing reference {key!r}") from e
-        if ref not in self.objects:
-            raise InputError(f"{where}.{key}: dangling reference {ref!r}")
+    def _ref(self, body: Fields, key: str, kinds: tuple):
+        ref, where = body[key], f"{body.where}.{key}"
+        if not isinstance(ref, str) or ref not in self.objects:
+            raise InputError(f"{where}: dangling reference {ref!r}")
         if self.kinds[ref] not in kinds:
             raise InputError(
-                f"{where}.{key}: {ref!r} has kind {self.kinds[ref]},"
+                f"{where}: {ref!r} has kind {self.kinds[ref]},"
                 f" expected one of {kinds}"
             )
         return self.objects[ref]
 
-    def _parse_one(self, kind: str, body: dict, where: str):
+    def _carrier(self, body: Fields) -> StarAlgebra:
+        """The algebra an action or a coaction lives on, named by its alg
+        (or algebra) field."""
+        key = "algebra" if "alg" not in body and "algebra" in body else "alg"
+        target = self._ref(body, key, ("algebra", "hopf"))
+        if isinstance(target, HopfStarAlgebra):
+            return target.algebra
+        return target
+
+    def _parse_one(self, kind: str, body: Fields):
+        where = body.where
         if kind == "algebra":
-            return parse_algebra(body, where)
+            return parse_algebra(body)
         if kind == "hopf":
-            return parse_hopf(body, where)
+            return parse_hopf(body)
         if kind == "subspace":
-            ambient = int(body["ambient_dim"])
+            ambient = body.integer("ambient_dim")
             basis = _matrix(body.get("basis", []), f"{where}.basis")
             return Subspace.from_vectors(basis, ambient)
         if kind == "action":
-            hopf = self._ref(body, "hopf", ("hopf",), where)
-            alg_ref = body.get("alg", body.get("algebra"))
-            if alg_ref is None:
-                raise InputError(f"{where}: missing reference 'alg'")
-            body2 = dict(body)
-            body2["alg"] = alg_ref
-            target = self._ref(body2, "alg", ("algebra", "hopf"), where)
-            if isinstance(target, HopfStarAlgebra):
-                target = target.algebra
-            act = _tensor3_rect(body["act"], hopf.dim, target.dim,
-                                f"{where}.act")
+            hopf = self._ref(body, "hopf", ("hopf",))
+            target = self._carrier(body)
+            act = _tensor3_sparse(body["act"], hopf.dim, target.dim,
+                                  target.dim, f"{where}.act")
             if hopf.dim * target.dim > max_dim():
                 raise InputError(
                     f"{where}: total dimension exceeds {MAX_DIM_ENV}"
@@ -253,23 +270,19 @@ class Workspace:
             return ModuleAlgebraAction(hopf, target, act,
                                        name=body.get("name", ""))
         if kind == "comodule":
-            hopf = self._ref(body, "hopf", ("hopf",), where)
-            body2 = dict(body)
-            body2["alg"] = body.get("alg", body.get("algebra"))
-            target = self._ref(body2, "alg", ("algebra", "hopf"), where)
-            if isinstance(target, HopfStarAlgebra):
-                target = target.algebra
-            coact = _comult_rect(body["coact"], target.dim, hopf.dim,
-                                 f"{where}.coact")
+            hopf = self._ref(body, "hopf", ("hopf",))
+            target = self._carrier(body)
+            coact = _comult_sparse(body["coact"], target.dim, target.dim,
+                                   hopf.dim, f"{where}.coact")
             return ComoduleAlgebra(hopf, target, coact,
                                    name=body.get("name", ""))
         if kind == "pairing":
-            Q = self._ref(body, "q", ("hopf",), where)
-            H = self._ref(body, "h", ("hopf",), where)
+            Q = self._ref(body, "q", ("hopf",))
+            H = self._ref(body, "h", ("hopf",))
             matrix = _matrix(body["matrix"], f"{where}.matrix")
             return HopfPairing(Q, H, matrix)
         if kind == "job":
-            return JobDoc(body, where)
+            return body
         raise InputError(f"{where}: unhandled kind {kind}")
 
     def lift_orders(self):
@@ -355,40 +368,6 @@ class Workspace:
     def jobs_for(self, op: str) -> list[str]:
         return [name for name, kind in self.kinds.items()
                 if kind == "job" and self.objects[name].get("op") == op]
-
-
-def _tensor3_rect(doc, d1: int, d2: int, where: str):
-    if len(doc) != d1:
-        raise InputError(f"{where}: expected {d1} planes")
-    out = []
-    for i, plane in enumerate(doc):
-        if len(plane) != d2:
-            raise InputError(f"{where}[{i}]: expected {d2} rows")
-        row = []
-        for j, line in enumerate(plane):
-            cell = {}
-            for k, v in enumerate(line):
-                s = scalar_from(v, f"{where}[{i}][{j}][{k}]")
-                if s:
-                    cell[k] = s
-            row.append(cell)
-        out.append(row)
-    return out
-
-
-def _comult_rect(doc, d1: int, d2: int, where: str):
-    if len(doc) != d1:
-        raise InputError(f"{where}: expected {d1} planes")
-    out = []
-    for i, plane in enumerate(doc):
-        cell = {}
-        for j, line in enumerate(plane):
-            for k, v in enumerate(line):
-                s = scalar_from(v, f"{where}[{i}][{j}][{k}]")
-                if s:
-                    cell[(j, k)] = s
-        out.append(cell)
-    return out
 
 
 # -- canonical emission -------------------------------------------------------------

@@ -96,6 +96,108 @@ def test_bad_table_shapes_exit_2_naming_the_field(case, tmp_path, capsys):
     assert err.startswith("input error: ") and field + ":" in err
 
 
+def _fixture_with(fname, name, edit):
+    """A shipped workspace with edit applied to its document name."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                           fname)) as fh:
+        doc = json.load(fh)
+    edit(doc["documents"][name])
+    return doc
+
+
+def _line(table, i, j, edit):
+    return lambda d: edit(d[table][i][j])
+
+
+# act (2 x 4 x 4) on the z2 smash job and coact (2 x 2 x 2) on the
+# banica-z2 job: (workspace, op, document, edit, field named)
+_BAD_TENSORS = {
+    f"{table}-{case}": (fname, op, name, edit, f"{name}.{table}{at}")
+    for table, fname, op, name in [("act", "z2.json", "smash", "adz"),
+                                   ("coact", "banica-z2.json", "qgal-banica",
+                                    "beta")]
+    for case, edit, at in [
+        ("not-an-array", lambda d, t=table: d.update({t: 5}), ""),
+        ("plane-not-an-array",
+         lambda d, t=table: d[t].__setitem__(0, 5), "[0]"),
+        ("extra-plane", lambda d, t=table: d[t].append(d[t][0]), ""),
+        ("extra-nonzero-entry", _line(table, 1, 1, lambda x: x.append(1)),
+         "[1][1]"),
+        ("extra-zero-entry", _line(table, 1, 1, lambda x: x.append(0)),
+         "[1][1]"),
+        ("short-line", _line(table, 1, 1, list.pop), "[1][1]"),
+        ("extra-line", lambda d, t=table: d[t][1].append(d[t][1][0]),
+         "[1]"),
+    ]
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TENSORS))
+def test_bad_act_and_coact_shapes_exit_2_naming_the_field(case, tmp_path,
+                                                          capsys):
+    fname, op, name, edit, field = _BAD_TENSORS[case]
+    path = tmp_path / fname
+    path.write_text(json.dumps(_fixture_with(fname, name, edit)))
+    assert _run(op, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and field + ":" in err
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+# a field missing or of the wrong type: (workspace, op, document, edit,
+# what the error says)
+_BAD_FIELDS = {
+    "action-without-act": ("z2.json", "smash", "adz", _drop("act"),
+                           "adz: missing field 'act'"),
+    "algebra-without-mult": ("z2.json", "smash", "mat2", _drop("mult"),
+                             "mat2: missing field 'mult'"),
+    "algebra-dim-not-an-integer": (
+        "z2.json", "smash", "mat2", lambda d: d.update(dim="four"),
+        "mat2.dim: expected an integer"),
+    "subspace-without-ambient-dim": (
+        "s3-transposition.json", "centralizer", "transposition",
+        _drop("ambient_dim"), "transposition: missing field 'ambient_dim'"),
+    "subspace-ambient-dim-not-an-integer": (
+        "s3-transposition.json", "centralizer", "transposition",
+        lambda d: d.update(ambient_dim="x"),
+        "transposition.ambient_dim: expected an integer"),
+    "group-table-not-an-array": (
+        "z2.json", "smash", "cz2", lambda d: d.update(group_table=5),
+        "cz2.group_table: expected an array"),
+    "group-table-entry-not-an-integer": (
+        "z2.json", "smash", "cz2",
+        lambda d: d["group_table"][1].__setitem__(0, "one"),
+        "cz2.group_table[1][0]: expected an integer"),
+    "reference-not-a-name": ("z2.json", "smash", "adz",
+                             lambda d: d.update(hopf=["cz2"]),
+                             "adz.hopf: dangling reference"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+def test_missing_or_ill_typed_fields_exit_2_naming_the_field(case, tmp_path,
+                                                             capsys):
+    fname, op, name, edit, message = _BAD_FIELDS[case]
+    path = tmp_path / fname
+    path.write_text(json.dumps(_fixture_with(fname, name, edit)))
+    assert _run(op, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize("doc", [[], {}, {"documents": 5},
+                                 {"documents": {"x": 5}}])
+def test_workspace_that_is_not_documents_is_input_error(doc, tmp_path,
+                                                        capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert _run("validate", path) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_dangling_reference_detected(tmp_path):
     doc = {"documents": {
         "act": {"kind": "action", "hopf": "missing", "alg": "also-missing",

@@ -215,6 +215,45 @@ def _random_scalar(rng, order):
     return Scalar(order, [rng.randint(-2, 2) for _ in range(phi)])
 
 
+def _random_subspaces(rng, n, order):
+    """Nested and unrelated subspaces of k^n: spans from SpanBuilder and
+    kernels from KernelSolver, of a prefix and of all of random vectors."""
+    def vector():
+        return [_random_scalar(rng, rng.choice([1, order]))
+                if rng.random() < 0.5 else Scalar.zero() for _ in range(n)]
+    vecs = [vector() for _ in range(rng.randint(1, n))]
+    rows = [sparse(vector()) for _ in range(rng.randint(1, n))]
+    out = []
+    for k in (rng.randint(0, len(vecs)), len(vecs)):
+        builder = SpanBuilder(n)
+        for v in vecs[:k]:
+            builder.insert(v)
+        out.append(builder.subspace())
+    for k in (rng.randint(0, len(rows)), len(rows)):
+        solver = KernelSolver(n)
+        for row in rows[:k]:
+            solver.add_row(row)
+        out.append(solver.subspace())
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_contains_subspace_matches_per_vector_contains(order):
+    rng = random.Random(900 + order)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        subspaces = _random_subspaces(rng, n, order)
+        for X in subspaces:
+            for Y in subspaces:
+                verdict = X.contains_subspace(Y)
+                assert verdict == all(X.contains(v) for v in Y.basis)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(InputError):
+        Subspace.full(2).contains_subspace(Subspace.full(3))
+
+
 @pytest.mark.parametrize("order", [1, 4, 5])
 def test_kernel_solver_matches_dense_elimination(order):
     # random sparse systems over Q, Q(i) and Q(zeta_5), with zero entries
