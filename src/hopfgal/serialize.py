@@ -102,11 +102,19 @@ def _sized(doc, dim: int, where: str, what: str) -> list:
     return doc
 
 
-def _square(doc, dim: int, where: str) -> list:
+def _rows(doc, width: int, where: str, read=scalar_from) -> list:
+    """An array of rows of width entries, each row checked before it is
+    read."""
+    if not isinstance(doc, list):
+        raise InputError(f"{where}: expected an array of rows")
+    return [_vector(_sized(row, width, f"{where}[{i}]", "entries"),
+                    f"{where}[{i}]", read)
+            for i, row in enumerate(doc)]
+
+
+def _square(doc, dim: int, where: str, read=scalar_from) -> list:
     """A dim x dim matrix, each row checked before it is read."""
-    return [_vector(_sized(row, dim, f"{where}[{i}]", "entries"),
-                    f"{where}[{i}]")
-            for i, row in enumerate(_sized(doc, dim, where, "rows"))]
+    return _rows(_sized(doc, dim, where, "rows"), dim, where, read)
 
 
 def _cube(doc, d1: int, d2: int, d3: int, where: str):
@@ -175,9 +183,13 @@ def parse_algebra(body: Fields) -> StarAlgebra:
 def parse_hopf(body: Fields) -> HopfStarAlgebra:
     where = body.where
     if "group_table" in body:
-        table = _matrix(body["group_table"], f"{where}.group_table", integer)
+        where, table = f"{where}.group_table", body["group_table"]
+        order = len(table) if isinstance(table, list) else 0
+        if order > max_dim():
+            raise InputError(f"{where}: order {order} exceeds {MAX_DIM_ENV}")
         make = function_algebra if body.get("dual") else group_algebra
-        return make(table, name=body.get("name", ""))
+        return make(_rows(table, order, where, integer),
+                    name=body.get("name", ""))
     alg = parse_algebra(body)
     n = alg.dim
     comult = _comult_sparse(body["comult"], n, n, n, f"{where}.comult")
@@ -256,7 +268,7 @@ class Workspace:
             return parse_hopf(body)
         if kind == "subspace":
             ambient = body.integer("ambient_dim")
-            basis = _matrix(body.get("basis", []), f"{where}.basis")
+            basis = _rows(body.get("basis", []), ambient, f"{where}.basis")
             return Subspace.from_vectors(basis, ambient)
         if kind == "action":
             hopf = self._ref(body, "hopf", ("hopf",))
@@ -279,7 +291,8 @@ class Workspace:
         if kind == "pairing":
             Q = self._ref(body, "q", ("hopf",))
             H = self._ref(body, "h", ("hopf",))
-            matrix = _matrix(body["matrix"], f"{where}.matrix")
+            matrix = _rows(_sized(body["matrix"], Q.dim, f"{where}.matrix",
+                                  "rows"), H.dim, f"{where}.matrix")
             return HopfPairing(Q, H, matrix)
         if kind == "job":
             return body

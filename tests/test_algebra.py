@@ -1,6 +1,8 @@
 """Star algebras: validation, commutants, generation, expectations."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from _oracles import (
@@ -39,6 +41,7 @@ from hopfgal.fixtures import (
     cs3,
     mat_algebra,
     pauli_action,
+    sweedler4,
 )
 from hopfgal.hopf import group_algebra, haar
 from hopfgal.linalg import (
@@ -122,6 +125,81 @@ def test_perturbed_algebra_report_matches_dense_oracle(axiom, order):
     rep = validate_algebra(A)
     assert not rep[axiom].passed and rep[axiom].witness is not None
     assert report_summary(rep) == report_summary(oracle_validate_algebra(A))
+
+
+# Light's associativity test and the star law on generators stand in for
+# the full scans; on 1-2 random corrupted entries of mult, unit or star the
+# report, witnesses included, must still be the full scans' report.
+_SMALL_ALGEBRAS = [
+    lambda: mat_algebra(2), lambda: mat_algebra(3), lambda: cs3().algebra,
+    lambda: c_of_s3().algebra, lambda: sweedler4().algebra,
+    SMASH_BY_ORDER[1],
+]
+
+
+def _corrupt(A, rng: random.Random):
+    n, order = A.dim, A.order()
+    value = rng.choice([Scalar.zero(order), Scalar.one(order),
+                        Scalar.from_int(-1, order), Scalar.from_int(2, order),
+                        Scalar.root_of_unity(order) if order > 1
+                        else Scalar.from_fraction(Fraction(1, 2))])
+    table = rng.choice(["mult", "mult", "unit", "star"])
+    if table == "mult":
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        line = dict(A.mult[i][j])
+        line.pop(k, None)
+        if value:
+            line[k] = value
+        A.mult[i][j] = line
+    elif table == "unit":
+        A.unit = list(A.unit)
+        A.unit[rng.randrange(n)] = value
+    else:
+        i = rng.randrange(n)
+        A.star[i] = list(A.star[i])
+        A.star[i][rng.randrange(n)] = value
+
+
+def test_corrupted_algebras_match_the_full_scan_oracle():
+    rng = random.Random(20261019)
+    failing = set()
+    for _ in range(300):
+        A = rng.choice(_SMALL_ALGEBRAS)()
+        for _ in range(rng.randint(1, 2)):
+            _corrupt(A, rng)
+        rep = validate_algebra(A)
+        assert report_summary(rep) == report_summary(oracle_validate_algebra(A))
+        failing.update(c.name for c in rep.failed())
+    assert {"associativity", "unit", "star_involutive",
+            "star_antimultiplicative"} <= failing
+
+
+def _cs4():
+    elements = list(itertools.permutations(range(4)))
+    return group_algebra([[elements.index(tuple(p[q[x]] for x in range(4)))
+                           for q in elements] for p in elements]).algebra
+
+
+@pytest.mark.parametrize("make", [_cs4, lambda: mat_algebra(6)])
+def test_passing_validation_scans_no_basis_triples(make, monkeypatch):
+    # the n^3 triple scan and the n^2 star scan run only to name a witness
+    import hopfgal.algebra as algebra
+    A = make()
+    calls = {"compose": 0, "apply": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "_compose",
+                        counted("compose", algebra._compose))
+    monkeypatch.setattr(algebra, "sparse_apply",
+                        counted("apply", algebra.sparse_apply))
+    assert validate_algebra(A).ok
+    n = A.dim
+    assert calls["compose"] < n ** 3 and calls["apply"] < n ** 2, calls
 
 
 def test_function_algebra_is_commutative_and_valid():

@@ -97,11 +97,13 @@ def test_bad_table_shapes_exit_2_naming_the_field(case, tmp_path, capsys):
 
 
 def _fixture_with(fname, name, edit):
-    """A shipped workspace with edit applied to its document name."""
+    """A shipped workspace with edit applied to its document name, or to
+    its documents when name is None."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                            fname)) as fh:
         doc = json.load(fh)
-    edit(doc["documents"][name])
+    docs = doc["documents"]
+    edit(docs if name is None else docs[name])
     return doc
 
 
@@ -147,8 +149,13 @@ def _drop(key):
     return lambda d: d.pop(key)
 
 
-# a field missing or of the wrong type: (workspace, op, document, edit,
-# what the error says)
+def _add_pairing(matrix):
+    return lambda docs: docs.update(pairing={
+        "kind": "pairing", "q": "cz2", "h": "cz2", "matrix": matrix})
+
+
+# a field missing, of the wrong type or of the wrong shape: (workspace, op,
+# document, or None for all of them, edit, what the error says)
 _BAD_FIELDS = {
     "action-without-act": ("z2.json", "smash", "adz", _drop("act"),
                            "adz: missing field 'act'"),
@@ -174,6 +181,19 @@ _BAD_FIELDS = {
     "reference-not-a-name": ("z2.json", "smash", "adz",
                              lambda d: d.update(hopf=["cz2"]),
                              "adz.hopf: dangling reference"),
+    "subspace-basis-row-long": (
+        "s3-transposition.json", "centralizer", "transposition",
+        lambda d: d["basis"][0].append(0),
+        "transposition.basis[0]: expected 6 entries"),
+    "group-table-ragged": (
+        "z2.json", "smash", "cz2", lambda d: d["group_table"][1].append(0),
+        "cz2.group_table[1]: expected 2 entries"),
+    "pairing-matrix-short-row": (
+        "z2.json", "smash", None, _add_pairing([[1, 0], [0]]),
+        "pairing.matrix[1]: expected 2 entries"),
+    "pairing-matrix-extra-row": (
+        "z2.json", "smash", None, _add_pairing([[1, 0], [0, 1], [0, 0]]),
+        "pairing.matrix: expected 2 rows"),
 }
 
 
@@ -346,6 +366,20 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     assert code == 2
     monkeypatch.setenv("HOPFGAL_MAX_DIM", "not-a-number")
     assert _run("jones", path) == 2
+
+
+def test_max_dim_guard_covers_group_tables(tmp_path, monkeypatch, capsys):
+    z5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps({"documents": {
+        "z5": {"kind": "hopf", "group_table": z5},
+        "check": {"kind": "job", "op": "validate", "target": "z5"}}}))
+    monkeypatch.setenv("HOPFGAL_MAX_DIM", "4")
+    assert _run("validate", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "z5.group_table:" in err
+    monkeypatch.setenv("HOPFGAL_MAX_DIM", "5")
+    assert _run("validate", path) == 0
 
 
 def test_every_shipped_workspace_parses(fixture_dir):
