@@ -174,6 +174,17 @@ def test_corrupted_algebras_match_the_full_scan_oracle():
             "star_antimultiplicative"} <= failing
 
 
+def test_star_law_fails_on_a_basis_vector_outside_the_generators():
+    # C(S3) is generated by delta_0 .. delta_4; delta_5 = 1 - their sum is
+    # reached only through the unit, which the star law must check too
+    A = c_of_s3().algebra
+    A.star[5] = [-x for x in A.star[5]]
+    rep = validate_algebra(A)
+    assert rep["star_involutive"].passed
+    assert rep["star_antimultiplicative"].witness == (5, 5)
+    assert report_summary(rep) == report_summary(oracle_validate_algebra(A))
+
+
 def _cs4():
     elements = list(itertools.permutations(range(4)))
     return group_algebra([[elements.index(tuple(p[q[x]] for x in range(4)))
