@@ -306,15 +306,15 @@ def validate_algebra(A: StarAlgebra) -> Report:
     one = Scalar.one()
     unit = sparse(A.unit)
 
-    not_unit = list(islice((
+    unit_failures = list(islice((
         j for j in range(n)
         if sparse_ne(_compose(A, unit, j, right=True), {j: one})
         or sparse_ne(_compose(A, unit, j, right=False), {j: one})), 1))
     gens = generating_set(A.full_subspace(), A)
-    middles = [unit, *gens] if not_unit else gens
+    middles = [unit, *gens] if unit_failures else gens
     light = len(middles) < n and not any(associator_failures(A, middles))
     rep.law("associativity", () if light else associator_failures(A))
-    rep.law("unit", not_unit)
+    rep.law("unit", unit_failures)
     star = [sparse(row) for row in A.star]
     rep.law("star_involutive", involution_failures(star))
     rep.law("star_antimultiplicative", (

@@ -112,9 +112,9 @@ def _rows(doc, width: int, where: str, read=scalar_from) -> list:
             for i, row in enumerate(doc)]
 
 
-def _square(doc, dim: int, where: str, read=scalar_from) -> list:
+def _square(doc, dim: int, where: str) -> list:
     """A dim x dim matrix, each row checked before it is read."""
-    return _rows(_sized(doc, dim, where, "rows"), dim, where, read)
+    return _rows(_sized(doc, dim, where, "rows"), dim, where)
 
 
 def _cube(doc, d1: int, d2: int, d3: int, where: str):
