@@ -18,6 +18,7 @@ mul_vec stays for callers holding dense vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -412,10 +413,11 @@ def center(B: StarAlgebra) -> Subspace:
 def generated_subalgebra(gens: list[Vec], B: StarAlgebra) -> Subspace:
     """Smallest unital, *-closed, multiplicatively closed subspace over gens.
 
-    The letters are the generators and their stars.  Closing the span
-    under left multiplication by the letters alone reaches every
-    right-normed word s_1 (s_2 (... s_k)).  B is associative, so these are
-    all the words, and the star of a word is again a word, so the span is
+    The letters are the generators and their stars.  The span of the unit
+    and the letters is closed (SpanBuilder.close) under left
+    multiplication by the letters alone, which reaches every right-normed
+    word s_1 (s_2 (... s_k)).  B is associative, so these are all the
+    words, and the star of a word is again a word, so the span is
     *-closed.  A letter already in the span of the unit and earlier letters
     adds nothing and is dropped.
     """
@@ -423,13 +425,7 @@ def generated_subalgebra(gens: list[Vec], B: StarAlgebra) -> Subspace:
     builder.insert(B.unit)
     letters = [v for g in gens for v in (g, B.star_vec(g))
                if builder.insert(v)]
-    fresh = list(letters)
-    while fresh:
-        w = fresh.pop()
-        for s in letters:
-            p = B.mul_vec(s, w)
-            if builder.insert(p):
-                fresh.append(p)
+    builder.close(list(letters), [partial(B.mul_vec, s) for s in letters])
     return builder.subspace()
 
 
@@ -437,43 +433,37 @@ def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
     """Basis vectors of S, as sparse vectors, that generate S as a unital
     algebra.
 
-    Greedy: a basis vector outside the algebra generated so far becomes a
-    generator, and the span is closed again under left multiplication by
-    the generators, as in generated_subalgebra.  What the closure
-    certifies holds for any bilinear product, associative or not: the
-    words it keeps span S, and each is the unit, a generator, or g w for
-    a generator g and a word w kept before (a right-normed word).  In an
-    associative algebra the right-normed words are all the words, and an
-    operator commutes with a set exactly when it commutes with the unital
-    algebra the set generates, so a commutant needs only these.  Raises
-    InputError when the closure leaves S, i.e. when S is not a unital
-    subalgebra.
+    Greedy: a basis vector g outside the algebra generated so far becomes
+    a generator.  g and g w, for every word w kept before, enter the span,
+    which is then closed (SpanBuilder.close) under left multiplication by
+    every generator so far.  What the closure certifies holds for any
+    bilinear product, associative or not: the words it keeps span S, and
+    each is the unit, a generator, or g w for a generator g and a word w
+    kept before (a right-normed word).  In an associative algebra the
+    right-normed words are all the words, and an operator commutes with a
+    set exactly when it commutes with the unital algebra the set
+    generates, so a commutant needs only these.  Raises InputError when
+    the closure leaves S, i.e. when S is not a unital subalgebra.
     """
     builder = SpanBuilder(B.dim)
     words: list[dict] = []
     gens: list[dict] = []
 
-    def push(w: dict, fresh: list):
-        if builder.insert(w):
-            if not S.contains(w):
-                raise InputError("the generated algebra leaves the subspace")
-            words.append(w)
-            fresh.append(w)
+    def grow(seeds: list, ops: list):
+        fresh = [w for w in seeds if builder.insert(w)]
+        new = fresh + builder.close(list(fresh), ops)
+        if not all(S.contains(w) for w in new):
+            raise InputError("the generated algebra leaves the subspace")
+        words.extend(new)
 
-    push(sparse(B.unit), [])
+    grow([sparse(B.unit)], [])
     for b in S.basis:
         g = sparse(b)
         if builder.contains(g):
             continue
         gens.append(g)
-        earlier, fresh = list(words), []
-        push(g, fresh)
-        for w in earlier:
-            push(sparse_apply(B.mult, g, w), fresh)
-        while fresh:
-            w = fresh.pop()
-            for h in gens:
-                push(sparse_apply(B.mult, h, w), fresh)
+        grow([g] + [sparse_apply(B.mult, g, w) for w in words],
+             [partial(sparse_apply, B.mult, h) for h in gens])
     return gens
 
 

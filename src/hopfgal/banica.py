@@ -30,6 +30,7 @@ from .algebra import (
     StarAlgebra,
     gram_matrix,
     is_nonsingular,
+    is_unital_star_subalgebra,
     numerically_positive,
     relative_commutant,
     reify,
@@ -194,7 +195,7 @@ def product_coaction(B: ComoduleAlgebra,
     E = _expectation(B, sp, H, table)
     data = FixedPointData(B, sp, H, total, rho, tau, inv, E, rep)
 
-    rep.add("invariants_subalgebra", _certify_invariants(data))
+    rep.add("invariants_subalgebra", is_unital_star_subalgebra(inv, total))
     one = Scalar.one()
     rep.add("A_embeds_in_invariants",
             all(inv.contains(data.a_leg({a: one})) for a in range(na)))
@@ -270,18 +271,6 @@ def _expectation(B: ComoduleAlgebra, sp: SmashProduct,
         for h in range(H.dim)
         for (b0, b1), v in B.coact[b].items()
         for (h1, h2), w in H.comult[h].items() if table[b1][h1])
-
-
-def _certify_invariants(data: FixedPointData) -> bool:
-    C = data.invariants
-    total = data.total
-    for u in C.basis:
-        if not C.contains(total.star_vec(u)):
-            return False
-        for v in C.basis:
-            if not C.contains(total.mul_vec(u, v)):
-                return False
-    return C.contains(total.unit)
 
 
 def _expectation_bimodular(data: FixedPointData) -> bool:

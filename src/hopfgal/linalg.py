@@ -12,13 +12,19 @@ row x_p + sum_k c x_k.  A new row is reduced against the tails of the
 pivots it touches, normalized at its largest remaining column and
 eliminated from the tails that hold that column; only nonzero entries are
 ever visited.  KernelSolver keeps constraint rows there and reads the
-nullspace off the free columns.  kernel_of is the one way to state a linear
-condition: every "all x with L(x) = 0" in the package hands it the nonzero
-entries of L as (row key, column, value) triples.  SpanBuilder keeps
-vectors there with the columns reversed (j -> n-1-j), so the largest
-stored column is the leading one and the rows read back are the canonical
-RREF of the span; rref, Subspace membership and residues and mat_inverse
-all run on it.  preimages keeps tagged columns in the same store.
+nullspace off the free columns.  SpanBuilder keeps vectors there with the
+columns reversed (j -> n-1-j), so the largest stored column is the leading
+one and the rows read back are the canonical RREF of the span; rref,
+Subspace membership and residues and mat_inverse all run on it.  preimages
+keeps tagged columns in the same store.
+
+Outside this module, kernels and closures have one way in each.
+kernel_of states "all x with L(x) = 0": the caller hands it the nonzero
+entries of L as (row key, column, value) triples.  SpanBuilder.close
+states "the smallest span that holds these elements and is closed under
+these maps": the operator algebras of jones, the generated subalgebras
+and the generating sets of algebra all grow their spans through it.
+
 The sparse operator form, a dict row -> sparse row, is the one operator
 form of the package: every operator of jones, galois and banica (lambda(x),
 e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators) is built
@@ -26,16 +32,15 @@ with op_from_entries and combined with op_mul, op_vec and op_transpose.
 The operator helpers (op_mul, op_vec, op_adjoint, matrix_commutant,
 operator_algebra_span) visit nonzero entries only, and an operator enters
 a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
-operator_algebra_span closes under left multiplication by the generators
-only, which reaches every word.  Dense matrices remain where a table is
-stored or emitted densely (star and antipode tables, pairings), in the
-Gram inverses and in the span matrices of measuring.
+Dense matrices remain where a table is stored or emitted densely (star and
+antipode tables, pairings), in the Gram inverses and in the span matrices
+of measuring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import InputError
 from .scalars import Scalar, axpy
@@ -565,6 +570,25 @@ class SpanBuilder:
         self.orders[q] = inv.order
         return True
 
+    def close(self, fresh: list, ops, flat=None) -> list:
+        """Close the span under the linear maps ops; returns what it kept.
+
+        fresh holds elements already in the span whose images are still
+        due; it is consumed.  The last one is popped and each op is
+        applied to it in order.  An image that grows the span (inserted as
+        flat(image), or as itself when flat is None) is kept and pushed
+        back.  The kept images come back in the order they were kept.
+        """
+        kept = []
+        while fresh:
+            x = fresh.pop()
+            for op in ops:
+                y = op(x)
+                if self.insert(y if flat is None else flat(y)):
+                    kept.append(y)
+                    fresh.append(y)
+        return kept
+
     def subspace(self) -> Subspace:
         last = self.n - 1
         basis, pivots = [], []
@@ -679,29 +703,16 @@ def matrix_commutant(gens: list[dict], n: int,
     return [op_unflat(v, n) for v in solver.vectors().values()]
 
 
-def operator_algebra_span(gens: list[dict], n: int,
-                          with_identity: bool = True) -> Subspace:
+def operator_algebra_span(gens: list[dict], n: int) -> Subspace:
     """Span of the unital algebra of operators generated by gens.
 
     Every word in the generators is g.w for a generator g and a shorter
     word w, so closing the span under left multiplication by the
-    generators alone reaches the whole algebra: each new basis element is
-    multiplied by each generator once, and the loop ends because the
-    dimension is bounded by n^2.
+    generators alone reaches the whole algebra.
     """
     builder = SpanBuilder(n * n)
-    fresh: list[dict] = []
-
-    def push(X: dict):
-        if builder.insert(op_flat(X, n)):
-            fresh.append(X)
-
-    if with_identity:
-        push({i: {i: Scalar.one()} for i in range(n)})
-    for X in gens:
-        push(X)
-    while fresh:
-        X = fresh.pop()
-        for g in gens:
-            push(op_mul(g, X))
+    flat = partial(op_flat, n=n)
+    fresh = [X for X in [{i: {i: Scalar.one()} for i in range(n)}, *gens]
+             if builder.insert(flat(X))]
+    builder.close(fresh, [partial(op_mul, g) for g in gens], flat)
     return builder.subspace()

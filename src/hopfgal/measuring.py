@@ -32,13 +32,15 @@ from .algebra import (
 from .errors import InputError
 from .hopf import HopfStarAlgebra, StarCoalgebra
 from .linalg import (
-    KernelSolver,
     Mat,
     Subspace,
     Vec,
     kernel_of,
     kron_vec,
     mat_vec,
+    span_of,
+    sparse,
+    sparse_comb,
     unit_vec,
     vec_is_zero,
     vzero,
@@ -290,28 +292,23 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
 
     stabilizers are maps Vec -> Vec, linear or marked conjugate linear
     (linalg.conjugate_linear).  V_{k+1} = {x in V_k : Delta x in V_k (x) V_k,
-    sigma x in V_k} is solved for x = sum c_j b_j on the RREF basis of V_k,
-    one sparse row per annihilator row a of V_k and slice: (a (x) id) Delta x
-    on each column, (id (x) a) Delta x on each pivot row, a . sigma(x),
-    conjugated for a conjugate-linear sigma.  The dimensions of the
-    decreasing iteration go to log when given.  The result contains every
-    stabilized subcoalgebra of W.
+    sigma x in V_k} is a kernel (kernel_of) in the coordinates c of
+    x = sum c_j b_j on the RREF basis of V_k, with one row per annihilator
+    row a of V_k and slice: (a (x) id) Delta x on each column,
+    (id (x) a) Delta x on each pivot row, a . sigma(x), conjugated for a
+    conjugate-linear sigma.  The dimensions of the decreasing iteration go
+    to log when given.  The result contains every stabilized subcoalgebra
+    of W.
     """
     if W.ambient_dim != C.dim:
         raise InputError("subspace does not live in the coalgebra")
     stabilizers = stabilizers or []
-    current = W
-    while True:
-        if log is not None:
-            log.append(current.dim)
-        if current.dim == 0:
-            return current
-        basis = current.basis
-        pivots = set(current.pivots)
-        conjugated = {("stabilizer", s) for s, sigma in enumerate(stabilizers)
-                      if getattr(sigma, "conjugate_linear", False)}
-        rows: dict = {}
-        for j, b in enumerate(basis):
+    conjugated = {("stabilizer", s) for s, sigma in enumerate(stabilizers)
+                  if getattr(sigma, "conjugate_linear", False)}
+
+    def entries(V: Subspace):
+        pivots = set(V.pivots)
+        for j, b in enumerate(V.basis):
             slices: dict = {}
             for (p, q), v in C.comult_vec(b).items():
                 slices.setdefault(("left", q), {})[p] = v
@@ -320,24 +317,21 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
             for s, sigma in enumerate(stabilizers):
                 slices["stabilizer", s] = sigma(b)
             for key, vec in slices.items():
-                for f, v in current.residue(vec).items():
-                    row = rows.setdefault(key + (f,), {})
-                    row[j] = v.conj() if key in conjugated else v
-        solver = KernelSolver(len(basis))
-        for row in rows.values():
-            if solver.add_row(row) and solver.dim == 0:
-                break
-        coeffs = solver.subspace()
-        if coeffs.dim == len(basis):
+                for f, v in V.residue(vec).items():
+                    yield key + (f,), j, v.conj() if key in conjugated else v
+
+    current = W
+    while True:
+        if log is not None:
+            log.append(current.dim)
+        if current.dim == 0:
             return current
-        vectors = []
-        for cvec in coeffs.basis:
-            out = vzero(C.dim)
-            for c, b in zip(cvec, basis):
-                if c:
-                    out = [x + c * y for x, y in zip(out, b)]
-            vectors.append(out)
-        current = Subspace.from_vectors(vectors, C.dim)
+        coeffs = kernel_of(entries(current), current.dim)
+        if coeffs.dim == current.dim:
+            return current
+        basis = [sparse(b) for b in current.basis]
+        current = span_of((sparse_comb(basis, sparse(c))
+                           for c in coeffs.basis), C.dim)
 
 
 def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:

@@ -432,16 +432,23 @@ class Scalar:
 
     @staticmethod
     def from_json(doc) -> "Scalar":
-        if isinstance(doc, int):
+        """An integer, a [num, den] pair or an {"order", "num", "den"}
+        object, of JSON integers only, with den nonzero."""
+        if type(doc) is int:
             return Scalar.from_int(doc)
         if isinstance(doc, list) and len(doc) == 2:
-            return Scalar.rational(int(doc[0]), int(doc[1]))
+            return Scalar.rational(_json_int(doc[0], "numerator"),
+                                   _json_den(doc[1]))
         if isinstance(doc, dict):
             try:
-                return Scalar(int(doc["order"]), [int(a) for a in doc["num"]],
-                              int(doc["den"]))
+                order, num, den = doc["order"], doc["num"], doc["den"]
             except KeyError as e:
                 raise InputError(f"scalar document missing field {e}") from e
+            if not isinstance(num, list):
+                raise InputError(f"scalar numerator {num!r} is not an array")
+            return Scalar(_json_int(order, "order"),
+                          [_json_int(a, "numerator") for a in num],
+                          _json_den(den))
         raise InputError(f"cannot parse scalar from {doc!r}")
 
     def __repr__(self):
@@ -461,6 +468,19 @@ class Scalar:
             if self.den != 1:
                 body = f"({body})/{self.den}"
         return f"Scalar({body})"
+
+
+def _json_int(x, what: str) -> int:
+    """x when it is a JSON integer (true, false and 1.5 are not)."""
+    if type(x) is not int:
+        raise InputError(f"scalar {what} {x!r} is not an integer")
+    return x
+
+
+def _json_den(x) -> int:
+    if _json_int(x, "denominator") == 0:
+        raise InputError("scalar denominator is zero")
+    return x
 
 
 @lru_cache(maxsize=None)

@@ -303,43 +303,14 @@ class Workspace:
         orders = set()
 
         def scan(x):
-            if isinstance(x, Scalar):
-                orders.add(x.order)
+            orders.add(x.order)
+            return x
 
-        self._walk(scan)
-        if not orders:
-            return 1
-        target = 1
-        for n in orders:
-            target = math.lcm(target, n)
+        self._rewrite(scan)
+        target = math.lcm(*orders)
         if target > 1:
-            def lift(x):
-                if isinstance(x, Scalar) and x.order != target:
-                    return x.lift(target)
-                return x
-
-            self._rewrite(lift)
+            self._rewrite(lambda x: x if x.order == target else x.lift(target))
         return target
-
-    def _walk(self, fn):
-        seen = set()
-
-        def rec(obj):
-            if isinstance(obj, Scalar):
-                fn(obj)
-            elif isinstance(obj, dict):
-                for v in obj.values():
-                    rec(v)
-            elif isinstance(obj, (list, tuple)):
-                for v in obj:
-                    rec(v)
-            elif hasattr(obj, "__dict__") and id(obj) not in seen:
-                seen.add(id(obj))
-                for attr in vars(obj):
-                    rec(getattr(obj, attr))
-
-        for obj in self.objects.values():
-            rec(obj)
 
     def _rewrite(self, fn):
         seen = set()

@@ -317,8 +317,7 @@ def oracle_gram_adjoint(X: list, G: list) -> list:
     return mat_mul(oracle_inverse(G), mat_mul(xct, G))
 
 
-def oracle_operator_algebra_span(gens: list, n: int,
-                                 with_identity: bool = True) -> Subspace:
+def oracle_operator_algebra_span(gens: list, n: int) -> Subspace:
     """Closure multiplying each new element by every member, both sides."""
     builder = DenseSpan(n * n)
     members: list = []
@@ -329,8 +328,7 @@ def oracle_operator_algebra_span(gens: list, n: int,
             return True
         return False
 
-    if with_identity:
-        push(identity_matrix(n))
+    push(identity_matrix(n))
     fresh = [X for X in gens if push(X)]
     while fresh:
         batch, fresh = fresh, []

@@ -582,6 +582,33 @@ def test_measure_malformed_span_entry_is_input_error(entry, tmp_path, capsys):
     assert "spans[0]" in capsys.readouterr().err
 
 
+# a zero denominator, a nested array, a non-integer coefficient, a zero
+# denominator in an object and a float, which int() would truncate to 1
+_MALFORMED_SCALARS = [
+    [1, 0],
+    [1, [2]],
+    {"order": 4, "num": ["a", 0], "den": 1},
+    {"order": 4, "num": [1, 0], "den": 0},
+    [1.5, 2],
+]
+
+
+@pytest.mark.parametrize("value", _MALFORMED_SCALARS)
+def test_malformed_scalar_is_input_error(value, tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "z2.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["documents"]["mat2"]["state"][1] = value
+    broken = tmp_path / "ws.json"
+    broken.write_text(json.dumps(doc))
+    code = _run("smash", broken)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert "/documents/mat2.state[1]: " in err
+
+
 def test_measure_within_c_s4_keeps_trivial_plus_standard(tmp_path):
     # W = the 16 coefficient functions g -> [g(j) = i] of the permutation
     # representation of S4 on 4 points, plus the indicators of two pairs of

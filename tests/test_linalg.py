@@ -2,6 +2,7 @@
 
 import ast
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -374,28 +375,58 @@ def test_kernel_of_imposes_rows_in_sorted_key_order():
     assert [x.order for x in sub.basis[0]] == [1, 4]
 
 
-def test_kernels_are_stated_through_kernel_of():
-    # KernelSolver is the engine under kernel_of.  Outside linalg only
-    # measuring.largest_subcoalgebra drives it, for its exit at dim 0.
-    allowed = {("measuring.py", "largest_subcoalgebra")}
-    offenders = []
+def _modules_outside_linalg():
+    """(file name, syntax tree) of every package module but linalg."""
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            name = getattr(top, "name", None)
-            if (path.name, name) in allowed:
-                continue
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                f = node.func
-                if (isinstance(f, ast.Name) and f.id == "KernelSolver"
-                        or isinstance(f, ast.Attribute)
-                        and f.attr == "add_row"):
-                    offenders.append(f"{path.name}:{node.lineno}")
+        if path.name != "linalg.py":
+            yield path.name, ast.parse(path.read_text())
+
+
+def _calls(tree, name):
+    """The calls under tree of a function or method named name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == name]
+
+
+def test_kernels_are_stated_through_kernel_of():
+    # KernelSolver is the engine under kernel_of; no module outside linalg
+    # drives it
+    offenders = [f"{name}:{node.lineno}"
+                 for name, tree in _modules_outside_linalg()
+                 for fn in ("KernelSolver", "add_row")
+                 for node in _calls(tree, fn)]
     assert offenders == []
+
+
+def test_closures_are_stated_through_close():
+    # a worklist that grows a span is SpanBuilder.close; outside linalg no
+    # function with a while loop inserts into a span, not even through a
+    # helper defined inside it
+    offenders = [f"{name}:{fn.name}"
+                 for name, tree in _modules_outside_linalg()
+                 for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 and _calls(fn, "insert")
+                 and any(isinstance(node, ast.While)
+                         for node in ast.walk(fn))]
+    assert offenders == []
+
+
+def test_span_builder_close_keeps_images_last_in_first_out():
+    # A: e0 -> e2, e1 -> e3, e3 -> e0; B: e0 -> e4.  From [e0, e1], e1 is
+    # popped first and each element meets A before B; A e3 = e0 is in the
+    # span already and is not kept
+    one = Scalar.one()
+    A = {2: {0: one}, 3: {1: one}, 0: {3: one}}
+    B = {4: {0: one}}
+    builder = SpanBuilder(5)
+    fresh = [{0: one}, {1: one}]
+    for v in fresh:
+        builder.insert(v)
+    kept = builder.close(fresh, [partial(op_vec, A), partial(op_vec, B)])
+    assert kept == [{3: one}, {2: one}, {4: one}]
+    assert fresh == [] and builder.dim == 5
+    assert builder.close([{2: one}], [partial(op_vec, A)]) == []
 
 
 def _dense_solve(A, b, n):
@@ -448,16 +479,8 @@ def test_operator_algebra_span_matches_all_pairs_closure(order):
         n = rng.randint(2, 4)
         gens = [_random_sparse_matrix(rng, n, order)
                 for _ in range(rng.randint(1, 3))]
-        for unital in (True, False):
-            assert (operator_algebra_span(list(map(op_sparse, gens)), n,
-                                          unital)
-                    == oracle_operator_algebra_span(gens, n, unital))
-
-
-def test_operator_algebra_span_nonunital_nilpotent():
-    e12 = op_sparse(sm([[0, 1], [0, 0]]))
-    assert operator_algebra_span([e12], 2, with_identity=False).dim == 1
-    assert operator_algebra_span([e12], 2).dim == 2
+        assert (operator_algebra_span(list(map(op_sparse, gens)), n)
+                == oracle_operator_algebra_span(gens, n))
 
 
 def _random_op(rng, n, order):
