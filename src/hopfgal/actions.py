@@ -12,7 +12,8 @@ sparse helpers in linalg), and no basis element is built as a dense unit
 vector.  The package reads act the same way everywhere, and the sparse legs
 a x| 1 and 1 x| h of SmashProduct build the smash involution, the
 innerification check and the operators of galois and banica;
-ModuleAlgebraAction.apply evaluates the action on dense vectors.
+ModuleAlgebraAction.apply is the adapter for callers holding dense vectors,
+sparse_apply on the same tensor.
 """
 
 from __future__ import annotations
@@ -62,18 +63,8 @@ class ModuleAlgebraAction:
             raise InputError("action tensor shape mismatch")
 
     def apply(self, h: Vec, a: Vec) -> Vec:
-        out = vzero(self.alg.dim)
-        for i, hi in enumerate(h):
-            if not hi:
-                continue
-            plane = self.act[i]
-            for j, aj in enumerate(a):
-                if not aj:
-                    continue
-                c = hi * aj
-                for k, v in plane[j].items():
-                    out[k] = out[k] + c * v
-        return out
+        return dense(sparse_apply(self.act, sparse(h), sparse(a)),
+                     self.alg.dim)
 
     def to_hom_map(self) -> Mat:
         """Matrix of H -> Hom(A, A), e_h -> its action operator, flattened.

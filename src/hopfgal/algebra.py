@@ -11,8 +11,11 @@ needed (commutant and invariant computations live most naturally in the
 ambient coordinates).
 
 validate_algebra and the left and right multiplication matrices read the
-sparse mult tensor directly, with no dense unit vectors and no mul_vec;
-mul_vec stays for callers holding dense vectors.
+sparse mult tensor directly, with no dense unit vectors and no mul_vec.
+The dense-vector methods (mul_vec, star_vec, apply_state) are adapters for
+callers holding dense vectors: each evaluates through linalg's sparse
+helpers (sparse_apply, sparse_comb, dot), which alone decide how a table
+acts on a vector.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .linalg import (
     Subspace,
     Vec,
     conjugate_linear,
+    dense,
+    dot,
     kernel_of,
     mat_inverse,
     op_from_entries,
@@ -50,14 +55,6 @@ from .report import Report
 from .scalars import Scalar, common_order
 
 POSITIVITY_TOL = 1e-9
-
-
-def dense_tensor(tensor, dim: int):
-    zero = Scalar.zero()
-    return [
-        [[line.get(k, zero) for k in range(dim)] for line in plane]
-        for plane in tensor
-    ]
 
 
 @dataclass
@@ -99,30 +96,13 @@ class StarAlgebra:
         return common_order(*orders) if orders else 1
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.mult[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in row[j].items():
-                    out[k] = out[k] + c * m
-        return out
+        return dense(sparse_apply(self.mult, sparse(x), sparse(y)), self.dim)
 
     @conjugate_linear
     def star_vec(self, x: Vec) -> Vec:
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                ci = xi.conj()
-                row = self.star[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        out[j] = out[j] + ci * row[j]
-        return out
+        x = sparse(x)
+        rows = {i: sparse(self.star[i]) for i in x}
+        return dense(sparse_comb(rows, sparse_conj(x)), self.dim)
 
     def left_mult_op(self, x: dict) -> dict:
         """Sparse operator of y -> x y for a sparse x."""
@@ -139,11 +119,7 @@ class StarAlgebra:
     def apply_state(self, x: Vec) -> Scalar:
         if self.state is None:
             raise InputError("algebra carries no state")
-        tot = Scalar.zero()
-        for xi, ti in zip(x, self.state):
-            if xi and ti:
-                tot = tot + xi * ti
-        return tot
+        return dot(sparse(x), self.state)
 
     def basis_vec(self, i: int) -> Vec:
         return unit_vec(self.dim, i)
@@ -162,9 +138,9 @@ class StarAlgebra:
         return {
             "dim": self.dim,
             "mult": [
-                [[v.to_json() for v in line]
+                [[v.to_json() for v in dense(line, self.dim)]
                  for line in plane]
-                for plane in dense_tensor(self.mult, self.dim)
+                for plane in self.mult
             ],
             "unit": [x.to_json() for x in self.unit],
             "star": [[x.to_json() for x in row] for row in self.star],
@@ -224,7 +200,7 @@ def gram_matrix(A: StarAlgebra, functional: Vec | None = None) -> Mat:
         raise InputError("no state supplied")
     n = A.dim
     star = [sparse(row) for row in A.star]
-    return [[_apply(tau, _compose(A, star[j], i, right=True))
+    return [[dot(_compose(A, star[j], i, right=True), tau)
              for j in range(n)] for i in range(n)]
 
 
@@ -247,9 +223,9 @@ def numerically_positive(G: Mat, tol: float = POSITIVITY_TOL) -> bool:
 def state_flags(A: StarAlgebra, tau: Vec) -> tuple[bool, bool]:
     """(hermitian, tracial) for the functional tau on A, both exact."""
     n = A.dim
-    hermitian = all(_apply(tau, sparse(A.star[i])) == tau[i].conj()
+    hermitian = all(dot(sparse(A.star[i]), tau) == tau[i].conj()
                     for i in range(n))
-    tracial = all(_apply(tau, A.mult[i][j]) == _apply(tau, A.mult[j][i])
+    tracial = all(dot(A.mult[i][j], tau) == dot(A.mult[j][i], tau)
                   for i in range(n) for j in range(i + 1))
     return hermitian, tracial
 
@@ -267,14 +243,6 @@ def analyze_state(A: StarAlgebra, functional: Vec | None = None) -> AlgebraState
         faithful=is_nonsingular(G),
         positive=numerically_positive(G),
     )
-
-
-def _apply(tau: Vec, x: dict) -> Scalar:
-    tot = Scalar.zero()
-    for k, v in x.items():
-        if tau[k]:
-            tot = tot + v * tau[k]
-    return tot
 
 
 # -- validation ---------------------------------------------------------------
@@ -505,12 +473,12 @@ def conditional_expectation(M: StarAlgebra, N: Subspace) -> dict:
     tau, n = M.state, M.dim
     star = [sparse(row) for row in M.star]
     # tau(e_p e_x) as sparse rows p
-    products = [{x: t for x in range(n) if (t := _apply(tau, M.mult[p][x]))}
+    products = [{x: t for x in range(n) if (t := dot(M.mult[p][x], tau))}
                 for p in range(n)]
     F = [sparse_comb(products, sparse_comb(star, sparse_conj(sparse(b))))
          for b in N.basis]
     # gram[i][j] = <b_j, b_i> = F[i] . b_j
-    gram = [[_apply(b, f) for b in N.basis] for f in F]
+    gram = [[dot(f, b) for b in N.basis] for f in F]
     try:
         gram_inv = mat_inverse(gram)
     except InputError as e:
@@ -554,8 +522,10 @@ def reify(B: StarAlgebra, S: Subspace, name: str = "") -> tuple[StarAlgebra, Mat
 def unique_trace(B: StarAlgebra) -> Vec:
     """The unique normalized tracial functional, when it is unique.
 
-    Solves tau(xy) = tau(yx) plus tau(1) = 1 exactly and requires the
-    solution to be a single point; raises otherwise.
+    The traces form the kernel K of tau(xy) - tau(yx).  When some trace
+    has tau(1) != 0 the normalized ones, tau(1) = 1, are an affine
+    subspace of dimension dim K - 1, so they are a single point exactly
+    when dim K = 1; raises otherwise.
     """
 
     def entries():
@@ -567,28 +537,9 @@ def unique_trace(B: StarAlgebra) -> Vec:
                 for k, v in B.mult[j][i].items():
                     yield (i, j), k, -v
     space = kernel_of(entries(), B.dim)
-    normalized = None
-    for t in space.basis:
-        val = _dot_unit(t, B)
-        if val:
-            normalized = vscale(val.inverse(), t)
-            break
-    if normalized is None:
+    units = [dot(sparse(t), B.unit) for t in space.basis]
+    if not any(units):
         raise InputError("no normalized trace exists")
-    # Uniqueness: every solution with tau(1)=1 must equal this one.
-    for t in space.basis:
-        val = _dot_unit(t, B)
-        cand = vscale(val.inverse(), t) if val else None
-        if cand is not None and cand != normalized:
-            raise InputError("trace is not unique (algebra is not a factor)")
-        if cand is None and any(t):
-            raise InputError("trace is not unique (algebra is not a factor)")
-    return normalized
-
-
-def _dot_unit(t: Vec, B: StarAlgebra) -> Scalar:
-    tot = Scalar.zero()
-    for x, u in zip(t, B.unit):
-        if x and u:
-            tot = tot + x * u
-    return tot
+    if space.dim > 1:
+        raise InputError("trace is not unique (algebra is not a factor)")
+    return vscale(units[0].inverse(), space.basis[0])

@@ -42,6 +42,7 @@ from .hopf import (
     coassociativity_failures,
     convolve,
     counit_failures,
+    flip,
     haar,
     tensor_product,
 )
@@ -50,6 +51,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    dot,
     kernel_of,
     op_from_entries,
     op_mul,
@@ -221,9 +223,7 @@ def _is_cop_of(Hcop: HopfStarAlgebra, H: HopfStarAlgebra) -> bool:
         for j in range(n):
             if Hcop.algebra.mult[i][j] != H.algebra.mult[i][j]:
                 return False
-    flipped = [
-        {(k, j): v for (j, k), v in plane.items()} for plane in H.comult
-    ]
+    flipped = flip(H.comult)
     return all(Hcop.comult[i] == flipped[i] for i in range(n))
 
 
@@ -246,19 +246,8 @@ def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
     """T[h][x] = tau(e_x S(e_h)): the functionals omega_h = T[h] of the
     Lambda action, the coefficients of E and both sides of the swap
     identity all read this one table."""
-    nh = H.dim
-    table = []
-    for sh in map(sparse, H.antipode):
-        row = []
-        for x in range(nh):
-            val = Scalar.zero()
-            for k, sv in sh.items():
-                for m, mv in H.algebra.mult[x][k].items():
-                    if tau[m]:
-                        val = val + sv * mv * tau[m]
-            row.append(val)
-        table.append(row)
-    return table
+    return [[dot(sparse_comb(line, sh), tau) for line in H.algebra.mult]
+            for sh in map(sparse, H.antipode)]
 
 
 def _expectation(B: ComoduleAlgebra, sp: SmashProduct,
@@ -403,8 +392,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
     # Delta(e_h)
     unit_b = _unit_b_index(data)
     vinv = [_b_leg(data, unit_b, sp.h_leg(sparse(row))) for row in H.antipode]
-    flipped = [{(h2, h1): v for (h1, h2), v in plane.items()}
-               for plane in H.comult]
+    flipped = flip(H.comult)
     rep.law("commutant_membership", (
         (qi, b, h) for qi in range(Q.dim) for b in range(nb) for h in range(nh)
         if not b_tensor_comm.contains(
@@ -564,10 +552,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
 
     def entries():
         for h in range(nh):
-            scale = Scalar.zero()
-            for k, sv in enumerate(H.antipode[h]):
-                if sv and tau[k]:
-                    scale = scale + sv * tau[k]
+            scale = dot(sparse(H.antipode[h]), tau)
             for p, row in lam_ops[h].items():
                 for b, x in row.items():
                     yield (h, b), p, x
@@ -593,10 +578,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
                 scale = scale * Scalar.from_int(w)
             candidates.append(weighted)
     for t in candidates:
-        val = Scalar.zero()
-        for x, u in zip(t, unit):
-            if x and u:
-                val = val + x * u
+        val = dot(sparse(t), unit)
         if not val:
             continue
         phi = vscale(val.inverse(), t)

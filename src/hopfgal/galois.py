@@ -51,6 +51,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    dot,
     kernel_of,
     op_from_entries,
     op_mul,
@@ -500,11 +501,9 @@ def trace_preservation(action: ModuleAlgebraAction,
     H, A = action.hopf, action.alg
     if tau is None:
         tau = A.state if A.state is not None else unique_trace(A)
-    zero = Scalar.zero()
     rep.law("state_invariant", (
         (h, a) for h in range(H.dim) for a in range(A.dim)
-        if sum((x * tau[k] for k, x in action.act[h][a].items() if tau[k]),
-               zero) != H.counit[h] * tau[a]))
+        if dot(action.act[h][a], tau) != H.counit[h] * tau[a]))
 
     if bc is not None:
         space, e = bc.space, bc.e_N

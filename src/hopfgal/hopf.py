@@ -21,6 +21,7 @@ from .linalg import (
     Vec,
     conjugate_linear,
     dense,
+    dot,
     identity_matrix,
     kernel_of,
     mat_eq,
@@ -69,11 +70,7 @@ class StarCoalgebra:
         return out
 
     def counit_of(self, x: Vec) -> Scalar:
-        tot = Scalar.zero()
-        for xi, e in zip(x, self.counit):
-            if xi and e:
-                tot = tot + xi * e
-        return tot
+        return dot(sparse(x), self.counit)
 
     def star_row(self, i: int) -> Vec:
         """The involution of the basis vector e_i."""
@@ -81,14 +78,10 @@ class StarCoalgebra:
 
     @conjugate_linear
     def star_vec(self, x: Vec) -> Vec:
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                ci = xi.conj()
-                for j, c in enumerate(self.star_row(i)):
-                    if c:
-                        out[j] = out[j] + ci * c
-        return out
+        # star_row is read on every call: the tables behind it may change
+        x = sparse(x)
+        rows = {i: sparse(self.star_row(i)) for i in x}
+        return dense(sparse_comb(rows, sparse_conj(x)), self.dim)
 
     def iterated_comult(self, x: Vec, legs: int) -> dict:
         """Delta^(legs): sparse dict mapping index tuples to Scalars.
@@ -269,12 +262,16 @@ def counit_failures(coact, counit: Vec):
             yield i
 
 
-def validate_coalgebra(C: StarCoalgebra, title: str = "coalgebra") -> Report:
-    rep = Report(title)
+def flip(comult) -> list[dict]:
+    """The comultiplication with its tensor legs swapped (Delta^cop)."""
+    return [{(k, j): v for (j, k), v in plane.items()} for plane in comult]
+
+
+def validate_coalgebra(C: StarCoalgebra) -> Report:
+    rep = Report("coalgebra")
     rep.law("coassociativity", coassociativity_failures(C.comult, C.comult))
     # the left counit law of Delta is the right one of the flipped Delta
-    flipped = [{(k, j): v for (j, k), v in plane.items()}
-               for plane in C.comult]
+    flipped = flip(C.comult)
     rep.law("counit", merge(counit_failures(C.comult, C.counit),
                             counit_failures(flipped, C.counit)))
     star = [sparse(row) for row in C.star]
@@ -292,7 +289,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep.merge(validate_coalgebra(H.coalgebra), prefix="coalg:")
     n, mult, comult, counit = H.dim, H.algebra.mult, H.comult, H.counit
     pairs = list(product(range(n), repeat=2))
-    zero, one = Scalar.zero(), Scalar.one()
+    one = Scalar.one()
 
     # Delta and epsilon are unital algebra morphisms.
     rep.law("comult_is_algebra_morphism", (
@@ -304,8 +301,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
             not sparse_ne(sparse_comb(comult, unit), _outer(unit, unit)))
     rep.law("counit_is_algebra_morphism", (
         (i, j) for i, j in pairs
-        if sum((v * counit[k] for k, v in mult[i][j].items()), zero)
-        != counit[i] * counit[j]))
+        if dot(mult[i][j], counit) != counit[i] * counit[j]))
     rep.add("counit_unital", H.counit_of(H.unit) == one)
 
     # Delta(x*) = (x_1)* (x) (x_2)*: Delta is a *-algebra morphism.
@@ -412,9 +408,7 @@ def variants(H: HopfStarAlgebra):
     n = H.dim
     s_inv = transpose(mat_inverse(transpose(H.antipode)))
     op_mult = [[H.algebra.mult[j][i] for j in range(n)] for i in range(n)]
-    cop_comult = [
-        {(k, j): v for (j, k), v in plane.items()} for plane in H.comult
-    ]
+    cop_comult = flip(H.comult)
     op_alg = StarAlgebra(n, op_mult, list(H.unit),
                          [list(r) for r in H.star],
                          state=H.algebra.state,
@@ -483,10 +477,7 @@ def haar(H: HopfStarAlgebra) -> Vec:
                     yield (i, j, 1), i, -u
     space = kernel_of(entries(), n)
     for t in space.basis:
-        val = Scalar.zero()
-        for x, u in zip(t, H.unit):
-            if x and u:
-                val = val + x * u
+        val = dot(sparse(t), H.unit)
         if val:
             return vscale(val.inverse(), t)
     raise InputError("no normalizable two-sided integral")

@@ -393,8 +393,7 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
 # -- index -------------------------------------------------------------------------
 
 
-def index(space: GnsSpace, N: Subspace, xi: Vec | None = None,
-          spot_checks: int = 3) -> Fraction:
+def index(space: GnsSpace, N: Subspace, xi: Vec | None = None) -> Fraction:
     """[M : N] as the coupling constant dim_N L^2(M, tau), exactly.
 
     dim_N H = tau_N([N' xi]) / tau_{N'}([N xi]) for any nonzero xi.  Both
@@ -418,8 +417,9 @@ def index(space: GnsSpace, N: Subspace, xi: Vec | None = None,
     e = space.projection(N)
     value = _coupling(space, N, e, xi)
 
+    # a consistency guard: three random xi must give the same value
     rng = random.Random(20290)
-    for _ in range(spot_checks):
+    for _ in range(3):
         rand_xi = [Scalar.from_int(rng.randint(-3, 3)) for _ in range(n)]
         if vec_is_zero(rand_xi):
             rand_xi = list(M.unit)

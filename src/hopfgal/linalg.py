@@ -18,6 +18,12 @@ one and the rows read back are the canonical RREF of the span; rref,
 Subspace membership and residues and mat_inverse all run on it.  preimages
 keeps tagged columns in the same store.
 
+A table or a functional is evaluated on a vector through sparse_apply (a
+rank-3 tensor such as mult or act on two sparse vectors), sparse_comb
+(sparse rows on one) or dot (a functional).  The dense-vector methods of
+the other modules are adapters over these, so the Scalar order of every
+entry they return is decided here.
+
 Outside this module, kernels and closures have one way in each.
 kernel_of states "all x with L(x) = 0": the caller hands it the nonzero
 entries of L as (row key, column, value) triples.  SpanBuilder.close
@@ -130,6 +136,20 @@ def sparse_apply(tensor, x: dict, y: dict) -> dict:
         for j, yj in y.items():
             sparse_add(out, plane[j], xi * yj)
     return out
+
+
+def dot(x: dict, v: Vec) -> Scalar:
+    """sum_k x_k v_k over the keys of x where v_k != 0.
+
+    A zero x_k is not skipped: its term still lifts the order of the sum.
+    With v a functional this evaluates it at x.
+    """
+    tot = Scalar.zero()
+    for k, xk in x.items():
+        vk = v[k]
+        if vk:
+            tot = axpy(tot, xk, vk)
+    return tot
 
 
 def sparse_ne(a: dict, b: dict) -> bool:

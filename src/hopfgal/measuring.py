@@ -35,6 +35,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    dense,
     kernel_of,
     kron_vec,
     mat_vec,
@@ -123,14 +124,9 @@ class Multispan:
         return len(self.carrier_rows[0]) if self.carrier_rows else 0
 
     def psi(self, x: Vec) -> Vec:
-        out = vzero(self.carrier_dim)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.carrier_rows[i]
-                for j in range(self.carrier_dim):
-                    if row[j]:
-                        out[j] = out[j] + xi * row[j]
-        return out
+        x = sparse(x)
+        rows = {i: sparse(self.carrier_rows[i]) for i in x}
+        return dense(sparse_comb(rows, x), self.carrier_dim)
 
 
 def _span_value(C: StarCoalgebra, ms: Multispan, span: SpanConstraint,
@@ -224,19 +220,13 @@ def unit_span(A: StarAlgebra, B: StarAlgebra) -> SpanConstraint:
     return SpanConstraint((0, 1), nb, left, right, "unit")
 
 
-def fixing_span(A: StarAlgebra, B: StarAlgebra, fixed: Subspace,
-                f_images: list[Vec] | None = None) -> SpanConstraint:
-    """c . a = counit(c) f(a) on a distinguished subspace of A.
-
-    f_images[i] is the image in B of the i-th basis vector of the fixed
-    subspace; omitted, it defaults to the inclusion (B must equal A).
-    """
+def fixing_span(A: StarAlgebra, B: StarAlgebra,
+                fixed: Subspace) -> SpanConstraint:
+    """c . a = counit(c) a on a distinguished subspace of A; B must be A."""
     na, nb = A.dim, B.dim
     basis = fixed.basis
-    if f_images is None:
-        if nb != na:
-            raise InputError("default fixing map needs B = A")
-        f_images = [list(b) for b in basis]
+    if nb != na:
+        raise InputError("default fixing map needs B = A")
     target = len(basis) * nb
 
     def left(legs):
@@ -248,8 +238,8 @@ def fixing_span(A: StarAlgebra, B: StarAlgebra, fixed: Subspace,
 
     def right(legs):
         out = []
-        for img in f_images:
-            out.extend(img)
+        for b in basis:
+            out.extend(b)
         return out
 
     return SpanConstraint((1, 0), target, left, right, "fixing")
@@ -372,23 +362,22 @@ class MeasuringResult:
 
 def universal_measuring_within(C: StarCoalgebra, A: StarAlgebra,
                                B: StarAlgebra, carrier_rows: list,
-                               extra: list[SpanConstraint] | None = None,
-                               star_compat: bool = True) -> MeasuringResult:
+                               extra: list[SpanConstraint] | None = None
+                               ) -> MeasuringResult:
     """Largest subcoalgebra of C measuring A to B through the carrier map.
 
     The constraint subspace collects the multiplication and unit spans plus
-    any extra spans; the star compatibility condition (c.a)* = c*.a* is
-    imposed when star_compat is set.  The result is re-validated to measure,
-    and is the terminal measuring subcoalgebra relative to the ambient C.
+    any extra spans and the star compatibility condition (c.a)* = c*.a*.
+    The result is re-validated to measure, and is the terminal measuring
+    subcoalgebra relative to the ambient C.
     """
     ms = Multispan(carrier_rows,
                    [multiplication_span(A, B), unit_span(A, B)]
                    + list(extra or []))
     W = constraint_subspace(C, ms)
-    if star_compat:
-        rows = W.annihilator_rows() + star_compat_rows(C, ms, A, B)
-        W = kernel_of(((r, c, v) for r, row in enumerate(rows)
-                       for c, v in row.items()), C.dim)
+    rows = W.annihilator_rows() + star_compat_rows(C, ms, A, B)
+    W = kernel_of(((r, c, v) for r, row in enumerate(rows)
+                   for c, v in row.items()), C.dim)
     log: list[int] = []
     D = largest_subcoalgebra(C, W, stabilizers=[C.star_vec], log=log)
     rep = Report("universal measuring (relative)")

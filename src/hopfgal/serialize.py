@@ -77,11 +77,10 @@ def scalar_from(doc, where: str) -> Scalar:
 
 
 def integer(doc, where: str) -> int:
-    """An integer field; anything int() refuses is an input error."""
-    try:
-        return int(doc)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise InputError(f"{where}: expected an integer") from e
+    """An integer field: a JSON integer, not a float, a string or a bool."""
+    if type(doc) is not int:
+        raise InputError(f"{where}: expected an integer")
+    return doc
 
 
 def _vector(doc, where: str, read=scalar_from) -> list:
@@ -429,4 +428,3 @@ def subspace_doc(sub: Subspace) -> dict:
 
 
 parse_matrix = _matrix
-parse_vector = _vector

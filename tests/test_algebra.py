@@ -426,9 +426,21 @@ def test_reify_subalgebra():
 def test_unique_trace_on_mat2():
     A = mat_algebra(2)
     assert unique_trace(A) == A.state
+    # C(Z2) has a two-dimensional space of traces
     direct_sum = c_of_z2().algebra
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^trace is not unique \(algebra"
+                       r" is not a factor\)$"):
         unique_trace(direct_sum)
+
+
+def test_unique_trace_without_a_normalized_trace():
+    # unit e0 and e1 e0 = e0, every other product 0: a trace vanishes on
+    # e1 e0 - e0 e1 = e0, so on the unit
+    one = Scalar.one()
+    mult = [[{}, {}], [{0: one}, {}]]
+    A = StarAlgebra(2, mult, unit_vec(2, 0), [unit_vec(2, 0), unit_vec(2, 1)])
+    with pytest.raises(InputError, match="^no normalized trace exists$"):
+        unique_trace(A)
 
 
 def test_gram_nonsingular():

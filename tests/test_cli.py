@@ -609,6 +609,34 @@ def test_malformed_scalar_is_input_error(value, tmp_path, capsys):
     assert "/documents/mat2.state[1]: " in err
 
 
+# a float and a string that int() would read as 4, a bool it would read as
+# 1, and a float group-table entry
+_MALFORMED_INTEGERS = [
+    ("mat2", "dim", 4.7, "/documents/mat2.dim"),
+    ("mat2", "dim", "4", "/documents/mat2.dim"),
+    ("mat2", "dim", True, "/documents/mat2.dim"),
+    ("cz2", "group_table", [[0, 1.0], [1, 0]],
+     "/documents/cz2.group_table[0][1]"),
+]
+
+
+@pytest.mark.parametrize("name, key, value, where", _MALFORMED_INTEGERS)
+def test_malformed_integer_is_input_error(name, key, value, where, tmp_path,
+                                          capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "z2.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["documents"][name][key] = value
+    broken = tmp_path / "ws.json"
+    broken.write_text(json.dumps(doc))
+    code = _run("smash", broken)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert f"{where}: expected an integer" in err
+
+
 def test_measure_within_c_s4_keeps_trivial_plus_standard(tmp_path):
     # W = the 16 coefficient functions g -> [g(j) = i] of the permutation
     # representation of S4 on 4 points, plus the indicators of two pairs of

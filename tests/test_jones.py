@@ -34,7 +34,6 @@ from hopfgal.linalg import (
     Subspace,
     matrix_commutant,
     identity_matrix,
-    mat_mul,
     mat_vec,
     op_dense,
     op_mul,
@@ -54,7 +53,6 @@ from _oracles import (
     _mult_matrix,
     complex_pair_in_mat2,
     dft_mat2_in_mat4,
-    flatten_matrix,
     oracle_gram_adjoint,
     oracle_matrix_commutant,
     oracle_operator_algebra_span,

@@ -9,11 +9,13 @@ import pytest
 
 from hopfgal import linalg
 from hopfgal.errors import InputError
+from hopfgal.fixtures import dual_number_action, sweedler4
 from hopfgal.linalg import (
     KernelSolver,
     SpanBuilder,
     Subspace,
     dense,
+    dot,
     identity_matrix,
     kernel_of,
     mat_inverse,
@@ -32,6 +34,7 @@ from hopfgal.linalg import (
     span_of,
     sparse,
 )
+from hopfgal.measuring import Multispan
 from hopfgal.scalars import Scalar, _context
 
 from _oracles import (
@@ -410,6 +413,108 @@ def test_closures_are_stated_through_close():
                  and any(isinstance(node, ast.While)
                          for node in ast.walk(fn))]
     assert offenders == []
+
+
+def _accumulators(tree):
+    """Assignments name = name + <product> and name += <product>."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            target, term = node.target, node.value
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.value, ast.BinOp)
+              and isinstance(node.value.op, ast.Add)
+              and isinstance(node.value.left, ast.Name)
+              and node.value.left.id == getattr(node.targets[0], "id", None)):
+            target, term = node.targets[0], node.value.right
+        else:
+            continue
+        if (isinstance(target, ast.Name) and isinstance(term, ast.BinOp)
+                and isinstance(term.op, ast.Mult)):
+            yield node
+
+
+def test_dot_products_are_stated_through_dot():
+    # evaluating a table or a functional on a vector is linalg's decision
+    # (dot, sparse_apply, sparse_comb); Scalar arithmetic is scalars'
+    offenders = [f"{name}:{node.lineno}"
+                 for name, tree in _modules_outside_linalg()
+                 if name != "scalars.py"
+                 for node in _accumulators(tree)]
+    assert offenders == []
+
+
+def _unread_imports(path):
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.parent.name}/{path.name}:{node.lineno}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (name := (alias.asname or alias.name).split(".")[0])
+            not in read]
+
+
+def test_every_import_is_read():
+    # no linter runs on this tree; an import left behind by a refactor
+    # shows here
+    paths = [*Path(linalg.__file__).parent.glob("*.py"),
+             *Path(__file__).parent.glob("*.py")]
+    assert [x for path in sorted(paths) for x in _unread_imports(path)] == []
+
+
+def _pin(v):
+    """Each entry of v (or v itself) as (value, cyclotomic order)."""
+    return [(x, x.order) for x in v] if isinstance(v, list) else (v, v.order)
+
+
+def test_dense_adapters_keep_scalar_orders():
+    # certificates show Scalar orders, so the adapters must give what the
+    # hand-written loops gave: an entry whose order-4 terms cancel is an
+    # order-4 zero, an entry no term reaches is an order-1 zero
+    one, i = Scalar.one(4), Scalar.root_of_unity(4)
+    z1, z4 = Scalar.zero(), Scalar.zero(4)
+    H = sweedler4()   # basis 1, g, x, gx
+    A = H.algebra
+
+    # (g + x)(g + x) = 1 + gx - gx
+    gx = [z4, one, one, z4]
+    assert _pin(A.mul_vec(gx, gx)) == [(1, 4), (0, 1), (0, 1), (0, 4)]
+
+    # g* = g - x as a table, so (g + i x)* = g - x + (-i)(i x)
+    B = sweedler4().algebra
+    B.star[1] = [z4, one, -one, z4]
+    assert _pin(B.star_vec([z4, one, i, z4])) \
+        == [(0, 1), (1, 4), (0, 4), (0, 1)]
+
+    # the coalgebra involution is S(.)*, read from the antipode table at
+    # each call: S(g) = g + gx gives (g + x)^dagger = g - i gx + i gx
+    C = H.coalgebra
+    assert _pin(C.star_vec(gx)) == [(0, 1), (1, 4), (0, 1), (i, 4)]
+    H.antipode[1] = [z4, one, z4, one]
+    assert _pin(C.star_vec(gx)) == [(0, 1), (1, 4), (0, 1), (0, 4)]
+
+    # (1 + g) . y = y - y
+    act = dual_number_action()
+    assert _pin(act.apply([one, one, z4, z4], [z4, one])) \
+        == [(0, 1), (0, 4)]
+
+    # psi(1 + g) = (1 (x) 1 + y (x) y) + (1 (x) 1 - y (x) y), flattened
+    ms = Multispan(act.to_hom_map())
+    assert _pin(ms.psi([one, one, z4, z4])) \
+        == [(2, 4), (0, 1), (0, 1), (0, 4)]
+
+    # counit(1 - g + x): the x term meets a zero counit and is skipped
+    assert _pin(H.counit_of([one, -one, one, z4])) == (0, 4)
+    assert _pin(H.counit_of([z4, z4, one, one])) == (0, 1)
+    A.state = list(H.counit)
+    assert _pin(A.apply_state([one, -one, 5 * one, z4])) == (0, 4)
+    assert _pin(A.apply_state([z4, z4, one, z4])) == (0, 1)
+
+    # a zero x_k is not skipped when v_k is not zero: it lifts the order
+    assert _pin(dot({0: z4}, [Scalar.one()])) == (0, 4)
+    assert _pin(dot({0: one, 1: i}, [z1, i])) == (-1, 4)
+    assert _pin(dot({}, [one])) == (0, 1)
 
 
 def test_span_builder_close_keeps_images_last_in_first_out():
