@@ -33,6 +33,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    collect,
     dense,
     kernel_of,
     sparse,
@@ -177,12 +178,8 @@ class SmashProduct:
         the unit.
         """
         nh, eps = self.dim_H, self.action.hopf.counit
-        leg: dict = {}
-        for t, x in z.items():
-            a, h = divmod(t, nh)
-            if eps[h]:
-                x = x * eps[h]
-                leg[a] = leg[a] + x if a in leg else x
+        leg = collect((t // nh, x * eps[t % nh]) for t, x in z.items()
+                      if eps[t % nh])
         unit = sparse(self.action.alg.unit)
         lead = next(iter(unit))
         c = leg.get(lead, Scalar.zero()) * unit[lead].inverse()
@@ -202,30 +199,16 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
     H, A = action.hopf, action.alg
     na, nh = A.dim, H.dim
     dim = na * nh
-    zero = Scalar.zero()
 
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for a in range(na):
-        for h in range(nh):
-            left = a * nh + h
-            for b in range(na):
-                for g in range(nh):
-                    right = b * nh + g
-                    cell = mult[left][right]
-                    for (h1, h2), v in H.comult[h].items():
-                        acted = action.act[h1][b]
-                        if not acted:
-                            continue
-                        for c, w in acted.items():
-                            vc = v * w
-                            for d, x in A.mult[a][c].items():
-                                vx = vc * x
-                                for e, y in H.algebra.mult[h2][g].items():
-                                    key = d * nh + e
-                                    cell[key] = cell.get(key, zero) + vx * y
-    for i in range(dim):
-        for j in range(dim):
-            mult[i][j] = {k: v for k, v in mult[i][j].items() if v}
+    def cell(a, h, b, g):
+        # (e_a x| e_h)(e_b x| e_g) = e_a (h_1 . e_b) x| h_2 e_g
+        return collect((d * nh + e, v * w * x * y)
+                       for (h1, h2), v in H.comult[h].items()
+                       for c, w in action.act[h1][b].items()
+                       for d, x in A.mult[a][c].items()
+                       for e, y in H.algebra.mult[h2][g].items())
+    mult = [[cell(a, h, b, g) for b in range(na) for g in range(nh)]
+            for a in range(na) for h in range(nh)]
 
     unit = vzero(dim)
     for a, ua in enumerate(A.unit):
@@ -296,20 +279,11 @@ def dual_action(sp: SmashProduct, pairing: HopfPairing) -> ModuleAlgebraAction:
     H = sp.action.hopf
     total = sp.total
     nh, na = sp.dim_H, sp.dim_A
-    zero = Scalar.zero()
-    act = []
-    for u in range(Qhat.dim):
-        plane = []
-        for a in range(na):
-            for h in range(nh):
-                out: dict = {}
-                for (h1, h2), v in H.comult[h].items():
-                    c = pairing.matrix[u][h2]
-                    if c:
-                        key = a * nh + h1
-                        out[key] = out.get(key, zero) + v * c
-                plane.append({k: v for k, v in out.items() if v})
-        act.append(plane)
+    M = pairing.matrix
+    act = [[collect((a * nh + h1, v * M[u][h2])
+                    for (h1, h2), v in H.comult[h].items() if M[u][h2])
+            for a in range(na) for h in range(nh)]
+           for u in range(Qhat.dim)]
     return ModuleAlgebraAction(Qhat, total, act,
                                name=f"dual action on {total.name}")
 

@@ -51,6 +51,8 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    collect,
+    dense,
     dot,
     kernel_of,
     op_from_entries,
@@ -64,7 +66,6 @@ from .linalg import (
     sparse_ne,
     span_of,
     vscale,
-    vzero,
 )
 from .measuring import (
     hopf_subalgebra_report,
@@ -167,23 +168,15 @@ def product_coaction(B: ComoduleAlgebra,
 
     # rho(b (x) a x| h) = b0 (x) a x| h2 (x) h1 S(b1)
     antipode = [sparse(row) for row in H.antipode]
-    rho: list[dict] = [dict() for _ in range(dim)]
-    for b in range(nb):
-        for a in range(na):
-            for h in range(nh):
-                src = b * nt + (a * nh + h)
-                cell = rho[src]
-                for (b0, b1), v in B.coact[b].items():
-                    for (h1, h2), w in H.comult[h].items():
-                        dst = b0 * nt + (a * nh + h2)
-                        for k, sv in antipode[b1].items():
-                            for m, mv in H.algebra.mult[h1][k].items():
-                                key = (dst, m)
-                                cell[key] = cell.get(key, Scalar.zero()) \
-                                    + v * w * sv * mv
-    for cell in rho:
-        for key in [k for k, v in cell.items() if not v]:
-            del cell[key]
+
+    def coaction(b, a, h):
+        return collect(((b0 * nt + (a * nh + h2), m), v * w * sv * mv)
+                       for (b0, b1), v in B.coact[b].items()
+                       for (h1, h2), w in H.comult[h].items()
+                       for k, sv in antipode[b1].items()
+                       for m, mv in H.algebra.mult[h1][k].items())
+    rho = [coaction(b, a, h)
+           for b in range(nb) for a in range(na) for h in range(nh)]
 
     rep = Report("product coaction")
     rep.merge(com_rep, prefix="comodule:")
@@ -275,21 +268,12 @@ def _expectation_bimodular(data: FixedPointData) -> bool:
 def _swap_identity(H: HopfStarAlgebra, table: list[Vec]) -> bool:
     """x_1 tau(y S(x_2)) = tau(y_1 S(x)) y_2 for all basis x, y."""
     nh = H.dim
-    for x in range(nh):
-        for y in range(nh):
-            lhs = vzero(nh)
-            for (x1, x2), v in H.comult[x].items():
-                coeff = table[x2][y]
-                if coeff:
-                    lhs[x1] = lhs[x1] + v * coeff
-            rhs = vzero(nh)
-            for (y1, y2), v in H.comult[y].items():
-                coeff = table[x][y1]
-                if coeff:
-                    rhs[y2] = rhs[y2] + v * coeff
-            if lhs != rhs:
-                return False
-    return True
+    return all(
+        collect((x1, v * table[x2][y])
+                for (x1, x2), v in H.comult[x].items() if table[x2][y])
+        == collect((y2, v * table[x][y1])
+                   for (y1, y2), v in H.comult[y].items() if table[x][y1])
+        for x in range(nh) for y in range(nh))
 
 
 def _beta_13(data: FixedPointData, b: int) -> dict:
@@ -326,13 +310,9 @@ def lambda_action(B: ComoduleAlgebra,
     rep = Report("canonical dual action on B")
 
     def convolution(f: dict, g: dict) -> dict:
-        out: dict = {}
-        for x in range(nh):
-            for (x1, x2), v in H.comult[x].items():
-                if x1 in f and x2 in g:
-                    c = v * f[x1] * g[x2]
-                    out[x] = out[x] + c if x in out else c
-        return out
+        return collect((x, v * f[x1] * g[x2]) for x in range(nh)
+                       for (x1, x2), v in H.comult[x].items()
+                       if x1 in f and x2 in g)
     rep.law("convolution_matches_composition", (
         (g, h) for g in range(nh) for h in range(nh)
         if lam_of_functional(convolution(omega[g], omega[h]))
@@ -566,17 +546,11 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
     # the plain sum, then geometric-weight sums.
     candidates = [list(t) for t in space.basis]
     if space.dim > 1:
-        total = vzero(len(unit))
-        for t in space.basis:
-            total = [x + y for x, y in zip(total, t)]
-        candidates.append(total)
-        for w in (2, 3, 5):
-            weighted = vzero(len(unit))
-            scale = Scalar.one()
-            for t in space.basis:
-                weighted = [x + scale * y for x, y in zip(weighted, t)]
-                scale = scale * Scalar.from_int(w)
-            candidates.append(weighted)
+        rows = [sparse(t) for t in space.basis]
+        candidates += [dense(sparse_comb(rows, {i: Scalar.from_int(w ** i)
+                                                for i in range(len(rows))}),
+                             nb)
+                       for w in (1, 2, 3, 5)]
     for t in candidates:
         val = dot(sparse(t), unit)
         if not val:

@@ -40,7 +40,15 @@ from .measuring import (
     universal_measuring_within,
 )
 from .report import CHECKS_VERSION
-from .serialize import Fields, Workspace, emit, parse_matrix, subspace_doc
+from .serialize import (
+    MAX_DIM_ENV,
+    Fields,
+    Workspace,
+    emit,
+    max_dim,
+    parse_matrix,
+    subspace_doc,
+)
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -219,19 +227,41 @@ def run_measure(ws: Workspace, job: dict) -> dict:
             "iteration_dims": log,
         }
     act = ws.get(job["action"], ("action",))
+    C, carrier_dim = act.hopf.coalgebra, act.alg.dim * act.alg.dim
+    # The row width of a span bounds nothing when carrier_dim is 1, nor
+    # the terms of Delta^(m), so the work of evaluating the spans on every
+    # basis element e_i is bounded before it starts, against one budget
+    # for the job: Delta^(m)(e_i) has at most T_m[i] terms (T_1 = 1,
+    # T_m[i] the sum of T_{m-1}[k] over (j, k) in supp Delta(e_i)), each
+    # costing m legs and a Kronecker power of carrier_dim**m entries, and
+    # each of the m steps visits every e_i.  The count stops as soon as
+    # the budget is spent, so a huge leg count costs nothing.
+    budget = max_dim() ** 3
     extra = []
     for i, span_doc in enumerate(job.get("spans", [])):
         where = f"{job.where}.spans[{i}]"
         span_doc = Fields(span_doc, where)
-        extra.append(SpanConstraint.from_matrices(
+        span = SpanConstraint.from_matrices(
             span_doc.integer("l"), span_doc.integer("r"),
             parse_matrix(span_doc["left"], f"{where}.left"),
             parse_matrix(span_doc["right"], f"{where}.right"),
-            act.alg.dim * act.alg.dim,
+            carrier_dim,
             name=where,
-        ))
+        )
+        for legs in span.shape:
+            terms = [1] * C.dim
+            for m in range(1, legs + 1):
+                if m > 1:
+                    terms = [sum(terms[k] for _, k in plane)
+                             for plane in C.comult]
+                budget -= C.dim + sum(terms) * (m + carrier_dim ** m)
+                if budget < 0:
+                    raise InputError(
+                        f"{where}: evaluating {legs} legs over {C.dim} basis"
+                        f" elements exceeds the work bound {MAX_DIM_ENV}^3")
+        extra.append(span)
     res = universal_measuring_within(
-        act.hopf.coalgebra, act.alg, act.alg, act.to_hom_map(), extra=extra
+        C, act.alg, act.alg, act.to_hom_map(), extra=extra
     )
     return {
         "coalgebra": job["coalgebra"],

@@ -19,6 +19,7 @@ from .errors import InputError
 from .linalg import (
     Mat,
     Vec,
+    collect,
     conjugate_linear,
     dense,
     dot,
@@ -35,7 +36,6 @@ from .linalg import (
     transpose,
     unit_vec,
     vscale,
-    vzero,
 )
 from .report import Report
 from .scalars import Scalar
@@ -61,14 +61,6 @@ class StarCoalgebra:
         out = sparse_comb(self.comult, sparse(x))
         return {jk: v for jk, v in out.items() if v}
 
-    def comult_flat(self, x: Vec) -> Vec:
-        """Delta(x) as a dense vector on the tensor square basis."""
-        n = self.dim
-        out = vzero(n * n)
-        for (j, k), v in self.comult_vec(x).items():
-            out[j * n + k] = out[j * n + k] + v
-        return out
-
     def counit_of(self, x: Vec) -> Scalar:
         return dot(sparse(x), self.counit)
 
@@ -93,13 +85,8 @@ class StarCoalgebra:
             return {(): c} if c else {}
         cur = {(i,): v for i, v in enumerate(x) if v}
         for _ in range(legs - 1):
-            nxt: dict = {}
-            for idx, v in cur.items():
-                last = idx[-1]
-                for (j, k), w in self.comult[last].items():
-                    key = idx[:-1] + (j, k)
-                    nxt[key] = nxt.get(key, Scalar.zero()) + v * w
-            cur = {k: v for k, v in nxt.items() if v}
+            cur = collect((idx[:-1] + jk, v * w) for idx, v in cur.items()
+                          for jk, w in self.comult[idx[-1]].items())
         return cur
 
 
@@ -236,15 +223,10 @@ def coassociativity_failures(coact, comult):
     """The i, in order, with (beta (x) id) beta(e_i) != (id (x) Delta)
     beta(e_i)."""
     for i, plane in enumerate(coact):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), v in plane.items():
-            for (a, b), w in coact[j].items():
-                key = (a, b, k)
-                left[key] = left[key] + v * w if key in left else v * w
-            for (a, b), w in comult[k].items():
-                key = (j, a, b)
-                right[key] = right[key] + v * w if key in right else v * w
+        left = collect(((a, b, k), v * w) for (j, k), v in plane.items()
+                       for (a, b), w in coact[j].items())
+        right = collect(((j, a, b), v * w) for (j, k), v in plane.items()
+                        for (a, b), w in comult[k].items())
         if sparse_ne(left, right):
             yield i
 
@@ -253,11 +235,8 @@ def counit_failures(coact, counit: Vec):
     """The i, in order, with (id (x) counit) beta(e_i) != e_i."""
     one = Scalar.one()
     for i, plane in enumerate(coact):
-        image: dict = {}
-        for (j, k), v in plane.items():
-            if counit[k]:
-                x = v * counit[k]
-                image[j] = image[j] + x if j in image else x
+        image = collect((j, v * counit[k]) for (j, k), v in plane.items()
+                        if counit[k])
         if sparse_ne(image, {i: one}):
             yield i
 
@@ -378,16 +357,16 @@ def dual_hopf(H: HopfStarAlgebra, name: str = "") -> HopfStarAlgebra:
     <phi*, h> = conj(<phi, S(h)*>).
     """
     n = H.dim
-    zero = Scalar.zero()
+    # each entry is one entry of H: a transpose, not a sum
     mult = [[{} for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for (i, j), v in H.comult[k].items():
-            mult[i][j][k] = mult[i][j].get(k, zero) + v
+            mult[i][j][k] = v
     comult = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k, v in H.algebra.mult[i][j].items():
-                comult[k][(i, j)] = comult[k].get((i, j), zero) + v
+                comult[k][(i, j)] = v
     unit = list(H.counit)
     counit = list(H.unit)
     antipode = transpose(H.antipode)
@@ -586,45 +565,50 @@ def canonical_pairing(Q: HopfStarAlgebra, H: HopfStarAlgebra) -> HopfPairing:
 def validate_pairing(P: HopfPairing) -> Report:
     """The five pairing laws plus the star law, checked on basis elements.
 
-    Each side is read from the pairing matrix, the sparse mult and comult
-    tensors and the sparse antipode and star rows; a failing law reports
-    its first basis witness in the order of the cases below.
+    Row a of the pairing matrix M is the functional <e_a, .> on H and
+    column c is <., e_c> on Q, so <x, e_c> = dot(x, column c) and
+    <e_a, y> = dot(y, row a).  The multiplicative laws pair one leg of a
+    comultiplication first: <e_a e_b, e_c> = <e_a, h_legs[b][c]> with
+    h_legs[b][c] = sum c_1 <e_b, c_2>, and <e_a, e_c e_d> =
+    <q_legs[d][a], e_c> with q_legs[d][a] = sum a_1 <a_2, e_d>.
+    Each side is read from M, the sparse mult and comult tensors and the
+    sparse antipode and star rows; a failing law reports its first basis
+    witness in the order of the cases below.
     """
     rep = Report("hopf pairing")
     Q, H, M = P.Q, P.H, P.matrix
+    cols = transpose(M)
     qs, hs = range(Q.dim), range(H.dim)
-    one, zero = Scalar.one(), Scalar.zero()
 
-    def pair(x: dict, y: dict) -> Scalar:
-        return sum((xi * yj * M[i][j] for i, xi in x.items()
-                    for j, yj in y.items()), zero)
-
+    h_legs = [[collect((c1, v * M[b][c2])
+                       for (c1, c2), v in H.comult[c].items()) for c in hs]
+              for b in qs]
     rep.law("multiplicative_left", (
         (a, b, c) for a, b, c in product(qs, qs, hs)
-        if pair(Q.algebra.mult[a][b], {c: one})
-        != sum((v * M[a][c1] * M[b][c2]
-                for (c1, c2), v in H.comult[c].items()), zero)))
+        if dot(Q.algebra.mult[a][b], cols[c]) != dot(h_legs[b][c], M[a])))
+    q_legs = [[collect((a1, v * cols[d][a2])
+                       for (a1, a2), v in Q.comult[a].items()) for a in qs]
+              for d in hs]
     rep.law("multiplicative_right", (
         (a, c, d) for a, c, d in product(qs, hs, hs)
-        if pair({a: one}, H.algebra.mult[c][d])
-        != sum((v * M[a1][c] * M[a2][d]
-                for (a1, a2), v in Q.comult[a].items()), zero)))
+        if dot(H.algebra.mult[c][d], M[a]) != dot(q_legs[d][a], cols[c])))
+    q_unit, h_unit = sparse(Q.unit), sparse(H.unit)
     rep.add("unit_pairs_to_counit",
-            all(pair(sparse(Q.unit), {c: one}) == H.counit[c] for c in hs))
+            all(dot(q_unit, cols[c]) == H.counit[c] for c in hs))
     rep.add("counit_pairs_to_unit",
-            all(pair({a: one}, sparse(H.unit)) == Q.counit[a] for a in qs))
+            all(dot(h_unit, M[a]) == Q.counit[a] for a in qs))
 
     q_antipode = [sparse(row) for row in Q.antipode]
     h_antipode = [sparse(row) for row in H.antipode]
     rep.law("antipode_law", (
         (a, c) for a, c in product(qs, hs)
-        if pair(q_antipode[a], {c: one}) != pair({a: one}, h_antipode[c])))
+        if dot(q_antipode[a], cols[c]) != dot(h_antipode[c], M[a])))
     # e_a* is star row a, and (S e_c)* = sum_j conj(S[c][j]) star row j
     q_star = [sparse(row) for row in Q.star]
     h_star = [sparse(row) for row in H.star]
     sh_star = [sparse_comb(h_star, sparse_conj(row)) for row in h_antipode]
     rep.law("star_law", (
         (a, c) for a, c in product(qs, hs)
-        if pair(q_star[a], {c: one}) != pair({a: one}, sh_star[c]).conj()),
+        if dot(q_star[a], cols[c]) != dot(sh_star[c], M[a]).conj()),
         note=PAIRING_STAR_NOTE)
     return rep

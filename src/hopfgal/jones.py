@@ -63,6 +63,7 @@ from .linalg import (
     op_mul,
     op_span,
     op_sparse,
+    op_trace,
     op_transpose,
     op_vec,
     operator_algebra_span,
@@ -334,11 +335,7 @@ class BasicConstruction:
 
     def trace1(self, X: dict) -> Scalar:
         """tau_1 = the normalized ambient trace restricted to M_1."""
-        tot = Scalar.zero()
-        for i, row in X.items():
-            if i in row:
-                tot = tot + row[i]
-        return tot * Scalar.rational(1, self.space.dim)
+        return op_trace(X) * Scalar.rational(1, self.space.dim)
 
 
 def m1_span(space: GnsSpace, e: dict) -> Subspace:

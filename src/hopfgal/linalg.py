@@ -22,7 +22,10 @@ A table or a functional is evaluated on a vector through sparse_apply (a
 rank-3 tensor such as mult or act on two sparse vectors), sparse_comb
 (sparse rows on one) or dot (a functional).  The dense-vector methods of
 the other modules are adapters over these, so the Scalar order of every
-entry they return is decided here.
+entry they return is decided here.  Any other keyed sum of terms, such as
+a structure tensor built from products of table entries, is collect, and
+the trace of an operator is op_trace: how terms are summed, and when a
+zero is dropped, is decided in this module only.
 
 Outside this module, kernels and closures have one way in each.
 kernel_of states "all x with L(x) = 0": the caller hands it the nonzero
@@ -152,6 +155,19 @@ def dot(x: dict, v: Vec) -> Scalar:
     return tot
 
 
+def collect(terms) -> dict:
+    """sum value e_key over (key, value) pairs, as a sparse vector.
+
+    Keys are any hashables (indices or index tuples).  A key whose terms
+    cancel is dropped; the first term of a key is kept as it is, not added
+    to a zero.
+    """
+    out: dict = {}
+    for k, v in terms:
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
 def sparse_ne(a: dict, b: dict) -> bool:
     zero = Scalar.zero()
     return any(a.get(k, zero) != b.get(k, zero) for k in set(a) | set(b))
@@ -173,6 +189,11 @@ def op_from_entries(entries) -> dict:
     pruned = {i: {j: v for j, v in row.items() if v}
               for i, row in out.items()}
     return {i: row for i, row in pruned.items() if row}
+
+
+def op_trace(A: dict) -> Scalar:
+    """sum_i A[i][i], from a zero of order 1."""
+    return sum((row[i] for i, row in A.items() if i in row), Scalar.zero())
 
 
 def op_sparse(A: Mat) -> dict:

@@ -35,6 +35,7 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    collect,
     dense,
     kernel_of,
     kron_vec,
@@ -43,7 +44,6 @@ from .linalg import (
     sparse,
     sparse_comb,
     unit_vec,
-    vec_is_zero,
     vzero,
 )
 from .report import Report
@@ -130,17 +130,18 @@ class Multispan:
 
 
 def _span_value(C: StarCoalgebra, ms: Multispan, span: SpanConstraint,
-                x: Vec) -> Vec:
-    """left-minus-right evaluation of one span at the element x."""
+                x: Vec) -> dict:
+    """left-minus-right evaluation of one span at the element x, as a
+    sparse vector of the target."""
     l, r = span.shape
-    total = vzero(span.target_dim)
-    for legs_n, side, sign in ((l, span.left, 1), (r, span.right, -1)):
-        for idx, v in C.iterated_comult(x, legs_n).items():
-            legs = [ms.psi(unit_vec(C.dim, j)) for j in idx]
-            c = v if sign > 0 else -v
-            total = [a + c * b if b else a
-                     for a, b in zip(total, side(legs))]
-    return total
+    return collect(
+        (t, c * b)
+        for legs_n, side, sign in ((l, span.left, 1), (r, span.right, -1))
+        for idx, v in C.iterated_comult(x, legs_n).items()
+        for c in [v if sign > 0 else -v]
+        for t, b in enumerate(side([ms.psi(unit_vec(C.dim, j))
+                                    for j in idx]))
+        if b)
 
 
 def constraint_subspace(C: StarCoalgebra, ms: Multispan) -> Subspace:
@@ -152,10 +153,8 @@ def constraint_subspace(C: StarCoalgebra, ms: Multispan) -> Subspace:
             if span.shape[0] < 0 or span.shape[1] < 0:
                 raise InputError("span shape must be nonnegative")
             for i in range(n):
-                value = _span_value(C, ms, span, unit_vec(n, i))
-                for t, v in enumerate(value):
-                    if v:
-                        yield (s, t), i, v
+                for t, v in _span_value(C, ms, span, unit_vec(n, i)).items():
+                    yield (s, t), i, v
     W = kernel_of(entries(), n)
     return W.intersect(W.image_conjlinear(C.star_vec))
 
@@ -187,21 +186,15 @@ def multiplication_span(A: StarAlgebra, B: StarAlgebra) -> SpanConstraint:
                 prod = B.mul_vec(col_f, col_g)
                 for o, val in enumerate(prod):
                     if val:
-                        idx = o * na * na + a * na + ap
-                        out[idx] = out[idx] + val
+                        out[o * na * na + a * na + ap] = val
         return out
 
     def right(legs):
         (F,) = (_as_operator(v, nb, na) for v in legs)
-        out = vzero(target)
-        for a in range(na):
-            for ap in range(na):
-                for k, m in A.mult[a][ap].items():
-                    for o in range(nb):
-                        if F[o][k]:
-                            idx = o * na * na + a * na + ap
-                            out[idx] = out[idx] + m * F[o][k]
-        return out
+        return dense(collect((o * na * na + a * na + ap, m * F[o][k])
+                             for a in range(na) for ap in range(na)
+                             for k, m in A.mult[a][ap].items()
+                             for o in range(nb) if F[o][k]), target)
 
     return SpanConstraint((2, 1), target, left, right, "multiplication")
 
@@ -331,9 +324,14 @@ def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:
     span; the reports keep it on purpose, so that they re-check a result
     by a route that production does not use.
     """
-    square = Subspace.from_vectors(
-        [kron_vec(u, v) for u in D.basis for v in D.basis], C.dim ** 2)
-    return all(square.contains(C.comult_flat(v)) for v in D.basis)
+    n = C.dim
+    basis = [sparse(b) for b in D.basis]
+    square = span_of(({j * n + k: x * y for j, x in u.items()
+                       for k, y in v.items()} for u in basis for v in basis),
+                     n * n)
+    return all(square.contains({j * n + k: c for (j, k), c
+                                in C.comult_vec(b).items()})
+               for b in D.basis)
 
 
 def subcoalgebra_report(C: StarCoalgebra, D: Subspace,
@@ -384,8 +382,8 @@ def universal_measuring_within(C: StarCoalgebra, A: StarAlgebra,
     rep.merge(subcoalgebra_report(C, D, [C.star_vec]), prefix="closure:")
     rep.add("inside_constraints", W.contains_subspace(D))
     # re-validate that the result measures, straight from the definitions
-    ok = all(vec_is_zero(_span_value(C, ms, span, v))
-             for v in D.basis for span in ms.spans)
+    ok = not any(_span_value(C, ms, span, v)
+                 for v in D.basis for span in ms.spans)
     rep.add("measures", ok)
     coalg, inclusion = (None, [])
     if D.dim:
@@ -409,23 +407,17 @@ def reify_coalgebra(C: StarCoalgebra, D: Subspace):
     """
     k = D.dim
     where = {p: i for i, p in enumerate(D.pivots)}
-    supports = [[(t, y) for t, y in enumerate(b) if y] for b in D.basis]
+    supports = [sparse(b) for b in D.basis]
     comult = []
     for v in D.basis:
         delta = C.comult_vec(v)
         plane = {(where[p], where[q]): c for (p, q), c in delta.items()
                  if p in where and q in where}
-        halves: dict = {}  # i -> sum_j g_ij b_j
-        for (i, j), c in plane.items():
-            half = halves.setdefault(i, {})
-            for t, y in supports[j]:
-                half[t] = half.get(t, 0) + c * y
-        rebuilt: dict = {}
-        for i, half in halves.items():
-            for s, x in supports[i]:
-                for t, y in half.items():
-                    rebuilt[s, t] = rebuilt.get((s, t), 0) + x * y
-        if {st: c for st, c in rebuilt.items() if c} != delta:
+        # sum g_ij b_i (x) b_j
+        rebuilt = collect(((s, t), x * c * y) for (i, j), c in plane.items()
+                          for s, x in supports[i].items()
+                          for t, y in supports[j].items())
+        if rebuilt != delta:
             raise InputError("not a subcoalgebra")
         comult.append(plane)
     counit = [C.counit_of(v) for v in D.basis]

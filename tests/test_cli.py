@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 
 import pytest
 
@@ -580,6 +581,81 @@ def test_measure_malformed_span_entry_is_input_error(entry, tmp_path, capsys):
     path.write_text(json.dumps(_z2_measure_with_span(entry)))
     assert _run("measure", path, job="measure") == 2
     assert "spans[0]" in capsys.readouterr().err
+
+
+def _measure_with_legs(hopf, alg, act, legs):
+    """A measure job of hopf acting on alg through act, with one span of
+    legs legs on the left and none on the right."""
+    width = (alg["dim"] ** 2) ** legs
+    return {"documents": {
+        "hopf": {"kind": "hopf", **hopf}, "alg": alg,
+        "act": {"kind": "action", "hopf": "hopf", "alg": "alg", "act": act},
+        "measure": {"kind": "job", "op": "measure", "coalgebra": "hopf",
+                    "action": "act",
+                    "spans": [{"l": legs, "r": 0,
+                               "left": [[1] + [0] * (width - 1)],
+                               "right": [[1]]}]}}}
+
+
+def _cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _trivially_acted(legs):
+    # CZ2 acting trivially on a one-dimensional algebra: every row of a
+    # span is one column wide, whatever the leg count
+    alg = {"kind": "algebra", "dim": 1, "mult": [[[1]]], "unit": [1],
+           "star": [[1]], "state": None}
+    return _measure_with_legs({"group_table": _cyclic(2)}, alg,
+                              [[[1]], [[1]]], legs)
+
+
+def _counit_acted(n, legs):
+    # C(Z_n) acting on C^2 through the counit: delta_0 acts as the
+    # identity and every other delta_g as zero
+    alg = {"kind": "algebra", "dim": 2,
+           "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+           "unit": [1, 1], "star": [[1, 0], [0, 1]], "state": None}
+    act = [[[int(g == 0 and a == b) for b in range(2)] for a in range(2)]
+           for g in range(n)]
+    return _measure_with_legs({"group_table": _cyclic(n), "dual": True},
+                              alg, act, legs)
+
+
+# spans whose rows are narrow but whose evaluation is not: seconds to hours
+# of work from a few kilobytes of workspace
+_OVER_BUDGET_SPANS = [
+    ("trivial-l12000", _trivially_acted(12000)),
+    ("trivial-l1e6", _trivially_acted(10 ** 6)),
+    ("counit-z16-l4", _counit_acted(16, 4)),
+    ("counit-z24-l4", _counit_acted(24, 4)),
+]
+
+
+@pytest.mark.parametrize("doc", [d for _, d in _OVER_BUDGET_SPANS],
+                         ids=[name for name, _ in _OVER_BUDGET_SPANS])
+def test_measure_span_over_the_work_bound_is_input_error(doc, tmp_path,
+                                                        capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    start = time.process_time()
+    code = _run("measure", path, job="measure")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "/documents/measure.spans[0]: " in err
+    assert "work bound" in err
+    assert time.process_time() - start < 1
+
+
+def test_measure_span_within_the_work_bound_runs(tmp_path, capsys):
+    # the same workspaces with fewer legs are evaluated; the span holds on
+    # all of CZ2, and on all of C(Z16)
+    for doc, dim in ((_trivially_acted(40), 2), (_counit_acted(16, 2), 16)):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(doc))
+        assert _run("measure", path, job="measure") == 0
+        assert json.loads(capsys.readouterr().out)["subcoalgebra"]["dim"] \
+            == dim
 
 
 # a zero denominator, a nested array, a non-integer coefficient, a zero

@@ -327,11 +327,14 @@ def _qgal_pairing(make_action):
     return lambda: canonical_qgal(smash_product(make_action())).pairing
 
 
-def _swapped_k4_pairing():
-    # evaluation twisted by the swap of the two non-identity generators
-    H = ck4()
-    return HopfPairing(dual_hopf(H), H,
-                       [identity_matrix(4)[q] for q in (0, 2, 1, 3)])
+def _twisted_k4_pairing(perm):
+    # evaluation twisted by an automorphism of K4: rows perm of the
+    # identity, a permutation of the three non-identity elements
+    def build():
+        H = ck4()
+        return HopfPairing(dual_hopf(H), H,
+                           [identity_matrix(4)[q] for q in perm])
+    return build
 
 
 # every pairing the fixtures build, canonical certificates included
@@ -345,7 +348,10 @@ PAIRINGS.update({
     "grading": _qgal_pairing(grading_action_mat2),
     "z4": _qgal_pairing(lambda: cyclic_diagonal_action(4, [0, 1])),
     "z5": _qgal_pairing(lambda: cyclic_diagonal_action(5, [0, 1])),
-    "k4_swap": _swapped_k4_pairing,
+    # the swap of two generators, and the order-3 automorphism, whose
+    # matrix is not symmetric
+    "k4_swap": _twisted_k4_pairing((0, 2, 1, 3)),
+    "k4_cycle": _twisted_k4_pairing((0, 2, 3, 1)),
 })
 
 
@@ -383,4 +389,19 @@ def test_perturbed_pairing_report_matches_dense_oracle(law, order):
     cell[key] = cell[key] * (Scalar.one() + Scalar.root_of_unity(order))
     rep = validate_pairing(P)
     assert not rep[law].passed
+    assert report_summary(rep) == report_summary(oracle_validate_pairing(P))
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_pairing_with_a_scaled_entry_off_the_diagonal_matches_oracle(order):
+    # the asymmetric pairing with one nonzero <e_a, e_c>, a != c, scaled by
+    # 1 + zeta_N: the laws must read row a and column c, not their
+    # transposes
+    P = PAIRINGS["k4_cycle"]()
+    a, c = next((a, c) for a, row in enumerate(P.matrix)
+                for c, x in enumerate(row) if x and a != c)
+    P.matrix[a][c] = P.matrix[a][c] * (Scalar.one()
+                                       + Scalar.root_of_unity(order))
+    rep = validate_pairing(P)
+    assert not rep.ok
     assert report_summary(rep) == report_summary(oracle_validate_pairing(P))

@@ -14,6 +14,7 @@ from hopfgal.linalg import (
     KernelSolver,
     SpanBuilder,
     Subspace,
+    collect,
     dense,
     dot,
     identity_matrix,
@@ -27,6 +28,7 @@ from hopfgal.linalg import (
     op_mul,
     op_span,
     op_sparse,
+    op_trace,
     op_vec,
     operator_algebra_span,
     preimages,
@@ -415,27 +417,53 @@ def test_closures_are_stated_through_close():
     assert offenders == []
 
 
+def _reads_target(expr, target) -> bool:
+    """expr is the target itself, or target's container .get(its key, ...).
+
+    Targets are compared by ast.unparse: ast.dump tells a Load from a
+    Store.
+    """
+    text = ast.unparse
+    if text(expr) == text(target):
+        return True
+    return (isinstance(target, ast.Subscript) and isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "get" and expr.args
+            and text(expr.func.value) == text(target.value)
+            and text(expr.args[0]) == text(target.slice))
+
+
 def _accumulators(tree):
-    """Assignments name = name + <product> and name += <product>."""
+    """Hand-written sums.
+
+    These are name += <term> (a list display or comprehension is
+    concatenation and passes), t = t + <term> for a name or a keyed entry
+    t, also as t = t.get(k, ...) + <term> and as either branch of a
+    conditional expression, and sum(<generator>, <start>).
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-            target, term = node.target, node.value
-        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
-              and isinstance(node.value, ast.BinOp)
-              and isinstance(node.value.op, ast.Add)
-              and isinstance(node.value.left, ast.Name)
-              and node.value.left.id == getattr(node.targets[0], "id", None)):
-            target, term = node.targets[0], node.value.right
-        else:
-            continue
-        if (isinstance(target, ast.Name) and isinstance(term, ast.BinOp)
-                and isinstance(term.op, ast.Mult)):
+            if not isinstance(node.value, (ast.List, ast.ListComp)):
+                yield node
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            value = node.value
+            branches = ([value.body, value.orelse]
+                        if isinstance(value, ast.IfExp) else [value])
+            if any(isinstance(b, ast.BinOp) and isinstance(b.op, ast.Add)
+                   and _reads_target(b.left, node.targets[0])
+                   for b in branches):
+                yield node
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "sum"
+              and len(node.args) == 2
+              and isinstance(node.args[0], ast.GeneratorExp)):
             yield node
 
 
 def test_dot_products_are_stated_through_dot():
-    # evaluating a table or a functional on a vector is linalg's decision
-    # (dot, sparse_apply, sparse_comb); Scalar arithmetic is scalars'
+    # evaluating a table or a functional on a vector, and summing keyed
+    # terms, is linalg's decision (dot, sparse_apply, sparse_comb,
+    # collect, op_trace); Scalar arithmetic is scalars'
     offenders = [f"{name}:{node.lineno}"
                  for name, tree in _modules_outside_linalg()
                  if name != "scalars.py"
@@ -515,6 +543,28 @@ def test_dense_adapters_keep_scalar_orders():
     assert _pin(dot({0: z4}, [Scalar.one()])) == (0, 4)
     assert _pin(dot({0: one, 1: i}, [z1, i])) == (-1, 4)
     assert _pin(dot({}, [one])) == (0, 1)
+
+
+def test_collect_and_op_trace_keep_scalar_orders():
+    # the structure tensors summed through collect are emitted, so it must
+    # give what the hand-written sums gave: a key whose order-4 terms
+    # cancel is dropped, a first term is kept as it is, and a sum takes
+    # the lcm of its terms' orders
+    one, i = Scalar.one(4), Scalar.root_of_unity(4)
+    z1 = Scalar.zero()
+    got = collect([((0, 1), i), (2, one), ((0, 1), -i), (3, Scalar.one()),
+                   (3, i), (4, z1), (5, 2 * one)])
+    assert list(got) == [2, 3, 5]
+    assert {k: _pin(v) for k, v in got.items()} \
+        == {2: (1, 4), 3: (Scalar.one() + i, 4), 5: (2, 4)}
+    assert _pin(collect([(0, Scalar.one())])[0]) == (1, 1)
+    assert collect([]) == {}
+
+    # the diagonal only, from a zero of order 1
+    X = {0: {0: i, 1: 7 * one}, 1: {0: one}, 2: {2: -i + one}}
+    assert _pin(op_trace(X)) == (one, 4)
+    assert _pin(op_trace({0: {0: i}, 1: {1: -i}})) == (0, 4)
+    assert _pin(op_trace({0: {1: one}})) == (0, 1)
 
 
 def test_span_builder_close_keeps_images_last_in_first_out():
