@@ -30,19 +30,18 @@ from .algebra import (
 from .errors import InputError
 from .hopf import HopfPairing, HopfStarAlgebra, convolve
 from .linalg import (
-    Mat,
     Subspace,
     Vec,
     collect,
     dense,
     kernel_of,
+    kron,
     sparse,
     sparse_apply,
     sparse_comb,
     sparse_conj,
     sparse_ne,
     span_of,
-    vzero,
 )
 from .report import Report
 from .scalars import Scalar
@@ -67,16 +66,16 @@ class ModuleAlgebraAction:
         return dense(sparse_apply(self.act, sparse(h), sparse(a)),
                      self.alg.dim)
 
-    def to_hom_map(self) -> Mat:
-        """Matrix of H -> Hom(A, A), e_h -> its action operator, flattened.
+    def to_hom_map(self) -> list[dict]:
+        """H -> Hom(A, A), e_h -> its action operator, as sparse rows.
 
         Row h is the operator of e_h flattened row-major (entry k n + j is
-        the coefficient of e_k in e_h . e_j), so the carrier map psi used by
-        the measuring machinery is exactly this matrix read column-wise.
+        the coefficient of e_k in e_h . e_j), so it is the carrier psi(e_h)
+        of the measuring machinery.
         """
         n = self.alg.dim
-        zero = Scalar.zero()
-        return [[plane[j].get(k, zero) for k in range(n) for j in range(n)]
+        return [{k * n + j: v for j, cell in enumerate(plane)
+                 for k, v in cell.items() if v}
                 for plane in self.act]
 
 
@@ -162,14 +161,11 @@ class SmashProduct:
 
     def a_leg(self, x: dict) -> dict:
         """x x| 1 for a sparse x on the A basis, as a sparse vector."""
-        return {self.idx(a, h): c * u for a, c in x.items()
-                for h, u in enumerate(self.action.hopf.unit) if u}
+        return kron(x, sparse(self.action.hopf.unit), self.dim_H)
 
     def h_leg(self, x: dict) -> dict:
         """1 x| x for a sparse x on the H basis, as a sparse vector."""
-        return {self.idx(a, h): c * u
-                for a, u in enumerate(self.action.alg.unit) if u
-                for h, c in x.items()}
+        return kron(sparse(self.action.alg.unit), x, self.dim_H)
 
     def unit_coefficient(self, z: dict) -> Scalar:
         """c with (id (x) counit)(z) = c 1_A, for a sparse z.
@@ -210,12 +206,7 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
     mult = [[cell(a, h, b, g) for b in range(na) for g in range(nh)]
             for a in range(na) for h in range(nh)]
 
-    unit = vzero(dim)
-    for a, ua in enumerate(A.unit):
-        if ua:
-            for h, uh in enumerate(H.unit):
-                if uh:
-                    unit[a * nh + h] = ua * uh
+    unit = dense(kron(sparse(A.unit), sparse(H.unit), nh), dim)
 
     # (e_a x| e_h)* = (1 x| e_h*)(e_a* x| 1), via the multiplication above;
     # the legs read only the action
@@ -299,14 +290,8 @@ def canonical_smash_trace(sp: SmashProduct) -> Vec:
     A, H = sp.action.alg, sp.action.hopf
     if A.state is None:
         raise InputError("canonical trace needs a state on A")
-    integral = haar(H)
-    tau = vzero(sp.total.dim)
-    for a in range(sp.dim_A):
-        if not A.state[a]:
-            continue
-        for h in range(sp.dim_H):
-            if integral[h]:
-                tau[sp.idx(a, h)] = A.state[a] * integral[h]
+    tau = dense(kron(sparse(A.state), sparse(haar(H)), sp.dim_H),
+                sp.total.dim)
     if not all(state_flags(sp.total, tau)):
         raise InputError("product functional is not a trace on the smash")
     return tau

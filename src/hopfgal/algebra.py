@@ -36,6 +36,7 @@ from .linalg import (
     dense,
     dot,
     kernel_of,
+    kron,
     mat_inverse,
     op_from_entries,
     op_mul,
@@ -49,7 +50,6 @@ from .linalg import (
     sparse_ne,
     unit_vec,
     vscale,
-    vzero,
 )
 from .report import Report
 from .scalars import Scalar, common_order
@@ -154,38 +154,18 @@ def tensor_algebra(A: StarAlgebra, B: StarAlgebra,
     """A (x) B with basis e_i (x) f_j at index i*dimB + j."""
     da, db = A.dim, B.dim
     dim = da * db
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(da):
-        for j1 in range(db):
-            for i2 in range(da):
-                for j2 in range(db):
-                    left = i1 * db + j1
-                    right = i2 * db + j2
-                    for ka, va in A.mult[i1][i2].items():
-                        for kb, vb in B.mult[j1][j2].items():
-                            mult[left][right][ka * db + kb] = va * vb
-    unit = vzero(dim)
-    for i, ua in enumerate(A.unit):
-        if ua:
-            for j, ub in enumerate(B.unit):
-                if ub:
-                    unit[i * db + j] = ua * ub
-    star = []
-    b_star = [sparse(row) for row in B.star]
-    for sa in map(sparse, A.star):
-        for sb in b_star:
-            row = vzero(dim)
-            for p, vp in sa.items():
-                for q, vq in sb.items():
-                    row[p * db + q] = vp * vq
-            star.append(row)
+    mult = [[kron(A.mult[i1][i2], B.mult[j1][j2], db)
+             for i2 in range(da) for j2 in range(db)]
+            for i1 in range(da) for j1 in range(db)]
+
+    def square(x: Vec, y: Vec) -> Vec:
+        return dense(kron(sparse(x), sparse(y), db), dim)
+
+    unit = square(A.unit, B.unit)
+    star = [square(sa, sb) for sa in A.star for sb in B.star]
     state = None
     if A.state is not None and B.state is not None:
-        state = vzero(dim)
-        for i, ta in enumerate(A.state):
-            for j, tb in enumerate(B.state):
-                if ta and tb:
-                    state[i * db + j] = ta * tb
+        state = square(A.state, B.state)
     return StarAlgebra(dim, mult, unit, star, state,
                        name=name or f"{A.name}(x){B.name}")
 

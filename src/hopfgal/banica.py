@@ -55,6 +55,7 @@ from .linalg import (
     dense,
     dot,
     kernel_of,
+    kron,
     op_from_entries,
     op_mul,
     op_transpose,
@@ -134,10 +135,8 @@ class FixedPointData:
 
     def a_leg(self, x: dict) -> dict:
         """1 (x) x x| 1 for a sparse x on the A basis."""
-        inner = self.smash.a_leg(x)
-        return {self.idx(b, t): ub * v
-                for b, ub in sparse(self.comodule.alg.unit).items()
-                for t, v in inner.items()}
+        return kron(sparse(self.comodule.alg.unit), self.smash.a_leg(x),
+                    self.smash.total.dim)
 
 
 def product_coaction(B: ComoduleAlgebra,

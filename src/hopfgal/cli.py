@@ -83,8 +83,13 @@ def _select_job(ws: Workspace, op: str, job_name: str | None) -> dict:
 # -- job runners --------------------------------------------------------------
 
 
+def _doc(ws: Workspace, job: Fields, key: str, kinds: tuple | None = None):
+    """The document that the job field key names; the field is a string."""
+    return ws.get(job.typed(key, str), kinds)
+
+
 def run_validate(ws: Workspace, job: dict) -> dict:
-    target = job["target"]
+    target = job.typed("target", str)
     kind = ws.kinds.get(target)
     obj = ws.get(target)
     if kind == "hopf":
@@ -103,7 +108,7 @@ def run_validate(ws: Workspace, job: dict) -> dict:
 
 
 def run_dual(ws: Workspace, job: dict) -> dict:
-    H = ws.get(job["target"], ("hopf",))
+    H = _doc(ws, job, "target", ("hopf",))
     dual = dual_hopf(H)
     rep = validate_hopf(dual)
     return {"target": job["target"], "dual": dual.to_json(),
@@ -111,7 +116,7 @@ def run_dual(ws: Workspace, job: dict) -> dict:
 
 
 def run_smash(ws: Workspace, job: dict) -> dict:
-    act = ws.get(job["action"], ("action",))
+    act = _doc(ws, job, "action", ("action",))
     rep = validate_action(act)
     if not rep.ok:
         return {"action": job["action"], "report": rep.to_json()}
@@ -127,18 +132,18 @@ def run_smash(ws: Workspace, job: dict) -> dict:
 
 
 def run_commutant(ws: Workspace, job: dict) -> dict:
-    alg = ws.get(job["algebra"])
+    alg = _doc(ws, job, "algebra")
     if hasattr(alg, "algebra"):
         alg = alg.algebra
-    sub = ws.get(job["subspace"], ("subspace",))
+    sub = _doc(ws, job, "subspace", ("subspace",))
     comm = relative_commutant(sub, alg)
     return {"algebra": job["algebra"], "subspace": job["subspace"],
             "commutant": subspace_doc(comm)}
 
 
 def run_jones(ws: Workspace, job: dict) -> dict:
-    alg = ws.get(job["algebra"], ("algebra",))
-    sub = ws.get(job["subalgebra"], ("subspace",))
+    alg = _doc(ws, job, "algebra", ("algebra",))
+    sub = _doc(ws, job, "subalgebra", ("subspace",))
     bc = basic_construction(gns(alg), sub)
     endo_rep = bimodule_endos_report(bc)
     dims = endo_rep["dimension_matches"].witness
@@ -158,7 +163,7 @@ def run_jones(ws: Workspace, job: dict) -> dict:
 
 
 def run_qgal_depth2(ws: Workspace, job: dict) -> dict:
-    act = ws.get(job["action"], ("action",))
+    act = _doc(ws, job, "action", ("action",))
     sp = smash_product(act)
     cert = canonical_qgal(sp)
     out = {
@@ -173,10 +178,10 @@ def run_qgal_depth2(ws: Workspace, job: dict) -> dict:
 
 
 def run_qgal_banica(ws: Workspace, job: dict) -> dict:
-    comodule = ws.get(job["comodule"], ("comodule",))
-    act = ws.get(job["action"], ("action",))
-    ambient = ws.get(job["ambient_hopf"], ("hopf",))
-    ambient_act = ws.get(job["ambient_action"], ("action",))
+    comodule = _doc(ws, job, "comodule", ("comodule",))
+    act = _doc(ws, job, "action", ("action",))
+    ambient = _doc(ws, job, "ambient_hopf", ("hopf",))
+    ambient_act = _doc(ws, job, "ambient_action", ("action",))
     sp = smash_product(act)
     data = product_coaction(comodule, sp)
     result = qgal_banica(data, ambient, ambient_act)
@@ -196,8 +201,8 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
 
 
 def run_centralizer(ws: Workspace, job: dict) -> dict:
-    Q = ws.get(job["hopf"], ("hopf",))
-    S = ws.get(job["subspace"], ("subspace",))
+    Q = _doc(ws, job, "hopf", ("hopf",))
+    S = _doc(ws, job, "subspace", ("subspace",))
     result = hopf_centralizer(Q, S)
     rep = hopf_subalgebra_report(Q, result)
     return {
@@ -209,15 +214,15 @@ def run_centralizer(ws: Workspace, job: dict) -> dict:
 
 
 def run_measure(ws: Workspace, job: dict) -> dict:
-    C = ws.get(job["coalgebra"], ("hopf",))
-    target = job.get("within")
-    if target is not None:
+    C = _doc(ws, job, "coalgebra", ("hopf",))
+    if job.get("within") is not None:
+        target = job.typed("within", str)
         sub = ws.get(target, ("subspace",))
         log: list[int] = []
         result = largest_subcoalgebra(
             C.coalgebra, sub,
             stabilizers=[C.antipode_vec, C.algebra.star_vec]
-            if job.get("stabilize", True) else [],
+            if job.typed("stabilize", bool, True) else [],
             log=log,
         )
         return {
@@ -226,19 +231,19 @@ def run_measure(ws: Workspace, job: dict) -> dict:
             "subcoalgebra": subspace_doc(result),
             "iteration_dims": log,
         }
-    act = ws.get(job["action"], ("action",))
+    act = _doc(ws, job, "action", ("action",))
     C, carrier_dim = act.hopf.coalgebra, act.alg.dim * act.alg.dim
     # The row width of a span bounds nothing when carrier_dim is 1, nor
     # the terms of Delta^(m), so the work of evaluating the spans on every
     # basis element e_i is bounded before it starts, against one budget
     # for the job: Delta^(m)(e_i) has at most T_m[i] terms (T_1 = 1,
     # T_m[i] the sum of T_{m-1}[k] over (j, k) in supp Delta(e_i)), each
-    # costing m legs and a Kronecker power of carrier_dim**m entries, and
-    # each of the m steps visits every e_i.  The count stops as soon as
-    # the budget is spent, so a huge leg count costs nothing.
+    # costing m legs and a sparse Kronecker power of at most carrier_dim**m
+    # entries, and each of the m steps visits every e_i.  The count stops
+    # as soon as the budget is spent, so a huge leg count costs nothing.
     budget = max_dim() ** 3
     extra = []
-    for i, span_doc in enumerate(job.get("spans", [])):
+    for i, span_doc in enumerate(job.typed("spans", list, [])):
         where = f"{job.where}.spans[{i}]"
         span_doc = Fields(span_doc, where)
         span = SpanConstraint.from_matrices(

@@ -75,15 +75,16 @@ class StarCoalgebra:
         rows = {i: sparse(self.star_row(i)) for i in x}
         return dense(sparse_comb(rows, sparse_conj(x)), self.dim)
 
-    def iterated_comult(self, x: Vec, legs: int) -> dict:
-        """Delta^(legs): sparse dict mapping index tuples to Scalars.
+    def iterated_comult(self, x: dict, legs: int) -> dict:
+        """Delta^(legs) of a sparse x: sparse dict mapping index tuples to
+        Scalars.
 
         legs = 0 returns {(): counit(x)}, legs = 1 is x itself.
         """
         if legs == 0:
-            c = self.counit_of(x)
+            c = dot(x, self.counit)
             return {(): c} if c else {}
-        cur = {(i,): v for i, v in enumerate(x) if v}
+        cur = {(i,): v for i, v in x.items() if v}
         for _ in range(legs - 1):
             cur = collect((idx[:-1] + jk, v * w) for idx, v in cur.items()
                           for jk, w in self.comult[idx[-1]].items())

@@ -23,8 +23,9 @@ rank-3 tensor such as mult or act on two sparse vectors), sparse_comb
 (sparse rows on one) or dot (a functional).  The dense-vector methods of
 the other modules are adapters over these, so the Scalar order of every
 entry they return is decided here.  Any other keyed sum of terms, such as
-a structure tensor built from products of table entries, is collect, and
-the trace of an operator is op_trace: how terms are summed, and when a
+a structure tensor built from products of table entries, is collect, the
+trace of an operator is op_trace, and a tensor product of two sparse
+vectors, flattened as i n + j, is kron: how terms are summed, and when a
 zero is dropped, is decided in this module only.
 
 Outside this module, kernels and closures have one way in each.
@@ -36,14 +37,14 @@ and the generating sets of algebra all grow their spans through it.
 
 The sparse operator form, a dict row -> sparse row, is the one operator
 form of the package: every operator of jones, galois and banica (lambda(x),
-e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators) is built
-with op_from_entries and combined with op_mul, op_vec and op_transpose.
+e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators) and
+every span matrix of measuring is built with op_from_entries and combined
+with op_mul, op_vec and op_transpose.
 The operator helpers (op_mul, op_vec, op_adjoint, matrix_commutant,
 operator_algebra_span) visit nonzero entries only, and an operator enters
 a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
 Dense matrices remain where a table is stored or emitted densely (star and
-antipode tables, pairings), in the Gram inverses and in the span matrices
-of measuring.
+antipode tables, pairings) and in the Gram inverses.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ def dot(x: dict, v: Vec) -> Scalar:
     return tot
 
 
+def kron(x: dict, y: dict, n: int) -> dict:
+    """x (x) y for sparse x and y, y in k^n: {i n + j: x_i y_j}."""
+    return {i * n + j: a * b for i, a in x.items() for j, b in y.items()}
+
+
 def collect(terms) -> dict:
     """sum value e_key over (key, value) pairs, as a sparse vector.
 
@@ -261,21 +267,6 @@ def identity_matrix(n: int, order: int = 1) -> Mat:
     return [unit_vec(n, i, order) for i in range(n)]
 
 
-def mat_vec(A: Mat, x: Vec) -> Vec:
-    """A applied to a coordinate column: (A x)_i = sum_j A[i][j] x[j]."""
-    zero = Scalar.zero(x[0].order if x else 1)
-    support = [(j, xj) for j, xj in enumerate(x) if xj]
-    out = []
-    for row in A:
-        tot = zero
-        for j, xj in support:
-            r = row[j]
-            if r:
-                tot = tot + r * xj
-        out.append(tot)
-    return out
-
-
 def mat_mul(A: Mat, B: Mat) -> Mat:
     m, k, n = len(A), len(B), len(B[0]) if B else 0
     order = 1
@@ -315,16 +306,6 @@ def mat_inverse(A: Mat) -> Mat:
     if pivots != list(range(n)):
         raise InputError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def kron_vec(a: Vec, b: Vec) -> Vec:
-    out = []
-    for x in a:
-        if x:
-            out.extend(x * y for y in b)
-        else:
-            out.extend(vzero(len(b)))
-    return out
 
 
 # -- the echelon store ----------------------------------------------------

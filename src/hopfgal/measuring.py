@@ -10,6 +10,13 @@ relative to the ambient C.  The true universal objects are infinite
 dimensional; everything here is their trace inside a user-supplied C, and
 terminality is certified relative to that ambient only.
 
+Spans are evaluated sparsely.  psi(e_j) is the sparse row carrier_rows[j]
+of V, whose entry (o, a) sits at o dim A + a; a side of a span takes the
+tuple of legs psi(e_j), one per index of a term of Delta^(l), and yields
+(target index, value) terms, which collect sums.  A matrix-backed side
+meets the sparse Kronecker power of its legs (linalg.kron), so neither a
+leg nor the power is ever dense.
+
 The decreasing iteration V_{k+1} = {x in V_k : Delta x in V_k (x) V_k,
 sigma x in V_k} stabilizes in at most dim C steps.  It never forms the
 tensor square: V (x) V = (V (x) C) cap (C (x) V), so Delta x lies in it
@@ -20,7 +27,8 @@ annihilator row a of V, which are sparse rows in the coordinates of x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial, reduce
+from typing import Callable, Iterable
 
 from .algebra import (
     StarAlgebra,
@@ -36,15 +44,16 @@ from .linalg import (
     Subspace,
     Vec,
     collect,
-    dense,
     kernel_of,
-    kron_vec,
-    mat_vec,
+    kron,
+    op_from_entries,
+    op_sparse,
+    op_transpose,
     span_of,
     sparse,
+    sparse_apply,
     sparse_comb,
-    unit_vec,
-    vzero,
+    sparse_conj,
 )
 from .report import Report
 from .scalars import Scalar
@@ -54,14 +63,14 @@ from .scalars import Scalar
 class SpanConstraint:
     """One diagram: left . psi^(x)l . Delta^(l) = right . psi^(x)r . Delta^(r).
 
-    left and right evaluate a list of carrier vectors (one per leg; empty
-    for a 0-leg side) to a vector in the common target space.
+    left and right take a tuple of legs, one sparse vector of V per leg
+    (empty for a 0-leg side), and yield the (target index, value) terms of
+    their value.
     """
 
     shape: tuple[int, int]
-    target_dim: int
-    left: Callable[[list], Vec]
-    right: Callable[[list], Vec]
+    left: Callable[[tuple], Iterable]
+    right: Callable[[tuple], Iterable]
     name: str = "span"
 
     @staticmethod
@@ -70,8 +79,10 @@ class SpanConstraint:
         """Matrix-backed span: maps act on the Kronecker power of the legs.
 
         Each side must have carrier_dim ** legs columns, and both sides the
-        same number of rows; the power is never formed, so a huge leg count
-        is rejected cheaply.
+        same number of rows; the width is checked by division, so a huge
+        leg count is rejected cheaply.  Column j of a side meets entry j of
+        the sparse power kron(...kron(psi(c_1), psi(c_2))..., psi(c_l)),
+        and a 0-leg side meets {0: 1}.
         """
         if l < 0 or r < 0:
             raise InputError(f"{name}: l and r must be nonnegative")
@@ -83,23 +94,18 @@ class SpanConstraint:
             if not all(_is_power(len(row), carrier_dim, legs) for row in mat):
                 raise InputError(f"{name}.{side}: every row needs"
                                  f" {carrier_dim}^{legs} columns")
-        target = len(left_mat)
 
-        def apply(mat: Mat, legs: list) -> Vec:
-            if not legs:
-                vec = [Scalar.one()]
-            else:
-                vec = legs[0]
-                for more in legs[1:]:
-                    vec = kron_vec(vec, more)
-            return mat_vec(mat, vec)
+        def side(mat: Mat):
+            columns = op_transpose(op_sparse(mat))
 
-        return SpanConstraint(
-            (l, r), target,
-            lambda legs: apply(left_mat, legs),
-            lambda legs: apply(right_mat, legs),
-            name,
-        )
+            def apply(legs: tuple):
+                power = reduce(partial(kron, n=carrier_dim), legs,
+                               {0: Scalar.one()})
+                return ((t, a * x) for j, x in power.items()
+                        for t, a in columns.get(j, {}).items())
+            return apply
+
+        return SpanConstraint((l, r), side(left_mat), side(right_mat), name)
 
 
 def _is_power(m: int, base: int, exp: int) -> bool:
@@ -114,128 +120,120 @@ def _is_power(m: int, base: int, exp: int) -> bool:
 
 @dataclass
 class Multispan:
-    """Spans sharing one carrier map psi: C -> V (rows indexed by C basis)."""
+    """Spans sharing one carrier map psi: C -> V; psi(e_i) is the sparse
+    row carrier_rows[i], with no zero entry."""
 
     carrier_rows: list
     spans: list[SpanConstraint] = field(default_factory=list)
 
-    @property
-    def carrier_dim(self) -> int:
-        return len(self.carrier_rows[0]) if self.carrier_rows else 0
-
-    def psi(self, x: Vec) -> Vec:
-        x = sparse(x)
-        rows = {i: sparse(self.carrier_rows[i]) for i in x}
-        return dense(sparse_comb(rows, x), self.carrier_dim)
-
 
 def _span_value(C: StarCoalgebra, ms: Multispan, span: SpanConstraint,
-                x: Vec) -> dict:
-    """left-minus-right evaluation of one span at the element x, as a
-    sparse vector of the target."""
+                x: dict) -> dict:
+    """left-minus-right evaluation of one span at the sparse element x, as
+    a sparse vector of the target.
+
+    Each term c e_idx of Delta^(legs) x meets the side's value at the legs
+    psi(e_j), j in idx, summed before it is scaled by c.
+    """
     l, r = span.shape
     return collect(
         (t, c * b)
         for legs_n, side, sign in ((l, span.left, 1), (r, span.right, -1))
         for idx, v in C.iterated_comult(x, legs_n).items()
         for c in [v if sign > 0 else -v]
-        for t, b in enumerate(side([ms.psi(unit_vec(C.dim, j))
-                                    for j in idx]))
-        if b)
+        for t, b in collect(side(tuple(ms.carrier_rows[j]
+                                       for j in idx))).items())
 
 
 def constraint_subspace(C: StarCoalgebra, ms: Multispan) -> Subspace:
     """{c : every span diagram commutes at c}, made *-stable."""
     n = C.dim
+    one = Scalar.one()
 
     def entries():
         for s, span in enumerate(ms.spans):
             if span.shape[0] < 0 or span.shape[1] < 0:
                 raise InputError("span shape must be nonnegative")
             for i in range(n):
-                for t, v in _span_value(C, ms, span, unit_vec(n, i)).items():
+                for t, v in _span_value(C, ms, span, {i: one}).items():
                     yield (s, t), i, v
     W = kernel_of(entries(), n)
     return W.intersect(W.image_conjlinear(C.star_vec))
 
 
 # -- built-in spans --------------------------------------------------------
+#
+# A leg is a sparse vector of V = Hom(A, B): its entry (o, a), the
+# coefficient of f_o in the image of e_a, sits at o dim A + a.
 
 
-def hom_index(out: int, inp: int, dim_in: int) -> int:
-    return out * dim_in + inp
-
-
-def _as_operator(v: Vec, dim_out: int, dim_in: int) -> Mat:
-    return [[v[hom_index(o, i, dim_in)] for i in range(dim_in)]
-            for o in range(dim_out)]
+def _columns(leg: dict, dim_in: int) -> dict:
+    """The nonzero columns {a: {o: F[o][a]}} of a sparse leg F."""
+    cols: dict = {}
+    for k, v in leg.items():
+        if v:
+            cols.setdefault(k % dim_in, {})[k // dim_in] = v
+    return cols
 
 
 def multiplication_span(A: StarAlgebra, B: StarAlgebra) -> SpanConstraint:
-    """c . (a a') = (c_1 . a)(c_2 . a'), target Hom(A (x) A, B)."""
-    na, nb = A.dim, B.dim
-    target = nb * na * na
+    """c . (a a') = (c_1 . a)(c_2 . a'), target Hom(A (x) A, B) at
+    o dim A^2 + a dim A + a'."""
+    na = A.dim
 
     def left(legs):
-        F, G = (_as_operator(v, nb, na) for v in legs)
-        out = vzero(target)
-        for a in range(na):
-            col_f = [F[o][a] for o in range(nb)]
-            for ap in range(na):
-                col_g = [G[o][ap] for o in range(nb)]
-                prod = B.mul_vec(col_f, col_g)
-                for o, val in enumerate(prod):
-                    if val:
-                        out[o * na * na + a * na + ap] = val
-        return out
+        F, G = (_columns(leg, na) for leg in legs)
+        return ((o * na * na + a * na + ap, v)
+                for a, col_f in F.items() for ap, col_g in G.items()
+                for o, v in sparse_apply(B.mult, col_f, col_g).items())
 
     def right(legs):
-        (F,) = (_as_operator(v, nb, na) for v in legs)
-        return dense(collect((o * na * na + a * na + ap, m * F[o][k])
-                             for a in range(na) for ap in range(na)
-                             for k, m in A.mult[a][ap].items()
-                             for o in range(nb) if F[o][k]), target)
+        (F,) = (_columns(leg, na) for leg in legs)
+        return ((o * na * na + a * na + ap, m * f)
+                for a in range(na) for ap in range(na)
+                for k, m in A.mult[a][ap].items()
+                for o, f in F.get(k, {}).items())
 
-    return SpanConstraint((2, 1), target, left, right, "multiplication")
+    return SpanConstraint((2, 1), left, right, "multiplication")
 
 
 def unit_span(A: StarAlgebra, B: StarAlgebra) -> SpanConstraint:
     """c . 1_A = counit(c) 1_B, target B."""
-    na, nb = A.dim, B.dim
+    na = A.dim
 
     def left(legs):
-        return list(B.unit)
+        return sparse(B.unit).items()
 
     def right(legs):
-        (F,) = (_as_operator(v, nb, na) for v in legs)
-        return mat_vec(F, list(A.unit))
+        (F,) = (_columns(leg, na) for leg in legs)
+        return ((o, f * u) for j, u in sparse(A.unit).items()
+                for o, f in F.get(j, {}).items())
 
-    return SpanConstraint((0, 1), nb, left, right, "unit")
+    return SpanConstraint((0, 1), left, right, "unit")
 
 
 def fixing_span(A: StarAlgebra, B: StarAlgebra,
                 fixed: Subspace) -> SpanConstraint:
-    """c . a = counit(c) a on a distinguished subspace of A; B must be A."""
+    """c . a = counit(c) a on a distinguished subspace of A; B must be A.
+
+    The target is one copy of B per basis vector b_i of the subspace, at
+    i dim B + o.
+    """
     na, nb = A.dim, B.dim
-    basis = fixed.basis
+    basis = [sparse(b) for b in fixed.basis]
     if nb != na:
         raise InputError("default fixing map needs B = A")
-    target = len(basis) * nb
 
     def left(legs):
-        (F,) = (_as_operator(v, nb, na) for v in legs)
-        out = []
-        for b in basis:
-            out.extend(mat_vec(F, list(b)))
-        return out
+        (F,) = (_columns(leg, na) for leg in legs)
+        return ((i * nb + o, f * x) for i, b in enumerate(basis)
+                for j, x in b.items() for o, f in F.get(j, {}).items())
 
     def right(legs):
-        out = []
-        for b in basis:
-            out.extend(b)
-        return out
+        return ((i * nb + k, x) for i, b in enumerate(basis)
+                for k, x in b.items())
 
-    return SpanConstraint((1, 0), target, left, right, "fixing")
+    return SpanConstraint((1, 0), left, right, "fixing")
 
 
 def star_compat_rows(C: StarCoalgebra, ms: Multispan, A: StarAlgebra,
@@ -243,26 +241,27 @@ def star_compat_rows(C: StarCoalgebra, ms: Multispan, A: StarAlgebra,
     """Constraint rows for (c . a)* = c* . a*, linearized.
 
     psi(c) must agree with star_B . psi(c*) . star_A; the two conjugations
-    make the condition linear in c.
+    make the condition linear in c.  Row t, in increasing t, holds
+    psi(e_h)[t] minus the twisted entry at t over the h where they differ.
     """
-    na, nb = A.dim, B.dim
-    rows = []
-    twisted = []
-    for h in range(C.dim):
-        op = _as_operator(ms.psi(C.star_vec(unit_vec(C.dim, h))), nb, na)
-        cols = []
-        for i in range(na):
-            cols.append(B.star_vec(mat_vec(op, A.star_vec(unit_vec(na, i)))))
-        twisted.append([cols[i][o] for o in range(nb) for i in range(na)])
-    for t in range(na * nb):
-        row = {}
-        for h in range(C.dim):
-            diff = ms.carrier_rows[h][t] - twisted[h][t]
-            if diff:
-                row[h] = diff
-        if row:
-            rows.append(row)
-    return rows
+    na = A.dim
+    a_star = [sparse(row) for row in A.star]
+    b_star = [sparse(row) for row in B.star]
+
+    def entries():
+        for h, row in enumerate(ms.carrier_rows):
+            for t, v in row.items():
+                yield t, h, v
+            op = _columns(sparse_comb(ms.carrier_rows,
+                                      sparse(C.star_row(h))), na)
+            for i in range(na):
+                col = collect((o, f * x) for j, x in a_star[i].items()
+                              for o, f in op.get(j, {}).items())
+                for o, v in sparse_comb(b_star, sparse_conj(col)).items():
+                    yield o * na + i, h, -v
+
+    rows = op_from_entries(entries())
+    return [rows[t] for t in sorted(rows)]
 
 
 # -- largest subcoalgebra -----------------------------------------------------
@@ -326,9 +325,7 @@ def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:
     """
     n = C.dim
     basis = [sparse(b) for b in D.basis]
-    square = span_of(({j * n + k: x * y for j, x in u.items()
-                       for k, y in v.items()} for u in basis for v in basis),
-                     n * n)
+    square = span_of((kron(u, v, n) for u in basis for v in basis), n * n)
     return all(square.contains({j * n + k: c for (j, k), c
                                 in C.comult_vec(b).items()})
                for b in D.basis)
@@ -382,7 +379,7 @@ def universal_measuring_within(C: StarCoalgebra, A: StarAlgebra,
     rep.merge(subcoalgebra_report(C, D, [C.star_vec]), prefix="closure:")
     rep.add("inside_constraints", W.contains_subspace(D))
     # re-validate that the result measures, straight from the definitions
-    ok = not any(_span_value(C, ms, span, v)
+    ok = not any(_span_value(C, ms, span, sparse(v))
                  for v in D.basis for span in ms.spans)
     rep.add("measures", ok)
     coalg, inclusion = (None, [])

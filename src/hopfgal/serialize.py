@@ -146,9 +146,13 @@ def _comult_sparse(doc, d1: int, d2: int, d3: int, where: str):
 # -- document parsers -----------------------------------------------------------
 
 
+_JSON_TYPES = {str: "a string", list: "an array", bool: "true or false"}
+
+
 class Fields(dict):
     """A document body; reading a field it lacks is an input error naming
-    the document, and an integer field is read through integer()."""
+    the document.  An integer field is read through integer(), and a
+    string, array or boolean field through typed()."""
 
     __slots__ = ("where",)
 
@@ -163,6 +167,15 @@ class Fields(dict):
 
     def integer(self, key: str) -> int:
         return integer(self[key], f"{self.where}.{key}")
+
+    def typed(self, key: str, kind: type, *default):
+        """A field of one JSON type: str, list or bool (not a 0 or 1 for
+        a bool).  A default, when given, stands for an absent field."""
+        value = self.get(key, *default) if default else self[key]
+        if type(value) is not kind:
+            raise InputError(f"{self.where}.{key}: expected"
+                             f" {_JSON_TYPES[kind]}")
+        return value
 
 
 def parse_algebra(body: Fields) -> StarAlgebra:
@@ -186,7 +199,8 @@ def parse_hopf(body: Fields) -> HopfStarAlgebra:
         order = len(table) if isinstance(table, list) else 0
         if order > max_dim():
             raise InputError(f"{where}: order {order} exceeds {MAX_DIM_ENV}")
-        make = function_algebra if body.get("dual") else group_algebra
+        make = function_algebra if body.typed("dual", bool, False) \
+            else group_algebra
         return make(_rows(table, order, where, integer),
                     name=body.get("name", ""))
     alg = parse_algebra(body)

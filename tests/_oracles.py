@@ -29,13 +29,17 @@ checked against the dense column-by-column body it replaced, and the
 dense expectation_report, which it no longer needs in production, checks
 its properties.  The CLI verdict, which reads the passed field of the
 reports at the top level of a runner's output, is checked against a walk
-of every node of the emitted document.  The dense embeddings x -> x x| 1
-and x -> 1 x| x of a smash product, which production no longer needs,
-live here for the oracles and the tests.
+of every node of the emitted document.  The sparse span layer of measuring
+(the legs psi(e_j), their Kronecker powers and the star rows) is checked
+against the dense evaluation it replaced, which builds psi on unit
+vectors and applies the span matrices through kron_vec and mat_vec.  The
+dense embeddings x -> x x| 1 and x -> 1 x| x of a smash product, which
+production no longer needs, live here for the oracles and the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
 from hopfgal.actions import ModuleAlgebraAction, SmashProduct
 from hopfgal.algebra import (
@@ -54,9 +58,9 @@ from hopfgal.linalg import (
     Mat,
     dense,
     identity_matrix,
+    kernel_of,
     mat_inverse,
     mat_mul,
-    mat_vec,
     sparse,
     unit_vec,
     vec_is_zero,
@@ -160,7 +164,7 @@ def rebased_hopf(H, P: list):
 def middle_legs(C: StarCoalgebra, x) -> dict:
     """(i, k) -> the middle leg of Delta^2 x between e_i* and e_k*."""
     out = {}
-    for (i, j, k), v in C.iterated_comult(x, 3).items():
+    for (i, j, k), v in C.iterated_comult(sparse(x), 3).items():
         key = (i, k)
         if key not in out:
             out[key] = vzero(C.dim)
@@ -171,6 +175,201 @@ def middle_legs(C: StarCoalgebra, x) -> dict:
 def middle_leg_vectors(C: StarCoalgebra, x) -> list:
     """Spanning vectors of the subcoalgebra generated by x."""
     return [v for v in middle_legs(C, x).values() if any(v)]
+
+
+# -- the dense span layer -------------------------------------------------------
+#
+# measuring evaluates its spans on sparse legs and a sparse Kronecker power;
+# the oracle below is the dense evaluation it replaced: psi(e_j) as a dense
+# vector, the legs as dense operators of Hom(A, B), the power by kron_vec
+# and the matrices by mat_vec.
+
+
+def mat_vec(A: Mat, x: Vec) -> Vec:
+    """A applied to a coordinate column: (A x)_i = sum_j A[i][j] x[j]."""
+    zero = Scalar.zero(x[0].order if x else 1)
+    support = [(j, xj) for j, xj in enumerate(x) if xj]
+    out = []
+    for row in A:
+        tot = zero
+        for j, xj in support:
+            r = row[j]
+            if r:
+                tot = tot + r * xj
+        out.append(tot)
+    return out
+
+
+def kron_vec(a: Vec, b: Vec) -> Vec:
+    out = []
+    for x in a:
+        if x:
+            out.extend(x * y for y in b)
+        else:
+            out.extend(vzero(len(b)))
+    return out
+
+
+def _as_operator(v: Vec, dim_out: int, dim_in: int) -> Mat:
+    """The leg v of Hom(A, B) as a dim_out x dim_in matrix, its entry
+    (o, i) read at o dim_in + i."""
+    return [[v[o * dim_in + i] for i in range(dim_in)]
+            for o in range(dim_out)]
+
+
+def dense_psi(carrier: list, x: Vec) -> Vec:
+    """sum_j x_j carrier[j] for dense carrier rows."""
+    out = vzero(len(carrier[0]))
+    for j, xj in enumerate(x):
+        if xj:
+            for k, v in enumerate(carrier[j]):
+                if v:
+                    out[k] = out[k] + xj * v
+    return out
+
+
+@dataclass
+class DenseSpanConstraint:
+    """A span whose sides take a list of dense legs to a dense vector."""
+
+    shape: tuple
+    left: object
+    right: object
+
+
+def dense_span_from_matrices(l: int, r: int, left: Mat,
+                             right: Mat) -> DenseSpanConstraint:
+    def apply(mat, legs):
+        vec = legs[0] if legs else [Scalar.one()]
+        for more in legs[1:]:
+            vec = kron_vec(vec, more)
+        return mat_vec(mat, vec)
+
+    return DenseSpanConstraint((l, r), lambda legs: apply(left, legs),
+                     lambda legs: apply(right, legs))
+
+
+def dense_multiplication_span(A: StarAlgebra,
+                              B: StarAlgebra) -> DenseSpanConstraint:
+    na, nb = A.dim, B.dim
+    target = nb * na * na
+
+    def left(legs):
+        F, G = (_as_operator(v, nb, na) for v in legs)
+        out = vzero(target)
+        for a in range(na):
+            col_f = [F[o][a] for o in range(nb)]
+            for ap in range(na):
+                col_g = [G[o][ap] for o in range(nb)]
+                for o, val in enumerate(B.mul_vec(col_f, col_g)):
+                    if val:
+                        out[o * na * na + a * na + ap] = val
+        return out
+
+    def right(legs):
+        (F,) = (_as_operator(v, nb, na) for v in legs)
+        out = {}
+        for a in range(na):
+            for ap in range(na):
+                for k, m in A.mult[a][ap].items():
+                    for o in range(nb):
+                        if F[o][k]:
+                            t = o * na * na + a * na + ap
+                            out[t] = out[t] + m * F[o][k] if t in out \
+                                else m * F[o][k]
+        return dense({t: v for t, v in out.items() if v}, target)
+
+    return DenseSpanConstraint((2, 1), left, right)
+
+
+def dense_unit_span(A: StarAlgebra,
+                    B: StarAlgebra) -> DenseSpanConstraint:
+    def right(legs):
+        (F,) = (_as_operator(v, B.dim, A.dim) for v in legs)
+        return mat_vec(F, list(A.unit))
+
+    return DenseSpanConstraint((0, 1), lambda legs: list(B.unit), right)
+
+
+def dense_fixing_span(A: StarAlgebra,
+                      fixed: Subspace) -> DenseSpanConstraint:
+    n = A.dim
+
+    def left(legs):
+        (F,) = (_as_operator(v, n, n) for v in legs)
+        return [x for b in fixed.basis for x in mat_vec(F, list(b))]
+
+    return DenseSpanConstraint((1, 0), left,
+                     lambda legs: [x for b in fixed.basis for x in b])
+
+
+def dense_iterated_comult(C: StarCoalgebra, x: Vec, legs: int) -> dict:
+    """Delta^(legs) x by hand: the last leg is comultiplied legs - 1 times."""
+    if legs == 0:
+        tot = Scalar.zero()
+        for i, xi in enumerate(x):
+            if xi and C.counit[i]:
+                tot = tot + xi * C.counit[i]
+        return {(): tot} if tot else {}
+    cur = {(i,): xi for i, xi in enumerate(x) if xi}
+    for _ in range(legs - 1):
+        nxt = {}
+        for idx, v in cur.items():
+            for jk, w in C.comult[idx[-1]].items():
+                key = idx[:-1] + jk
+                nxt[key] = nxt[key] + v * w if key in nxt else v * w
+        cur = {k: v for k, v in nxt.items() if v}
+    return cur
+
+
+def dense_span_value(C: StarCoalgebra, carrier: list,
+                     span: DenseSpanConstraint, x: Vec) -> dict:
+    """left minus right of one span at x, legs psi(e_j) built densely."""
+    out = {}
+    for legs_n, side, sign in ((span.shape[0], span.left, 1),
+                               (span.shape[1], span.right, -1)):
+        for idx, v in dense_iterated_comult(C, x, legs_n).items():
+            c = v if sign > 0 else -v
+            value = side([dense_psi(carrier, unit_vec(C.dim, j))
+                          for j in idx])
+            for t, b in enumerate(value):
+                if b:
+                    out[t] = out[t] + c * b if t in out else c * b
+    return {t: v for t, v in out.items() if v}
+
+
+def oracle_constraint_subspace(C: StarCoalgebra, carrier: list,
+                               spans: list) -> Subspace:
+    n = C.dim
+    entries = [((s, t), i, v) for s, span in enumerate(spans)
+               for i in range(n)
+               for t, v in dense_span_value(C, carrier, span,
+                                            unit_vec(n, i)).items()]
+    W = kernel_of(entries, n)
+    return W.intersect(W.image_conjlinear(C.star_vec))
+
+
+def oracle_star_compat_rows(C: StarCoalgebra, carrier: list,
+                            A: StarAlgebra, B: StarAlgebra) -> list[dict]:
+    """The rows of (c . a)* = c* . a*, from dense operators psi(e_h*)."""
+    na, nb = A.dim, B.dim
+    twisted = []
+    for h in range(C.dim):
+        op = _as_operator(dense_psi(carrier, C.star_vec(unit_vec(C.dim, h))),
+                          nb, na)
+        cols = [B.star_vec(mat_vec(op, A.star_vec(unit_vec(na, i))))
+                for i in range(na)]
+        twisted.append([cols[i][o] for o in range(nb) for i in range(na)])
+    rows = []
+    for t in range(na * nb):
+        row = {}
+        for h in range(C.dim):
+            diff = carrier[h][t] - twisted[h][t]
+            if diff:
+                row[h] = diff
+        if row:
+            rows.append(row)
+    return rows
 
 
 def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,

@@ -10,6 +10,7 @@ from _oracles import (
     cyclic_diagonal_action,
     dft_mat2_in_mat4,
     expectation_report,
+    mat_vec,
     oracle_conditional_expectation,
     oracle_generated_subalgebra,
     oracle_validate_algebra,
@@ -47,7 +48,6 @@ from hopfgal.hopf import group_algebra, haar
 from hopfgal.linalg import (
     Subspace,
     dense,
-    mat_vec,
     op_dense,
     sparse,
     unit_vec,

@@ -1,11 +1,15 @@
 """Workspace parsing, CLI subcommands, exit codes, deterministic output."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import itertools
 import json
 import os
+import random
 import time
+from functools import partial
 
 import pytest
 
@@ -418,29 +422,13 @@ def test_commutant_job(fixture_dir, tmp_path):
     assert doc["commutant"]["dim"] == 4
 
 
-def test_measure_job_with_explicit_span_matrices(fixture_dir, tmp_path):
+def test_measure_job_with_explicit_span_matrices(tmp_path):
     # a functional-preservation span supplied as raw {"l","r","left","right"}
     # matrices: every element of CZ2 preserves the Mat2 trace under Ad(Z)
-    ws = json.loads((fixture_dir / "z2.json").read_text())
-    # carrier V = Hom(A, A) flattened row-major, T = A*; left(F)[a] =
-    # sum_out tau[out] F[out][a], right() = tau
-    tau = [[1, 2], 0, 0, [1, 2]]
-    left = []
-    for a in range(4):
-        row = [0] * 16
-        for out in range(4):
-            row[out * 4 + a] = tau[out]
-        left.append(row)
-    right = [[t] for t in tau]
-    ws["documents"]["measure-span"] = {
-        "kind": "job", "op": "measure", "coalgebra": "cz2",
-        "action": "adz",
-        "spans": [{"l": 1, "r": 0, "left": left, "right": right}],
-    }
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(ws))
+    path.write_text(json.dumps(_explicit_span_workspace()))
     out = tmp_path / "r.json"
-    assert _run("measure", path, out, job="measure-span") == 0
+    assert _run("measure", path, out, job="measure") == 0
     doc = json.loads(out.read_text())
     assert doc["subcoalgebra"]["dim"] == 2
 
@@ -489,16 +477,8 @@ _LIFTED_DIGESTS = [
                          ids=[f"{f}:{j}" for f, j, _, _ in _LIFTED_DIGESTS])
 def test_lifted_job_output_keeps_scalar_orders(fname, job, op, digest,
                                                tmp_path, capsys):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
-                        fname)
-    with open(path) as fh:
-        doc = json.load(fh)
-    one = {"order": 4, "num": [1, 0], "den": 1}
-    doc["documents"]["oddball"] = {"kind": "algebra", "dim": 1,
-                                   "mult": [[[one]]], "unit": [one],
-                                   "star": [[1]], "state": None}
     lifted = tmp_path / fname
-    lifted.write_text(json.dumps(doc))
+    lifted.write_text(json.dumps(_with_order(_fixture(fname), 4)))
     assert _run(op, lifted, job=job) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
@@ -658,6 +638,186 @@ def test_measure_span_within_the_work_bound_runs(tmp_path, capsys):
             == dim
 
 
+def _fixture(fname):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        fname)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _explicit_span_workspace():
+    # CZ2 acting on Mat2 by Ad(Z) preserves the trace, tau(c . a) =
+    # counit(c) tau(a): the carrier V = Hom(A, A) is flattened row-major,
+    # the target is A*, left(F)[a] = sum_out tau[out] F[out][a] and
+    # right() = tau
+    doc = _fixture("z2.json")
+    tau = [[1, 2], 0, 0, [1, 2]]
+    left = [[tau[k // 4] if k % 4 == a else 0 for k in range(16)]
+            for a in range(4)]
+    doc["documents"]["measure"]["spans"] = [
+        {"l": 1, "r": 0, "left": left, "right": [[t] for t in tau]}]
+    return doc
+
+
+def _graded_workspace():
+    # C(Z4) on span{1, u}, u^2 = 1, graded with u in degree 2: delta_g . a
+    # is the degree-g part of a, so psi(c) = diag(c_0, c_2) on Hom(A, A)
+    # flattened as out 2 + in
+    return {"documents": {
+        "cz4": {"kind": "hopf", "dual": True,
+                "group_table": [[(g + h) % 4 for h in range(4)]
+                                for g in range(4)]},
+        "cz2": {"kind": "algebra", "dim": 2,
+                "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                "unit": [1, 0], "star": [[1, 0], [0, 1]], "state": None},
+        "grade": {"kind": "action", "hopf": "cz4", "alg": "cz2",
+                  "act": [[[1, 0], [0, 0]], [[0, 0], [0, 0]],
+                          [[0, 0], [0, 1]], [[0, 0], [0, 0]]]},
+        "measure": {"kind": "job", "op": "measure", "coalgebra": "cz4",
+                    "action": "grade"},
+    }}
+
+
+def _two_leg_span_workspace():
+    # psi(c_1)_00 psi(c_2)_00 + psi(c_1)_00 psi(c_2)_11 = c_0 + c_2 on the
+    # columns 0 and 0 4 + 3 of psi (x) psi: it vanishes on the characters
+    # chi_1 and chi_3 of Z4 only, so the result is spanned by
+    # (1, 0, -1, 0) and (0, 1, 0, -1)
+    doc = _graded_workspace()
+    doc["documents"]["measure"]["spans"] = [
+        {"l": 2, "r": 1, "left": [[int(k in (0, 3)) for k in range(16)]],
+         "right": [[0, 0, 0, 0]]}]
+    return doc
+
+
+def _sign_character_workspace():
+    # C(Z2) on C with delta_1 acting by -1: psi = counit only on the sign
+    # character delta_0 - delta_1, which spans the result
+    return {"documents": {
+        "cz2": {"kind": "hopf", "dual": True, "group_table": [[0, 1], [1, 0]]},
+        "c": {"kind": "algebra", "dim": 1, "mult": [[[1]]], "unit": [1],
+              "star": [[1]], "state": None},
+        "sign": {"kind": "action", "hopf": "cz2", "alg": "c",
+                 "act": [[[0]], [[-1]]]},
+        "measure": {"kind": "job", "op": "measure", "coalgebra": "cz2",
+                    "action": "sign"},
+    }}
+
+
+def _with_order(doc, order):
+    """doc with every scalar lifted to Q(zeta_order) by one extra document
+    (order None: doc itself)."""
+    if order is None:
+        return doc
+    doc = copy.deepcopy(doc)
+    one = {"order": order, "num": [1, 0], "den": 1}
+    doc["documents"]["oddball"] = {"kind": "algebra", "dim": 1,
+                                   "mult": [[[one]]], "unit": [one],
+                                   "star": [[1]], "state": None}
+    return doc
+
+
+# measure jobs through the span layer, plain and lifted to Q(i) and Q(zeta_3):
+# digests of the CLI stdout, recorded before the spans were evaluated
+# sparsely
+_SPAN_DIGESTS = {
+    ("explicit", None):
+        "a76f137695fbc18c9b59c695a821ba332c4ef15a3c228e6debd1050404f69156",
+    ("explicit", 4):
+        "a76f137695fbc18c9b59c695a821ba332c4ef15a3c228e6debd1050404f69156",
+    ("explicit", 3):
+        "a76f137695fbc18c9b59c695a821ba332c4ef15a3c228e6debd1050404f69156",
+    ("two-leg", None):
+        "0808c77b88daeb621a0456c4e2f91599c66aa03141a389328c31c94e71303341",
+    ("two-leg", 4):
+        "dfd49aedacc9565acdd2a2f5e603a0756245d0834073f15bc6c08c446aa1d979",
+    ("two-leg", 3):
+        "36abec92e2c90054c57d9710efdf2b56c690050348b99bff9e38710d75e3534c",
+    ("sign-character", None):
+        "0614620b6a6be1a08be77deef0794be17566b98f61c629861b0355ba02ce15b5",
+    ("sign-character", 4):
+        "6c500ca5ea26c896f7b567022228d77d5b7c629854a218fbf317c30d7f4fc0e2",
+    ("sign-character", 3):
+        "9c43792bba135c73da65c7fe913fe3ac12bc7ea958b569bc1c0761b52e24ee78",
+}
+_SPAN_WORKSPACES = {"explicit": _explicit_span_workspace,
+                    "two-leg": _two_leg_span_workspace,
+                    "sign-character": _sign_character_workspace}
+
+
+@pytest.mark.parametrize("name,order", list(_SPAN_DIGESTS),
+                         ids=[f"{n}-{o or 'plain'}" for n, o in _SPAN_DIGESTS])
+def test_measure_span_output_bytes(name, order, tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_with_order(_SPAN_WORKSPACES[name](), order)))
+    assert _run("measure", path, job="measure") == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _SPAN_DIGESTS[name, order]
+
+
+# job fields of the wrong JSON type: a document reference that is not a
+# string, spans that are not an array, flags that are not true or false
+def _z2_with(name, key, value):
+    doc = _fixture("z2.json")
+    doc["documents"][name][key] = value
+    return doc
+
+
+def _within_job(stabilize):
+    doc = _fixture("z2.json")
+    doc["documents"]["all"] = {"kind": "subspace", "ambient_dim": 2,
+                               "basis": [[1, 0], [0, 1]]}
+    doc["documents"]["measure"] = {"kind": "job", "op": "measure",
+                                   "coalgebra": "cz2", "within": "all",
+                                   "stabilize": stabilize}
+    return doc
+
+
+def _ill_typed(op, job, doc_of, name, key, values, what):
+    for value in values:
+        yield pytest.param(op, job, doc_of(value), f"/documents/{name}.{key}",
+                           what, id=f"{name}.{key}={json.dumps(value)}")
+
+
+_ILL_TYPED_JOB_FIELDS = [
+    *(case for op, job in (("smash", "smash"), ("qgal-depth2", "qgal"),
+                           ("measure", "measure"))
+      for case in _ill_typed(op, job, partial(_z2_with, job, "action"), job,
+                             "action", (["adz"], {}, 5), "a string")),
+    *_ill_typed("measure", "measure", partial(_z2_with, "measure",
+                                              "coalgebra"),
+                "measure", "coalgebra", (["cz2"],), "a string"),
+    *_ill_typed("measure", "measure", partial(_z2_with, "measure", "spans"),
+                "measure", "spans", (5, None, {}), "an array"),
+    *_ill_typed("measure", "measure", _within_job, "measure", "stabilize",
+                ("false", 0, None), "true or false"),
+    *_ill_typed("smash", "smash", partial(_z2_with, "cz2", "dual"), "cz2",
+                "dual", ("false", 1, None), "true or false"),
+]
+
+
+@pytest.mark.parametrize("op,job,doc,where,what", _ILL_TYPED_JOB_FIELDS)
+def test_ill_typed_job_field_is_input_error(op, job, doc, where, what,
+                                            tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code = _run(op, path, job=job)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"input error: {where}: expected {what}\n"
+
+
+@pytest.mark.parametrize("stabilize", [True, False])
+def test_json_boolean_flags_are_read(stabilize, tmp_path, capsys):
+    # "dual": false builds CZ2 as the group algebra, as an absent flag does
+    doc = _within_job(stabilize)
+    doc["documents"]["cz2"]["dual"] = False
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert _run("measure", path, job="measure") == 0
+    assert json.loads(capsys.readouterr().out)["subcoalgebra"]["dim"] == 2
+
+
 # a zero denominator, a nested array, a non-integer coefficient, a zero
 # denominator in an object and a float, which int() would truncate to 1
 _MALFORMED_SCALARS = [
@@ -743,3 +903,97 @@ def test_measure_within_c_s4_keeps_trivial_plus_standard(tmp_path):
     assert result.dim == 10 and result == expected
     dims = doc["iteration_dims"]
     assert dims == sorted(dims, reverse=True) and dims[-1] == 10
+
+
+# -- the corruption sweep ---------------------------------------------------
+#
+# Single-cell corruptions of every table of every fixture but the Jones one,
+# each run in-process as validate (of the corrupted document) and as each
+# of the fixture's jobs, and corruptions of every reference field of those
+# jobs.  A corruption that no reader accepts in place of a scalar, an
+# integer or a document name must be refused naming its document; a
+# well-typed one (a 0 or 1 in a group table, say) may instead be refused by
+# the mathematics, as "not a group: associativity fails".
+
+_CELL_CORRUPTIONS = [1, [1, 2], 0, [1, 0], "x", [], [[1]]]
+_ILL_TYPED_CELLS = [[1, 0], "x", [], [[1]]]
+_FIELD_CORRUPTIONS = [["x"], {}, 5]
+_VALIDATED_KINDS = {"hopf", "algebra", "action", "comodule", "pairing"}
+_SWEEP_RUNS = 300
+
+
+def _cells(table, path=()):
+    """Paths to the leaves of a nested array (an empty array is a leaf)."""
+    if isinstance(table, list) and table:
+        for i, x in enumerate(table):
+            yield from _cells(x, path + (i,))
+    else:
+        yield path
+
+
+def _sweep_candidates():
+    """(workspace, op, job, ill-typed) for every corruption and run."""
+    fixtures = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+    for fname in sorted(os.listdir(fixtures)):
+        if fname.startswith("jones"):
+            continue
+        doc = _fixture(fname)
+        docs = doc["documents"]
+        jobs = [(body["op"], name) for name, body in sorted(docs.items())
+                if body["kind"] == "job"]
+        for name, body in sorted(docs.items()):
+            if body["kind"] == "job":
+                for key in sorted(set(body) - {"kind", "op"}):
+                    for bad in _FIELD_CORRUPTIONS:
+                        yield (doc, name, key, None, bad), body["op"], name
+                continue
+            runs = jobs
+            if body["kind"] in _VALIDATED_KINDS:
+                runs = [("validate", "sweep-validate")] + jobs
+            for key, table in sorted(body.items()):
+                if isinstance(table, list):
+                    for bad in _CELL_CORRUPTIONS:
+                        for op, job in runs:
+                            yield (doc, name, key, table, bad), op, job
+
+
+def _corrupted(edit, rng):
+    doc, name, key, table, bad = edit
+    doc = copy.deepcopy(doc)
+    body = doc["documents"][name]
+    doc["documents"]["sweep-validate"] = {"kind": "job", "op": "validate",
+                                          "target": name}
+    path = rng.choice(list(_cells(table))) if table is not None else ()
+    if not path:
+        body[key] = bad
+        return doc
+    cell = body[key]
+    for i in path[:-1]:
+        cell = cell[i]
+    cell[path[-1]] = bad
+    return doc
+
+
+def test_corruption_sweep_exits_with_a_meaningful_code(tmp_path):
+    rng = random.Random(20)
+    candidates = list(_sweep_candidates())
+    fields = [c for c in candidates if c[0][3] is None]
+    cells = [c for c in candidates if c[0][3] is not None]
+    runs = fields + rng.sample(cells, _SWEEP_RUNS - len(fields))
+    path = tmp_path / "ws.json"
+    start = time.process_time()
+    for edit, op, job in runs:
+        path.write_text(json.dumps(_corrupted(edit, rng)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _run(op, path, job=job)
+        what = f"{op} {job} with {edit[1]}.{edit[2]} <- {edit[4]!r}: {code}"
+        assert code in (0, 1, 2, 3), what
+        if code in (0, 1):
+            assert json.loads(out.getvalue())["passed"] is (code == 0), what
+        if code == 2:
+            message = err.getvalue()
+            assert message.startswith("input error: "), what
+            if edit[3] is None or edit[4] in _ILL_TYPED_CELLS:
+                assert "/documents/" in message, f"{what} {message}"
+    assert time.process_time() - start < 10

@@ -29,11 +29,12 @@ from hopfgal.hopf import (
     validate_pairing,
     variants,
 )
-from hopfgal.linalg import identity_matrix, mat_vec, unit_vec, vzero
+from hopfgal.linalg import identity_matrix, unit_vec, vzero
 from hopfgal.scalars import Scalar
 
 from _oracles import (
     cyclic_diagonal_action,
+    mat_vec,
     oracle_validate_pairing,
     rebased_hopf,
     report_summary,

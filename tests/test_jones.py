@@ -34,7 +34,6 @@ from hopfgal.linalg import (
     Subspace,
     matrix_commutant,
     identity_matrix,
-    mat_vec,
     op_dense,
     op_mul,
     op_span,
@@ -53,6 +52,8 @@ from _oracles import (
     _mult_matrix,
     complex_pair_in_mat2,
     dft_mat2_in_mat4,
+    kron_vec,
+    mat_vec,
     oracle_gram_adjoint,
     oracle_matrix_commutant,
     oracle_operator_algebra_span,
@@ -259,7 +260,7 @@ def test_tensor_relation_dimension():
     e, _ = jones_projection(space, N)
     spanned = m1_span(space, e)
     # relations x n (x) y - x (x) n y
-    from hopfgal.linalg import SpanBuilder, kron_vec
+    from hopfgal.linalg import SpanBuilder
 
     rel = SpanBuilder(256)
     for i in range(16):

@@ -6,13 +6,20 @@ import pytest
 
 from _oracles import (
     _qi,
+    dense_fixing_span,
+    dense_multiplication_span,
+    dense_span_from_matrices,
+    dense_span_value,
+    dense_unit_span,
+    oracle_constraint_subspace,
     oracle_largest_subcoalgebra,
+    oracle_star_compat_rows,
     random_coalgebra,
     random_subspace,
     stabilized_closure,
 )
 from hopfgal.actions import invariants
-from hopfgal.algebra import relative_commutant
+from hopfgal.algebra import StarAlgebra, relative_commutant
 from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     S3_TRANSPOSITION,
@@ -33,9 +40,11 @@ from hopfgal.hopf import (
     validate_coalgebra,
     validate_hopf,
 )
-from hopfgal.linalg import Subspace, unit_vec, vzero
+from hopfgal.linalg import Subspace, dense, sparse, unit_vec, vzero
 from hopfgal.measuring import (
     Multispan,
+    SpanConstraint,
+    _span_value,
     constraint_subspace,
     fixing_span,
     hopf_centralizer,
@@ -45,6 +54,7 @@ from hopfgal.measuring import (
     multiplication_span,
     reify_coalgebra,
     reify_hopf_subalgebra,
+    star_compat_rows,
     subcoalgebra_report,
     unit_span,
     universal_measuring_within,
@@ -94,6 +104,89 @@ def test_fixing_span_extracts_trivially_acting_part():
     # only multiples of the group identity act trivially on all of Mat2
     assert W.dim == 1
     assert W.contains(unit_vec(2, 0))
+
+
+# -- the sparse span layer against the dense evaluation it replaced ----------
+
+
+def _random_qi(rng, p: float) -> Scalar:
+    return _qi(rng) if rng.random() < p else Scalar.zero(4)
+
+
+def _random_star_algebra(rng, n: int) -> StarAlgebra:
+    """Random (not associative) tables over Q(i): only the span layer reads
+    them."""
+    mult = [[{k: v for k in range(n) for v in [_random_qi(rng, 0.4)] if v}
+             for _ in range(n)] for _ in range(n)]
+    unit = [_random_qi(rng, 0.7) for _ in range(n)]
+    star = [[_random_qi(rng, 0.5) for _ in range(n)] for _ in range(n)]
+    return StarAlgebra(n, mult, unit, star)
+
+
+def _random_star_coalgebra(rng, n: int) -> StarCoalgebra:
+    """Random (not coassociative, not cocommutative) tables over Q(i)."""
+    comult = [{(j, k): v for j in range(n) for k in range(n)
+               for v in [_random_qi(rng, 0.4)] if v} for _ in range(n)]
+    counit = [_random_qi(rng, 0.7) for _ in range(n)]
+    star = [[_random_qi(rng, 0.5) for _ in range(n)] for _ in range(n)]
+    return StarCoalgebra(n, comult, counit, star)
+
+
+def _random_span_matrix(rng, rows: int, width: int) -> list:
+    # order-1 integers, as a measure job reads them, and Q(i) entries
+    return [[rng.choice([Scalar.zero(), Scalar.from_int(rng.randint(-2, 2)),
+                         _qi(rng)]) for _ in range(width)]
+            for _ in range(rows)]
+
+
+def _pins(x: dict) -> dict:
+    return {k: (v, v.order) for k, v in x.items()}
+
+
+def _basis_pins(W: Subspace) -> list:
+    return [[(x, x.order) for x in row] for row in W.basis]
+
+
+@pytest.mark.parametrize("seed,na,nb", [(0, 1, 2), (1, 2, 3), (2, 3, 2),
+                                        (3, 2, 2), (4, 3, 1), (5, 3, 3)])
+def test_span_layer_matches_dense_oracle(seed, na, nb):
+    # values and Scalar orders of every span at every basis element and at
+    # a random element, of each constraint subspace and of the star rows
+    rng = random.Random(f"span-layer:{seed}")
+    C = _random_star_coalgebra(rng, rng.randint(2, 3))
+    A, B = _random_star_algebra(rng, na), _random_star_algebra(rng, nb)
+    width = nb * na
+    rows = [{k: v for k in range(width) for v in [_random_qi(rng, 0.5)] if v}
+            for _ in range(C.dim)]
+    carrier = [dense(row, width) for row in rows]
+    pairs = [(multiplication_span(A, B), dense_multiplication_span(A, B)),
+             (unit_span(A, B), dense_unit_span(A, B))]
+    if na == nb:
+        fixed = Subspace.from_vectors(
+            [[_random_qi(rng, 0.6) for _ in range(na)]
+             for _ in range(rng.randint(1, na))], na)
+        pairs.append((fixing_span(A, A, fixed), dense_fixing_span(A, fixed)))
+    for l in range(3):
+        for r in range(3):
+            height = rng.randint(1, 2)
+            left = _random_span_matrix(rng, height, width ** l)
+            right = _random_span_matrix(rng, height, width ** r)
+            pairs.append((SpanConstraint.from_matrices(l, r, left, right,
+                                                       width),
+                          dense_span_from_matrices(l, r, left, right)))
+    points = [unit_vec(C.dim, i) for i in range(C.dim)]
+    points.append([_random_qi(rng, 0.8) for _ in range(C.dim)])
+    for span, oracle in pairs:
+        for x in points:
+            assert _pins(_span_value(C, Multispan(rows), span, sparse(x))) \
+                == _pins(dense_span_value(C, carrier, oracle, x)), span.name
+        assert _basis_pins(constraint_subspace(C, Multispan(rows, [span]))) \
+            == _basis_pins(oracle_constraint_subspace(C, carrier, [oracle]))
+    spans, oracles = zip(*pairs)
+    assert _basis_pins(constraint_subspace(C, Multispan(rows, list(spans)))) \
+        == _basis_pins(oracle_constraint_subspace(C, carrier, oracles))
+    assert [_pins(row) for row in star_compat_rows(C, Multispan(rows), A, B)] \
+        == [_pins(row) for row in oracle_star_compat_rows(C, carrier, A, B)]
 
 
 def test_largest_subcoalgebra_trivial_cases():
