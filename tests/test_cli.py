@@ -484,6 +484,34 @@ def test_lifted_job_output_keeps_scalar_orders(fname, job, op, digest,
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# Shipped jobs lifted to Q(i) and to Q(zeta_3): digests of the CLI stdout.
+# dual_hopf copies the unit and antipode rows of its input into the
+# counit and antipode of the dual, so their zeros keep the lifted order;
+# every other zero a table emits is of order 1.
+_LIFTED_TABLE_DIGESTS = [
+    ("pauli.json", "dualize", "dual", 4,
+     "fc686ee832007a6d61ee7eebd4905dacb0d154113027a383e2bec80f183fe99c"),
+    ("pauli.json", "dualize", "dual", 3,
+     "1f8ebf17ef8081125fbb35ea232602b819145783c4a8bbb4ff199580073d8ced"),
+    ("z2.json", "qgal", "qgal-depth2", 4,
+     "098bd9a273f07545efb4ba26682a623a872ba6e33ae741ed86132b827aac91c0"),
+    ("z2.json", "qgal", "qgal-depth2", 3,
+     "517df9090da9e6cc4eeed1e7fc7f6889eb6cc05afcbada1251d3053e3731642c"),
+]
+
+
+@pytest.mark.parametrize(
+    "fname,job,op,order,digest", _LIFTED_TABLE_DIGESTS,
+    ids=[f"{f}:{j}-{o}" for f, j, _, o, _ in _LIFTED_TABLE_DIGESTS])
+def test_lifted_tables_keep_zero_orders(fname, job, op, order, digest,
+                                        tmp_path, capsys):
+    lifted = tmp_path / fname
+    lifted.write_text(json.dumps(_with_order(_fixture(fname), order)))
+    assert _run(op, lifted, job=job) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def _shipped_job_fields():
     """(workspace document, job name, job body, field) for every field."""
     fixtures = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
