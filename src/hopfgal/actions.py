@@ -12,8 +12,8 @@ sparse helpers in linalg), and no basis element is built as a dense unit
 vector.  The package reads act the same way everywhere, and the sparse legs
 a x| 1 and 1 x| h of SmashProduct build the smash involution, the
 innerification check and the operators of galois and banica;
-ModuleAlgebraAction.apply is the adapter for callers holding dense vectors,
-sparse_apply on the same tensor.
+ModuleAlgebraAction.apply is sparse_apply on the same tensor, for sparse
+vectors.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .linalg import (
     Subspace,
     Vec,
     collect,
-    dense,
+    dense_row,
     kernel_of,
+    nonzero,
     kron,
     sparse,
     sparse_apply,
@@ -62,9 +63,9 @@ class ModuleAlgebraAction:
         if len(act) != hopf.dim or any(len(p) != alg.dim for p in act):
             raise InputError("action tensor shape mismatch")
 
-    def apply(self, h: Vec, a: Vec) -> Vec:
-        return dense(sparse_apply(self.act, sparse(h), sparse(a)),
-                     self.alg.dim)
+    def apply(self, h: dict, a: dict) -> dict:
+        """h . a for sparse h and a; a zero entry is skipped."""
+        return sparse_apply(self.act, nonzero(h), nonzero(a))
 
     def to_hom_map(self) -> list[dict]:
         """H -> Hom(A, A), e_h -> its action operator, as sparse rows.
@@ -206,13 +207,13 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
     mult = [[cell(a, h, b, g) for b in range(na) for g in range(nh)]
             for a in range(na) for h in range(nh)]
 
-    unit = dense(kron(sparse(A.unit), sparse(H.unit), nh), dim)
+    unit = dense_row(kron(sparse(A.unit), sparse(H.unit), nh), dim)
 
     # (e_a x| e_h)* = (1 x| e_h*)(e_a* x| 1), via the multiplication above;
     # the legs read only the action
     sp = SmashProduct(None, action)
     h_stars = [sp.h_leg(sparse(row)) for row in H.star]
-    star = [dense(sparse_apply(mult, h_star, sp.a_leg(sparse(row))), dim)
+    star = [dense_row(sparse_apply(mult, h_star, sp.a_leg(sparse(row))), dim)
             for row in A.star for h_star in h_stars]
     sp.total = total = StarAlgebra(dim, mult, unit, star,
                                    name=name or f"{A.name}x|{H.name}")
@@ -290,8 +291,8 @@ def canonical_smash_trace(sp: SmashProduct) -> Vec:
     A, H = sp.action.alg, sp.action.hopf
     if A.state is None:
         raise InputError("canonical trace needs a state on A")
-    tau = dense(kron(sparse(A.state), sparse(haar(H)), sp.dim_H),
-                sp.total.dim)
+    tau = dense_row(kron(sparse(A.state), sparse(haar(H)), sp.dim_H),
+                    sp.total.dim)
     if not all(state_flags(sp.total, tau)):
         raise InputError("product functional is not a trace on the smash")
     return tau

@@ -11,15 +11,17 @@ needed (commutant and invariant computations live most naturally in the
 ambient coordinates).
 
 validate_algebra and the left and right multiplication matrices read the
-sparse mult tensor directly, with no dense unit vectors and no mul_vec.
-The dense-vector methods (mul_vec, star_vec, apply_state) are adapters for
-callers holding dense vectors: each evaluates through linalg's sparse
-helpers (sparse_apply, sparse_comb, dot), which alone decide how a table
-acts on a vector.
+sparse mult tensor directly, with no unit vectors and no mul_vec.  The
+vector methods (mul_vec, star_vec, apply_state) take sparse vectors,
+skipping a zero entry as a missing one, and evaluate through linalg's
+sparse helpers (sparse_apply, sparse_comb, dot), which alone decide how a
+table acts on a vector; an entry of a result whose terms cancel is kept,
+as a zero of their order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -33,11 +35,12 @@ from .linalg import (
     Subspace,
     Vec,
     conjugate_linear,
-    dense,
+    dense_row,
     dot,
     kernel_of,
     kron,
     mat_inverse,
+    nonzero,
     op_from_entries,
     op_mul,
     op_sparse,
@@ -48,8 +51,6 @@ from .linalg import (
     sparse_comb,
     sparse_conj,
     sparse_ne,
-    unit_vec,
-    vscale,
 )
 from .report import Report
 from .scalars import Scalar, common_order
@@ -95,14 +96,14 @@ class StarAlgebra:
                 orders.extend(v.order for v in line.values())
         return common_order(*orders) if orders else 1
 
-    def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        return dense(sparse_apply(self.mult, sparse(x), sparse(y)), self.dim)
+    def mul_vec(self, x: dict, y: dict) -> dict:
+        return sparse_apply(self.mult, nonzero(x), nonzero(y))
 
     @conjugate_linear
-    def star_vec(self, x: Vec) -> Vec:
-        x = sparse(x)
+    def star_vec(self, x: dict) -> dict:
+        x = nonzero(x)
         rows = {i: sparse(self.star[i]) for i in x}
-        return dense(sparse_comb(rows, sparse_conj(x)), self.dim)
+        return sparse_comb(rows, sparse_conj(x))
 
     def left_mult_op(self, x: dict) -> dict:
         """Sparse operator of y -> x y for a sparse x."""
@@ -116,16 +117,10 @@ class StarAlgebra:
                                for j in range(self.dim)
                                for k, m in self.mult[j][i].items())
 
-    def apply_state(self, x: Vec) -> Scalar:
+    def apply_state(self, x: dict) -> Scalar:
         if self.state is None:
             raise InputError("algebra carries no state")
-        return dot(sparse(x), self.state)
-
-    def basis_vec(self, i: int) -> Vec:
-        return unit_vec(self.dim, i)
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.dim)
+        return dot(nonzero(x), self.state)
 
     def is_commutative(self) -> bool:
         for i in range(self.dim):
@@ -138,7 +133,7 @@ class StarAlgebra:
         return {
             "dim": self.dim,
             "mult": [
-                [[v.to_json() for v in dense(line, self.dim)]
+                [[v.to_json() for v in dense_row(line, self.dim)]
                  for line in plane]
                 for plane in self.mult
             ],
@@ -159,7 +154,7 @@ def tensor_algebra(A: StarAlgebra, B: StarAlgebra,
             for i1 in range(da) for j1 in range(db)]
 
     def square(x: Vec, y: Vec) -> Vec:
-        return dense(kron(sparse(x), sparse(y), db), dim)
+        return dense_row(kron(sparse(x), sparse(y), db), dim)
 
     unit = square(A.unit, B.unit)
     star = [square(sa, sb) for sa in A.star for sb in B.star]
@@ -259,7 +254,7 @@ def validate_algebra(A: StarAlgebra) -> Report:
         j for j in range(n)
         if sparse_ne(_compose(A, unit, j, right=True), {j: one})
         or sparse_ne(_compose(A, unit, j, right=False), {j: one})), 1))
-    gens = generating_set(A.full_subspace(), A)
+    gens = generating_set(Subspace.full(n), A)
     middles = [unit, *gens] if unit_failures else gens
     light = len(middles) < n and not any(associator_failures(A, middles))
     rep.law("associativity", () if light else associator_failures(A))
@@ -273,7 +268,7 @@ def validate_algebra(A: StarAlgebra) -> Report:
 
     if A.state is not None:
         st = analyze_state(A)
-        rep.add("state_normalized", A.apply_state(A.unit) == Scalar.one())
+        rep.add("state_normalized", A.apply_state(unit) == Scalar.one())
         rep.add("state_hermitian", st.hermitian)
         rep.add("state_tracial", st.tracial)
         rep.add("state_faithful_exact", st.faithful)
@@ -342,23 +337,22 @@ def relative_commutant(S: Subspace, B: StarAlgebra) -> Subspace:
         raise InputError("subspace does not live in the algebra")
 
     def entries():
-        for g, s in enumerate(S.basis):
-            for j, sj in enumerate(s):
-                if sj:
-                    for i in range(B.dim):
-                        # (e_i s - s e_i)_k
-                        for k, m in B.mult[i][j].items():
-                            yield (g, k), i, sj * m
-                        for k, m in B.mult[j][i].items():
-                            yield (g, k), i, -(sj * m)
+        for g, s in enumerate(S.vectors):
+            for j, sj in s.items():
+                for i in range(B.dim):
+                    # (e_i s - s e_i)_k
+                    for k, m in B.mult[i][j].items():
+                        yield (g, k), i, sj * m
+                    for k, m in B.mult[j][i].items():
+                        yield (g, k), i, -(sj * m)
     return kernel_of(entries(), B.dim)
 
 
 def center(B: StarAlgebra) -> Subspace:
-    return relative_commutant(B.full_subspace(), B)
+    return relative_commutant(Subspace.full(B.dim), B)
 
 
-def generated_subalgebra(gens: list[Vec], B: StarAlgebra) -> Subspace:
+def generated_subalgebra(gens: list[dict], B: StarAlgebra) -> Subspace:
     """Smallest unital, *-closed, multiplicatively closed subspace over gens.
 
     The letters are the generators and their stars.  The span of the unit
@@ -405,8 +399,7 @@ def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
         words.extend(new)
 
     grow([sparse(B.unit)], [])
-    for b in S.basis:
-        g = sparse(b)
+    for g in S.vectors:
         if builder.contains(g):
             continue
         gens.append(g)
@@ -418,18 +411,18 @@ def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
 def is_unital_star_subalgebra(S: Subspace, B: StarAlgebra) -> bool:
     if not S.contains(B.unit):
         return False
-    for v in S.basis:
+    for v in S.vectors:
         if not S.contains(B.star_vec(v)):
             return False
-    for v in S.basis:
-        for w in S.basis:
+    for v in S.vectors:
+        for w in S.vectors:
             if not S.contains(B.mul_vec(v, w)):
                 return False
     return True
 
 
 def is_star_closed(S: Subspace, B: StarAlgebra) -> bool:
-    return all(S.contains(B.star_vec(v)) for v in S.basis)
+    return all(S.contains(B.star_vec(v)) for v in S.vectors)
 
 
 # -- conditional expectation --------------------------------------------------
@@ -455,48 +448,42 @@ def conditional_expectation(M: StarAlgebra, N: Subspace) -> dict:
     # tau(e_p e_x) as sparse rows p
     products = [{x: t for x in range(n) if (t := dot(M.mult[p][x], tau))}
                 for p in range(n)]
-    F = [sparse_comb(products, sparse_comb(star, sparse_conj(sparse(b))))
-         for b in N.basis]
+    F = [sparse_comb(products, sparse_comb(star, sparse_conj(b)))
+         for b in N.vectors]
     # gram[i][j] = <b_j, b_i> = F[i] . b_j
-    gram = [[dot(f, b) for b in N.basis] for f in F]
+    gram = [[dot(f, b) for b in N.vectors] for f in F]
     try:
         gram_inv = mat_inverse(gram)
     except InputError as e:
         raise InputError("degenerate form") from e
     F = op_from_entries((i, x, v) for i, f in enumerate(F)
                         for x, v in f.items())
-    B_t = op_from_entries((t, i, v) for i, b in enumerate(N.basis)
-                          for t, v in enumerate(b))
+    B_t = op_from_entries((t, i, v) for i, b in enumerate(N.vectors)
+                          for t, v in b.items())
     return op_mul(B_t, op_mul(op_sparse(gram_inv), F))
 
 
 # -- reification and canonical traces ------------------------------------------
 
 
-def reify(B: StarAlgebra, S: Subspace, name: str = "") -> tuple[StarAlgebra, Mat]:
+def reify(B: StarAlgebra, S: Subspace,
+          name: str = "") -> tuple[StarAlgebra, list[dict]]:
     """Standalone structure constants for a unital *-subalgebra.
 
-    Returns (algebra on the subspace basis, inclusion matrix whose columns
-    are the chosen basis vectors in ambient coordinates).
+    Returns (algebra on the subspace basis, the inclusion: the basis
+    vectors in ambient coordinates, as sparse vectors).
     """
     if not is_unital_star_subalgebra(S, B):
         raise InputError("not a subalgebra")
-    k = S.dim
-    mult = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            prod = B.mul_vec(S.basis[i], S.basis[j])
-            coeffs = S.coordinates(prod)
-            row.append({m: c for m, c in enumerate(coeffs) if c})
-        mult.append(row)
+    basis = S.vectors
+    mult = [[sparse(S.coordinates(B.mul_vec(x, y))) for y in basis]
+            for x in basis]
     unit = S.coordinates(B.unit)
-    star = [S.coordinates(B.star_vec(S.basis[i])) for i in range(k)]
+    star = [S.coordinates(B.star_vec(x)) for x in basis]
     state = None
     if B.state is not None:
-        state = [B.apply_state(b) for b in S.basis]
-    inclusion = [[S.basis[j][i] for j in range(k)] for i in range(B.dim)]
-    return StarAlgebra(k, mult, unit, star, state, name=name), inclusion
+        state = [B.apply_state(x) for x in basis]
+    return StarAlgebra(S.dim, mult, unit, star, state, name=name), basis
 
 
 def unique_trace(B: StarAlgebra) -> Vec:
@@ -517,9 +504,12 @@ def unique_trace(B: StarAlgebra) -> Vec:
                 for k, v in B.mult[j][i].items():
                     yield (i, j), k, -v
     space = kernel_of(entries(), B.dim)
-    units = [dot(sparse(t), B.unit) for t in space.basis]
+    units = [dot(t, B.unit) for t in space.vectors]
     if not any(units):
         raise InputError("no normalized trace exists")
     if space.dim > 1:
         raise InputError("trace is not unique (algebra is not a factor)")
-    return vscale(units[0].inverse(), space.basis[0])
+    # c t, its zeros those of the row of t lifted by c
+    c = units[0].inverse()
+    return dense_row({k: c * x for k, x in space.vectors[0].items()},
+                     B.dim, math.lcm(c.order, space.orders[0]))

@@ -48,14 +48,14 @@ from .hopf import (
 )
 from .jones import GnsSpace, orthogonal_projection
 from .linalg import (
-    Mat,
     Subspace,
     Vec,
     collect,
-    dense,
+    dense_row,
     dot,
     kernel_of,
     kron,
+    nonzero,
     op_from_entries,
     op_mul,
     op_transpose,
@@ -66,7 +66,6 @@ from .linalg import (
     sparse_comb,
     sparse_ne,
     span_of,
-    vscale,
 )
 from .measuring import (
     hopf_subalgebra_report,
@@ -257,7 +256,7 @@ def _expectation(B: ComoduleAlgebra, sp: SmashProduct,
 def _expectation_bimodular(data: FixedPointData) -> bool:
     """E L_z = L_z E and E R_z = R_z E for every z in C."""
     total, E = data.total, data.expectation
-    for z in map(sparse, data.invariants.basis):
+    for z in data.invariants.vectors:
         for X in (total.left_mult_op(z), total.right_mult_op(z)):
             if op_mul(E, X) != op_mul(X, E):
                 return False
@@ -351,9 +350,9 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
     rep = Report("T_q extraction")
     commutant = relative_commutant(sp.subspace_A(), sp.total)
     b_tensor_comm = span_of(
-        (_b_leg(data, b, sparse(w)) for b in range(nb)
-         for w in commutant.basis), total.dim)
-    c_basis = [sparse(v) for v in C.basis]
+        (_b_leg(data, b, w) for b in range(nb)
+         for w in commutant.vectors), total.dim)
+    c_basis = C.vectors
     one = Scalar.one()
 
     def bh_leg(b: int, h: int) -> dict:
@@ -431,7 +430,7 @@ class BanicaGaloisResult:
     hopf: HopfStarAlgebra            # reified
     lifted_action: ModuleAlgebraAction   # on the reified invariants algebra
     invariants_algebra: StarAlgebra
-    invariants_inclusion: Mat
+    invariants_inclusion: list[dict]
     state: Vec                       # the Lambda-invariant faithful state
     report: Report
 
@@ -487,10 +486,10 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
     rep.merge(hopf_subalgebra_report(Q_ambient, result), prefix="hopf:")
 
     # the operator on B of each basis vector of the result
-    result_ops = [op_from_entries((t, s, c * x) for i, c in enumerate(qvec)
-                                  if c for t, row in ops[i].items()
+    result_ops = [op_from_entries((t, s, c * x) for i, c in qvec.items()
+                                  for t, row in ops[i].items()
                                   for s, x in row.items())
-                  for qvec in result.basis]
+                  for qvec in result.vectors]
 
     # range-projection re-verification w.r.t. the phi inner product
     proj_ok = _range_projection_check(B, phi, lam_ops, result_ops)
@@ -543,18 +542,20 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
     # Echelon basis vectors can have degenerate Grams one by one (orbit
     # indicators, say) while a combination is faithful; sweep the basis,
     # the plain sum, then geometric-weight sums.
-    candidates = [list(t) for t in space.basis]
+    rows = space.vectors
+    candidates = list(rows)
     if space.dim > 1:
-        rows = [sparse(t) for t in space.basis]
-        candidates += [dense(sparse_comb(rows, {i: Scalar.from_int(w ** i)
-                                                for i in range(len(rows))}),
-                             nb)
+        candidates += [sparse_comb(rows, {i: Scalar.from_int(w ** i)
+                                          for i in range(len(rows))})
                        for w in (1, 2, 3, 5)]
     for t in candidates:
-        val = dot(sparse(t), unit)
+        val = dot(nonzero(t), unit)
         if not val:
             continue
-        phi = vscale(val.inverse(), t)
+        # c t; the rows of a kernel, and so their combinations, have
+        # zeros of order 1, which c lifts to its own
+        c = val.inverse()
+        phi = dense_row({k: c * x for k, x in t.items()}, nb, c.order)
         G = gram_matrix(B.alg, phi)
         if is_nonsingular(G) and numerically_positive(G):
             return phi
@@ -597,8 +598,8 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
     kernel = kernel_of(((i, j, x) for j, col in enumerate(phi_cols)
                         for i, x in col.items()), na * nb)
     rep.add("kernel_preserved", all(
-        kernel.contains(_id_tensor_op(sparse(kv), op, nb))
-        for op in result_ops for kv in kernel.basis))
+        kernel.contains(_id_tensor_op(kv, op, nb))
+        for op in result_ops for kv in kernel.vectors))
 
     c_alg, inclusion = reify(total, data.invariants, name="C")
     C = data.invariants
@@ -606,7 +607,7 @@ def _lift_to_invariants(data: FixedPointData, result_ops: list,
     # action tensor of the reified result Hopf on the reified C; one
     # elimination of the columns of Phi gives the preimage of every basis
     # vector of C
-    sources = preimages(phi_cols, map(sparse, C.basis))
+    sources = preimages(phi_cols, C.vectors)
     if sources is None:
         raise ConsistencyError("invariants vector outside Phi image")
     act = []

@@ -31,7 +31,7 @@ from .jones import (
     bimodule_endos_report,
     gns,
 )
-from .linalg import dense
+from .linalg import dense_row
 from .measuring import (
     SpanConstraint,
     hopf_centralizer,
@@ -192,7 +192,7 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
         "centralizer_basis": subspace_doc(result.subspace),
         "centralizer_hopf": result.hopf.to_json(),
         "lifted_action": [
-            [[v.to_json() for v in dense(cell, c_dim)] for cell in plane]
+            [[v.to_json() for v in dense_row(cell, c_dim)] for cell in plane]
             for plane in result.lifted_action.act
         ],
         "fixed_point_report": data.report.to_json(),

@@ -125,13 +125,14 @@ def subalgebra_embedding_left(A: StarAlgebra, B: StarAlgebra):
 def _conjugation_action(H: HopfStarAlgebra, A: StarAlgebra,
                         units: list) -> ModuleAlgebraAction:
     """Group action by conjugation x -> u x u* for unitaries indexed by G."""
+    one = Scalar.one()
     act = []
     for u in units:
         ustar = A.star_vec(u)
         plane = []
         for a in range(A.dim):
-            img = A.mul_vec(u, A.mul_vec(A.basis_vec(a), ustar))
-            plane.append({k: v for k, v in enumerate(img) if v})
+            img = A.mul_vec(u, A.mul_vec({a: one}, ustar))
+            plane.append({k: img[k] for k in sorted(img) if img[k]})
         act.append(plane)
     return ModuleAlgebraAction(H, A, act)
 
@@ -144,10 +145,7 @@ def pauli_action() -> ModuleAlgebraAction:
     m = Scalar.from_int(-1)
 
     def mat(entries):
-        v = vzero(4)
-        for (a, b), c in entries.items():
-            v[a * 2 + b] = c
-        return v
+        return {a * 2 + b: c for (a, b), c in sorted(entries.items())}
 
     eye = mat({(0, 0): one, (1, 1): one})
     x = mat({(0, 1): one, (1, 0): one})
@@ -161,12 +159,8 @@ def ad_z_action() -> ModuleAlgebraAction:
     A = mat_algebra(2, name="Mat2")
     H = cz2()
     one = Scalar.one()
-    eye = vzero(4)
-    eye[0] = one
-    eye[3] = one
-    z = vzero(4)
-    z[0] = one
-    z[3] = Scalar.from_int(-1)
+    eye = {0: one, 3: one}
+    z = {0: one, 3: Scalar.from_int(-1)}
     return _conjugation_action(H, A, [eye, z])
 
 

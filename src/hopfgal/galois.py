@@ -83,9 +83,11 @@ def smash_bimodule_endos(sp: SmashProduct,
     one = Scalar.one()
     legs = [sp.a_leg({a: one}) for a in range(na)]
     ops = []
-    for sol in _endo_values(sp, colinear).basis:
+    for sol in _endo_values(sp, colinear).vectors:
         # F(a x| h) = (a x| 1) F(1 x| h)
-        values = [sparse(sol[h * nt:(h + 1) * nt]) for h in range(nh)]
+        values = [{} for _ in range(nh)]
+        for k, x in sol.items():
+            values[k // nt][k % nt] = x
         ops.append(op_from_entries(
             (t, sp.idx(a, h), x) for a in range(na) for h in range(nh)
             for t, x in sparse_apply(total.mult, legs[a], values[h]).items()))
@@ -370,9 +372,9 @@ class QGalCertificate:
         rep.law("coalgebra_morphism", (
             i for i, plane in enumerate(Q.comult)
             if sparse_ne(tensor_map(plane, rows, rows),
-                         dual.comult_vec(phi[i]))))
+                         dual.comult_vec(rows[i]))))
         rep.add("counit_preserved",
-                all(dual.counit_of(phi[i]) == Q.counit[i] for i in range(nq)))
+                all(dual.counit_of(rows[i]) == Q.counit[i] for i in range(nq)))
         q_star = [sparse(row) for row in Q.star]
         d_star = [sparse(row) for row in dual.star]
         d_antipode = [sparse(row) for row in dual.antipode]
@@ -408,13 +410,13 @@ class QGalCertificate:
         rep.add("intertwiner_unique", sol.dim == 1,
                 witness={"solution_dim": sol.dim})
         if sol.dim == 1:
-            line = sol.basis[0]
-            scale = line[nq * nh]
+            line, zero = sol.vectors[0], Scalar.zero()
+            scale = line.get(nq * nh, zero)
             normalized_ok = bool(scale)
             if normalized_ok:
                 inv = scale.inverse()
                 recovered = [
-                    [line[i * nh + u] * inv for u in range(nh)]
+                    [line.get(i * nh + u, zero) * inv for u in range(nh)]
                     for i in range(nq)
                 ]
                 normalized_ok = recovered == phi

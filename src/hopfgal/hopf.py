@@ -11,6 +11,7 @@ forced by the axioms; validate_pairing records it in its report).
 
 from __future__ import annotations
 
+import math
 from heapq import merge
 from itertools import product
 
@@ -21,12 +22,13 @@ from .linalg import (
     Vec,
     collect,
     conjugate_linear,
-    dense,
+    dense_row,
     dot,
     identity_matrix,
     kernel_of,
     mat_eq,
     mat_inverse,
+    nonzero,
     sparse,
     sparse_add,
     sparse_apply,
@@ -35,7 +37,6 @@ from .linalg import (
     sparse_ne,
     transpose,
     unit_vec,
-    vscale,
 )
 from .report import Report
 from .scalars import Scalar
@@ -46,7 +47,11 @@ PAIRING_STAR_NOTE = (
 
 
 class StarCoalgebra:
-    """Coassociative counital coalgebra with a *-structure."""
+    """Coassociative counital coalgebra with a *-structure.
+
+    The vector methods take sparse vectors and skip a zero entry as a
+    missing one.
+    """
 
     def __init__(self, dim: int, comult, counit: Vec, star: Mat):
         self.dim = dim
@@ -56,24 +61,24 @@ class StarCoalgebra:
         if len(comult) != dim or len(counit) != dim or len(star) != dim:
             raise InputError("coalgebra tensor shape mismatch")
 
-    def comult_vec(self, x: Vec) -> dict:
+    def comult_vec(self, x: dict) -> dict:
         """Delta(x) as a sparse dict (j, k) -> Scalar."""
-        out = sparse_comb(self.comult, sparse(x))
-        return {jk: v for jk, v in out.items() if v}
+        return nonzero(sparse_comb(self.comult, nonzero(x)))
 
-    def counit_of(self, x: Vec) -> Scalar:
-        return dot(sparse(x), self.counit)
+    def counit_of(self, x: dict) -> Scalar:
+        return dot(nonzero(x), self.counit)
 
-    def star_row(self, i: int) -> Vec:
-        """The involution of the basis vector e_i."""
-        return self.star[i]
+    def star_row(self, i: int) -> dict:
+        """The involution of the basis vector e_i, as a sparse row without
+        zeros."""
+        return sparse(self.star[i])
 
     @conjugate_linear
-    def star_vec(self, x: Vec) -> Vec:
+    def star_vec(self, x: dict) -> dict:
         # star_row is read on every call: the tables behind it may change
-        x = sparse(x)
-        rows = {i: sparse(self.star_row(i)) for i in x}
-        return dense(sparse_comb(rows, sparse_conj(x)), self.dim)
+        x = nonzero(x)
+        rows = {i: self.star_row(i) for i in x}
+        return sparse_comb(rows, sparse_conj(x))
 
     def iterated_comult(self, x: dict, legs: int) -> dict:
         """Delta^(legs) of a sparse x: sparse dict mapping index tuples to
@@ -89,14 +94,6 @@ class StarCoalgebra:
             cur = collect((idx[:-1] + jk, v * w) for idx, v in cur.items()
                           for jk, w in self.comult[idx[-1]].items())
         return cur
-
-
-def dense_comult(comult, dim: int):
-    zero = Scalar.zero()
-    return [
-        [[plane.get((j, k), zero) for k in range(dim)] for j in range(dim)]
-        for plane in comult
-    ]
 
 
 class HopfCoalgebra(StarCoalgebra):
@@ -119,12 +116,8 @@ class HopfCoalgebra(StarCoalgebra):
         if len(comult) != self.dim or len(counit) != self.dim:
             raise InputError("coalgebra tensor shape mismatch")
 
-    @property
-    def star(self) -> Mat:
-        return [self.star_row(i) for i in range(self.dim)]
-
-    def star_row(self, i: int) -> Vec:
-        return self.algebra.star_vec(self.antipode[i])
+    def star_row(self, i: int) -> dict:
+        return nonzero(self.algebra.star_vec(sparse(self.antipode[i])))
 
 
 class HopfStarAlgebra:
@@ -175,23 +168,23 @@ class HopfStarAlgebra:
     def star(self) -> Mat:
         return self.algebra.star
 
-    def mul_vec(self, x: Vec, y: Vec) -> Vec:
+    def mul_vec(self, x: dict, y: dict) -> dict:
         return self.algebra.mul_vec(x, y)
 
     @conjugate_linear
-    def star_vec(self, x: Vec) -> Vec:
+    def star_vec(self, x: dict) -> dict:
         return self.algebra.star_vec(x)
 
-    def comult_vec(self, x: Vec) -> dict:
+    def comult_vec(self, x: dict) -> dict:
         return self.coalgebra.comult_vec(x)
 
-    def counit_of(self, x: Vec) -> Scalar:
+    def counit_of(self, x: dict) -> Scalar:
         return self.coalgebra.counit_of(x)
 
-    def antipode_vec(self, x: Vec) -> Vec:
-        x = sparse(x)
+    def antipode_vec(self, x: dict) -> dict:
+        x = nonzero(x)
         rows = {i: sparse(self.antipode[i]) for i in x}
-        return dense(sparse_comb(rows, x), self.dim)
+        return sparse_comb(rows, x)
 
     def is_kac(self) -> bool:
         """Involutive antipode: S^2 = id."""
@@ -200,11 +193,10 @@ class HopfStarAlgebra:
                        for i, row in enumerate(rows))
 
     def to_json(self):
-        doc = self.algebra.to_json()
-        doc["comult"] = [
-            [[v.to_json() for v in line] for line in plane]
-            for plane in dense_comult(self.comult, self.dim)
-        ]
+        doc, zero, n = self.algebra.to_json(), Scalar.zero(), self.dim
+        doc["comult"] = [[[plane.get((j, k), zero).to_json()
+                           for k in range(n)] for j in range(n)]
+                         for plane in self.comult]
         doc["counit"] = [x.to_json() for x in self.counit]
         doc["antipode"] = [[x.to_json() for x in row] for row in self.antipode]
         doc["kac"] = self.is_kac()
@@ -254,7 +246,7 @@ def validate_coalgebra(C: StarCoalgebra) -> Report:
     flipped = flip(C.comult)
     rep.law("counit", merge(counit_failures(C.comult, C.counit),
                             counit_failures(flipped, C.counit)))
-    star = [sparse(row) for row in C.star]
+    star = [C.star_row(i) for i in range(C.dim)]
     rep.law("star_reverses_comultiplication", (
         i for i, plane in enumerate(flipped)
         if sparse_ne(sparse_comb(C.comult, star[i]),
@@ -282,7 +274,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep.law("counit_is_algebra_morphism", (
         (i, j) for i, j in pairs
         if dot(mult[i][j], counit) != counit[i] * counit[j]))
-    rep.add("counit_unital", H.counit_of(H.unit) == one)
+    rep.add("counit_unital", H.counit_of(unit) == one)
 
     # Delta(x*) = (x_1)* (x) (x_2)*: Delta is a *-algebra morphism.
     star = [sparse(row) for row in H.star]
@@ -374,7 +366,7 @@ def dual_hopf(H: HopfStarAlgebra, name: str = "") -> HopfStarAlgebra:
     # (e^i)*: <(e^i)*, e_j> = conj(<e^i, S(e_j)*>), with S(e_j)* read from
     # the sparse star and antipode rows
     star_rows = [sparse(row) for row in H.star]
-    circ = [dense(sparse_comb(star_rows, sparse_conj(sparse(row))), n)
+    circ = [dense_row(sparse_comb(star_rows, sparse_conj(sparse(row))), n)
             for row in H.antipode]
     star = [[circ[j][i].conj() for j in range(n)] for i in range(n)]
     alg = StarAlgebra(n, mult, unit, star, state=None,
@@ -456,10 +448,13 @@ def haar(H: HopfStarAlgebra) -> Vec:
                     yield (i, j, 0), i, -u
                     yield (i, j, 1), i, -u
     space = kernel_of(entries(), n)
-    for t in space.basis:
-        val = dot(sparse(t), H.unit)
+    for t, order in zip(space.vectors, space.orders):
+        val = dot(t, H.unit)
         if val:
-            return vscale(val.inverse(), t)
+            # c t, its zeros those of the row of t lifted by c
+            c = val.inverse()
+            return dense_row({k: c * x for k, x in t.items()}, n,
+                             math.lcm(c.order, order))
     raise InputError("no normalizable two-sided integral")
 
 

@@ -52,10 +52,10 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     Mat,
     Subspace,
-    Vec,
     kernel_of,
     mat_inverse,
     matrix_commutant,
+    nonzero,
     op_adjoint,
     op_dense,
     op_flat,
@@ -72,8 +72,6 @@ from .linalg import (
     sparse_comb,
     sparse_conj,
     sparse_ne,
-    unit_vec,
-    vec_is_zero,
 )
 from .report import Report
 from .scalars import Scalar
@@ -93,17 +91,10 @@ class GnsSpace:
     def dim(self) -> int:
         return self.base.dim
 
-    def lam(self, x: Vec) -> dict:
-        return self.base.left_mult_op(sparse(x))
-
     def lam_basis(self, i: int) -> dict:
         if i not in self._lam_cache:
             self._lam_cache[i] = self.base.left_mult_op({i: Scalar.one()})
         return self._lam_cache[i]
-
-    def jvec(self, x: Vec) -> Vec:
-        """The canonical conjugation J x = x* (conjugate linear)."""
-        return self.base.star_vec(x)
 
     @cached_property
     def _star_ops(self) -> tuple[dict, dict]:
@@ -125,7 +116,7 @@ class GnsSpace:
 
     def _memo(self, what: str, S: Subspace, make):
         """make(), computed once per (what, S)."""
-        key = what, tuple(S.pivots), tuple(map(tuple, S.basis))
+        key = what, tuple(tuple(v.items()) for v in S.vectors)
         if key not in self._memos:
             self._memos[key] = make()
         return self._memos[key]
@@ -211,10 +202,11 @@ def _certify_gns(space: GnsSpace):
     rep.add("gram_nonsingular", True)  # checked in gns()
 
     lams = [space.lam_basis(i) for i in range(n)]
+    star = [sparse(row) for row in M.star]
     rep.add("left_regular_star_representation", all(
-        space.adjoint(lams[i]) == space.lam(M.star[i]) for i in range(n)))
-    rep.add("conjugation_involutive", all(
-        space.jvec(M.star[i]) == unit_vec(n, i) for i in range(n)))
+        space.adjoint(lams[i]) == M.left_mult_op(star[i]) for i in range(n)))
+    rep.add("conjugation_involutive", not any(
+        sparse_ne(M.star_vec(star[i]), {i: Scalar.one()}) for i in range(n)))
     rep.add("jmj_equals_commutant", jmj_is_commutant(space, lams))
 
 
@@ -245,7 +237,7 @@ def orthogonal_projection(space: GnsSpace, W: Subspace) -> dict:
     coefficients Gw^-1 C e_t on the b_i, where C[i][t] = <e_t, b_i> and
     Gw = C B^T is the Gram matrix of the basis: e_W = B^T Gw^-1 C.
     """
-    B = op_sparse(W.basis)
+    B = dict(enumerate(W.vectors))
     if not B:
         return {}
     G, _ = space.gram_ops
@@ -371,8 +363,8 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     # lam(M) and e_N generate, so its commutant is rho(K) for their
     # commutant K; the center is the part of rho(K) inside M_1, where the
     # residues modulo M_1 of a combination of the rho(b) cancel
-    rho_k = (space.base.right_mult_op(sparse(b))
-             for b in space.e_commutant(N).basis)
+    rho_k = (space.base.right_mult_op(b)
+             for b in space.e_commutant(N).vectors)
     residues = [generated.residue(op_flat(X, n)) for X in rho_k]
     center = kernel_of(((f, k, x) for k, r in enumerate(residues)
                         for f, x in r.items()), len(residues))
@@ -390,7 +382,7 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
 # -- index -------------------------------------------------------------------------
 
 
-def index(space: GnsSpace, N: Subspace, xi: Vec | None = None) -> Fraction:
+def index(space: GnsSpace, N: Subspace, xi: dict | None = None) -> Fraction:
     """[M : N] as the coupling constant dim_N L^2(M, tau), exactly.
 
     dim_N H = tau_N([N' xi]) / tau_{N'}([N xi]) for any nonzero xi.  Both
@@ -407,8 +399,8 @@ def index(space: GnsSpace, N: Subspace, xi: Vec | None = None) -> Fraction:
     if _center_dim_in(space, N) != 1:
         raise InputError("not a factor")
     if xi is None:
-        xi = list(M.unit)
-    if vec_is_zero(xi):
+        xi = sparse(M.unit)
+    if not any(xi.values()):
         raise InputError("xi degenerate")
 
     e = space.projection(N)
@@ -417,28 +409,28 @@ def index(space: GnsSpace, N: Subspace, xi: Vec | None = None) -> Fraction:
     # a consistency guard: three random xi must give the same value
     rng = random.Random(20290)
     for _ in range(3):
-        rand_xi = [Scalar.from_int(rng.randint(-3, 3)) for _ in range(n)]
-        if vec_is_zero(rand_xi):
-            rand_xi = list(M.unit)
+        rand_xi = sparse([Scalar.from_int(rng.randint(-3, 3))
+                          for _ in range(n)])
+        if not rand_xi:
+            rand_xi = sparse(M.unit)
         if _coupling(space, N, e, rand_xi) != value:
             raise ConsistencyError("coupling constant depends on xi")
     return value
 
 
-def _coupling(space: GnsSpace, N: Subspace, e: dict, xi: Vec) -> Fraction:
+def _coupling(space: GnsSpace, N: Subspace, e: dict, xi: dict) -> Fraction:
     n = space.dim
     # [N xi]: rank of the orbit span
-    rank_n_xi = span_of((space.base.mul_vec(b, xi) for b in N.basis), n).dim
+    rank_n_xi = span_of((space.base.mul_vec(b, xi) for b in N.vectors),
+                        n).dim
 
     # [N' xi] with N' = J M_1 J and M_1 = span{lam(a) e lam(b)} + lam(M):
     # N' xi = J(M_1 (J xi))
-    w = sparse(space.jvec(xi))
+    w = nonzero(space.base.star_vec(xi))  # J xi = xi*
     lams = [space.lam_basis(i) for i in range(n)]
     lam_w = [op_vec(lam, w) for lam in lams]
-    eu = span_of((op_vec(e, sparse(v))
-                  for v in span_of(lam_w, n).basis), n)
-    m1w = chain(lam_w, (op_vec(lam, sparse(v))
-                        for v in eu.basis for lam in lams))
+    eu = span_of((op_vec(e, v) for v in span_of(lam_w, n).vectors), n)
+    m1w = chain(lam_w, (op_vec(lam, v) for v in eu.vectors for lam in lams))
     # conjugating by J preserves dimension, so rank(N' xi) = rank(M_1 J xi)
     rank_nprime_xi = span_of(m1w, n).dim
     if rank_n_xi == 0:

@@ -1,10 +1,11 @@
 """Exact linear algebra over the cyclotomic scalars.
 
-Vectors are dense lists of Scalar or sparse dicts index -> Scalar, dense
-matrices are lists of rows, and an operator on k^n is a dict row -> sparse
-row (a missing row or entry is zero).  Subspaces are kept in reduced row
-echelon form, which is unique for a given subspace and a fixed ambient
-basis, so subspace equality is row-by-row comparison.
+A vector is a sparse dict index -> Scalar (a missing key is zero), an
+operator on k^n is a dict row -> sparse row (a missing row or entry is
+zero), and a Subspace is its sparse echelon rows.  Dense lists of Scalar
+remain only where a table is stored or emitted densely (units, states,
+star and antipode tables, pairings) and in the Gram inverses; dense_row is
+the one place a sparse vector is written as a dense row.
 
 All row elimination runs in one sparse echelon store: `rows` maps a pivot
 p to the tail {k: c} (all k < p, no pivot among them) of the normalized
@@ -14,16 +15,17 @@ eliminated from the tails that hold that column; only nonzero entries are
 ever visited.  KernelSolver keeps constraint rows there and reads the
 nullspace off the free columns.  SpanBuilder keeps vectors there with the
 columns reversed (j -> n-1-j), so the largest stored column is the leading
-one and the rows read back are the canonical RREF of the span; rref,
-Subspace membership and residues and mat_inverse all run on it.  preimages
-keeps tagged columns in the same store.
+one and the rows read back are the canonical RREF of the span; a Subspace
+holds exactly these rows, and rref, Subspace membership and residues and
+mat_inverse all run on them.  preimages keeps tagged columns in the same
+store.
 
 A table or a functional is evaluated on a vector through sparse_apply (a
 rank-3 tensor such as mult or act on two sparse vectors), sparse_comb
-(sparse rows on one) or dot (a functional).  The dense-vector methods of
-the other modules are adapters over these, so the Scalar order of every
-entry they return is decided here.  Any other keyed sum of terms, such as
-a structure tensor built from products of table entries, is collect, the
+(sparse rows on one) or dot (a functional).  The vector methods of the
+other modules are built on these, so the Scalar order of every entry they
+return is decided here.  Any other keyed sum of terms, such as a
+structure tensor built from products of table entries, is collect, the
 trace of an operator is op_trace, and a tensor product of two sparse
 vectors, flattened as i n + j, is kron: how terms are summed, and when a
 zero is dropped, is decided in this module only.
@@ -43,8 +45,6 @@ with op_mul, op_vec and op_transpose.
 The operator helpers (op_mul, op_vec, op_adjoint, matrix_commutant,
 operator_algebra_span) visit nonzero entries only, and an operator enters
 a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
-Dense matrices remain where a table is stored or emitted densely (star and
-antipode tables, pairings) and in the Gram inverses.
 """
 
 from __future__ import annotations
@@ -73,16 +73,8 @@ def unit_vec(n: int, i: int, order: int = 1) -> Vec:
     return v
 
 
-def vscale(c: Scalar, a: Vec) -> Vec:
-    return [c * x for x in a]
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
-
-
 def conjugate_linear(fn):
-    """Mark a map (or a method) Vec -> Vec as f(c x) = conj(c) f(x)."""
+    """Mark a map (or a method) of vectors as f(c x) = conj(c) f(x)."""
     fn.conjugate_linear = True
     return fn
 
@@ -99,8 +91,15 @@ def sparse(v: Vec) -> dict:
     return {k: x for k, x in enumerate(v) if x}
 
 
-def dense(x: dict, n: int) -> Vec:
-    out = [Scalar.zero()] * n
+def nonzero(x: dict) -> dict:
+    """The nonzero entries of a sparse vector."""
+    return {k: v for k, v in x.items() if v}
+
+
+def dense_row(x: dict, n: int, order: int = 1) -> Vec:
+    """x as a dense row of length n with zeros of the given order: the one
+    place a sparse vector becomes dense."""
+    out = [Scalar.zero(order)] * n
     for k, v in x.items():
         out[k] = v
     return out
@@ -142,15 +141,17 @@ def sparse_apply(tensor, x: dict, y: dict) -> dict:
     return out
 
 
-def dot(x: dict, v: Vec) -> Scalar:
-    """sum_k x_k v_k over the keys of x where v_k != 0.
+def dot(x: dict, v) -> Scalar:
+    """sum_k x_k v_k over the keys of x where v_k != 0, for v dense or
+    sparse.
 
     A zero x_k is not skipped: its term still lifts the order of the sum.
     With v a functional this evaluates it at x.
     """
+    at = v.get if isinstance(v, dict) else v.__getitem__
     tot = Scalar.zero()
     for k, xk in x.items():
-        vk = v[k]
+        vk = at(k)
         if vk:
             tot = axpy(tot, xk, vk)
     return tot
@@ -247,7 +248,7 @@ def op_adjoint(A: dict) -> dict:
 
 
 def op_dense(A: dict, n: int) -> Mat:
-    return [dense(A.get(i, {}), n) for i in range(n)]
+    return [dense_row(A.get(i, {}), n) for i in range(n)]
 
 
 def op_flat(A: dict, n: int) -> dict:
@@ -371,11 +372,11 @@ def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
     rows = list(rows)
     if not rows:
         return [], []
-    builder = SpanBuilder(len(rows[0]))
-    for row in rows:
-        builder.insert(row)
-    sub = builder.subspace()
-    return sub.basis, sub.pivots
+    n = len(rows[0])
+    sub = span_of(rows, n)
+    return ([dense_row(v, n, order) for v, order in zip(sub.vectors,
+                                                         sub.orders)],
+            sub.pivots)
 
 
 # -- subspaces --------------------------------------------------------------
@@ -383,11 +384,20 @@ def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
 
 @dataclass
 class Subspace:
-    """A subspace of coordinate space, basis held in canonical RREF."""
+    """A subspace of coordinate space, held as its sparse echelon rows.
+
+    _rows is SpanBuilder's store in basis order: the row with pivot p is
+    keyed by n-1-p and holds its tail {n-1-j: x} over the columns j > p,
+    none of them a pivot.  _leads holds, under the same key, the row's
+    pivot entry, a one of the row's cyclotomic order, at which the row's
+    zeros are written (to_json, rref).  The rows are the canonical RREF
+    basis, unique for a given subspace, so subspace equality is row-by-row
+    comparison.
+    """
 
     ambient_dim: int
-    basis: list[Vec]
-    pivots: list[int]
+    _rows: dict
+    _leads: dict
 
     @staticmethod
     def from_vectors(vectors, ambient_dim: int) -> "Subspace":
@@ -400,24 +410,33 @@ class Subspace:
         return span_of(vectors, ambient_dim)
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, [], [])
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(identity_matrix(ambient_dim), ambient_dim)
+        keys = range(ambient_dim - 1, -1, -1)
+        return Subspace(ambient_dim, {p: {} for p in keys},
+                        {p: Scalar.one() for p in keys})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @cached_property
-    def _rows(self) -> dict:
-        """The basis in SpanBuilder's store (reversed columns, no pivots)."""
+    def pivots(self) -> list[int]:
+        return [self.ambient_dim - 1 - p for p in self._rows]
+
+    @property
+    def orders(self) -> list[int]:
+        """The order of each row, read from its lead (which lift_orders
+        lifts)."""
+        return [self._leads[p].order for p in self._rows]
+
+    @cached_property
+    def vectors(self) -> list[dict]:
+        """The basis as sparse vectors, keys increasing: the pivot one, then
+        the tail.  Shared, so read only."""
         last = self.ambient_dim - 1
-        return {last - p: {last - j: x for j, x in enumerate(b)
-                           if x and j != p}
-                for b, p in zip(self.basis, self.pivots)}
+        return [{last - p: self._leads[p],
+                 **{last - k: tail[k] for k in sorted(tail, reverse=True)}}
+                for p, tail in self._rows.items()]
 
     def contains(self, v) -> bool:
         """v (dense, or sparse) lies in the subspace."""
@@ -437,7 +456,7 @@ class Subspace:
                 _reduce(self._rows, _reversed(v, self.ambient_dim)).items()}
 
     def coordinates(self, v) -> Vec:
-        """Coefficients of v (dense, or sparse) on self.basis; raises if v
+        """Coefficients of v (dense, or sparse) on the basis; raises if v
         is outside.
 
         An RREF basis vector is 1 at its own pivot and 0 at every other
@@ -467,7 +486,7 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(self.basis + other.basis, self.ambient_dim)
+        return span_of(self.vectors + other.vectors, self.ambient_dim)
 
     def annihilator_rows(self) -> list[dict]:
         """Sparse rows r with r.x = 0 exactly for x in the subspace.
@@ -480,8 +499,8 @@ class Subspace:
         pivots = set(self.pivots)
         rows = {c: {c: one} for c in range(self.ambient_dim)
                 if c not in pivots}
-        for q in sorted(self._rows, reverse=True):
-            for k, x in self._rows[q].items():
+        for q, tail in self._rows.items():
+            for k, x in tail.items():
                 rows[last - k][last - q] = -x
         return list(rows.values())
 
@@ -497,17 +516,18 @@ class Subspace:
     def image_conjlinear(self, fn) -> "Subspace":
         # The image of a subspace under a conjugate-linear bijection is the
         # span of the images of any basis.
-        return Subspace.from_vectors([fn(v) for v in self.basis],
-                                     self.ambient_dim)
+        return span_of([fn(v) for v in self.vectors], self.ambient_dim)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise InputError("ambient dimension mismatch")
 
     def to_json(self):
+        n = self.ambient_dim
         return {
-            "ambient_dim": self.ambient_dim,
-            "basis": [[x.to_json() for x in row] for row in self.basis],
+            "ambient_dim": n,
+            "basis": [[x.to_json() for x in dense_row(v, n, order)]
+                      for v, order in zip(self.vectors, self.orders)],
         }
 
 
@@ -551,13 +571,14 @@ class KernelSolver:
         return out
 
     def subspace(self) -> Subspace:
+        """The kernel, its rows of order 1."""
+        last, one = self.n - 1, Scalar.one()
         vectors = self.vectors()
-        sub = Subspace(self.n, [dense(v, self.n) for v in vectors.values()],
-                       list(vectors))
-        last = self.n - 1
-        sub._rows = {last - f: {last - k: x for k, x in v.items() if k != f}
-                     for f, v in vectors.items()}
-        return sub
+        return Subspace(self.n,
+                        {last - f: {last - k: x for k, x in v.items()
+                                    if k != f}
+                         for f, v in vectors.items()},
+                        {last - f: one for f in vectors})
 
 
 class SpanBuilder:
@@ -612,19 +633,9 @@ class SpanBuilder:
         return kept
 
     def subspace(self) -> Subspace:
-        last = self.n - 1
-        basis, pivots = [], []
-        for p in sorted(self.rows, reverse=True):
-            order = self.orders[p]
-            row = [Scalar.zero(order)] * self.n
-            row[last - p] = Scalar.one(order)
-            for k, c in self.rows[p].items():
-                row[last - k] = c
-            basis.append(row)
-            pivots.append(last - p)
-        sub = Subspace(self.n, basis, pivots)
-        sub._rows = {p: dict(tail) for p, tail in self.rows.items()}
-        return sub
+        keys = sorted(self.rows, reverse=True)
+        return Subspace(self.n, {p: dict(self.rows[p]) for p in keys},
+                        {p: Scalar.one(self.orders[p]) for p in keys})
 
 
 # -- linear systems ----------------------------------------------------------

@@ -42,7 +42,6 @@ from .hopf import HopfStarAlgebra, StarCoalgebra
 from .linalg import (
     Mat,
     Subspace,
-    Vec,
     collect,
     kernel_of,
     kron,
@@ -220,7 +219,7 @@ def fixing_span(A: StarAlgebra, B: StarAlgebra,
     i dim B + o.
     """
     na, nb = A.dim, B.dim
-    basis = [sparse(b) for b in fixed.basis]
+    basis = fixed.vectors
     if nb != na:
         raise InputError("default fixing map needs B = A")
 
@@ -252,8 +251,7 @@ def star_compat_rows(C: StarCoalgebra, ms: Multispan, A: StarAlgebra,
         for h, row in enumerate(ms.carrier_rows):
             for t, v in row.items():
                 yield t, h, v
-            op = _columns(sparse_comb(ms.carrier_rows,
-                                      sparse(C.star_row(h))), na)
+            op = _columns(sparse_comb(ms.carrier_rows, C.star_row(h)), na)
             for i in range(na):
                 col = collect((o, f * x) for j, x in a_star[i].items()
                               for o, f in op.get(j, {}).items())
@@ -272,7 +270,7 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
                          log: list | None = None) -> Subspace:
     """The largest subspace D of W with Delta(D) in D (x) D, sigma(D) in D.
 
-    stabilizers are maps Vec -> Vec, linear or marked conjugate linear
+    stabilizers are maps of sparse vectors, linear or marked conjugate linear
     (linalg.conjugate_linear).  V_{k+1} = {x in V_k : Delta x in V_k (x) V_k,
     sigma x in V_k} is a kernel (kernel_of) in the coordinates c of
     x = sum c_j b_j on the RREF basis of V_k, with one row per annihilator
@@ -290,7 +288,7 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
 
     def entries(V: Subspace):
         pivots = set(V.pivots)
-        for j, b in enumerate(V.basis):
+        for j, b in enumerate(V.vectors):
             slices: dict = {}
             for (p, q), v in C.comult_vec(b).items():
                 slices.setdefault(("left", q), {})[p] = v
@@ -311,9 +309,8 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
         coeffs = kernel_of(entries(current), current.dim)
         if coeffs.dim == current.dim:
             return current
-        basis = [sparse(b) for b in current.basis]
-        current = span_of((sparse_comb(basis, sparse(c))
-                           for c in coeffs.basis), C.dim)
+        current = span_of((sparse_comb(current.vectors, c)
+                           for c in coeffs.vectors), C.dim)
 
 
 def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:
@@ -324,11 +321,11 @@ def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:
     by a route that production does not use.
     """
     n = C.dim
-    basis = [sparse(b) for b in D.basis]
+    basis = D.vectors
     square = span_of((kron(u, v, n) for u in basis for v in basis), n * n)
     return all(square.contains({j * n + k: c for (j, k), c
                                 in C.comult_vec(b).items()})
-               for b in D.basis)
+               for b in basis)
 
 
 def subcoalgebra_report(C: StarCoalgebra, D: Subspace,
@@ -338,7 +335,7 @@ def subcoalgebra_report(C: StarCoalgebra, D: Subspace,
     rep.add("comultiplication_closed", _tensor_square_closed(C, D))
     for idx, sigma in enumerate(stabilizers or []):
         rep.add(f"stabilizer_{idx}_closed",
-                all(D.contains(sigma(v)) for v in D.basis))
+                all(D.contains(sigma(v)) for v in D.vectors))
     return rep
 
 
@@ -350,7 +347,7 @@ class MeasuringResult:
     subspace: Subspace
     constraint: Subspace
     coalgebra: StarCoalgebra | None
-    inclusion: list[Vec]
+    inclusion: list[dict]
     report: Report
     log: list[int]
 
@@ -379,8 +376,8 @@ def universal_measuring_within(C: StarCoalgebra, A: StarAlgebra,
     rep.merge(subcoalgebra_report(C, D, [C.star_vec]), prefix="closure:")
     rep.add("inside_constraints", W.contains_subspace(D))
     # re-validate that the result measures, straight from the definitions
-    ok = not any(_span_value(C, ms, span, sparse(v))
-                 for v in D.basis for span in ms.spans)
+    ok = not any(_span_value(C, ms, span, v)
+                 for v in D.vectors for span in ms.spans)
     rep.add("measures", ok)
     coalg, inclusion = (None, [])
     if D.dim:
@@ -401,12 +398,12 @@ def reify_coalgebra(C: StarCoalgebra, D: Subspace):
     D's basis b_i is in RREF with pivots p_i, so if Delta(v) lies in
     D (x) D its coefficient on b_i (x) b_j is the entry of Delta(v) at
     (p_i, p_j).  Rebuilding Delta(v) from those entries is the exact check.
+    The inclusion returned is the basis, as sparse vectors.
     """
-    k = D.dim
     where = {p: i for i, p in enumerate(D.pivots)}
-    supports = [sparse(b) for b in D.basis]
+    supports = D.vectors
     comult = []
-    for v in D.basis:
+    for v in supports:
         delta = C.comult_vec(v)
         plane = {(where[p], where[q]): c for (p, q), c in delta.items()
                  if p in where and q in where}
@@ -417,12 +414,9 @@ def reify_coalgebra(C: StarCoalgebra, D: Subspace):
         if rebuilt != delta:
             raise InputError("not a subcoalgebra")
         comult.append(plane)
-    counit = [C.counit_of(v) for v in D.basis]
-    star = []
-    for v in D.basis:
-        sv = C.star_vec(v)
-        star.append(D.coordinates(sv))
-    return StarCoalgebra(k, comult, counit, star), [list(b) for b in D.basis]
+    counit = [C.counit_of(v) for v in supports]
+    star = [D.coordinates(C.star_vec(v)) for v in supports]
+    return StarCoalgebra(D.dim, comult, counit, star), supports
 
 
 # -- Hopf *-subalgebras and centralizers ---------------------------------------------
@@ -444,7 +438,7 @@ def largest_hopf_star_subalgebra(Q: HopfStarAlgebra, W: Subspace,
         stabilizers=[Q.antipode_vec, Q.algebra.star_vec],
         log=log,
     )
-    result = generated_subalgebra(list(d0.basis), Q.algebra)
+    result = generated_subalgebra(d0.vectors, Q.algebra)
     if not W.contains_subspace(result):
         raise InputError("generation escaped W; W is not closed")
     return result
@@ -458,12 +452,12 @@ def hopf_subalgebra_report(Q: HopfStarAlgebra, S: Subspace) -> Report:
     """
     rep = Report("hopf *-subalgebra certificate")
     rep.add("comultiplication_closed", _tensor_square_closed(Q.coalgebra, S))
+    basis = S.vectors
     rep.add("antipode_closed",
-            all(S.contains(Q.antipode_vec(v)) for v in S.basis))
-    rep.add("star_closed", all(S.contains(Q.star_vec(v)) for v in S.basis))
+            all(S.contains(Q.antipode_vec(v)) for v in basis))
+    rep.add("star_closed", all(S.contains(Q.star_vec(v)) for v in basis))
     rep.add("multiplicatively_closed",
-            all(S.contains(Q.mul_vec(u, v))
-                for u in S.basis for v in S.basis))
+            all(S.contains(Q.mul_vec(u, v)) for u in basis for v in basis))
     rep.add("unital", S.contains(Q.unit))
     return rep
 
@@ -483,6 +477,6 @@ def reify_hopf_subalgebra(Q: HopfStarAlgebra, S: Subspace,
 
     alg, inclusion = reify(Q.algebra, S, name=name)
     coalg, _ = reify_coalgebra(Q.coalgebra, S)
-    antipode = [S.coordinates(Q.antipode_vec(b)) for b in S.basis]
+    antipode = [S.coordinates(Q.antipode_vec(b)) for b in S.vectors]
     return HopfStarAlgebra(alg, coalg.comult, coalg.counit, antipode,
                            name=name)

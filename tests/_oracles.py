@@ -56,15 +56,13 @@ from hopfgal.linalg import (
     Subspace,
     Vec,
     Mat,
-    dense,
+    dense_row,
     identity_matrix,
     kernel_of,
     mat_inverse,
     mat_mul,
     sparse,
     unit_vec,
-    vec_is_zero,
-    vscale,
     vzero,
 )
 from hopfgal.report import Report
@@ -75,14 +73,58 @@ def flatten_matrix(X: list) -> list:
     return [x for row in X for x in row]
 
 
+# -- dense vectors ---------------------------------------------------------------
+#
+# The vector methods of the package take and return sparse vectors, and a
+# Subspace holds sparse echelon rows.  Most oracles and tests hold dense
+# vectors; these write a method's value as the dense row it stands for,
+# with zeros of order 1, and a Subspace's basis as the rows it emits.
+
+
+def basis_rows(S: Subspace) -> list:
+    """The RREF basis of S as dense rows, each at its own order."""
+    return [dense_row(v, S.ambient_dim, order)
+            for v, order in zip(S.vectors, S.orders)]
+
+
+def dmul(A, x: Vec, y: Vec) -> Vec:
+    """x y for dense x and y, through A.mul_vec."""
+    return dense_row(A.mul_vec(sparse(x), sparse(y)), A.dim)
+
+
+def dstar(A, x: Vec) -> Vec:
+    """x* for a dense x, through A.star_vec."""
+    return dense_row(A.star_vec(sparse(x)), A.dim)
+
+
+def dantipode(H, x: Vec) -> Vec:
+    """S(x) for a dense x, through H.antipode_vec."""
+    return dense_row(H.antipode_vec(sparse(x)), H.dim)
+
+
+def dapply(action: ModuleAlgebraAction, h: Vec, a: Vec) -> Vec:
+    """h . a for dense h and a, through action.apply."""
+    return dense_row(action.apply(sparse(h), sparse(a)),
+                     action.alg.dim)
+
+
+def dense_map(sigma, n: int):
+    """A map of sparse vectors of k^n (a stabilizer) on dense vectors,
+    marked conjugate linear with sigma."""
+    def f(v):
+        return dense_row(sigma(sparse(v)), n)
+    f.conjugate_linear = getattr(sigma, "conjugate_linear", False)
+    return f
+
+
 def embed_A_vec(sp: SmashProduct, x: Vec) -> Vec:
     """x x| 1 as a dense vector of the smash product."""
-    return dense(sp.a_leg(sparse(x)), sp.total.dim)
+    return dense_row(sp.a_leg(sparse(x)), sp.total.dim)
 
 
 def embed_H_vec(sp: SmashProduct, x: Vec) -> Vec:
     """1 x| x as a dense vector of the smash product."""
-    return dense(sp.h_leg(sparse(x)), sp.total.dim)
+    return dense_row(sp.h_leg(sparse(x)), sp.total.dim)
 
 
 def dft_mat2_in_mat4():
@@ -261,7 +303,7 @@ def dense_multiplication_span(A: StarAlgebra,
             col_f = [F[o][a] for o in range(nb)]
             for ap in range(na):
                 col_g = [G[o][ap] for o in range(nb)]
-                for o, val in enumerate(B.mul_vec(col_f, col_g)):
+                for o, val in enumerate(dmul(B, col_f, col_g)):
                     if val:
                         out[o * na * na + a * na + ap] = val
         return out
@@ -277,7 +319,7 @@ def dense_multiplication_span(A: StarAlgebra,
                             t = o * na * na + a * na + ap
                             out[t] = out[t] + m * F[o][k] if t in out \
                                 else m * F[o][k]
-        return dense({t: v for t, v in out.items() if v}, target)
+        return dense_row({t: v for t, v in out.items() if v}, target)
 
     return DenseSpanConstraint((2, 1), left, right)
 
@@ -297,10 +339,10 @@ def dense_fixing_span(A: StarAlgebra,
 
     def left(legs):
         (F,) = (_as_operator(v, n, n) for v in legs)
-        return [x for b in fixed.basis for x in mat_vec(F, list(b))]
+        return [x for b in basis_rows(fixed) for x in mat_vec(F, b)]
 
     return DenseSpanConstraint((1, 0), left,
-                     lambda legs: [x for b in fixed.basis for x in b])
+                     lambda legs: [x for b in basis_rows(fixed) for x in b])
 
 
 def dense_iterated_comult(C: StarCoalgebra, x: Vec, legs: int) -> dict:
@@ -355,9 +397,9 @@ def oracle_star_compat_rows(C: StarCoalgebra, carrier: list,
     na, nb = A.dim, B.dim
     twisted = []
     for h in range(C.dim):
-        op = _as_operator(dense_psi(carrier, C.star_vec(unit_vec(C.dim, h))),
+        op = _as_operator(dense_psi(carrier, dstar(C, unit_vec(C.dim, h))),
                           nb, na)
-        cols = [B.star_vec(mat_vec(op, A.star_vec(unit_vec(na, i))))
+        cols = [dstar(B, mat_vec(op, dstar(A, unit_vec(na, i))))
                 for i in range(na)]
         twisted.append([cols[i][o] for o in range(nb) for i in range(na)])
     rows = []
@@ -375,11 +417,12 @@ def oracle_star_compat_rows(C: StarCoalgebra, carrier: list,
 def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
                                 stabilizers=()) -> Subspace:
     """Decreasing iteration with Delta^2-middle-leg membership."""
+    stabilizers = [dense_map(sigma, C.dim) for sigma in stabilizers]
     current = W
     while True:
         if current.dim == 0:
             return current
-        basis = current.basis
+        basis = basis_rows(current)
         solver = KernelSolver(len(basis))
         # the middle leg of x = sum c_j b_j at (i, k) is sum c_j of the
         # middle legs of the b_j there, and it must lie in current
@@ -406,7 +449,7 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
         if coeffs.dim == len(basis):
             return current
         vectors = []
-        for cvec in coeffs.basis:
+        for cvec in basis_rows(coeffs):
             out = vzero(C.dim)
             for c, b in zip(cvec, basis):
                 if c:
@@ -415,8 +458,10 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
         current = Subspace.from_vectors(vectors, C.dim)
 
 
-def stabilized_closure(C: StarCoalgebra, gens, stabilizers=()) -> Subspace:
+def stabilized_closure(C: StarCoalgebra, gens,
+                       stabilizers=()) -> "DenseBasis":
     """Smallest stabilized subcoalgebra containing the generators."""
+    stabilizers = [dense_map(sigma, C.dim) for sigma in stabilizers]
     builder = DenseSpan(C.dim)
     work = []
     for g in gens:
@@ -455,31 +500,60 @@ def _dense_rref(mat: list, n: int) -> tuple[list, list[int]]:
     return mat[:len(pivots)], pivots
 
 
-def _residue(V: Subspace, v: list) -> list:
-    """v minus its component in V along the RREF basis (zero iff v in V)."""
+def _residue(V, v: list) -> list:
+    """v minus its component in V (a Subspace or a DenseBasis) along the
+    RREF basis (zero iff v in V)."""
     out = list(v)
-    for b, p in zip(V.basis, V.pivots):
+    rows = V.rows if isinstance(V, DenseBasis) else basis_rows(V)
+    for b, p in zip(rows, V.pivots):
         c = v[p]
         if c:
             out = [x - c * y if y else x for x, y in zip(out, b)]
     return out
 
 
+class DenseBasis:
+    """A canonical RREF basis held as dense rows.
+
+    It equals a Subspace whose written rows (basis_rows) and pivots are
+    its own, so an oracle compares with production without building a
+    Subspace.
+    """
+
+    def __init__(self, n: int, rows: list, pivots: list):
+        self.ambient_dim, self.rows, self.pivots = n, rows, pivots
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def contains(self, v) -> bool:
+        return not any(_residue(self, v))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Subspace):
+            other = DenseBasis(other.ambient_dim, basis_rows(other),
+                               other.pivots)
+        if not isinstance(other, DenseBasis):
+            return NotImplemented
+        return ((self.ambient_dim, self.rows, self.pivots)
+                == (other.ambient_dim, other.rows, other.pivots))
+
+
 class DenseSpan:
     """Row space kept in dense RREF, re-eliminated on every new row."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.sub = Subspace(n, [], [])
+        self.sub = DenseBasis(n, [], [])
 
     def insert(self, v) -> bool:
-        if not any(_residue(self.sub, v)):
+        if self.sub.contains(v):
             return False
-        rows, pivots = _dense_rref(self.sub.basis + [list(v)], self.n)
-        self.sub = Subspace(self.n, rows, pivots)
+        n = self.sub.ambient_dim
+        self.sub = DenseBasis(n, *_dense_rref(self.sub.rows + [list(v)], n))
         return True
 
-    def subspace(self) -> Subspace:
+    def subspace(self) -> DenseBasis:
         return self.sub
 
 
@@ -516,7 +590,7 @@ def oracle_gram_adjoint(X: list, G: list) -> list:
     return mat_mul(oracle_inverse(G), mat_mul(xct, G))
 
 
-def oracle_operator_algebra_span(gens: list, n: int) -> Subspace:
+def oracle_operator_algebra_span(gens: list, n: int) -> DenseBasis:
     """Closure multiplying each new element by every member, both sides."""
     builder = DenseSpan(n * n)
     members: list = []
@@ -540,7 +614,7 @@ def oracle_operator_algebra_span(gens: list, n: int) -> Subspace:
 
 
 def oracle_generated_subalgebra(gens: list, B,
-                                with_star: bool = True) -> Subspace:
+                                with_star: bool = True) -> DenseBasis:
     """Unital (*-)closure multiplying each new element by every member."""
     builder = DenseSpan(B.dim)
     members: list = []
@@ -554,17 +628,17 @@ def oracle_generated_subalgebra(gens: list, B,
     push(B.unit)
     fresh = []
     for g in gens:
-        for v in (g, B.star_vec(g)) if with_star else (g,):
+        for v in (g, dstar(B, g)) if with_star else (g,):
             if push(v):
                 fresh.append(v)
     while fresh:
         batch, fresh = fresh, []
         for x in batch:
-            sx = B.star_vec(x) if with_star else x
+            sx = dstar(B, x) if with_star else x
             if push(sx):
                 fresh.append(sx)
             for y in list(members):
-                for p in (B.mul_vec(x, y), B.mul_vec(y, x)):
+                for p in (dmul(B, x, y), dmul(B, y, x)):
                     if push(p):
                         fresh.append(p)
     return builder.subspace()
@@ -639,7 +713,7 @@ def random_coalgebra(rng) -> StarCoalgebra:
     for i in range(n):
         x = [Pinv[r][i] for r in range(n)]
         plane = {}
-        for (j, k), v in base.comult_vec(x).items():
+        for (j, k), v in base.comult_vec(sparse(x)).items():
             for a in range(n):
                 if P[a][j]:
                     for b in range(n):
@@ -652,10 +726,10 @@ def random_coalgebra(rng) -> StarCoalgebra:
     counit = []
     for i in range(n):
         x = [Pinv[r][i] for r in range(n)]
-        counit.append(base.counit_of(x))
+        counit.append(base.counit_of(sparse(x)))
 
     def star_fn(y):
-        inner = base.star_vec(mat_vec(Pinv, y))
+        inner = dstar(base, mat_vec(Pinv, y))
         return mat_vec(P, inner)
 
     star = [star_fn(unit_vec(n, i, 4)) for i in range(n)]
@@ -692,9 +766,9 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
             for k, v in H.algebra.mult[g][h].items():
                 prod[k] = prod[k] + v
             for a in range(na):
-                lhs = action.apply(prod, unit_vec(na, a))
-                inner = action.apply(unit_vec(nh, h), unit_vec(na, a))
-                rhs = action.apply(unit_vec(nh, g), inner)
+                lhs = dapply(action, prod, unit_vec(na, a))
+                inner = dapply(action, unit_vec(nh, h), unit_vec(na, a))
+                rhs = dapply(action, unit_vec(nh, g), inner)
                 if lhs != rhs:
                     witness = (g, h, a)
                     break
@@ -706,7 +780,7 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
 
     witness = None
     for a in range(na):
-        if action.apply(H.unit, unit_vec(na, a)) != unit_vec(na, a):
+        if dapply(action, H.unit, unit_vec(na, a)) != unit_vec(na, a):
             witness = a
             break
     rep.add("unit_acts_trivially", witness is None, witness)
@@ -718,13 +792,13 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
                 prod = vzero(na)
                 for k, v in A.mult[a][b].items():
                     prod[k] = prod[k] + v
-                lhs = action.apply(unit_vec(nh, h), prod)
+                lhs = dapply(action, unit_vec(nh, h), prod)
                 rhs = vzero(na)
                 for (h1, h2), v in H.comult[h].items():
-                    left = action.apply(unit_vec(nh, h1), unit_vec(na, a))
-                    right = action.apply(unit_vec(nh, h2), unit_vec(na, b))
+                    left = dapply(action, unit_vec(nh, h1), unit_vec(na, a))
+                    right = dapply(action, unit_vec(nh, h2), unit_vec(na, b))
                     rhs = [x + v * y if y else x
-                           for x, y in zip(rhs, A.mul_vec(left, right))]
+                           for x, y in zip(rhs, dmul(A, left, right))]
                 if lhs != rhs:
                     witness = (h, a, b)
                     break
@@ -736,8 +810,9 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
 
     witness = None
     for h in range(nh):
-        img = action.apply(unit_vec(nh, h), A.unit)
-        target = vscale(H.counit_of(unit_vec(nh, h)), A.unit)
+        img = dapply(action, unit_vec(nh, h), A.unit)
+        eps = H.counit_of({h: Scalar.one()})
+        target = [eps * x for x in A.unit]
         if img != target:
             witness = h
             break
@@ -745,10 +820,10 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
 
     witness = None
     for h in range(nh):
-        sh_star = H.star_vec(H.antipode_vec(unit_vec(nh, h)))
+        sh_star = dstar(H, dantipode(H, unit_vec(nh, h)))
         for a in range(na):
-            lhs = A.star_vec(action.apply(unit_vec(nh, h), unit_vec(na, a)))
-            rhs = action.apply(sh_star, A.star_vec(unit_vec(na, a)))
+            lhs = dstar(A, dapply(action, unit_vec(nh, h), unit_vec(na, a)))
+            rhs = dapply(action, sh_star, dstar(A, unit_vec(na, a)))
             if lhs != rhs:
                 witness = (h, a)
                 break
@@ -815,19 +890,19 @@ def oracle_validate_pairing(P: HopfPairing) -> Report:
     rep.add("multiplicative_right", witness is None, witness)
 
     ok = all(_dense_pair(P, Q.unit, unit_vec(n_h, c))
-             == H.counit_of(unit_vec(n_h, c)) for c in range(n_h))
+             == H.counit_of({c: Scalar.one()}) for c in range(n_h))
     rep.add("unit_pairs_to_counit", ok)
     ok = all(_dense_pair(P, unit_vec(n_q, a), H.unit)
-             == Q.counit_of(unit_vec(n_q, a)) for a in range(n_q))
+             == Q.counit_of({a: Scalar.one()}) for a in range(n_q))
     rep.add("counit_pairs_to_unit", ok)
 
     witness = None
     for a in range(n_q):
         for c in range(n_h):
-            lhs = _dense_pair(P, Q.antipode_vec(unit_vec(n_q, a)),
+            lhs = _dense_pair(P, dantipode(Q, unit_vec(n_q, a)),
                               unit_vec(n_h, c))
             rhs = _dense_pair(P, unit_vec(n_q, a),
-                              H.antipode_vec(unit_vec(n_h, c)))
+                              dantipode(H, unit_vec(n_h, c)))
             if lhs != rhs:
                 witness = (a, c)
                 break
@@ -838,11 +913,11 @@ def oracle_validate_pairing(P: HopfPairing) -> Report:
     witness = None
     for a in range(n_q):
         for c in range(n_h):
-            lhs = _dense_pair(P, Q.star_vec(unit_vec(n_q, a)),
+            lhs = _dense_pair(P, dstar(Q, unit_vec(n_q, a)),
                               unit_vec(n_h, c))
             rhs = _dense_pair(
                 P, unit_vec(n_q, a),
-                H.star_vec(H.antipode_vec(unit_vec(n_h, c)))).conj()
+                dstar(H, dantipode(H, unit_vec(n_h, c)))).conj()
             if lhs != rhs:
                 witness = (a, c)
                 break
@@ -876,14 +951,14 @@ def oracle_validate_algebra(A: StarAlgebra) -> Report:
     witness = None
     for j in range(n):
         ej = unit_vec(n, j)
-        if A.mul_vec(A.unit, ej) != ej or A.mul_vec(ej, A.unit) != ej:
+        if dmul(A, A.unit, ej) != ej or dmul(A, ej, A.unit) != ej:
             witness = j
             break
     rep.add("unit", witness is None, witness)
 
     witness = None
     for i in range(n):
-        twice = A.star_vec(A.star_vec(unit_vec(n, i)))
+        twice = dstar(A, dstar(A, unit_vec(n, i)))
         if twice != unit_vec(n, i):
             witness = i
             break
@@ -892,9 +967,9 @@ def oracle_validate_algebra(A: StarAlgebra) -> Report:
     witness = None
     for i in range(n):
         for j in range(n):
-            lhs = A.star_vec([_dense_get(A.mult[i][j], k, n) for k in range(n)])
-            rhs = A.mul_vec(A.star_vec(unit_vec(n, j)),
-                            A.star_vec(unit_vec(n, i)))
+            lhs = dstar(A, [_dense_get(A.mult[i][j], k, n) for k in range(n)])
+            rhs = dmul(A, dstar(A, unit_vec(n, j)),
+                       dstar(A, unit_vec(n, i)))
             if lhs != rhs:
                 witness = (i, j)
                 break
@@ -904,7 +979,8 @@ def oracle_validate_algebra(A: StarAlgebra) -> Report:
 
     if A.state is not None:
         st = analyze_state(A)
-        rep.add("state_normalized", A.apply_state(A.unit) == Scalar.one())
+        rep.add("state_normalized",
+                A.apply_state(sparse(A.unit)) == Scalar.one())
         rep.add("state_hermitian", st.hermitian)
         rep.add("state_tracial", st.tracial)
         rep.add("state_faithful_exact", st.faithful)
@@ -951,7 +1027,7 @@ def report_summary(rep: Report) -> tuple:
                        for c in rep.checks]
 
 
-def oracle_matrix_commutant(gens: list, n: int) -> Subspace:
+def oracle_matrix_commutant(gens: list, n: int) -> DenseBasis:
     """{X : X A = A X for every dense A}, flattened, by dense elimination."""
     zero = Scalar.zero()
     rows = []
@@ -965,11 +1041,10 @@ def oracle_matrix_commutant(gens: list, n: int) -> Subspace:
                     row[k * n + j] = row.get(k * n + j, zero) - A[i][k]
                 if any(row.values()):
                     rows.append(row)
-    basis, pivots = oracle_kernel(rows, n * n)
-    return Subspace(n * n, basis, pivots)
+    return DenseBasis(n * n, *oracle_kernel(rows, n * n))
 
 
-def oracle_bimodule_endos(sp: SmashProduct) -> Subspace:
+def oracle_bimodule_endos(sp: SmashProduct) -> DenseBasis:
     """A-bimodule endomorphisms of A x| H as a commutant in End(total)."""
     total, na, nt = sp.total, sp.dim_A, sp.total.dim
     emb = [embed_A_vec(sp, unit_vec(na, a)) for a in range(na)]
@@ -1026,9 +1101,8 @@ def oracle_endo_from_functional(sp: SmashProduct, psi_rows: list) -> list:
             img = vzero(nt)
             for (h1, h2), v in H.comult[h].items():
                 base = embed_A_vec(sp, unit_vec(na, a))
-                left = total.mul_vec(base,
-                                     embed_H_vec(sp, unit_vec(nh, h1)))
-                term = total.mul_vec(left, psi_rows[h2])
+                left = dmul(total, base, embed_H_vec(sp, unit_vec(nh, h1)))
+                term = dmul(total, left, psi_rows[h2])
                 img = [x + v * y if y else x for x, y in zip(img, term)]
             cols.append(img)
     return [[cols[j][t] for j in range(nt)] for t in range(nt)]
@@ -1097,14 +1171,14 @@ def oracle_conditional_expectation(M: StarAlgebra, N: Subspace) -> Mat:
         raise InputError("conditional expectation needs a state")
     if not is_unital_star_subalgebra(N, M):
         raise InputError("not a subalgebra")
-    basis = N.basis
+    basis = basis_rows(N)
     k = len(basis)
-    stars = [M.star_vec(b) for b in basis]
+    stars = [dstar(M, b) for b in basis]
     gram = []
     for i in range(k):
         row = []
         for j in range(k):
-            row.append(M.apply_state(M.mul_vec(stars[j], basis[i])))
+            row.append(M.apply_state(sparse(dmul(M, stars[j], basis[i]))))
         gram.append(row)
     try:
         gram_inv = mat_inverse([[gram[j][i] for j in range(k)]
@@ -1115,7 +1189,8 @@ def oracle_conditional_expectation(M: StarAlgebra, N: Subspace) -> Mat:
     cols = []
     for x_idx in range(M.dim):
         x = unit_vec(M.dim, x_idx)
-        rhs = [M.apply_state(M.mul_vec(stars[i], x)) for i in range(k)]
+        rhs = [M.apply_state(sparse(dmul(M, stars[i], x)))
+               for i in range(k)]
         coeffs = mat_vec(gram_inv, rhs)
         col = vzero(M.dim)
         for c, b in zip(coeffs, basis):
@@ -1130,18 +1205,19 @@ def expectation_report(M: StarAlgebra, N: Subspace, E: Mat) -> Report:
     rep = Report("conditional expectation")
     n = M.dim
     rep.add("idempotent", mat_mul(E, E) == E)
+    basis = basis_rows(N)
     ok = True
-    for b in N.basis:
-        if not vec_is_zero(vsub(mat_vec(E, b), b)):
+    for b in basis:
+        if any(vsub(mat_vec(E, b), b)):
             ok = False
     rep.add("fixes_subalgebra", ok)
     ok = True
-    for a in N.basis:
-        for b in N.basis:
+    for a in basis:
+        for b in basis:
             for x_idx in range(n):
                 x = unit_vec(n, x_idx)
-                lhs = mat_vec(E, M.mul_vec(a, M.mul_vec(x, b)))
-                rhs = M.mul_vec(a, M.mul_vec(mat_vec(E, x), b))
+                lhs = mat_vec(E, dmul(M, a, dmul(M, x, b)))
+                rhs = dmul(M, a, dmul(M, mat_vec(E, x), b))
                 if lhs != rhs:
                     ok = False
                     break
@@ -1151,14 +1227,14 @@ def expectation_report(M: StarAlgebra, N: Subspace, E: Mat) -> Report:
             break
     rep.add("bimodular", ok)
     ok = all(
-        M.apply_state(mat_vec(E, unit_vec(n, i)))
-        == M.apply_state(unit_vec(n, i))
+        M.apply_state(sparse(mat_vec(E, unit_vec(n, i))))
+        == M.apply_state({i: Scalar.one()})
         for i in range(n)
     )
     rep.add("state_preserving", ok)
     ok = all(
-        mat_vec(E, M.star_vec(unit_vec(n, i)))
-        == M.star_vec(mat_vec(E, unit_vec(n, i)))
+        mat_vec(E, dstar(M, unit_vec(n, i)))
+        == dstar(M, mat_vec(E, unit_vec(n, i)))
         for i in range(n)
     )
     rep.add("star_preserving", ok)

@@ -47,7 +47,7 @@ from hopfgal.fixtures import (
 from hopfgal.hopf import group_algebra, haar
 from hopfgal.linalg import (
     Subspace,
-    dense,
+    dense_row,
     op_dense,
     sparse,
     unit_vec,
@@ -269,13 +269,11 @@ def _right_embed(j, db):
 
 def test_generated_subalgebra_star_closure():
     A = mat_algebra(2)
-    gen = unit_vec(4, 1)  # E01
+    gen = {1: Scalar.one()}  # E01
     sub = generated_subalgebra([gen], A)
     assert sub.dim == 4  # star closure forces all of Mat2
     assert generated_subalgebra([], A).dim == 1
-    diag_gen = vzero(4)
-    diag_gen[0] = Scalar.one()
-    diag_gen[3] = Scalar.from_int(-1)
+    diag_gen = {0: Scalar.one(), 3: Scalar.from_int(-1)}
     assert generated_subalgebra([diag_gen], A).dim == 2
 
 
@@ -295,7 +293,7 @@ def test_generated_subalgebra_matches_all_pairs_closure(which):
                 g[k] = (Scalar.from_int(rng.randint(-2, 2), 4)
                         + i * Scalar.from_int(rng.randint(-2, 2), 4))
             gens.append(g)
-        assert (generated_subalgebra(gens, B)
+        assert (generated_subalgebra(list(map(sparse, gens)), B)
                 == oracle_generated_subalgebra(gens, B))
 
 
@@ -312,7 +310,7 @@ def _generating_set_case(which):
         return group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).algebra, \
             Subspace.full(3)
     B = cs3().algebra
-    return B, generated_subalgebra([unit_vec(6, 4)], B)
+    return B, generated_subalgebra([{4: Scalar.one()}], B)
 
 
 @pytest.mark.parametrize("which", ["mat4", "dft-mat2-in-mat4", "c-in-mat3",
@@ -322,9 +320,9 @@ def test_generating_set_regenerates_the_subalgebra(which):
     # star, by the all-pairs closure
     B, S = _generating_set_case(which)
     gens = generating_set(S, B)
-    assert all(g in [sparse(b) for b in S.basis] for g in gens)
-    assert oracle_generated_subalgebra([dense(g, B.dim) for g in gens], B,
-                                       with_star=False) == S
+    assert all(g in S.vectors for g in gens)
+    assert oracle_generated_subalgebra([dense_row(g, B.dim) for g in gens],
+                                       B, with_star=False) == S
     if which == "mat4":
         assert len(gens) < S.dim
 
@@ -355,7 +353,7 @@ def test_conditional_expectation_onto_scalars():
     E = op_dense(conditional_expectation(A, N), 4)
     # E(x) = tau(x) 1
     for i in range(4):
-        expected = [A.apply_state(unit_vec(4, i)) * u for u in A.unit]
+        expected = [A.apply_state(sparse(unit_vec(4, i))) * u for u in A.unit]
         assert mat_vec(E, unit_vec(4, i)) == expected
     assert expectation_report(A, N, E).ok
 
@@ -386,9 +384,9 @@ def _expectation_cases():
     H = cs3()
     B = StarAlgebra(6, H.algebra.mult, H.unit, H.star, state=haar(H),
                     name="CS3")
-    yield "cs3-z2", B, generated_subalgebra(
-        [unit_vec(6, S3_TRANSPOSITION)], B)
-    yield "cs3-z3", B, generated_subalgebra([unit_vec(6, 4)], B)
+    one = Scalar.one()
+    yield "cs3-z2", B, generated_subalgebra([{S3_TRANSPOSITION: one}], B)
+    yield "cs3-z3", B, generated_subalgebra([{4: one}], B)
     yield "dft-mat2-in-mat4", *dft_mat2_in_mat4()
     yield "complex-pair-in-mat2", *complex_pair_in_mat2()
 
@@ -449,9 +447,9 @@ def test_gram_nonsingular():
 
 def test_generated_subalgebra_output_is_closed():
     A = mat_algebra(2)
-    sub = generated_subalgebra([unit_vec(4, 1)], A)
-    for u in sub.basis:
+    sub = generated_subalgebra([{1: Scalar.one()}], A)
+    for u in sub.vectors:
         assert sub.contains(A.star_vec(u))
-        for v in sub.basis:
+        for v in sub.vectors:
             assert sub.contains(A.mul_vec(u, v))
     assert sub.contains(A.unit)

@@ -56,7 +56,9 @@ from hopfgal.linalg import (
 from hopfgal.scalars import Scalar
 
 from _oracles import (
+    basis_rows,
     cyclic_diagonal_action,
+    dmul,
     embed_H_vec,
     oracle_bimodule_endos,
     oracle_dual_endo,
@@ -116,7 +118,7 @@ def _times_unit(sp, values):
 
 def test_endo_from_counit_functional_is_identity():
     sp = pauli_smash()
-    psi = _times_unit(sp, [sp.action.hopf.counit_of(unit_vec(4, h))
+    psi = _times_unit(sp, [sp.action.hopf.counit_of(sparse(unit_vec(4, h)))
                            for h in range(4)])
     endo = endo_from_functional(sp, psi)
     assert endo == {t: {t: Scalar.one()} for t in range(16)}
@@ -179,7 +181,7 @@ def test_dual_endo_and_functional_endo_match_dense_oracles(case):
     rows = []
     for _ in range(nh):
         row = [Scalar.zero()] * nt
-        for b in commutant.basis:
+        for b in basis_rows(commutant):
             c = scalar()
             row = [x + c * y for x, y in zip(row, b)]
         rows.append(row)
@@ -253,7 +255,7 @@ def test_extract_pairing_trivial_hopf():
         sp, triv, _trivial_action_raw(triv, sp.total)
     )
     assert rep.ok
-    eps = [sp.action.hopf.counit_of(unit_vec(4, h)) for h in range(4)]
+    eps = [sp.action.hopf.counit_of(sparse(unit_vec(4, h))) for h in range(4)]
     assert pairing.matrix == [eps]
 
 
@@ -269,8 +271,8 @@ def test_extract_pairing_rejects_non_fixing_action():
             if h == 0:
                 img = unit_vec(8, t)
             else:
-                img = sp.total.mul_vec(
-                    g_emb, sp.total.mul_vec(unit_vec(8, t), g_emb)
+                img = dmul(sp.total, 
+                    g_emb, dmul(sp.total, unit_vec(8, t), g_emb)
                 )
             plane.append({k: v for k, v in enumerate(img) if v})
         act.append(plane)
@@ -306,7 +308,7 @@ def test_universal_morphisms_unique():
     phi, _ = cert.universal_morphism(
         triv, _trivial_action_raw(triv, sp.total)
     )
-    assert phi == [[sp.action.hopf.counit_of(unit_vec(4, h))
+    assert phi == [[sp.action.hopf.counit_of(sparse(unit_vec(4, h)))
                     for h in range(4)]]
 
 

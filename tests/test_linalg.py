@@ -15,7 +15,7 @@ from hopfgal.linalg import (
     SpanBuilder,
     Subspace,
     collect,
-    dense,
+    dense_row,
     dot,
     identity_matrix,
     kernel_of,
@@ -40,6 +40,7 @@ from hopfgal.scalars import Scalar, _context
 from _oracles import (
     _dense_rref,
     _residue,
+    basis_rows,
     flatten_matrix,
     mat_vec,
     oracle_kernel,
@@ -63,7 +64,7 @@ def _solve(A, b):
     """preimages of one right-hand side b under the columns of A, dense."""
     cols = [sparse([row[j] for row in A]) for j in range(len(A[0]))]
     sol = preimages(cols, [sparse(b)])
-    return None if sol is None else dense(sol[0], len(cols))
+    return None if sol is None else dense_row(sol[0], len(cols))
 
 
 def test_solve_identity():
@@ -134,7 +135,7 @@ def test_kernel_solver_matches_matrix_kernel():
         A = sm([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
         ker = kernel_of(((i, j, x) for i, row in enumerate(A)
                          for j, x in enumerate(row)), n)
-        for v in ker.basis:
+        for v in basis_rows(ker):
             assert all(not x for x in mat_vec(A, v))
         rows, pivots = rref(A)
         assert ker.dim == n - len(pivots)
@@ -252,7 +253,7 @@ def test_contains_subspace_matches_per_vector_contains(order):
         for X in subspaces:
             for Y in subspaces:
                 verdict = X.contains_subspace(Y)
-                assert verdict == all(X.contains(v) for v in Y.basis)
+                assert verdict == all(X.contains(v) for v in Y.vectors)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
     with pytest.raises(InputError):
@@ -282,7 +283,7 @@ def test_kernel_solver_matches_dense_elimination(order):
         sub = ks.subspace()
         assert ks.dim == sub.dim == len(basis) == n - shrank
         assert sub.pivots == pivots
-        assert sub.basis == basis
+        assert basis_rows(sub) == basis
 
         # the same rows as dense vectors: their row space
         dense = [[r.get(j, Scalar.zero()) for j in range(n)] for r in rows]
@@ -295,7 +296,7 @@ def test_kernel_solver_matches_dense_elimination(order):
             assert builder.insert(v) == grew
         assert builder.dim == len(span_pivots)
         built = builder.subspace()
-        assert (built.basis, built.pivots) == (span_rows, span_pivots)
+        assert (basis_rows(built), built.pivots) == (span_rows, span_pivots)
         noise = [[_random_scalar(probe_rng, order) for _ in range(n)]
                  for _ in range(3)]
         for v in dense + noise + basis:
@@ -320,11 +321,11 @@ def test_subspace_residue_matches_dense_residue(order):
             solver.add_row(row)
         for sub in (span_of(rows, n), solver.subspace()):
             probes = [[_random_scalar(rng, order) for _ in range(n)]
-                      for _ in range(3)] + vectors + sub.basis
+                      for _ in range(3)] + vectors + basis_rows(sub)
             for v in probes:
                 want = _residue(sub, v)
-                assert dense(sub.residue(v), n) == want
-                assert dense(sub.residue(sparse(v)), n) == want
+                assert dense_row(sub.residue(v), n) == want
+                assert dense_row(sub.residue(sparse(v)), n) == want
                 assert all(want[p] == 0 for p in sub.pivots)
                 assert sub.contains(v) == (not any(want))
 
@@ -357,7 +358,7 @@ def test_kernel_of_matches_oracle_kernel(order):
         basis, pivots = oracle_kernel([rows[k] for k in sorted(rows)], n)
         sub = kernel_of(entries, n)
         assert sub.pivots == pivots
-        assert sub.basis == basis
+        assert basis_rows(sub) == basis
 
         # the rows are imposed in sorted key order, Scalar orders included
         ks = KernelSolver(n)
@@ -375,8 +376,8 @@ def test_kernel_of_imposes_rows_in_sorted_key_order():
     entries = [((1,), 0, one), ((1,), 1, one),
                ((0,), 0, one_i), ((0,), 1, one_i)]
     sub = kernel_of(entries, 2)
-    assert sub.basis == [[one, -one]]
-    assert [x.order for x in sub.basis[0]] == [1, 4]
+    assert basis_rows(sub) == [[one, -one]]
+    assert [x.order for x in basis_rows(sub)[0]] == [1, 4]
 
 
 def _modules_outside_linalg():
@@ -413,6 +414,32 @@ def test_closures_are_stated_through_close():
                  and _calls(fn, "insert")
                  and any(isinstance(node, ast.While)
                          for node in ast.walk(fn))]
+    assert offenders == []
+
+
+def test_vectors_are_made_dense_in_linalg_only():
+    # a sparse vector becomes a dense row through linalg.dense_row alone;
+    # no other module keeps a converter named dense
+    offenders = [f"{name}:{node.lineno}"
+                 for name, tree in _modules_outside_linalg()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "dense" for alias in node.names)]
+    offenders += [f"{name}:{node.lineno}"
+                  for name, tree in _modules_outside_linalg()
+                  for node in _calls(tree, "dense")]
+    assert offenders == []
+
+
+def test_no_module_reads_a_subspace_basis():
+    # a Subspace is its sparse echelon rows: its basis is read as
+    # vectors, and written densely by to_json alone
+    assert not hasattr(Subspace.full(2), "basis")
+    paths = [*Path(linalg.__file__).parent.glob("*.py"),
+             *Path(__file__).parent.glob("*.py")]
+    offenders = [f"{path.name}:{node.lineno}" for path in sorted(paths)
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "basis"]
     assert offenders == []
 
 
@@ -495,48 +522,117 @@ def _pin(v):
     return [(x, x.order) for x in v] if isinstance(v, list) else (v, v.order)
 
 
-def test_dense_adapters_keep_scalar_orders():
-    # certificates show Scalar orders, so the adapters must give what the
-    # hand-written loops gave: an entry whose order-4 terms cancel is an
-    # order-4 zero, an entry no term reaches is an order-1 zero
+def _pins(x: dict) -> dict:
+    """Each entry of a sparse vector as (value, cyclotomic order)."""
+    return {k: _pin(v) for k, v in x.items()}
+
+
+def test_vector_methods_keep_scalar_orders():
+    # certificates show Scalar orders, so the vector methods must give what
+    # the hand-written loops gave: an entry whose order-4 terms cancel is
+    # kept as an order-4 zero, an entry no term reaches is missing (an
+    # order-1 zero when written), and a zero entry of an argument is
+    # skipped like a missing one
     one, i = Scalar.one(4), Scalar.root_of_unity(4)
     z1, z4 = Scalar.zero(), Scalar.zero(4)
     H = sweedler4()   # basis 1, g, x, gx
     A = H.algebra
 
     # (g + x)(g + x) = 1 + gx - gx
-    gx = [z4, one, one, z4]
-    assert _pin(A.mul_vec(gx, gx)) == [(1, 4), (0, 1), (0, 1), (0, 4)]
+    gx = {0: z4, 1: one, 2: one, 3: z4}
+    out = A.mul_vec(gx, gx)
+    assert _pins(out) == {0: (1, 4), 3: (0, 4)}
+    assert _pin(dense_row(out, 4)) == [(1, 4), (0, 1), (0, 1), (0, 4)]
 
     # g* = g - x as a table, so (g + i x)* = g - x + (-i)(i x)
     B = sweedler4().algebra
     B.star[1] = [z4, one, -one, z4]
-    assert _pin(B.star_vec([z4, one, i, z4])) \
-        == [(0, 1), (1, 4), (0, 4), (0, 1)]
+    out = B.star_vec({0: z4, 1: one, 2: i, 3: z4})
+    assert _pins(out) == {1: (1, 4), 2: (0, 4)}
+    assert _pin(dense_row(out, 4)) == [(0, 1), (1, 4), (0, 4), (0, 1)]
 
     # the coalgebra involution is S(.)*, read from the antipode table at
     # each call: S(g) = g + gx gives (g + x)^dagger = g - i gx + i gx
     C = H.coalgebra
-    assert _pin(C.star_vec(gx)) == [(0, 1), (1, 4), (0, 1), (i, 4)]
+    assert _pins(C.star_vec(gx)) == {1: (1, 4), 3: (i, 4)}
     H.antipode[1] = [z4, one, z4, one]
-    assert _pin(C.star_vec(gx)) == [(0, 1), (1, 4), (0, 1), (0, 4)]
+    out = C.star_vec(gx)
+    assert _pins(out) == {1: (1, 4), 3: (0, 4)}
+    assert _pin(dense_row(out, 4)) == [(0, 1), (1, 4), (0, 1), (0, 4)]
+    assert _pins(C.star_row(1)) == {1: (1, 4), 3: (-i, 4)}
 
     # (1 + g) . y = y - y
     act = dual_number_action()
-    assert _pin(act.apply([one, one, z4, z4], [z4, one])) \
-        == [(0, 1), (0, 4)]
+    out = act.apply({0: one, 1: one, 2: z4, 3: z4}, {0: z4, 1: one})
+    assert _pins(out) == {1: (0, 4)}
+    assert _pin(dense_row(out, 2)) == [(0, 1), (0, 4)]
 
-    # counit(1 - g + x): the x term meets a zero counit and is skipped
-    assert _pin(H.counit_of([one, -one, one, z4])) == (0, 4)
-    assert _pin(H.counit_of([z4, z4, one, one])) == (0, 1)
+    # counit(1 - g + x): the x term meets a zero counit and is skipped;
+    # a zero entry of the argument is skipped too
+    assert _pin(H.counit_of({0: one, 1: -one, 2: one, 3: z4})) == (0, 4)
+    assert _pin(H.counit_of({0: z4, 1: z4, 2: one, 3: one})) == (0, 1)
     A.state = list(H.counit)
-    assert _pin(A.apply_state([one, -one, 5 * one, z4])) == (0, 4)
-    assert _pin(A.apply_state([z4, z4, one, z4])) == (0, 1)
+    assert _pin(A.apply_state({0: one, 1: -one, 2: 5 * one})) == (0, 4)
+    assert _pin(A.apply_state({0: z4, 2: one})) == (0, 1)
+    assert _pins(H.comult_vec({0: z4, 1: one})) == {(1, 1): (1, 4)}
+    assert _pins(H.antipode_vec({0: z4, 1: one})) == {1: (1, 4), 3: (1, 4)}
 
-    # a zero x_k is not skipped when v_k is not zero: it lifts the order
+    # a zero x_k is not skipped when v_k is not zero: it lifts the order,
+    # with v dense or sparse
     assert _pin(dot({0: z4}, [Scalar.one()])) == (0, 4)
+    assert _pin(dot({0: z4}, {0: Scalar.one()})) == (0, 4)
     assert _pin(dot({0: one, 1: i}, [z1, i])) == (-1, 4)
+    assert _pin(dot({0: one, 1: i}, {1: i})) == (-1, 4)
     assert _pin(dot({}, [one])) == (0, 1)
+
+
+def _written_orders(sub: Subspace) -> list:
+    return [[x["order"] for x in row] for row in sub.to_json()["basis"]]
+
+
+def test_rows_are_written_at_the_order_of_their_pivot():
+    # Scalar.__eq__ compares across orders, so every order is read off
+    one, one4, i = Scalar.one(), Scalar.one(4), Scalar.root_of_unity(4)
+    two, two4, three = Scalar.from_int(2), 2 * one4, Scalar.from_int(3)
+    # a span row is normalized at its leading entry and takes its order:
+    # order 1, order 4, and an order-1 lead with an order-4 tail
+    sub = span_of([{0: two, 1: Scalar.from_int(4)}, {2: two4, 3: i},
+                   {4: three, 5: i}], 6)
+    assert sub.pivots == [0, 2, 4] and sub.orders == [1, 4, 1]
+    assert _written_orders(sub) == [[1] * 6, [4] * 6, [1] * 5 + [4]]
+    assert [[x.order for x in v.values()] for v in sub.vectors] \
+        == [[1, 1], [4, 4], [1, 4]]
+    rows, pivots = rref([dense_row(v, 6) for v in sub.vectors])
+    assert pivots == [0, 2, 4]
+    assert [[x.order for x in row] for row in rows] == _written_orders(sub)
+
+    # an order-4 lead with an order-1 tail: the tail is lifted by 1/lead
+    mixed = span_of([[Scalar.zero(), two4, Scalar.zero(), three]], 4)
+    assert _written_orders(mixed) == [[4, 4, 4, 4]]
+    assert basis_rows(mixed) == [[0, 1, 0, Scalar.rational(3, 2)]]
+
+    # a kernel row is of order 1 whatever its tail
+    ker = kernel_of([(0, 0, one4), (0, 1, one4)], 3)
+    assert _written_orders(ker) == [[1, 4, 1], [1, 1, 1]]
+    assert basis_rows(ker) == [[one, -one, 0], [0, 0, one]]
+    assert ker.orders == [1, 1]
+
+    # rref of a lifted matrix: every row normalized at an order-4 entry
+    z4 = Scalar.zero(4)
+    rows, pivots = rref([[two4, 4 * one4, z4], [z4, z4, i],
+                         [two4, 4 * one4, i]])
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0], [0, 0, 1]]
+    assert [[x.order for x in row] for row in rows] == [[4] * 3, [4] * 3]
+    assert mat_inverse([[two4, z4], [z4, i]]) == [
+        [Scalar.rational(1, 2), 0], [0, -i]]
+    assert [x.order for row in mat_inverse([[two4, z4], [z4, i]])
+            for x in row] == [4] * 4
+
+    # the full space and a parsed, lifted subspace keep their order
+    assert _written_orders(Subspace.full(2)) == [[1, 1], [1, 1]]
+    assert _written_orders(Subspace.from_vectors([[one4, one4]], 2)) \
+        == [[4, 4]]
 
 
 def test_collect_and_op_trace_keep_scalar_orders():
@@ -605,7 +701,7 @@ def test_particular_solutions_match_one_solve_per_vector(order):
         rhs = [mat_vec(A, [_random_scalar(rng, order) if rng.random() < 0.6
                            else Scalar.zero() for _ in range(n)])
                for _ in range(rng.randint(0, 4))]
-        sols = [dense(x, n) for x in preimages(cols, map(sparse, rhs))]
+        sols = [dense_row(x, n) for x in preimages(cols, map(sparse, rhs))]
         assert sols == [_dense_solve(A, b, n) for b in rhs]
         assert [[x.to_json() for x in v if x] for v in sols] == [
             [x.to_json() for x in _dense_solve(A, b, n) if x] for b in rhs]
