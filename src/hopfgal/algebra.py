@@ -409,20 +409,10 @@ def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
 
 
 def is_unital_star_subalgebra(S: Subspace, B: StarAlgebra) -> bool:
-    if not S.contains(B.unit):
-        return False
-    for v in S.vectors:
-        if not S.contains(B.star_vec(v)):
-            return False
-    for v in S.vectors:
-        for w in S.vectors:
-            if not S.contains(B.mul_vec(v, w)):
-                return False
-    return True
-
-
-def is_star_closed(S: Subspace, B: StarAlgebra) -> bool:
-    return all(S.contains(B.star_vec(v)) for v in S.vectors)
+    basis = S.vectors
+    return (S.contains(B.unit)
+            and all(S.contains(B.star_vec(v)) for v in basis)
+            and all(S.contains(B.mul_vec(v, w)) for v in basis for w in basis))
 
 
 # -- conditional expectation --------------------------------------------------

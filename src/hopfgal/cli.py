@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .actions import (
@@ -88,6 +89,16 @@ def _doc(ws: Workspace, job: Fields, key: str, kinds: tuple | None = None):
     return ws.get(job.typed(key, str), kinds)
 
 
+@contextmanager
+def _refusing(name: str):
+    """Name the document name in an InputError raised in the block: the
+    mathematics refused what the document states."""
+    try:
+        yield
+    except InputError as e:
+        raise InputError(f"/documents/{name}: {e}") from e
+
+
 def run_validate(ws: Workspace, job: dict) -> dict:
     target = job.typed("target", str)
     kind = ws.kinds.get(target)
@@ -120,7 +131,8 @@ def run_smash(ws: Workspace, job: dict) -> dict:
     rep = validate_action(act)
     if not rep.ok:
         return {"action": job["action"], "report": rep.to_json()}
-    sp = smash_product(act)
+    with _refusing(job["action"]):
+        sp = smash_product(act)
     inner = innerify_check(sp)
     out = {
         "action": job["action"],
@@ -164,8 +176,8 @@ def run_jones(ws: Workspace, job: dict) -> dict:
 
 def run_qgal_depth2(ws: Workspace, job: dict) -> dict:
     act = _doc(ws, job, "action", ("action",))
-    sp = smash_product(act)
-    cert = canonical_qgal(sp)
+    with _refusing(job["action"]):
+        cert = canonical_qgal(smash_product(act))
     out = {
         "action": job["action"],
         "qgal_dim": cert.qgal.dim,
@@ -182,9 +194,13 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
     act = _doc(ws, job, "action", ("action",))
     ambient = _doc(ws, job, "ambient_hopf", ("hopf",))
     ambient_act = _doc(ws, job, "ambient_action", ("action",))
-    sp = smash_product(act)
-    data = product_coaction(comodule, sp)
-    result = qgal_banica(data, ambient, ambient_act)
+    with _refusing(job["action"]):
+        sp = smash_product(act)
+    with _refusing(job["comodule"]):
+        data = product_coaction(comodule, sp)
+    # the ambient action names the ambient Hopf algebra and B
+    with _refusing(job["ambient_action"]):
+        result = qgal_banica(data, ambient, ambient_act)
     c_dim = result.invariants_algebra.dim
     return {
         "comodule": job["comodule"],
@@ -203,7 +219,8 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
 def run_centralizer(ws: Workspace, job: dict) -> dict:
     Q = _doc(ws, job, "hopf", ("hopf",))
     S = _doc(ws, job, "subspace", ("subspace",))
-    result = hopf_centralizer(Q, S)
+    with _refusing(job["subspace"]):
+        result = hopf_centralizer(Q, S)
     rep = hopf_subalgebra_report(Q, result)
     return {
         "hopf": job["hopf"],

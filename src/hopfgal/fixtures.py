@@ -124,7 +124,8 @@ def subalgebra_embedding_left(A: StarAlgebra, B: StarAlgebra):
 
 def _conjugation_action(H: HopfStarAlgebra, A: StarAlgebra,
                         units: list) -> ModuleAlgebraAction:
-    """Group action by conjugation x -> u x u* for unitaries indexed by G."""
+    """Group action by conjugation x -> u x u* for unitaries indexed by G,
+    given as sparse vectors."""
     one = Scalar.one()
     act = []
     for u in units:

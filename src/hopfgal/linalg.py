@@ -384,15 +384,13 @@ def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
 
 @dataclass
 class Subspace:
-    """A subspace of coordinate space, held as its sparse echelon rows.
+    """A subspace of coordinate space, held as its canonical RREF rows.
 
     _rows is SpanBuilder's store in basis order: the row with pivot p is
     keyed by n-1-p and holds its tail {n-1-j: x} over the columns j > p,
-    none of them a pivot.  _leads holds, under the same key, the row's
-    pivot entry, a one of the row's cyclotomic order, at which the row's
-    zeros are written (to_json, rref).  The rows are the canonical RREF
-    basis, unique for a given subspace, so subspace equality is row-by-row
-    comparison.
+    none a pivot.  _leads holds the row's pivot entry under the same key, a
+    one of the order at which the row's zeros are written (to_json, rref).
+    The RREF basis of a subspace is unique, so equality compares rows.
     """
 
     ambient_dim: int

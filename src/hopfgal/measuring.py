@@ -33,7 +33,6 @@ from typing import Callable, Iterable
 from .algebra import (
     StarAlgebra,
     generated_subalgebra,
-    is_star_closed,
     is_unital_star_subalgebra,
     relative_commutant,
 )
@@ -464,7 +463,7 @@ def hopf_subalgebra_report(Q: HopfStarAlgebra, S: Subspace) -> Report:
 
 def hopf_centralizer(Q: HopfStarAlgebra, S: Subspace) -> Subspace:
     """Largest Hopf *-subalgebra inside the commutant of a *-closed S."""
-    if not is_star_closed(S, Q.algebra):
+    if not all(S.contains(Q.star_vec(v)) for v in S.vectors):
         raise InputError("S not *-closed")
     W = relative_commutant(S, Q.algebra)
     return largest_hopf_star_subalgebra(Q, W)

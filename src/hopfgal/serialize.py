@@ -201,8 +201,11 @@ def parse_hopf(body: Fields) -> HopfStarAlgebra:
             raise InputError(f"{where}: order {order} exceeds {MAX_DIM_ENV}")
         make = function_algebra if body.typed("dual", bool, False) \
             else group_algebra
-        return make(_rows(table, order, where, integer),
-                    name=body.get("name", ""))
+        table = _rows(table, order, where, integer)
+        try:
+            return make(table, name=body.get("name", ""))
+        except InputError as e:  # a table that is not a group's
+            raise InputError(f"{where}: {e}") from e
     alg = parse_algebra(body)
     n = alg.dim
     comult = _comult_sparse(body["comult"], n, n, n, f"{where}.comult")

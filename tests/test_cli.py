@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 from functools import partial
 
@@ -939,12 +940,12 @@ def test_measure_within_c_s4_keeps_trivial_plus_standard(tmp_path):
 # each run in-process as validate (of the corrupted document) and as each
 # of the fixture's jobs, and corruptions of every reference field of those
 # jobs.  A corruption that no reader accepts in place of a scalar, an
-# integer or a document name must be refused naming its document; a
-# well-typed one (a 0 or 1 in a group table, say) may instead be refused by
-# the mathematics, as "not a group: associativity fails".
+# integer or a document name is refused naming its document; a well-typed
+# one (a 0 or 1 in a group table, say) may instead be refused by the
+# mathematics, as "not a group: associativity fails", and then names the
+# document that the reader or the job runner was reading.
 
 _CELL_CORRUPTIONS = [1, [1, 2], 0, [1, 0], "x", [], [[1]]]
-_ILL_TYPED_CELLS = [[1, 0], "x", [], [[1]]]
 _FIELD_CORRUPTIONS = [["x"], {}, 5]
 _VALIDATED_KINDS = {"hopf", "algebra", "action", "comodule", "pairing"}
 _SWEEP_RUNS = 300
@@ -1022,6 +1023,7 @@ def test_corruption_sweep_exits_with_a_meaningful_code(tmp_path):
         if code == 2:
             message = err.getvalue()
             assert message.startswith("input error: "), what
-            if edit[3] is None or edit[4] in _ILL_TYPED_CELLS:
-                assert "/documents/" in message, f"{what} {message}"
+            named = re.search(r"/documents/([\w-]+)", message)
+            assert named and named[1] in edit[0]["documents"], \
+                f"{what} {message}"
     assert time.process_time() - start < 10
