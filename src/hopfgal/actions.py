@@ -35,8 +35,8 @@ from .linalg import (
     collect,
     dense_row,
     kernel_of,
-    nonzero,
     kron,
+    nonzero,
     sparse,
     sparse_apply,
     sparse_comb,

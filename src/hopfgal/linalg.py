@@ -172,7 +172,7 @@ def collect(terms) -> dict:
     out: dict = {}
     for k, v in terms:
         out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if v}
+    return nonzero(out)
 
 
 def sparse_ne(a: dict, b: dict) -> bool:
@@ -193,8 +193,7 @@ def op_from_entries(entries) -> dict:
     for i, j, v in entries:
         row = out.setdefault(i, {})
         row[j] = row[j] + v if j in row else v
-    pruned = {i: {j: v for j, v in row.items() if v}
-              for i, row in out.items()}
+    pruned = {i: nonzero(row) for i, row in out.items()}
     return {i: row for i, row in pruned.items() if row}
 
 
@@ -217,7 +216,7 @@ def op_mul(A: dict, B: dict) -> dict:
         for p, a in row.items():
             if p in B:
                 sparse_add(acc, B[p], a)
-        acc = {j: c for j, c in acc.items() if c}
+        acc = nonzero(acc)
         if acc:
             out[i] = acc
     return out
@@ -556,7 +555,7 @@ class KernelSolver:
 
     def add_row(self, row: dict) -> bool:
         """Impose one constraint; returns True if the kernel shrank."""
-        added = _eliminate(self.rows, {j: c for j, c in row.items() if c})
+        added = _eliminate(self.rows, nonzero(row))
         return added is not None
 
     def vectors(self) -> dict[int, dict]:
@@ -655,13 +654,12 @@ def preimages(columns: list[dict], targets) -> list[dict] | None:
     one = Scalar.one()
     rows: dict = {}
     for j, col in enumerate(columns):
-        r = _reduce(rows, {**{k: x for k, x in col.items() if x},
-                           -1 - j: one})
+        r = _reduce(rows, {**nonzero(col), -1 - j: one})
         if max(r) >= 0:
             _eliminate(rows, r)
     out = []
     for b in targets:
-        r = _reduce(rows, {k: x for k, x in b.items() if x})
+        r = _reduce(rows, nonzero(b))
         if r and max(r) >= 0:
             return None
         out.append({-1 - k: -x for k, x in r.items()})

@@ -302,11 +302,10 @@ def test_criterion_7_banica_pipeline():
     ok = ok and Subspace.from_vectors(iota, 16) == C
     for q in range(2):
         for src in range(8):
-            lifted = dapply(result.lifted_action, 
-                unit_vec(2, q), C.coordinates(iota[src])
-            )
+            lifted = dapply(result.lifted_action, unit_vec(2, q),
+                            C.coordinates(iota[src]))
             dual_img = dapply(cert.dual_act, unit_vec(2, q),
-                                           unit_vec(8, src))
+                              unit_vec(8, src))
             pushed = vzero(C.dim)
             for t, x in enumerate(dual_img):
                 if x:

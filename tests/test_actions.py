@@ -186,7 +186,7 @@ def test_embeddings_are_star_morphisms_and_bijection():
         for j in range(A.dim):
             lhs = embed_A_vec(sp, dmul(A, unit_vec(4, i), unit_vec(4, j)))
             rhs = dmul(total, embed_A_vec(sp, unit_vec(4, i)),
-                                embed_A_vec(sp, unit_vec(4, j)))
+                       embed_A_vec(sp, unit_vec(4, j)))
             assert lhs == rhs
         assert embed_A_vec(sp, dstar(A, unit_vec(4, i))) \
             == dstar(total, embed_A_vec(sp, unit_vec(4, i)))
@@ -197,7 +197,7 @@ def test_embeddings_are_star_morphisms_and_bijection():
                 hv[k] = hv[k] + v
             lhs = embed_H_vec(sp, hv)
             rhs = dmul(total, embed_H_vec(sp, unit_vec(4, i)),
-                                embed_H_vec(sp, unit_vec(4, j)))
+                       embed_H_vec(sp, unit_vec(4, j)))
             assert lhs == rhs
         assert embed_H_vec(sp, dstar(H, unit_vec(4, i))) \
             == dstar(total, embed_H_vec(sp, unit_vec(4, i)))
@@ -206,7 +206,7 @@ def test_embeddings_are_star_morphisms_and_bijection():
     for a in range(4):
         for h in range(4):
             vecs.append(dmul(total, embed_A_vec(sp, unit_vec(4, a)),
-                                      embed_H_vec(sp, unit_vec(4, h))))
+                             embed_H_vec(sp, unit_vec(4, h))))
     assert Subspace.from_vectors(vecs, 16).dim == 16
 
 
@@ -230,7 +230,7 @@ def test_innerify_negative_control():
     bad = vzero(total.dim)
     for (h1, h2), v in H.comult[g].items():
         term = dmul(total, embed_H_vec(sp, unit_vec(3, h1)),
-                             embed_H_vec(sp, unit_vec(3, h2)))
+                    embed_H_vec(sp, unit_vec(3, h2)))
         bad = [x + v * y if y else x for x, y in zip(bad, term)]
     target = [H.counit_of(sparse(unit_vec(3, g))) * u for u in total.unit]
     assert bad != target

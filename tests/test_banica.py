@@ -314,7 +314,7 @@ def test_qgal_banica_z2_matches_depth_two():
                 src = C.coordinates(iota_cols[a * 2 + h])
                 lifted = dapply(result.lifted_action, unit_vec(2, q), src)
                 dual_img = dapply(cert.dual_act, unit_vec(2, q),
-                                               unit_vec(8, a * 2 + h))
+                                  unit_vec(8, a * 2 + h))
                 pushed = vzero(C.dim)
                 for t, x in enumerate(dual_img):
                     if x:
@@ -469,11 +469,10 @@ def test_qgal_banica_k4_matches_depth_two():
     assert Subspace.from_vectors(iota, 64) == C
     for q in range(4):
         for src in range(16):
-            lifted = dapply(result.lifted_action, 
-                unit_vec(4, q), C.coordinates(iota[src])
-            )
+            lifted = dapply(result.lifted_action, unit_vec(4, q),
+                            C.coordinates(iota[src]))
             dual_img = dapply(cert.dual_act, unit_vec(4, q),
-                                           unit_vec(16, src))
+                              unit_vec(16, src))
             pushed = vzero(C.dim)
             for t, x in enumerate(dual_img):
                 if x:

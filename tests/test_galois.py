@@ -271,9 +271,8 @@ def test_extract_pairing_rejects_non_fixing_action():
             if h == 0:
                 img = unit_vec(8, t)
             else:
-                img = dmul(sp.total, 
-                    g_emb, dmul(sp.total, unit_vec(8, t), g_emb)
-                )
+                img = dmul(sp.total, g_emb,
+                           dmul(sp.total, unit_vec(8, t), g_emb))
             plane.append({k: v for k, v in enumerate(img) if v})
         act.append(plane)
     qact = ModuleAlgebraAction(cz2(), sp.total, act)

@@ -175,7 +175,7 @@ def test_op_of_cs3_isomorphic_via_inversion():
             lhs = mat_vec([[P[a][b] for a in range(6)] for b in range(6)],
                           prod_op)
             rhs = dmul(H, dantipode(H, unit_vec(6, i)),
-                            dantipode(H, unit_vec(6, j)))
+                       dantipode(H, unit_vec(6, j)))
             assert lhs == rhs
 
 
@@ -251,7 +251,7 @@ def test_antipode_is_algebra_and_coalgebra_antihomomorphism():
                     prod[k] = prod[k] + v
                 lhs = dantipode(H, prod)
                 rhs = dmul(H, dantipode(H, unit_vec(n, j)),
-                                dantipode(H, unit_vec(n, i)))
+                           dantipode(H, unit_vec(n, i)))
                 assert lhs == rhs
         for i in range(n):
             lhs = H.comult_vec(sparse(dantipode(H, unit_vec(n, i))))
