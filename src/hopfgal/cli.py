@@ -148,7 +148,8 @@ def run_commutant(ws: Workspace, job: dict) -> dict:
     if hasattr(alg, "algebra"):
         alg = alg.algebra
     sub = _doc(ws, job, "subspace", ("subspace",))
-    comm = relative_commutant(sub, alg)
+    with _refusing(job["subspace"]):
+        comm = relative_commutant(sub, alg)
     return {"algebra": job["algebra"], "subspace": job["subspace"],
             "commutant": subspace_doc(comm)}
 
@@ -156,7 +157,10 @@ def run_commutant(ws: Workspace, job: dict) -> dict:
 def run_jones(ws: Workspace, job: dict) -> dict:
     alg = _doc(ws, job, "algebra", ("algebra",))
     sub = _doc(ws, job, "subalgebra", ("subspace",))
-    bc = basic_construction(gns(alg), sub)
+    with _refusing(job["algebra"]):
+        space = gns(alg)
+    with _refusing(job["subalgebra"]):
+        bc = basic_construction(space, sub)
     endo_rep = bimodule_endos_report(bc)
     dims = endo_rep["dimension_matches"].witness
     return {
@@ -235,13 +239,11 @@ def run_measure(ws: Workspace, job: dict) -> dict:
     if job.get("within") is not None:
         target = job.typed("within", str)
         sub = ws.get(target, ("subspace",))
+        stabilizers = [C.antipode_vec, C.algebra.star_vec] \
+            if job.typed("stabilize", bool, True) else []
         log: list[int] = []
-        result = largest_subcoalgebra(
-            C.coalgebra, sub,
-            stabilizers=[C.antipode_vec, C.algebra.star_vec]
-            if job.typed("stabilize", bool, True) else [],
-            log=log,
-        )
+        with _refusing(target):
+            result = largest_subcoalgebra(C.coalgebra, sub, stabilizers, log)
         return {
             "coalgebra": job["coalgebra"],
             "within": target,

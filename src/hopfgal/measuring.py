@@ -463,9 +463,9 @@ def hopf_subalgebra_report(Q: HopfStarAlgebra, S: Subspace) -> Report:
 
 def hopf_centralizer(Q: HopfStarAlgebra, S: Subspace) -> Subspace:
     """Largest Hopf *-subalgebra inside the commutant of a *-closed S."""
+    W = relative_commutant(S, Q.algebra)  # which checks S lives in Q
     if not all(S.contains(Q.star_vec(v)) for v in S.vectors):
         raise InputError("S not *-closed")
-    W = relative_commutant(S, Q.algebra)
     return largest_hopf_star_subalgebra(Q, W)
 
 

@@ -1027,3 +1027,40 @@ def test_corruption_sweep_exits_with_a_meaningful_code(tmp_path):
             assert named and named[1] in edit[0]["documents"], \
                 f"{what} {message}"
     assert time.process_time() - start < 10
+
+
+def _lower_ambient(name, within=None):
+    """Edit to a workspace: the subspace name (added, when within names
+    the measure job, as that job's within) becomes one line of k^3."""
+    def edit(docs):
+        if within is not None:
+            docs[within]["within"] = name
+        docs[name] = {"kind": "subspace", "ambient_dim": 3,
+                      "basis": [[1, 0, 0]]}
+    return edit
+
+
+# a subspace of another ambient than the algebra or coalgebra of its job:
+# (workspace, op, job, subspace document, what the mathematics says)
+_WRONG_AMBIENT = {
+    "commutant": ("jones-mat2-mat4.json", "commutant", "mat2",
+                  "subspace does not live in the algebra"),
+    "jones": ("jones-mat2-mat4.json", "jones", "mat2",
+              "ambient dimension mismatch"),
+    "centralizer": ("s3-transposition.json", "centralizer", "transposition",
+                    "subspace does not live in the algebra"),
+    "measure": ("z2.json", "measure", "line",
+                "subspace does not live in the coalgebra"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_WRONG_AMBIENT))
+def test_subspace_of_another_ambient_names_its_document(op, tmp_path,
+                                                        capsys):
+    fname, job, name, says = _WRONG_AMBIENT[op]
+    edit = _lower_ambient(name, job if op == "measure" else None)
+    path = tmp_path / fname
+    path.write_text(json.dumps(_fixture_with(fname, None, edit)))
+    assert _run(op, path, job=job) == 2
+    assert capsys.readouterr().err \
+        == f"input error: /documents/{name}: {says}\n"
