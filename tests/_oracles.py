@@ -73,7 +73,7 @@ def flatten_matrix(X: list) -> list:
     return [x for row in X for x in row]
 
 
-# -- dense vectors ---------------------------------------------------------------
+# -- dense vectors -----------------------------------------------------------
 #
 # The vector methods of the package take and return sparse vectors, and a
 # Subspace holds sparse echelon rows.  Most oracles and tests hold dense
