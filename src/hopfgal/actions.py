@@ -95,7 +95,7 @@ def validate_action(action: ModuleAlgebraAction) -> Report:
 
     rep.law("module_axiom", (
         (g, h, a) for g in hs for h in hs for a in as_
-        if sparse_ne(sparse_comb(cols[a], H.algebra.mult[g][h]),
+        if sparse_ne(sparse_comb(cols[a], H.mult[g][h]),
                      sparse_comb(act[g], act[h][a]))))
     h_unit = sparse(H.unit)
     rep.law("unit_acts_trivially", (
@@ -203,7 +203,7 @@ def smash_product(action: ModuleAlgebraAction, validate: bool = True,
                        for (h1, h2), v in H.comult[h].items()
                        for c, w in action.act[h1][b].items()
                        for d, x in A.mult[a][c].items()
-                       for e, y in H.algebra.mult[h2][g].items())
+                       for e, y in H.mult[h2][g].items())
     mult = [[cell(a, h, b, g) for b in range(na) for g in range(nh)]
             for a in range(na) for h in range(nh)]
 

@@ -101,7 +101,7 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
     rep.law("coaction_multiplicative", (
         (i, j) for i in range(nb) for j in range(nb)
         if sparse_ne(sparse_comb(B.coact, A.mult[i][j]),
-                     tensor_product(A.mult, H.algebra.mult,
+                     tensor_product(A.mult, H.mult,
                                     B.coact[i], B.coact[j]))))
     unit_b, unit_h = sparse(A.unit), sparse(H.unit)
     rep.add("coaction_unital",
@@ -172,7 +172,7 @@ def product_coaction(B: ComoduleAlgebra,
                        for (b0, b1), v in B.coact[b].items()
                        for (h1, h2), w in H.comult[h].items()
                        for k, sv in antipode[b1].items()
-                       for m, mv in H.algebra.mult[h1][k].items())
+                       for m, mv in H.mult[h1][k].items())
     rho = [coaction(b, a, h)
            for b in range(nb) for a in range(na) for h in range(nh)]
 
@@ -212,7 +212,7 @@ def _is_cop_of(Hcop: HopfStarAlgebra, H: HopfStarAlgebra) -> bool:
     n = H.dim
     for i in range(n):
         for j in range(n):
-            if Hcop.algebra.mult[i][j] != H.algebra.mult[i][j]:
+            if Hcop.mult[i][j] != H.mult[i][j]:
                 return False
     flipped = flip(H.comult)
     return all(Hcop.comult[i] == flipped[i] for i in range(n))
@@ -237,7 +237,7 @@ def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
     """T[h][x] = tau(e_x S(e_h)): the functionals omega_h = T[h] of the
     Lambda action, the coefficients of E and both sides of the swap
     identity all read this one table."""
-    return [[dot(sparse_comb(line, sh), tau) for line in H.algebra.mult]
+    return [[dot(sparse_comb(line, sh), tau) for line in H.mult]
             for sh in map(sparse, H.antipode)]
 
 

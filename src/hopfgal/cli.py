@@ -145,8 +145,6 @@ def run_smash(ws: Workspace, job: dict) -> dict:
 
 def run_commutant(ws: Workspace, job: dict) -> dict:
     alg = _doc(ws, job, "algebra")
-    if hasattr(alg, "algebra"):
-        alg = alg.algebra
     sub = _doc(ws, job, "subspace", ("subspace",))
     with _refusing(job["subspace"]):
         comm = relative_commutant(sub, alg)
@@ -239,7 +237,7 @@ def run_measure(ws: Workspace, job: dict) -> dict:
     if job.get("within") is not None:
         target = job.typed("within", str)
         sub = ws.get(target, ("subspace",))
-        stabilizers = [C.antipode_vec, C.algebra.star_vec] \
+        stabilizers = [C.antipode_vec, C.star_vec] \
             if job.typed("stabilize", bool, True) else []
         log: list[int] = []
         with _refusing(target):

@@ -178,10 +178,9 @@ def translation_action(table, name: str = "") -> ModuleAlgebraAction:
         [{table[g][h]: one} for h in range(n)]
         for g in range(n)
     ]
-    alg = F.algebra
-    carrier = StarAlgebra(alg.dim, alg.mult, alg.unit, alg.star,
+    carrier = StarAlgebra(F.dim, F.mult, F.unit, F.star,
                           state=[Scalar.rational(1, n)] * n,
-                          name=alg.name)
+                          name=F.name)
     return ModuleAlgebraAction(H, carrier, act)
 
 

@@ -257,7 +257,7 @@ def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
     rep.law("convolution_matches_composition", (
         (i, j) for i in range(nh) for j in range(nh)
         if op_mul(t_ops[i], t_ops[j])
-        != dual_endo(sp, dual.algebra.mult[i][j])))
+        != dual_endo(sp, dual.mult[i][j])))
 
     # the values F(1 x| h) determine F, so they span a space of equal dim
     unconstrained = _endo_values(sp, colinear=False)
@@ -364,17 +364,19 @@ class QGalCertificate:
         rows = [sparse(row) for row in phi]
         rep.law("algebra_morphism", (
             (i, j) for i in range(nq) for j in range(nq)
-            if sparse_ne(sparse_comb(rows, Q.algebra.mult[i][j]),
-                         sparse_apply(dual.algebra.mult, rows[i], rows[j]))))
+            if sparse_ne(sparse_comb(rows, Q.mult[i][j]),
+                         sparse_apply(dual.mult, rows[i], rows[j]))))
         rep.add("unit_preserved", not sparse_ne(
             sparse_comb(rows, sparse(Q.unit)), sparse(dual.unit)))
 
+        coalg = dual.coalgebra
         rep.law("coalgebra_morphism", (
             i for i, plane in enumerate(Q.comult)
             if sparse_ne(tensor_map(plane, rows, rows),
-                         dual.comult_vec(rows[i]))))
+                         coalg.comult_vec(rows[i]))))
         rep.add("counit_preserved",
-                all(dual.counit_of(rows[i]) == Q.counit[i] for i in range(nq)))
+                all(coalg.counit_of(rows[i]) == Q.counit[i]
+                    for i in range(nq)))
         q_star = [sparse(row) for row in Q.star]
         d_star = [sparse(row) for row in dual.star]
         d_antipode = [sparse(row) for row in dual.antipode]

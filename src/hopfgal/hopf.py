@@ -1,5 +1,9 @@
 """Finite-dimensional Hopf *-algebras, their duals, variants and pairings.
 
+A HopfStarAlgebra is a StarAlgebra that also holds Delta, epsilon and S.
+Its coalgebra is the view HopfCoalgebra, whose involution is x -> S(x)*,
+built on each access of `coalgebra` and never stored.
+
 Comultiplication is stored sparsely: comult[i] maps a pair (j, k) to the
 coefficient of e_j (x) e_k in Delta(e_i).  The dual of a finite-dimensional
 Hopf *-algebra is again one, with multiplication the transpose of Delta and
@@ -15,7 +19,12 @@ import math
 from heapq import merge
 from itertools import product
 
-from .algebra import StarAlgebra, involution_failures, validate_algebra
+from .algebra import (
+    StarAlgebra,
+    involution_failures,
+    is_nonsingular,
+    validate_algebra,
+)
 from .errors import InputError
 from .linalg import (
     Mat,
@@ -89,97 +98,66 @@ class StarCoalgebra:
         if legs == 0:
             c = dot(x, self.counit)
             return {(): c} if c else {}
-        cur = {(i,): v for i, v in x.items() if v}
+        cur, comult = {(i,): v for i, v in x.items() if v}, self.comult
         for _ in range(legs - 1):
             cur = collect((idx[:-1] + jk, v * w) for idx, v in cur.items()
-                          for jk, w in self.comult[idx[-1]].items())
+                          for jk, w in comult[idx[-1]].items())
         return cur
 
 
 class HopfCoalgebra(StarCoalgebra):
-    """The coalgebra of a HopfStarAlgebra, holding its algebra and antipode.
+    """The coalgebra of a Hopf *-algebra H: a view on H's tables.
 
     The coalgebra-side involution of a Hopf *-algebra is x -> S(x)*, which
     reverses comultiplication; x -> x* does not when the comultiplication
-    is noncocommutative.  It is read from the current antipode and star
-    tables at each use, so it cannot go stale when either is replaced or
-    edited.
+    is noncocommutative.  dim, comult, counit and the involution are read
+    from H at each use, so the view cannot go stale when a table of H is
+    replaced or edited.
     """
 
-    def __init__(self, algebra: StarAlgebra, comult, counit: Vec,
-                 antipode: Mat):
-        self.algebra = algebra
-        self.antipode = antipode
-        self.dim = algebra.dim
-        self.comult = comult
-        self.counit = counit
-        if len(comult) != self.dim or len(counit) != self.dim:
-            raise InputError("coalgebra tensor shape mismatch")
+    def __init__(self, hopf: HopfStarAlgebra):
+        self.hopf = hopf
 
-    def star_row(self, i: int) -> dict:
-        return nonzero(self.algebra.star_vec(sparse(self.antipode[i])))
-
-
-class HopfStarAlgebra:
-    """StarAlgebra and StarCoalgebra on one space, with an antipode."""
-
-    def __init__(self, algebra: StarAlgebra, comult, counit: Vec,
-                 antipode: Mat, name: str = ""):
-        self.name = name or algebra.name
-        if len(antipode) != algebra.dim:
-            raise InputError("antipode shape mismatch")
-        self.coalgebra = HopfCoalgebra(algebra, comult, counit, antipode)
-
-    # assigning the algebra or the antipode here reaches the coalgebra
-    @property
-    def algebra(self) -> StarAlgebra:
-        return self.coalgebra.algebra
-
-    @algebra.setter
-    def algebra(self, algebra: StarAlgebra):
-        self.coalgebra.algebra = algebra
-
-    @property
-    def antipode(self) -> Mat:
-        return self.coalgebra.antipode
-
-    @antipode.setter
-    def antipode(self, table: Mat):
-        self.coalgebra.antipode = table
-
-    # Delegation keeps call sites readable.
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return self.hopf.dim
 
     @property
     def comult(self):
-        return self.coalgebra.comult
+        return self.hopf.comult
 
     @property
     def counit(self) -> Vec:
-        return self.coalgebra.counit
+        return self.hopf.counit
+
+    def star_row(self, i: int) -> dict:
+        return nonzero(self.hopf.star_vec(sparse(self.hopf.antipode[i])))
+
+
+class HopfStarAlgebra(StarAlgebra):
+    """A StarAlgebra with Delta, epsilon and S.
+
+    It takes over the tables of the given algebra, not the algebra itself.
+    `coalgebra` is the x -> S(x)* view, built on each access and never
+    stored: a stored view would point back at H and make a reference cycle.
+    """
+
+    def __init__(self, algebra: StarAlgebra, comult, counit: Vec,
+                 antipode: Mat, name: str = ""):
+        super().__init__(algebra.dim, algebra.mult, algebra.unit,
+                         algebra.star, algebra.state,
+                         name=name or algebra.name)
+        if len(antipode) != self.dim:
+            raise InputError("antipode shape mismatch")
+        if len(comult) != self.dim or len(counit) != self.dim:
+            raise InputError("coalgebra tensor shape mismatch")
+        self.comult = comult        # list[dict[(j, k), Scalar]]
+        self.counit = counit
+        self.antipode = antipode
 
     @property
-    def unit(self) -> Vec:
-        return self.algebra.unit
-
-    @property
-    def star(self) -> Mat:
-        return self.algebra.star
-
-    def mul_vec(self, x: dict, y: dict) -> dict:
-        return self.algebra.mul_vec(x, y)
-
-    @conjugate_linear
-    def star_vec(self, x: dict) -> dict:
-        return self.algebra.star_vec(x)
-
-    def comult_vec(self, x: dict) -> dict:
-        return self.coalgebra.comult_vec(x)
-
-    def counit_of(self, x: dict) -> Scalar:
-        return self.coalgebra.counit_of(x)
+    def coalgebra(self) -> HopfCoalgebra:
+        return HopfCoalgebra(self)
 
     def antipode_vec(self, x: dict) -> dict:
         x = nonzero(x)
@@ -193,7 +171,7 @@ class HopfStarAlgebra:
                        for i, row in enumerate(rows))
 
     def to_json(self):
-        doc, zero, n = self.algebra.to_json(), Scalar.zero(), self.dim
+        doc, zero, n = super().to_json(), Scalar.zero(), self.dim
         doc["comult"] = [[[plane.get((j, k), zero).to_json()
                            for k in range(n)] for j in range(n)]
                          for plane in self.comult]
@@ -257,9 +235,9 @@ def validate_coalgebra(C: StarCoalgebra) -> Report:
 def validate_hopf(H: HopfStarAlgebra) -> Report:
     """Full Hopf *-algebra axiom suite with witnesses."""
     rep = Report(f"hopf {H.name}".strip())
-    rep.merge(validate_algebra(H.algebra), prefix="alg:")
+    rep.merge(validate_algebra(H), prefix="alg:")
     rep.merge(validate_coalgebra(H.coalgebra), prefix="coalg:")
-    n, mult, comult, counit = H.dim, H.algebra.mult, H.comult, H.counit
+    n, mult, comult, counit = H.dim, H.mult, H.comult, H.counit
     pairs = list(product(range(n), repeat=2))
     one = Scalar.one()
 
@@ -274,7 +252,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep.law("counit_is_algebra_morphism", (
         (i, j) for i, j in pairs
         if dot(mult[i][j], counit) != counit[i] * counit[j]))
-    rep.add("counit_unital", H.counit_of(unit) == one)
+    rep.add("counit_unital", dot(unit, counit) == one)
 
     # Delta(x*) = (x_1)* (x) (x_2)*: Delta is a *-algebra morphism.
     star = [sparse(row) for row in H.star]
@@ -296,11 +274,9 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep.law("star_antipode_involution", involution_failures(
         [sparse_comb(star, sparse_conj(row)) for row in antipode]))
 
-    try:
-        mat_inverse(transpose(H.antipode))
-        rep.add("antipode_invertible", True)
-    except InputError:
-        rep.add("antipode_invertible", False)
+    # row i of the table is S(e_i): S is invertible when the rows are
+    # independent
+    rep.add("antipode_invertible", is_nonsingular(H.antipode))
 
     rep.add("kac_flag_recorded", True, witness={"kac": H.is_kac()},
             note="S^2 = id is a flag consumed downstream, not an axiom")
@@ -358,7 +334,7 @@ def dual_hopf(H: HopfStarAlgebra, name: str = "") -> HopfStarAlgebra:
     comult = [dict() for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for k, v in H.algebra.mult[i][j].items():
+            for k, v in H.mult[i][j].items():
                 comult[k][(i, j)] = v
     unit = list(H.counit)
     counit = list(H.unit)
@@ -379,24 +355,24 @@ def variants(H: HopfStarAlgebra):
     """(H^op, H^cop, H^op_cop); single flips carry the inverse antipode."""
     n = H.dim
     s_inv = transpose(mat_inverse(transpose(H.antipode)))
-    op_mult = [[H.algebra.mult[j][i] for j in range(n)] for i in range(n)]
+    op_mult = [[H.mult[j][i] for j in range(n)] for i in range(n)]
     cop_comult = flip(H.comult)
     op_alg = StarAlgebra(n, op_mult, list(H.unit),
                          [list(r) for r in H.star],
-                         state=H.algebra.state,
+                         state=H.state,
                          name=H.name + "^op" if H.name else "")
     h_op = HopfStarAlgebra(op_alg, [dict(p) for p in H.comult],
                            list(H.counit), s_inv, name=op_alg.name)
-    base_alg = StarAlgebra(n, [[dict(H.algebra.mult[i][j]) for j in range(n)]
+    base_alg = StarAlgebra(n, [[dict(H.mult[i][j]) for j in range(n)]
                                for i in range(n)],
                            list(H.unit), [list(r) for r in H.star],
-                           state=H.algebra.state,
+                           state=H.state,
                            name=H.name + "^cop" if H.name else "")
     h_cop = HopfStarAlgebra(base_alg, cop_comult, list(H.counit), s_inv,
                             name=base_alg.name)
     opcop_alg = StarAlgebra(n, op_mult, list(H.unit),
                             [list(r) for r in H.star],
-                            state=H.algebra.state,
+                            state=H.state,
                             name=H.name + "^opcop" if H.name else "")
     h_opcop = HopfStarAlgebra(opcop_alg,
                               [dict(p) for p in cop_comult],
@@ -413,7 +389,7 @@ def hopf_equal(A: HopfStarAlgebra, B: HopfStarAlgebra) -> bool:
     n = A.dim
     for i in range(n):
         for j in range(n):
-            if A.algebra.mult[i][j] != B.algebra.mult[i][j]:
+            if A.mult[i][j] != B.mult[i][j]:
                 return False
     for i in range(n):
         if A.comult[i] != B.comult[i]:
@@ -460,10 +436,8 @@ def haar(H: HopfStarAlgebra) -> Vec:
 
 def haar_state(H: HopfStarAlgebra) -> "StarAlgebra":
     """Copy of the underlying algebra carrying the Haar state."""
-    tau = haar(H)
-    alg = H.algebra
-    return StarAlgebra(alg.dim, alg.mult, alg.unit, alg.star, state=tau,
-                       name=alg.name)
+    return StarAlgebra(H.dim, H.mult, H.unit, H.star, state=haar(H),
+                       name=H.name)
 
 
 # -- group fixtures ------------------------------------------------------------
@@ -544,11 +518,8 @@ class HopfPairing:
             raise InputError("pairing matrix shape mismatch")
 
     def is_nondegenerate(self) -> bool:
-        try:
-            mat_inverse(self.matrix)
-            return True
-        except InputError:
-            return False
+        return (self.Q.dim == self.H.dim
+                and is_nonsingular(self.matrix))
 
 
 def canonical_pairing(Q: HopfStarAlgebra, H: HopfStarAlgebra) -> HopfPairing:
@@ -581,13 +552,13 @@ def validate_pairing(P: HopfPairing) -> Report:
               for b in qs]
     rep.law("multiplicative_left", (
         (a, b, c) for a, b, c in product(qs, qs, hs)
-        if dot(Q.algebra.mult[a][b], cols[c]) != dot(h_legs[b][c], M[a])))
+        if dot(Q.mult[a][b], cols[c]) != dot(h_legs[b][c], M[a])))
     q_legs = [[collect((a1, v * cols[d][a2])
                        for (a1, a2), v in Q.comult[a].items()) for a in qs]
               for d in hs]
     rep.law("multiplicative_right", (
         (a, c, d) for a, c, d in product(qs, hs, hs)
-        if dot(H.algebra.mult[c][d], M[a]) != dot(q_legs[d][a], cols[c])))
+        if dot(H.mult[c][d], M[a]) != dot(q_legs[d][a], cols[c])))
     q_unit, h_unit = sparse(Q.unit), sparse(H.unit)
     rep.add("unit_pairs_to_counit",
             all(dot(q_unit, cols[c]) == H.counit[c] for c in hs))

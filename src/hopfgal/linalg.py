@@ -356,9 +356,20 @@ def _eliminate(rows: dict, r: dict):
 
 
 def _reversed(v, n: int) -> dict:
-    """The nonzero entries of v (dense, or sparse) keyed by column n-1-j."""
+    """The nonzero entries of v (dense, or sparse) keyed by column n-1-j.
+
+    Raises when v has an entry outside the n columns: a dense v of another
+    length, or a sparse key outside range(n), zero or not.
+    """
+    if isinstance(v, dict):
+        if v and (min(v) < 0 or max(v) >= n):
+            raise InputError("ambient dimension mismatch")
+        items = v.items()
+    elif len(v) != n:
+        raise InputError("ambient dimension mismatch")
+    else:
+        items = enumerate(v)
     last = n - 1
-    items = v.items() if isinstance(v, dict) else enumerate(v)
     return {last - j: x for j, x in items if x}
 
 
@@ -437,8 +448,6 @@ class Subspace:
 
     def contains(self, v) -> bool:
         """v (dense, or sparse) lies in the subspace."""
-        if isinstance(v, list) and len(v) != self.ambient_dim:
-            raise InputError("ambient dimension mismatch")
         return not self.residue(v)
 
     def residue(self, v) -> dict:

@@ -34,6 +34,7 @@ from .algebra import (
     StarAlgebra,
     generated_subalgebra,
     is_unital_star_subalgebra,
+    reify,
     relative_commutant,
 )
 from .errors import InputError
@@ -430,14 +431,14 @@ def largest_hopf_star_subalgebra(Q: HopfStarAlgebra, W: Subspace,
     generation step, which stays inside W; the certificate re-checks every
     closure property instead of trusting the construction.
     """
-    if not is_unital_star_subalgebra(W, Q.algebra):
+    if not is_unital_star_subalgebra(W, Q):
         raise InputError("W not a unital *-subalgebra")
     d0 = largest_subcoalgebra(
         Q.coalgebra, W,
-        stabilizers=[Q.antipode_vec, Q.algebra.star_vec],
+        stabilizers=[Q.antipode_vec, Q.star_vec],
         log=log,
     )
-    result = generated_subalgebra(d0.vectors, Q.algebra)
+    result = generated_subalgebra(d0.vectors, Q)
     if not W.contains_subspace(result):
         raise InputError("generation escaped W; W is not closed")
     return result
@@ -463,7 +464,7 @@ def hopf_subalgebra_report(Q: HopfStarAlgebra, S: Subspace) -> Report:
 
 def hopf_centralizer(Q: HopfStarAlgebra, S: Subspace) -> Subspace:
     """Largest Hopf *-subalgebra inside the commutant of a *-closed S."""
-    W = relative_commutant(S, Q.algebra)  # which checks S lives in Q
+    W = relative_commutant(S, Q)  # which checks S lives in Q
     if not all(S.contains(Q.star_vec(v)) for v in S.vectors):
         raise InputError("S not *-closed")
     return largest_hopf_star_subalgebra(Q, W)
@@ -472,9 +473,7 @@ def hopf_centralizer(Q: HopfStarAlgebra, S: Subspace) -> Subspace:
 def reify_hopf_subalgebra(Q: HopfStarAlgebra, S: Subspace,
                           name: str = "") -> HopfStarAlgebra:
     """Standalone Hopf *-algebra structure on a Hopf *-subalgebra."""
-    from .algebra import reify
-
-    alg, inclusion = reify(Q.algebra, S, name=name)
+    alg, inclusion = reify(Q, S, name=name)
     coalg, _ = reify_coalgebra(Q.coalgebra, S)
     antipode = [S.coordinates(Q.antipode_vec(b)) for b in S.vectors]
     return HopfStarAlgebra(alg, coalg.comult, coalg.counit, antipode,

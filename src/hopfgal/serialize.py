@@ -271,10 +271,7 @@ class Workspace:
         """The algebra an action or a coaction lives on, named by its alg
         (or algebra) field."""
         key = "algebra" if "alg" not in body and "algebra" in body else "alg"
-        target = self._ref(body, key, ("algebra", "hopf"))
-        if isinstance(target, HopfStarAlgebra):
-            return target.algebra
-        return target
+        return self._ref(body, key, ("algebra", "hopf"))
 
     def _parse_one(self, kind: str, body: Fields):
         where = body.where

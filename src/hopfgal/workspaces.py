@@ -152,7 +152,8 @@ def jones_workspace() -> dict:
 
 def banica_z2_workspace() -> dict:
     H = group_algebra(Z2_TABLE, name="CZ2")
-    B = ComoduleAlgebra(H, group_algebra(Z2_TABLE).algebra,
+    # B is the algebra of CZ2 alone: its document holds no coalgebra
+    B = ComoduleAlgebra(H, StarAlgebra(H.dim, H.mult, H.unit, H.star),
                         [{(i, i): Scalar.one()} for i in range(2)])
     hcop = variants(H)[1]
     base = ad_z_action()

@@ -179,7 +179,7 @@ def rebased_hopf(H, P: list):
             for a in range(n):
                 for b in range(n):
                     c = P[i][a] * P[j][b]
-                    for k, m in H.algebra.mult[a][b].items():
+                    for k, m in H.mult[a][b].items():
                         prod[k] = prod[k] + c * m
             row.append({k: x for k, x in enumerate(to_f(prod)) if x})
         mult.append(row)
@@ -763,7 +763,7 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
     for g in range(nh):
         for h in range(nh):
             prod = vzero(nh)
-            for k, v in H.algebra.mult[g][h].items():
+            for k, v in H.mult[g][h].items():
                 prod[k] = prod[k] + v
             for a in range(na):
                 lhs = dapply(action, prod, unit_vec(na, a))
@@ -811,7 +811,7 @@ def oracle_validate_action(action: ModuleAlgebraAction) -> Report:
     witness = None
     for h in range(nh):
         img = dapply(action, unit_vec(nh, h), A.unit)
-        eps = H.counit_of({h: Scalar.one()})
+        eps = H.counit[h]
         target = [eps * x for x in A.unit]
         if img != target:
             witness = h
@@ -854,7 +854,7 @@ def oracle_validate_pairing(P: HopfPairing) -> Report:
         for b in range(n_q):
             for c in range(n_h):
                 prod = vzero(n_q)
-                for k, v in Q.algebra.mult[a][b].items():
+                for k, v in Q.mult[a][b].items():
                     prod[k] = prod[k] + v
                 lhs = _dense_pair(P, prod, unit_vec(n_h, c))
                 rhs = Scalar.zero()
@@ -874,7 +874,7 @@ def oracle_validate_pairing(P: HopfPairing) -> Report:
         for c in range(n_h):
             for d in range(n_h):
                 prod = vzero(n_h)
-                for k, v in H.algebra.mult[c][d].items():
+                for k, v in H.mult[c][d].items():
                     prod[k] = prod[k] + v
                 lhs = _dense_pair(P, unit_vec(n_q, a), prod)
                 rhs = Scalar.zero()
@@ -890,10 +890,10 @@ def oracle_validate_pairing(P: HopfPairing) -> Report:
     rep.add("multiplicative_right", witness is None, witness)
 
     ok = all(_dense_pair(P, Q.unit, unit_vec(n_h, c))
-             == H.counit_of({c: Scalar.one()}) for c in range(n_h))
+             == H.counit[c] for c in range(n_h))
     rep.add("unit_pairs_to_counit", ok)
     ok = all(_dense_pair(P, unit_vec(n_q, a), H.unit)
-             == Q.counit_of({a: Scalar.one()}) for a in range(n_q))
+             == Q.counit[a] for a in range(n_q))
     rep.add("counit_pairs_to_unit", ok)
 
     witness = None

@@ -76,8 +76,8 @@ def test_criterion_1_hopf_axiom_suite():
     # single-entry perturbations fail with a witness
     for make in makers:
         h1 = make()
-        h1.algebra.mult[0][0][h1.dim - 1] = (
-            h1.algebra.mult[0][0].get(h1.dim - 1, Scalar.zero())
+        h1.mult[0][0][h1.dim - 1] = (
+            h1.mult[0][0].get(h1.dim - 1, Scalar.zero())
             + Scalar.one()
         )
         rep = validate_hopf(h1)
@@ -85,7 +85,7 @@ def test_criterion_1_hopf_axiom_suite():
 
         h2 = make()
         key = next(iter(h2.comult[0]))
-        h2.coalgebra.comult[0][key] = h2.comult[0][key] + Scalar.one()
+        h2.comult[0][key] = h2.comult[0][key] + Scalar.one()
         rep = validate_hopf(h2)
         ok = ok and not rep.ok and rep.first_failure().witness is not None
 
@@ -215,10 +215,10 @@ def test_criterion_5_hopf_centralizer():
     ok = result == expected
 
     whole = hopf_centralizer(Q, Subspace.full(6))
-    center = relative_commutant(Subspace.full(6), Q.algebra)
+    center = relative_commutant(Subspace.full(6), Q)
     oracle = oracle_largest_subcoalgebra(
         Q.coalgebra, center,
-        stabilizers=[Q.antipode_vec, Q.algebra.star_vec],
+        stabilizers=[Q.antipode_vec, Q.star_vec],
     )
     ok = ok and whole.dim == 1 and whole.contains(Q.unit)
     ok = ok and oracle == whole
@@ -267,7 +267,7 @@ def test_criterion_6_measuring_oracle_equivalence():
 def test_criterion_7_banica_pipeline():
     H = cz2()
     B = ComoduleAlgebra(
-        H, group_algebra(Z2_TABLE).algebra,
+        H, group_algebra(Z2_TABLE),
         [{(i, i): Scalar.one()} for i in range(2)],
     )
     hcop = variants(H)[1]

@@ -85,8 +85,8 @@ SMASH_BY_ORDER = {
 
 
 @pytest.mark.parametrize("make", [
-    lambda: mat_algebra(3), lambda: cs3().algebra, lambda: c_of_s3().algebra,
-    lambda: tensor_algebra(mat_algebra(2), c_of_z2().algebra),
+    lambda: mat_algebra(3), lambda: cs3(), lambda: c_of_s3(),
+    lambda: tensor_algebra(mat_algebra(2), c_of_z2()),
     *SMASH_BY_ORDER.values(),
 ])
 def test_validate_algebra_matches_dense_oracle(make):
@@ -131,8 +131,8 @@ def test_perturbed_algebra_report_matches_dense_oracle(axiom, order):
 # the full scans; on 1-2 random corrupted entries of mult, unit or star the
 # report, witnesses included, must still be the full scans' report.
 _SMALL_ALGEBRAS = [
-    lambda: mat_algebra(2), lambda: mat_algebra(3), lambda: cs3().algebra,
-    lambda: c_of_s3().algebra, lambda: sweedler4().algebra,
+    lambda: mat_algebra(2), lambda: mat_algebra(3), lambda: cs3(),
+    lambda: c_of_s3(), lambda: sweedler4(),
     SMASH_BY_ORDER[1],
 ]
 
@@ -177,7 +177,7 @@ def test_corrupted_algebras_match_the_full_scan_oracle():
 def test_star_law_fails_on_a_basis_vector_outside_the_generators():
     # C(S3) is generated by delta_0 .. delta_4; delta_5 = 1 - their sum is
     # reached only through the unit, which the star law must check too
-    A = c_of_s3().algebra
+    A = c_of_s3()
     A.star[5] = [-x for x in A.star[5]]
     rep = validate_algebra(A)
     assert rep["star_involutive"].passed
@@ -188,7 +188,7 @@ def test_star_law_fails_on_a_basis_vector_outside_the_generators():
 def _cs4():
     elements = list(itertools.permutations(range(4)))
     return group_algebra([[elements.index(tuple(p[q[x]] for x in range(4)))
-                           for q in elements] for p in elements]).algebra
+                           for q in elements] for p in elements])
 
 
 @pytest.mark.parametrize("make", [_cs4, lambda: mat_algebra(6)])
@@ -214,7 +214,7 @@ def test_passing_validation_scans_no_basis_triples(make, monkeypatch):
 
 
 def test_function_algebra_is_commutative_and_valid():
-    F = c_of_z2().algebra
+    F = c_of_z2()
     rep = validate_algebra(F)
     assert rep.ok
     assert F.is_commutative()
@@ -280,7 +280,7 @@ def test_generated_subalgebra_star_closure():
 @pytest.mark.parametrize("which", ["CS3", "C(S3)", "Mat2(x)Mat2"])
 def test_generated_subalgebra_matches_all_pairs_closure(which):
     # random sparse Q(i) generators, one to three entries each
-    B = {"CS3": lambda: cs3().algebra, "C(S3)": lambda: c_of_s3().algebra,
+    B = {"CS3": lambda: cs3(), "C(S3)": lambda: c_of_s3(),
          "Mat2(x)Mat2": lambda: tensor_algebra(mat_algebra(2),
                                                mat_algebra(2))}[which]()
     rng = random.Random(sum(map(ord, which)))
@@ -307,9 +307,9 @@ def _generating_set_case(which):
         B = mat_algebra(3)
         return B, Subspace.from_vectors([B.unit], 9)
     if which == "cz3":
-        return group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).algebra, \
+        return group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), \
             Subspace.full(3)
-    B = cs3().algebra
+    B = cs3()
     return B, generated_subalgebra([{4: Scalar.one()}], B)
 
 
@@ -382,7 +382,7 @@ def _expectation_cases():
         [unit_vec(4, 0), unit_vec(4, 3)], 4)
     yield "mat2-full", A, Subspace.full(4)
     H = cs3()
-    B = StarAlgebra(6, H.algebra.mult, H.unit, H.star, state=haar(H),
+    B = StarAlgebra(6, H.mult, H.unit, H.star, state=haar(H),
                     name="CS3")
     one = Scalar.one()
     yield "cs3-z2", B, generated_subalgebra([{S3_TRANSPOSITION: one}], B)
@@ -425,7 +425,7 @@ def test_unique_trace_on_mat2():
     A = mat_algebra(2)
     assert unique_trace(A) == A.state
     # C(Z2) has a two-dimensional space of traces
-    direct_sum = c_of_z2().algebra
+    direct_sum = c_of_z2()
     with pytest.raises(InputError, match=r"^trace is not unique \(algebra"
                        r" is not a factor\)$"):
         unique_trace(direct_sum)

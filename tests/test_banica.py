@@ -69,7 +69,7 @@ def z2_fixture():
     """H = CZ2, B = CZ2 with beta = Delta, A = Mat2 by Ad(Z)."""
     H = cz2()
     B = ComoduleAlgebra(
-        H, group_algebra(Z2_TABLE, name="CZ2").algebra,
+        H, group_algebra(Z2_TABLE, name="CZ2"),
         [{(i, i): Scalar.one()} for i in range(2)],
         name="CZ2 over itself",
     )
@@ -107,7 +107,7 @@ def s3_fixture():
             (S3_TABLE[t][x], 1): Scalar.one(),
         }
         coact.append(plane)
-    B = ComoduleAlgebra(H, c_of_s3().algebra, coact, name="C(S3)")
+    B = ComoduleAlgebra(H, c_of_s3(), coact, name="C(S3)")
     hcop = variants(H)[1]
     base = grading_action_mat2()
     act = ModuleAlgebraAction(hcop, base.alg, base.act)
@@ -400,7 +400,7 @@ def test_t_q_extraction_trivial_b_reduces_to_pairing():
     # the scalars collapse to pairing data against the counit:
     # T_q(1 (x) h) = counit(q) [h = e] 1_B
     for qi in range(2):
-        eps = q_ambient.counit_of(sparse(unit_vec(2, qi)))
+        eps = q_ambient.counit[qi]
         for h in range(2):
             val = t_mats[qi][0][0 * 2 + h]
             expected = eps if h == 0 else Scalar.zero()
@@ -428,7 +428,7 @@ def k4_fixture():
 
     H = ck4()
     B = ComoduleAlgebra(
-        H, group_algebra(K4_TABLE).algebra,
+        H, group_algebra(K4_TABLE),
         [{(i, i): Scalar.one()} for i in range(4)],
         name="CK4 over itself",
     )

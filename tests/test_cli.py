@@ -453,7 +453,7 @@ def test_lifting_reaches_nested_hopf_tensors(tmp_path):
     assert ws.lift_orders() == 3
     hopf = ws.get("cz2")
     assert all(v.order == 3
-               for plane in hopf.algebra.mult for cell in plane
+               for plane in hopf.mult for cell in plane
                for v in cell.values())
     assert all(v.order == 3 for plane in hopf.comult
                for v in plane.values())

@@ -118,7 +118,7 @@ def _times_unit(sp, values):
 
 def test_endo_from_counit_functional_is_identity():
     sp = pauli_smash()
-    psi = _times_unit(sp, [sp.action.hopf.counit_of(sparse(unit_vec(4, h)))
+    psi = _times_unit(sp, [sp.action.hopf.counit[h]
                            for h in range(4)])
     endo = endo_from_functional(sp, psi)
     assert endo == {t: {t: Scalar.one()} for t in range(16)}
@@ -255,7 +255,7 @@ def test_extract_pairing_trivial_hopf():
         sp, triv, _trivial_action_raw(triv, sp.total)
     )
     assert rep.ok
-    eps = [sp.action.hopf.counit_of(sparse(unit_vec(4, h))) for h in range(4)]
+    eps = [sp.action.hopf.counit[h] for h in range(4)]
     assert pairing.matrix == [eps]
 
 
@@ -307,7 +307,7 @@ def test_universal_morphisms_unique():
     phi, _ = cert.universal_morphism(
         triv, _trivial_action_raw(triv, sp.total)
     )
-    assert phi == [[sp.action.hopf.counit_of(sparse(unit_vec(4, h)))
+    assert phi == [[sp.action.hopf.counit[h]
                     for h in range(4)]]
 
 

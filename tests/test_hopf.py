@@ -1,8 +1,12 @@
 """Hopf *-algebra fixtures, duals, variants, Haar integrals, pairings."""
 
+import gc
+import weakref
+
 import pytest
 
 from hopfgal.actions import smash_product
+from hopfgal.algebra import StarAlgebra
 from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     S3_TABLE,
@@ -57,7 +61,7 @@ def test_group_type_fixtures_pass(make):
 
 def test_cs3_is_cocommutative_noncommutative():
     H = cs3()
-    assert not H.algebra.is_commutative()
+    assert not H.is_commutative()
     assert all(
         H.comult[i] == {(k, j): v for (j, k), v in H.comult[i].items()}
         for i in range(H.dim)
@@ -67,7 +71,7 @@ def test_cs3_is_cocommutative_noncommutative():
 def test_dual_of_cs3_is_commutative_noncocommutative():
     D = dual_hopf(cs3())
     assert validate_hopf(D).ok
-    assert D.algebra.is_commutative()
+    assert D.is_commutative()
     cocommutative = all(
         D.comult[i] == {(k, j): v for (j, k), v in D.comult[i].items()}
         for i in range(D.dim)
@@ -116,25 +120,53 @@ def test_broken_antipode_fails_with_witness():
 
 def test_coalgebra_involution_follows_the_antipode():
     # x -> S(x)* is read from the current tables, so replacing the antipode
-    # (as broken_hopf_workspace does) or editing it in place moves it too
+    # (as broken_hopf_workspace does) or editing it in place moves it too,
+    # also for a view taken before the table was replaced
     bad = group_algebra(S3_TABLE)
+    early = bad.coalgebra
     bad.antipode = identity_matrix(6)
-    assert [dense_row(bad.coalgebra.star_row(i), 6) for i in range(6)] \
-        == [dstar(bad.algebra, r) for r in bad.antipode]
+    for view in (early, bad.coalgebra):
+        assert [dense_row(view.star_row(i), 6) for i in range(6)] \
+            == [dstar(bad, r) for r in bad.antipode]
     # S(g) = g + h is not group-like, so x -> S(x)* stops reversing Delta
     two = [a + b for a, b in zip(unit_vec(6, 1), unit_vec(6, 2))]
     bad.antipode[1] = two
-    assert dstar(bad.coalgebra, unit_vec(6, 1)) \
-        == dstar(bad.algebra, two)
+    for view in (early, bad.coalgebra):
+        assert dstar(view, unit_vec(6, 1)) == dstar(bad, two)
     assert not validate_hopf(bad)["coalg:star_reverses_comultiplication"] \
         .passed
+
+
+def test_a_hopf_star_algebra_is_its_star_algebra():
+    # H is a StarAlgebra holding Delta, epsilon and S; its coalgebra is a
+    # view built on each access, never stored on H
+    H = cs3()
+    assert isinstance(H, StarAlgebra) and "algebra" not in dir(H)
+    assert H.coalgebra is not H.coalgebra
+    assert H.coalgebra.comult is H.comult
+
+
+def test_a_hopf_star_algebra_is_freed_without_the_cycle_collector():
+    # a view stored on H would point back at H; with the collector off,
+    # H must still go as soon as its last reference does
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        H = group_algebra(S3_TABLE)
+        assert H.coalgebra.star_row(1)
+        ref = weakref.ref(H)
+        del H
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_single_entry_perturbations_fail():
     for make in GROUP_FIXTURES:
         H = make()
-        H.algebra.mult[0][0][H.dim - 1] = (
-            H.algebra.mult[0][0].get(H.dim - 1, Scalar.zero()) + Scalar.one()
+        H.mult[0][0][H.dim - 1] = (
+            H.mult[0][0].get(H.dim - 1, Scalar.zero()) + Scalar.one()
         )
         assert not validate_hopf(H).ok
         H2 = make()
@@ -170,7 +202,7 @@ def test_op_of_cs3_isomorphic_via_inversion():
     for i in range(6):
         for j in range(6):
             prod_op = vzero(6)
-            for k, v in h_op.algebra.mult[i][j].items():
+            for k, v in h_op.mult[i][j].items():
                 prod_op[k] = prod_op[k] + v
             lhs = mat_vec([[P[a][b] for a in range(6)] for b in range(6)],
                           prod_op)
@@ -212,7 +244,7 @@ def test_haar_missing():
     # Breaking the comultiplication of CZ2 so that the invariance equations
     # force tau = 0 leaves nothing to normalize.
     H = cz2()
-    H.coalgebra.comult[1] = {(0, 1): Scalar.one()}
+    H.comult[1] = {(0, 1): Scalar.one()}
     with pytest.raises(InputError, match="no normalizable two-sided"):
         haar(H)
 
@@ -223,6 +255,25 @@ def test_canonical_pairing_validates():
         P = canonical_pairing(dual_hopf(H), H)
         rep = validate_pairing(P)
         assert rep.ok, rep.failed()
+
+
+def test_nondegeneracy_is_a_rank_test():
+    # a pairing is nondegenerate exactly when it is square and nonsingular:
+    # the leading square block of [[1, 0]] is invertible, the pairing is not
+    trivial, z2 = group_algebra([[0]]), cz2()
+    one, zero = Scalar.one(), Scalar.zero()
+    assert not HopfPairing(trivial, z2, [[one, zero]]).is_nondegenerate()
+    assert not HopfPairing(z2, trivial, [[one], [zero]]).is_nondegenerate()
+    assert not HopfPairing(z2, z2, [[one, one], [one, one]]) \
+        .is_nondegenerate()
+    assert canonical_pairing(dual_hopf(z2), z2).is_nondegenerate()
+
+
+def test_an_antipode_with_a_zero_row_is_not_invertible():
+    H = cz2()
+    assert validate_hopf(H)["antipode_invertible"].passed
+    H.antipode[1] = vzero(2)
+    assert not validate_hopf(H)["antipode_invertible"].passed
 
 
 def test_zero_pairing_fails_unit_laws():
@@ -247,14 +298,14 @@ def test_antipode_is_algebra_and_coalgebra_antihomomorphism():
         for i in range(n):
             for j in range(n):
                 prod = vzero(n)
-                for k, v in H.algebra.mult[i][j].items():
+                for k, v in H.mult[i][j].items():
                     prod[k] = prod[k] + v
                 lhs = dantipode(H, prod)
                 rhs = dmul(H, dantipode(H, unit_vec(n, j)),
                            dantipode(H, unit_vec(n, i)))
                 assert lhs == rhs
         for i in range(n):
-            lhs = H.comult_vec(sparse(dantipode(H, unit_vec(n, i))))
+            lhs = H.coalgebra.comult_vec(sparse(dantipode(H, unit_vec(n, i))))
             rhs = {}
             for (j, k), v in H.comult[i].items():
                 sj = dantipode(H, unit_vec(n, j))
@@ -362,9 +413,9 @@ PAIRINGS.update({
 # law -> (sequence, key) of the single entry scaled by 1 + zeta_N
 PAIRING_PERTURBATIONS = {
     "multiplicative_left":
-        lambda P: (P.Q.algebra.mult[1][1], next(iter(P.Q.algebra.mult[1][1]))),
+        lambda P: (P.Q.mult[1][1], next(iter(P.Q.mult[1][1]))),
     "multiplicative_right":
-        lambda P: (P.H.algebra.mult[1][1], next(iter(P.H.algebra.mult[1][1]))),
+        lambda P: (P.H.mult[1][1], next(iter(P.H.mult[1][1]))),
     "unit_pairs_to_counit": lambda P: (P.H.counit, 1),
     "counit_pairs_to_unit": lambda P: (P.Q.counit, 0),
     "antipode_law":

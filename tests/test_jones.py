@@ -87,7 +87,7 @@ def test_gns_mat2():
 
 
 def test_gns_function_algebra():
-    F = c_of_z2().algebra
+    F = c_of_z2()
     from hopfgal.hopf import haar
     from hopfgal.algebra import StarAlgebra
 

@@ -431,16 +431,48 @@ def test_vectors_are_made_dense_in_linalg_only():
     assert offenders == []
 
 
+def _trees():
+    """(file name, syntax tree) of every module of the package and of the
+    tests."""
+    paths = [*Path(linalg.__file__).parent.glob("*.py"),
+             *Path(__file__).parent.glob("*.py")]
+    for path in sorted(paths):
+        yield path.name, ast.parse(path.read_text())
+
+
 def test_no_module_reads_a_subspace_basis():
     # a Subspace is its sparse echelon rows: its basis is read as
     # vectors, and written densely by to_json alone
     assert not hasattr(Subspace.full(2), "basis")
-    paths = [*Path(linalg.__file__).parent.glob("*.py"),
-             *Path(__file__).parent.glob("*.py")]
-    offenders = [f"{path.name}:{node.lineno}" for path in sorted(paths)
-                 for node in ast.walk(ast.parse(path.read_text()))
+    offenders = [f"{name}:{node.lineno}" for name, tree in _trees()
+                 for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "basis"]
     assert offenders == []
+
+
+def test_no_module_unwraps_an_algebra():
+    # a HopfStarAlgebra is its StarAlgebra, not a wrapper around one, so no
+    # module reads an algebra attribute or asks whether there is one
+    offenders = [f"{name}:{node.lineno}" for name, tree in _trees()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "algebra"]
+    offenders += [f"{name}:{node.lineno}" for name, tree in _trees()
+                  for node in _calls(tree, "hasattr")
+                  if any(isinstance(arg, ast.Constant)
+                         and arg.value == "algebra" for arg in node.args)]
+    assert offenders == []
+
+
+def test_sparse_vectors_of_another_ambient_are_refused():
+    # a sparse key outside range(ambient_dim), zero or not, is refused like
+    # a dense vector of another length, by contains, residue and
+    # coordinates alike
+    full, one = Subspace.full(2), Scalar.one()
+    for v in ({5: one}, {-1: one}, {2: Scalar.zero()}, [one] * 3):
+        for method in (full.contains, full.residue, full.coordinates):
+            with pytest.raises(InputError, match="ambient dimension mismatch"):
+                method(v)
+    assert full.contains({1: one}) and full.coordinates({0: one}) == [one, 0]
 
 
 def _reads_target(expr, target) -> bool:
@@ -536,16 +568,15 @@ def test_vector_methods_keep_scalar_orders():
     one, i = Scalar.one(4), Scalar.root_of_unity(4)
     z1, z4 = Scalar.zero(), Scalar.zero(4)
     H = sweedler4()   # basis 1, g, x, gx
-    A = H.algebra
 
     # (g + x)(g + x) = 1 + gx - gx
     gx = {0: z4, 1: one, 2: one, 3: z4}
-    out = A.mul_vec(gx, gx)
+    out = H.mul_vec(gx, gx)
     assert _pins(out) == {0: (1, 4), 3: (0, 4)}
     assert _pin(dense_row(out, 4)) == [(1, 4), (0, 1), (0, 1), (0, 4)]
 
     # g* = g - x as a table, so (g + i x)* = g - x + (-i)(i x)
-    B = sweedler4().algebra
+    B = sweedler4()
     B.star[1] = [z4, one, -one, z4]
     out = B.star_vec({0: z4, 1: one, 2: i, 3: z4})
     assert _pins(out) == {1: (1, 4), 2: (0, 4)}
@@ -569,12 +600,12 @@ def test_vector_methods_keep_scalar_orders():
 
     # counit(1 - g + x): the x term meets a zero counit and is skipped;
     # a zero entry of the argument is skipped too
-    assert _pin(H.counit_of({0: one, 1: -one, 2: one, 3: z4})) == (0, 4)
-    assert _pin(H.counit_of({0: z4, 1: z4, 2: one, 3: one})) == (0, 1)
-    A.state = list(H.counit)
-    assert _pin(A.apply_state({0: one, 1: -one, 2: 5 * one})) == (0, 4)
-    assert _pin(A.apply_state({0: z4, 2: one})) == (0, 1)
-    assert _pins(H.comult_vec({0: z4, 1: one})) == {(1, 1): (1, 4)}
+    assert _pin(C.counit_of({0: one, 1: -one, 2: one, 3: z4})) == (0, 4)
+    assert _pin(C.counit_of({0: z4, 1: z4, 2: one, 3: one})) == (0, 1)
+    H.state = list(H.counit)
+    assert _pin(H.apply_state({0: one, 1: -one, 2: 5 * one})) == (0, 4)
+    assert _pin(H.apply_state({0: z4, 2: one})) == (0, 1)
+    assert _pins(C.comult_vec({0: z4, 1: one})) == {(1, 1): (1, 4)}
     assert _pins(H.antipode_vec({0: z4, 1: one})) == {1: (1, 4), 3: (1, 4)}
 
     # a zero x_k is not skipped when v_k is not zero: it lifts the order,

@@ -279,11 +279,11 @@ def test_hopf_centralizer_of_whole_group_algebra():
     assert result.dim == 1
     assert result.contains(Q.unit)
     # cross-check against the closure oracle: the center itself
-    center = relative_commutant(Subspace.full(6), Q.algebra)
+    center = relative_commutant(Subspace.full(6), Q)
     assert center.dim == 3
     oracle = oracle_largest_subcoalgebra(
         Q.coalgebra, center,
-        stabilizers=[Q.antipode_vec, Q.algebra.star_vec],
+        stabilizers=[Q.antipode_vec, Q.star_vec],
     )
     assert oracle.dim == 1
 
@@ -477,9 +477,9 @@ def test_oracle_agreement_qi_with_linear_and_conjugate_linear_stabilizers(
                              Scalar.zero(4)) for t in range(n)])
         vecs.append([_qi(rng) for _ in range(n)])
         W = Subspace.from_vectors(vecs, n)
-        for stab, dim in zip(([], [Q.antipode_vec], [Q.algebra.star_vec],
+        for stab, dim in zip(([], [Q.antipode_vec], [Q.star_vec],
                               [Q.coalgebra.star_vec],
-                              [Q.antipode_vec, Q.algebra.star_vec]), dims):
+                              [Q.antipode_vec, Q.star_vec]), dims):
             mine = largest_subcoalgebra(Q.coalgebra, W, stabilizers=stab)
             assert mine == oracle_largest_subcoalgebra(Q.coalgebra, W, stab)
             assert mine.dim == dim

@@ -47,13 +47,13 @@ def _hopf_reports(make, table: str, at: tuple) -> dict:
     H = make()
     if table == "mult":
         i, j, k = at
-        _bump(H.algebra.mult[i][j], k)
+        _bump(H.mult[i][j], k)
     elif table == "comult":
         i, jk = at
         _bump(H.comult[i], jk)
     elif table:
         rows = {"counit": [H.counit], "antipode": H.antipode,
-                "star": H.algebra.star}[table]
+                "star": H.star}[table]
         i, j = at
         rows[i][j] = rows[i][j] + Scalar.one()
     return {"validate_hopf": _outcome(validate_hopf, H),
