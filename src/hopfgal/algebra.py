@@ -37,14 +37,12 @@ from .linalg import (
     conjugate_linear,
     dense_row,
     dot,
+    is_nonsingular,
     kernel_of,
     kron,
-    mat_inverse,
     nonzero,
     op_from_entries,
-    op_mul,
-    op_sparse,
-    rref,
+    projection,
     sparse,
     sparse_add,
     sparse_apply,
@@ -168,28 +166,30 @@ def tensor_algebra(A: StarAlgebra, B: StarAlgebra,
 # -- state analysis ----------------------------------------------------------
 
 
-def gram_matrix(A: StarAlgebra, functional: Vec | None = None) -> Mat:
-    """G[i][j] = tau(e_j^* e_i) for the given functional (default: state)."""
+def gram_matrix(A: StarAlgebra, functional: Vec | None = None) -> dict:
+    """The Gram operator {i: {j: tau(e_j^* e_i)}} of the given functional
+    (default: the state)."""
     tau = functional if functional is not None else A.state
     if tau is None:
         raise InputError("no state supplied")
     n = A.dim
     star = [sparse(row) for row in A.star]
-    return [[dot(_compose(A, star[j], i, right=True), tau)
-             for j in range(n)] for i in range(n)]
+    return op_from_entries((i, j, dot(_compose(A, star[j], i, right=True),
+                                      tau))
+                           for i in range(n) for j in range(n))
 
 
-def is_nonsingular(G: Mat) -> bool:
-    rows, pivots = rref(G)
-    return len(pivots) == len(G)
-
-
-def numerically_positive(G: Mat, tol: float = POSITIVITY_TOL) -> bool:
-    """Positivity of a Hermitian Gram matrix at the float embedding.
+def numerically_positive(G: dict, n: int,
+                         tol: float = POSITIVITY_TOL) -> bool:
+    """Positivity of a Hermitian Gram operator on k^n at the float
+    embedding.
 
     This is the one deliberately non-exact verdict in the package.
     """
-    M = np.array([[x.embed() for x in row] for row in G], dtype=complex)
+    M = np.zeros((n, n), dtype=complex)
+    for i, row in G.items():
+        for j, x in row.items():
+            M[i, j] = x.embed()
     M = (M + M.conj().T) / 2
     eigs = np.linalg.eigvalsh(M)
     return bool(eigs.min() > -tol)
@@ -215,8 +215,8 @@ def analyze_state(A: StarAlgebra, functional: Vec | None = None) -> AlgebraState
         functional=tau,
         tracial=tracial,
         hermitian=hermitian,
-        faithful=is_nonsingular(G),
-        positive=numerically_positive(G),
+        faithful=is_nonsingular(G.values(), A.dim),
+        positive=numerically_positive(G, A.dim),
     )
 
 
@@ -423,11 +423,11 @@ def conditional_expectation(M: StarAlgebra, N: Subspace) -> dict:
 
     E is the orthogonal projection onto N for <x, y> = tau(y* x), restricted
     to M.  Requires a state on M; N must be a unital *-subalgebra and the
-    Gram matrix of tau on N must be exactly nonsingular.  With the basis b_j
-    of N and F[i][x] = <e_x, b_i> = tau(b_i* e_x), E(e_x) = sum_j c_j b_j
-    where sum_j <b_j, b_i> c_j = F[i][x]; with G[i][j] = <b_j, b_i> that is
-    E = B^T G^-1 F.  G is read from the mult tensor and the state, not from
-    a GNS space.
+    Gram matrix of tau on N must be exactly nonsingular.  With the basis b_i
+    of N as the rows of B and F[i][x] = <e_x, b_i> = tau(b_i* e_x), this is
+    linalg.projection: E = B^T (F B^T)^-1 F, where (F B^T)[i][j] =
+    <b_j, b_i> is the Gram matrix of the basis.  F is read from the mult
+    tensor and the state, not from a GNS space.
     """
     if M.state is None:
         raise InputError("conditional expectation needs a state")
@@ -438,19 +438,14 @@ def conditional_expectation(M: StarAlgebra, N: Subspace) -> dict:
     # tau(e_p e_x) as sparse rows p
     products = [{x: t for x in range(n) if (t := dot(M.mult[p][x], tau))}
                 for p in range(n)]
-    F = [sparse_comb(products, sparse_comb(star, sparse_conj(b)))
-         for b in N.vectors]
-    # gram[i][j] = <b_j, b_i> = F[i] . b_j
-    gram = [[dot(f, b) for b in N.vectors] for f in F]
-    try:
-        gram_inv = mat_inverse(gram)
-    except InputError as e:
-        raise InputError("degenerate form") from e
-    F = op_from_entries((i, x, v) for i, f in enumerate(F)
-                        for x, v in f.items())
-    B_t = op_from_entries((t, i, v) for i, b in enumerate(N.vectors)
-                          for t, v in b.items())
-    return op_mul(B_t, op_mul(op_sparse(gram_inv), F))
+    F = op_from_entries(
+        (i, x, v) for i, b in enumerate(N.vectors)
+        for x, v in sparse_comb(products,
+                                sparse_comb(star, sparse_conj(b))).items())
+    E = projection(dict(enumerate(N.vectors)), F, N.dim)
+    if E is None:
+        raise InputError("degenerate form")
+    return E
 
 
 # -- reification and canonical traces ------------------------------------------

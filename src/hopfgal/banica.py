@@ -29,7 +29,6 @@ from .actions import (
 from .algebra import (
     StarAlgebra,
     gram_matrix,
-    is_nonsingular,
     is_unital_star_subalgebra,
     numerically_positive,
     relative_commutant,
@@ -46,13 +45,15 @@ from .hopf import (
     haar,
     tensor_product,
 )
-from .jones import GnsSpace, orthogonal_projection
+from .jones import orthogonal_projection
 from .linalg import (
     Subspace,
     Vec,
     collect,
+    commuting_kernel,
     dense_row,
     dot,
+    is_nonsingular,
     kernel_of,
     kron,
     nonzero,
@@ -448,7 +449,10 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
     """
     B = data.comodule
     rep = Report("banica galois group")
-    if q_on_B.alg is not B.alg and q_on_B.alg.dim != B.alg.dim:
+    if q_on_B.hopf is not Q_ambient:
+        raise InputError("Q_ambient action invalid: acts by another Hopf"
+                         " algebra")
+    if q_on_B.alg is not B.alg:
         raise InputError("Q_ambient action invalid: wrong carrier")
     act_rep = validate_action(q_on_B)
     if not act_rep.ok:
@@ -470,15 +474,7 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
                            for t, x in cell.items())
            for plane in q_on_B.act]
 
-    def entries():
-        # (op_i L - L op_i)[t][s] for every Lambda operator L
-        for l, L in enumerate(lam_ops):
-            for i, op in enumerate(ops):
-                for t, s, x in _product_terms(op, L):
-                    yield (l, t, s), i, x
-                for t, s, x in _product_terms(L, op):
-                    yield (l, t, s), i, -x
-    commuting = kernel_of(entries(), Q_ambient.dim)
+    commuting = commuting_kernel(ops, lam_ops)
     rep.add("commuting_subspace_dim", True,
             witness={"dim": commuting.dim})
 
@@ -507,18 +503,6 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
         )
     return BanicaGaloisResult(result, hopf, lifted, c_alg, inclusion, phi,
                               rep)
-
-
-def _product_terms(X: dict, Y: dict):
-    """(t, s, X[t][p] Y[p][s]): the terms of the operator product X Y.
-
-    kernel_of sums the terms itself; op_mul would drop an entry of X Y whose
-    terms cancel, and with it the Scalar order those terms give the row.
-    """
-    for t, row in X.items():
-        for p, a in row.items():
-            for s, y in Y.get(p, {}).items():
-                yield t, s, a * y
 
 
 def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
@@ -557,7 +541,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
         c = val.inverse()
         phi = dense_row({k: c * x for k, x in t.items()}, nb, c.order)
         G = gram_matrix(B.alg, phi)
-        if is_nonsingular(G) and numerically_positive(G):
+        if is_nonsingular(G.values(), nb) and numerically_positive(G, nb):
             return phi
     raise InputError("no Lambda-invariant faithful state")
 
@@ -565,12 +549,10 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
 def _range_projection_check(B, phi, lam_ops, result_ops) -> bool:
     """Operators of the result commute with the phi-orthogonal range
     projections of every Lambda operator."""
-    carrier = StarAlgebra(B.alg.dim, B.alg.mult, B.alg.unit, B.alg.star,
-                          state=phi)
-    space = GnsSpace(carrier, gram_matrix(carrier), Report("phi space"))
+    G = gram_matrix(B.alg, phi)
     for L in lam_ops:
         image = span_of(op_transpose(L).values(), B.alg.dim)
-        P = orthogonal_projection(space, image)
+        P = orthogonal_projection(G, image)
         for op in result_ops:
             if op_mul(op, P) != op_mul(P, op):
                 return False

@@ -249,7 +249,12 @@ def run_measure(ws: Workspace, job: dict) -> dict:
             "iteration_dims": log,
         }
     act = _doc(ws, job, "action", ("action",))
-    C, carrier_dim = act.hopf.coalgebra, act.alg.dim * act.alg.dim
+    if act.hopf is not C:
+        hopf = ws.raw[job["action"]]["hopf"]
+        raise InputError(
+            f"{job.where}.coalgebra: {job['coalgebra']!r} is not {hopf!r},"
+            f" the Hopf algebra that the action {job['action']!r} acts by")
+    C, carrier_dim = C.coalgebra, act.alg.dim * act.alg.dim
     # The row width of a span bounds nothing when carrier_dim is 1, nor
     # the terms of Delta^(m), so the work of evaluating the spans on every
     # basis element e_i is bounded before it starts, against one budget

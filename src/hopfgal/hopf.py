@@ -22,7 +22,6 @@ from itertools import product
 from .algebra import (
     StarAlgebra,
     involution_failures,
-    is_nonsingular,
     validate_algebra,
 )
 from .errors import InputError
@@ -34,10 +33,13 @@ from .linalg import (
     dense_row,
     dot,
     identity_matrix,
+    is_nonsingular,
     kernel_of,
     mat_eq,
-    mat_inverse,
     nonzero,
+    op_dense,
+    op_inverse,
+    op_sparse,
     sparse,
     sparse_add,
     sparse_apply,
@@ -276,7 +278,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
 
     # row i of the table is S(e_i): S is invertible when the rows are
     # independent
-    rep.add("antipode_invertible", is_nonsingular(H.antipode))
+    rep.add("antipode_invertible", is_nonsingular(H.antipode, n))
 
     rep.add("kac_flag_recorded", True, witness={"kac": H.is_kac()},
             note="S^2 = id is a flag consumed downstream, not an axiom")
@@ -354,7 +356,10 @@ def dual_hopf(H: HopfStarAlgebra, name: str = "") -> HopfStarAlgebra:
 def variants(H: HopfStarAlgebra):
     """(H^op, H^cop, H^op_cop); single flips carry the inverse antipode."""
     n = H.dim
-    s_inv = transpose(mat_inverse(transpose(H.antipode)))
+    s_inv = op_inverse(op_sparse(H.antipode), n)
+    if s_inv is None:
+        raise InputError("antipode is singular")
+    s_inv = op_dense(s_inv, n)
     op_mult = [[H.mult[j][i] for j in range(n)] for i in range(n)]
     cop_comult = flip(H.comult)
     op_alg = StarAlgebra(n, op_mult, list(H.unit),
@@ -519,7 +524,7 @@ class HopfPairing:
 
     def is_nondegenerate(self) -> bool:
         return (self.Q.dim == self.H.dim
-                and is_nonsingular(self.matrix))
+                and is_nonsingular(self.matrix, self.H.dim))
 
 
 def canonical_pairing(Q: HopfStarAlgebra, H: HopfStarAlgebra) -> HopfPairing:

@@ -43,23 +43,21 @@ from .algebra import (
     conditional_expectation,
     generating_set,
     gram_matrix,
-    is_nonsingular,
     is_unital_star_subalgebra,
     relative_commutant,
     state_flags,
 )
 from .errors import ConsistencyError, InputError
 from .linalg import (
-    Mat,
     Subspace,
+    commuting_kernel,
     kernel_of,
-    mat_inverse,
     matrix_commutant,
     nonzero,
     op_adjoint,
-    op_dense,
     op_flat,
     op_from_entries,
+    op_inverse,
     op_mul,
     op_span,
     op_sparse,
@@ -67,6 +65,7 @@ from .linalg import (
     op_transpose,
     op_vec,
     operator_algebra_span,
+    projection,
     span_of,
     sparse,
     sparse_comb,
@@ -79,8 +78,11 @@ from .scalars import Scalar
 
 @dataclass
 class GnsSpace:
+    """L^2(M, tau), with the Gram operator of tau and its inverse."""
+
     base: StarAlgebra
-    gram: Mat
+    gram: dict
+    gram_inv: dict
     report: Report
 
     def __post_init__(self):
@@ -124,7 +126,7 @@ class GnsSpace:
     def projection(self, W: Subspace) -> dict:
         """The orthogonal projection onto W; computed once per W."""
         return self._memo("projection", W,
-                          lambda: orthogonal_projection(self, W))
+                          lambda: orthogonal_projection(self.gram, W))
 
     def generators(self, S: Subspace) -> list[dict]:
         """A generating set of the unital subalgebra S; chosen once per S."""
@@ -136,24 +138,16 @@ class GnsSpace:
 
         An X that commutes with every lam(a) is rho(b) for b = X 1, since
         X a = X lam(a) 1 = lam(a) X 1 = a b.  So the commutant is
-        {rho(b) : rho(b) e_N = e_N rho(b)}, a kernel in the n coordinates
-        of b whose rows are the entries of rho(e_c) e_N - e_N rho(e_c).
-        rho is injective and rho(b) rho(b') = rho(b' b), so the b form a
-        unital subalgebra of M.
+        {rho(b) : rho(b) e_N = e_N rho(b)}, the commuting kernel of the
+        rho(e_c) against e_N.  rho is injective and rho(b) rho(b') =
+        rho(b' b), so the b form a unital subalgebra of M.
         """
-        M, e = self.base, self.projection(N)
-
-        def entries():
-            for c in range(self.dim):
-                rho = M.right_mult_op({c: Scalar.one()})
-                for k, row in op_mul(rho, e).items():
-                    for j, v in row.items():
-                        yield (k, j), c, v
-                for k, row in op_mul(e, rho).items():
-                    for j, v in row.items():
-                        yield (k, j), c, -v
-        return self._memo("e_commutant", N,
-                          lambda: kernel_of(entries(), self.dim))
+        def make():
+            one = Scalar.one()
+            rhos = [self.base.right_mult_op({c: one})
+                    for c in range(self.dim)]
+            return commuting_kernel(rhos, [self.projection(N)])
+        return self._memo("e_commutant", N, make)
 
     def n_commutant(self, N: Subspace) -> tuple[Subspace, Subspace]:
         """N' and J N' J in End(L^2), flattened; computed once per N from
@@ -165,15 +159,9 @@ class GnsSpace:
             return op_span(ops, n), op_span(map(self.jmat, ops), n)
         return self._memo("n_commutant", N, make)
 
-    @cached_property
-    def gram_ops(self) -> tuple[dict, dict]:
-        """The Gram matrix G and its inverse as sparse operators."""
-        return op_sparse(self.gram), op_sparse(mat_inverse(self.gram))
-
     def adjoint(self, X: dict) -> dict:
         """Gram adjoint: <X x, y> = <x, X^dagger y>."""
-        G, G_inv = self.gram_ops
-        return op_mul(G_inv, op_mul(op_adjoint(X), G))
+        return op_mul(self.gram_inv, op_mul(op_adjoint(X), self.gram))
 
 
 def gns(M: StarAlgebra, certify: bool = True) -> GnsSpace:
@@ -183,10 +171,11 @@ def gns(M: StarAlgebra, certify: bool = True) -> GnsSpace:
     if not all(state_flags(M, M.state)):
         raise InputError("gns needs a tracial hermitian state")
     G = gram_matrix(M)
-    if not is_nonsingular(G):
+    G_inv = op_inverse(G, M.dim)
+    if G_inv is None:
         raise InputError("degenerate Gram matrix")
     rep = Report("gns")
-    space = GnsSpace(M, G, rep)
+    space = GnsSpace(M, G, G_inv, rep)
     if certify:
         _certify_gns(space)
     return space
@@ -195,10 +184,7 @@ def gns(M: StarAlgebra, certify: bool = True) -> GnsSpace:
 def _certify_gns(space: GnsSpace):
     M, G, rep = space.base, space.gram, space.report
     n = M.dim
-    hermitian = all(
-        G[i][j] == G[j][i].conj() for i in range(n) for j in range(n)
-    )
-    rep.add("gram_hermitian", hermitian)
+    rep.add("gram_hermitian", G == op_adjoint(G))
     rep.add("gram_nonsingular", True)  # checked in gns()
 
     lams = [space.lam_basis(i) for i in range(n)]
@@ -230,24 +216,21 @@ def jmj_is_commutant(space: GnsSpace, ops: list[dict]) -> bool:
 # -- Jones projection ----------------------------------------------------------
 
 
-def orthogonal_projection(space: GnsSpace, W: Subspace) -> dict:
-    """Gram-orthogonal projection of L^2 onto a subspace.
+def orthogonal_projection(G: dict, W: Subspace) -> dict:
+    """The orthogonal projection onto a subspace W for the Gram operator G.
 
-    With the basis b_i of W as the rows of B, the image of e_t has the
-    coefficients Gw^-1 C e_t on the b_i, where C[i][t] = <e_t, b_i> and
-    Gw = C B^T is the Gram matrix of the basis: e_W = B^T Gw^-1 C.
+    With the basis b_i of W as the rows of B and C[i][t] = <e_t, b_i>,
+    this is linalg.projection: e_W = B^T (C B^T)^-1 C, where C B^T is the
+    Gram matrix of the basis.
     """
     B = dict(enumerate(W.vectors))
     if not B:
         return {}
-    G, _ = space.gram_ops
-    B_t = op_transpose(B)
     C = op_transpose(op_mul(G, op_adjoint(B)))
-    try:
-        gw_inv = mat_inverse(op_dense(op_mul(C, B_t), W.dim))
-    except InputError as e:
-        raise InputError("degenerate restriction") from e
-    return op_mul(B_t, op_mul(op_sparse(gw_inv), C))
+    P = projection(B, C, W.dim)
+    if P is None:
+        raise InputError("degenerate restriction")
+    return P
 
 
 def jones_projection(space: GnsSpace, N: Subspace) -> tuple[dict, Report]:
@@ -279,18 +262,10 @@ def jones_projection(space: GnsSpace, N: Subspace) -> tuple[dict, Report]:
     rep.add("compresses_to_expectation", compresses,
             note="operator form e lam(x) e = lam(E(x)) e")
 
-    def entries():
-        # the coefficient of e_i in x is x_i, so column i of the map
-        # x -> e lam(x) - lam(x) e is e lam_i - lam_i e
-        for i, lam in enumerate(lams):
-            for k, row in op_mul(e, lam).items():
-                for j, v in row.items():
-                    yield (k, j), i, v
-            for k, row in op_mul(lam, e).items():
-                for j, v in row.items():
-                    yield (k, j), i, -v
+    # the coefficient of e_i in x is x_i, so x lies in the kernel exactly
+    # when lam(x) commutes with e
     rep.add("commutation_characterizes_subalgebra",
-            kernel_of(entries(), n) == N)
+            commuting_kernel(lams, [e]) == N)
 
     # J e_i is the star row S[i]: J (e e_i) = e (J e_i) on every basis vector
     S = [sparse(row) for row in M.star]

@@ -4,8 +4,8 @@ A vector is a sparse dict index -> Scalar (a missing key is zero), an
 operator on k^n is a dict row -> sparse row (a missing row or entry is
 zero), and a Subspace is its sparse echelon rows.  Dense lists of Scalar
 remain only where a table is stored or emitted densely (units, states,
-star and antipode tables, pairings) and in the Gram inverses; dense_row is
-the one place a sparse vector is written as a dense row.
+star and antipode tables, pairings); dense_row is the one place a sparse
+vector is written as a dense row.
 
 All row elimination runs in one sparse echelon store: `rows` maps a pivot
 p to the tail {k: c} (all k < p, no pivot among them) of the normalized
@@ -16,9 +16,9 @@ ever visited.  KernelSolver keeps constraint rows there and reads the
 nullspace off the free columns.  SpanBuilder keeps vectors there with the
 columns reversed (j -> n-1-j), so the largest stored column is the leading
 one and the rows read back are the canonical RREF of the span; a Subspace
-holds exactly these rows, and rref, Subspace membership and residues and
-mat_inverse all run on them.  preimages keeps tagged columns in the same
-store.
+holds exactly these rows, and is_nonsingular, Subspace membership and
+residues run on them.  preimages keeps tagged columns in the same store,
+and op_inverse and projection run on it.
 
 A table or a functional is evaluated on a vector through sparse_apply (a
 rank-3 tensor such as mult or act on two sparse vectors), sparse_comb
@@ -32,16 +32,17 @@ zero is dropped, is decided in this module only.
 
 Outside this module, kernels and closures have one way in each.
 kernel_of states "all x with L(x) = 0": the caller hands it the nonzero
-entries of L as (row key, column, value) triples.  SpanBuilder.close
+entries of L as (row key, column, value) triples, and commuting_kernel
+"all x with sum_c x_c ops[c] commuting with these".  SpanBuilder.close
 states "the smallest span that holds these elements and is closed under
 these maps": the operator algebras of jones, the generated subalgebras
 and the generating sets of algebra all grow their spans through it.
 
 The sparse operator form, a dict row -> sparse row, is the one operator
 form of the package: every operator of jones, galois and banica (lambda(x),
-e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators) and
-every span matrix of measuring is built with op_from_entries and combined
-with op_mul, op_vec and op_transpose.
+e_N, T_lam, the bimodule endomorphisms, E, the Lambda operators, the Gram
+forms) and every span matrix of measuring is built with op_from_entries
+and combined with op_mul, op_vec, op_transpose and op_inverse.
 The operator helpers (op_mul, op_vec, op_adjoint, matrix_commutant,
 operator_algebra_span) visit nonzero entries only, and an operator enters
 a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
@@ -296,16 +297,6 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     if len(A) != len(B):
         return False
     return all(x == y for r, s in zip(A, B) for x, y in zip(r, s))
-
-
-def mat_inverse(A: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises if singular."""
-    n = len(A)
-    aug = [list(A[i]) + unit_vec(n, i) for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise InputError("matrix is singular")
-    return [row[n:] for row in rows]
 
 
 # -- the echelon store ----------------------------------------------------
@@ -675,6 +666,24 @@ def preimages(columns: list[dict], targets) -> list[dict] | None:
     return out
 
 
+def op_inverse(A: dict, n: int) -> dict | None:
+    """A^-1 for an operator on k^n, or None when A is singular: column i
+    is the preimage of e_i, and one preimages elimination serves all n."""
+    columns, one = op_transpose(A), Scalar.one()
+    cols = preimages([columns.get(j, {}) for j in range(n)],
+                     ({i: one} for i in range(n)))
+    return None if cols is None else op_from_entries(
+        (k, i, x) for i, col in enumerate(cols) for k, x in col.items())
+
+
+def projection(B: dict, F: dict, k: int) -> dict | None:
+    """B^T (F B^T)^-1 F for k rows b_i of B and f_i of F, or None when
+    F B^T is singular: the projection onto span{b_i} along ker F."""
+    B_t = op_transpose(B)
+    inverse = op_inverse(op_mul(F, B_t), k)
+    return None if inverse is None else op_mul(B_t, op_mul(inverse, F))
+
+
 def kernel_of(entries, n: int) -> Subspace:
     """The nullspace {x in k^n : sum_col L[key][col] x_col = 0 for every key}.
 
@@ -699,6 +708,11 @@ def span_of(vectors, n: int) -> Subspace:
     for v in vectors:
         builder.insert(v)
     return builder.subspace()
+
+
+def is_nonsingular(rows, n: int) -> bool:
+    """The n dense or sparse rows of an n x n matrix are independent."""
+    return span_of(rows, n).dim == n
 
 
 def op_span(ops, n: int) -> Subspace:
@@ -739,6 +753,27 @@ def matrix_commutant(gens: list[dict], n: int,
         if known_dim is not None and solver.dim <= known_dim:
             break
     return [op_unflat(v, n) for v in solver.vectors().values()]
+
+
+def commuting_kernel(ops: list[dict], fixed: list[dict]) -> Subspace:
+    """The x with X = sum_c x_c ops[c] commuting with every F in fixed.
+
+    The rows are the entries of X F - F X keyed (index of F, row, column),
+    summed by kernel_of from the raw product terms: an entry whose terms
+    cancel still lifts the order of its row, as op_mul would not.
+    """
+    def entries():
+        for f, F in enumerate(fixed):
+            for c, X in enumerate(ops):
+                for t, row in X.items():
+                    for p, a in row.items():
+                        for s, y in F.get(p, {}).items():
+                            yield (f, t, s), c, a * y
+                for t, row in F.items():
+                    for p, a in row.items():
+                        for s, y in X.get(p, {}).items():
+                            yield (f, t, s), c, -(a * y)
+    return kernel_of(entries(), len(ops))
 
 
 def operator_algebra_span(gens: list[dict], n: int) -> Subspace:

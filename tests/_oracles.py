@@ -33,8 +33,9 @@ of every node of the emitted document.  The sparse span layer of measuring
 (the legs psi(e_j), their Kronecker powers and the star rows) is checked
 against the dense evaluation it replaced, which builds psi on unit
 vectors and applies the span matrices through kron_vec and mat_vec.  The
-dense embeddings x -> x x| 1 and x -> 1 x| x of a smash product, which
-production no longer needs, live here for the oracles and the tests.
+dense embeddings x -> x x| 1 and x -> 1 x| x of a smash product and the
+dense inverse mat_inverse, which production no longer needs, live here
+for the oracles and the tests.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from hopfgal.linalg import (
     dense_row,
     identity_matrix,
     kernel_of,
-    mat_inverse,
     mat_mul,
     sparse,
     unit_vec,
@@ -161,7 +161,7 @@ def rebased_hopf(H, P: list):
     from hopfgal.hopf import HopfStarAlgebra
 
     n = H.dim
-    Q = oracle_inverse(P)            # e_k = sum_i Q[k][i] f_i
+    Q = mat_inverse(P)               # e_k = sum_i Q[k][i] f_i
     zero = Scalar.zero()
 
     def comb(coeffs: list, table: list) -> list:  # sum_k coeffs[k] table[k]
@@ -574,12 +574,14 @@ def oracle_kernel(rows: list[dict], n: int) -> tuple[list, list[int]]:
     return _dense_rref(vectors, n)
 
 
-def oracle_inverse(A: list) -> list:
-    """Inverse of an invertible dense matrix by Gauss-Jordan on [A | I]."""
+def mat_inverse(A: list) -> list:
+    """Inverse of a dense matrix by Gauss-Jordan on [A | I]; raises if
+    singular.  Production inverts sparse operators (linalg.op_inverse)."""
     n = len(A)
     rows, pivots = _dense_rref(
         [list(row) + unit_vec(n, i) for i, row in enumerate(A)], 2 * n)
-    assert pivots == list(range(n)), "singular matrix"
+    if pivots != list(range(n)):
+        raise InputError("matrix is singular")
     return [row[n:] for row in rows]
 
 
@@ -587,7 +589,7 @@ def oracle_gram_adjoint(X: list, G: list) -> list:
     """G^-1 X^dagger G for dense X and Gram matrix G."""
     n = len(X)
     xct = [[X[j][i].conj() for j in range(n)] for i in range(n)]
-    return mat_mul(oracle_inverse(G), mat_mul(xct, G))
+    return mat_mul(mat_inverse(G), mat_mul(xct, G))
 
 
 def oracle_operator_algebra_span(gens: list, n: int) -> DenseBasis:

@@ -1064,3 +1064,44 @@ def test_subspace_of_another_ambient_names_its_document(op, tmp_path,
     assert _run(op, path, job=job) == 2
     assert capsys.readouterr().err \
         == f"input error: /documents/{name}: {says}\n"
+
+
+def test_measure_refuses_a_coalgebra_other_than_the_actions(tmp_path,
+                                                           capsys):
+    # the action adz acts by cz2; a measure job naming another Hopf
+    # algebra as its coalgebra is refused, not computed over cz2
+    def edit(docs):
+        docs["other"] = {"kind": "hopf", "group_table": [[0, 1], [1, 0]],
+                         "dual": True}
+        docs["measure"]["coalgebra"] = "other"
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(_fixture_with("z2.json", None, edit)))
+    assert _run("measure", path, job="measure") == 2
+    assert capsys.readouterr().err \
+        == ("input error: /documents/measure.coalgebra: 'other' is not"
+            " 'cz2', the Hopf algebra that the action 'adz' acts by\n")
+
+
+# the ambient action of the banica job must act by its ambient_hopf on the
+# algebra B of its comodule: (document, field, value)
+_FOREIGN_AMBIENT = {
+    "hopf-cz2": ("banica", "ambient_hopf", "cz2"),
+    "hopf-cz2cop": ("banica", "ambient_hopf", "cz2cop"),
+    "carrier-cz2": ("gradeB", "alg", "cz2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_AMBIENT))
+def test_banica_refuses_an_ambient_action_of_another_hopf_or_carrier(
+        case, tmp_path, capsys):
+    name, key, value = _FOREIGN_AMBIENT[case]
+
+    def edit(doc):
+        doc[key] = value
+    path = tmp_path / "banica-z2.json"
+    path.write_text(json.dumps(_fixture_with("banica-z2.json", name, edit)))
+    assert _run("qgal-banica", path, job="banica") == 2
+    says = ("acts by another Hopf algebra" if key == "ambient_hopf"
+            else "wrong carrier")
+    assert capsys.readouterr().err == ("input error: /documents/gradeB:"
+                                       f" Q_ambient action invalid: {says}\n")

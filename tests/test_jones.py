@@ -35,6 +35,7 @@ from hopfgal.linalg import (
     identity_matrix,
     matrix_commutant,
     op_dense,
+    op_inverse,
     op_mul,
     op_span,
     op_sparse,
@@ -335,7 +336,9 @@ def test_gram_adjoint_matches_dense_oracle(order):
         X = [[scalar() if rng.random() < 0.4 else Scalar.zero()
               for _ in range(n)] for _ in range(n)]
         # the adjoint reads only the Gram matrix, not the base algebra
-        space = GnsSpace(mat_algebra(1), G, Report("random gram"))
+        gram = op_sparse(G)
+        space = GnsSpace(mat_algebra(1), gram, op_inverse(gram, n),
+                         Report("random gram"))
         assert op_dense(space.adjoint(op_sparse(X)), n) \
             == oracle_gram_adjoint(X, G)
 
@@ -350,7 +353,7 @@ def test_m1_generators_span_matches_all_pairs_closure(case):
     space = gns(M, certify=False)
     n = space.dim
     gens = [space.lam_basis(i) for i in range(n)]
-    gens.append(orthogonal_projection(space, N))
+    gens.append(orthogonal_projection(space.gram, N))
     span = operator_algebra_span(gens, n)
     assert span.dim == {"c-in-mat3": 81, "dft-mat2-in-mat4": 64}[case]
     assert span == oracle_operator_algebra_span(
@@ -419,7 +422,8 @@ def test_jmj_check_rejects_conjugates_outside_the_commutant():
     base = StarAlgebra(3, [[{} for _ in range(3)] for _ in range(3)],
                        unit_vec(3, 0),
                        [unit_vec(3, 0), unit_vec(3, 2), unit_vec(3, 1)])
-    space = GnsSpace(base, identity_matrix(3), Report("three operators"))
+    ident = op_sparse(identity_matrix(3))
+    space = GnsSpace(base, ident, ident, Report("three operators"))
     ops = [{i: {i: one} for i in range(3)}, {0: {1: one}},
            {0: {2: -one}, 1: {1: one, 2: one}}]
     jmj = op_span(map(space.jmat, ops), 3)

@@ -15,25 +15,29 @@ from hopfgal.linalg import (
     SpanBuilder,
     Subspace,
     collect,
+    commuting_kernel,
     dense_row,
     dot,
     identity_matrix,
     kernel_of,
-    mat_inverse,
     mat_mul,
     matrix_commutant,
     op_adjoint,
     op_dense,
+    op_inverse,
     op_mul,
     op_span,
     op_sparse,
     op_trace,
     op_vec,
+    op_transpose,
     operator_algebra_span,
     preimages,
+    projection,
     rref,
     span_of,
     sparse,
+    transpose,
 )
 from hopfgal.scalars import Scalar, _context
 
@@ -42,6 +46,7 @@ from _oracles import (
     _residue,
     basis_rows,
     flatten_matrix,
+    mat_inverse,
     mat_vec,
     oracle_kernel,
     oracle_operator_algebra_span,
@@ -806,3 +811,111 @@ def test_sparse_products_that_cancel_store_nothing():
     N = {0: {1: Scalar.root_of_unity(4)}}
     assert op_mul(N, N) == {}
     assert op_mul({0: {0: one}, 1: {1: one}}, {}) == {}
+
+
+def _random_matrix(rng, m, n, order):
+    """m x n dense entries mixing order 1 and order, a third of them 0."""
+    return [[_random_scalar(rng, rng.choice([1, order]))
+             if rng.random() < 0.7 else Scalar.zero() for _ in range(n)]
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_op_inverse_matches_the_dense_inverse(order):
+    # one preimages elimination against Gauss-Jordan on [A | I], for
+    # random matrices with n = 1 among them; singular input gives None
+    rng = random.Random(900 + order)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        A = _random_matrix(rng, n, n, order)
+        inverse = op_inverse(op_sparse(A), n)
+        singular = len(_dense_rref(A, n)[1]) < n
+        seen.add((n == 1, singular))
+        if singular:
+            assert inverse is None
+        else:
+            assert _canonical(inverse)
+            assert op_dense(inverse, n) == mat_inverse(A)
+    assert {(False, False), (False, True), (True, False)} <= seen
+    one = Scalar.one()
+    assert op_inverse({}, 1) is None
+    assert op_inverse({0: {0: one, 1: one}, 1: {0: one, 1: one}}, 2) is None
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_projection_fixes_span_b_and_keeps_f(order):
+    # P = B^T (F B^T)^-1 F: P^2 = P, its range is span B and F P = F;
+    # a singular F B^T gives None
+    rng = random.Random(950 + order)
+    kept = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        B, F = _random_matrix(rng, k, n, order), _random_matrix(rng, k, n,
+                                                                 order)
+        P = projection(op_sparse(B), op_sparse(F), k)
+        if len(_dense_rref(mat_mul(F, transpose(B)), k)[1]) < k:
+            assert P is None
+            continue
+        kept += 1
+        assert op_mul(P, P) == P
+        assert span_of(op_transpose(P).values(), n) == span_of(B, n)
+        assert op_mul(op_sparse(F), P) == op_sparse(F)
+    assert kept >= 10
+    one = Scalar.one()
+    assert projection({0: {0: one}}, {0: {1: one}}, 1) is None
+
+
+def _oracle_commuting_kernel(ops, fixed):
+    """The kernel of the rows of X F - F X formed with op_mul, dense."""
+    rows: dict = {}
+    for f, F in enumerate(fixed):
+        for c, X in enumerate(ops):
+            for sign, XF in ((1, op_mul(X, F)), (-1, op_mul(F, X))):
+                for t, row in XF.items():
+                    for s, x in row.items():
+                        r = rows.setdefault((f, t, s), {})
+                        r[c] = r.get(c, Scalar.zero()) + sign * x
+    return oracle_kernel([rows[key] for key in sorted(rows)], len(ops))
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_commuting_kernel_matches_the_commutators(order):
+    rng = random.Random(970 + order)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        ops = [_random_op(rng, n, order) for _ in range(rng.randint(1, 5))]
+        fixed = [_random_op(rng, n, order) for _ in range(rng.randint(0, 2))]
+        K = commuting_kernel(ops, fixed)
+        basis, pivots = _oracle_commuting_kernel(ops, fixed)
+        assert K.pivots == pivots and basis_rows(K) == basis
+
+
+def test_commuting_kernel_rows_keep_the_order_of_cancelled_terms():
+    # (X0 F)[1][0] = i - i cancels, so the row (F, 1, 0) holds -2 from
+    # F X0 alone, at order 4: the kernel vector's tail keeps it, where the
+    # rows of op_mul would have left an order-1 -2
+    one, i = Scalar.one(), Scalar.root_of_unity(4)
+    X0 = {0: {0: 2 * one}, 1: {0: i, 1: -i}}
+    X1 = {0: {0: one}}
+    F = {0: {0: one}, 1: {0: one}}
+    (v,) = commuting_kernel([X0, X1], [F]).vectors
+    assert _pins(v) == {0: (1, 1), 1: (-2, 4)}
+    (w,), _ = _oracle_commuting_kernel([X0, X1], [F])
+    assert w == [1, -2]
+
+
+def test_inverses_and_commutators_are_stated_in_linalg():
+    # outside linalg no module eliminates through rref, inverts a dense
+    # matrix or writes the terms of a commutator by hand
+    banned = {"mat_inverse", "_product_terms"}
+    offenders = [f"{name}:{node.lineno}"
+                 for name, tree in _modules_outside_linalg()
+                 for node in _calls(tree, "rref")]
+    offenders += [f"{name}:{node.lineno}"
+                  for name, tree in _modules_outside_linalg()
+                  for node in ast.walk(tree)
+                  if {getattr(node, key, None) for key in
+                      ("id", "attr", "name")} & banned]
+    assert offenders == []
