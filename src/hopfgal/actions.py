@@ -28,7 +28,7 @@ from .algebra import (
     validate_algebra,
 )
 from .errors import InputError
-from .hopf import HopfPairing, HopfStarAlgebra, convolve
+from .hopf import HopfPairing, HopfStarAlgebra, coaction_operator, convolve
 from .linalg import (
     Subspace,
     Vec,
@@ -37,6 +37,7 @@ from .linalg import (
     kernel_of,
     kron,
     nonzero,
+    op_transpose,
     sparse,
     sparse_apply,
     sparse_comb,
@@ -184,6 +185,13 @@ class SmashProduct:
             raise InputError("the A leg is not scalar")
         return c
 
+    def coaction(self) -> list[dict]:
+        """The right coaction a x| h -> (a x| h_1) (x) h_2, stored like
+        Delta; built on each call, since the tables can change."""
+        comult = self.action.hopf.comult
+        return [{(self.idx(a, h1), h2): v for (h1, h2), v in comult[h].items()}
+                for a in range(self.dim_A) for h in range(self.dim_H)]
+
     def subspace_A(self) -> Subspace:
         one = Scalar.one()
         return span_of((self.a_leg({a: one}) for a in range(self.dim_A)),
@@ -264,19 +272,16 @@ def innerify_check(sp: SmashProduct) -> Report:
 
 
 def dual_action(sp: SmashProduct, pairing: HopfPairing) -> ModuleAlgebraAction:
-    """Action of the dual on the smash: u . (x x| h) = x x| h_1 <u, h_2>."""
+    """Action of the dual on the smash: u . (x x| h) = x x| h_1 <u, h_2>,
+    the operator of the coaction at the functional <u, .>."""
     if pairing.H is not sp.action.hopf and pairing.H.dim != sp.dim_H:
         raise InputError("pairing does not match the smash product")
-    Qhat = pairing.Q
-    H = sp.action.hopf
-    total = sp.total
-    nh, na = sp.dim_H, sp.dim_A
-    M = pairing.matrix
-    act = [[collect((a * nh + h1, v * M[u][h2])
-                    for (h1, h2), v in H.comult[h].items() if M[u][h2])
-            for a in range(na) for h in range(nh)]
-           for u in range(Qhat.dim)]
-    return ModuleAlgebraAction(Qhat, total, act,
+    total, coact = sp.total, sp.coaction()
+    act = []
+    for row in pairing.matrix:
+        cols = op_transpose(coaction_operator(coact, sparse(row)))
+        act.append([cols.get(t, {}) for t in range(total.dim)])
+    return ModuleAlgebraAction(pairing.Q, total, act,
                                name=f"dual action on {total.name}")
 
 

@@ -10,6 +10,8 @@ has invariants C, a unital *-subalgebra containing A as 1 (x) a x| 1.  The
 conditional expectation E(b (x) a x| h) = b_0 (x) a x| h_2 tau(h_1 S(b_1))
 projects onto C, and the canonical dual action on B is
 Lambda(omega) b = b_0 omega(b_1) for the functionals omega = tau(. S(h)).
+Both are hopf.coaction_operator: E = (id (x) tau) rho is the Haar average
+of the product coaction rho, and Lambda(omega) = (id (x) omega) beta.
 
 The Galois group of A inside C, relative to a user-supplied finite
 dimensional ambient Q acting on B, is the largest Hopf *-subalgebra of Q
@@ -34,16 +36,21 @@ from .algebra import (
     relative_commutant,
     reify,
     tensor_algebra,
+    validate_algebra,
 )
 from .errors import ConsistencyError, InputError
 from .hopf import (
     HopfStarAlgebra,
+    coaction_operator,
     coassociativity_failures,
+    convolution,
     convolve,
     counit_failures,
     flip,
     haar,
+    hopf_equal,
     tensor_product,
+    variants,
 )
 from .jones import orthogonal_projection
 from .linalg import (
@@ -67,6 +74,7 @@ from .linalg import (
     sparse_comb,
     sparse_ne,
     span_of,
+    transpose,
 )
 from .measuring import (
     hopf_subalgebra_report,
@@ -144,15 +152,23 @@ def product_coaction(B: ComoduleAlgebra,
     """Assemble the fixed-point data for B and A x| H^cop.
 
     B must be a comodule algebra over a Kac-type H, and the smash product
-    must have been built over H^cop (same multiplication as H, reversed
-    comultiplication, same antipode since S is involutive).
+    must have been built over H^cop, table for table the variants(H)[1]
+    (same multiplication as H, reversed comultiplication, same antipode
+    since S is involutive).  These premises, and the algebra laws of B, are
+    checked before anything is built: an input that fails one is refused.
     """
     H = B.hopf
     if not H.is_kac():
         raise InputError("antipode not involutive")
     Hcop = sp.action.hopf
-    if Hcop.dim != H.dim or not _is_cop_of(Hcop, H):
-        raise InputError("the smash product is not over H^cop")
+    if not hopf_equal(Hcop, variants(H)[1]):
+        raise InputError("the smash product is not over H^cop",
+                         culprit=Hcop)
+    alg_rep = validate_algebra(B.alg)
+    if not alg_rep.ok:
+        raise InputError(
+            f"comodule algebra invalid at {alg_rep.first_failure().name}",
+            culprit=B.alg)
     com_rep = validate_comodule(B)
     if not com_rep.ok:
         raise InputError(
@@ -186,7 +202,7 @@ def product_coaction(B: ComoduleAlgebra,
     tau = haar(H)
     inv = _coaction_invariants(rho, H, dim)
     table = _tau_s_table(H, tau)
-    E = _expectation(B, sp, H, table)
+    E = coaction_operator(rho, sparse(tau))
     data = FixedPointData(B, sp, H, total, rho, tau, inv, E, rep)
 
     rep.add("invariants_subalgebra", is_unital_star_subalgebra(inv, total))
@@ -209,16 +225,6 @@ def product_coaction(B: ComoduleAlgebra,
     return data
 
 
-def _is_cop_of(Hcop: HopfStarAlgebra, H: HopfStarAlgebra) -> bool:
-    n = H.dim
-    for i in range(n):
-        for j in range(n):
-            if Hcop.mult[i][j] != H.mult[i][j]:
-                return False
-    flipped = flip(H.comult)
-    return all(Hcop.comult[i] == flipped[i] for i in range(n))
-
-
 def _coaction_invariants(rho, H: HopfStarAlgebra, dim: int) -> Subspace:
     """C = {z : rho(z) = z (x) 1_H}."""
 
@@ -236,22 +242,10 @@ def _coaction_invariants(rho, H: HopfStarAlgebra, dim: int) -> Subspace:
 
 def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
     """T[h][x] = tau(e_x S(e_h)): the functionals omega_h = T[h] of the
-    Lambda action, the coefficients of E and both sides of the swap
-    identity all read this one table."""
+    Lambda action and both sides of the swap identity read this one
+    table."""
     return [[dot(sparse_comb(line, sh), tau) for line in H.mult]
             for sh in map(sparse, H.antipode)]
-
-
-def _expectation(B: ComoduleAlgebra, sp: SmashProduct,
-                 H: HopfStarAlgebra, table: list[Vec]) -> dict:
-    """E(b (x) a x| h) = b0 (x) a x| h2 tau(h1 S(b1)), as an operator."""
-    nt = sp.total.dim
-    return op_from_entries(
-        (b0 * nt + sp.idx(a, h2), b * nt + sp.idx(a, h), v * w * table[b1][h1])
-        for b in range(B.alg.dim) for a in range(sp.dim_A)
-        for h in range(H.dim)
-        for (b0, b1), v in B.coact[b].items()
-        for (h1, h2), w in H.comult[h].items() if table[b1][h1])
 
 
 def _expectation_bimodular(data: FixedPointData) -> bool:
@@ -265,14 +259,16 @@ def _expectation_bimodular(data: FixedPointData) -> bool:
 
 
 def _swap_identity(H: HopfStarAlgebra, table: list[Vec]) -> bool:
-    """x_1 tau(y S(x_2)) = tau(y_1 S(x)) y_2 for all basis x, y."""
-    nh = H.dim
-    return all(
-        collect((x1, v * table[x2][y])
-                for (x1, x2), v in H.comult[x].items() if table[x2][y])
-        == collect((y2, v * table[x][y1])
-                   for (y1, y2), v in H.comult[y].items() if table[x][y1])
-        for x in range(nh) for y in range(nh))
+    """x_1 tau(y S(x_2)) = tau(y_1 S(x)) y_2 for all basis x, y: column x
+    of (id (x) tau(y S(.))) Delta against column y of (id (x) tau(. S(x)))
+    Delta^cop."""
+    nh, flipped = H.dim, flip(H.comult)
+    left = [op_transpose(coaction_operator(H.comult, sparse(col)))
+            for col in transpose(table)]
+    right = [op_transpose(coaction_operator(flipped, sparse(row)))
+             for row in table]
+    return all(left[y].get(x, {}) == right[x].get(y, {})
+               for x in range(nh) for y in range(nh))
 
 
 def _beta_13(data: FixedPointData, b: int) -> dict:
@@ -299,27 +295,18 @@ def lambda_action(B: ComoduleAlgebra,
         tau = haar(H)
     nb, nh = B.alg.dim, H.dim
 
-    def lam_of_functional(phi: dict) -> dict:
-        return op_from_entries((b0, b, v * phi[b1]) for b in range(nb)
-                               for (b0, b1), v in B.coact[b].items()
-                               if b1 in phi)
-
     omega = [sparse(row) for row in _tau_s_table(H, tau)]
-    ops = [lam_of_functional(omega[h]) for h in range(nh)]
+    ops = [coaction_operator(B.coact, w) for w in omega]
     rep = Report("canonical dual action on B")
-
-    def convolution(f: dict, g: dict) -> dict:
-        return collect((x, v * f[x1] * g[x2]) for x in range(nh)
-                       for (x1, x2), v in H.comult[x].items()
-                       if x1 in f and x2 in g)
     rep.law("convolution_matches_composition", (
         (g, h) for g in range(nh) for h in range(nh)
-        if lam_of_functional(convolution(omega[g], omega[h]))
+        if coaction_operator(B.coact,
+                             convolution(H.comult, omega[g], omega[h]))
         != op_mul(ops[g], ops[h])),
         note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
 
     rep.add("counit_acts_as_identity",
-            lam_of_functional(sparse(H.counit))
+            coaction_operator(B.coact, sparse(H.counit))
             == {b: {b: Scalar.one()} for b in range(nb)})
     return ops, rep
 

@@ -90,12 +90,16 @@ def _doc(ws: Workspace, job: Fields, key: str, kinds: tuple | None = None):
 
 
 @contextmanager
-def _refusing(name: str):
+def _refusing(ws: Workspace, name: str):
     """Name the document name in an InputError raised in the block: the
-    mathematics refused what the document states."""
+    mathematics refused what the document states.  An error whose culprit
+    is a document of ws names that document instead."""
     try:
         yield
     except InputError as e:
+        if e.culprit is not None:
+            name = next((doc for doc, obj in ws.objects.items()
+                         if obj is e.culprit), name)
         raise InputError(f"/documents/{name}: {e}") from e
 
 
@@ -131,7 +135,7 @@ def run_smash(ws: Workspace, job: dict) -> dict:
     rep = validate_action(act)
     if not rep.ok:
         return {"action": job["action"], "report": rep.to_json()}
-    with _refusing(job["action"]):
+    with _refusing(ws, job["action"]):
         sp = smash_product(act)
     inner = innerify_check(sp)
     out = {
@@ -146,7 +150,7 @@ def run_smash(ws: Workspace, job: dict) -> dict:
 def run_commutant(ws: Workspace, job: dict) -> dict:
     alg = _doc(ws, job, "algebra")
     sub = _doc(ws, job, "subspace", ("subspace",))
-    with _refusing(job["subspace"]):
+    with _refusing(ws, job["subspace"]):
         comm = relative_commutant(sub, alg)
     return {"algebra": job["algebra"], "subspace": job["subspace"],
             "commutant": subspace_doc(comm)}
@@ -155,9 +159,9 @@ def run_commutant(ws: Workspace, job: dict) -> dict:
 def run_jones(ws: Workspace, job: dict) -> dict:
     alg = _doc(ws, job, "algebra", ("algebra",))
     sub = _doc(ws, job, "subalgebra", ("subspace",))
-    with _refusing(job["algebra"]):
+    with _refusing(ws, job["algebra"]):
         space = gns(alg)
-    with _refusing(job["subalgebra"]):
+    with _refusing(ws, job["subalgebra"]):
         bc = basic_construction(space, sub)
     endo_rep = bimodule_endos_report(bc)
     dims = endo_rep["dimension_matches"].witness
@@ -178,7 +182,7 @@ def run_jones(ws: Workspace, job: dict) -> dict:
 
 def run_qgal_depth2(ws: Workspace, job: dict) -> dict:
     act = _doc(ws, job, "action", ("action",))
-    with _refusing(job["action"]):
+    with _refusing(ws, job["action"]):
         cert = canonical_qgal(smash_product(act))
     out = {
         "action": job["action"],
@@ -196,12 +200,13 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
     act = _doc(ws, job, "action", ("action",))
     ambient = _doc(ws, job, "ambient_hopf", ("hopf",))
     ambient_act = _doc(ws, job, "ambient_action", ("action",))
-    with _refusing(job["action"]):
+    with _refusing(ws, job["action"]):
         sp = smash_product(act)
-    with _refusing(job["comodule"]):
+    # a premise that fails names the document at fault
+    with _refusing(ws, job["comodule"]):
         data = product_coaction(comodule, sp)
     # the ambient action names the ambient Hopf algebra and B
-    with _refusing(job["ambient_action"]):
+    with _refusing(ws, job["ambient_action"]):
         result = qgal_banica(data, ambient, ambient_act)
     c_dim = result.invariants_algebra.dim
     return {
@@ -221,7 +226,7 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
 def run_centralizer(ws: Workspace, job: dict) -> dict:
     Q = _doc(ws, job, "hopf", ("hopf",))
     S = _doc(ws, job, "subspace", ("subspace",))
-    with _refusing(job["subspace"]):
+    with _refusing(ws, job["subspace"]):
         result = hopf_centralizer(Q, S)
     rep = hopf_subalgebra_report(Q, result)
     return {
@@ -240,7 +245,7 @@ def run_measure(ws: Workspace, job: dict) -> dict:
         stabilizers = [C.antipode_vec, C.star_vec] \
             if job.typed("stabilize", bool, True) else []
         log: list[int] = []
-        with _refusing(target):
+        with _refusing(ws, target):
             result = largest_subcoalgebra(C.coalgebra, sub, stabilizers, log)
         return {
             "coalgebra": job["coalgebra"],

@@ -10,7 +10,14 @@ class HopfgalError(Exception):
 
 
 class InputError(HopfgalError, ValueError):
-    """Malformed or inconsistent user input (shapes, schemas, references)."""
+    """Malformed or inconsistent user input (shapes, schemas, references).
+
+    culprit, when given, is the parsed object whose content is at fault.
+    """
+
+    def __init__(self, message: str, culprit=None):
+        super().__init__(message)
+        self.culprit = culprit
 
 
 class ConsistencyError(HopfgalError, RuntimeError):

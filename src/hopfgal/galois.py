@@ -5,9 +5,10 @@ a x| h_1 <u, h_2>, fixing A; the certificate produced here identifies the
 dual as the canonical symmetry of the inclusion:
 
   * H* embeds in the A-bimodule endomorphisms of A x| H through
-    T_lam(a x| h) = a x| h_1 lam(h_2), and the image is exactly the
-    subspace of bimodule endomorphisms colinear for the canonical right
-    coaction a x| h -> (a x| h_2) (x) h_1.  For a factor A this colinear
+    T_lam(a x| h) = a x| h_1 lam(h_2), the coaction operator at lam of
+    SmashProduct.coaction, and the image is exactly the subspace of
+    bimodule endomorphisms colinear for the canonical right coaction
+    a x| h -> (a x| h_2) (x) h_1.  For a factor A this colinear
     endomorphism algebra has dimension dim H* and T is an exact algebra
     isomorphism onto it (convolution matches composition).  Scalar-commutant
     ("outer") inclusions, where no colinearity constraint is needed, do not
@@ -41,6 +42,7 @@ from .hopf import (
     HopfPairing,
     HopfStarAlgebra,
     canonical_pairing,
+    coaction_operator,
     dual_hopf,
     hopf_equal,
     tensor_map,
@@ -58,7 +60,6 @@ from .linalg import (
     op_span,
     op_vec,
     sparse,
-    sparse_add,
     sparse_apply,
     sparse_comb,
     sparse_conj,
@@ -212,15 +213,6 @@ def endo_report(sp: SmashProduct, psi: dict, endo: dict) -> Report:
 # -- the isomorphism H* = colinear bimodule endomorphisms ------------------------
 
 
-def dual_endo(sp: SmashProduct, lam: dict) -> dict:
-    """T_lam(a x| h) = a x| h_1 lam(h_2) for a sparse functional lam on H."""
-    H = sp.action.hopf
-    return op_from_entries(
-        (sp.idx(a, h1), sp.idx(a, h), v * lam[h2])
-        for a in range(sp.dim_A) for h in range(sp.dim_H)
-        for (h1, h2), v in H.comult[h].items() if h2 in lam)
-
-
 def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
                         ) -> tuple[HopfStarAlgebra, Report]:
     """Certify H* = colinear A-bimodule endomorphisms, tables matched.
@@ -248,7 +240,8 @@ def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
             colinear.dim == dual.dim,
             witness={"colinear": colinear.dim, "dual": dual.dim})
 
-    t_ops = [dual_endo(sp, {i: Scalar.one()}) for i in range(nh)]
+    coact = sp.coaction()
+    t_ops = [coaction_operator(coact, {i: Scalar.one()}) for i in range(nh)]
     span_t = op_span(t_ops, nt)
     rep.add("dual_image_spans_colinear_endos", span_t == colinear)
     rep.add("dual_map_injective", span_t.dim == nh)
@@ -257,7 +250,7 @@ def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
     rep.law("convolution_matches_composition", (
         (i, j) for i in range(nh) for j in range(nh)
         if op_mul(t_ops[i], t_ops[j])
-        != dual_endo(sp, dual.mult[i][j])))
+        != coaction_operator(coact, dual.mult[i][j])))
 
     # the values F(1 x| h) determine F, so they span a space of equal dim
     unconstrained = _endo_values(sp, colinear=False)
@@ -267,7 +260,7 @@ def commutant_endos_iso(sp: SmashProduct, outer: bool, commutant: Subspace,
             witness={"endos": unconstrained.dim,
                      "hom_h_to_commutant": expected})
     rep.add("identity_is_counit_endo",
-            dual_endo(sp, sparse(H.counit))
+            coaction_operator(coact, sparse(H.counit))
             == {t: {t: Scalar.one()} for t in range(nt)})
     return dual, rep
 
@@ -307,15 +300,12 @@ def extract_pairing(sp: SmashProduct, Q: HopfStarAlgebra,
 
     rep = Report("pairing extraction")
 
-    def reconstruction_fails(q, a, h):
-        # q . (a x| h) against a x| h_1 <q, h_2>
-        rhs: dict = {}
-        for (h1, h2), v in H.comult[h].items():
-            sparse_add(rhs, {sp.idx(a, h1): matrix[q][h2]}, v)
-        return sparse_ne(qact.act[q][sp.idx(a, h)], rhs)
+    # q . (a x| h) against a x| h_1 <q, h_2>, the dual action of the pairing
+    dual_act = dual_action(sp, pairing).act
     witness = next(((q, a, h) for q in range(nq) for a in range(na)
-                    for h in range(nh) if reconstruction_fails(q, a, h)),
-                   None)
+                    for h in range(nh)
+                    if sparse_ne(qact.act[q][sp.idx(a, h)],
+                                 dual_act[q][sp.idx(a, h)])), None)
     if witness is not None:
         raise InputError(
             "reconstruction failed: the action is not implemented through"

@@ -35,11 +35,12 @@ from .linalg import (
     identity_matrix,
     is_nonsingular,
     kernel_of,
-    mat_eq,
     nonzero,
     op_dense,
+    op_from_entries,
     op_inverse,
     op_sparse,
+    op_transpose,
     sparse,
     sparse_add,
     sparse_apply,
@@ -183,13 +184,32 @@ class HopfStarAlgebra(StarAlgebra):
         return doc
 
 
-# -- validation -----------------------------------------------------------
+# -- coactions and validation -----------------------------------------------
 #
 # A coaction beta of a coalgebra with comultiplication Delta is stored like
 # Delta itself: beta[i] maps (j, k) to the coefficient of e_j (x) f_k in
 # beta(e_i), f the basis of the coalgebra.  Delta is the coaction of a
 # coalgebra on itself, so these laws serve coalgebras, comodule algebras
 # and the product coaction of banica alike.
+#
+# A right comodule is a left module over the dual by phi . v = v_0 phi(v_1),
+# and coaction_operator is that module map: the T_lam of galois, the dual
+# action on a smash product, the Lambda(omega) of banica and its
+# expectation E = (id (x) tau) rho are all (id (x) phi) beta.
+
+
+def coaction_operator(coact, phi: dict) -> dict:
+    """(id (x) phi) beta as a sparse operator, for a sparse functional phi
+    on the second leg: column i is sum beta[i][(j, k)] phi_k e_j."""
+    return op_from_entries((j, i, v * phi[k])
+                           for i, plane in enumerate(coact)
+                           for (j, k), v in plane.items() if k in phi)
+
+
+def convolution(comult, f: dict, g: dict) -> dict:
+    """f * g = (f (x) g) Delta for sparse functionals f and g."""
+    return collect((x, v * f[x1] * g[x2]) for x, plane in enumerate(comult)
+                   for (x1, x2), v in plane.items() if x1 in f and x2 in g)
 
 
 def coassociativity_failures(coact, comult):
@@ -206,12 +226,10 @@ def coassociativity_failures(coact, comult):
 
 def counit_failures(coact, counit: Vec):
     """The i, in order, with (id (x) counit) beta(e_i) != e_i."""
+    images = op_transpose(coaction_operator(coact, sparse(counit)))
     one = Scalar.one()
-    for i, plane in enumerate(coact):
-        image = collect((j, v * counit[k]) for (j, k), v in plane.items()
-                        if counit[k])
-        if sparse_ne(image, {i: one}):
-            yield i
+    return (i for i in range(len(coact))
+            if sparse_ne(images.get(i, {}), {i: one}))
 
 
 def flip(comult) -> list[dict]:
@@ -354,53 +372,34 @@ def dual_hopf(H: HopfStarAlgebra, name: str = "") -> HopfStarAlgebra:
 
 
 def variants(H: HopfStarAlgebra):
-    """(H^op, H^cop, H^op_cop); single flips carry the inverse antipode."""
+    """(H^op, H^cop, H^op_cop); single flips carry the inverse antipode.
+    Each variant holds its own copy of every table."""
     n = H.dim
     s_inv = op_inverse(op_sparse(H.antipode), n)
     if s_inv is None:
         raise InputError("antipode is singular")
     s_inv = op_dense(s_inv, n)
+
+    def make(suffix, mult, comult, antipode):
+        alg = StarAlgebra(n, [[dict(cell) for cell in row] for row in mult],
+                          list(H.unit), [list(r) for r in H.star],
+                          state=H.state,
+                          name=H.name + suffix if H.name else "")
+        return HopfStarAlgebra(alg, [dict(p) for p in comult],
+                               list(H.counit), [list(r) for r in antipode],
+                               name=alg.name)
     op_mult = [[H.mult[j][i] for j in range(n)] for i in range(n)]
     cop_comult = flip(H.comult)
-    op_alg = StarAlgebra(n, op_mult, list(H.unit),
-                         [list(r) for r in H.star],
-                         state=H.state,
-                         name=H.name + "^op" if H.name else "")
-    h_op = HopfStarAlgebra(op_alg, [dict(p) for p in H.comult],
-                           list(H.counit), s_inv, name=op_alg.name)
-    base_alg = StarAlgebra(n, [[dict(H.mult[i][j]) for j in range(n)]
-                               for i in range(n)],
-                           list(H.unit), [list(r) for r in H.star],
-                           state=H.state,
-                           name=H.name + "^cop" if H.name else "")
-    h_cop = HopfStarAlgebra(base_alg, cop_comult, list(H.counit), s_inv,
-                            name=base_alg.name)
-    opcop_alg = StarAlgebra(n, op_mult, list(H.unit),
-                            [list(r) for r in H.star],
-                            state=H.state,
-                            name=H.name + "^opcop" if H.name else "")
-    h_opcop = HopfStarAlgebra(opcop_alg,
-                              [dict(p) for p in cop_comult],
-                              list(H.counit),
-                              [list(r) for r in H.antipode],
-                              name=opcop_alg.name)
-    return h_op, h_cop, h_opcop
+    return (make("^op", op_mult, H.comult, s_inv),
+            make("^cop", H.mult, cop_comult, s_inv),
+            make("^opcop", op_mult, cop_comult, H.antipode))
 
 
 def hopf_equal(A: HopfStarAlgebra, B: HopfStarAlgebra) -> bool:
     """Tensor-by-tensor equality (same basis)."""
-    if A.dim != B.dim:
-        return False
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            if A.mult[i][j] != B.mult[i][j]:
-                return False
-    for i in range(n):
-        if A.comult[i] != B.comult[i]:
-            return False
-    return (A.unit == B.unit and A.counit == B.counit
-            and mat_eq(A.antipode, B.antipode) and mat_eq(A.star, B.star))
+    return (A.dim == B.dim and A.mult == B.mult and A.comult == B.comult
+            and A.unit == B.unit and A.counit == B.counit
+            and A.antipode == B.antipode and A.star == B.star)
 
 
 # -- Haar integral ------------------------------------------------------------
@@ -542,7 +541,8 @@ def validate_pairing(P: HopfPairing) -> Report:
     <e_a, y> = dot(y, row a).  The multiplicative laws pair one leg of a
     comultiplication first: <e_a e_b, e_c> = <e_a, h_legs[b][c]> with
     h_legs[b][c] = sum c_1 <e_b, c_2>, and <e_a, e_c e_d> =
-    <q_legs[d][a], e_c> with q_legs[d][a] = sum a_1 <a_2, e_d>.
+    <q_legs[d][a], e_c> with q_legs[d][a] = sum a_1 <a_2, e_d>; both are
+    read, column by column, off a coaction operator of Delta.
     Each side is read from M, the sparse mult and comult tensors and the
     sparse antipode and star rows; a failing law reports its first basis
     witness in the order of the cases below.
@@ -552,18 +552,16 @@ def validate_pairing(P: HopfPairing) -> Report:
     cols = transpose(M)
     qs, hs = range(Q.dim), range(H.dim)
 
-    h_legs = [[collect((c1, v * M[b][c2])
-                       for (c1, c2), v in H.comult[c].items()) for c in hs]
-              for b in qs]
+    h_legs = [op_transpose(coaction_operator(H.comult, sparse(row)))
+              for row in M]
     rep.law("multiplicative_left", (
         (a, b, c) for a, b, c in product(qs, qs, hs)
-        if dot(Q.mult[a][b], cols[c]) != dot(h_legs[b][c], M[a])))
-    q_legs = [[collect((a1, v * cols[d][a2])
-                       for (a1, a2), v in Q.comult[a].items()) for a in qs]
-              for d in hs]
+        if dot(Q.mult[a][b], cols[c]) != dot(h_legs[b].get(c, {}), M[a])))
+    q_legs = [op_transpose(coaction_operator(Q.comult, sparse(col)))
+              for col in cols]
     rep.law("multiplicative_right", (
         (a, c, d) for a, c, d in product(qs, hs, hs)
-        if dot(H.mult[c][d], M[a]) != dot(q_legs[d][a], cols[c])))
+        if dot(H.mult[c][d], M[a]) != dot(q_legs[d].get(a, {}), cols[c])))
     q_unit, h_unit = sparse(Q.unit), sparse(H.unit)
     rep.add("unit_pairs_to_counit",
             all(dot(q_unit, cols[c]) == H.counit[c] for c in hs))

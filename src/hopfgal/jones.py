@@ -63,6 +63,7 @@ from .linalg import (
     op_sparse,
     op_trace,
     op_transpose,
+    op_unflat,
     op_vec,
     operator_algebra_span,
     projection,
@@ -154,9 +155,10 @@ class GnsSpace:
         lam of a generating set of N."""
         def make():
             n = self.dim
-            ops = matrix_commutant(
+            comm = matrix_commutant(
                 [self.base.left_mult_op(g) for g in self.generators(N)], n)
-            return op_span(ops, n), op_span(map(self.jmat, ops), n)
+            return comm, op_span((self.jmat(op_unflat(v, n))
+                                  for v in comm.vectors), n)
         return self._memo("n_commutant", N, make)
 
     def adjoint(self, X: dict) -> dict:
@@ -210,7 +212,7 @@ def jmj_is_commutant(space: GnsSpace, ops: list[dict]) -> bool:
     if any(op_mul(Y, X) != op_mul(X, Y) for Y in jmjs for X in ops):
         return False
     jmj = op_span(jmjs, n)
-    return jmj == op_span(matrix_commutant(ops, n, known_dim=jmj.dim), n)
+    return jmj == matrix_commutant(ops, n, known_dim=jmj.dim)
 
 
 # -- Jones projection ----------------------------------------------------------
@@ -280,7 +282,7 @@ def jones_projection(space: GnsSpace, N: Subspace) -> tuple[dict, Report]:
     double_comm = matrix_commutant(
         [M.right_mult_op(g) for g in space.generators(K)], n)
     _, rhs = space.n_commutant(N)
-    rep.add("double_commutant_identity", op_span(double_comm, n) == rhs,
+    rep.add("double_commutant_identity", double_comm == rhs,
             note="alg(M, e_N)'' = J N' J; conjugation by J turns this"
                  " into the commutant-of-N form")
     return e, rep
@@ -447,7 +449,7 @@ def bimodule_endos(M: StarAlgebra, n_left: Subspace,
     """
     gens = [M.left_mult_op(g) for g in generating_set(n_left, M)]
     gens += [M.right_mult_op(g) for g in generating_set(n_right, M)]
-    return op_span(matrix_commutant(gens, M.dim), M.dim)
+    return matrix_commutant(gens, M.dim)
 
 
 def bimodule_endos_report(bc: BasicConstruction) -> Report:

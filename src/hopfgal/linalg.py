@@ -293,12 +293,6 @@ def transpose(A: Mat) -> Mat:
     return [list(col) for col in zip(*A)]
 
 
-def mat_eq(A: Mat, B: Mat) -> bool:
-    if len(A) != len(B):
-        return False
-    return all(x == y for r, s in zip(A, B) for x, y in zip(r, s))
-
-
 # -- the echelon store ----------------------------------------------------
 
 
@@ -721,8 +715,9 @@ def op_span(ops, n: int) -> Subspace:
 
 
 def matrix_commutant(gens: list[dict], n: int,
-                     known_dim: int | None = None) -> list[dict]:
-    """Basis of {X in End(k^n) : X A = A X for every generator A}.
+                     known_dim: int | None = None) -> Subspace:
+    """{X in End(k^n) : X A = A X for every generator A}, flattened as
+    op_span flattens (entry (i, j) at i n + j).
 
     The rows (X A - A X)[i][j] are built one at a time, in (generator, i, j)
     order, from row i and column j of A.  known_dim is for a caller that
@@ -752,7 +747,7 @@ def matrix_commutant(gens: list[dict], n: int,
         solver.add_row(row)
         if known_dim is not None and solver.dim <= known_dim:
             break
-    return [op_unflat(v, n) for v in solver.vectors().values()]
+    return solver.subspace()
 
 
 def commuting_kernel(ops: list[dict], fixed: list[dict]) -> Subspace:

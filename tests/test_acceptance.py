@@ -175,10 +175,10 @@ def test_criterion_4_jones_markov():
         ok = ok and bc.report[f"e_N:{name}"].passed
     # bimodule endomorphisms match N' cap M_1
     endos = bimodule_endos(M4, N, N)
-    from hopfgal.linalg import matrix_commutant, op_span
+    from hopfgal.linalg import matrix_commutant
 
     n_comm = matrix_commutant([M4.left_mult_op(b) for b in N.vectors], 16)
-    inter = op_span(n_comm, 16).intersect(bc.m1)
+    inter = n_comm.intersect(bc.m1)
     ok = ok and endos.dim == inter.dim == 16
 
     # [M : M] = 1 and multiplicativity on the tensor chain

@@ -42,6 +42,14 @@ def _run(op, workspace, out=None, job=None):
     return main(argv)
 
 
+def test_regenerated_fixtures_match_the_shipped_files(fixture_dir):
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+    assert sorted(os.listdir(fixture_dir)) == sorted(os.listdir(shipped))
+    for name in sorted(os.listdir(shipped)):
+        with open(os.path.join(shipped, name), "rb") as fh:
+            assert (fixture_dir / name).read_bytes() == fh.read(), name
+
+
 def test_pauli_workspace_resolves(fixture_dir):
     ws = Workspace.load(str(fixture_dir / "pauli.json"))
     assert ws.kinds["pauli"] == "action"
@@ -1105,3 +1113,37 @@ def test_banica_refuses_an_ambient_action_of_another_hopf_or_carrier(
             else "wrong carrier")
     assert capsys.readouterr().err == ("input error: /documents/gradeB:"
                                        f" Q_ambient action invalid: {says}\n")
+
+
+# qgal-banica premises: B is a unital *-algebra and the action is over
+# H^cop as a Hopf *-algebra, table for table.  One cell of banica-z2.json
+# set to 1/2: (document, path to the cell, failing premise)
+_BANICA_PREMISES = {
+    "bz2.star[0][1]": ("bz2", ("star", 0, 1), "comodule algebra invalid"
+                       " at star_involutive"),
+    "bz2.star[1][0]": ("bz2", ("star", 1, 0), "comodule algebra invalid"
+                       " at star_involutive"),
+    "bz2.star[0][0]": ("bz2", ("star", 0, 0), "comodule algebra invalid"
+                       " at star_involutive"),
+    "bz2.unit[0]": ("bz2", ("unit", 0), "comodule algebra invalid at unit"),
+    "cz2cop.antipode[1][0]": ("cz2cop", ("antipode", 1, 0),
+                              "the smash product is not over H^cop"),
+    "cz2cop.counit[1]": ("cz2cop", ("counit", 1),
+                         "the smash product is not over H^cop"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BANICA_PREMISES))
+def test_banica_refuses_a_failed_premise_and_names_its_document(
+        case, tmp_path, capsys):
+    name, (*keys, last), says = _BANICA_PREMISES[case]
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = [1, 2]
+    path = tmp_path / "banica-z2.json"
+    path.write_text(json.dumps(_fixture_with("banica-z2.json", name, edit)))
+    assert _run("qgal-banica", path, job="banica") == 2
+    assert capsys.readouterr().err \
+        == f"input error: /documents/{name}: {says}\n"

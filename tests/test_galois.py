@@ -1,6 +1,9 @@
 """Depth-two quantum Galois certificates: endomorphisms, pairings, universality."""
 
+import json
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +33,6 @@ _trivial_action_raw = trivial_action
 from hopfgal.galois import (
     canonical_qgal,
     commutant_endos_iso,
-    dual_endo,
     endo_from_functional,
     endo_report,
     extract_pairing,
@@ -41,19 +43,27 @@ from hopfgal.galois import (
 from hopfgal.hopf import (
     HopfPairing,
     canonical_pairing,
+    coaction_operator,
     dual_hopf,
+    coassociativity_failures,
+    counit_failures,
     group_algebra,
+    haar,
     hopf_equal,
 )
+from hopfgal.jones import basic_construction, gns
 from hopfgal.linalg import (
     Subspace,
     identity_matrix,
     op_dense,
     op_from_entries,
+    op_mul,
+    op_span,
     sparse,
     unit_vec,
 )
 from hopfgal.scalars import Scalar
+from hopfgal.serialize import Workspace
 
 from _oracles import (
     basis_rows,
@@ -135,7 +145,7 @@ def test_endo_functional_roundtrip():
     rep = endo_report(sp, psi, endo)
     assert rep.ok, rep.failed()
     # this is exactly the dual-action operator of the matching functional
-    assert endo == dual_endo(sp, sparse(chars))
+    assert endo == coaction_operator(sp.coaction(), sparse(chars))
     # stored zeros and empty rows do not change the functional or the verdict
     padded = {h: {**row, 15: Scalar.zero()} for h, row in psi.items()}
     assert endo_report(sp, {**padded, 99: {}}, {**endo, 99: {}}).ok
@@ -173,7 +183,7 @@ def test_dual_endo_and_functional_endo_match_dense_oracles(case):
     functionals = [unit_vec(nh, i) for i in range(nh)]
     functionals += [list(H.counit), [scalar() for _ in range(nh)]]
     for lam in functionals:
-        assert op_dense(dual_endo(sp, sparse(lam)), nt) \
+        assert op_dense(coaction_operator(sp.coaction(), sparse(lam)), nt) \
             == oracle_dual_endo(sp, lam)
 
     # psi(e_h) a random combination of the commutant A' of A
@@ -190,6 +200,47 @@ def test_dual_endo_and_functional_endo_match_dense_oracles(case):
     endo = endo_from_functional(sp, psi)
     assert op_dense(endo, nt) == oracle_endo_from_functional(sp, rows)
     assert endo_report(sp, psi, endo).ok
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_SMASHES))
+def test_smash_coaction_is_coassociative_and_counital(case):
+    sp = _ORACLE_SMASHES[case]()
+    H, coact = sp.action.hopf, sp.coaction()
+    assert not list(coassociativity_failures(coact, H.comult))
+    assert not list(counit_failures(coact, H.counit))
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_depth_two_tower_pauli(order):
+    """N = A in M = Mat2 x| CK4 with the canonical trace: e_N is T_phi for
+    the Haar state phi of H, M_1 is span{lam(x) T_f} and the index is
+    dim H; order 3 lifts the workspace by an extra document."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "pauli.json")
+    with open(path) as fh:
+        docs = json.load(fh)["documents"]
+    if order:
+        one = {"order": order, "num": [1, 0], "den": 1}
+        docs["oddball"] = {"kind": "algebra", "dim": 1, "mult": [[[one]]],
+                           "unit": [one], "star": [[1]], "state": None}
+    ws = Workspace(docs)
+    assert ws.lift_orders() == (order or 1)
+    sp = smash_product(ws.get("pauli"))
+    M, H, n = sp.total, sp.action.hopf, sp.total.dim
+    M.state = canonical_smash_trace(sp)
+    bc = basic_construction(gns(M), sp.subspace_A())
+
+    coact = sp.coaction()
+    phi = haar(H)
+    assert bc.e_N == coaction_operator(coact, sparse(phi))
+    assert op_dense(bc.e_N, n) == oracle_dual_endo(sp, phi)
+    t_f = [coaction_operator(coact, {f: Scalar.one()})
+           for f in range(sp.dim_H)]
+    m1 = op_span((op_mul(M.left_mult_op({x: Scalar.one()}), T)
+                  for x in range(n) for T in t_f), n)
+    assert bc.m1 == m1
+    assert m1.dim == n * sp.dim_H == 64
+    assert bc.index == Fraction(sp.dim_H)
 
 
 def test_bimodule_endo_dimension_classification():

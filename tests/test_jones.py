@@ -286,13 +286,13 @@ def test_m1_center_matches_subalgebra_center():
     e, _ = jones_projection(space, diag)
     span = m1_span(space, e)
     mats = [op_unflat(v, 4) for v in span.vectors]
-    center = op_span(matrix_commutant(mats, 4), 4).intersect(span)
+    center = matrix_commutant(mats, 4).intersect(span)
     assert center.dim == 2
     scalars = Subspace.from_vectors([M.unit], 4)
     e1, _ = jones_projection(space, scalars)
     span1 = m1_span(space, e1)
     mats1 = [op_unflat(v, 4) for v in span1.vectors]
-    center1 = op_span(matrix_commutant(mats1, 4), 4).intersect(span1)
+    center1 = matrix_commutant(mats1, 4).intersect(span1)
     assert center1.dim == 1
 
 
@@ -390,8 +390,7 @@ def test_commutant_routes_match_dense_oracle(case):
     # the rows of lam(M)' stop at dim span{J lam J}, and that is all of it
     jmj = op_span(map(space.jmat, lams), n)
     stopped = matrix_commutant(lams, n, known_dim=jmj.dim)
-    assert op_span(stopped, n) == jmj \
-        == oracle_matrix_commutant(dense_lams, n)
+    assert stopped == jmj == oracle_matrix_commutant(dense_lams, n)
 
 
 def test_rank_sandwich_imposes_fewer_rows(monkeypatch):
@@ -406,9 +405,9 @@ def test_rank_sandwich_imposes_fewer_rows(monkeypatch):
         return add_row(self, row)
 
     monkeypatch.setattr(KernelSolver, "add_row", counted)
-    full = op_span(matrix_commutant(lams, 16), 16)
+    full = matrix_commutant(lams, 16)
     imposed = len(rows)
-    stopped = op_span(matrix_commutant(lams, 16, known_dim=16), 16)
+    stopped = matrix_commutant(lams, 16, known_dim=16)
     assert stopped == full and full.dim == 16
     assert len(rows) - imposed < imposed
 
@@ -427,8 +426,8 @@ def test_jmj_check_rejects_conjugates_outside_the_commutant():
     ops = [{i: {i: one} for i in range(3)}, {0: {1: one}},
            {0: {2: -one}, 1: {1: one, 2: one}}]
     jmj = op_span(map(space.jmat, ops), 3)
-    assert op_span(matrix_commutant(ops, 3, known_dim=jmj.dim), 3) == jmj
-    assert op_span(matrix_commutant(ops, 3), 3).dim < jmj.dim
+    assert matrix_commutant(ops, 3, known_dim=jmj.dim) == jmj
+    assert matrix_commutant(ops, 3).dim < jmj.dim
     assert not jmj_is_commutant(space, ops)
     mat2 = gns(mat_algebra(2), certify=False)
     assert jmj_is_commutant(mat2, [mat2.lam_basis(i) for i in range(4)])

@@ -26,7 +26,6 @@ from hopfgal.linalg import (
     op_dense,
     op_inverse,
     op_mul,
-    op_span,
     op_sparse,
     op_trace,
     op_vec,
@@ -158,8 +157,8 @@ def test_matrix_commutant_of_full_matrix_algebra_is_scalars():
     e12 = sm([[0, 1], [0, 0]])
     e21 = sm([[0, 0], [1, 0]])
     comm = matrix_commutant([op_sparse(e12), op_sparse(e21)], 2)
-    assert len(comm) == 1
-    assert op_span(comm, 2).contains(flatten_matrix(identity_matrix(2)))
+    assert comm.dim == 1
+    assert comm.contains(flatten_matrix(identity_matrix(2)))
 
 
 def test_operator_algebra_span_generates_mat2():

@@ -237,14 +237,14 @@ CLEAN_PINS = {
 PINS = {
     "banica -antipode(0, 0)": {
         "lambda_action": {},
-        "product_coaction": ("raises", "ConsistencyError",
-            "fixed-point data failed at coassociative_for_cop"),
+        "product_coaction": ("raises", "InputError",
+            "the smash product is not over H^cop"),
         "validate_comodule": {},
     },
     "banica -antipode(1, 1)": {
         "lambda_action": {},
-        "product_coaction": ("raises", "ConsistencyError",
-            "fixed-point data failed at coassociative_for_cop"),
+        "product_coaction": ("raises", "InputError",
+            "the smash product is not over H^cop"),
         "validate_comodule": {},
     },
     "banica coact(0, (0, 0))": {
