@@ -194,8 +194,8 @@ class HopfStarAlgebra(StarAlgebra):
 #
 # A right comodule is a left module over the dual by phi . v = v_0 phi(v_1),
 # and coaction_operator is that module map: the T_lam of galois, the dual
-# action on a smash product, the Lambda(omega) of banica and its
-# expectation E = (id (x) tau) rho are all (id (x) phi) beta.
+# action on a smash product, and the Lambda(omega) and the expectation
+# E = (id (x) tau) rho of banica are all (id (x) phi) beta.
 
 
 def coaction_operator(coact, phi: dict) -> dict:
