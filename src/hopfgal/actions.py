@@ -34,9 +34,11 @@ from .linalg import (
     Vec,
     collect,
     dense_row,
-    kernel_of,
+    fixed_space,
     kron,
     nonzero,
+    op_flat,
+    op_from_entries,
     op_transpose,
     sparse,
     sparse_apply,
@@ -68,17 +70,20 @@ class ModuleAlgebraAction:
         """h . a for sparse h and a; a zero entry is skipped."""
         return sparse_apply(self.act, nonzero(h), nonzero(a))
 
+    def operators(self) -> list[dict]:
+        """e_h -> its sparse operator on A: entry (k, j) of operator h is
+        the coefficient of e_k in e_h . e_j."""
+        return [op_from_entries((k, j, v) for j, cell in enumerate(plane)
+                                for k, v in cell.items())
+                for plane in self.act]
+
     def to_hom_map(self) -> list[dict]:
         """H -> Hom(A, A), e_h -> its action operator, as sparse rows.
 
-        Row h is the operator of e_h flattened row-major (entry k n + j is
-        the coefficient of e_k in e_h . e_j), so it is the carrier psi(e_h)
-        of the measuring machinery.
+        Row h is the operator of e_h flattened row-major (op_flat), so it
+        is the carrier psi(e_h) of the measuring machinery.
         """
-        n = self.alg.dim
-        return [{k * n + j: v for j, cell in enumerate(plane)
-                 for k, v in cell.items() if v}
-                for plane in self.act]
+        return [op_flat(T, self.alg.dim) for T in self.operators()]
 
 
 def validate_action(action: ModuleAlgebraAction) -> Report:
@@ -111,11 +116,8 @@ def validate_action(action: ModuleAlgebraAction) -> Report:
         h for h in hs
         if sparse_ne(sparse_comb(act[h], a_unit),
                      {k: H.counit[h] * v for k, v in a_unit.items()})))
-    h_star = [sparse(row) for row in H.star]
     a_star = [sparse(row) for row in A.star]
-    # S(e_h)^*, with * conjugate linear
-    sh_star = [sparse_comb(h_star, sparse_conj(sparse(row)))
-               for row in H.antipode]
+    sh_star = [H.coalgebra.star_row(h) for h in hs]  # S(e_h)^*
     rep.law("star_compatibility", (
         (h, a) for h in hs for a in as_
         if sparse_ne(sparse_comb(a_star, sparse_conj(act[h][a])),
@@ -125,20 +127,8 @@ def validate_action(action: ModuleAlgebraAction) -> Report:
 
 def invariants(action: ModuleAlgebraAction) -> Subspace:
     """The invariant subalgebra {a : h . a = counit(h) a for all h}."""
-    H, A = action.hopf, action.alg
-
-    def entries():
-        for h in range(H.dim):
-            for a in range(A.dim):
-                for b, v in action.act[h][a].items():
-                    if v:
-                        yield (h, b), a, v
-            eps = H.counit[h]
-            if eps:
-                for b in range(A.dim):
-                    yield (h, b), b, -eps
-    sub = kernel_of(entries(), A.dim)
-    if not is_unital_star_subalgebra(sub, A):
+    sub = fixed_space(action.operators(), action.hopf.counit, action.alg.dim)
+    if not is_unital_star_subalgebra(sub, action.alg):
         raise InputError("invariants failed to close; action is not valid")
     return sub
 

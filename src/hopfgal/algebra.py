@@ -21,7 +21,6 @@ as a zero of their order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -41,6 +40,7 @@ from .linalg import (
     kernel_of,
     kron,
     nonzero,
+    normalized,
     op_from_entries,
     projection,
     sparse,
@@ -489,12 +489,12 @@ def unique_trace(B: StarAlgebra) -> Vec:
                 for k, v in B.mult[j][i].items():
                     yield (i, j), k, -v
     space = kernel_of(entries(), B.dim)
-    units = [dot(t, B.unit) for t in space.vectors]
-    if not any(units):
+    for t, order in zip(space.vectors, space.orders):
+        tau = normalized(t, order, B.unit, B.dim)
+        if tau is not None:
+            break
+    else:
         raise InputError("no normalized trace exists")
     if space.dim > 1:
         raise InputError("trace is not unique (algebra is not a factor)")
-    # c t, its zeros those of the row of t lifted by c
-    c = units[0].inverse()
-    return dense_row({k: c * x for k, x in space.vectors[0].items()},
-                     B.dim, math.lcm(c.order, space.orders[0]))
+    return tau

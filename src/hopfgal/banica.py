@@ -58,12 +58,12 @@ from .linalg import (
     Vec,
     collect,
     commuting_kernel,
-    dense_row,
     dot,
+    fixed_space,
     is_nonsingular,
     kernel_of,
     kron,
-    nonzero,
+    normalized,
     op_from_entries,
     op_mul,
     op_transpose,
@@ -156,7 +156,17 @@ def product_coaction(B: ComoduleAlgebra,
     (same multiplication as H, reversed comultiplication, same antipode
     since S is involutive).  These premises, and the algebra laws of B, are
     checked before anything is built: an input that fails one is refused.
+    So is a total space B (x) (A x| H^cop) whose table of dim^2 cells
+    exceeds the work bound HOPFGAL_MAX_DIM^3 of the command line.
     """
+    # serialize imports this module, so its bound is read here
+    from .serialize import MAX_DIM_ENV, max_dim
+
+    dim = B.alg.dim * sp.total.dim
+    if dim * dim > max_dim() ** 3:
+        raise InputError(
+            f"B (x) (A x| H^cop) has dim {dim}: its table of {dim}^2 cells"
+            f" exceeds the work bound {MAX_DIM_ENV}^3")
     H = B.hopf
     if not H.is_kac():
         raise InputError("antipode not involutive")
@@ -179,7 +189,6 @@ def product_coaction(B: ComoduleAlgebra,
     na = sp.dim_A
     total = tensor_algebra(B.alg, sp.total,
                            name=f"{B.alg.name}(x){sp.total.name}")
-    dim = total.dim
 
     # rho(b (x) a x| h) = b0 (x) a x| h2 (x) h1 S(b1)
     antipode = [sparse(row) for row in H.antipode]
@@ -199,14 +208,16 @@ def product_coaction(B: ComoduleAlgebra,
             coassociativity_failures(rho, Hcop.comult))
     rep.law("counital", counit_failures(rho, H.counit))
 
-    tau = haar(H)
-    inv = _coaction_invariants(rho, H, dim)
+    tau, one = haar(H), Scalar.one()
+    # C = {z : rho(z) = z (x) 1_H}: each (id (x) e^k) rho fixes z up to
+    # the coefficient of e_k in 1_H
+    inv = fixed_space([coaction_operator(rho, {k: one}) for k in range(nh)],
+                      H.unit, dim)
     table = _tau_s_table(H, tau)
     E = coaction_operator(rho, sparse(tau))
     data = FixedPointData(B, sp, H, total, rho, tau, inv, E, rep)
 
     rep.add("invariants_subalgebra", is_unital_star_subalgebra(inv, total))
-    one = Scalar.one()
     rep.add("A_embeds_in_invariants",
             all(inv.contains(data.a_leg({a: one})) for a in range(na)))
     img = span_of(op_transpose(E).values(), dim)  # the columns of E
@@ -223,21 +234,6 @@ def product_coaction(B: ComoduleAlgebra,
             f"fixed-point data failed at {rep.first_failure().name}"
         )
     return data
-
-
-def _coaction_invariants(rho, H: HopfStarAlgebra, dim: int) -> Subspace:
-    """C = {z : rho(z) = z (x) 1_H}."""
-
-    def entries():
-        for i in range(dim):
-            for (t, k), v in rho[i].items():
-                if v:
-                    yield (t, k), i, v
-        for t in range(dim):
-            for k, u in enumerate(H.unit):
-                if u:
-                    yield (t, k), t, -u
-    return kernel_of(entries(), dim)
 
 
 def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
@@ -455,11 +451,8 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
             note="exact invariance and nondegeneracy; positivity is the"
                  " usual float verdict")
 
-    # q-operators commuting with the Lambda image; op_i[t][p] is the
-    # coefficient of e_t in e_i . e_p
-    ops = [op_from_entries((t, p, x) for p, cell in enumerate(plane)
-                           for t, x in cell.items())
-           for plane in q_on_B.act]
+    # q-operators commuting with the Lambda image
+    ops = q_on_B.operators()
 
     commuting = commuting_kernel(ops, lam_ops)
     rep.add("commuting_subspace_dim", True,
@@ -495,21 +488,11 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
 def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
     """phi with phi(Lambda_h b) = tau(S(h)) phi(b), faithful, normalized."""
     B = data.comodule
-    H = data.hopf
-    tau = data.haar
-    nb, nh = B.alg.dim, H.dim
-
-    def entries():
-        for h in range(nh):
-            scale = dot(sparse(H.antipode[h]), tau)
-            for p, row in lam_ops[h].items():
-                for b, x in row.items():
-                    yield (h, b), p, x
-            if scale:
-                for b in range(nb):
-                    yield (h, b), b, -scale
-    space = kernel_of(entries(), nb)
-    unit = B.alg.unit
+    nb = B.alg.dim
+    # phi . Lambda_h = tau(S(h)) phi: phi is fixed by the transposes
+    space = fixed_space([op_transpose(L) for L in lam_ops],
+                        [dot(sparse(row), data.haar)
+                         for row in data.hopf.antipode], nb)
     # Echelon basis vectors can have degenerate Grams one by one (orbit
     # indicators, say) while a combination is faithful; sweep the basis,
     # the plain sum, then geometric-weight sums.
@@ -520,13 +503,10 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
                                           for i in range(len(rows))})
                        for w in (1, 2, 3, 5)]
     for t in candidates:
-        val = dot(nonzero(t), unit)
-        if not val:
+        # the rows of a kernel, and so their combinations, are of order 1
+        phi = normalized(t, 1, B.alg.unit, nb)
+        if phi is None:
             continue
-        # c t; the rows of a kernel, and so their combinations, have
-        # zeros of order 1, which c lifts to its own
-        c = val.inverse()
-        phi = dense_row({k: c * x for k, x in t.items()}, nb, c.order)
         G = gram_matrix(B.alg, phi)
         if is_nonsingular(G.values(), nb) and numerically_positive(G, nb):
             return phi

@@ -10,7 +10,8 @@ dual as the canonical symmetry of the inclusion:
     bimodule endomorphisms colinear for the canonical right coaction
     a x| h -> (a x| h_2) (x) h_1.  For a factor A this colinear
     endomorphism algebra has dimension dim H* and T is an exact algebra
-    isomorphism onto it (convolution matches composition).  Scalar-commutant
+    isomorphism onto it (convolution matches composition); a base A that
+    is not a factor is refused as input.  Scalar-commutant
     ("outer") inclusions, where no colinearity constraint is needed, do not
     exist in finite dimensions once dim H > 1: A x| H always decomposes as
     A (x) (A' cap A x| H).  The honest commutant is computed and reported.
@@ -36,13 +37,14 @@ from .actions import (
     smash_product,
     validate_action,
 )
-from .algebra import relative_commutant, unique_trace
+from .algebra import center, relative_commutant, unique_trace
 from .errors import ConsistencyError, InputError
 from .hopf import (
     HopfPairing,
     HopfStarAlgebra,
     canonical_pairing,
     coaction_operator,
+    convolve,
     dual_hopf,
     hopf_equal,
     tensor_map,
@@ -162,34 +164,25 @@ def endo_from_functional(sp: SmashProduct, psi: dict) -> dict:
     commutant = relative_commutant(sp.subspace_A(), total)
     if not all(commutant.contains(row) for row in psi.values()):
         raise InputError("psi not into A'")
-    one = Scalar.one()
-    entries = []
-    for a in range(sp.dim_A):
-        for h in range(sp.dim_H):
-            for (h1, h2), v in H.comult[h].items():
-                if h2 in psi:
-                    # (a x| h_1) psi(h_2)
-                    left = sparse_apply(total.mult, sp.a_leg({a: one}),
-                                        sp.h_leg({h1: one}))
-                    for t, x in sparse_apply(total.mult, left,
-                                             psi[h2]).items():
-                        entries.append((t, sp.idx(a, h), v * x))
-    return op_from_entries(entries)
+    one, hs = Scalar.one(), range(sp.dim_H)
+    values = [psi.get(h, {}) for h in hs]
+    # the basis vectors a x| g, for each a
+    legs = [[{sp.idx(a, g): one} for g in hs] for a in range(sp.dim_A)]
+    return op_from_entries(
+        (t, sp.idx(a, h), x) for a, leg in enumerate(legs)
+        for h, plane in enumerate(H.comult)
+        for t, x in convolve(total.mult, plane, leg, values).items())
 
 
 def recover_functional(sp: SmashProduct, endo: dict) -> dict:
     """psi(h) = sum V^{-1}(h_1) endo(1 x| h_2), the convolution inverse read."""
-    total = sp.total
     H = sp.action.hopf
     one = Scalar.one()
-    entries = []
-    for h in range(sp.dim_H):
-        for (h1, h2), v in H.comult[h].items():
-            vinv = sp.h_leg(sparse(H.antipode[h1]))
-            img = op_vec(endo, sp.h_leg({h2: one}))
-            for t, x in sparse_apply(total.mult, vinv, img).items():
-                entries.append((h, t, v * x))
-    return op_from_entries(entries)
+    vinv = [sp.h_leg(sparse(row)) for row in H.antipode]
+    images = [op_vec(endo, sp.h_leg({g: one})) for g in range(sp.dim_H)]
+    return op_from_entries(
+        (h, t, x) for h, plane in enumerate(H.comult)
+        for t, x in convolve(sp.total.mult, plane, vinv, images).items())
 
 
 def endo_report(sp: SmashProduct, psi: dict, endo: dict) -> Report:
@@ -423,8 +416,10 @@ def canonical_qgal(sp: SmashProduct) -> QGalCertificate:
     Bundles the dual Hopf *-algebra with its validated action on the smash
     fixing exactly A, the pairing validation, the endomorphism
     identification and trace preservation; universal morphisms for supplied
-    (Q, qact) pairs come from the certificate's factory method.
+    (Q, qact) pairs come from the certificate's factory method.  Refuses a
+    base algebra A that is not a factor, before anything is built.
     """
+    _require_factor(sp.action.alg)
     H = sp.action.hopf
     rep = Report("canonical quantum Galois certificate")
     outer, commutant = is_outer(sp)
@@ -451,13 +446,22 @@ def canonical_qgal(sp: SmashProduct) -> QGalCertificate:
     return QGalCertificate(sp, dual, pairing, dact, outer, commutant, rep)
 
 
+def _require_factor(A) -> None:
+    """Refuse A unless it is a factor, the premise of QGal = H*."""
+    if (z := center(A).dim) != 1:
+        raise InputError(f"the base algebra is not a factor: its center"
+                         f" has dim {z}")
+
+
 def qgal_fixed_point(sp: SmashProduct) -> tuple[QGalCertificate, Report]:
     """The dual reading: the Galois group of (total)^{H*} inside total.
 
     Presents total = A x| H, identifies the invariants of the dual action
     with A, forms (A x| H) x| H* and certifies its canonical Galois group,
     whose Hopf *-algebra is (H*)* = H under the double-dual identification.
+    A non-factor total is refused before the second level is built.
     """
+    _require_factor(sp.total)
     H = sp.action.hopf
     dual = dual_hopf(H)
     pairing = canonical_pairing(dual, H)

@@ -15,7 +15,6 @@ forced by the axioms; validate_pairing records it in its report).
 
 from __future__ import annotations
 
-import math
 from heapq import merge
 from itertools import product
 
@@ -33,9 +32,10 @@ from .linalg import (
     dense_row,
     dot,
     identity_matrix,
+    fixed_space,
     is_nonsingular,
-    kernel_of,
     nonzero,
+    normalized,
     op_dense,
     op_from_entries,
     op_inverse,
@@ -292,7 +292,7 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
 
     # x -> S(x)^* is an involution; it is conjugate linear.
     rep.law("star_antipode_involution", involution_failures(
-        [sparse_comb(star, sparse_conj(row)) for row in antipode]))
+        [H.coalgebra.star_row(i) for i in range(n)]))
 
     # row i of the table is S(e_i): S is invertible when the rows are
     # independent
@@ -409,32 +409,22 @@ def haar(H: HopfStarAlgebra) -> Vec:
     """The normalized two-sided integral tau, found by exact linear solve.
 
     (id (x) tau) Delta h = tau(h) 1 = (tau (x) id) Delta h and tau(1) = 1.
+    Coefficient by coefficient, tau is fixed by tau -> (e^j (x) tau) Delta
+    and by tau -> (tau (x) e^j) Delta at the character j -> unit_j.
     Raises when no solution exists or every solution kills the unit.
     """
     n = H.dim
-
-    def entries():
-        for i in range(n):
-            for j in range(n):
-                # right invariance (side 0): sum_k Delta[i][(j,k)] t_k
-                # = t_i unit_j; left invariance (side 1) likewise
-                for (a, b), v in H.comult[i].items():
-                    if a == j:
-                        yield (i, j, 0), b, v
-                    if b == j:
-                        yield (i, j, 1), a, v
-                u = H.unit[j]
-                if u:
-                    yield (i, j, 0), i, -u
-                    yield (i, j, 1), i, -u
-    space = kernel_of(entries(), n)
+    legs: list = [[] for _ in range(2 * n)]
+    for i, plane in enumerate(H.comult):
+        for (a, b), v in plane.items():
+            legs[a].append((i, b, v))
+            legs[n + b].append((i, a, v))
+    space = fixed_space([op_from_entries(leg) for leg in legs],
+                        H.unit * 2, n)
     for t, order in zip(space.vectors, space.orders):
-        val = dot(t, H.unit)
-        if val:
-            # c t, its zeros those of the row of t lifted by c
-            c = val.inverse()
-            return dense_row({k: c * x for k, x in t.items()}, n,
-                             math.lcm(c.order, order))
+        tau = normalized(t, order, H.unit, n)
+        if tau is not None:
+            return tau
     raise InputError("no normalizable two-sided integral")
 
 
@@ -573,10 +563,9 @@ def validate_pairing(P: HopfPairing) -> Report:
     rep.law("antipode_law", (
         (a, c) for a, c in product(qs, hs)
         if dot(q_antipode[a], cols[c]) != dot(h_antipode[c], M[a])))
-    # e_a* is star row a, and (S e_c)* = sum_j conj(S[c][j]) star row j
+    # e_a* is star row a, and (S e_c)* is star row c of H's coalgebra
     q_star = [sparse(row) for row in Q.star]
-    h_star = [sparse(row) for row in H.star]
-    sh_star = [sparse_comb(h_star, sparse_conj(row)) for row in h_antipode]
+    sh_star = [H.coalgebra.star_row(c) for c in hs]
     rep.law("star_law", (
         (a, c) for a, c in product(qs, hs)
         if dot(q_star[a], cols[c]) != dot(sh_star[c], M[a]).conj()),

@@ -32,8 +32,12 @@ zero is dropped, is decided in this module only.
 
 Outside this module, kernels and closures have one way in each.
 kernel_of states "all x with L(x) = 0": the caller hands it the nonzero
-entries of L as (row key, column, value) triples, and commuting_kernel
-"all x with sum_c x_c ops[c] commuting with these".  SpanBuilder.close
+entries of L as (row key, column, value) triples, commuting_kernel
+"all x with sum_c x_c ops[c] commuting with these", and fixed_space "all
+x with T_k x = chi_k x for every k": the invariants and coinvariants of
+actions and coactions, the Haar integral and the Lambda-invariant states
+of banica.  normalized scales such an x to 1 at the unit, and decides
+the Scalar order of the zeros it writes.  SpanBuilder.close
 states "the smallest span that holds these elements and is closed under
 these maps": the operator algebras of jones, the generated subalgebras
 and the generating sets of algebra all grow their spans through it.
@@ -50,6 +54,7 @@ a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -691,6 +696,35 @@ def kernel_of(entries, n: int) -> Subspace:
     for key in sorted(rows):
         solver.add_row(rows.pop(key))
     return solver.subspace()
+
+
+def fixed_space(ops, values, n: int) -> Subspace:
+    """{x in k^n : T_k x = chi_k x for every k}, for sparse operators T_k
+    = ops[k] and scalars chi_k = values[k], through kernel_of.
+
+    Row (k, i) is row i of T_k minus chi_k at column i; a zero chi_k adds
+    no term.  Invariants, coinvariants, integrals and invariant states are
+    each this space for some family of operators and character.
+    """
+    entries = [((k, i), j, v) for k, T in enumerate(ops)
+               for i, row in T.items() for j, v in row.items()]
+    entries += [((k, i), i, -chi) for k, chi in enumerate(values) if chi
+                for i in range(n)]
+    return kernel_of(entries, n)
+
+
+def normalized(t: dict, order: int, u, n: int) -> Vec | None:
+    """t / (t . u) as a dense row of length n, or None when t . u = 0.
+
+    t is a row of the given order (Subspace.orders), and the zeros are
+    written at the lcm of that order and the order of the scale.
+    """
+    val = dot(nonzero(t), u)
+    if not val:
+        return None
+    c = val.inverse()
+    return dense_row({k: c * x for k, x in t.items()}, n,
+                     math.lcm(c.order, order))
 
 
 # -- operator algebra helpers -----------------------------------------------

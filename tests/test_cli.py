@@ -1147,3 +1147,71 @@ def test_banica_refuses_a_failed_premise_and_names_its_document(
     assert _run("qgal-banica", path, job="banica") == 2
     assert capsys.readouterr().err \
         == f"input error: /documents/{name}: {says}\n"
+
+
+def test_qgal_depth2_refuses_a_base_that_is_not_a_factor(tmp_path, capsys):
+    # CZ2 translating the commutative C(Z2): the colinear endomorphisms
+    # outnumber H*, so the certificate's premise fails; the input is
+    # refused and the action named, not reported as a tripped guard
+    def edit(docs):
+        docs["qgal"] = {"kind": "job", "op": "qgal-depth2",
+                        "action": "translation"}
+    path = tmp_path / "translation-z2.json"
+    path.write_text(json.dumps(_fixture_with("translation-z2.json", None,
+                                             edit)))
+    assert _run("qgal-depth2", path, job="qgal") == 2
+    assert capsys.readouterr().err == (
+        "input error: /documents/translation: the base algebra is not a"
+        " factor: its center has dim 2\n")
+
+
+def _banica_cyclic(m, n):
+    """qgal-banica with B = CZ_m coacted on by H = CZ_n through g -> g (x)
+    (g mod n), for n dividing m; A = C and the ambient is C, both acting
+    trivially.  Every document is within the guards for m <= 64."""
+    coact = [[[int(j == i and k == i % n) for k in range(n)]
+              for j in range(m)] for i in range(m)]
+    return {"documents": {
+        "h": {"kind": "hopf", "group_table": _cyclic(n)},
+        "b": {"kind": "hopf", "group_table": _cyclic(m)},
+        "beta": {"kind": "comodule", "hopf": "h", "alg": "b",
+                 "coact": coact},
+        "c": {"kind": "algebra", "dim": 1, "mult": [[[1]]], "unit": [1],
+              "star": [[1]], "state": [1]},
+        "triv": {"kind": "action", "hopf": "h", "alg": "c",
+                 "act": [[[1]]] * n},
+        "one": {"kind": "hopf", "group_table": [[0]]},
+        "onb": {"kind": "action", "hopf": "one", "alg": "b",
+                "act": [[[int(a == b) for b in range(m)]
+                         for a in range(m)]]},
+        "banica": {"kind": "job", "op": "qgal-banica", "comodule": "beta",
+                   "action": "triv", "ambient_hopf": "one",
+                   "ambient_action": "onb"}}}
+
+
+def test_qgal_banica_over_the_work_bound_is_refused_at_once(tmp_path,
+                                                          capsys):
+    # B (x) (A x| H^cop) of dim 32 * 32 would store a table of 1024^2
+    # cells (seconds and hundreds of MB); it exceeds 64^3 and is refused
+    # before anything is built, naming the comodule
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_banica_cyclic(32, 32)))
+    start = time.process_time()
+    assert _run("qgal-banica", path, job="banica") == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == (
+        "input error: /documents/beta: B (x) (A x| H^cop) has dim 1024: its"
+        " table of 1024^2 cells exceeds the work bound HOPFGAL_MAX_DIM^3\n")
+
+
+def test_qgal_banica_work_bound_edge(tmp_path, monkeypatch, capsys):
+    # at HOPFGAL_MAX_DIM = 16 the bound is 16^3 = 64^2 cells: dim 64 runs,
+    # dim 128 is refused
+    monkeypatch.setenv("HOPFGAL_MAX_DIM", "16")
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_banica_cyclic(8, 8)))
+    assert _run("qgal-banica", path, job="banica") == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    path.write_text(json.dumps(_banica_cyclic(16, 8)))
+    assert _run("qgal-banica", path, job="banica") == 2
+    assert "has dim 128" in capsys.readouterr().err

@@ -475,14 +475,15 @@ def test_consistency_with_measuring_constraints():
 def test_commutative_base_fails_certification():
     # A = C(Z2) is commutative, so A sits inside its own commutant and the
     # colinear endomorphism count exceeds dim H*: the certificate must
-    # refuse rather than claim QGal = H*.
-    from hopfgal.errors import ConsistencyError
+    # refuse rather than claim QGal = H*, and it refuses the input, whose
+    # base is not a factor, before it counts.
     from hopfgal.fixtures import Z2_TABLE, translation_action
 
     sp = smash_product(translation_action(Z2_TABLE))
     dual, rep = commutant_endos_iso(sp, *is_outer(sp))
     assert not rep["colinear_endos_dim_matches_dual"].passed
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(InputError, match="^the base algebra is not a factor:"
+                                         " its center has dim 2$"):
         canonical_qgal(sp)
 
 
@@ -496,12 +497,12 @@ def test_scalar_reader_rejects_non_scalar_leg():
 def test_qgal_fixed_point_ad_z_refuses_nonfactor_base():
     # The second-level base Mat2 x| CZ2 = Mat2 (+) Mat2 is not a factor, so
     # the canonical-endomorphism count exceeds dim H** and the certificate
-    # honestly refuses; contrast with the Pauli fixture, whose smash is the
-    # factor Mat4 (nondegenerate projective cocycle).
-    from hopfgal.errors import ConsistencyError
-
+    # honestly refuses, as an input whose base is not a factor; contrast
+    # with the Pauli fixture, whose smash is the factor Mat4 (nondegenerate
+    # projective cocycle).
     sp = smash_product(ad_z_action())
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(InputError, match="not a factor: its center has"
+                                         " dim 2$"):
         qgal_fixed_point(sp)
 
 

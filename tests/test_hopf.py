@@ -242,11 +242,14 @@ def test_haar_invariance_properties():
 
 def test_haar_missing():
     # Breaking the comultiplication of CZ2 so that the invariance equations
-    # force tau = 0 leaves nothing to normalize.
-    H = cz2()
-    H.comult[1] = {(0, 1): Scalar.one()}
-    with pytest.raises(InputError, match="no normalizable two-sided"):
-        haar(H)
+    # force tau = 0 leaves nothing to normalize.  With Delta(e_1) = e_0 (x)
+    # e_1 every functional is right invariant and only 0 is left invariant;
+    # with the legs swapped it is the other way round.
+    for legs in ((0, 1), (1, 0)):
+        H = cz2()
+        H.comult[1] = {legs: Scalar.one()}
+        with pytest.raises(InputError, match="no normalizable two-sided"):
+            haar(H)
 
 
 def test_canonical_pairing_validates():

@@ -18,10 +18,12 @@ from hopfgal.linalg import (
     commuting_kernel,
     dense_row,
     dot,
+    fixed_space,
     identity_matrix,
     kernel_of,
     mat_mul,
     matrix_commutant,
+    normalized,
     op_adjoint,
     op_dense,
     op_inverse,
@@ -384,6 +386,76 @@ def test_kernel_of_imposes_rows_in_sorted_key_order():
     assert [x.order for x in basis_rows(sub)[0]] == [1, 4]
 
 
+@pytest.mark.parametrize("order", [1, 4])
+def test_fixed_space_is_the_kernel_of_t_minus_chi(order):
+    # random sparse operators and characters, zero characters among them:
+    # row (k, i) is row i of T_k minus chi_k at column i, and every basis
+    # vector x has T_k x = chi_k x
+    rng = random.Random(900 + order)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        ops = [op_sparse([[_random_scalar(rng, rng.choice([1, order]))
+                           if rng.random() < 0.4 else Scalar.zero()
+                           for _ in range(n)] for _ in range(n)])
+               for _ in range(rng.randint(1, 3))]
+        chis = [_random_scalar(rng, order) if rng.random() < 0.7
+                else Scalar.zero(order) for _ in ops]
+        sub = fixed_space(ops, chis, n)
+        rows = {(k, i): {j: -chi if j == i else Scalar.zero()
+                         for j in range(n)}
+                for k, chi in enumerate(chis) for i in range(n)}
+        for (k, i), row in rows.items():
+            for j, v in ops[k].get(i, {}).items():
+                row[j] = row[j] + v
+        basis, pivots = oracle_kernel([rows[key] for key in sorted(rows)], n)
+        assert sub.pivots == pivots
+        assert basis_rows(sub) == basis
+        for x in sub.vectors:
+            for T, chi in zip(ops, chis):
+                assert dense_row(op_vec(T, x), n) \
+                    == [chi * v for v in dense_row(x, n)]
+        entries = [((k, i), j, v) for k, T in enumerate(ops)
+                   for i, row in T.items() for j, v in row.items()]
+        entries += [((k, i), i, -chi) for k, chi in enumerate(chis) if chi
+                    for i in range(n)]
+        assert sub.to_json() == kernel_of(entries, n).to_json()
+
+
+def test_fixed_space_skips_a_zero_character():
+    # a zero chi_k adds no term, so its order lifts no row
+    T = {0: {1: Scalar.one()}}
+    sub = fixed_space([T], [Scalar.zero(4)], 2)
+    assert sub.to_json() == fixed_space([T], [Scalar.zero()], 2).to_json()
+    assert _written_orders(sub) == [[1, 1]]
+    # the swap of two coordinates fixes e_0 + e_1 at chi = 1, and negates
+    # e_0 - e_1
+    swap = {0: {1: Scalar.one()}, 1: {0: Scalar.one()}}
+    assert basis_rows(fixed_space([swap], [s(1)], 2)) == [sv([1, 1])]
+    assert basis_rows(fixed_space([swap], [s(-1)], 2)) == [sv([1, -1])]
+
+
+def test_normalized_scales_to_one_at_the_unit_and_lifts_its_zeros():
+    one, i = Scalar.one(), Scalar.root_of_unity(4)
+    z1, z4 = Scalar.zero(), Scalar.zero(4)
+    # t . u = 3 over Q: zeros at the row's order
+    assert _pin(normalized({0: s(2), 2: one}, 1, sv([1, 5, 1]), 3)) \
+        == [(Scalar.rational(2, 3), 1), (0, 1), (Scalar.rational(1, 3), 1)]
+    assert [x.order for x in normalized({0: one}, 3, sv([1, 0]), 2)] \
+        == [1, 3]
+    # t . u = 2i: the scale is of order 4 and lifts the zeros with it, to
+    # lcm(4, 3) = 12 for a row of order 3
+    out = normalized({0: s(2)}, 1, [i, one], 2)
+    assert _pin(out) == [(-i, 4), (0, 4)]
+    assert [x.order for x in normalized({0: s(2)}, 3, [i, one], 2)] \
+        == [4, 12]
+    # a zero entry of t does not lift the scale, but is written lifted
+    out = normalized({0: one, 1: z4}, 1, sv([1, 1]), 3)
+    assert _pin(out) == [(1, 1), (0, 4), (0, 1)]
+    # t . u = 0, also when its terms cancel
+    assert normalized({0: one, 1: one}, 1, sv([1, -1]), 2) is None
+    assert normalized({1: one}, 1, [one, z1], 2) is None
+
+
 def _modules_outside_linalg():
     """(file name, syntax tree) of every package module but linalg."""
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
@@ -406,6 +478,43 @@ def test_kernels_are_stated_through_kernel_of():
                  for fn in ("KernelSolver", "add_row")
                  for node in _calls(tree, fn)]
     assert offenders == []
+
+
+# The functions outside linalg that state a kernel with kernel_of.  A
+# fixed space T_k x = chi_k x is stated with fixed_space and a commutant of
+# operators with commuting_kernel instead, so this list may only shrink.
+KERNEL_OF_CALLERS = {
+    ("algebra.py", "relative_commutant"),
+    ("algebra.py", "unique_trace"),
+    ("banica.py", "_lift_to_invariants"),
+    ("galois.py", "_endo_values"),
+    ("galois.py", "universal_morphism"),
+    ("jones.py", "basic_construction"),
+    ("measuring.py", "constraint_subspace"),
+    ("measuring.py", "largest_subcoalgebra"),
+    ("measuring.py", "universal_measuring_within"),
+}
+
+
+def _callers(tree, name):
+    """The innermost function around each call of name under tree (None
+    at module level)."""
+    calls = {id(node) for node in _calls(tree, name)}
+
+    def visit(node, fn):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        if id(node) in calls:
+            yield fn
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+    return set(visit(tree, None))
+
+
+def test_kernel_of_callers_only_shrink():
+    callers = {(name, fn) for name, tree in _modules_outside_linalg()
+               for fn in _callers(tree, "kernel_of")}
+    assert callers == KERNEL_OF_CALLERS
 
 
 def test_closures_are_stated_through_close():
