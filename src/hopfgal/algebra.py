@@ -489,8 +489,8 @@ def unique_trace(B: StarAlgebra) -> Vec:
                 for k, v in B.mult[j][i].items():
                     yield (i, j), k, -v
     space = kernel_of(entries(), B.dim)
-    for t, order in zip(space.vectors, space.orders):
-        tau = normalized(t, order, B.unit, B.dim)
+    for t in space.vectors:
+        tau = normalized(t, B.unit, B.dim)
         if tau is not None:
             break
     else:

@@ -49,6 +49,7 @@ from .hopf import (
     flip,
     haar,
     hopf_equal,
+    star_failures,
     tensor_product,
     variants,
 )
@@ -154,8 +155,9 @@ def product_coaction(B: ComoduleAlgebra,
     B must be a comodule algebra over a Kac-type H, and the smash product
     must have been built over H^cop, table for table the variants(H)[1]
     (same multiplication as H, reversed comultiplication, same antipode
-    since S is involutive).  These premises, and the algebra laws of B, are
-    checked before anything is built: an input that fails one is refused.
+    since S is involutive).  These premises, the algebra laws of B and the
+    law that the coaction is a *-map are checked before anything is built:
+    an input that fails one is refused.
     So is a total space B (x) (A x| H^cop) whose table of dim^2 cells
     exceeds the work bound HOPFGAL_MAX_DIM^3 of the command line.
     """
@@ -184,6 +186,11 @@ def product_coaction(B: ComoduleAlgebra,
         raise InputError(
             f"comodule invalid at {com_rep.first_failure().name}"
         )
+    star_b = [sparse(row) for row in B.alg.star]
+    star_h = [sparse(row) for row in H.star]
+    bad = next(star_failures(B.coact, B.coact, star_b, star_h), None)
+    if bad is not None:
+        raise InputError(f"the coaction is not a *-map (witness {bad})")
 
     nb, nh, nt = B.alg.dim, H.dim, sp.total.dim
     na = sp.dim_A
@@ -503,8 +510,7 @@ def _lambda_invariant_state(data: FixedPointData, lam_ops: list) -> Vec:
                                           for i in range(len(rows))})
                        for w in (1, 2, 3, 5)]
     for t in candidates:
-        # the rows of a kernel, and so their combinations, are of order 1
-        phi = normalized(t, 1, B.alg.unit, nb)
+        phi = normalized(t, B.alg.unit, nb)
         if phi is None:
             continue
         G = gram_matrix(B.alg, phi)

@@ -272,11 +272,12 @@ def run_measure(ws: Workspace, job: dict) -> dict:
     extra = []
     for i, span_doc in enumerate(job.typed("spans", list, [])):
         where = f"{job.where}.spans[{i}]"
-        span_doc = Fields(span_doc, where)
+        span_doc = Fields(span_doc, where, job.order)
         span = SpanConstraint.from_matrices(
             span_doc.integer("l"), span_doc.integer("r"),
-            parse_matrix(span_doc["left"], f"{where}.left"),
-            parse_matrix(span_doc["right"], f"{where}.right"),
+            parse_matrix(span_doc["left"], f"{where}.left", span_doc.scalar),
+            parse_matrix(span_doc["right"], f"{where}.right",
+                         span_doc.scalar),
             carrier_dim,
             name=where,
         )
@@ -337,7 +338,6 @@ def main(argv=None) -> int:
 
     try:
         ws = Workspace.load(args.workspace)
-        ws.lift_orders()
         job = _select_job(ws, args.op, args.job)
         body = RUNNERS[args.op](ws, job)
     except InputError as e:

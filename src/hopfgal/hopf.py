@@ -232,6 +232,19 @@ def counit_failures(coact, counit: Vec):
             if sparse_ne(images.get(i, {}), {i: one}))
 
 
+def star_failures(coact, planes, star_b: list, star_h: list):
+    """The i, in order, with beta(e_i*) != the conjugate of planes[i] under
+    star_b (x) star_h.
+
+    beta is stored like Delta and the stars are given by sparse rows.  With
+    planes = beta this is the law that beta is a *-map; Delta against its
+    flip, at x -> S(x)*, is the law that S(x)* reverses Delta.
+    """
+    return (i for i, plane in enumerate(planes)
+            if sparse_ne(sparse_comb(coact, star_b[i]),
+                         tensor_map(sparse_conj(plane), star_b, star_h)))
+
+
 def flip(comult) -> list[dict]:
     """The comultiplication with its tensor legs swapped (Delta^cop)."""
     return [{(k, j): v for (j, k), v in plane.items()} for plane in comult]
@@ -245,10 +258,8 @@ def validate_coalgebra(C: StarCoalgebra) -> Report:
     rep.law("counit", merge(counit_failures(C.comult, C.counit),
                             counit_failures(flipped, C.counit)))
     star = [C.star_row(i) for i in range(C.dim)]
-    rep.law("star_reverses_comultiplication", (
-        i for i, plane in enumerate(flipped)
-        if sparse_ne(sparse_comb(C.comult, star[i]),
-                     tensor_map(sparse_conj(plane), star, star))))
+    rep.law("star_reverses_comultiplication",
+            star_failures(C.comult, flipped, star, star))
     return rep
 
 
@@ -276,10 +287,8 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
 
     # Delta(x*) = (x_1)* (x) (x_2)*: Delta is a *-algebra morphism.
     star = [sparse(row) for row in H.star]
-    rep.law("comult_is_star_morphism", (
-        i for i, plane in enumerate(comult)
-        if sparse_ne(sparse_comb(comult, star[i]),
-                     tensor_map(sparse_conj(plane), star, star))))
+    rep.law("comult_is_star_morphism",
+            star_failures(comult, comult, star, star))
 
     # Antipode axiom: m (S (x) id) Delta = unit . counit = m (id (x) S) Delta
     antipode = [sparse(row) for row in H.antipode]
@@ -421,8 +430,8 @@ def haar(H: HopfStarAlgebra) -> Vec:
             legs[n + b].append((i, a, v))
     space = fixed_space([op_from_entries(leg) for leg in legs],
                         H.unit * 2, n)
-    for t, order in zip(space.vectors, space.orders):
-        tau = normalized(t, order, H.unit, n)
+    for t in space.vectors:
+        tau = normalized(t, H.unit, n)
         if tau is not None:
             return tau
     raise InputError("no normalizable two-sided integral")
@@ -463,27 +472,31 @@ def group_inverse(table, i: int) -> int:
     raise InputError("not a group: missing inverse")
 
 
-def group_algebra(table, name: str = "") -> HopfStarAlgebra:
-    """Group algebra CG: Delta g = g (x) g, S(g) = g^{-1}, g* = g^{-1}."""
+def group_algebra(table, name: str = "", order: int = 1) -> HopfStarAlgebra:
+    """Group algebra CG: Delta g = g (x) g, S(g) = g^{-1}, g* = g^{-1}; its
+    scalars are of the given order."""
     n = _check_group_table(table)
-    one = Scalar.one()
+    one = Scalar.one(order)
     mult = [[{table[i][j]: one} for j in range(n)] for i in range(n)]
-    unit = unit_vec(n, 0)
-    star = [unit_vec(n, group_inverse(table, i)) for i in range(n)]
+    unit = unit_vec(n, 0, order)
+    star = [unit_vec(n, group_inverse(table, i), order) for i in range(n)]
     comult = [{(i, i): one} for i in range(n)]
     counit = [one] * n
-    antipode = [unit_vec(n, group_inverse(table, i)) for i in range(n)]
+    antipode = [unit_vec(n, group_inverse(table, i), order)
+                for i in range(n)]
     alg = StarAlgebra(n, mult, unit, star, name=name)
     return HopfStarAlgebra(alg, comult, counit, antipode, name=name)
 
 
-def function_algebra(table, name: str = "") -> HopfStarAlgebra:
-    """Function algebra C(G): pointwise product, Delta delta_g = sum over gh."""
+def function_algebra(table, name: str = "",
+                     order: int = 1) -> HopfStarAlgebra:
+    """Function algebra C(G): pointwise product, Delta delta_g = sum over
+    gh; its scalars are of the given order."""
     n = _check_group_table(table)
-    one = Scalar.one()
+    one = Scalar.one(order)
     mult = [[{i: one} if i == j else {} for j in range(n)] for i in range(n)]
     unit = [one] * n
-    star = identity_matrix(n)
+    star = identity_matrix(n, order)
     comult = []
     for g in range(n):
         plane = {}
@@ -492,8 +505,9 @@ def function_algebra(table, name: str = "") -> HopfStarAlgebra:
                 if table[a][b] == g:
                     plane[(a, b)] = one
         comult.append(plane)
-    counit = unit_vec(n, 0)
-    antipode = [unit_vec(n, group_inverse(table, i)) for i in range(n)]
+    counit = unit_vec(n, 0, order)
+    antipode = [unit_vec(n, group_inverse(table, i), order)
+                for i in range(n)]
     alg = StarAlgebra(n, mult, unit, star, name=name)
     return HopfStarAlgebra(alg, comult, counit, antipode, name=name)
 

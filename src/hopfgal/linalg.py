@@ -36,8 +36,7 @@ entries of L as (row key, column, value) triples, commuting_kernel
 "all x with sum_c x_c ops[c] commuting with these", and fixed_space "all
 x with T_k x = chi_k x for every k": the invariants and coinvariants of
 actions and coactions, the Haar integral and the Lambda-invariant states
-of banica.  normalized scales such an x to 1 at the unit, and decides
-the Scalar order of the zeros it writes.  SpanBuilder.close
+of banica.  normalized scales such an x to 1 at the unit.  SpanBuilder.close
 states "the smallest span that holds these elements and is closed under
 these maps": the operator algebras of jones, the generated subalgebras
 and the generating sets of algebra all grow their spans through it.
@@ -54,7 +53,6 @@ a span of End(k^n) (op_span) as its nonzeros at the flat columns i n + j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -423,8 +421,9 @@ class Subspace:
 
     @property
     def orders(self) -> list[int]:
-        """The order of each row, read from its lead (which lift_orders
-        lifts)."""
+        """The order of each row, read from its lead: a row of vectors read
+        from a workspace is of the workspace order, since every scalar is
+        lifted to it as it is read."""
         return [self._leads[p].order for p in self._rows]
 
     @cached_property
@@ -713,18 +712,13 @@ def fixed_space(ops, values, n: int) -> Subspace:
     return kernel_of(entries, n)
 
 
-def normalized(t: dict, order: int, u, n: int) -> Vec | None:
-    """t / (t . u) as a dense row of length n, or None when t . u = 0.
-
-    t is a row of the given order (Subspace.orders), and the zeros are
-    written at the lcm of that order and the order of the scale.
-    """
+def normalized(t: dict, u, n: int) -> Vec | None:
+    """t / (t . u) as a dense row of length n, or None when t . u = 0."""
     val = dot(nonzero(t), u)
     if not val:
         return None
     c = val.inverse()
-    return dense_row({k: c * x for k, x in t.items()}, n,
-                     math.lcm(c.order, order))
+    return dense_row({k: c * x for k, x in t.items()}, n)
 
 
 # -- operator algebra helpers -----------------------------------------------

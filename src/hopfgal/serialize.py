@@ -3,8 +3,10 @@
 A workspace file is one JSON object {"documents": {name: document}}.  Every
 document carries a "kind" from {algebra, hopf, action, comodule, pairing,
 subspace, job} and may reference other documents by name.  Scalars appear
-as integers, [num, den] pairs, or {"order", "num", "den"} objects; all
-scalars in a workspace are lifted to the lcm of the orders present.
+as integers, [num, den] pairs, or {"order", "num", "den"} objects.  The
+workspace order is the lcm of every order the raw documents declare, the
+spans of a measure job included, and each scalar is lifted to it as it is
+read, so every parsed object lives in one field Q(zeta_N).
 Emission is deterministic: `emit`, a direct recursive writer, writes exactly
 the bytes of json.dumps(doc, sort_keys=True, indent=2, separators=(",",
 ": ")) + "\n", so identical inputs give byte-identical reports.
@@ -49,8 +51,9 @@ def max_dim() -> int:
         raise InputError(f"{MAX_DIM_ENV} must be an integer") from e
 
 
-def check_orders(documents) -> None:
-    """Refuse raw documents whose scalar orders lift above MAX_ORDER."""
+def check_orders(documents) -> int:
+    """The lcm of the scalar orders in the raw documents; refuses one above
+    MAX_ORDER."""
     target, stack = 1, [documents]
     while stack:
         obj = stack.pop()
@@ -67,11 +70,16 @@ def check_orders(documents) -> None:
                 if target > MAX_ORDER:
                     raise InputError(f"scalar orders lift to {target}, above"
                                      f" the maximum order {MAX_ORDER}")
+    return target
 
 
-def scalar_from(doc, where: str) -> Scalar:
+def scalar_from(doc, where: str, order: int) -> Scalar:
+    """The scalar doc lifted to order, a multiple of its own; the integer
+    0, most entries of a table, is the cached Scalar.zero(order)."""
+    if type(doc) is int and not doc:
+        return Scalar.zero(order)
     try:
-        return Scalar.from_json(doc)
+        return Scalar.from_json(doc).lift(order)
     except InputError as e:
         raise InputError(f"{where}: {e}") from e
 
@@ -83,13 +91,13 @@ def integer(doc, where: str) -> int:
     return doc
 
 
-def _vector(doc, where: str, read=scalar_from) -> list:
+def _vector(doc, where: str, read) -> list:
     if not isinstance(doc, list):
         raise InputError(f"{where}: expected an array")
     return [read(v, f"{where}[{i}]") for i, v in enumerate(doc)]
 
 
-def _matrix(doc, where: str, read=scalar_from) -> list:
+def _matrix(doc, where: str, read) -> list:
     if not isinstance(doc, list):
         raise InputError(f"{where}: expected an array of rows")
     return [_vector(r, f"{where}[{i}]", read) for i, r in enumerate(doc)]
@@ -101,9 +109,10 @@ def _sized(doc, dim: int, where: str, what: str) -> list:
     return doc
 
 
-def _rows(doc, width: int, where: str, read=scalar_from) -> list:
+def _rows(doc, width: int, where: str, read) -> list:
     """An array of rows of width entries, each row checked before it is
-    read."""
+    read.  read(doc, where) reads one entry: a scalar (Fields.scalar) or
+    an integer."""
     if not isinstance(doc, list):
         raise InputError(f"{where}: expected an array of rows")
     return [_vector(_sized(row, width, f"{where}[{i}]", "entries"),
@@ -111,34 +120,34 @@ def _rows(doc, width: int, where: str, read=scalar_from) -> list:
             for i, row in enumerate(doc)]
 
 
-def _square(doc, dim: int, where: str) -> list:
+def _square(doc, dim: int, where: str, read) -> list:
     """A dim x dim matrix, each row checked before it is read."""
-    return _rows(_sized(doc, dim, where, "rows"), dim, where)
+    return _rows(_sized(doc, dim, where, "rows"), dim, where, read)
 
 
-def _cube(doc, d1: int, d2: int, d3: int, where: str):
+def _cube(doc, d1: int, d2: int, d3: int, where: str, read):
     """The nonzero entries (i, j, k, s) of a d1 x d2 x d3 table."""
     for i, plane in enumerate(_sized(doc, d1, where, "planes")):
         for j, line in enumerate(_sized(plane, d2, f"{where}[{i}]", "rows")):
             line = _sized(line, d3, f"{where}[{i}][{j}]", "entries")
             for k, v in enumerate(line):
-                s = scalar_from(v, f"{where}[{i}][{j}][{k}]")
+                s = read(v, f"{where}[{i}][{j}][{k}]")
                 if s:
                     yield i, j, k, s
 
 
-def _tensor3_sparse(doc, d1: int, d2: int, d3: int, where: str):
+def _tensor3_sparse(doc, d1: int, d2: int, d3: int, where: str, read):
     """out[i][j] maps k to the entry (i, j, k): mult and act."""
     out = [[{} for _ in range(d2)] for _ in range(d1)]
-    for i, j, k, s in _cube(doc, d1, d2, d3, where):
+    for i, j, k, s in _cube(doc, d1, d2, d3, where, read):
         out[i][j][k] = s
     return out
 
 
-def _comult_sparse(doc, d1: int, d2: int, d3: int, where: str):
+def _comult_sparse(doc, d1: int, d2: int, d3: int, where: str, read):
     """out[i] maps (j, k) to the entry (i, j, k): comult and coact."""
     out = [{} for _ in range(d1)]
-    for i, j, k, s in _cube(doc, d1, d2, d3, where):
+    for i, j, k, s in _cube(doc, d1, d2, d3, where, read):
         out[i][(j, k)] = s
     return out
 
@@ -151,22 +160,27 @@ _JSON_TYPES = {str: "a string", list: "an array", bool: "true or false"}
 
 class Fields(dict):
     """A document body; reading a field it lacks is an input error naming
-    the document.  An integer field is read through integer(), and a
-    string, array or boolean field through typed()."""
+    the document.  An integer field is read through integer(), a string,
+    array or boolean field through typed(), and a scalar through scalar(),
+    at order, the workspace order."""
 
-    __slots__ = ("where",)
+    __slots__ = ("where", "order")
 
-    def __init__(self, body, where: str):
+    def __init__(self, body, where: str, order: int):
         if not isinstance(body, dict):
             raise InputError(f"{where}: expected an object")
         super().__init__(body)
         self.where = where
+        self.order = order
 
     def __missing__(self, key):
         raise InputError(f"{self.where}: missing field {key!r}")
 
     def integer(self, key: str) -> int:
         return integer(self[key], f"{self.where}.{key}")
+
+    def scalar(self, doc, where: str) -> Scalar:
+        return scalar_from(doc, where, self.order)
 
     def typed(self, key: str, kind: type, *default):
         """A field of one JSON type: str, list or bool (not a 0 or 1 for
@@ -179,50 +193,51 @@ class Fields(dict):
 
 
 def parse_algebra(body: Fields) -> StarAlgebra:
-    where, dim = body.where, body.integer("dim")
+    where, dim, read = body.where, body.integer("dim"), body.scalar
     if dim > max_dim():
         raise InputError(f"{where}: dim {dim} exceeds {MAX_DIM_ENV}")
-    mult = _tensor3_sparse(body["mult"], dim, dim, dim, f"{where}.mult")
-    unit = _vector(body["unit"], f"{where}.unit")
-    star = _square(body["star"], dim, f"{where}.star")
+    mult = _tensor3_sparse(body["mult"], dim, dim, dim, f"{where}.mult", read)
+    unit = _vector(body["unit"], f"{where}.unit", read)
+    star = _square(body["star"], dim, f"{where}.star", read)
     state = None
     if body.get("state") is not None:
-        state = _vector(body["state"], f"{where}.state")
+        state = _vector(body["state"], f"{where}.state", read)
     return StarAlgebra(dim, mult, unit, star, state,
                        name=body.get("name", ""))
 
 
 def parse_hopf(body: Fields) -> HopfStarAlgebra:
-    where = body.where
+    where, read = body.where, body.scalar
     if "group_table" in body:
         where, table = f"{where}.group_table", body["group_table"]
-        order = len(table) if isinstance(table, list) else 0
-        if order > max_dim():
-            raise InputError(f"{where}: order {order} exceeds {MAX_DIM_ENV}")
+        size = len(table) if isinstance(table, list) else 0
+        if size > max_dim():
+            raise InputError(f"{where}: order {size} exceeds {MAX_DIM_ENV}")
         make = function_algebra if body.typed("dual", bool, False) \
             else group_algebra
-        table = _rows(table, order, where, integer)
+        table = _rows(table, size, where, integer)
         try:
-            return make(table, name=body.get("name", ""))
+            return make(table, name=body.get("name", ""), order=body.order)
         except InputError as e:  # a table that is not a group's
             raise InputError(f"{where}: {e}") from e
     alg = parse_algebra(body)
     n = alg.dim
-    comult = _comult_sparse(body["comult"], n, n, n, f"{where}.comult")
-    counit = _vector(body["counit"], f"{where}.counit")
-    antipode = _square(body["antipode"], n, f"{where}.antipode")
+    comult = _comult_sparse(body["comult"], n, n, n, f"{where}.comult", read)
+    counit = _vector(body["counit"], f"{where}.counit", read)
+    antipode = _square(body["antipode"], n, f"{where}.antipode", read)
     return HopfStarAlgebra(alg, comult, counit, antipode,
                            name=body.get("name", ""))
 
 
 class Workspace:
-    """Resolved object graph of a workspace file."""
+    """Resolved object graph of a workspace file, every scalar read at
+    order, the lcm of the orders the documents declare."""
 
     def __init__(self, documents: dict):
         self.raw = documents
         self.objects: dict = {}
         self.kinds: dict = {}
-        check_orders(documents)
+        self.order = check_orders(documents)
         self._parse_all()
 
     @staticmethod
@@ -253,7 +268,7 @@ class Workspace:
             for name, body in self.raw.items():
                 if self.kinds[name] != kind:
                     continue
-                body = Fields(body, f"/documents/{name}")
+                body = Fields(body, f"/documents/{name}", self.order)
                 self.objects[name] = self._parse_one(kind, body)
 
     def _ref(self, body: Fields, key: str, kinds: tuple):
@@ -274,20 +289,21 @@ class Workspace:
         return self._ref(body, key, ("algebra", "hopf"))
 
     def _parse_one(self, kind: str, body: Fields):
-        where = body.where
+        where, read = body.where, body.scalar
         if kind == "algebra":
             return parse_algebra(body)
         if kind == "hopf":
             return parse_hopf(body)
         if kind == "subspace":
             ambient = body.integer("ambient_dim")
-            basis = _rows(body.get("basis", []), ambient, f"{where}.basis")
+            basis = _rows(body.get("basis", []), ambient, f"{where}.basis",
+                          read)
             return Subspace.from_vectors(basis, ambient)
         if kind == "action":
             hopf = self._ref(body, "hopf", ("hopf",))
             target = self._carrier(body)
             act = _tensor3_sparse(body["act"], hopf.dim, target.dim,
-                                  target.dim, f"{where}.act")
+                                  target.dim, f"{where}.act", read)
             if hopf.dim * target.dim > max_dim():
                 raise InputError(
                     f"{where}: total dimension exceeds {MAX_DIM_ENV}"
@@ -298,59 +314,23 @@ class Workspace:
             hopf = self._ref(body, "hopf", ("hopf",))
             target = self._carrier(body)
             coact = _comult_sparse(body["coact"], target.dim, target.dim,
-                                   hopf.dim, f"{where}.coact")
+                                   hopf.dim, f"{where}.coact", read)
             return ComoduleAlgebra(hopf, target, coact,
                                    name=body.get("name", ""))
         if kind == "pairing":
             Q = self._ref(body, "q", ("hopf",))
             H = self._ref(body, "h", ("hopf",))
             matrix = _rows(_sized(body["matrix"], Q.dim, f"{where}.matrix",
-                                  "rows"), H.dim, f"{where}.matrix")
+                                  "rows"), H.dim, f"{where}.matrix", read)
             return HopfPairing(Q, H, matrix)
         if kind == "job":
             return body
         raise InputError(f"{where}: unhandled kind {kind}")
 
-    def lift_orders(self):
-        """Lift every scalar in every parsed object to the common order."""
-        orders = set()
-
-        def scan(x):
-            orders.add(x.order)
-            return x
-
-        self._rewrite(scan)
-        target = math.lcm(*orders)
-        if target > 1:
-            self._rewrite(lambda x: x if x.order == target else x.lift(target))
-        return target
-
-    def _rewrite(self, fn):
-        seen = set()
-
-        def rec(obj):
-            if isinstance(obj, list):
-                for i, v in enumerate(obj):
-                    if isinstance(v, Scalar):
-                        obj[i] = fn(v)
-                    else:
-                        rec(v)
-            elif isinstance(obj, dict):
-                for k, v in obj.items():
-                    if isinstance(v, Scalar):
-                        obj[k] = fn(v)
-                    else:
-                        rec(v)
-            elif hasattr(obj, "__dict__") and id(obj) not in seen:
-                seen.add(id(obj))
-                for attr, val in vars(obj).items():
-                    if isinstance(val, Scalar):
-                        setattr(obj, attr, fn(val))
-                    else:
-                        rec(val)
-
-        for obj in self.objects.values():
-            rec(obj)
+    def lift_orders(self) -> int:
+        """The workspace order: every scalar was lifted to it as it was
+        read, so nothing is left to lift."""
+        return self.order
 
     def get(self, name: str, kinds: tuple | None = None):
         if name not in self.objects:

@@ -467,6 +467,56 @@ def test_lifting_reaches_nested_hopf_tensors(tmp_path):
                for v in plane.values())
 
 
+def _reachable_orders(root) -> set:
+    """The orders of every Scalar reachable from root through lists,
+    tuples, dicts and object attributes: a walk of its own, since the
+    parser lifts each scalar as it reads it and keeps no walker."""
+    orders, seen, stack = set(), set(), [root]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Scalar):
+            orders.add(x.order)
+        elif id(x) in seen:
+            continue
+        elif isinstance(x, dict):
+            seen.add(id(x))
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            seen.add(id(x))
+            stack.extend(x)
+        elif hasattr(x, "__dict__"):
+            seen.add(id(x))
+            stack.extend(vars(x).values())
+    return orders
+
+
+@pytest.mark.parametrize("order", [None, 3, 4])
+@pytest.mark.parametrize("fname", sorted(ALL))
+def test_every_scalar_is_read_at_the_workspace_order(fname, order):
+    ws = Workspace(_with_order(_fixture(fname), order)["documents"])
+    assert ws.lift_orders() == (order or 1)
+    assert _reachable_orders(ws.objects) == {order or 1}
+
+
+def test_span_orders_lift_the_documents(tmp_path, capsys):
+    # the only order-4 scalars sit in the spans of the measure job, yet
+    # the documents are read at order 4 too; the certificate, a kernel of
+    # order-1 rows, keeps the bytes of the plain workspace
+    doc = _explicit_span_workspace()
+    half = {"order": 4, "num": [1, 0], "den": 2}
+    doc["documents"]["measure"]["spans"][0]["right"] = [[half], [0], [0],
+                                                        [half]]
+    ws = Workspace(copy.deepcopy(doc)["documents"])
+    assert ws.lift_orders() == 4
+    assert _reachable_orders(ws.objects) == {4}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    assert _run("measure", path, job="measure") == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() \
+        == _SPAN_DIGESTS["explicit", None]
+
+
 # Shipped jobs with every scalar lifted to Q(i) by one extra order-4
 # document; digests of the CLI stdout.  Zeros and pivot ones in emitted
 # bases take the order of the entry their row was normalized at: 1 on rows
@@ -1147,6 +1197,48 @@ def test_banica_refuses_a_failed_premise_and_names_its_document(
     assert _run("qgal-banica", path, job="banica") == 2
     assert capsys.readouterr().err \
         == f"input error: /documents/{name}: {says}\n"
+
+
+def _graded_by_conjugation(docs):
+    # CZ2 coacts on a copy of Mat2 through the Z2-grading x -> u x u with
+    # u = [[1, 1], [0, -1]]: u^2 = 1, so beta(x) = x_0 (x) e + x_1 (x) g
+    # with x_0, x_1 = (x +- u x u) / 2 is a comodule algebra, but u is not
+    # unitary, so beta is not a *-map.  C(Z2) acts on the copy by the same
+    # grading.
+    u = [[1, 1], [0, -1]]
+
+    def ad_u(i):  # u E_ab u, E_ab at index 2a + b, flattened
+        return [u[j // 2][i // 2] * u[i % 2][j % 2] for j in range(4)]
+
+    def half(x):
+        return x // 2 if x % 2 == 0 else [x, 2]
+    parts = [[[half(int(i == j) + sign * ad_u(i)[j]) for j in range(4)]
+              for i in range(4)] for sign in (1, -1)]
+    docs["mat2b"] = dict(docs["mat2"], state=None)
+    docs["beta2"] = {"kind": "comodule", "hopf": "cz2", "alg": "mat2b",
+                     "coact": [[[p[i][j] for p in parts] for j in range(4)]
+                               for i in range(4)]}
+    docs["grade2"] = {"kind": "action", "hopf": "cofz2", "alg": "mat2b",
+                      "act": parts}
+    docs["banica2"] = {"kind": "job", "op": "qgal-banica",
+                       "comodule": "beta2", "action": "adz",
+                       "ambient_hopf": "cofz2", "ambient_action": "grade2"}
+    docs["check2"] = {"kind": "job", "op": "validate", "target": "beta2"}
+
+
+def test_banica_refuses_a_coaction_that_is_not_a_star_map(tmp_path, capsys):
+    # the comodule passes validate, whose four laws hold without the star;
+    # qgal-banica tripped its fixed-point guard on it and now refuses it
+    path = tmp_path / "banica-z2.json"
+    path.write_text(json.dumps(_fixture_with("banica-z2.json", None,
+                                             _graded_by_conjugation)))
+    assert _run("validate", path, job="check2") == 0
+    capsys.readouterr()
+    assert _run("qgal-banica", path, job="banica2") == 2
+    assert capsys.readouterr().err == ("input error: /documents/beta2: the"
+                                       " coaction is not a *-map (witness"
+                                       " 0)\n")
+    assert _run("qgal-banica", path, job="banica") == 0
 
 
 def test_qgal_depth2_refuses_a_base_that_is_not_a_factor(tmp_path, capsys):

@@ -434,33 +434,30 @@ def test_fixed_space_skips_a_zero_character():
     assert basis_rows(fixed_space([swap], [s(-1)], 2)) == [sv([1, -1])]
 
 
-def test_normalized_scales_to_one_at_the_unit_and_lifts_its_zeros():
+def test_normalized_scales_to_one_at_the_unit():
     one, i = Scalar.one(), Scalar.root_of_unity(4)
     z1, z4 = Scalar.zero(), Scalar.zero(4)
-    # t . u = 3 over Q: zeros at the row's order
-    assert _pin(normalized({0: s(2), 2: one}, 1, sv([1, 5, 1]), 3)) \
-        == [(Scalar.rational(2, 3), 1), (0, 1), (Scalar.rational(1, 3), 1)]
-    assert [x.order for x in normalized({0: one}, 3, sv([1, 0]), 2)] \
-        == [1, 3]
-    # t . u = 2i: the scale is of order 4 and lifts the zeros with it, to
-    # lcm(4, 3) = 12 for a row of order 3
-    out = normalized({0: s(2)}, 1, [i, one], 2)
-    assert _pin(out) == [(-i, 4), (0, 4)]
-    assert [x.order for x in normalized({0: s(2)}, 3, [i, one], 2)] \
-        == [4, 12]
-    # a zero entry of t does not lift the scale, but is written lifted
-    out = normalized({0: one, 1: z4}, 1, sv([1, 1]), 3)
-    assert _pin(out) == [(1, 1), (0, 4), (0, 1)]
+    # t . u = 3 over Q
+    assert normalized({0: s(2), 2: one}, sv([1, 5, 1]), 3) \
+        == [Scalar.rational(2, 3), 0, Scalar.rational(1, 3)]
+    # t . u = 2i
+    assert normalized({0: s(2)}, [i, one], 2) == [-i, 0]
+    # a zero entry of t does not change the scale
+    assert normalized({0: one, 1: z4}, sv([1, 1]), 3) == [1, 0, 0]
     # t . u = 0, also when its terms cancel
-    assert normalized({0: one, 1: one}, 1, sv([1, -1]), 2) is None
-    assert normalized({1: one}, 1, [one, z1], 2) is None
+    assert normalized({0: one, 1: one}, sv([1, -1]), 2) is None
+    assert normalized({1: one}, [one, z1], 2) is None
+
+
+def _modules():
+    """(file name, syntax tree) of every package module."""
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
 
 
 def _modules_outside_linalg():
     """(file name, syntax tree) of every package module but linalg."""
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        if path.name != "linalg.py":
-            yield path.name, ast.parse(path.read_text())
+    return [(name, tree) for name, tree in _modules() if name != "linalg.py"]
 
 
 def _calls(tree, name):
@@ -542,6 +539,22 @@ def test_vectors_are_made_dense_in_linalg_only():
                   for name, tree in _modules_outside_linalg()
                   for node in _calls(tree, "dense")]
     assert offenders == []
+
+
+def test_no_module_reflects_on_objects():
+    # every object is read through the fields it declares: no module of
+    # the package calls vars or hasattr
+    offenders = [f"{name}:{node.lineno}" for name, tree in _modules()
+                 for fn in ("vars", "hasattr") for node in _calls(tree, fn)]
+    assert offenders == []
+
+
+def test_scalars_are_lifted_as_they_are_read():
+    # a workspace scalar is lifted to the workspace order by its reader;
+    # outside scalars, serialize.scalar_from alone calls lift
+    callers = {(name, fn) for name, tree in _modules()
+               if name != "scalars.py" for fn in _callers(tree, "lift")}
+    assert callers == {("serialize.py", "scalar_from")}
 
 
 def _trees():
