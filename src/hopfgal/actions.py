@@ -28,7 +28,14 @@ from .algebra import (
     validate_algebra,
 )
 from .errors import InputError
-from .hopf import HopfPairing, HopfStarAlgebra, coaction_operator, convolve
+from .hopf import (
+    HopfPairing,
+    HopfStarAlgebra,
+    coaction_operator,
+    convolution_inverse_failures,
+    convolve,
+    haar,
+)
 from .linalg import (
     Subspace,
     Vec,
@@ -244,12 +251,8 @@ def innerify_check(sp: SmashProduct) -> Report:
     one = Scalar.one()
     V = [sp.h_leg({h: one}) for h in range(nh)]
     Vinv = [sp.h_leg(sparse(row)) for row in H.antipode]
-    unit = sparse(total.unit)
-    targets = [{k: e * u for k, u in unit.items()} for e in H.counit]
-    rep.law("convolution_inverse", (
-        h for h, plane in enumerate(H.comult)
-        if sparse_ne(convolve(total.mult, plane, V, Vinv), targets[h])
-        or sparse_ne(convolve(total.mult, plane, Vinv, V), targets[h])))
+    rep.law("convolution_inverse", convolution_inverse_failures(
+        H.comult, H.counit, total.mult, sparse(total.unit), V, Vinv))
 
     # (x x| 1) V^{-1}(g) for each basis x of A and g of H
     x_vinv = [[sparse_apply(total.mult, sp.a_leg({a: one}), w) for w in Vinv]
@@ -281,8 +284,6 @@ def canonical_smash_trace(sp: SmashProduct) -> Vec:
     Requires a tracial state on A; traciality of the product functional is
     re-checked exactly on the smash rather than assumed.
     """
-    from .hopf import haar
-
     A, H = sp.action.alg, sp.action.hopf
     if A.state is None:
         raise InputError("canonical trace needs a state on A")

@@ -42,6 +42,7 @@ from .linalg import (
     nonzero,
     normalized,
     op_from_entries,
+    op_mul,
     projection,
     sparse,
     sparse_add,
@@ -318,6 +319,14 @@ def involution_failures(rows: list):
     one = Scalar.one()
     return (i for i, row in enumerate(rows)
             if sparse_ne(sparse_comb(rows, sparse_conj(row)), {i: one}))
+
+
+def is_bimodular(A: StarAlgebra, T: dict, elements) -> bool:
+    """The sparse operator T commutes with left and with right
+    multiplication by each sparse element: T is a bimodule map over the
+    subalgebra they generate."""
+    return all(op_mul(T, X) == op_mul(X, T) for z in elements
+               for X in (A.left_mult_op(z), A.right_mult_op(z)))
 
 
 def _compose(A: StarAlgebra, x: dict, idx: int, right: bool) -> dict:

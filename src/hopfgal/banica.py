@@ -31,6 +31,7 @@ from .actions import (
 from .algebra import (
     StarAlgebra,
     gram_matrix,
+    is_bimodular,
     is_unital_star_subalgebra,
     numerically_positive,
     relative_commutant,
@@ -43,14 +44,15 @@ from .hopf import (
     HopfStarAlgebra,
     coaction_operator,
     coassociativity_failures,
-    convolution,
+    composition_failures,
     convolve,
     counit_failures,
     flip,
     haar,
     hopf_equal,
+    is_unital,
+    multiplicative_failures,
     star_failures,
-    tensor_product,
     variants,
 )
 from .jones import orthogonal_projection
@@ -104,20 +106,12 @@ def validate_comodule(B: ComoduleAlgebra) -> Report:
     """Coassociativity, counit law, and multiplicativity of the coaction."""
     rep = Report(f"comodule algebra {B.name}".strip())
     H, A = B.hopf, B.alg
-    nb = A.dim
-
     rep.law("coassociative", coassociativity_failures(B.coact, H.comult))
     rep.law("counital", counit_failures(B.coact, H.counit))
-    rep.law("coaction_multiplicative", (
-        (i, j) for i in range(nb) for j in range(nb)
-        if sparse_ne(sparse_comb(B.coact, A.mult[i][j]),
-                     tensor_product(A.mult, H.mult,
-                                    B.coact[i], B.coact[j]))))
-    unit_b, unit_h = sparse(A.unit), sparse(H.unit)
+    rep.law("coaction_multiplicative",
+            multiplicative_failures(B.coact, A.mult, H.mult))
     rep.add("coaction_unital",
-            not sparse_ne(sparse_comb(B.coact, unit_b),
-                          {(j, k): ua * uh for j, ua in unit_b.items()
-                           for k, uh in unit_h.items()}))
+            is_unital(B.coact, sparse(A.unit), sparse(H.unit)))
     return rep
 
 
@@ -158,17 +152,7 @@ def product_coaction(B: ComoduleAlgebra,
     since S is involutive).  These premises, the algebra laws of B and the
     law that the coaction is a *-map are checked before anything is built:
     an input that fails one is refused.
-    So is a total space B (x) (A x| H^cop) whose table of dim^2 cells
-    exceeds the work bound HOPFGAL_MAX_DIM^3 of the command line.
     """
-    # serialize imports this module, so its bound is read here
-    from .serialize import MAX_DIM_ENV, max_dim
-
-    dim = B.alg.dim * sp.total.dim
-    if dim * dim > max_dim() ** 3:
-        raise InputError(
-            f"B (x) (A x| H^cop) has dim {dim}: its table of {dim}^2 cells"
-            f" exceeds the work bound {MAX_DIM_ENV}^3")
     H = B.hopf
     if not H.is_kac():
         raise InputError("antipode not involutive")
@@ -176,16 +160,10 @@ def product_coaction(B: ComoduleAlgebra,
     if not hopf_equal(Hcop, variants(H)[1]):
         raise InputError("the smash product is not over H^cop",
                          culprit=Hcop)
-    alg_rep = validate_algebra(B.alg)
-    if not alg_rep.ok:
-        raise InputError(
-            f"comodule algebra invalid at {alg_rep.first_failure().name}",
-            culprit=B.alg)
+    validate_algebra(B.alg).require(InputError, "comodule algebra invalid at",
+                                    culprit=B.alg)
     com_rep = validate_comodule(B)
-    if not com_rep.ok:
-        raise InputError(
-            f"comodule invalid at {com_rep.first_failure().name}"
-        )
+    com_rep.require(InputError, "comodule invalid at")
     star_b = [sparse(row) for row in B.alg.star]
     star_h = [sparse(row) for row in H.star]
     bad = next(star_failures(B.coact, B.coact, star_b, star_h), None)
@@ -193,7 +171,7 @@ def product_coaction(B: ComoduleAlgebra,
         raise InputError(f"the coaction is not a *-map (witness {bad})")
 
     nb, nh, nt = B.alg.dim, H.dim, sp.total.dim
-    na = sp.dim_A
+    na, dim = sp.dim_A, nb * nt
     total = tensor_algebra(B.alg, sp.total,
                            name=f"{B.alg.name}(x){sp.total.name}")
 
@@ -230,16 +208,13 @@ def product_coaction(B: ComoduleAlgebra,
     img = span_of(op_transpose(E).values(), dim)  # the columns of E
     rep.add("expectation_image_is_invariants", img == inv)
     rep.add("expectation_idempotent", op_mul(E, E) == E)
-    rep.add("expectation_bimodular", _expectation_bimodular(data))
+    rep.add("expectation_bimodular", is_bimodular(total, E, inv.vectors))
     rep.add("haar_swap_identity", _swap_identity(H, table))
     membership = all(
         inv.contains(_beta_13(data, b)) for b in range(nb)
     )
     rep.add("coaction_legs_13_invariant", membership)
-    if not rep.ok:
-        raise ConsistencyError(
-            f"fixed-point data failed at {rep.first_failure().name}"
-        )
+    rep.require(ConsistencyError, "fixed-point data failed at")
     return data
 
 
@@ -249,16 +224,6 @@ def _tau_s_table(H: HopfStarAlgebra, tau: Vec) -> list[Vec]:
     table."""
     return [[dot(sparse_comb(line, sh), tau) for line in H.mult]
             for sh in map(sparse, H.antipode)]
-
-
-def _expectation_bimodular(data: FixedPointData) -> bool:
-    """E L_z = L_z E and E R_z = R_z E for every z in C."""
-    total, E = data.total, data.expectation
-    for z in data.invariants.vectors:
-        for X in (total.left_mult_op(z), total.right_mult_op(z)):
-            if op_mul(E, X) != op_mul(X, E):
-                return False
-    return True
 
 
 def _swap_identity(H: HopfStarAlgebra, table: list[Vec]) -> bool:
@@ -296,21 +261,13 @@ def lambda_action(B: ComoduleAlgebra,
     H = B.hopf
     if tau is None:
         tau = haar(H)
-    nb, nh = B.alg.dim, H.dim
-
     omega = [sparse(row) for row in _tau_s_table(H, tau)]
     ops = [coaction_operator(B.coact, w) for w in omega]
     rep = Report("canonical dual action on B")
-    rep.law("convolution_matches_composition", (
-        (g, h) for g in range(nh) for h in range(nh)
-        if coaction_operator(B.coact,
-                             convolution(H.comult, omega[g], omega[h]))
-        != op_mul(ops[g], ops[h])),
-        note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
-
-    rep.add("counit_acts_as_identity",
-            coaction_operator(B.coact, sparse(H.counit))
-            == {b: {b: Scalar.one()} for b in range(nb)})
+    rep.law("convolution_matches_composition",
+            composition_failures(B.coact, H.comult, omega),
+            note="Lambda(omega * omega') = Lambda(omega) Lambda(omega')")
+    rep.law("counit_acts_as_identity", counit_failures(B.coact, H.counit))
     return ops, rep
 
 
@@ -334,9 +291,7 @@ def t_q_extraction(data: FixedPointData, Q: HopfStarAlgebra,
     nb, nh, nt = data.dim_B, H.dim, sp.total.dim
     if qact.alg.dim != C.dim:
         raise InputError("q-action does not live on the invariants algebra")
-    act_rep = validate_action(qact)
-    if not act_rep.ok:
-        raise InputError(f"q-action invalid at {act_rep.first_failure().name}")
+    validate_action(qact).require(InputError, "q-action invalid at")
 
     rep = Report("T_q extraction")
     commutant = relative_commutant(sp.subspace_A(), sp.total)
@@ -444,11 +399,8 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
                          " algebra")
     if q_on_B.alg is not B.alg:
         raise InputError("Q_ambient action invalid: wrong carrier")
-    act_rep = validate_action(q_on_B)
-    if not act_rep.ok:
-        raise InputError(
-            f"Q_ambient action invalid at {act_rep.first_failure().name}"
-        )
+    validate_action(q_on_B).require(InputError,
+                                    "Q_ambient action invalid at")
 
     lam_ops, lam_rep = lambda_action(B, data.haar)
     rep.merge(lam_rep, prefix="lambda:")
@@ -483,11 +435,7 @@ def qgal_banica(data: FixedPointData, Q_ambient: HopfStarAlgebra,
         data, result_ops, hopf
     )
     rep.merge(lift_rep, prefix="lift:")
-
-    if not rep.ok:
-        raise ConsistencyError(
-            f"banica certificate failed at {rep.first_failure().name}"
-        )
+    rep.require(ConsistencyError, "banica certificate failed at")
     return BanicaGaloisResult(result, hopf, lifted, c_alg, inclusion, phi,
                               rep)
 

@@ -204,6 +204,13 @@ def run_qgal_banica(ws: Workspace, job: dict) -> dict:
         sp = smash_product(act)
     # a premise that fails names the document at fault
     with _refusing(ws, job["comodule"]):
+        # B (x) (A x| H^cop) stores a table of dim^2 cells, bounded like
+        # the work of a measure job
+        dim = comodule.alg.dim * sp.total.dim
+        if dim * dim > max_dim() ** 3:
+            raise InputError(
+                f"B (x) (A x| H^cop) has dim {dim}: its table of {dim}^2"
+                f" cells exceeds the work bound {MAX_DIM_ENV}^3")
         data = product_coaction(comodule, sp)
     # the ambient action names the ambient Hopf algebra and B
     with _refusing(ws, job["ambient_action"]):

@@ -39,6 +39,7 @@ from .linalg import (
     op_dense,
     op_from_entries,
     op_inverse,
+    op_mul,
     op_sparse,
     op_transpose,
     sparse,
@@ -190,12 +191,14 @@ class HopfStarAlgebra(StarAlgebra):
 # Delta itself: beta[i] maps (j, k) to the coefficient of e_j (x) f_k in
 # beta(e_i), f the basis of the coalgebra.  Delta is the coaction of a
 # coalgebra on itself, so these laws serve coalgebras, comodule algebras
-# and the product coaction of banica alike.
+# and the product coaction of banica alike, each stated once here as the
+# generator of the cases where it breaks.
 #
 # A right comodule is a left module over the dual by phi . v = v_0 phi(v_1),
 # and coaction_operator is that module map: the T_lam of galois, the dual
 # action on a smash product, and the Lambda(omega) and the expectation
-# E = (id (x) tau) rho of banica are all (id (x) phi) beta.
+# E = (id (x) tau) rho of banica are all (id (x) phi) beta.  Its module laws
+# are composition_failures and, for the counit, counit_failures.
 
 
 def coaction_operator(coact, phi: dict) -> dict:
@@ -245,6 +248,46 @@ def star_failures(coact, planes, star_b: list, star_h: list):
                          tensor_map(sparse_conj(plane), star_b, star_h)))
 
 
+def multiplicative_failures(coact, mult_b, mult_h):
+    """The (i, j), in order, with beta(e_i e_j) != beta(e_i) beta(e_j) in
+    B (x) H, for the mult tensors of B and H.  With beta = Delta this is
+    the law that Delta is multiplicative."""
+    n = len(coact)
+    return ((i, j) for i in range(n) for j in range(n)
+            if sparse_ne(sparse_comb(coact, mult_b[i][j]),
+                         tensor_product(mult_b, mult_h, coact[i], coact[j])))
+
+
+def is_unital(coact, unit_b: dict, unit_h: dict) -> bool:
+    """beta(1) = 1 (x) 1, for the sparse units of B and H."""
+    return not sparse_ne(sparse_comb(coact, unit_b), _outer(unit_b, unit_h))
+
+
+def composition_failures(coact, comult, functionals: list):
+    """The (g, h), in order, with (id (x) f_g * f_h) beta !=
+    (id (x) f_g) beta (id (x) f_h) beta, for sparse functionals f on the
+    second leg: a comodule is a module over the dual, where convolution
+    acts as composition."""
+    ops = [coaction_operator(coact, f) for f in functionals]
+    n = len(functionals)
+    return ((g, h) for g in range(n) for h in range(n)
+            if coaction_operator(coact, convolution(comult, functionals[g],
+                                                    functionals[h]))
+            != op_mul(ops[g], ops[h]))
+
+
+def convolution_inverse_failures(comult, counit: Vec, mult, unit: dict,
+                                 f: list, g: list):
+    """The i, in order, with m (f (x) g) Delta(e_i) or m (g (x) f) Delta(e_i)
+    other than counit(e_i) 1, for f and g given by sparse rows into an
+    algebra with the mult tensor and the sparse unit given: the i at which
+    f and g are not convolution inverses."""
+    targets = [{k: e * u for k, u in unit.items()} for e in counit]
+    return (i for i, plane in enumerate(comult)
+            if sparse_ne(convolve(mult, plane, f, g), targets[i])
+            or sparse_ne(convolve(mult, plane, g, f), targets[i]))
+
+
 def flip(comult) -> list[dict]:
     """The comultiplication with its tensor legs swapped (Delta^cop)."""
     return [{(k, j): v for (j, k), v in plane.items()} for plane in comult]
@@ -269,19 +312,15 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     rep.merge(validate_algebra(H), prefix="alg:")
     rep.merge(validate_coalgebra(H.coalgebra), prefix="coalg:")
     n, mult, comult, counit = H.dim, H.mult, H.comult, H.counit
-    pairs = list(product(range(n), repeat=2))
     one = Scalar.one()
 
     # Delta and epsilon are unital algebra morphisms.
-    rep.law("comult_is_algebra_morphism", (
-        (i, j) for i, j in pairs
-        if sparse_ne(sparse_comb(comult, mult[i][j]),
-                     tensor_product(mult, mult, comult[i], comult[j]))))
+    rep.law("comult_is_algebra_morphism",
+            multiplicative_failures(comult, mult, mult))
     unit = sparse(H.unit)
-    rep.add("comult_unital",
-            not sparse_ne(sparse_comb(comult, unit), _outer(unit, unit)))
+    rep.add("comult_unital", is_unital(comult, unit, unit))
     rep.law("counit_is_algebra_morphism", (
-        (i, j) for i, j in pairs
+        (i, j) for i, j in product(range(n), repeat=2)
         if dot(mult[i][j], counit) != counit[i] * counit[j]))
     rep.add("counit_unital", dot(unit, counit) == one)
 
@@ -293,11 +332,8 @@ def validate_hopf(H: HopfStarAlgebra) -> Report:
     # Antipode axiom: m (S (x) id) Delta = unit . counit = m (id (x) S) Delta
     antipode = [sparse(row) for row in H.antipode]
     ident = [{i: one} for i in range(n)]
-    targets = [{k: e * u for k, u in unit.items()} for e in counit]
-    rep.law("antipode_axiom", (
-        i for i, plane in enumerate(comult)
-        if sparse_ne(convolve(mult, plane, antipode, ident), targets[i])
-        or sparse_ne(convolve(mult, plane, ident, antipode), targets[i])))
+    rep.law("antipode_axiom", convolution_inverse_failures(
+        comult, counit, mult, unit, antipode, ident))
 
     # x -> S(x)^* is an involution; it is conjugate linear.
     rep.law("star_antipode_involution", involution_failures(

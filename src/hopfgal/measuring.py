@@ -38,7 +38,7 @@ from .algebra import (
     relative_commutant,
 )
 from .errors import InputError
-from .hopf import HopfStarAlgebra, StarCoalgebra
+from .hopf import HopfStarAlgebra, StarCoalgebra, validate_coalgebra
 from .linalg import (
     Mat,
     Subspace,
@@ -382,14 +382,8 @@ def universal_measuring_within(C: StarCoalgebra, A: StarAlgebra,
     coalg, inclusion = (None, [])
     if D.dim:
         coalg, inclusion = reify_coalgebra(C, D)
-        rep.add("reified_coalgebra_valid", _coalgebra_ok(coalg))
+        rep.add("reified_coalgebra_valid", validate_coalgebra(coalg).ok)
     return MeasuringResult(D, W, coalg, inclusion, rep, log)
-
-
-def _coalgebra_ok(coalg: StarCoalgebra) -> bool:
-    from .hopf import validate_coalgebra
-
-    return validate_coalgebra(coalg).ok
 
 
 def reify_coalgebra(C: StarCoalgebra, D: Subspace):

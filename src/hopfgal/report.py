@@ -52,6 +52,12 @@ class Report:
         witness = next(iter(failures), None)
         return self.add(name, witness is None, witness, note)
 
+    def require(self, error, text: str, **kwargs):
+        """Raise error(f"{text} {name}"), kwargs passed on, naming the
+        first failed check; return when every check passed."""
+        if not self.ok:
+            raise error(f"{text} {self.first_failure().name}", **kwargs)
+
     def note(self, text: str):
         self.notes.append(text)
 

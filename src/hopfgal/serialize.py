@@ -52,8 +52,9 @@ def max_dim() -> int:
 
 
 def check_orders(documents) -> int:
-    """The lcm of the scalar orders in the raw documents; refuses one above
-    MAX_ORDER."""
+    """The lcm of the orders of the scalars in the raw documents, the
+    objects with order, num and den; refuses one above MAX_ORDER.  An
+    order key elsewhere, in a field no parser reads, is not a scalar's."""
     target, stack = 1, [documents]
     while stack:
         obj = stack.pop()
@@ -61,7 +62,7 @@ def check_orders(documents) -> int:
             stack.extend(obj)
         elif isinstance(obj, dict):
             stack.extend(obj.values())
-            if "order" in obj:
+            if {"order", "num", "den"} <= obj.keys():
                 try:
                     target = math.lcm(target, max(1, int(obj["order"])))
                 except (TypeError, ValueError, OverflowError) as e:

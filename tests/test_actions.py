@@ -26,6 +26,7 @@ from hopfgal.errors import InputError
 from hopfgal.fixtures import (
     Z2_TABLE,
     ad_z_action,
+    cs3,
     cz2,
     grading_action_mat2,
     mat_algebra,
@@ -33,7 +34,7 @@ from hopfgal.fixtures import (
     translation_action,
     trivial_action,
 )
-from hopfgal.hopf import canonical_pairing, dual_hopf
+from hopfgal.hopf import canonical_pairing, dual_hopf, validate_hopf
 from hopfgal.linalg import Subspace, unit_vec, vzero
 from hopfgal.scalars import Scalar
 
@@ -323,6 +324,22 @@ def test_innerify_trivial_algebra_collapses_to_antipode_axiom():
         sp = smash_product(trivial_action(H, one_dim))
         rep = innerify_check(sp)
         assert rep.ok, rep.failed()
+
+
+@pytest.mark.parametrize("cell", [(4, 5), (5, 4)])
+def test_convolution_inverses_are_checked_in_both_orders(cell):
+    # 4 and 5 are inverse 3-cycles of S3.  With the product 4 * 5 broken,
+    # S * id fails at 5 and id * S at 4 alone; with 5 * 4 broken, the other
+    # way round.  On the trivial action on C, V * V^{-1} is the first and
+    # V^{-1} * V the second order.  Both orders are read, so the witness is
+    # 4 every time.
+    H = cs3()
+    i, j = cell
+    H.mult[i][j][0] = H.mult[i][j][0] + Scalar.one()
+    assert validate_hopf(H)["antipode_axiom"].witness == 4
+    sp = smash_product(trivial_action(H, mat_algebra(1, name="C")),
+                       validate=False)
+    assert innerify_check(sp)["convolution_inverse"].witness == 4
 
 
 def test_sweedler_action_on_dual_numbers():

@@ -27,6 +27,7 @@ from hopfgal.algebra import (
     generated_subalgebra,
     generating_set,
     gram_matrix,
+    is_bimodular,
     relative_commutant,
     reify,
     tensor_algebra,
@@ -226,6 +227,17 @@ def test_center_of_mat2_is_scalars():
     z = center(A)
     assert z.dim == 1
     assert z.contains(A.unit)
+
+
+def test_bimodular_operators_commute_on_both_sides():
+    # y -> y E12 commutes with every left multiplication, but with a right
+    # multiplication only by an element that commutes with E12
+    A, one = mat_algebra(2), Scalar.one()
+    T = A.right_mult_op({1: one})
+    assert is_bimodular(A, T, [{1: one}, {0: one, 3: one}])
+    assert not is_bimodular(A, T, [{0: one}])
+    assert is_bimodular(A, A.right_mult_op({0: one, 3: one}),
+                        [{k: one} for k in range(4)])
 
 
 def test_commutant_of_diagonal_in_mat2():

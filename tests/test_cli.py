@@ -517,6 +517,27 @@ def test_span_orders_lift_the_documents(tmp_path, capsys):
         == _SPAN_DIGESTS["explicit", None]
 
 
+def test_an_order_outside_a_scalar_lifts_nothing(tmp_path, capsys):
+    # an "order" key in a field no parser reads is not a scalar's: the
+    # workspace keeps the bytes of the plain one; a malformed order inside
+    # a scalar is still refused
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_fixture("s3-transposition.json")))
+    assert _run("centralizer", path, job="centralizer") == 0
+    plain = capsys.readouterr().out
+    doc = _fixture("s3-transposition.json")
+    doc["documents"]["centralizer"]["note"] = {"order": 3}
+    path.write_text(json.dumps(doc))
+    assert _run("centralizer", path, job="centralizer") == 0
+    assert capsys.readouterr().out == plain
+    doc["documents"]["transposition"]["basis"][0][0] = {
+        "order": "x", "num": [1], "den": 1}
+    path.write_text(json.dumps(doc))
+    assert _run("centralizer", path, job="centralizer") == 2
+    assert capsys.readouterr().err \
+        == "input error: scalar order 'x' is not an integer\n"
+
+
 # Shipped jobs with every scalar lifted to Q(i) by one extra order-4
 # document; digests of the CLI stdout.  Zeros and pivot ones in emitted
 # bases take the order of the entry their row was normalized at: 1 on rows

@@ -363,8 +363,9 @@ def test_universal_morphisms_unique():
 
 
 def test_universal_morphism_of_the_z3_clock_dual():
-    # the antipode of C(Z3) is not the identity, so antipode_intertwined
-    # compares phi(S(q)) with S(phi(q)) on different vectors
+    # the antipode of C(Z3) is not the identity, so the antipode law of the
+    # extracted pairing compares <S(q), h> with <q, S(h)> on different
+    # vectors
     sp = smash_product(cyclic_diagonal_action(3, [0, 1, 2]))
     cert = canonical_qgal(sp)
     assert cert.dual.antipode != identity_matrix(3)

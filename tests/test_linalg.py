@@ -557,6 +557,36 @@ def test_scalars_are_lifted_as_they_are_read():
     assert callers == {("serialize.py", "scalar_from")}
 
 
+def _compares_a_call(node, name) -> bool:
+    return isinstance(node, ast.Compare) and any(
+        isinstance(x, ast.Call) and getattr(x.func, "id", None) == name
+        for x in (node.left, *node.comparators))
+
+
+def test_hopf_laws_are_stated_in_hopf():
+    # each law of a comultiplication or coaction is one failure generator
+    # of hopf: outside it no module multiplies or maps tensor legs,
+    # convolves functionals or compares a coaction operator
+    outside = [(name, tree) for name, tree in _modules() if name != "hopf.py"]
+    offenders = [f"{name}:{node.lineno}" for name, tree in outside
+                 for fn in ("tensor_product", "tensor_map", "convolution")
+                 for node in _calls(tree, fn)]
+    offenders += [f"{name}:{node.lineno}" for name, tree in outside
+                  for node in ast.walk(tree)
+                  if _compares_a_call(node, "coaction_operator")]
+    assert offenders == []
+
+
+def test_no_module_imports_inside_a_function():
+    # a module's dependencies all show at its top; an import cycle is
+    # broken by moving the work, not by importing late
+    offenders = {f"{name}:{node.lineno}" for name, tree in _modules()
+                 for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert offenders == set()
+
+
 def _trees():
     """(file name, syntax tree) of every module of the package and of the
     tests."""

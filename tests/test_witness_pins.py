@@ -250,7 +250,7 @@ PINS = {
     "banica coact(0, (0, 0))": {
         "lambda_action": {
             "convolution_matches_composition": (False, (0, 0), LAMBDA_NOTE),
-            "counit_acts_as_identity": (False, None, None),
+            "counit_acts_as_identity": (False, 0, None),
         },
         "product_coaction": ("raises", "InputError",
             "comodule invalid at coassociative"),
@@ -264,7 +264,7 @@ PINS = {
     "banica coact(0, (1, 0))": {
         "lambda_action": {
             "convolution_matches_composition": (False, (1, 0), LAMBDA_NOTE),
-            "counit_acts_as_identity": (False, None, None),
+            "counit_acts_as_identity": (False, 0, None),
         },
         "product_coaction": ("raises", "InputError",
             "comodule invalid at coassociative"),
@@ -278,7 +278,7 @@ PINS = {
     "banica coact(1, (0, 1))": {
         "lambda_action": {
             "convolution_matches_composition": (False, (0, 1), LAMBDA_NOTE),
-            "counit_acts_as_identity": (False, None, None),
+            "counit_acts_as_identity": (False, 1, None),
         },
         "product_coaction": ("raises", "InputError",
             "comodule invalid at coassociative"),
@@ -291,7 +291,7 @@ PINS = {
     "banica coact(1, (1, 1))": {
         "lambda_action": {
             "convolution_matches_composition": (False, (1, 1), LAMBDA_NOTE),
-            "counit_acts_as_identity": (False, None, None),
+            "counit_acts_as_identity": (False, 1, None),
         },
         "product_coaction": ("raises", "InputError",
             "comodule invalid at coassociative"),
