@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -228,42 +227,25 @@ def validate_algebra(A: StarAlgebra) -> Report:
     """Axiom-by-axiom check with a witness basis tuple on first failure.
 
     Both sides of each identity are sparse dicts built from the mult
-    tensor and the rows of the involution.
-
-    Associativity is Light's test (Clifford and Preston, The Algebraic
-    Theory of Semigroups I, 1961, section 1.2).  The middle nucleus
-    N = {a : (x a) y = x (a y) for all x, y} is a subspace, and it is
-    closed under products whether or not A is associative: for a, b in N,
-    (x (a b)) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((a b) y).
-    So when the unit and a generating set, whose right-normed words span
-    A, lie in N, all of A does, at n^2 cases per generator.  A unit that
-    passes the unit law is in N, as (x 1) y = x y = x (1 y), and is
-    checked only when it fails.  The n^3 basis triples are scanned only
-    when Light's test fails, or when it would check as many cases; the
-    witness is the first failing triple of that scan.  Once A is
-    associative, the x with (x y)* = y* x* for every y also form a
-    subspace closed under products, so the unit and the same generators
-    settle star_antimultiplicative.  The generators are found afresh on
-    every call: the tables of A may have changed since the last one.
+    tensor and the rows of the involution.  Associativity, and then
+    star_antimultiplicative, whose x form a subalgebra once A is
+    associative, are checked on light_generators when it finds them.
     """
-    rep = Report(f"algebra {A.name}".strip())
-    n = A.dim
-    one = Scalar.one()
-    unit = sparse(A.unit)
+    return algebra_laws(A)[0]
 
-    unit_failures = list(islice((
-        j for j in range(n)
-        if sparse_ne(_compose(A, unit, j, right=True), {j: one})
-        or sparse_ne(_compose(A, unit, j, right=False), {j: one})), 1))
-    gens = generating_set(Subspace.full(n), A)
-    middles = [unit, *gens] if unit_failures else gens
-    light = len(middles) < n and not any(associator_failures(A, middles))
-    rep.law("associativity", () if light else associator_failures(A))
-    rep.law("unit", unit_failures)
+
+def algebra_laws(A: StarAlgebra) -> tuple[Report, list | None]:
+    """validate_algebra's report and light_generators(A)."""
+    rep = Report(f"algebra {A.name}".strip())
+    unit = sparse(A.unit)
+    gens = light_generators(A)
+    rep.law("associativity", () if gens is not None
+            else associator_failures(A))
+    rep.law("unit", unit_failures(A))
     star = [sparse(row) for row in A.star]
     rep.law("star_involutive", involution_failures(star))
     rep.law("star_antimultiplicative", (
-        () if light and not any(antimultiplicative_failures(
+        () if gens is not None and not any(antimultiplicative_failures(
             A, star, [unit, *gens]))
         else antimultiplicative_failures(A, star)))
 
@@ -275,7 +257,38 @@ def validate_algebra(A: StarAlgebra) -> Report:
         rep.add("state_faithful_exact", st.faithful)
         rep.add("state_positive_numerical", bool(st.positive),
                 note=f"float verdict at tolerance {POSITIVITY_TOL}")
-    return rep
+    return rep, gens
+
+
+def light_generators(A: StarAlgebra) -> list | None:
+    """Generators of A, led by the unit when the unit law fails, that show
+    A associative by Light's test; None when the test fails or does not
+    run.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, 1961, section 1.2): the middle nucleus N = {a : (x a) y = x (a y)
+    for all x, y} is a subspace, and it is closed under products whether
+    or not A is associative: for a, b in N, (x (a b)) y = ((x a) b) y =
+    (x a)(b y) = x (a (b y)) = x ((a b) y).  So when the unit and a
+    generating set, whose right-normed words span A, lie in N, all of A
+    does, at n^2 cases per generator.  A unit that passes the unit law is
+    in N, as (x 1) y = x y = x (1 y).  The test runs only where it pays,
+    with at most half the basis as middles, found afresh on every call.
+    """
+    half = A.dim // 2
+    gens = generating_set(Subspace.full(A.dim), A, half)
+    if gens is not None and any(unit_failures(A)):
+        gens = [sparse(A.unit), *gens]
+    return None if gens is None or len(gens) > half or any(
+        associator_failures(A, gens)) else gens
+
+
+def unit_failures(A: StarAlgebra):
+    """The j, in order, where 1 e_j != e_j or e_j 1 != e_j."""
+    one, unit = Scalar.one(), sparse(A.unit)
+    return (j for j in range(A.dim)
+            if sparse_ne(_compose(A, unit, j, right=True), {j: one})
+            or sparse_ne(_compose(A, unit, j, right=False), {j: one}))
 
 
 def associator_failures(A: StarAlgebra, middles: list | None = None):
@@ -380,9 +393,10 @@ def generated_subalgebra(gens: list[dict], B: StarAlgebra) -> Subspace:
     return builder.subspace()
 
 
-def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
+def generating_set(S: Subspace, B: StarAlgebra,
+                   limit: int | None = None) -> list[dict] | None:
     """Basis vectors of S, as sparse vectors, that generate S as a unital
-    algebra.
+    algebra; None as soon as more than limit of them are needed.
 
     Greedy: a basis vector g outside the algebra generated so far becomes
     a generator.  g and g w, for every word w kept before, enter the span,
@@ -411,6 +425,8 @@ def generating_set(S: Subspace, B: StarAlgebra) -> list[dict]:
     for g in S.vectors:
         if builder.contains(g):
             continue
+        if len(gens) == limit:
+            return None
         gens.append(g)
         grow([g] + [sparse_apply(B.mult, g, w) for w in words],
              [partial(sparse_apply, B.mult, h) for h in gens])

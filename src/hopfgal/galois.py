@@ -186,6 +186,11 @@ def recover_functional(sp: SmashProduct, endo: dict) -> dict:
 
 
 def endo_report(sp: SmashProduct, psi: dict, endo: dict) -> Report:
+    """bimodular, and the round trips endo -> psi -> endo.  For group-like
+    H, an endo that commutes with left but not with right multiplication
+    by A recovers a psi outside A', which endo_from_functional refuses
+    (InputError "psi not into A'") before bimodular can read False; the
+    raise stands, as the rebuild exists only for psi into A'."""
     rep = Report("bimodule endomorphism from functional")
     total = sp.total
     # the round trips return operators with no zero entry and no empty row;

@@ -34,15 +34,23 @@ from .algebra import (
     StarAlgebra,
     generated_subalgebra,
     is_unital_star_subalgebra,
+    light_generators,
     reify,
     relative_commutant,
 )
 from .errors import InputError
-from .hopf import HopfStarAlgebra, StarCoalgebra, validate_coalgebra
+from .hopf import (
+    HopfStarAlgebra,
+    StarCoalgebra,
+    dual_algebra,
+    validate_coalgebra,
+)
 from .linalg import (
     Mat,
+    SpanBuilder,
     Subspace,
     collect,
+    dot,
     kernel_of,
     kron,
     op_from_entries,
@@ -273,18 +281,27 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
     stabilizers are maps of sparse vectors, linear or marked conjugate linear
     (linalg.conjugate_linear).  V_{k+1} = {x in V_k : Delta x in V_k (x) V_k,
     sigma x in V_k} is a kernel (kernel_of) in the coordinates c of
-    x = sum c_j b_j on the RREF basis of V_k, with one row per annihilator
-    row a of V_k and slice: (a (x) id) Delta x on each column,
-    (id (x) a) Delta x on each pivot row, a . sigma(x), conjugated for a
-    conjugate-linear sigma.  The dimensions of the decreasing iteration go
-    to log when given.  The result contains every stabilized subcoalgebra
-    of W.
+    x = sum c_j b_j on the RREF basis of V_k; the dimensions of this
+    decreasing iteration go to log when given.  The result contains every
+    stabilized subcoalgebra of W.
+
+    With U_k = V_k^perp in C*, V_{k+1}^perp = U_k + U_k C* + C* U_k +
+    sum sigma^T(U_k) (Sweedler, Hopf Algebras, 1969, ch. 1), sigma^T(a)
+    being k -> a(sigma e_k), conjugated for a conjugate-linear sigma.
+    When light_generators finds generators G of C* in this call, U_k C*
+    is the closure (SpanBuilder.close) of U_k under right multiplication
+    by G, C* U_k that on the left, and the rows are a . x for the a that
+    these closures and sigma^T add (_dual_rounds).  Otherwise (a
+    cocommutative C has too many G), the rows are (a (x) id) Delta x on
+    each column, (id (x) a) Delta x on each pivot row and a . sigma(x),
+    conjugated for a conjugate-linear sigma, per annihilator row a of V_k.
     """
     if W.ambient_dim != C.dim:
         raise InputError("subspace does not live in the coalgebra")
     stabilizers = stabilizers or []
     conjugated = {("stabilizer", s) for s, sigma in enumerate(stabilizers)
                   if getattr(sigma, "conjugate_linear", False)}
+    dual_entries = _dual_rounds(C, W, stabilizers)
 
     def entries(V: Subspace):
         pivots = set(V.pivots)
@@ -306,11 +323,39 @@ def largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
             log.append(current.dim)
         if current.dim == 0:
             return current
-        coeffs = kernel_of(entries(current), current.dim)
+        coeffs = kernel_of((dual_entries or entries)(current), current.dim)
         if coeffs.dim == current.dim:
             return current
         current = span_of((sparse_comb(current.vectors, c)
                            for c in coeffs.vectors), C.dim)
+
+
+def _dual_rounds(C: StarCoalgebra, W: Subspace, stabilizers: list):
+    """The entries of each round of largest_subcoalgebra on the dual route,
+    or None when light_generators finds no generators of C*."""
+    n, one = C.dim, Scalar.one()
+    dual = dual_algebra(C, [C.star_row(k) for k in range(n)])
+    gens = light_generators(dual)
+    if gens is None:
+        return None
+    right = [list(column) for column in zip(*dual.mult)]   # (a, g) -> a g
+    closures = [(SpanBuilder(n), [partial(sparse_apply, t, g) for g in gens])
+                for t in (dual.mult, right)]
+    images = [[sigma({k: one}) for k in range(n)] for sigma in stabilizers]
+    conj = [getattr(sigma, "conjugate_linear", False) for sigma in stabilizers]
+    fresh = W.annihilator_rows()
+
+    def entries(V: Subspace):
+        new = [(sparse_conj if c else dict)(collect(
+            (k, dot(row, a)) for k, row in enumerate(rows)))
+            for a in fresh for rows, c in zip(images, conj)]
+        for builder, ops in closures:
+            new.extend(builder.close([a for a in fresh if builder.insert(a)],
+                                     ops))
+        fresh[:] = new
+        return ((r, j, dot(b, a)) for r, a in enumerate(new)
+                for j, b in enumerate(V.vectors))
+    return entries
 
 
 def _tensor_square_closed(C: StarCoalgebra, D: Subspace) -> bool:

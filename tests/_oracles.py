@@ -40,6 +40,7 @@ for the oracles and the tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from hopfgal.actions import ModuleAlgebraAction, SmashProduct
@@ -415,11 +416,14 @@ def oracle_star_compat_rows(C: StarCoalgebra, carrier: list,
 
 
 def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
-                                stabilizers=()) -> Subspace:
-    """Decreasing iteration with Delta^2-middle-leg membership."""
+                                stabilizers=(), log=None) -> Subspace:
+    """Decreasing iteration with Delta^2-middle-leg membership; the dim of
+    each iterate goes to log when given."""
     stabilizers = [dense_map(sigma, C.dim) for sigma in stabilizers]
     current = W
     while True:
+        if log is not None:
+            log.append(current.dim)
         if current.dim == 0:
             return current
         basis = basis_rows(current)
@@ -456,6 +460,59 @@ def oracle_largest_subcoalgebra(C: StarCoalgebra, W: Subspace,
                     out = [p + c * q for p, q in zip(out, b)]
             vectors.append(out)
         current = Subspace.from_vectors(vectors, C.dim)
+
+
+def c_of_s4_within():
+    """Documents of a measure job on C(S4) within W, and the rows of W that
+    span its answer.
+
+    W is the 16 coefficient functions g -> [g(j) = i] of the permutation
+    representation of S4 on 4 points, plus the indicators of two pairs of
+    group elements.
+    """
+    elements = list(itertools.permutations(range(4)))
+    table = [[elements.index(tuple(p[q[x]] for x in range(4)))
+              for q in elements] for p in elements]
+    coeffs = [[int(g[j] == i) for g in elements]
+              for i in range(4) for j in range(4)]
+    noise = [[int(k in pair) for k in range(24)] for pair in ((1, 2), (3, 5))]
+    return {
+        "cg": {"kind": "hopf", "group_table": table, "dual": True},
+        "w": {"kind": "subspace", "ambient_dim": 24,
+              "basis": coeffs + noise},
+        "measure": {"kind": "job", "op": "measure", "coalgebra": "cg",
+                    "within": "w"},
+    }, coeffs
+
+
+def graded_by_conjugation(docs):
+    """Add to the documents of fixtures/banica-z2.json a comodule beta2 of
+    CZ2 on a copy mat2b of Mat2, graded by x -> u x u, with its jobs.
+
+    u = [[1, 1], [0, -1]] has u^2 = 1, so beta(x) = x_0 (x) e + x_1 (x) g
+    with x_0, x_1 = (x +- u x u) / 2 is a comodule algebra on a
+    noncommutative algebra, but u is not unitary, so beta is not a *-map.
+    C(Z2) acts on the copy by the same grading.
+    """
+    u = [[1, 1], [0, -1]]
+
+    def ad_u(i):  # u E_ab u, E_ab at index 2a + b, flattened
+        return [u[j // 2][i // 2] * u[i % 2][j % 2] for j in range(4)]
+
+    def half(x):
+        return x // 2 if x % 2 == 0 else [x, 2]
+    parts = [[[half(int(i == j) + sign * ad_u(i)[j]) for j in range(4)]
+              for i in range(4)] for sign in (1, -1)]
+    docs["mat2b"] = dict(docs["mat2"], state=None)
+    docs["beta2"] = {"kind": "comodule", "hopf": "cz2", "alg": "mat2b",
+                     "coact": [[[p[i][j] for p in parts] for j in range(4)]
+                               for i in range(4)]}
+    docs["grade2"] = {"kind": "action", "hopf": "cofz2", "alg": "mat2b",
+                      "act": parts}
+    docs["banica2"] = {"kind": "job", "op": "qgal-banica",
+                       "comodule": "beta2", "action": "adz",
+                       "ambient_hopf": "cofz2", "ambient_action": "grade2"}
+    docs["check2"] = {"kind": "job", "op": "validate", "target": "beta2"}
 
 
 def stabilized_closure(C: StarCoalgebra, gens,

@@ -4,7 +4,6 @@ import contextlib
 import copy
 import hashlib
 import io
-import itertools
 import json
 import os
 import random
@@ -24,6 +23,8 @@ from hopfgal.workspaces import (
     jones_workspace,
     write_all,
 )
+
+from _oracles import c_of_s4_within, graded_by_conjugation
 
 
 @pytest.fixture(scope="module")
@@ -982,24 +983,11 @@ def test_malformed_integer_is_input_error(name, key, value, where, tmp_path,
 
 
 def test_measure_within_c_s4_keeps_trivial_plus_standard(tmp_path):
-    # W = the 16 coefficient functions g -> [g(j) = i] of the permutation
-    # representation of S4 on 4 points, plus the indicators of two pairs of
-    # group elements.  The coefficients span trivial + standard (1 + 9) and
-    # C(S4) is cosemisimple; neither indicator adds a block.
-    elements = list(itertools.permutations(range(4)))
-    table = [[elements.index(tuple(p[q[x]] for x in range(4)))
-              for q in elements] for p in elements]
-    coeffs = [[int(g[j] == i) for g in elements]
-              for i in range(4) for j in range(4)]
-    noise = [[int(k in pair) for k in range(24)] for pair in ((1, 2), (3, 5))]
+    # the permutation coefficients span trivial + standard (1 + 9) and
+    # C(S4) is cosemisimple; neither indicator adds a block
+    docs, coeffs = c_of_s4_within()
     path = tmp_path / "s4.json"
-    path.write_text(json.dumps({"documents": {
-        "cg": {"kind": "hopf", "group_table": table, "dual": True},
-        "w": {"kind": "subspace", "ambient_dim": 24,
-              "basis": coeffs + noise},
-        "measure": {"kind": "job", "op": "measure", "coalgebra": "cg",
-                    "within": "w"},
-    }}))
+    path.write_text(json.dumps({"documents": docs}))
     out = tmp_path / "out.json"
     assert _run("measure", path, out, job="measure") == 0
     doc = json.loads(out.read_text())
@@ -1220,39 +1208,12 @@ def test_banica_refuses_a_failed_premise_and_names_its_document(
         == f"input error: /documents/{name}: {says}\n"
 
 
-def _graded_by_conjugation(docs):
-    # CZ2 coacts on a copy of Mat2 through the Z2-grading x -> u x u with
-    # u = [[1, 1], [0, -1]]: u^2 = 1, so beta(x) = x_0 (x) e + x_1 (x) g
-    # with x_0, x_1 = (x +- u x u) / 2 is a comodule algebra, but u is not
-    # unitary, so beta is not a *-map.  C(Z2) acts on the copy by the same
-    # grading.
-    u = [[1, 1], [0, -1]]
-
-    def ad_u(i):  # u E_ab u, E_ab at index 2a + b, flattened
-        return [u[j // 2][i // 2] * u[i % 2][j % 2] for j in range(4)]
-
-    def half(x):
-        return x // 2 if x % 2 == 0 else [x, 2]
-    parts = [[[half(int(i == j) + sign * ad_u(i)[j]) for j in range(4)]
-              for i in range(4)] for sign in (1, -1)]
-    docs["mat2b"] = dict(docs["mat2"], state=None)
-    docs["beta2"] = {"kind": "comodule", "hopf": "cz2", "alg": "mat2b",
-                     "coact": [[[p[i][j] for p in parts] for j in range(4)]
-                               for i in range(4)]}
-    docs["grade2"] = {"kind": "action", "hopf": "cofz2", "alg": "mat2b",
-                      "act": parts}
-    docs["banica2"] = {"kind": "job", "op": "qgal-banica",
-                       "comodule": "beta2", "action": "adz",
-                       "ambient_hopf": "cofz2", "ambient_action": "grade2"}
-    docs["check2"] = {"kind": "job", "op": "validate", "target": "beta2"}
-
-
 def test_banica_refuses_a_coaction_that_is_not_a_star_map(tmp_path, capsys):
     # the comodule passes validate, whose four laws hold without the star;
     # qgal-banica tripped its fixed-point guard on it and now refuses it
     path = tmp_path / "banica-z2.json"
     path.write_text(json.dumps(_fixture_with("banica-z2.json", None,
-                                             _graded_by_conjugation)))
+                                             graded_by_conjugation)))
     assert _run("validate", path, job="check2") == 0
     capsys.readouterr()
     assert _run("qgal-banica", path, job="banica2") == 2

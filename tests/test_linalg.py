@@ -577,6 +577,39 @@ def test_hopf_laws_are_stated_in_hopf():
     assert offenders == []
 
 
+def _writes_a_table_entry(fn) -> bool:
+    """fn assigns to an entry t[i][j][k] of a rank-3 table."""
+    return any(isinstance(target, ast.Subscript)
+               and isinstance(target.value, ast.Subscript)
+               and isinstance(target.value.value, ast.Subscript)
+               for node in ast.walk(fn) if isinstance(node, ast.Assign)
+               for target in node.targets)
+
+
+def test_the_dual_algebra_of_a_coalgebra_is_built_once():
+    # the multiplication of C* is the transposed Delta table: one function
+    # writes it, and dual_hopf takes C* from that function
+    writers = {(name, fn.name) for name, tree in _modules()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and _writes_a_table_entry(fn)
+               and any(getattr(node, "attr", None) == "comult"
+                       for node in ast.walk(fn))}
+    assert writers == {("hopf.py", "dual_algebra")}
+    hopf_tree = dict(_modules())["hopf.py"]
+    assert "dual_hopf" in _callers(hopf_tree, "dual_algebra")
+
+
+def test_lights_test_has_one_home():
+    # associator_failures on middles is Light's test, and light_generators
+    # alone runs it: algebras, coalgebras (on C*) and the dual route of
+    # largest_subcoalgebra share its premise and its bound
+    callers = {(name, fn.name) for name, tree in _modules()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in _calls(fn, "associator_failures")
+               if len(node.args) + len(node.keywords) > 1}
+    assert callers == {("algebra.py", "light_generators")}
+
+
 def test_no_module_imports_inside_a_function():
     # a module's dependencies all show at its top; an import cycle is
     # broken by moving the work, not by importing late

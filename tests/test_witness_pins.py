@@ -3,8 +3,9 @@ and the one way a validator states a law.
 
 Each case adds one to a single entry of a structure table of CS3, of the
 comultiplication of C(S3) (not cocommutative, so the two counit laws
-differ), of the Pauli action of CK4 on Mat2, or of the comodule algebra of
-the banica-z2 fixture, then runs the validators that read that table.
+differ), of the Pauli action of CK4 on Mat2, of the comodule algebra of the
+banica-z2 fixture, or of a CZ2-comodule algebra on Mat2 (noncommutative),
+then runs the validators that read that table.
 Every check of every report (name, verdict, witness, note) is compared
 with values pinned here.  The uncorrupted report of each validator is
 pinned once; a case pins only the checks whose entry differs from it, or
@@ -12,6 +13,7 @@ the error a validator raised.
 """
 
 import ast
+import json
 import os
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from hopfgal.hopf import validate_coalgebra, validate_hopf
 from hopfgal.scalars import Scalar
 from hopfgal.serialize import Workspace
 
-from _oracles import report_summary
+from _oracles import graded_by_conjugation, report_summary
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -73,6 +75,17 @@ def _pauli_reports(at: tuple) -> dict:
     }
 
 
+def _mat2_reports(at: tuple) -> dict:
+    with open(os.path.join(FIXTURES, "banica-z2.json")) as fh:
+        docs = json.load(fh)["documents"]
+    graded_by_conjugation(docs)
+    B = Workspace(docs).get("beta2", ("comodule",))
+    if at:
+        i, jk = at
+        _bump(B.coact[i], jk)
+    return {"validate_comodule": _outcome(validate_comodule, B)}
+
+
 def _banica_reports(table: str, at: tuple) -> dict:
     ws = Workspace.load(os.path.join(FIXTURES, "banica-z2.json"))
     B = ws.get("beta", ("comodule",))
@@ -112,6 +125,8 @@ CASES = {
        for at in [(0, (0, 0)), (1, (0, 1)), (1, (1, 1)), (0, (1, 0))]},
     **{f"banica -antipode{at}": (_banica_reports, "antipode", at)
        for at in [(1, 1), (0, 0)]},
+    **{f"mat2 coact{at}": (_mat2_reports, at)
+       for at in [(0, (0, 0)), (1, (2, 1)), (2, (1, 0)), (3, (3, 1))]},
 }
 
 CLEAN = {
@@ -119,6 +134,7 @@ CLEAN = {
     "cofs3": lambda: _hopf_reports(c_of_s3, None, None),
     "pauli": lambda: _pauli_reports(()),
     "banica": lambda: _banica_reports(None, None),
+    "mat2": lambda: _mat2_reports(()),
 }
 
 
@@ -230,6 +246,14 @@ CLEAN_PINS = {
             ("measuring", True, None, None),
             ("unit_preserved", True, None, None),
             ("star_compatibility", True, None, None),
+        ]),
+    },
+    "mat2": {
+        "validate_comodule": ("comodule algebra", [
+            ("coassociative", True, None, None),
+            ("counital", True, None, None),
+            ("coaction_multiplicative", True, None, None),
+            ("coaction_unital", True, None, None),
         ]),
     },
 }
@@ -572,6 +596,38 @@ PINS = {
             "measuring": (False, (3, 1, 3), None),
             "unit_preserved": (False, 3, None),
             "star_compatibility": (False, (3, 3), None),
+        },
+    },
+    # Mat2 is noncommutative, so a coaction whose legs are multiplied in
+    # the wrong order shows here, as it cannot on the commutative B above
+    "mat2 coact(0, (0, 0))": {
+        "validate_comodule": {
+            "coassociative": (False, 0, None),
+            "counital": (False, 0, None),
+            "coaction_multiplicative": (False, (0, 0), None),
+            "coaction_unital": (False, None, None),
+        },
+    },
+    "mat2 coact(1, (2, 1))": {
+        "validate_comodule": {
+            "coassociative": (False, 0, None),
+            "counital": (False, 1, None),
+            "coaction_multiplicative": (False, (0, 1), None),
+        },
+    },
+    "mat2 coact(2, (1, 0))": {
+        "validate_comodule": {
+            "coassociative": (False, 2, None),
+            "counital": (False, 2, None),
+            "coaction_multiplicative": (False, (0, 2), None),
+        },
+    },
+    "mat2 coact(3, (3, 1))": {
+        "validate_comodule": {
+            "coassociative": (False, 2, None),
+            "counital": (False, 3, None),
+            "coaction_multiplicative": (False, (0, 3), None),
+            "coaction_unital": (False, None, None),
         },
     },
 }
