@@ -18,10 +18,11 @@ with the unital algebra the set generates, so lam or rho of a generating
 set is enough (GnsSpace.generators): for N', the bimodule maps, the
 generated M_1 and the outer half of the double commutant.  (b) An X that
 commutes with lam(M) is rho(b) for b = X 1, so {lam(M), e_N}' is a kernel
-in the n coordinates of b (GnsSpace.e_commutant), shared by the double
-commutant and the center of M_1.  (c) Rank sandwich: once a subspace S of
-a kernel is checked exactly, elimination may stop at rank n^2 - dim S
-(jmj_is_commutant).
+in the n coordinates of b (GnsSpace.e_commutant), the left side of the
+double commutant.  The center of M_1 = J N' J is never solved for: it has
+the dimension of Z(N') = Z(N), which index checks.  (c) Rank sandwich:
+once a subspace S of a kernel is checked exactly, elimination may stop at
+rank n^2 - dim S (jmj_is_commutant).
 
 (b) rests on lam(M)' = rho(M), so jmj_equals_commutant keeps its own
 route: every lam_i in End(L^2), with the stop of (c).  The three routes to
@@ -51,11 +52,9 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     Subspace,
     commuting_kernel,
-    kernel_of,
     matrix_commutant,
     nonzero,
     op_adjoint,
-    op_flat,
     op_from_entries,
     op_inverse,
     op_mul,
@@ -336,20 +335,11 @@ def basic_construction(space: GnsSpace, N: Subspace) -> BasicConstruction:
     rep.add("m1_three_ways_agree", True,
             note="alg(M, e_N) = span{a e_N b} + M = J N' J")
 
-    # tau_1 is the unique trace on the factor M_1.  M_1 is the algebra that
-    # lam(M) and e_N generate, so its commutant is rho(K) for their
-    # commutant K; the center is the part of rho(K) inside M_1, where the
-    # residues modulo M_1 of a combination of the rho(b) cancel
-    rho_k = (space.base.right_mult_op(b)
-             for b in space.e_commutant(N).vectors)
-    residues = [generated.residue(op_flat(X, n)) for X in rho_k]
-    center = kernel_of(((f, k, x) for k, r in enumerate(residues)
-                        for f, x in r.items()), len(residues))
-    if center.dim != 1:
-        raise InputError("not a factor")
-    rep.add("m1_factor", True)
-
+    # tau_1 is the unique trace on the factor M_1.  M_1 = J N' J, as
+    # certified above, and Z(N') = N' cap N'' = Z(N), so M_1 is a factor
+    # exactly when N is one, which index checks
     idx = index(space, N)
+    rep.add("m1_factor", True)
     bc = BasicConstruction(space, N, e, generated, n_comm_span, idx, rep)
     bc.markov = markov_check(bc)
     rep.add("markov", bc.markov.ok)

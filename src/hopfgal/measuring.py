@@ -461,8 +461,7 @@ def reify_coalgebra(C: StarCoalgebra, D: Subspace):
 # -- Hopf *-subalgebras and centralizers ---------------------------------------------
 
 
-def largest_hopf_star_subalgebra(Q: HopfStarAlgebra, W: Subspace,
-                                 log: list | None = None) -> Subspace:
+def largest_hopf_star_subalgebra(Q: HopfStarAlgebra, W: Subspace) -> Subspace:
     """The largest Hopf *-subalgebra of Q contained in the subalgebra W.
 
     W must be a unital *-subalgebra.  The antipode- and star-stabilized
@@ -475,7 +474,6 @@ def largest_hopf_star_subalgebra(Q: HopfStarAlgebra, W: Subspace,
     d0 = largest_subcoalgebra(
         Q.coalgebra, W,
         stabilizers=[Q.antipode_vec, Q.star_vec],
-        log=log,
     )
     result = generated_subalgebra(d0.vectors, Q)
     if not W.contains_subspace(result):

@@ -58,9 +58,6 @@ class Report:
         if not self.ok:
             raise error(f"{text} {self.first_failure().name}", **kwargs)
 
-    def note(self, text: str):
-        self.notes.append(text)
-
     def merge(self, other: "Report", prefix: str = ""):
         for c in other.checks:
             self.checks.append(Check(prefix + c.name, c.passed, c.witness, c.note))

@@ -51,7 +51,6 @@ from hopfgal.algebra import (
     is_unital_star_subalgebra,
 )
 from hopfgal.errors import InputError
-from hopfgal.fixtures import mat_algebra
 from hopfgal.hopf import PAIRING_STAR_NOTE, HopfPairing, StarCoalgebra
 from hopfgal.linalg import (
     KernelSolver,
@@ -68,6 +67,8 @@ from hopfgal.linalg import (
 )
 from hopfgal.report import Report
 from hopfgal.scalars import Scalar
+
+from builders import mat_algebra
 
 
 def flatten_matrix(X: list) -> list:
@@ -1067,7 +1068,6 @@ def cyclic_diagonal_action(n: int, exponents: list) -> ModuleAlgebraAction:
 
     g . E_ab = zeta_n^(g (e_a - e_b)) E_ab on the matrix units.
     """
-    from hopfgal.fixtures import mat_algebra
     from hopfgal.hopf import group_algebra
 
     k = len(exponents)

@@ -1,4 +1,5 @@
-"""Shared desk-scale fixtures: small groups, matrix algebras, model actions.
+"""Example inputs for the tests and fixtures/: small groups, matrix
+algebras, model actions.
 
 Everything here is rebuilt from scratch on each call so tests can mutate
 tensors freely when constructing perturbation fixtures.
@@ -8,11 +9,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .actions import ModuleAlgebraAction
-from .algebra import StarAlgebra
-from .hopf import HopfStarAlgebra, function_algebra, group_algebra
-from .linalg import unit_vec, vzero
-from .scalars import Scalar
+from hopfgal.actions import ModuleAlgebraAction
+from hopfgal.algebra import StarAlgebra
+from hopfgal.hopf import HopfStarAlgebra, function_algebra, group_algebra
+from hopfgal.linalg import (
+    dense_row,
+    nonzero,
+    sparse,
+    sparse_add,
+    sparse_apply,
+    sparse_comb,
+    unit_vec,
+    vzero,
+)
+from hopfgal.scalars import Scalar
 
 
 # -- group tables (element 0 is the identity) -------------------------------
@@ -280,6 +290,81 @@ def dual_number_action() -> ModuleAlgebraAction:
         [{}, {0: one}],           # gx: gx . y = g . 1 = 1
     ]
     return ModuleAlgebraAction(H, A, act)
+
+
+# -- the Kac-Paljutkin algebra --------------------------------------------------
+
+# z^2 = (1 + x + y - xy) / 2 as (index, sign), with 1, y, x and xy at
+# indices 0, 2, 4 and 6; z^-1 = z z^2
+_KP_Z_SQUARED = [(0, 1), (4, 1), (2, 1), (6, -1)]
+
+# J = (1 (x) 1 + 1 (x) x + y (x) 1 - y (x) x) / 2 as (left, right, sign)
+_KP_TWIST = [(0, 0, 1), (0, 4, 1), (2, 0, 1), (2, 4, -1)]
+
+
+def _kp_swap(g: int) -> int:
+    """z x^i y^j = x^j y^i z: the index of x^j y^i for g that of x^i y^j."""
+    return ((g & 2) << 1) | ((g & 4) >> 1)
+
+
+def kac_paljutkin(order: int = 1) -> HopfStarAlgebra:
+    """The Kac-Paljutkin algebra H8, the smallest Hopf *-algebra that is
+    neither commutative nor cocommutative, in Masuoka's presentation.
+
+    x^2 = y^2 = 1, xy = yx, zx = yz, zy = xz and z^2 = (1 + x + y - xy) / 2.
+    x and y are group-like and Delta z = J (z (x) z); the counit is 1 on the
+    basis, S(x^i y^j) = x^i y^j, S(x^i y^j z) = x^j y^i z, (x^i y^j)* =
+    x^i y^j and (x^i y^j z)* = z^-1 x^i y^j.  The basis x^i y^j z^k is at
+    index 4i + 2j + k, and the scalars are of the given order.
+    """
+    one = Scalar.one(order)
+    half = Scalar.rational(1, 2, order)
+    z_squared = {g: half * sign for g, sign in _KP_Z_SQUARED}
+
+    def product(a: int, b: int) -> dict:
+        # x^i y^j z^k x^i' y^j' z^k' = x^i y^j (z^k x^i' y^j' z^-k) z^k z^k'
+        g = (a & 6) ^ (_kp_swap(b & 6) if a & 1 else b & 6)
+        if a & b & 1:
+            return {g ^ h: v for h, v in z_squared.items()}
+        return {g | (a & 1) | (b & 1): one}
+
+    mult = [[product(a, b) for b in range(8)] for a in range(8)]
+    z_star = sparse_apply(mult, {1: one}, z_squared)
+    star = [dense_row(sparse_apply(mult, z_star, {a & 6: one}) if a & 1
+                      else {a: one}, 8, order) for a in range(8)]
+    comult = [{(((a & 6) ^ g) | 1, ((a & 6) ^ h) | 1): half * sign
+               for g, h, sign in _KP_TWIST} if a & 1 else {(a, a): one}
+              for a in range(8)]
+    antipode = [unit_vec(8, (_kp_swap(a & 6) | 1) if a & 1 else a, order)
+                for a in range(8)]
+    alg = StarAlgebra(8, mult, unit_vec(8, 0, order), star, name="KP8")
+    return HopfStarAlgebra(alg, comult, [one] * 8, antipode, name="KP8")
+
+
+def kac_paljutkin_adjoint() -> ModuleAlgebraAction:
+    """H8 acting on Mat2 by h . T = pi(h_1) T pi(S(h_2)), for the
+    *-representation pi(x) = diag(1, -1), pi(y) = diag(-1, 1) and
+    pi(z) = [[0, 1], [1, 0]] on the matrix units of mat_algebra(2)."""
+    H, A = kac_paljutkin(), mat_algebra(2, name="Mat2")
+    one, m1 = Scalar.one(), Scalar.from_int(-1)
+    gens = [(4, {0: one, 3: m1}), (2, {0: m1, 3: one}), (1, {1: one, 2: one})]
+    pis = []
+    for a in range(8):
+        image = {0: one, 3: one}
+        for bit, gen in gens:
+            if a & bit:
+                image = A.mul_vec(image, gen)
+        pis.append(image)
+
+    def image(h: int, t: int) -> dict:
+        out: dict = {}
+        for (h1, h2), c in H.comult[h].items():
+            right = sparse_comb(pis, sparse(H.antipode[h2]))
+            sparse_add(out, A.mul_vec(A.mul_vec(pis[h1], {t: one}), right), c)
+        return nonzero(out)
+
+    return ModuleAlgebraAction(H, A, [[image(h, t) for t in range(4)]
+                                      for h in range(8)])
 
 
 def rational(p, q=1) -> Scalar:

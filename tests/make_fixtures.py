@@ -1,9 +1,9 @@
 """Ready-made workspace documents for the shipped fixtures.
 
 Each builder returns a plain dict suitable for json.dump; `write_all`
-regenerates the fixtures/ directory.  Run as a module:
+regenerates the fixtures/ directory.  From the repository root:
 
-    python -m hopfgal.workspaces fixtures/
+    PYTHONPATH=src python tests/make_fixtures.py fixtures/
 """
 
 from __future__ import annotations
@@ -12,10 +12,14 @@ import json
 import os
 import sys
 
-from .actions import ModuleAlgebraAction
-from .algebra import StarAlgebra, tensor_algebra
-from .banica import ComoduleAlgebra
-from .fixtures import (
+from hopfgal.actions import ModuleAlgebraAction
+from hopfgal.algebra import StarAlgebra, tensor_algebra
+from hopfgal.banica import ComoduleAlgebra
+from hopfgal.hopf import HopfStarAlgebra, dual_hopf, group_algebra, variants
+from hopfgal.linalg import identity_matrix, unit_vec, vzero
+from hopfgal.scalars import Scalar
+
+from builders import (
     K4_TABLE,
     S3_TABLE,
     S3_TRANSPOSITION,
@@ -25,9 +29,6 @@ from .fixtures import (
     pauli_action,
     translation_action,
 )
-from .hopf import HopfStarAlgebra, dual_hopf, group_algebra, variants
-from .linalg import identity_matrix, unit_vec, vzero
-from .scalars import Scalar
 
 
 def _algebra_doc(A: StarAlgebra, name: str = "") -> dict:

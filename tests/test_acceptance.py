@@ -17,16 +17,7 @@ from _oracles import (
     random_subspace,
     stabilized_closure,
 )
-from hopfgal.actions import (
-    ModuleAlgebraAction,
-    canonical_smash_trace,
-    dual_action,
-    invariants,
-    smash_product,
-)
-from hopfgal.algebra import relative_commutant, tensor_algebra
-from hopfgal.banica import ComoduleAlgebra, product_coaction, qgal_banica
-from hopfgal.fixtures import (
+from builders import (
     S3_TRANSPOSITION,
     Z2_TABLE,
     ad_z_action,
@@ -42,6 +33,15 @@ from hopfgal.fixtures import (
     subalgebra_embedding_left,
     translation_action,
 )
+from hopfgal.actions import (
+    ModuleAlgebraAction,
+    canonical_smash_trace,
+    dual_action,
+    invariants,
+    smash_product,
+)
+from hopfgal.algebra import relative_commutant, tensor_algebra
+from hopfgal.banica import ComoduleAlgebra, product_coaction, qgal_banica
 from hopfgal.galois import canonical_qgal, smash_bimodule_endos
 from hopfgal.hopf import (
     canonical_pairing,
@@ -122,7 +122,7 @@ def _pauli_corpus(sp):
                            for q in range(4)])
     pairs.append(("twisted", dual, dual_action(sp, twisted)))
     triv = group_algebra([[0]], name="C")
-    from hopfgal.fixtures import trivial_action
+    from builders import trivial_action
 
     pairs.append(("trivial", triv, trivial_action(triv, sp.total)))
     for which, labels in ((0, [0, 1, 0, 1]), (1, [0, 0, 1, 1])):

@@ -11,6 +11,17 @@ from _oracles import (
     oracle_validate_action,
     report_summary,
 )
+from builders import (
+    Z2_TABLE,
+    ad_z_action,
+    cs3,
+    cz2,
+    grading_action_mat2,
+    mat_algebra,
+    pauli_action,
+    translation_action,
+    trivial_action,
+)
 
 from hopfgal.actions import (
     dual_action,
@@ -23,17 +34,6 @@ from hopfgal.actions import (
 )
 from hopfgal.algebra import relative_commutant, validate_algebra
 from hopfgal.errors import InputError
-from hopfgal.fixtures import (
-    Z2_TABLE,
-    ad_z_action,
-    cs3,
-    cz2,
-    grading_action_mat2,
-    mat_algebra,
-    pauli_action,
-    translation_action,
-    trivial_action,
-)
 from hopfgal.hopf import canonical_pairing, dual_hopf, validate_hopf
 from hopfgal.linalg import Subspace, unit_vec, vzero
 from hopfgal.scalars import Scalar
@@ -222,7 +222,7 @@ def test_innerify_negative_control():
     # Replacing V^{-1} by V breaks the convolution inverse once S != id;
     # on CZ2 the antipode is the identity and V is its own inverse, so the
     # control runs on CZ3.
-    from hopfgal.fixtures import Z3_TABLE
+    from builders import Z3_TABLE
 
     sp = smash_product(translation_action(Z3_TABLE))
     H = sp.action.hopf
@@ -318,8 +318,7 @@ def test_pauli_chain():
 def test_innerify_trivial_algebra_collapses_to_antipode_axiom():
     # A = C: V(h_1) V^{-1}(h_2) = counit(h) 1 is literally the antipode law
     one_dim = mat_algebra(1, name="C")
-    for make in (cz2, lambda: __import__("hopfgal.fixtures",
-                                         fromlist=["cs3"]).cs3()):
+    for make in (cz2, cs3):
         H = make()
         sp = smash_product(trivial_action(H, one_dim))
         rep = innerify_check(sp)
@@ -343,7 +342,7 @@ def test_convolution_inverses_are_checked_in_both_orders(cell):
 
 
 def test_sweedler_action_on_dual_numbers():
-    from hopfgal.fixtures import dual_number_action
+    from builders import dual_number_action
 
     act = dual_number_action()
     rep = validate_action(act)

@@ -16,6 +16,15 @@ from _oracles import (
     oracle_validate_algebra,
     report_summary,
 )
+from builders import (
+    S3_TRANSPOSITION,
+    c_of_s3,
+    c_of_z2,
+    cs3,
+    mat_algebra,
+    pauli_action,
+    sweedler4,
+)
 
 from hopfgal.actions import smash_product
 
@@ -35,15 +44,6 @@ from hopfgal.algebra import (
     validate_algebra,
 )
 from hopfgal.errors import InputError
-from hopfgal.fixtures import (
-    S3_TRANSPOSITION,
-    c_of_s3,
-    c_of_z2,
-    cs3,
-    mat_algebra,
-    pauli_action,
-    sweedler4,
-)
 from hopfgal.hopf import group_algebra, haar
 from hopfgal.linalg import (
     Subspace,

@@ -19,19 +19,6 @@ from hopfgal.banica import (
     validate_comodule,
 )
 from hopfgal.errors import InputError
-from hopfgal.fixtures import (
-    S3_TABLE,
-    S3_TRANSPOSITION,
-    Z2_TABLE,
-    ad_z_action,
-    c_of_s3,
-    c_of_z2,
-    cs3,
-    cz2,
-    grading_action_mat2,
-    mat_algebra,
-    trivial_action,
-)
 from hopfgal.galois import canonical_qgal
 from hopfgal.hopf import (
     dual_hopf,
@@ -60,6 +47,19 @@ from _oracles import (
     oracle_expectation,
     oracle_kernel,
     oracle_lambda_operator,
+)
+from builders import (
+    S3_TABLE,
+    S3_TRANSPOSITION,
+    Z2_TABLE,
+    ad_z_action,
+    c_of_s3,
+    c_of_z2,
+    cs3,
+    cz2,
+    grading_action_mat2,
+    mat_algebra,
+    trivial_action,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -409,7 +409,7 @@ def test_t_q_extraction_trivial_b_reduces_to_pairing():
 
 def test_product_coaction_rejects_non_kac_hopf():
     # the involutive-antipode requirement is checked before anything else
-    from hopfgal.fixtures import dual_number_action, sweedler4
+    from builders import dual_number_action, sweedler4
 
     H = sweedler4()
     B = ComoduleAlgebra(
@@ -424,7 +424,7 @@ def test_product_coaction_rejects_non_kac_hopf():
 
 def k4_fixture():
     """H = CK4, B = CK4 with beta = Delta, A = Mat2 with the Pauli action."""
-    from hopfgal.fixtures import K4_TABLE, ck4, pauli_action
+    from builders import K4_TABLE, ck4, pauli_action
 
     H = ck4()
     B = ComoduleAlgebra(

@@ -18,13 +18,13 @@ from hopfgal.errors import InputError
 from hopfgal.linalg import Subspace
 from hopfgal.scalars import Scalar
 from hopfgal.serialize import Workspace
-from hopfgal.workspaces import (
+
+from _oracles import c_of_s4_within, graded_by_conjugation
+from make_fixtures import (
     ALL,
     jones_workspace,
     write_all,
 )
-
-from _oracles import c_of_s4_within, graded_by_conjugation
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +245,7 @@ def test_dangling_reference_detected(tmp_path):
 
 
 def test_mixed_orders_lift_to_lcm(tmp_path):
-    from hopfgal.workspaces import mixed_order_workspace
+    from make_fixtures import mixed_order_workspace
 
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(mixed_order_workspace()))
@@ -260,7 +260,7 @@ def test_scalar_orders_above_the_bound_exit_2(tmp_path, orders):
     # both are refused on the raw documents: no context is built for the
     # declared orders, and nothing is lifted to their lcm (988,027)
     from hopfgal.scalars import _context
-    from hopfgal.workspaces import mixed_order_workspace
+    from make_fixtures import mixed_order_workspace
 
     doc = mixed_order_workspace()
     for name, order in zip(("a4", "a3"), orders):
@@ -446,7 +446,7 @@ def test_measure_job_with_explicit_span_matrices(tmp_path):
 def test_lifting_reaches_nested_hopf_tensors(tmp_path):
     # a hopf document with order-1 tensors plus an order-3 scalar elsewhere:
     # the structure constants inside the nested algebra must lift too
-    from hopfgal.workspaces import z2_workspace
+    from make_fixtures import z2_workspace
 
     ws_doc = z2_workspace()
     ws_doc["documents"]["oddball"] = {

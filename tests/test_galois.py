@@ -17,19 +17,6 @@ from hopfgal.actions import (
 )
 from hopfgal.algebra import relative_commutant
 from hopfgal.errors import InputError
-from hopfgal.fixtures import (
-    K4_TABLE,
-    ad_z_action,
-    c_of_k4,
-    c_of_z2,
-    cz2,
-    dual_number_action,
-    mat_algebra,
-    pauli_action,
-    trivial_action,
-)
-
-_trivial_action_raw = trivial_action
 from hopfgal.galois import (
     canonical_qgal,
     commutant_endos_iso,
@@ -74,6 +61,19 @@ from _oracles import (
     oracle_dual_endo,
     oracle_endo_from_functional,
 )
+from builders import (
+    K4_TABLE,
+    ad_z_action,
+    c_of_k4,
+    c_of_z2,
+    cz2,
+    dual_number_action,
+    mat_algebra,
+    pauli_action,
+    trivial_action,
+)
+
+_trivial_action_raw = trivial_action
 
 
 def pauli_smash():
@@ -478,7 +478,7 @@ def test_commutative_base_fails_certification():
     # colinear endomorphism count exceeds dim H*: the certificate must
     # refuse rather than claim QGal = H*, and it refuses the input, whose
     # base is not a factor, before it counts.
-    from hopfgal.fixtures import Z2_TABLE, translation_action
+    from builders import Z2_TABLE, translation_action
 
     sp = smash_product(translation_action(Z2_TABLE))
     dual, rep = commutant_endos_iso(sp, *is_outer(sp))

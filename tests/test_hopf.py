@@ -8,19 +8,6 @@ import pytest
 from hopfgal.actions import smash_product
 from hopfgal.algebra import StarAlgebra
 from hopfgal.errors import InputError
-from hopfgal.fixtures import (
-    S3_TABLE,
-    ad_z_action,
-    c_of_k4,
-    c_of_s3,
-    c_of_z2,
-    ck4,
-    cs3,
-    cz2,
-    grading_action_mat2,
-    pauli_action,
-    sweedler4,
-)
 from hopfgal.galois import canonical_qgal
 from hopfgal.hopf import (
     HopfPairing,
@@ -45,6 +32,19 @@ from _oracles import (
     oracle_validate_pairing,
     rebased_hopf,
     report_summary,
+)
+from builders import (
+    S3_TABLE,
+    ad_z_action,
+    c_of_k4,
+    c_of_s3,
+    c_of_z2,
+    ck4,
+    cs3,
+    cz2,
+    grading_action_mat2,
+    pauli_action,
+    sweedler4,
 )
 
 
@@ -326,7 +326,7 @@ def test_antipode_is_algebra_and_coalgebra_antihomomorphism():
 
 
 def test_sweedler_algebra_is_a_non_kac_hopf_star_algebra():
-    from hopfgal.fixtures import sweedler4
+    from builders import sweedler4
 
     H = sweedler4()
     rep = validate_hopf(H)
@@ -342,7 +342,7 @@ def test_sweedler_algebra_is_a_non_kac_hopf_star_algebra():
 
 
 def test_sweedler_dual_and_variants():
-    from hopfgal.fixtures import sweedler4
+    from builders import sweedler4
     from hopfgal.hopf import hopf_equal as _eq
 
     H = sweedler4()
@@ -358,7 +358,7 @@ def test_sweedler_dual_and_variants():
 
 
 def test_sweedler_has_no_normalizable_integral():
-    from hopfgal.fixtures import sweedler4
+    from builders import sweedler4
 
     with pytest.raises(InputError, match="no normalizable"):
         haar(sweedler4())

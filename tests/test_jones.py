@@ -9,11 +9,6 @@ import pytest
 
 from hopfgal.algebra import StarAlgebra, tensor_algebra
 from hopfgal.errors import InputError
-from hopfgal.fixtures import (
-    c_of_z2,
-    mat_algebra,
-    subalgebra_embedding_left,
-)
 from hopfgal.hopf import group_algebra, haar_state
 from hopfgal import actions, algebra, banica, galois, hopf, jones
 from hopfgal.jones import (
@@ -60,6 +55,11 @@ from _oracles import (
     oracle_gram_adjoint,
     oracle_matrix_commutant,
     oracle_operator_algebra_span,
+)
+from builders import (
+    c_of_z2,
+    mat_algebra,
+    subalgebra_embedding_left,
 )
 
 

@@ -1,7 +1,10 @@
 """Exact solvers and subspace calculus."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -9,7 +12,6 @@ import pytest
 
 from hopfgal import linalg
 from hopfgal.errors import InputError
-from hopfgal.fixtures import dual_number_action, sweedler4
 from hopfgal.linalg import (
     KernelSolver,
     SpanBuilder,
@@ -52,6 +54,7 @@ from _oracles import (
     oracle_kernel,
     oracle_operator_algebra_span,
 )
+from builders import dual_number_action, sweedler4
 
 
 def s(v):
@@ -486,7 +489,6 @@ KERNEL_OF_CALLERS = {
     ("banica.py", "_lift_to_invariants"),
     ("galois.py", "_endo_values"),
     ("galois.py", "universal_morphism"),
-    ("jones.py", "basic_construction"),
     ("measuring.py", "constraint_subspace"),
     ("measuring.py", "largest_subcoalgebra"),
     ("measuring.py", "universal_measuring_within"),
@@ -618,6 +620,20 @@ def test_no_module_imports_inside_a_function():
                  for node in ast.walk(fn)
                  if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert offenders == set()
+
+
+def test_the_package_is_what_the_cli_imports():
+    # every module of the package serves a CLI job; example builders and
+    # the fixture writer live under tests/
+    src = Path(linalg.__file__).parent
+    shown = ("import sys, hopfgal.cli; print(*sorted(m for m in sys.modules"
+             " if m.startswith('hopfgal.')))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", shown], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src.parent)},
+    ).stdout.split()
+    assert loaded == sorted(f"hopfgal.{path.stem}" for path in src.glob("*.py")
+                            if path.stem != "__init__")
 
 
 def _trees():

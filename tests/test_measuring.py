@@ -19,10 +19,7 @@ from _oracles import (
     random_subspace,
     stabilized_closure,
 )
-from hopfgal.actions import invariants
-from hopfgal.algebra import StarAlgebra, relative_commutant
-from hopfgal.errors import InputError
-from hopfgal.fixtures import (
+from builders import (
     S3_TRANSPOSITION,
     Z2_TABLE,
     ad_z_action,
@@ -35,6 +32,9 @@ from hopfgal.fixtures import (
     translation_action,
     trivial_action,
 )
+from hopfgal.actions import invariants
+from hopfgal.algebra import StarAlgebra, relative_commutant
+from hopfgal.errors import InputError
 from hopfgal.hopf import (
     StarCoalgebra,
     function_algebra,
@@ -371,7 +371,7 @@ def test_double_centralizer_reported_not_asserted():
 
 
 def test_hopf_centralizer_in_sweedler_algebra():
-    from hopfgal.fixtures import sweedler4
+    from builders import sweedler4
 
     Q = sweedler4()
     S = Subspace.from_vectors([unit_vec(4, 1)], 4)  # the group-like g

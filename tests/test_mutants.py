@@ -4,9 +4,12 @@ largest_subcoalgebra takes its dual route, closing annihilators under
 generators of C*, only when light_generators shows C* associative in the
 same call; _check_group_table checks associativity on greedy generators of
 the table.  Each check below runs the smallest inputs that see the mutants
-of its route.  Each mutant case monkeypatches one function of the package
-with its mutant, edited from the function's own source where it lies
-inside one, and asserts that its check fails.  No subprocess is started.
+of its route, or of one shared law of hopf and algebra, the refusal of
+Report.require, or the coaction of a smash product.  Each mutant case
+monkeypatches one function of the package, in the module whose caller its
+check reaches, with its mutant, edited from the function's own source where
+it lies inside one, and asserts that its check fails.  No subprocess is
+started.
 """
 
 import inspect
@@ -22,14 +25,24 @@ from _oracles import (
     random_coalgebra,
     random_subspace,
 )
-from hopfgal import hopf, measuring
+from builders import S3_TABLE, cs3, dual_number_action, mat_algebra
+from hopfgal import algebra, galois, hopf, measuring
+from hopfgal.actions import SmashProduct, is_outer, smash_product
 from hopfgal.algebra import generating_set, light_generators
+from hopfgal.banica import product_coaction
 from hopfgal.cli import main
-from hopfgal.errors import InputError
-from hopfgal.fixtures import S3_TABLE
-from hopfgal.hopf import dual_algebra, function_algebra, group_algebra
+from hopfgal.errors import HopfgalError, InputError
+from hopfgal.hopf import (
+    dual_algebra,
+    function_algebra,
+    group_algebra,
+    validate_hopf,
+)
 from hopfgal.linalg import Subspace
+from hopfgal.report import Report
 from hopfgal.scalars import Scalar
+from hopfgal.serialize import Workspace
+from make_fixtures import banica_z2_workspace
 
 # a loop, not a group: 1 alone generates it, and (1 1) 2 = 3 != 1 (1 2) = 4
 LOOP5 = [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 0, 4, 1, 3],
@@ -141,12 +154,69 @@ def test_dual_route_matches_the_oracle_and_the_primal_route():
     _check_routes()
 
 
+def _check_cs3():
+    # CS3 is not commutative, so Delta(x e_j) and Delta(e_j) Delta(x) differ
+    rep = validate_hopf(cs3())
+    assert rep.ok, rep.failed()
+
+
+def _check_antipode_orders():
+    # 4 and 5 are inverse 3-cycles: with 4 * 5 broken S * id fails at 5
+    # and id * S at 4, with 5 * 4 broken the other way round
+    for i, j in ((4, 5), (5, 4)):
+        H = cs3()
+        H.mult[i][j][0] = H.mult[i][j][0] + Scalar.one()
+        assert validate_hopf(H)["antipode_axiom"].witness == 4
+
+
+def _check_comult_unit():
+    H, one = cs3(), Scalar.one()
+    H.comult[0] = {(0, 0): one, (1, 1): one}
+    assert not validate_hopf(H)["comult_unital"].passed
+
+
+def _check_bimodular():
+    # y -> y E12 commutes with every left multiplication, not with right
+    # multiplication by E11
+    A, one = mat_algebra(2), Scalar.one()
+    assert not algebra.is_bimodular(A, A.right_mult_op({1: one}),
+                                    [{0: one}])
+
+
+def _check_refusal():
+    docs = banica_z2_workspace()["documents"]
+    docs["bz2"]["unit"][0] = 2
+    ws = Workspace(docs)
+    try:
+        product_coaction(ws.get("beta"), smash_product(ws.get("adz")))
+    except HopfgalError as e:
+        assert str(e) == "comodule algebra invalid at unit"
+    else:
+        raise AssertionError("an invalid comodule algebra passed")
+
+
+def _check_dual_endos():
+    # Sweedler's algebra is not cocommutative, so the T_lambda of its smash
+    # product with the dual numbers compose as H* multiplies only when the
+    # coaction reads h_1 before h_2 and the law composes in order
+    sp = smash_product(dual_number_action())
+    rep = galois.commutant_endos_iso(sp, *is_outer(sp))[1]
+    assert rep["convolution_matches_composition"].passed
+
+
 def test_a_coalgebra_that_fails_lights_test_matches_the_oracle():
     _check_premise()
 
 
 def test_a_loop_is_not_a_group():
     _check_loop()
+
+
+@pytest.mark.parametrize("check", [
+    _check_cs3, _check_antipode_orders, _check_comult_unit, _check_bimodular,
+    _check_refusal, _check_dual_endos], ids=lambda check: check.__name__)
+def test_the_unmutated_package_passes_each_check(check):
+    check()
 
 
 def test_measure_within_c_s4_runs_no_primal_round(tmp_path, monkeypatch):
@@ -186,6 +256,26 @@ MUTANTS = {
         fn, "(sparse_conj if c else dict)", "dict"), _check_routes),
     "group generator dropped": (hopf, "_group_generators", lambda fn: (
         lambda table: fn(table)[:-1]), _check_loop),
+    "multiplicative factors swapped": (
+        hopf, "multiplicative_failures", lambda fn: _edited(
+            fn, "image, coact[j])", "coact[j], image)"), _check_cs3),
+    "g * f dropped": (hopf, "convolution_inverse_failures", lambda fn: _edited(
+        fn, "\n            or sparse_ne(convolve(mult, plane, g, f), targets[i])",
+        ""), _check_antipode_orders),
+    "composition operands swapped": (
+        galois, "composition_failures", lambda fn: _edited(
+            fn, "op_mul(ops[g], ops[h])", "op_mul(ops[h], ops[g])"),
+        _check_dual_endos),
+    "unit always preserved": (hopf, "is_unital", lambda fn: (
+        lambda coact, unit_b, unit_h: True), _check_comult_unit),
+    "bimodular on the left only": (algebra, "is_bimodular", lambda fn: _edited(
+        fn, "(A.left_mult_op(z), A.right_mult_op(z))", "(A.left_mult_op(z),)"),
+        _check_bimodular),
+    "require never raises": (Report, "require", lambda fn: (
+        lambda self, error, text, **kwargs: None), _check_refusal),
+    "coaction legs swapped": (SmashProduct, "coaction", lambda fn: _edited(
+        fn, "(self.idx(a, h1), h2)", "(self.idx(a, h2), h1)"),
+        _check_dual_endos),
 }
 
 

@@ -1,4 +1,5 @@
-"""C(S3), the smallest noncocommutative Hopf *-algebra at hand, end to end.
+"""C(S3) and the Kac-Paljutkin algebra H8, noncocommutative inputs, end to
+end.
 
 A group algebra is cocommutative, so no certificate over one can tell h_1
 from h_2.  Two inputs over H = C(S3) can, and their answers are read off
@@ -13,6 +14,11 @@ the group table:
   every left translation commutes with it and the centralizer is all of
   CS3 (dim 6); a right translation commutes with every such average only
   at the center of S3 (dim 1).
+
+* H8 is neither commutative nor cocommutative, so it also tells the two
+  orders of a product in H apart.  It acts on Mat2 by Ad pi for a
+  2-dimensional *-representation pi; Mat2 is a factor, so the quantum Galois
+  group of that depth-two inclusion is H8* (qgal_dim = 8).
 
 Each input runs plain and lifted to order 3 by an extra document.
 """
@@ -30,20 +36,30 @@ from hopfgal.banica import (
     t_q_extraction,
 )
 from hopfgal.cli import main
-from hopfgal.fixtures import (
+from hopfgal.errors import InputError
+from hopfgal.galois import canonical_qgal, qgal_fixed_point
+from hopfgal.hopf import (
+    dual_hopf,
+    flip,
+    group_inverse,
+    haar,
+    validate_hopf,
+    variants,
+)
+from hopfgal.linalg import dense_row, unit_vec
+from hopfgal.scalars import Scalar
+from hopfgal.serialize import Workspace
+
+from builders import (
     S3_TABLE,
     S3_TRANSPOSITION,
     c_of_s3,
     cs3,
+    kac_paljutkin,
+    kac_paljutkin_adjoint,
     mat_algebra,
 )
-from hopfgal.errors import InputError
-from hopfgal.galois import canonical_qgal, qgal_fixed_point
-from hopfgal.hopf import group_inverse, variants
-from hopfgal.linalg import unit_vec
-from hopfgal.scalars import Scalar
-from hopfgal.serialize import Workspace
-from hopfgal.workspaces import (
+from make_fixtures import (
     _action_doc,
     _algebra_doc,
     _comodule_doc,
@@ -103,6 +119,16 @@ def banica_documents() -> dict:
     return docs
 
 
+def kac_paljutkin_documents() -> dict:
+    act = kac_paljutkin_adjoint()
+    return {
+        "kp8": _hopf_doc(act.hopf, "KP8"),
+        "mat2": _algebra_doc(act.alg, "Mat2"),
+        "adpi": _action_doc(act, "kp8", "mat2"),
+        "qgal": {"kind": "job", "op": "qgal-depth2", "action": "adpi"},
+    }
+
+
 def _workspace(docs: dict, order) -> Workspace:
     if order:
         one = {"order": order, "num": [1, 0], "den": 1}
@@ -152,3 +178,55 @@ def test_banica_c_of_s3_centralizer(side, dim, order):
     assert result.subspace.contains(unit_vec(6, 0))
     _, rep = t_q_extraction(data, result.hopf, result.lifted_action)
     assert rep.ok, rep.failed()
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_kac_paljutkin_is_kac_and_neither_commutative_nor_cocommutative(
+        order):
+    H = kac_paljutkin(order)
+    rep = validate_hopf(H)
+    assert rep.ok, rep.failed()
+    assert H.is_kac()
+    assert not H.is_commutative()
+    assert flip(H.comult) != H.comult
+    # the Haar state is the coefficient of 1
+    assert haar(H) == unit_vec(8, 0, order)
+    dual = validate_hopf(dual_hopf(H))
+    assert dual.ok, dual.failed()
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_kac_paljutkin_with_z_self_adjoint_is_no_hopf_star_algebra(order):
+    H, one = kac_paljutkin(order), Scalar.one(order)
+    # z* = z, so (x^i y^j z)* = z x^i y^j
+    for a in (1, 3, 5, 7):
+        H.star[a] = dense_row(H.mul_vec({1: one}, {a - 1: one}), 8, order)
+    rep = validate_hopf(H)
+    # the witness is z, at index 1
+    assert [(c.name, c.witness) for c in rep.failed()] == [
+        ("coalg:star_reverses_comultiplication", 1),
+        ("comult_is_star_morphism", 1),
+    ]
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_depth_two_adjoint_action_of_kac_paljutkin_on_mat2(order):
+    act = _workspace(kac_paljutkin_documents(), order).get("adpi")
+    assert validate_action(act).ok
+    sp = smash_product(act)
+    assert sp.total.dim == 32
+    cert = canonical_qgal(sp)
+    assert cert.report.ok, cert.report.failed()
+    assert cert.qgal.dim == 8
+    assert cert.outer_witness.dim == 8
+    assert not cert.qgal.is_commutative()
+    assert flip(cert.qgal.comult) != cert.qgal.comult
+
+
+def test_depth_two_kac_paljutkin_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "kp8.json"
+    path.write_text(json.dumps({"documents": kac_paljutkin_documents()}))
+    assert main(["qgal-depth2", "--workspace", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"]
+    assert (doc["qgal_dim"], doc["commutant_dim"]) == (8, 8)

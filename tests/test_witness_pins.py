@@ -23,13 +23,13 @@ from hopfgal import report
 from hopfgal.actions import innerify_check, smash_product, validate_action
 from hopfgal.banica import lambda_action, product_coaction, validate_comodule
 from hopfgal.errors import HopfgalError
-from hopfgal.fixtures import c_of_s3, cs3, pauli_action
 from hopfgal.galois import trace_preservation
 from hopfgal.hopf import validate_coalgebra, validate_hopf
 from hopfgal.scalars import Scalar
 from hopfgal.serialize import Workspace
 
 from _oracles import graded_by_conjugation, report_summary
+from builders import c_of_s3, cs3, pauli_action
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
